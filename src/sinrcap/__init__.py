@@ -15,7 +15,8 @@ from .formulations import (admission_filter_threshold, build_admission_large_lp,
                            build_admission_lp, build_capacity_lp, build_qos_lp,
                            build_weighted_lp)
 from .rounding import (RoundingPolicy, bernoulli_draws, extract_low_affectance,
-                       run_pipeline, sample_round, signal_strengthen)
+                       final_selection, run_pipeline, sample_round,
+                       signal_strengthen)
 from .greedy import (greedy_base, greedy_combined, greedy_length_classes,
                      greedy_weight_classes)
 from .oracle import TooLarge, exact_admission, exact_capacity, largest_bifeasible

@@ -20,8 +20,7 @@ from .affectance import AffectanceContext, Schedule, certify
 from .formulations import (admission_filter_threshold, build_admission_large_lp,
                            build_admission_lp)
 from .lp_core import solve_lp
-from .rounding import (RoundingPolicy, best_part, extract_low_affectance,
-                       sample_round, signal_strengthen)
+from .rounding import RoundingPolicy, _better, final_selection, sample_round
 
 logger = logging.getLogger(__name__)
 
@@ -163,16 +162,16 @@ def admit_general(ctx: AffectanceContext, policy: RoundingPolicy) -> AdmissionRe
         raise ValueError("policy mode must be admission_general")
     if not ctx.has_primaries:
         raise ValueError("admit_general requires a context with primaries attached")
-    sol = solve_lp(build_admission_lp(ctx, policy.C))
+    lp = build_admission_lp(ctx, policy.C)
+    sol = solve_lp(lp)
     best_ids, best_groups, best_aggregate = (), [], 0.0
     for trial in range(policy.trials):
-        sample = sample_round(ctx, sol.values, policy, trial)
-        kept = extract_low_affectance(ctx, sample, policy.extraction_bound)
-        parts = signal_strengthen(ctx, kept, theta=1.0)
-        feasible_set = best_part(ctx, parts, "capacity")
+        sample = sample_round(ctx, lp, sol.values, policy, trial)
+        feasible_set = final_selection(ctx, sample, policy.extraction_bound, 1.0,
+                                       "capacity")
         groups = partition_by_primaries(ctx, feasible_set)
         cand = min(groups, key=lambda g: (-len(g), g), default=())
-        if len(cand) > len(best_ids) or (len(cand) == len(best_ids) and cand < best_ids):
+        if _better(len(cand), cand, len(best_ids), best_ids):
             best_ids = cand
             best_groups = groups
             fs_idx = ctx.index_of(feasible_set) if feasible_set else np.zeros(0, dtype=int)
@@ -201,14 +200,12 @@ def admit_large_opt(ctx: AffectanceContext, policy: RoundingPolicy,
     successes = 0
     attempts_cap = max(policy.trials, retry_cap)
     for trial in range(attempts_cap):
-        sample = sample_round(ctx, sol.values, policy, trial, ids=kept_ids)
+        sample = sample_round(ctx, lp, sol.values, policy, trial, ids=kept_ids)
         if np.any(_primary_loads(ctx, sample) > 1.0):
             continue
         successes += 1
-        kept = extract_low_affectance(ctx, sample, policy.extraction_bound)
-        parts = signal_strengthen(ctx, kept, theta=1.0)
-        cand = best_part(ctx, parts, "capacity")
-        if len(cand) > len(best_ids) or (len(cand) == len(best_ids) and cand < best_ids):
+        cand = final_selection(ctx, sample, policy.extraction_bound, 1.0, "capacity")
+        if _better(len(cand), cand, len(best_ids), best_ids):
             best_ids = cand
         if successes >= policy.trials:
             break

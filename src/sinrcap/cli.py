@@ -10,12 +10,12 @@ import json
 import sys
 
 from .admission import admit_general, admit_large_opt
-from .affectance import AffectanceContext, check_feasibility, schedule_weight
+from .affectance import AffectanceContext, schedule_weight
 from .formulations import (build_capacity_lp, build_qos_lp, build_weighted_lp)
 from .greedy import (greedy_combined, greedy_length_classes,
                      greedy_weight_classes)
 from .harness import (DEFAULT_SWEEP, GenConfig, generate_instance, run_compare,
-                      run_oracle_suite)
+                      run_oracle_suite, verify_output)
 from .model import parse_power, read_instance, write_instance
 from .oracle import exact_admission, exact_capacity
 from .rounding import RoundingPolicy, run_pipeline
@@ -105,13 +105,6 @@ def _emit(payload, out):
         print(text)
 
 
-def _verify(ctx, ids) -> bool:
-    ok = check_feasibility(ctx, ids, 1.0, "feasible")
-    if ctx.instance.beta >= 1.0:
-        ok = ok and check_feasibility(ctx, ids, mode="exact_sinr")
-    return ok
-
-
 def _cmd_gen(args) -> int:
     cfg = GenConfig(n=args.n, R=args.side, delta=args.delta, weight_dist=args.weights,
                     alpha=args.alpha, beta=args.beta, noise=args.noise, seed=args.seed,
@@ -149,7 +142,7 @@ def _cmd_solve(args) -> int:
         if best is None or value > best["value"]:
             best = {"constant": c, "value": value, "ids": list(sched.ids),
                     "exact_sinr_ok": sched.exact_sinr_ok}
-    ok = _verify(ctx, best["ids"])
+    ok = verify_output(ctx, best["ids"])
     best["verified"] = ok
     _emit(best, args.out)
     return 0 if ok else 1

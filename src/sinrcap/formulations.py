@@ -3,6 +3,14 @@
 Each builder returns a program whose variables follow the context's id
 order (``ctx.ids``).  Coefficients are clipped affectances, so every
 entry lies in [0, 1].
+
+Each builder also attaches the second rounding stage's data: per row, the
+variable whose survival the row decides (or -1 for the whole sample) and
+the row's load limit, a slack multiple of its bound.  A stage-one sample
+keeps a link only while every row it owns stays within its limit; each
+builder's docstring states its limits.  The large-optimum primary rows
+have no limit, since that pipeline checks the unclipped primary loads
+itself.
 """
 
 from __future__ import annotations
@@ -31,7 +39,8 @@ def _warn_unless(cond: bool, message: str):
 
 def build_capacity_lp(ctx: AffectanceContext, C: float = DEFAULT_C) -> LinearProgram:
     """Maximize the number of links, bounding per link both the affectance
-    received from and sent to no-shorter links by C (2n rows)."""
+    received from and sent to no-shorter links by C (2n rows).  Stage-two
+    limit: 3C on both rows of a link."""
     pc = ctx.power_class()
     _warn_unless(pc["non_decreasing"] and pc["sub_linear"],
                  "capacity LP expects a non-decreasing sub-linear power assignment")
@@ -47,12 +56,15 @@ def build_capacity_lp(ctx: AffectanceContext, C: float = DEFAULT_C) -> LinearPro
         row_coeffs=np.vstack([in_rows, out_rows]) if n else np.zeros((0, 0)),
         row_bounds=np.full(2 * n, C),
         row_names=names,
+        row_var=np.tile(np.arange(n), 2),
+        row_limit=np.full(2 * n, 3.0 * C),
     )
 
 
 def build_qos_lp(ctx: AffectanceContext, C: float = DEFAULT_C) -> LinearProgram:
     """Variant honoring per-link thresholds and noise: one row per link
-    bounding the affectance it sends to all others by C."""
+    bounding the affectance it sends to all others by C.  Stage-two limit:
+    3C."""
     _warn_unless(ctx.nearly_uniform(),
                  "QoS LP guarantee assumes (nearly) uniform power")
     if not C > 0:
@@ -64,6 +76,8 @@ def build_qos_lp(ctx: AffectanceContext, C: float = DEFAULT_C) -> LinearProgram:
         row_coeffs=rows,
         row_bounds=np.full(n, C),
         row_names=tuple(f"out_{int(u)}" for u in ctx.ids),
+        row_var=np.arange(n),
+        row_limit=np.full(n, 3.0 * C),
     )
 
 
@@ -73,6 +87,8 @@ def build_admission_lp(ctx: AffectanceContext, C: float = DEFAULT_C) -> LinearPr
     One aggregate row caps the total hat-affectance on the primaries at
     |P|, plus per-link rows as in the QoS program (hat values throughout).
     With no primaries the aggregate row is vacuous and omitted.
+    Stage-two limits: 4C on a link row; 5|P| on the aggregate row, whose
+    violation discards the whole sample.
     """
     if not ctx.has_primaries:
         raise ValueError("admission LP requires a context with primaries attached")
@@ -84,15 +100,21 @@ def build_admission_lp(ctx: AffectanceContext, C: float = DEFAULT_C) -> LinearPr
     rows = [ctx.aff.copy() if n else np.zeros((0, 0))]
     bounds = [np.full(n, C)]
     names = [f"out_{int(u)}" for u in ctx.ids]
+    var = [np.arange(n)]
+    limits = [np.full(n, 4.0 * C)]
     if ctx.k and n:  # with no variables the aggregate row constrains nothing
         rows.insert(0, ctx.aff_to_prim.sum(axis=1).reshape(1, -1))
         bounds.insert(0, np.array([float(ctx.k)]))
         names.insert(0, "primaries_total")
+        var.insert(0, np.array([-1]))
+        limits.insert(0, np.array([5.0 * ctx.k]))
     return LinearProgram(
         objective=np.ones(n),
         row_coeffs=np.vstack(rows),
         row_bounds=np.concatenate(bounds),
         row_names=tuple(names),
+        row_var=np.concatenate(var),
+        row_limit=np.concatenate(limits),
     )
 
 
@@ -112,6 +134,7 @@ def build_admission_large_lp(ctx: AffectanceContext, C: float = DEFAULT_C,
     1/(10 sqrt(log k)) are filtered out; the program then caps each
     primary's received hat-affectance at 1/3 and keeps the per-link rows.
     Returns (kept_ids, program); variables follow kept_ids order.
+    Stage-two limits: 4C on a link row, none on a primary row.
     """
     if not ctx.has_primaries or ctx.k == 0:
         raise ValueError("large-optimum admission requires at least one primary")
@@ -136,13 +159,15 @@ def build_admission_large_lp(ctx: AffectanceContext, C: float = DEFAULT_C,
         row_coeffs=np.vstack([prim_rows, link_rows]),
         row_bounds=np.concatenate([np.full(ctx.k, 1.0 / 3.0), np.full(m, C)]),
         row_names=names,
+        row_var=np.concatenate([np.full(ctx.k, -1), np.arange(m)]),
+        row_limit=np.concatenate([np.full(ctx.k, np.inf), np.full(m, 4.0 * C)]),
     )
     return kept_ids, lp
 
 
 def build_weighted_lp(ctx: AffectanceContext, C: float = DEFAULT_C) -> LinearProgram:
     """Maximize total weight; one row per link bounding its received
-    affectance from all links by C."""
+    affectance from all links by C.  Stage-two limit: 4C."""
     ratios = ctx.powers / ctx.lengths ** ctx.instance.alpha if ctx.n else np.zeros(0)
     _warn_unless(ctx.n <= 1 or bool(np.allclose(ratios, ratios[0])),
                  "weighted-capacity guarantee assumes linear power")
@@ -155,4 +180,6 @@ def build_weighted_lp(ctx: AffectanceContext, C: float = DEFAULT_C) -> LinearPro
         row_coeffs=rows,
         row_bounds=np.full(n, C),
         row_names=tuple(f"in_{int(u)}" for u in ctx.ids),
+        row_var=np.arange(n),
+        row_limit=np.full(n, 4.0 * C),
     )

@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .affectance import AffectanceContext, Schedule, certify, schedule_weight
-from .rounding import best_part, extract_low_affectance, signal_strengthen
+from .rounding import final_selection
 
 DEFAULT_EXTRACTION_BOUND = 12.0
 
@@ -34,20 +34,13 @@ def _greedy_accept(ctx: AffectanceContext, candidate_idx, c_g: float) -> list:
     return accepted
 
 
-def _finalize(ctx: AffectanceContext, accepted_idx, objective: str) -> tuple:
-    ids = tuple(sorted(int(ctx.ids[u]) for u in accepted_idx))
-    kept = extract_low_affectance(ctx, ids, DEFAULT_EXTRACTION_BOUND)
-    parts = signal_strengthen(ctx, kept, theta=1.0)
-    return best_part(ctx, parts, objective)
-
-
 def _run_class(ctx: AffectanceContext, class_idx, c_g: float, order: str) -> tuple:
     if order == "length":
         keys = sorted(class_idx, key=lambda u: (ctx.lengths[u], int(ctx.ids[u])))
     else:  # heaviest first within a length class
         keys = sorted(class_idx, key=lambda u: (-ctx.weights[u], int(ctx.ids[u])))
-    accepted = _greedy_accept(ctx, keys, c_g)
-    return _finalize(ctx, accepted, "capacity")
+    accepted = ctx.ids[_greedy_accept(ctx, keys, c_g)]
+    return final_selection(ctx, accepted, DEFAULT_EXTRACTION_BOUND, 1.0, "capacity")
 
 
 def greedy_base(ctx: AffectanceContext, c_g: float = 1.0) -> Schedule:

@@ -17,7 +17,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import model
 from .affectance import AffectanceContext, check_feasibility, schedule_weight
 from .formulations import build_capacity_lp, build_weighted_lp
 from .greedy import greedy_base, greedy_length_classes, greedy_weight_classes
@@ -134,11 +133,10 @@ def generate_instance(cfg: GenConfig) -> Instance:
                     noise=cfg.noise, primaries=primaries)
 
 
-def _verify(ctx: AffectanceContext, ids) -> bool:
-    ok = check_feasibility(ctx, ids, 1.0, "feasible")
-    if ctx.instance.beta >= 1.0:
-        ok = ok and check_feasibility(ctx, ids, mode="exact_sinr")
-    return ok
+def verify_output(ctx: AffectanceContext, ids) -> bool:
+    """Affectance feasibility at threshold 1 and the exact SINR inequality."""
+    return (check_feasibility(ctx, ids, 1.0, "feasible")
+            and check_feasibility(ctx, ids, mode="exact_sinr"))
 
 
 def _best_over_sweep(values_by_constant):
@@ -210,7 +208,7 @@ def run_compare(gen_configs: Sequence[GenConfig], sweep: Sequence[float],
                                ("greedy_l", gl_best, None),
                                ("greedy", g_best, greedy_ms if timing else None)):
             c, value, ids = best
-            if not _verify(ctx, ids):
+            if not verify_output(ctx, ids):
                 raise AssertionError(f"{algo} produced an infeasible solution")
             records.append(ExperimentRecord(**meta, algo=algo, constant=c,
                                             value=value, feasible=True, runtime_ms=ms))
@@ -257,7 +255,7 @@ def run_oracle_suite(gen_configs: Sequence[GenConfig], trials: int = 50,
             "alg_le_opt": alg.size <= opt.size and grd.size <= opt.size,
             "lp_ge_w2": lp_star >= len(w2.ids) - 1e-6,
             "w2_ge_half_opt": len(w2.ids) >= math.ceil(opt.size / 2),
-            "outputs_feasible": _verify(ctx, alg.ids) and _verify(ctx, grd.ids),
+            "outputs_feasible": verify_output(ctx, alg.ids) and verify_output(ctx, grd.ids),
         }
         all_ok = all_ok and all(verdicts.values())
         rows.append({
@@ -266,13 +264,3 @@ def run_oracle_suite(gen_configs: Sequence[GenConfig], trials: int = 50,
             "calibrated_C": calibrated, "verdicts": verdicts,
         })
     return {"rows": rows, "all_ok": all_ok}
-
-
-# instance file helpers, re-exported for convenience
-read_instance = model.read_instance
-write_instance = model.write_instance
-
-
-def io_roundtrip(path) -> Instance:
-    """Read an instance file (the inverse of ``write_instance``)."""
-    return model.read_instance(path)

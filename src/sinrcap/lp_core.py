@@ -4,11 +4,17 @@ Programs here always maximize a nonnegative objective subject to
 ``A x <= b`` with ``A >= 0``, ``b > 0`` and box bounds ``0 <= x <= 1``,
 so x = 0 is feasible and the optimum is finite.  Solving is delegated to
 scipy's HiGHS backend behind a thin checked interface.
+
+A program may also carry the data of the second rounding stage: per row,
+the variable whose survival the row decides (-1: the whole sample) and
+the load limit a rounded selection must respect.  Without it, rounding
+keeps every stage-one pick.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 from scipy.optimize import linprog
@@ -26,6 +32,8 @@ class LinearProgram:
     row_coeffs: np.ndarray
     row_bounds: np.ndarray
     row_names: tuple = ()
+    row_var: Optional[np.ndarray] = None    # default: -1 for every row
+    row_limit: Optional[np.ndarray] = None  # default: inf for every row
 
     def __post_init__(self):
         obj = np.asarray(self.objective, dtype=float)
@@ -45,9 +53,20 @@ class LinearProgram:
             raise ValueError("row bounds length must match the number of rows")
         if self.row_names and len(self.row_names) != a.shape[0]:
             raise ValueError("row names length must match the number of rows")
+        var = np.full(b.size, -1) if self.row_var is None else np.asarray(self.row_var)
+        limit = np.full(b.size, np.inf) if self.row_limit is None \
+            else np.asarray(self.row_limit, dtype=float)
+        if var.shape != b.shape or limit.shape != b.shape:
+            raise ValueError("rounding data length must match the number of rows")
+        if var.dtype.kind not in "iu" or np.any(var < -1) or np.any(var >= obj.size):
+            raise ValueError("row variables must be integers in [-1, n)")
+        if not np.all(limit > 0):  # also rejects NaN
+            raise ValueError("row limits must be positive")
         object.__setattr__(self, "objective", obj)
         object.__setattr__(self, "row_coeffs", a)
         object.__setattr__(self, "row_bounds", b)
+        object.__setattr__(self, "row_var", var)
+        object.__setattr__(self, "row_limit", limit)
 
     @property
     def n(self) -> int:

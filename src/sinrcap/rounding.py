@@ -1,11 +1,13 @@
 """Two-stage randomized rounding and final selection.
 
 Stage one keeps each link independently with its fractional LP value as
-probability.  Stage two keeps a selected link only if its affectance load
-within the stage-one sample stays under a slack multiple of the LP's row
-bound.  Final selection drops high-affectance members and partitions the
-rest into feasible groups (signal strengthening), returning the best
-group.
+probability.  Stage two reads the LP rows: a row's load is its
+coefficients summed over the stage-one sample, and a selected link
+survives only while every row it owns stays within that row's limit (the
+builders in ``formulations`` set the limits).  Final selection, shared by
+the LP, admission and greedy pipelines, drops high-affectance members and
+partitions the rest into feasible groups (signal strengthening),
+returning the best group.
 """
 
 from __future__ import annotations
@@ -22,17 +24,6 @@ from .lp_core import LinearProgram, solve_lp
 logger = logging.getLogger(__name__)
 
 ROUNDING_MODES = ("capacity", "qos", "weighted", "admission_general", "admission_large")
-
-# Second-stage slack multiples of the row bound C, per mode.
-CONDITION_SLACK = {
-    "capacity": 3.0,
-    "qos": 3.0,
-    "weighted": 4.0,
-    "admission_general": 4.0,
-    "admission_large": 4.0,
-}
-# Aggregate primary-load budget is this multiple of |P| (admission_general).
-PRIMARY_BUDGET_MULT = 5.0
 
 
 @dataclass(frozen=True)
@@ -82,50 +73,27 @@ def bernoulli_draws(seed: int, trial: int, ids: Sequence[int]) -> np.ndarray:
     return out
 
 
-def _second_stage(ctx: AffectanceContext, policy: RoundingPolicy,
-                  selected: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Apply the per-link (and, for admission, global) conditions to the
-    stage-one selection mask; returns the surviving mask."""
-    slack = CONDITION_SLACK[policy.mode] * policy.C
-    aff = ctx.aff[np.ix_(idx, idx)]
-    sel = selected.astype(float)
-    if policy.mode == "capacity":
-        mask = ctx.length_ge_mask()[np.ix_(idx, idx)]
-        in_load = sel @ (aff * mask)
-        out_load = sel @ (aff.T * mask)
-        cond = (in_load <= slack) & (out_load <= slack)
-    elif policy.mode == "qos":
-        out_load = aff @ sel
-        cond = out_load <= slack
-    elif policy.mode == "weighted":
-        in_load = sel @ aff
-        cond = in_load <= slack
-    else:  # admission modes: per-link condition on sent hat-affectance
-        out_load = aff @ sel
-        cond = out_load <= slack
-        if policy.mode == "admission_general" and ctx.k:
-            total = float(sel @ ctx.aff_to_prim[idx, :].sum(axis=1))
-            if total > PRIMARY_BUDGET_MULT * ctx.k:
-                return np.zeros_like(selected)
-    return selected & cond
-
-
-def sample_round(ctx: AffectanceContext, delta: np.ndarray, policy: RoundingPolicy,
-                 trial: int, ids: Optional[Sequence[int]] = None) -> tuple:
+def sample_round(ctx: AffectanceContext, lp: LinearProgram, delta: np.ndarray,
+                 policy: RoundingPolicy, trial: int,
+                 ids: Optional[Sequence[int]] = None) -> tuple:
     """One two-stage sample; deterministic given (policy.seed, trial).
 
-    ``delta`` holds the fractional values aligned with ``ids`` (the whole
-    context when ids is None).  Returns the selected ids, sorted.
+    ``delta`` holds the fractional values of ``lp``'s variables, which are
+    aligned with ``ids`` (the whole context when ids is None).  Stage two
+    drops the variable of every row whose load exceeds its limit, or the
+    whole sample for such a row without one.  Returns the selected ids,
+    sorted.
     """
     use_ids = np.asarray(ctx.ids if ids is None else ids, dtype=int)
     delta = np.asarray(delta, dtype=float)
-    if delta.shape != (use_ids.size,):
+    if delta.shape != (use_ids.size,) or lp.n != use_ids.size:
         raise ValueError("delta length must match the variable ids")
-    idx = ctx.index_of(use_ids)
-    draws = bernoulli_draws(policy.seed, trial, use_ids)
-    selected = draws < delta
-    survivors = _second_stage(ctx, policy, selected, idx)
-    return tuple(int(i) for i in use_ids[survivors])
+    selected = bernoulli_draws(policy.seed, trial, use_ids) < delta
+    over = lp.row_coeffs @ selected.astype(float) > lp.row_limit
+    if np.any(lp.row_var[over] < 0):
+        return ()
+    selected[lp.row_var[over]] = False
+    return tuple(int(i) for i in use_ids[selected])
 
 
 def extract_low_affectance(ctx: AffectanceContext, S, bound: float = 12.0) -> tuple:
@@ -195,6 +163,15 @@ def best_part(ctx: AffectanceContext, parts, mode: str) -> tuple:
     return best_ids
 
 
+def final_selection(ctx: AffectanceContext, S, bound: float, theta: float,
+                    mode: str) -> tuple:
+    """Extract S's low-affectance members, strengthen them into
+    theta-feasible parts and return the best part under ``mode``'s
+    objective."""
+    kept = extract_low_affectance(ctx, S, bound)
+    return best_part(ctx, signal_strengthen(ctx, kept, theta), mode)
+
+
 def run_pipeline(ctx: AffectanceContext, lp: LinearProgram,
                  policy: RoundingPolicy) -> Schedule:
     """Solve, round over ``policy.trials`` independent samples, extract and
@@ -206,10 +183,9 @@ def run_pipeline(ctx: AffectanceContext, lp: LinearProgram,
     sol = solve_lp(lp)
     best_ids, best_val = (), 0.0
     for trial in range(policy.trials):
-        sample = sample_round(ctx, sol.values, policy, trial)
-        kept = extract_low_affectance(ctx, sample, policy.extraction_bound)
-        parts = signal_strengthen(ctx, kept, policy.theta)
-        cand = best_part(ctx, parts, policy.mode)
+        sample = sample_round(ctx, lp, sol.values, policy, trial)
+        cand = final_selection(ctx, sample, policy.extraction_bound, policy.theta,
+                               policy.mode)
         val = _schedule_objective(ctx, cand, policy.mode)
         if _better(val, cand, best_val, best_ids or None):
             best_ids, best_val = cand, val

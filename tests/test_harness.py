@@ -108,10 +108,11 @@ def test_run_oracle_suite():
     assert again["rows"] == report["rows"]
 
 
-def test_cli_gen_solve_oracle(tmp_path):
+@pytest.mark.parametrize("beta", ["1.0", "0.5"])
+def test_cli_gen_solve_oracle(tmp_path, beta):
     inst_path = tmp_path / "inst.json"
     assert cli_main(["gen", "--n", "9", "--side", "5", "--delta", "2",
-                     "--seed", "4", "--out", str(inst_path)]) == 0
+                     "--seed", "4", "--beta", beta, "--out", str(inst_path)]) == 0
     inst = read_instance(inst_path)
     assert inst.n == 9
 
@@ -179,9 +180,8 @@ def test_run_compare_timing_flag(tmp_path):
 
 
 def test_io_roundtrip_generated(tmp_path):
-    from sinrcap.harness import io_roundtrip
     inst = generate_instance(GenConfig(n=7, R=4.0, delta=2.0, seed=9, primaries=1))
     p1, p2 = tmp_path / "x.json", tmp_path / "y.json"
     write_instance(inst, p1)
-    write_instance(io_roundtrip(p1), p2)
+    write_instance(read_instance(p1), p2)
     assert p1.read_bytes() == p2.read_bytes()

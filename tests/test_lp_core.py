@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
-from sinrcap import (LinearProgram, check_solution, dump_lp, solve_lp)
+from sinrcap import (LinearProgram, RoundingPolicy, build_capacity_lp,
+                     check_solution, dump_lp, sample_round, solve_lp)
+
+from conftest import random_ctx
 
 
 def lp(obj, rows, bounds, names=()):
@@ -76,6 +79,27 @@ def test_invalid_programs_rejected():
         lp([1.0], [[0.5]], [0.0])   # nonpositive bound
     with pytest.raises(ValueError):
         lp([-1.0], [[0.5]], [1.0])  # negative objective
+    rows, bounds = [[0.5, 0.5], [0.5, 0.5]], [1.0, 1.0]
+    for var, limit in (([0], [1.0, 1.0]),         # rounding data of the wrong length
+                       ([0, 1], [1.0]),
+                       ([0, 2], [1.0, 1.0]),      # variable index outside [-1, n)
+                       ([-2, 0], [1.0, 1.0]),
+                       ([0, 1], [1.0, np.nan])):  # NaN limit
+        with pytest.raises(ValueError):
+            LinearProgram(objective=np.ones(2), row_coeffs=np.asarray(rows),
+                          row_bounds=np.asarray(bounds), row_var=np.asarray(var),
+                          row_limit=np.asarray(limit))
+
+
+def test_program_without_rounding_data_keeps_stage_one_picks():
+    ctx = random_ctx(2, n=10, R=2.0, delta=2.0)
+    built = build_capacity_lp(ctx, 0.4)
+    bare = LinearProgram(objective=built.objective, row_coeffs=built.row_coeffs,
+                         row_bounds=built.row_bounds)
+    policy = RoundingPolicy(mode="capacity", C=0.4, trials=1, seed=5)
+    ones = np.ones(ctx.n)
+    assert sample_round(ctx, bare, ones, policy, 0) == tuple(int(i) for i in ctx.ids)
+    assert len(sample_round(ctx, built, ones, policy, 0)) < ctx.n
 
 
 def test_dump_format():

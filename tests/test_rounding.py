@@ -2,12 +2,15 @@ import numpy as np
 import pytest
 
 from sinrcap import (AffectanceContext, Instance, PowerAssignment,
-                     RoundingPolicy, bernoulli_draws, build_capacity_lp,
-                     check_feasibility, exact_capacity,
+                     RoundingPolicy, bernoulli_draws, build_admission_large_lp,
+                     build_admission_lp, build_capacity_lp, build_qos_lp,
+                     build_weighted_lp, check_feasibility, exact_capacity,
                      extract_low_affectance, run_pipeline, sample_round,
                      signal_strengthen, solve_lp)
+from sinrcap.rounding import ROUNDING_MODES
 
-from conftest import colocated_pair, far_instance, make_link, random_ctx
+from conftest import (colocated_pair, far_instance, feasible_prim_ctx, make_link,
+                      random_ctx)
 
 UNIFORM = PowerAssignment.uniform()
 
@@ -24,10 +27,11 @@ def test_draws_are_link_keyed():
 
 def test_sample_round_degenerate_deltas():
     ctx = AffectanceContext(far_instance(5), UNIFORM)
+    lp = build_capacity_lp(ctx, 1.0)
     policy = RoundingPolicy(mode="capacity", C=1.0, trials=1, seed=0)
-    assert sample_round(ctx, np.zeros(5), policy, 0) == ()
+    assert sample_round(ctx, lp, np.zeros(5), policy, 0) == ()
     # all-ones fractional values with negligible affectances keep every link
-    assert sample_round(ctx, np.ones(5), policy, 0) == tuple(int(i) for i in ctx.ids)
+    assert sample_round(ctx, lp, np.ones(5), policy, 0) == tuple(int(i) for i in ctx.ids)
 
 
 def test_sample_round_deterministic():
@@ -35,8 +39,8 @@ def test_sample_round_deterministic():
     lp = build_capacity_lp(ctx, 1.0)
     sol = solve_lp(lp)
     policy = RoundingPolicy(mode="capacity", C=1.0, trials=1, seed=11)
-    a = sample_round(ctx, sol.values, policy, 5)
-    b = sample_round(ctx, sol.values, policy, 5)
+    a = sample_round(ctx, lp, sol.values, policy, 5)
+    b = sample_round(ctx, lp, sol.values, policy, 5)
     assert a == b
 
 
@@ -62,6 +66,60 @@ def test_second_stage_condition_frequency():
     assert np.all(freq >= 1 / 3 - 3 * sigma)
 
 
+def _per_mode_survivors(ctx, mode, C, ids, selected):
+    """Stage two as each mode's conditions state it, from ctx.aff directly:
+    the reference the LP-row form must reproduce.  None: sample discarded."""
+    idx = ctx.index_of(ids)
+    aff = ctx.aff[np.ix_(idx, idx)]
+    sel = selected.astype(float)
+    if mode == "capacity":
+        mask = ctx.length_ge_mask()[np.ix_(idx, idx)]
+        keep = (sel @ (aff * mask) <= 3 * C) & (sel @ (aff.T * mask) <= 3 * C)
+    elif mode == "qos":
+        keep = aff @ sel <= 3 * C
+    elif mode == "weighted":
+        keep = sel @ aff <= 4 * C
+    else:
+        keep = aff @ sel <= 4 * C
+        if mode == "admission_general" and \
+                sel @ ctx.aff_to_prim[idx].sum(axis=1) > 5 * ctx.k:
+            return None
+    return tuple(int(i) for i in ids[selected & keep])
+
+
+BUILDERS = {"capacity": build_capacity_lp, "qos": build_qos_lp,
+            "weighted": build_weighted_lp, "admission_general": build_admission_lp}
+
+
+@pytest.mark.parametrize("mode", ROUNDING_MODES)
+def test_stage_two_matches_per_mode_conditions(mode):
+    shrunk = discarded = 0
+    for seed in range(4):
+        if mode == "admission_large":  # the prefilter keeps links far from primaries
+            ctx = feasible_prim_ctx(seed, n=40, R=8.0, delta=2.0, primaries=2)
+        elif mode == "admission_general":
+            ctx = feasible_prim_ctx(seed, n=16, R=4.0, delta=2.0, primaries=2)
+        else:
+            ctx = random_ctx(seed, n=16, R=3.0, delta=2.0)
+        for C in (0.4, 1.0, 2.0):
+            if mode == "admission_large":
+                ids, lp = build_admission_large_lp(ctx, C)
+            else:
+                ids, lp = ctx.ids, BUILDERS[mode](ctx, C)
+            ids = np.asarray(ids, dtype=int)
+            delta = np.random.default_rng(seed).uniform(0.3, 1.0, ids.size)
+            policy = RoundingPolicy(mode=mode, C=C, trials=1, seed=seed)
+            for t in range(40):
+                selected = bernoulli_draws(seed, t, ids) < delta
+                expected = _per_mode_survivors(ctx, mode, C, ids, selected)
+                discarded += expected is None
+                expected = expected or ()
+                assert sample_round(ctx, lp, delta, policy, t, ids=ids) == expected
+                shrunk += len(expected) < selected.sum()
+    assert shrunk > 0  # stage two did drop links
+    assert (discarded > 0) == (mode == "admission_general")
+
+
 def test_extract_low_affectance():
     ctx = AffectanceContext(far_instance(4), UNIFORM)
     ids = tuple(int(i) for i in ctx.ids)
@@ -75,10 +133,11 @@ def test_extract_low_affectance():
 def test_extract_keeps_half_on_rounded_sets():
     ctx = random_ctx(8, n=14, R=2.5, delta=2.0)
     C = 1.0
-    sol = solve_lp(build_capacity_lp(ctx, C))
+    lp = build_capacity_lp(ctx, C)
+    sol = solve_lp(lp)
     policy = RoundingPolicy(mode="capacity", C=C, trials=1, seed=4)
     for t in range(50):
-        s = sample_round(ctx, sol.values, policy, t)
+        s = sample_round(ctx, lp, sol.values, policy, t)
         kept = extract_low_affectance(ctx, s, 12 * C)
         assert 2 * len(kept) >= len(s)
 
@@ -160,11 +219,12 @@ def test_expected_selection_size():
     # three standard errors
     ctx = random_ctx(10, n=16, R=3.0, delta=2.0)
     C = 1.0
-    sol = solve_lp(build_capacity_lp(ctx, C))
+    lp = build_capacity_lp(ctx, C)
+    sol = solve_lp(lp)
     policy = RoundingPolicy(mode="capacity", C=C, trials=1, seed=23)
     sizes = []
     for t in range(2000):
-        sizes.append(len(sample_round(ctx, sol.values, policy, t)))
+        sizes.append(len(sample_round(ctx, lp, sol.values, policy, t)))
     sizes = np.array(sizes, dtype=float)
     sem = sizes.std(ddof=1) / np.sqrt(len(sizes))
     assert sizes.mean() >= sol.objective / 3 - 3 * sem
