@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .affectance import AffectanceContext, Schedule, certify
+from .affectance import AffectanceContext, Schedule, certify, sinr_terms
 from .formulations import (admission_filter_threshold, build_admission_large_lp,
                            build_admission_lp)
 from .lp_core import solve_lp
@@ -43,40 +43,14 @@ class AdmissionResult:
     notes: dict
 
 
-def verify_admission(ctx: AffectanceContext, Q, primaries=None) -> bool:
+def verify_admission(ctx: AffectanceContext, Q) -> bool:
     """Exact SINR check of the primaries plus Q, all transmitting.
 
-    Recomputed from the instance geometry and powers alone, independent of
-    the context's cached affectance matrices.
+    Recomputed from the instance geometry and powers alone
+    (``sinr_terms``), independent of the context's affectance matrix.
     """
-    inst = ctx.instance
-    prim = ctx.primaries if primaries is None else primaries
-    ids, powers, betas, noises = [], [], [], []
-    if prim is not None:
-        for lk, p in zip(prim.links, prim.powers):
-            ids.append(lk.id)
-            powers.append(p)
-            betas.append(inst.beta)
-            noises.append(inst.noise)
-    for i in sorted(int(x) for x in Q):
-        lk = inst.link(i)
-        ids.append(i)
-        powers.append(ctx.assignment.power(inst.length_of(i), inst.alpha))
-        betas.append(lk.beta_override or inst.beta)
-        noises.append(inst.noise if lk.noise_override is None else lk.noise_override)
-    if not ids:
-        return True
-    powers = np.array(powers, dtype=float)
-    betas = np.array(betas)
-    noises = np.array(noises)
-    lengths = np.array([inst.length_of(i) for i in ids])
-    d = inst.sr_matrix(ids, ids)
-    with np.errstate(divide="ignore"):
-        interf = powers[:, None] / d ** inst.alpha
-    interf = np.nan_to_num(interf, posinf=np.inf)
-    np.fill_diagonal(interf, 0.0)
-    signal = powers / lengths ** inst.alpha
-    return bool(np.all(signal >= betas * (noises + interf.sum(axis=0))))
+    interf, signal, betas, noise = sinr_terms(ctx, sorted(int(x) for x in Q))
+    return bool(np.all(signal >= betas * (noise + interf.sum(axis=0))))
 
 
 def partition_by_primaries(ctx: AffectanceContext, R) -> list:
@@ -90,7 +64,8 @@ def partition_by_primaries(ctx: AffectanceContext, R) -> list:
         return [tuple(ids)]
     idx = ctx.index_of(ids)
     order = sorted(range(len(ids)),
-                   key=lambda p: (-float(ctx.aff_to_prim[idx[p], :].sum()), ids[p]))
+                   key=lambda p: (-float(np.minimum(ctx.raw_to_prim[idx[p]], 1.0).sum()),
+                                  ids[p]))
     groups = []  # each entry: [member_ids, load_vector]
     dropped = []
     for p in order:
@@ -121,7 +96,7 @@ def sparsify(ctx: AffectanceContext, R, rng, retry_cap: int = RETRY_CAP) -> tupl
     if not ids:
         return ()
     idx = ctx.index_of(ids)
-    per_pair = ctx.aff_to_prim[idx, :]
+    per_pair = np.minimum(ctx.raw_to_prim[idx, :], 1.0)
     thr = admission_filter_threshold(ctx.k)
     if np.any(per_pair > thr) or np.any(per_pair.sum(axis=0) > 1.0 + 1e-12):
         logger.warning("sparsify preconditions violated; acceptance may be rare")
@@ -174,8 +149,9 @@ def admit_general(ctx: AffectanceContext, policy: RoundingPolicy) -> AdmissionRe
         if _better(len(cand), cand, len(best_ids), best_ids):
             best_ids = cand
             best_groups = groups
-            fs_idx = ctx.index_of(feasible_set) if feasible_set else np.zeros(0, dtype=int)
-            best_aggregate = float(ctx.aff_to_prim[fs_idx, :].sum()) if ctx.k else 0.0
+            fs_idx = ctx.index_of(feasible_set)
+            best_aggregate = float(np.minimum(ctx.raw_to_prim[fs_idx], 1.0).sum()) \
+                if ctx.k else 0.0
     notes = {
         "group_count": len(best_groups),
         "aggregate_primary_load": best_aggregate,

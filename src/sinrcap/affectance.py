@@ -10,6 +10,10 @@ at 1:
 When a set of primary links is attached, every noise term is augmented by
 the interference received from the primaries, and the same formulas yield
 the "hat" affectance used by admission control.
+
+The context stores one n x n matrix, the unclipped affectance; values are
+clipped where they are read.  Exact SINR checks recompute a subset's
+interference from geometry and powers instead (``sinr_terms``).
 """
 
 from __future__ import annotations
@@ -27,6 +31,10 @@ logger = logging.getLogger(__name__)
 # Finite stand-in for an infinite unclipped value (zero cross distance),
 # so that subset sums stay NaN-free.
 RAW_CAP = 1e300
+
+# Rows of the affectance matrix computed at a time; bounds the
+# construction temporaries at O(ROW_BLOCK * n).
+ROW_BLOCK = 256
 
 FEASIBILITY_MODES = ("feasible", "anti_feasible", "bi_feasible", "exact_sinr")
 
@@ -64,7 +72,14 @@ def _interference(powers_from, dist, alpha):
 
 
 class AffectanceContext:
-    """Immutable precomputation of powers, c-factors and affectance matrices.
+    """Immutable precomputation of powers, c-factors and affectances.
+
+    ``raw[w, v]`` is w's unclipped affectance on v (capped at ``RAW_CAP``,
+    0 on the diagonal), the only n x n array held; thresholds at or below 1
+    read it as is, larger ones clip the rows or blocks they read.  With
+    primaries, n x k ``raw_to_prim`` and ``aff_to_prim_plain`` hold each
+    secondary's affectance on each primary, with and without the other
+    primaries as noise.  Distances and interference are not stored.
 
     Links that cannot meet their SINR threshold alone (given the ambient,
     possibly primary-augmented, noise) are dropped with a warning; their
@@ -102,17 +117,11 @@ class AffectanceContext:
             else instance.link(i).noise_override
             for i in all_ids
         ])
-        if self.k:
-            d_ps = instance.sr_matrix(self.prim_ids, all_ids) if all_ids else np.zeros((self.k, 0))
-            prim_at_sec = _interference(self.prim_powers, d_ps, alpha).sum(axis=0)
-            hat_noise = base_noise + prim_at_sec
-        else:
-            hat_noise = base_noise.copy()
+        hat_noise = base_noise + _interference(
+            self.prim_powers, instance.sr_matrix(self.prim_ids, all_ids), alpha).sum(axis=0)
 
         # drop links that are infeasible even alone
-        margins = np.ones(len(all_ids))
-        if all_ids:
-            margins = 1.0 - betas * hat_noise * all_lengths ** alpha / all_powers
+        margins = 1.0 - betas * hat_noise * all_lengths ** alpha / all_powers
         keep = margins > 0
         self.removed_ids = tuple(i for i, k_ in zip(all_ids, keep) if not k_)
         if self.removed_ids:
@@ -129,44 +138,31 @@ class AffectanceContext:
         self.hat_noise_sec = hat_noise[sel]
         self.weights = np.array([instance.link(int(i)).weight for i in self.ids])
         self.c = self.betas / (1.0 - self.betas * self.hat_noise_sec
-                               * self.lengths ** alpha / self.powers) \
-            if len(self.ids) else np.zeros(0)
-        self._removed_margins = {int(i): float(m) for i, m in zip(all_ids, margins)}
+                               * self.lengths ** alpha / self.powers)
 
         n = len(self.ids)
         ids_list = [int(i) for i in self.ids]
-        self.dist = instance.sr_matrix(ids_list, ids_list) if n else np.zeros((0, 0))
-        with np.errstate(divide="ignore"):
-            raw = (self.c[None, :]
-                   * (self.powers[:, None] / self.powers[None, :])
-                   * (self.lengths[None, :] / self.dist) ** alpha) if n else np.zeros((0, 0))
-        raw = np.minimum(np.nan_to_num(raw, posinf=RAW_CAP), RAW_CAP)
-        np.fill_diagonal(raw, 0.0)
-        self.raw = raw
-        self.aff = np.minimum(raw, 1.0)
-
-        # direct-SINR helpers (computed from powers and distances only)
-        self.signal = self.powers / self.lengths ** alpha if n else np.zeros(0)
-        self.interf_ss = _interference(self.powers, self.dist, alpha) if n else np.zeros((0, 0))
-        if n:
-            np.fill_diagonal(self.interf_ss, 0.0)
-
-        if self.k:
-            self._init_primaries(alpha, ids_list)
+        self.raw = np.zeros((n, n))
+        for r0 in range(0, n, ROW_BLOCK):
+            r1 = min(r0 + ROW_BLOCK, n)
+            dist = instance.sr_matrix(ids_list[r0:r1], ids_list)
+            with np.errstate(divide="ignore"):
+                block = (self.c[None, :]
+                         * (self.powers[r0:r1, None] / self.powers[None, :])
+                         * (self.lengths[None, :] / dist) ** alpha)
+            self.raw[r0:r1] = np.minimum(np.nan_to_num(block, posinf=RAW_CAP), RAW_CAP)
+        np.fill_diagonal(self.raw, 0.0)
+        self._init_primaries(alpha, ids_list)
 
         self._power_class = None
-        self._len_ge = None
 
     def _init_primaries(self, alpha, ids_list):
         inst = self.instance
-        d_pp = inst.sr_matrix(self.prim_ids, self.prim_ids)
-        interf_pp = _interference(self.prim_powers, d_pp, alpha)
-        np.fill_diagonal(interf_pp, 0.0)
-        self.interf_pp = interf_pp
-        prim_base_noise = np.full(self.k, inst.noise)
-        self.prim_hat_noise = prim_base_noise + interf_pp.sum(axis=0)
+        mutual = _interference(self.prim_powers,
+                               inst.sr_matrix(self.prim_ids, self.prim_ids), alpha)
+        np.fill_diagonal(mutual, 0.0)
+        self.prim_hat_noise = np.full(self.k, inst.noise) + mutual.sum(axis=0)
         self.prim_betas = np.full(self.k, inst.beta)
-        self.prim_signal = self.prim_powers / self.prim_lengths ** alpha
 
         margins_hat = 1.0 - self.prim_betas * self.prim_hat_noise \
             * self.prim_lengths ** alpha / self.prim_powers
@@ -179,23 +175,14 @@ class AffectanceContext:
             * self.prim_lengths ** alpha / self.prim_powers
         self.prim_c_plain = np.where(margins_plain > 0, self.prim_betas / margins_plain, np.inf)
 
-        n = len(self.ids)
-        self.dist_sp = inst.sr_matrix(ids_list, self.prim_ids) if n else np.zeros((0, self.k))
-        self.dist_ps = inst.sr_matrix(self.prim_ids, ids_list) if n else np.zeros((self.k, 0))
         with np.errstate(divide="ignore"):
             ratio = (self.powers[:, None] / self.prim_powers[None, :]) \
-                * (self.prim_lengths[None, :] / self.dist_sp) ** alpha if n \
-                else np.zeros((0, self.k))
+                * (self.prim_lengths[None, :] / inst.sr_matrix(ids_list, self.prim_ids)) ** alpha
         self.raw_to_prim = np.minimum(np.nan_to_num(self.prim_c_hat[None, :] * ratio,
                                                     posinf=RAW_CAP), RAW_CAP)
-        self.aff_to_prim = np.minimum(self.raw_to_prim, 1.0)
         raw_plain = np.minimum(np.nan_to_num(self.prim_c_plain[None, :] * ratio,
                                              posinf=RAW_CAP), RAW_CAP)
         self.aff_to_prim_plain = np.minimum(raw_plain, 1.0)
-        self.interf_sp = _interference(self.powers, self.dist_sp, self.instance.alpha) \
-            if n else np.zeros((0, self.k))
-        self.interf_ps = _interference(self.prim_powers, self.dist_ps, self.instance.alpha) \
-            if n else np.zeros((self.k, 0))
 
     # -- basic accessors ----------------------------------------------------
 
@@ -207,11 +194,26 @@ class AffectanceContext:
     def has_primaries(self) -> bool:
         return self.primaries is not None
 
+    @property
+    def aff(self) -> np.ndarray:
+        """Clipped affectance, a fresh n x n array on every read."""
+        return np.minimum(self.raw, 1.0)
+
+    @property
+    def aff_to_prim(self) -> np.ndarray:
+        """Clipped hat-affectance on the primaries, a fresh n x k array."""
+        return np.minimum(self.raw_to_prim, 1.0)
+
     def index_of(self, link_ids: Iterable[int]) -> np.ndarray:
+        """Context positions of link ids; IndividuallyInfeasible for a
+        dropped link, KeyError for an unknown one."""
         try:
             return np.array([self._pos[int(i)] for i in link_ids], dtype=int)
         except KeyError as exc:
-            raise KeyError(f"unknown or removed link id {exc.args[0]}") from None
+            lid = exc.args[0]
+            if lid in self.removed_ids:
+                raise IndividuallyInfeasible(lid) from None
+            raise KeyError(f"unknown link id {lid}") from None
 
     def power_class(self) -> dict:
         if self._power_class is None:
@@ -225,43 +227,52 @@ class AffectanceContext:
 
     def length_ge_mask(self) -> np.ndarray:
         """mask[v, u] true iff l_v >= l_u and v != u (LP row membership)."""
-        if self._len_ge is None:
-            m = self.lengths[:, None] >= self.lengths[None, :]
-            np.fill_diagonal(m, False)
-            self._len_ge = m
-        return self._len_ge
+        m = self.lengths[:, None] >= self.lengths[None, :]
+        np.fill_diagonal(m, False)
+        return m
 
 
 # ---------------------------------------------------------------------------
 # operations
 
+def sinr_terms(ctx: AffectanceContext, ids) -> tuple:
+    """(interference, signal, beta, noise) of the primaries followed by
+    ``ids``, from the instance geometry on these links only.
+
+    ``interference[w, v]`` is the power w delivers at v's receiver (capped
+    at ``RAW_CAP``, 0 on the diagonal).  Link v meets its threshold when
+    ``signal[v] >= beta[v] * (noise[v] + sum_w interference[w, v])``.
+    """
+    ids = [int(i) for i in ids]
+    idx = ctx.index_of(ids)
+    inst = ctx.instance
+    links = ctx.prim_ids + ids
+    powers = np.concatenate([ctx.prim_powers, ctx.powers[idx]])
+    lengths = np.concatenate([ctx.prim_lengths, ctx.lengths[idx]])
+    interf = _interference(powers, inst.sr_matrix(links, links), inst.alpha)
+    np.fill_diagonal(interf, 0.0)
+    betas = np.concatenate([np.full(ctx.k, inst.beta), ctx.betas[idx]])
+    noise = np.concatenate([np.full(ctx.k, inst.noise), ctx.base_noise[idx]])
+    return interf, powers / lengths ** inst.alpha, betas, noise
+
+
 def c_factor(ctx: AffectanceContext, v: int) -> float:
-    if v in ctx._pos:
-        return float(ctx.c[ctx._pos[v]])
-    if v in ctx.removed_ids:
-        raise IndividuallyInfeasible(v)
-    raise KeyError(f"unknown link id {v}")
+    return float(ctx.c[ctx.index_of([v])[0]])
 
 
 def affectance(ctx: AffectanceContext, w: int, v: int) -> float:
     """Clipped affectance of link w on link v (0 when w == v)."""
-    for x in (w, v):
-        if x not in ctx._pos:
-            if x in ctx.removed_ids:
-                raise IndividuallyInfeasible(x)
-            raise KeyError(f"unknown link id {x}")
-    return float(ctx.aff[ctx._pos[w], ctx._pos[v]])
+    p, q = ctx.index_of([w, v])
+    return min(float(ctx.raw[p, q]), 1.0)
 
 
 def hat_noise(ctx: AffectanceContext, u: int) -> float:
     """Noise at u's receiver augmented by all primary transmissions."""
     if not ctx.has_primaries:
         raise ValueError("hat noise requires a context with primaries attached")
-    if u in ctx._pos:
-        return float(ctx.hat_noise_sec[ctx._pos[u]])
     if u in ctx.prim_ids:
         return float(ctx.prim_hat_noise[ctx.prim_ids.index(u)])
-    raise KeyError(f"unknown link id {u}")
+    return float(ctx.hat_noise_sec[ctx.index_of([u])[0]])
 
 
 def aggregate_affectance(ctx: AffectanceContext, S, v: int, direction: str = "in") -> float:
@@ -271,23 +282,21 @@ def aggregate_affectance(ctx: AffectanceContext, S, v: int, direction: str = "in
     "out" gives a_v(S), the total affectance of v on S.
     """
     idx = ctx.index_of(S)
-    p = ctx._pos[v]
+    p = ctx.index_of([v])[0]
     if direction == "in":
-        return float(ctx.aff[idx, p].sum())
+        return float(np.minimum(ctx.raw[idx, p], 1.0).sum())
     if direction == "out":
-        return float(ctx.aff[p, idx].sum())
+        return float(np.minimum(ctx.raw[p, idx], 1.0).sum())
     raise ValueError(f"unknown direction {direction!r}")
 
 
-def _exact_sinr_ok(ctx: AffectanceContext, idx: np.ndarray) -> bool:
-    """Direct SINR evaluation at every member, primaries transmitting too."""
-    if idx.size == 0:
-        return True
-    interf = ctx.interf_ss[np.ix_(idx, idx)].sum(axis=0)
-    noise = ctx.base_noise[idx].copy()
-    if ctx.k:
-        noise = noise + ctx.interf_ps[:, idx].sum(axis=0)
-    return bool(np.all(ctx.signal[idx] >= ctx.betas[idx] * (noise + interf)))
+def _exact_sinr_ok(ctx: AffectanceContext, S) -> bool:
+    """Direct SINR evaluation at every member of S, primaries transmitting
+    too (their own thresholds are not checked)."""
+    interf, signal, betas, noise = sinr_terms(ctx, S)
+    k = ctx.k
+    noise = noise[k:] + interf[:k, k:].sum(axis=0)
+    return bool(np.all(signal[k:] >= betas[k:] * (noise + interf[k:, k:].sum(axis=0))))
 
 
 def check_feasibility(ctx: AffectanceContext, S, gamma: float = 1.0,
@@ -302,13 +311,14 @@ def check_feasibility(ctx: AffectanceContext, S, gamma: float = 1.0,
     """
     if mode not in FEASIBILITY_MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    idx = ctx.index_of(S)
     if mode == "exact_sinr":
-        return _exact_sinr_ok(ctx, idx)
+        return _exact_sinr_ok(ctx, S)
+    idx = ctx.index_of(S)
     if idx.size == 0:
         return True
-    mat = ctx.raw if gamma <= 1.0 else ctx.aff
-    sub = mat[np.ix_(idx, idx)]
+    sub = ctx.raw[np.ix_(idx, idx)]
+    if gamma > 1.0:
+        sub = np.minimum(sub, 1.0)
     ok = True
     if mode in ("feasible", "bi_feasible"):
         ok = ok and bool(np.all(sub.sum(axis=0) <= gamma))
@@ -319,10 +329,11 @@ def check_feasibility(ctx: AffectanceContext, S, gamma: float = 1.0,
 
 def separation_check(ctx: AffectanceContext, S, q: float) -> bool:
     """d_uv * d_vu >= q**2 * l_u * l_v for every pair in S."""
-    idx = ctx.index_of(S)
+    ids = [int(i) for i in S]
+    idx = ctx.index_of(ids)
     if idx.size <= 1:
         return True
-    d = ctx.dist[np.ix_(idx, idx)]
+    d = ctx.instance.sr_matrix(ids, ids)
     lengths = ctx.lengths[idx]
     lhs = d * d.T
     rhs = q * q * np.outer(lengths, lengths)
@@ -334,12 +345,12 @@ def certify(ctx: AffectanceContext, S) -> Schedule:
     """Build a schedule with per-link affectance sums and an exact-SINR flag."""
     ids = tuple(sorted(int(i) for i in S))
     idx = ctx.index_of(ids)
-    sub = ctx.aff[np.ix_(idx, idx)]
+    sub = np.minimum(ctx.raw[np.ix_(idx, idx)], 1.0)
     return Schedule(
         ids=ids,
         in_affectance=tuple(float(x) for x in sub.sum(axis=0)),
         out_affectance=tuple(float(x) for x in sub.sum(axis=1)),
-        exact_sinr_ok=_exact_sinr_ok(ctx, idx),
+        exact_sinr_ok=_exact_sinr_ok(ctx, ids),
     )
 
 

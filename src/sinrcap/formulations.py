@@ -47,13 +47,16 @@ def build_capacity_lp(ctx: AffectanceContext, C: float = DEFAULT_C) -> LinearPro
     if not C > 0:
         raise ValueError("C must be positive")
     n = ctx.n
-    mask = ctx.length_ge_mask()  # mask[v, u]: l_v >= l_u, v != u
-    in_rows = (ctx.aff * mask).T          # row u, coefficient at v: a_v(u)
-    out_rows = (ctx.aff.T * mask).T       # row u, coefficient at v: a_u(v)
+    keep = ctx.length_ge_mask().T  # keep[u, v]: l_v >= l_u, v != u
+    rows = np.empty((2 * n, n))   # filled in place, without n x n float temporaries
+    np.minimum(ctx.raw.T, 1.0, out=rows[:n])  # row u, coefficient at v: a_v(u)
+    np.minimum(ctx.raw, 1.0, out=rows[n:])    # row u, coefficient at v: a_u(v)
+    rows[:n] *= keep
+    rows[n:] *= keep
     names = tuple(f"in_{int(u)}" for u in ctx.ids) + tuple(f"out_{int(u)}" for u in ctx.ids)
     return LinearProgram(
         objective=np.ones(n),
-        row_coeffs=np.vstack([in_rows, out_rows]) if n else np.zeros((0, 0)),
+        row_coeffs=rows,
         row_bounds=np.full(2 * n, C),
         row_names=names,
         row_var=np.tile(np.arange(n), 2),
@@ -70,7 +73,7 @@ def build_qos_lp(ctx: AffectanceContext, C: float = DEFAULT_C) -> LinearProgram:
     if not C > 0:
         raise ValueError("C must be positive")
     n = ctx.n
-    rows = ctx.aff.copy() if n else np.zeros((0, 0))  # row u, coeff at v: a_u(v)
+    rows = ctx.aff  # row u, coeff at v: a_u(v)
     return LinearProgram(
         objective=np.ones(n),
         row_coeffs=rows,
@@ -97,7 +100,7 @@ def build_admission_lp(ctx: AffectanceContext, C: float = DEFAULT_C) -> LinearPr
     if not C > 0:
         raise ValueError("C must be positive")
     n = ctx.n
-    rows = [ctx.aff.copy() if n else np.zeros((0, 0))]
+    rows = [ctx.aff]
     bounds = [np.full(n, C)]
     names = [f"out_{int(u)}" for u in ctx.ids]
     var = [np.arange(n)]
@@ -146,12 +149,12 @@ def build_admission_large_lp(ctx: AffectanceContext, C: float = DEFAULT_C,
         logger.warning("single primary: filter threshold falls back to 1/10; "
                        "the general admission pipeline is the intended route")
     thr = admission_filter_threshold(ctx.k, log_base)
-    keep = np.all(ctx.aff_to_prim_plain <= thr, axis=1) if ctx.n else np.zeros(0, dtype=bool)
+    keep = np.all(ctx.aff_to_prim_plain <= thr, axis=1)
     kept_ids = tuple(int(i) for i in ctx.ids[keep])
     idx = np.flatnonzero(keep)
     m = idx.size
-    prim_rows = ctx.aff_to_prim[idx, :].T if m else np.zeros((ctx.k, 0))
-    link_rows = ctx.aff[np.ix_(idx, idx)] if m else np.zeros((0, 0))
+    prim_rows = np.minimum(ctx.raw_to_prim[idx, :], 1.0).T
+    link_rows = np.minimum(ctx.raw[np.ix_(idx, idx)], 1.0)
     names = tuple(f"prim_{int(w)}" for w in ctx.prim_ids) \
         + tuple(f"out_{i}" for i in kept_ids)
     lp = LinearProgram(
@@ -174,7 +177,7 @@ def build_weighted_lp(ctx: AffectanceContext, C: float = DEFAULT_C) -> LinearPro
     if not C > 0:
         raise ValueError("C must be positive")
     n = ctx.n
-    rows = ctx.aff.T.copy() if n else np.zeros((0, 0))  # row u, coeff at v: a_v(u)
+    rows = np.minimum(ctx.raw.T, 1.0, out=np.empty((n, n)))  # row u, coeff at v: a_v(u)
     return LinearProgram(
         objective=ctx.weights.copy(),
         row_coeffs=rows,

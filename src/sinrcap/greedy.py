@@ -29,8 +29,8 @@ def _greedy_accept(ctx: AffectanceContext, candidate_idx, c_g: float) -> list:
     for u in candidate_idx:
         if in_load[u] <= c_g and out_load[u] <= c_g:
             accepted.append(u)
-            in_load += ctx.aff[u, :]
-            out_load += ctx.aff[:, u]
+            in_load += np.minimum(ctx.raw[u, :], 1.0)
+            out_load += np.minimum(ctx.raw[:, u], 1.0)
     return accepted
 
 

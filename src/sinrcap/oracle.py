@@ -1,15 +1,16 @@
 """Exhaustive optima on small instances; ground truth for everything else.
 
-Subset feasibility is evaluated directly from powers and distances (the
-SINR inequality itself), independently of the affectance matrices used by
-the approximation pipelines.
+Exact subset feasibility is the SINR inequality itself, computed from
+powers and distances (``affectance.sinr_terms``) independently of the
+affectance matrix the approximation pipelines use.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .affectance import AffectanceContext, InfeasiblePrimaries, Schedule, certify
+from .affectance import (AffectanceContext, InfeasiblePrimaries, Schedule, certify,
+                         sinr_terms)
 
 ENUMERATION_CAP = 20
 _CHUNK = 1 << 14
@@ -34,26 +35,31 @@ def _subset_masks(n: int):
         yield start, (masks[:, None] & bit[None, :]) != 0
 
 
-def _feasible_exact(ctx: AffectanceContext, sel: np.ndarray) -> np.ndarray:
-    """Exact SINR feasibility for a block of subsets (primaries transmit)."""
-    noise = ctx.base_noise.copy()
-    if ctx.k:
-        noise = noise + ctx.interf_ps.sum(axis=0)
-    budget = ctx.signal / ctx.betas - noise
-    loads = sel.astype(float) @ ctx.interf_ss
-    return np.all((loads <= budget) | ~sel, axis=1)
+def _exact_budgets(ctx: AffectanceContext) -> tuple:
+    """Interference rows of the secondaries and every receiver's budget
+    (signal / beta minus noise and primary interference), primaries first."""
+    interf, signal, betas, noise = sinr_terms(ctx, ctx.ids)
+    return interf[ctx.k:], signal / betas - (noise + interf[:ctx.k].sum(axis=0))
 
 
-def _feasible_affectance(ctx: AffectanceContext, sel: np.ndarray, gamma: float,
+def _feasible_exact(sel: np.ndarray, rows: np.ndarray, budget: np.ndarray, k: int,
+                    primaries: bool = False) -> np.ndarray:
+    """Exact SINR feasibility of every member for a block of subsets, the
+    primaries transmitting too (``rows``, ``budget``: ``_exact_budgets``);
+    with ``primaries`` also at every primary."""
+    loads = sel.astype(float) @ rows
+    ok = np.all((loads[:, k:] <= budget[k:]) | ~sel, axis=1)
+    if primaries:
+        ok &= np.all(loads[:, :k] <= budget[:k], axis=1)
+    return ok
+
+
+def _feasible_affectance(mat: np.ndarray, sel: np.ndarray, gamma: float,
                          anti: bool = False) -> np.ndarray:
-    mat = ctx.raw if gamma <= 1.0 else ctx.aff
     f = sel.astype(float)
-    ok = np.ones(sel.shape[0], dtype=bool)
-    in_loads = f @ mat
-    ok &= np.all((in_loads <= gamma) | ~sel, axis=1)
+    ok = np.all((f @ mat <= gamma) | ~sel, axis=1)
     if anti:
-        out_loads = f @ mat.T
-        ok &= np.all((out_loads <= gamma) | ~sel, axis=1)
+        ok &= np.all((f @ mat.T <= gamma) | ~sel, axis=1)
     return ok
 
 
@@ -86,12 +92,14 @@ def exact_capacity(ctx: AffectanceContext, objective: str = "cardinality",
         raise ValueError(f"unknown objective {objective!r}")
     if mode not in ("exact_sinr", "affectance"):
         raise ValueError(f"unknown mode {mode!r}")
+    if mode == "exact_sinr":
+        rows, budget = _exact_budgets(ctx)
+    else:
+        mat = ctx.raw if gamma <= 1.0 else ctx.aff
     best = None
     for _, sel in _subset_masks(ctx.n):
-        if mode == "exact_sinr":
-            ok = _feasible_exact(ctx, sel)
-        else:
-            ok = _feasible_affectance(ctx, sel, gamma)
+        ok = _feasible_exact(sel, rows, budget, ctx.k) if mode == "exact_sinr" \
+            else _feasible_affectance(mat, sel, gamma)
         values = sel.sum(axis=1).astype(float) if objective == "cardinality" \
             else sel.astype(float) @ ctx.weights
         best = _pick_best(ctx, ok, sel, values, best)
@@ -104,19 +112,12 @@ def exact_admission(ctx: AffectanceContext) -> Schedule:
     if not ctx.has_primaries:
         raise ValueError("admission oracle requires a context with primaries")
     _check_cap(ctx.n)
-    if ctx.k:
-        prim_noise = np.full(ctx.k, ctx.instance.noise) + ctx.interf_pp.sum(axis=0)
-        prim_budget = ctx.prim_signal / ctx.prim_betas - prim_noise
-        if np.any(prim_budget < 0):
-            raise InfeasiblePrimaries("primaries are infeasible even without secondaries")
-    sec_noise = ctx.base_noise + (ctx.interf_ps.sum(axis=0) if ctx.k else 0.0)
-    sec_budget = ctx.signal / ctx.betas - sec_noise
+    rows, budget = _exact_budgets(ctx)
+    if np.any(budget[:ctx.k] < 0):
+        raise InfeasiblePrimaries("primaries are infeasible even without secondaries")
     best = None
     for _, sel in _subset_masks(ctx.n):
-        f = sel.astype(float)
-        ok = np.all((f @ ctx.interf_ss <= sec_budget) | ~sel, axis=1)
-        if ctx.k:
-            ok &= np.all(f @ ctx.interf_sp <= prim_budget, axis=1)
+        ok = _feasible_exact(sel, rows, budget, ctx.k, primaries=True)
         best = _pick_best(ctx, ok, sel, sel.sum(axis=1).astype(float), best)
     return certify(ctx, best[1] if best else ())
 
@@ -125,8 +126,9 @@ def largest_bifeasible(ctx: AffectanceContext, gamma: float = 2.0) -> Schedule:
     """Maximum-cardinality subset whose received and sent affectance sums
     both stay within gamma at every member."""
     _check_cap(ctx.n)
+    mat = ctx.raw if gamma <= 1.0 else ctx.aff
     best = None
     for _, sel in _subset_masks(ctx.n):
-        ok = _feasible_affectance(ctx, sel, gamma, anti=True)
+        ok = _feasible_affectance(mat, sel, gamma, anti=True)
         best = _pick_best(ctx, ok, sel, sel.sum(axis=1).astype(float), best)
     return certify(ctx, best[1] if best else ())

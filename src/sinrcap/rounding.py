@@ -102,7 +102,7 @@ def extract_low_affectance(ctx: AffectanceContext, S, bound: float = 12.0) -> tu
     if ids.size == 0:
         return ()
     idx = ctx.index_of(ids)
-    in_sums = ctx.aff[np.ix_(idx, idx)].sum(axis=0)
+    in_sums = np.minimum(ctx.raw[np.ix_(idx, idx)], 1.0).sum(axis=0)
     return tuple(int(i) for i in ids[in_sums <= bound])
 
 
@@ -118,10 +118,11 @@ def signal_strengthen(ctx: AffectanceContext, S, theta: float = 1.0) -> list:
         return []
     idx = ctx.index_of(ids)
     order = np.argsort(-ctx.lengths[idx], kind="stable")
-    mat = ctx.raw if theta <= 1.0 else ctx.aff
+    mat = ctx.raw[np.ix_(idx, idx)]  # positions within ids from here on
+    if theta > 1.0:
+        mat = np.minimum(mat, 1.0)
     parts = []      # each entry: [member_positions, received_sums]
-    for o in order:
-        u = idx[o]
+    for u in order:
         for entry in parts:
             members, in_sums = entry
             updated = in_sums + mat[u, members]
@@ -134,9 +135,9 @@ def signal_strengthen(ctx: AffectanceContext, S, theta: float = 1.0) -> list:
             parts.append([[u], np.zeros(1)])
     out = []
     for members, _ in parts:
-        part = tuple(sorted(int(ctx.ids[p]) for p in members))
-        assert check_feasibility(ctx, part, theta, "feasible"), \
-            "signal strengthening produced an infeasible part"
+        part = tuple(sorted(ids[p] for p in members))
+        if not check_feasibility(ctx, part, theta, "feasible"):
+            raise AssertionError("signal strengthening produced an infeasible part")
         out.append(part)
     return out
 

@@ -18,12 +18,19 @@ from sinrcap import (AffectanceContext, GenConfig, Instance, Link,
                      run_compare, run_pipeline, schedule_weight,
                      separation_check, signal_strengthen, solve_lp,
                      verify_admission)
+from sinrcap.affectance import RAW_CAP
 from sinrcap.formulations import admission_filter_threshold
 from sinrcap.harness import CSV_COLUMNS
 
 from conftest import feasible_prim_ctx, make_link, random_ctx
 
 UNIFORM = PowerAssignment.uniform()
+
+
+def _distances(ctx):
+    """Sender-to-receiver distances over the context's links, from geometry."""
+    ids = [int(i) for i in ctx.ids]
+    return ctx.instance.sr_matrix(ids, ids)
 
 
 def _qos_instance(seed, n):
@@ -237,7 +244,8 @@ def test_criterion_6_separation():
             gamma = 1.0 / q ** ctx.instance.alpha
             feas = np.all((in_loads <= gamma) | ~sel, axis=1)
             # pairwise separation violations present inside any feasible set?
-            lhs = ctx.dist * ctx.dist.T
+            dist = _distances(ctx)
+            lhs = dist * dist.T
             rhs = q * q * np.outer(ctx.lengths, ctx.lengths)
             viol = (lhs < rhs) & ~np.eye(ctx.n, dtype=bool)
             bad_inside = ((sel @ viol.astype(float)) * sel).sum(axis=1)
@@ -262,9 +270,13 @@ def test_criterion_7_clipping_equivalence():
         masks = np.arange(0, 1 << ctx.n, dtype=np.int64)
         sel = (masks[:, None] & bits[None, :]) != 0
         aff_ok = np.all(((sel @ ctx.raw) <= 1.0) | ~sel, axis=1)
+        alpha = ctx.instance.alpha
         noise_v = ctx.base_noise
-        budget = ctx.signal / ctx.betas - noise_v
-        exact_ok = np.all(((sel @ ctx.interf_ss) <= budget) | ~sel, axis=1)
+        budget = ctx.powers / ctx.lengths ** alpha / ctx.betas - noise_v
+        with np.errstate(divide="ignore"):
+            interf = np.minimum(ctx.powers[:, None] / _distances(ctx) ** alpha, RAW_CAP)
+        np.fill_diagonal(interf, 0.0)
+        exact_ok = np.all(((sel @ interf) <= budget) | ~sel, axis=1)
         mismatches += int(np.sum(aff_ok != exact_ok))
         subsets += sel.shape[0]
         # spot check through the public predicate

@@ -97,6 +97,15 @@ def test_sparsify_empty_and_zero_affectance(rng):
     assert set(q) <= set(int(i) for i in fctx.ids)
 
 
+def test_sparsify_with_empty_primary_set(rng):
+    empty = PrimarySet(links=(), powers=())
+    inst = Instance(links=far_instance(6).links, alpha=2.5, primaries=empty)
+    ctx = AffectanceContext(inst, UNIFORM, primaries=empty)
+    assert ctx.raw_to_prim.shape == (6, 0)
+    q = sparsify(ctx, [int(i) for i in ctx.ids], rng)
+    assert set(q) <= set(int(i) for i in ctx.ids)
+
+
 def test_sparsify_respects_budget(rng):
     ctx = prim_ctx(2, n=12, R=30.0, primaries=2)
     ids = [int(i) for i in ctx.ids]

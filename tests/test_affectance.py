@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -6,9 +7,10 @@ import pytest
 from sinrcap import (AffectanceContext, IndividuallyInfeasible, Instance,
                      PowerAssignment, PrimarySet, affectance,
                      aggregate_affectance, c_factor, certify, check_feasibility,
-                     hat_noise, separation_check)
+                     hat_noise, separation_check, verify_admission)
 
-from conftest import colocated_pair, far_instance, make_link, random_ctx
+from conftest import (colocated_pair, far_instance, feasible_prim_ctx, make_link,
+                      random_ctx)
 
 UNIFORM = PowerAssignment.uniform()
 
@@ -38,10 +40,35 @@ def test_individually_infeasible_removed():
     ctx = AffectanceContext(bad, UNIFORM)
     assert ctx.removed_ids == (0,)
     assert list(ctx.ids) == [1]
-    with pytest.raises(IndividuallyInfeasible):
-        c_factor(ctx, 0)
-    with pytest.raises(IndividuallyInfeasible):
-        affectance(ctx, 1, 0)
+    # every entry point reports the removed link the same way
+    removed_calls = [
+        lambda c: c.index_of([0]),
+        lambda c: c_factor(c, 0),
+        lambda c: affectance(c, 1, 0),
+        lambda c: affectance(c, 0, 1),
+        lambda c: aggregate_affectance(c, [1], 0),
+        lambda c: aggregate_affectance(c, [0], 1, "out"),
+        lambda c: check_feasibility(c, [0, 1]),
+        lambda c: check_feasibility(c, [0], mode="exact_sinr"),
+        lambda c: certify(c, [0]),
+        lambda c: verify_admission(c, [0]),
+        lambda c: separation_check(c, [0, 1], 2.0),
+    ]
+    for call in removed_calls:
+        with pytest.raises(IndividuallyInfeasible):
+            call(ctx)
+    empty = PrimarySet(links=(), powers=())
+    with_prim = AffectanceContext(dataclasses.replace(bad, primaries=empty), UNIFORM,
+                                  primaries=empty)
+    for call in removed_calls + [lambda c: hat_noise(c, 0)]:
+        with pytest.raises(IndividuallyInfeasible):
+            call(with_prim)
+    # an id the instance never had is a KeyError, not a removed link
+    for call in (lambda c: c.index_of([7]), lambda c: c_factor(c, 7),
+                 lambda c: affectance(c, 1, 7), lambda c: aggregate_affectance(c, [1], 7),
+                 lambda c: certify(c, [7]), lambda c: hat_noise(c, 7)):
+        with pytest.raises(KeyError):
+            call(with_prim)
     # the same geometry without the override keeps both links
     assert AffectanceContext(inst, UNIFORM).removed_ids == ()
 
@@ -125,37 +152,77 @@ def test_aggregate_affectance():
     assert aggregate_affectance(ctx, [1, 2, 3], 0, "out") <= 1e-9
 
 
-def _sinr_holds(inst, power, subset):
-    """Independent direct evaluation of the SINR inequality, pure python."""
-    for v in subset:
+def _sinr_holds(inst, power, subset, primaries=None, check_primaries=False):
+    """Independent direct evaluation of the SINR inequality, pure python.
+
+    The primaries, if given, transmit at their explicit powers; their own
+    inequalities are checked only when ``check_primaries`` is set.
+    """
+    prim_power = dict(zip((lk.id for lk in primaries.links), primaries.powers)) \
+        if primaries is not None else {}
+    senders = {w: prim_power[w] if w in prim_power
+               else power.power(inst.length_of(w), inst.alpha)
+               for w in list(prim_power) + list(subset)}
+    receivers = list(subset) + (list(prim_power) if check_primaries else [])
+    for v in receivers:
         lv = inst.link(v)
         length = inst.length_of(v)
-        pv = power.power(length, inst.alpha)
         beta = lv.beta_override or inst.beta
         noise = inst.noise if lv.noise_override is None else lv.noise_override
         interference = 0.0
-        for w in subset:
+        for w, pw in senders.items():
             if w == v:
                 continue
             d = inst.distance(w, v)
             if d == 0.0:
                 return False
-            interference += power.power(inst.length_of(w), inst.alpha) / d ** inst.alpha
-        if pv / length ** inst.alpha < beta * (noise + interference):
+            interference += pw / d ** inst.alpha
+        if senders[v] / length ** inst.alpha < beta * (noise + interference):
             return False
     return True
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_exact_sinr_matches_direct_evaluation(seed):
-    ctx = random_ctx(seed, n=8, R=4.0, delta=2.5)
+def _with_overrides(inst, seed):
+    """The instance with random per-link thresholds and noise."""
+    rng = np.random.default_rng(seed)
+    links = tuple(dataclasses.replace(lk, beta_override=float(rng.uniform(0.3, 1.5)),
+                                      noise_override=float(rng.uniform(0.0, 0.05)))
+                  for lk in inst.links)
+    return dataclasses.replace(inst, links=links)
+
+
+def _exact_case(seed, kind):
+    if kind in ("primaries", "both"):
+        ctx = feasible_prim_ctx(seed, n=8, R=4.0, delta=2.5, primaries=2, beta=0.5)
+    else:
+        ctx = random_ctx(seed, n=8, R=4.0, delta=2.5)
+    if kind in ("overrides", "both"):
+        ctx = AffectanceContext(_with_overrides(ctx.instance, seed), UNIFORM,
+                                primaries=ctx.primaries)
+    return ctx
+
+
+@pytest.mark.parametrize("seed,kind", [
+    (0, "plain"), (1, "plain"), (2, "plain"),
+    (3, "primaries"), (4, "primaries"), (5, "overrides"), (6, "overrides"), (7, "both"),
+], ids=["0", "1", "2", "primaries-3", "primaries-4", "overrides-5", "overrides-6",
+        "both-7"])
+def test_exact_sinr_matches_direct_evaluation(seed, kind):
+    ctx = _exact_case(seed, kind)
     inst = ctx.instance
+    assert ctx.k == (2 if kind in ("primaries", "both") else 0)
     ids = [int(i) for i in ctx.ids]
+    verdicts = set()
     for r in range(len(ids) + 1):
         for subset in itertools.combinations(ids, r):
             got = check_feasibility(ctx, subset, mode="exact_sinr")
-            want = _sinr_holds(inst, UNIFORM, subset)
+            want = _sinr_holds(inst, UNIFORM, subset, ctx.primaries)
             assert got == want, f"subset {subset}"
+            got = verify_admission(ctx, subset)
+            want = _sinr_holds(inst, UNIFORM, subset, ctx.primaries, check_primaries=True)
+            assert got == want, f"subset {subset} with primaries checked"
+            verdicts.add(got)
+    assert verdicts == {True, False}
 
 
 @pytest.mark.parametrize("seed", [3, 4, 5])
@@ -228,3 +295,14 @@ def test_affectance_bounds_random():
         assert np.all(ctx.aff >= 0.0)
         assert np.all(ctx.aff <= 1.0)
         assert np.all(np.diag(ctx.aff) == 0.0)
+
+
+def test_context_stores_one_matrix():
+    ctx = feasible_prim_ctx(21, n=12, primaries=2)
+    n = ctx.n
+    assert n > ctx.k > 0
+    square = [name for name, v in vars(ctx).items()
+              if isinstance(v, np.ndarray) and v.ndim == 2 and v.shape == (n, n)]
+    assert square == ["raw"]
+    assert np.array_equal(ctx.aff, np.minimum(ctx.raw, 1.0))
+    assert np.array_equal(ctx.aff_to_prim, np.minimum(ctx.raw_to_prim, 1.0))

@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -170,6 +176,31 @@ def test_signal_strengthen_parts_pass_exact_sinr():
         parts = signal_strengthen(ctx, [int(i) for i in ctx.ids], 1.0)
         for part in parts:
             assert check_feasibility(ctx, part, mode="exact_sinr")
+
+
+def test_strengthening_check_runs_under_optimize():
+    """The per-part feasibility check is an explicit raise, so python -O
+    (which strips assert statements) does not skip it."""
+    code = textwrap.dedent("""
+        from sinrcap import AffectanceContext, Instance, Link, Point, PowerAssignment
+        from sinrcap import rounding
+        if __debug__:
+            raise SystemExit("not running under -O")
+        inst = Instance(links=(Link(0, Point(0.0, 0.0), Point(1.0, 0.0)),), alpha=2.5)
+        ctx = AffectanceContext(inst, PowerAssignment.uniform())
+        rounding.check_feasibility = lambda *args, **kwargs: False
+        try:
+            rounding.signal_strengthen(ctx, [0])
+        except AssertionError as exc:
+            print("raised:", exc)
+    """)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("raised: signal strengthening produced an infeasible part")
 
 
 def test_pipeline_single_and_far():
