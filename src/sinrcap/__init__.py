@@ -9,7 +9,7 @@ from .affectance import (AffectanceContext, IndividuallyInfeasible,
                          aggregate_affectance, c_factor, certify,
                          check_feasibility, hat_noise, schedule_weight,
                          separation_check)
-from .lp_core import (FractionalSolution, LinearProgram, LpSolveError,
+from .lp_core import (FractionalSolution, LinearProgram, LpSession, LpSolveError,
                       check_solution, dump_lp, solve_lp)
 from .formulations import (admission_filter_threshold, build_admission_large_lp,
                            build_admission_lp, build_capacity_lp, build_qos_lp,

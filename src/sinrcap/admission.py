@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from .affectance import AffectanceContext, Schedule, certify, sinr_terms
 from .formulations import (admission_filter_threshold, build_admission_large_lp,
                            build_admission_lp)
-from .lp_core import solve_lp
+from .lp_core import LpSession, solve_lp
 from .rounding import RoundingPolicy, _better, final_selection, sample_round
 
 logger = logging.getLogger(__name__)
@@ -130,15 +131,17 @@ def _result(ctx, admitted_ids, groups, notes) -> AdmissionResult:
     return result
 
 
-def admit_general(ctx: AffectanceContext, policy: RoundingPolicy) -> AdmissionResult:
+def admit_general(ctx: AffectanceContext, policy: RoundingPolicy,
+                  session: Optional[LpSession] = None) -> AdmissionResult:
     """LP + rounding + extraction, then primary-safe grouping; returns the
-    largest group.  Works for any number of primaries."""
+    largest group.  Works for any number of primaries.  The LP is solved
+    through ``session`` when given."""
     if policy.mode != "admission_general":
         raise ValueError("policy mode must be admission_general")
     if not ctx.has_primaries:
         raise ValueError("admit_general requires a context with primaries attached")
     lp = build_admission_lp(ctx, policy.C)
-    sol = solve_lp(lp)
+    sol = solve_lp(lp, session)
     best_ids, best_groups, best_aggregate = (), [], 0.0
     for trial in range(policy.trials):
         sample = sample_round(ctx, lp, sol.values, policy, trial)
@@ -163,15 +166,17 @@ def admit_general(ctx: AffectanceContext, policy: RoundingPolicy) -> AdmissionRe
 
 
 def admit_large_opt(ctx: AffectanceContext, policy: RoundingPolicy,
-                    log_base: str = "e", retry_cap: int = RETRY_CAP) -> AdmissionResult:
+                    log_base: str = "e", retry_cap: int = RETRY_CAP,
+                    session: Optional[LpSession] = None) -> AdmissionResult:
     """Prefilter, LP, and rounding where one rounded set must respect every
-    primary's unit budget simultaneously; no grouping step is needed."""
+    primary's unit budget simultaneously; no grouping step is needed.  The
+    LP is solved through ``session`` when given."""
     if policy.mode != "admission_large":
         raise ValueError("policy mode must be admission_large")
     if not ctx.has_primaries or ctx.k == 0:
         raise ValueError("admit_large_opt requires at least one primary")
     kept_ids, lp = build_admission_large_lp(ctx, policy.C, log_base)
-    sol = solve_lp(lp)
+    sol = solve_lp(lp, session)
     best_ids = ()
     successes = 0
     attempts_cap = max(policy.trials, retry_cap)

@@ -14,8 +14,9 @@ from .affectance import AffectanceContext, schedule_weight
 from .formulations import (build_capacity_lp, build_qos_lp, build_weighted_lp)
 from .greedy import (greedy_combined, greedy_length_classes,
                      greedy_weight_classes)
-from .harness import (DEFAULT_SWEEP, GenConfig, generate_instance, run_compare,
-                      run_oracle_suite, verify_output)
+from .harness import (DEFAULT_SWEEP, GenConfig, _best_over_sweep, generate_instance,
+                      run_compare, run_oracle_suite, verify_output)
+from .lp_core import LpSession
 from .model import parse_power, read_instance, write_instance
 from .oracle import exact_admission, exact_capacity
 from .rounding import RoundingPolicy, run_pipeline
@@ -124,13 +125,14 @@ def _cmd_solve(args) -> int:
     sweep = _sweep(args)
     builders = {"capacity": build_capacity_lp, "qos": build_qos_lp,
                 "weighted": build_weighted_lp}
-    best = None
+    session = LpSession()  # the sweep's programs differ only in their bounds
+    runs = []
     for c in sweep:
         if args.algo == "lp":
             policy = RoundingPolicy(mode="weighted" if args.formulation == "weighted"
                                     else args.formulation,
                                     C=c, trials=args.trials, seed=args.seed)
-            sched = run_pipeline(ctx, builders[args.formulation](ctx, c), policy)
+            sched = run_pipeline(ctx, builders[args.formulation](ctx, c), policy, session)
         elif args.algo == "greedy":
             sched = greedy_combined(ctx, c)
         elif args.algo == "greedy_w":
@@ -139,9 +141,10 @@ def _cmd_solve(args) -> int:
             sched = greedy_length_classes(ctx, c)
         value = schedule_weight(ctx, sched) if args.formulation == "weighted" \
             else float(sched.size)
-        if best is None or value > best["value"]:
-            best = {"constant": c, "value": value, "ids": list(sched.ids),
-                    "exact_sinr_ok": sched.exact_sinr_ok}
+        runs.append((c, value, sched))
+    c, value, sched = _best_over_sweep(runs)
+    best = {"constant": c, "value": value, "ids": list(sched.ids),
+            "exact_sinr_ok": sched.exact_sinr_ok}
     ok = verify_output(ctx, best["ids"])
     best["verified"] = ok
     _emit(best, args.out)
@@ -155,17 +158,18 @@ def _cmd_admit(args) -> int:
     ctx = AffectanceContext(inst, parse_power(args.power), primaries=inst.primaries)
     sweep = _sweep(args)
     mode = "admission_general" if args.method == "general" else "admission_large"
-    best = None
+    session = LpSession()
+    runs = []
     for c in sweep:
         policy = RoundingPolicy(mode=mode, C=c, trials=args.trials, seed=args.seed)
-        res = admit_general(ctx, policy) if args.method == "general" \
-            else admit_large_opt(ctx, policy)
-        if best is None or res.admitted.size > best["value"]:
-            best = {"constant": c, "value": res.admitted.size,
-                    "ids": list(res.admitted.ids),
-                    "groups": [list(g) for g in res.groups],
-                    "per_primary_load": list(res.per_primary_load),
-                    "verified": res.verified, "notes": res.notes}
+        res = admit_general(ctx, policy, session) if args.method == "general" \
+            else admit_large_opt(ctx, policy, session=session)
+        runs.append((c, res.admitted.size, res))
+    c, value, res = _best_over_sweep(runs)
+    best = {"constant": c, "value": value, "ids": list(res.admitted.ids),
+            "groups": [list(g) for g in res.groups],
+            "per_primary_load": list(res.per_primary_load),
+            "verified": res.verified, "notes": res.notes}
     _emit(best, args.out)
     return 0 if best["verified"] else 1
 

@@ -20,7 +20,7 @@ import numpy as np
 from .affectance import AffectanceContext, check_feasibility, schedule_weight
 from .formulations import build_capacity_lp, build_weighted_lp
 from .greedy import greedy_base, greedy_length_classes, greedy_weight_classes
-from .lp_core import solve_lp
+from .lp_core import LpSession, solve_lp
 from .model import Instance, Link, Point, PowerAssignment, PrimarySet
 from .oracle import exact_capacity, largest_bifeasible
 from .rounding import RoundingPolicy, run_pipeline
@@ -140,12 +140,12 @@ def verify_output(ctx: AffectanceContext, ids) -> bool:
 
 
 def _best_over_sweep(values_by_constant):
-    """(constant, value, ids) with the largest value; ties prefer the
-    smaller constant."""
+    """(constant, value, result) with the largest value; ties, and gains of
+    at most 1e-12, prefer the earlier (smaller) constant."""
     best = None
-    for c, value, ids in values_by_constant:
+    for c, value, result in values_by_constant:
         if best is None or value > best[1] + 1e-12:
-            best = (c, value, ids)
+            best = (c, value, result)
     return best
 
 
@@ -156,6 +156,7 @@ def run_compare(gen_configs: Sequence[GenConfig], sweep: Sequence[float],
     each instance, keep each algorithm's best, and write one CSV.
 
     Every emitted solution row is re-verified feasible before writing.
+    The LP sweep on one instance reuses one ``LpSession``.
     Rows are deterministic for fixed configs; runtimes are recorded only
     when ``timing`` is set (they would break byte-for-byte determinism).
     """
@@ -179,9 +180,11 @@ def run_compare(gen_configs: Sequence[GenConfig], sweep: Sequence[float],
 
         lp_runs = []
         lp_ms = 0.0
+        session = LpSession()
         for c in sweep:
             policy = RoundingPolicy(mode="weighted", C=c, trials=trials, seed=cfg.seed)
-            (sched, ms) = timed(lambda: run_pipeline(ctx, build_weighted_lp(ctx, c), policy))
+            (sched, ms) = timed(lambda: run_pipeline(ctx, build_weighted_lp(ctx, c), policy,
+                                                     session))
             lp_ms += ms or 0.0
             lp_runs.append((c, schedule_weight(ctx, sched), sched.ids))
         lp_best = _best_over_sweep(lp_runs)
@@ -247,9 +250,10 @@ def run_oracle_suite(gen_configs: Sequence[GenConfig], trials: int = 50,
             indicator[ctx.index_of(w2.ids)] = 1.0
         calibrated = max(float(np.max(lp_probe.row_coeffs @ indicator)), 1e-9) \
             if ctx.n else 1e-9
-        lp_star = solve_lp(build_capacity_lp(ctx, calibrated)).objective
+        session = LpSession()  # the two programs differ only in their bounds
+        lp_star = solve_lp(build_capacity_lp(ctx, calibrated), session).objective
         policy = RoundingPolicy(mode="capacity", C=1.0, trials=trials, seed=cfg.seed)
-        alg = run_pipeline(ctx, build_capacity_lp(ctx, 1.0), policy)
+        alg = run_pipeline(ctx, lp_probe, policy, session)
         grd = greedy_base(ctx, 1.0)
         verdicts = {
             "alg_le_opt": alg.size <= opt.size and grd.size <= opt.size,

@@ -3,7 +3,15 @@
 Programs here always maximize a nonnegative objective subject to
 ``A x <= b`` with ``A >= 0``, ``b > 0`` and box bounds ``0 <= x <= 1``,
 so x = 0 is feasible and the optimum is finite.  Solving is delegated to
-scipy's HiGHS backend behind a thin checked interface.
+the HiGHS solver bundled with scipy behind a thin checked interface.
+
+An ``LpSession`` holds one HiGHS model across solves.  A constant sweep
+builds programs whose objective and rows are the same for every constant;
+only the row bounds differ.  When a program's objective and rows hash to
+those of the loaded model, the session pushes only the row bounds that
+changed and runs the dual simplex again from the previous optimal basis
+(the warm start).  Any other program is loaded cold.  ``solve_lp`` runs
+one program through a given session, or through a fresh one.
 
 A program may also carry the data of the second rounding stage: per row,
 the variable whose survival the row decides (-1: the whole sample) and
@@ -13,13 +21,24 @@ keeps every stage-one pick.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize._highspy import _core as highs  # private; scipy >= 1.15
+from scipy.sparse import csc_array
 
 SOLVE_TOL = 1e-7
+
+# The settings linprog(method="highs") used, so a cold solve gives the
+# same point it did: quiet, presolve on, dual simplex.
+HIGHS_OPTIONS = {
+    "output_flag": False,
+    "log_to_console": False,
+    "presolve": "on",
+    "simplex_strategy": int(highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual),
+}
 
 
 class LpSolveError(Exception):
@@ -83,30 +102,87 @@ class FractionalSolution:
     objective: float
 
 
-def solve_lp(lp: LinearProgram) -> FractionalSolution:
-    """Solve to optimality; constraint and optimality tolerance 1e-7."""
-    if lp.n == 0:
-        return FractionalSolution(values=np.zeros(0), objective=0.0)
-    if lp.m == 0:
-        # box bounds only; nonnegative objective is maximized at 1
-        values = np.ones(lp.n)
-        return FractionalSolution(values=values, objective=float(lp.objective.sum()))
-    res = linprog(
-        -lp.objective,
-        A_ub=lp.row_coeffs,
-        b_ub=lp.row_bounds,
-        bounds=(0.0, 1.0),
-        method="highs",
-    )
-    if not res.success:
-        raise LpSolveError(f"LP solve failed (status {res.status}): {res.message}")
-    values = np.asarray(res.x, dtype=float)
-    if np.any(values < -SOLVE_TOL) or np.any(values > 1.0 + SOLVE_TOL):
-        raise LpSolveError("solver returned values outside the box bounds")
-    values = np.clip(values, 0.0, 1.0)
-    if not check_solution(lp, values):
-        raise LpSolveError("solver returned an infeasible point")
-    return FractionalSolution(values=values, objective=float(lp.objective @ values))
+def _rows_digest(lp: LinearProgram) -> bytes:
+    """Digest of the shape, objective and row coefficients: the parts a
+    warm start needs unchanged."""
+    h = hashlib.blake2b(digest_size=32)
+    h.update(np.asarray(lp.row_coeffs.shape, dtype=np.int64).tobytes())
+    h.update(np.ascontiguousarray(lp.objective).data)
+    h.update(np.ascontiguousarray(lp.row_coeffs).data)
+    return h.digest()
+
+
+class LpSession:
+    """One HiGHS model reused across solves of programs that differ only in
+    their row bounds.
+
+    ``iterations`` and ``warm`` describe the last solve: its simplex
+    iterations and whether it re-solved the loaded model from its basis.
+    """
+
+    def __init__(self):
+        self._highs = highs._Highs()
+        for option, value in HIGHS_OPTIONS.items():
+            if self._highs.setOptionValue(option, value) != highs.HighsStatus.kOk:
+                raise LpSolveError(f"HiGHS rejected option {option}={value!r}")
+        self._digest = None   # of the loaded objective and rows; None: reload
+        self._bounds = None   # the loaded row bounds
+        self.iterations = 0
+        self.warm = False
+
+    def solve(self, lp: LinearProgram) -> FractionalSolution:
+        """Solve to optimality; constraint and optimality tolerance 1e-7."""
+        self.iterations, self.warm = 0, False
+        if lp.n == 0:
+            return FractionalSolution(values=np.zeros(0), objective=0.0)
+        if lp.m == 0:
+            # box bounds only; nonnegative objective is maximized at 1
+            values = np.ones(lp.n)
+            return FractionalSolution(values=values, objective=float(lp.objective.sum()))
+        digest = _rows_digest(lp)
+        self.warm = digest == self._digest
+        self._digest = None  # a failed run must not leave a basis to reuse
+        if self.warm:
+            for i in np.flatnonzero(lp.row_bounds != self._bounds):
+                self._highs.changeRowBounds(int(i), -np.inf, float(lp.row_bounds[i]))
+        elif self._highs.passModel(self._model(lp)) == highs.HighsStatus.kError:
+            raise LpSolveError("HiGHS rejected the program")
+        run_status = self._highs.run()
+        status = self._highs.getModelStatus()
+        if run_status == highs.HighsStatus.kError or status != highs.HighsModelStatus.kOptimal:
+            raise LpSolveError(
+                f"LP solve failed: {self._highs.modelStatusToString(status)}")
+        self._digest, self._bounds = digest, lp.row_bounds.copy()
+        self.iterations = int(self._highs.getInfo().simplex_iteration_count)
+        values = np.array(self._highs.getSolution().col_value, dtype=float)
+        if np.any(values < -SOLVE_TOL) or np.any(values > 1.0 + SOLVE_TOL):
+            raise LpSolveError("solver returned values outside the box bounds")
+        values = np.clip(values, 0.0, 1.0)
+        if not check_solution(lp, values):
+            raise LpSolveError("solver returned an infeasible point")
+        return FractionalSolution(values=values, objective=float(lp.objective @ values))
+
+    @staticmethod
+    def _model(lp: LinearProgram):
+        """The program as HiGHS takes it: minimize -objective, rows stored
+        column-wise."""
+        a = csc_array(lp.row_coeffs)
+        model = highs.HighsLp()
+        model.num_col_, model.num_row_ = lp.n, lp.m
+        model.col_cost_ = -lp.objective
+        model.col_lower_, model.col_upper_ = np.zeros(lp.n), np.ones(lp.n)
+        model.row_lower_, model.row_upper_ = np.full(lp.m, -np.inf), lp.row_bounds
+        matrix = model.a_matrix_
+        matrix.format_ = highs.MatrixFormat.kColwise
+        matrix.num_col_, matrix.num_row_ = lp.n, lp.m
+        matrix.start_, matrix.index_, matrix.value_ = a.indptr, a.indices, a.data
+        return model
+
+
+def solve_lp(lp: LinearProgram, session: Optional[LpSession] = None) -> FractionalSolution:
+    """Solve to optimality through ``session``, warm when it last solved
+    the same objective and rows, or through a fresh session."""
+    return (session if session is not None else LpSession()).solve(lp)
 
 
 def check_solution(lp: LinearProgram, values, tol: float = SOLVE_TOL) -> bool:

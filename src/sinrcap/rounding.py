@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .affectance import AffectanceContext, Schedule, certify, check_feasibility
-from .lp_core import LinearProgram, solve_lp
+from .lp_core import LinearProgram, LpSession, solve_lp
 
 logger = logging.getLogger(__name__)
 
@@ -174,14 +174,16 @@ def final_selection(ctx: AffectanceContext, S, bound: float, theta: float,
 
 
 def run_pipeline(ctx: AffectanceContext, lp: LinearProgram,
-                 policy: RoundingPolicy) -> Schedule:
-    """Solve, round over ``policy.trials`` independent samples, extract and
-    strengthen each, and return the best resulting feasible set."""
+                 policy: RoundingPolicy,
+                 session: Optional[LpSession] = None) -> Schedule:
+    """Solve (through ``session`` when given, so a constant sweep reuses
+    one model), round over ``policy.trials`` independent samples, extract
+    and strengthen each, and return the best resulting feasible set."""
     if policy.mode in ("admission_general", "admission_large"):
         raise ValueError("admission pipelines are driven by the admission module")
     if lp.n != ctx.n:
         raise ValueError("program size does not match the context")
-    sol = solve_lp(lp)
+    sol = solve_lp(lp, session)
     best_ids, best_val = (), 0.0
     for trial in range(policy.trials):
         sample = sample_round(ctx, lp, sol.values, policy, trial)

@@ -6,8 +6,9 @@ import pytest
 
 from sinrcap import (GenConfig, generate_instance, run_compare,
                      run_oracle_suite)
+from sinrcap import cli
 from sinrcap.cli import main as cli_main
-from sinrcap.harness import CSV_COLUMNS
+from sinrcap.harness import CSV_COLUMNS, _best_over_sweep
 from sinrcap.model import read_instance, write_instance
 
 
@@ -132,6 +133,25 @@ def test_cli_gen_solve_oracle(tmp_path, beta):
     rc = cli_main(["solve", str(inst_path), "--algo", "greedy",
                    "--sweep", "0.5,1.0", "--out", str(out)])
     assert rc == 0
+
+
+def test_best_over_sweep_ignores_float_noise():
+    runs = [(1.0, 5.0, "a"), (2.0, 5.0 + 5e-13, "b"), (3.0, 5.0 + 2e-12, "c")]
+    assert _best_over_sweep(runs[:2]) == runs[0]
+    assert _best_over_sweep(runs) == runs[2]
+
+
+def test_cli_solve_keeps_smaller_constant_over_float_noise(tmp_path, monkeypatch):
+    inst_path = tmp_path / "inst.json"
+    write_instance(generate_instance(GenConfig(n=10, R=6.0, delta=2.0, seed=3)), inst_path)
+    values = iter([4.0, 4.0 + 5e-13])  # the two constants' weights, 5e-13 apart
+    monkeypatch.setattr(cli, "schedule_weight", lambda ctx, sched: next(values))
+    out = tmp_path / "sol.json"
+    assert cli_main(["solve", str(inst_path), "--algo", "lp", "--formulation", "weighted",
+                     "--power", "linear", "--trials", "5", "--sweep", "1.0,2.0",
+                     "--out", str(out)]) == 0
+    best = json.loads(out.read_text())
+    assert (best["constant"], best["value"]) == (1.0, 4.0)
 
 
 def test_cli_admit_and_suite(tmp_path):

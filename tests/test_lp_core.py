@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
-from sinrcap import (LinearProgram, RoundingPolicy, build_capacity_lp,
-                     check_solution, dump_lp, sample_round, solve_lp)
+from sinrcap import (LinearProgram, LpSession, LpSolveError, RoundingPolicy,
+                     build_capacity_lp, check_solution, dump_lp, sample_round,
+                     solve_lp)
+from sinrcap import lp_core
 
 from conftest import random_ctx
 
@@ -145,3 +148,91 @@ def test_dump_round_trips_through_parser(rng):
     # the reconstructed program solves to the same optimum
     again = lp(obj, rows, bounds)
     assert solve_lp(again).objective == pytest.approx(solve_lp(program).objective)
+
+
+def _linprog_objective(program):
+    """The reference optimum, from scipy's linprog."""
+    res = linprog(-program.objective, A_ub=program.row_coeffs, b_ub=program.row_bounds,
+                  bounds=(0.0, 1.0), method="highs")
+    assert res.success
+    return float(program.objective @ res.x)
+
+
+def test_session_matches_linprog(rng):
+    for _ in range(10):
+        program = _random_program(rng, n=int(rng.integers(2, 15)), m=int(rng.integers(1, 20)))
+        assert solve_lp(program).objective == pytest.approx(
+            _linprog_objective(program), abs=1e-9)
+    # a five-bound sweep through one session, each solve against a cold linprog
+    session = LpSession()
+    obj, rows = rng.uniform(0, 2, 12), rng.uniform(0, 1, (16, 12))
+    for scale in (0.6, 1.2, 1.8, 2.4, 3.0):
+        program = lp(obj, rows, np.full(16, scale))
+        sol = solve_lp(program, session)
+        assert check_solution(program, sol.values)
+        assert sol.objective == pytest.approx(_linprog_objective(program), abs=1e-9)
+
+
+def test_bounds_change_resolves_warm_in_fewer_iterations():
+    rng = np.random.default_rng(7)
+    obj, rows = rng.uniform(0.5, 2, 60), rng.uniform(0, 1, (80, 60))
+    session = LpSession()
+    solve_lp(lp(obj, rows, np.full(80, 2.0)), session)
+    assert not session.warm
+    changed = lp(obj, rows, np.full(80, 2.0) * rng.uniform(1.0, 1.5, 80))
+    warm = solve_lp(changed, session)
+    cold_session = LpSession()
+    cold = solve_lp(changed, cold_session)
+    assert session.warm and not cold_session.warm
+    assert 0 <= session.iterations < cold_session.iterations
+    assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
+    np.testing.assert_allclose(warm.values, cold.values, atol=1e-9)
+    # unchanged bounds: nothing to pivot
+    again = solve_lp(changed, session)
+    assert session.warm and session.iterations == 0
+    assert np.array_equal(again.values, warm.values)
+
+
+def test_changed_rows_or_objective_load_cold(rng):
+    obj, rows, bounds = rng.uniform(0, 2, 10), rng.uniform(0, 1, (12, 10)), np.ones(12)
+    others = (lp(obj, rows * rng.uniform(0.5, 1.5, rows.shape), bounds),   # other rows
+              lp(obj[::-1].copy(), rows, bounds),                           # other objective
+              lp(obj[:8], rows[:, :8], bounds))                             # fewer columns
+    for other in others:
+        session = LpSession()
+        solve_lp(lp(obj, rows, bounds), session)
+        sol = solve_lp(other, session)
+        assert not session.warm
+        fresh = solve_lp(other)
+        assert sol.objective == fresh.objective
+        assert np.array_equal(sol.values, fresh.values)
+
+
+def test_non_optimal_status_raises(monkeypatch, rng):
+    program = _random_program(rng)
+    session = LpSession()
+    solve_lp(program, session)
+    monkeypatch.setattr(lp_core.highs._Highs, "getModelStatus",
+                        lambda self: lp_core.highs.HighsModelStatus.kIterationLimit)
+    with pytest.raises(LpSolveError, match="Iteration limit"):
+        solve_lp(program, session)
+    with pytest.raises(LpSolveError):
+        solve_lp(program)
+    monkeypatch.undo()
+    # the failed run leaves no basis to reuse: the next solve loads cold
+    sol = solve_lp(program, session)
+    assert not session.warm
+    assert sol.objective == pytest.approx(_linprog_objective(program), abs=1e-9)
+
+
+def test_empty_programs_through_a_session(rng):
+    session = LpSession()
+    assert solve_lp(lp([], np.zeros((0, 0)), []), session).values.shape == (0,)
+    sol = solve_lp(lp([1.0, 2.0], np.zeros((0, 2)), []), session)
+    assert sol.objective == pytest.approx(3.0) and np.array_equal(sol.values, [1.0, 1.0])
+    # empty programs leave the loaded model alone
+    program = _random_program(rng)
+    first = solve_lp(program, session)
+    solve_lp(lp([1.0], np.zeros((0, 1)), []), session)
+    assert solve_lp(program, session).objective == first.objective
+    assert session.warm
