@@ -21,7 +21,7 @@ from .affectance import AffectanceContext, Schedule, certify, sinr_terms
 from .formulations import (admission_filter_threshold, build_admission_large_lp,
                            build_admission_lp)
 from .lp_core import LpSession, solve_lp
-from .rounding import RoundingPolicy, _better, final_selection, sample_round
+from .rounding import RoundingPolicy, _better, final_selection_batch, sample_batch
 
 logger = logging.getLogger(__name__)
 
@@ -142,11 +142,10 @@ def admit_general(ctx: AffectanceContext, policy: RoundingPolicy,
         raise ValueError("admit_general requires a context with primaries attached")
     lp = build_admission_lp(ctx, policy.C)
     sol = solve_lp(lp, session)
+    sel = sample_batch(ctx, lp, sol.values, policy, range(policy.trials))
     best_ids, best_groups, best_aggregate = (), [], 0.0
-    for trial in range(policy.trials):
-        sample = sample_round(ctx, lp, sol.values, policy, trial)
-        feasible_set = final_selection(ctx, sample, policy.extraction_bound, 1.0,
-                                       "capacity")
+    for feasible_set in final_selection_batch(ctx, ctx.ids, sel, policy.extraction_bound,
+                                              1.0, "capacity"):
         groups = partition_by_primaries(ctx, feasible_set)
         cand = min(groups, key=lambda g: (-len(g), g), default=())
         if _better(len(cand), cand, len(best_ids), best_ids):
@@ -177,17 +176,23 @@ def admit_large_opt(ctx: AffectanceContext, policy: RoundingPolicy,
         raise ValueError("admit_large_opt requires at least one primary")
     kept_ids, lp = build_admission_large_lp(ctx, policy.C, log_base)
     sol = solve_lp(lp, session)
+    ids = np.asarray(kept_ids, dtype=int)
+    to_prim = ctx.raw_to_prim[ctx.index_of(ids)]
     best_ids = ()
     successes = 0
     attempts_cap = max(policy.trials, retry_cap)
-    for trial in range(attempts_cap):
-        sample = sample_round(ctx, lp, sol.values, policy, trial, ids=kept_ids)
-        if np.any(_primary_loads(ctx, sample) > 1.0):
-            continue
-        successes += 1
-        cand = final_selection(ctx, sample, policy.extraction_bound, 1.0, "capacity")
-        if _better(len(cand), cand, len(best_ids), best_ids):
-            best_ids = cand
+    # Attempts are drawn in blocks of policy.trials; successes are taken in
+    # attempt order up to policy.trials, the samples a one-by-one loop takes.
+    for start in range(0, attempts_cap, policy.trials):
+        sel = sample_batch(ctx, lp, sol.values, policy,
+                           range(start, min(start + policy.trials, attempts_cap)), ids)
+        sel = sel[np.all(sel.astype(float) @ to_prim <= 1.0, axis=1)]
+        sel = sel[:policy.trials - successes]
+        successes += len(sel)
+        for cand in final_selection_batch(ctx, ids, sel, policy.extraction_bound, 1.0,
+                                          "capacity"):
+            if _better(len(cand), cand, len(best_ids), best_ids):
+                best_ids = cand
         if successes >= policy.trials:
             break
     if successes == 0:

@@ -9,8 +9,8 @@ import argparse
 import json
 import sys
 
-from .admission import admit_general, admit_large_opt
-from .affectance import AffectanceContext, schedule_weight
+from .admission import admit_general, admit_large_opt, verify_admission
+from .affectance import AffectanceContext, check_feasibility, schedule_weight
 from .formulations import (build_capacity_lp, build_qos_lp, build_weighted_lp)
 from .greedy import (greedy_combined, greedy_length_classes,
                      greedy_weight_classes)
@@ -20,6 +20,8 @@ from .lp_core import LpSession
 from .model import parse_power, read_instance, write_instance
 from .oracle import exact_admission, exact_capacity
 from .rounding import RoundingPolicy, run_pipeline
+
+ORACLE_GAMMA = 1.0  # affectance threshold of ``oracle --mode affectance``
 
 
 def _add_common(p, default_power="uniform"):
@@ -182,15 +184,20 @@ def _cmd_oracle(args) -> int:
             raise SystemExit("admission oracle requires primaries")
         ctx = AffectanceContext(inst, power, primaries=inst.primaries)
         sched = exact_admission(ctx)
+        ok = verify_admission(ctx, sched.ids)
+    elif args.mode == "exact":
+        ctx = AffectanceContext(inst, power)
+        sched = exact_capacity(ctx, args.objective, "exact_sinr")
+        ok = verify_output(ctx, sched.ids)
     else:
         ctx = AffectanceContext(inst, power)
-        mode = "exact_sinr" if args.mode == "exact" else "affectance"
-        sched = exact_capacity(ctx, args.objective, mode)
+        sched = exact_capacity(ctx, args.objective, "affectance", ORACLE_GAMMA)
+        ok = check_feasibility(ctx, sched.ids, ORACLE_GAMMA, "feasible")
     payload = {"ids": list(sched.ids), "size": sched.size,
                "weight": schedule_weight(ctx, sched),
-               "exact_sinr_ok": sched.exact_sinr_ok}
+               "exact_sinr_ok": sched.exact_sinr_ok, "verified": ok}
     _emit(payload, args.out)
-    return 0
+    return 0 if ok else 1
 
 
 def _cmd_compare(args) -> int:

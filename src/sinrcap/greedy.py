@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .affectance import AffectanceContext, Schedule, certify, schedule_weight
-from .rounding import final_selection
+from .rounding import final_selection_batch
 
 DEFAULT_EXTRACTION_BOUND = 12.0
 
@@ -34,13 +34,22 @@ def _greedy_accept(ctx: AffectanceContext, candidate_idx, c_g: float) -> list:
     return accepted
 
 
-def _run_class(ctx: AffectanceContext, class_idx, c_g: float, order: str) -> tuple:
+def _class_candidates(ctx: AffectanceContext, class_idx, c_g: float, order: str) -> list:
     if order == "length":
         keys = sorted(class_idx, key=lambda u: (ctx.lengths[u], int(ctx.ids[u])))
     else:  # heaviest first within a length class
         keys = sorted(class_idx, key=lambda u: (-ctx.weights[u], int(ctx.ids[u])))
-    accepted = ctx.ids[_greedy_accept(ctx, keys, c_g)]
-    return final_selection(ctx, accepted, DEFAULT_EXTRACTION_BOUND, 1.0, "capacity")
+    return _greedy_accept(ctx, keys, c_g)
+
+
+def _final_selections(ctx: AffectanceContext, accepted: list) -> list:
+    """The LP pipeline's final selection of every accepted position list,
+    run as one batch."""
+    sel = np.zeros((len(accepted), ctx.n), dtype=bool)
+    for row, acc in zip(sel, accepted):
+        row[acc] = True
+    return final_selection_batch(ctx, ctx.ids, sel, DEFAULT_EXTRACTION_BOUND, 1.0,
+                                 "capacity")
 
 
 def greedy_base(ctx: AffectanceContext, c_g: float = 1.0) -> Schedule:
@@ -48,8 +57,8 @@ def greedy_base(ctx: AffectanceContext, c_g: float = 1.0) -> Schedule:
     the same final selection as the LP pipeline."""
     if not c_g > 0:
         raise ValueError("c_g must be positive")
-    ids = _run_class(ctx, range(ctx.n), c_g, "length")
-    return certify(ctx, ids)
+    accepted = _class_candidates(ctx, range(ctx.n), c_g, "length")
+    return certify(ctx, _final_selections(ctx, [accepted])[0])
 
 
 def weight_class_partition(ctx: AffectanceContext) -> dict:
@@ -99,8 +108,8 @@ def greedy_length_classes(ctx: AffectanceContext, c_g: float = 1.0) -> Schedule:
 
 def _best_class_solution(ctx, classes, c_g, order) -> tuple:
     best_ids, best_w = (), -1.0
-    for t in sorted(classes):
-        ids = _run_class(ctx, classes[t], c_g, order)
+    accepted = [_class_candidates(ctx, classes[t], c_g, order) for t in sorted(classes)]
+    for ids in _final_selections(ctx, accepted):
         w = float(ctx.weights[ctx.index_of(ids)].sum()) if ids else 0.0
         if w > best_w or (w == best_w and ids < best_ids):
             best_ids, best_w = ids, w

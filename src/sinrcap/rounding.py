@@ -8,17 +8,28 @@ builders in ``formulations`` set the limits).  Final selection, shared by
 the LP, admission and greedy pipelines, drops high-affectance members and
 partitions the rest into feasible groups (signal strengthening),
 returning the best group.
+
+Every trial of a pipeline runs in lockstep, as one row of a boolean
+selection matrix: stage one stacks the trials' draws (each a pure function
+of seed, trial and link id), stage two takes every trial's row loads in
+one product with the LP rows, extraction one product over the union of
+sampled links, and strengthening places each trial's i-th longest link at
+step i.  Strengthening state is O(T * n) for T trials, and its loads are
+summed in the order members joined their part.  ``sample_round``,
+``extract_low_affectance``, ``signal_strengthen`` and ``final_selection``
+are the one-trial case of the same code.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .affectance import AffectanceContext, Schedule, certify, check_feasibility
+from .affectance import (ROW_BLOCK, AffectanceContext, Schedule, certify,
+                         check_feasibility)
 from .lp_core import LinearProgram, LpSession, solve_lp
 
 logger = logging.getLogger(__name__)
@@ -73,37 +84,134 @@ def bernoulli_draws(seed: int, trial: int, ids: Sequence[int]) -> np.ndarray:
     return out
 
 
-def sample_round(ctx: AffectanceContext, lp: LinearProgram, delta: np.ndarray,
-                 policy: RoundingPolicy, trial: int,
-                 ids: Optional[Sequence[int]] = None) -> tuple:
-    """One two-stage sample; deterministic given (policy.seed, trial).
+def sample_batch(ctx: AffectanceContext, lp: LinearProgram, delta: np.ndarray,
+                 policy: RoundingPolicy, trials: Sequence[int],
+                 ids: Optional[Sequence[int]] = None) -> np.ndarray:
+    """Two-stage samples of the given trial numbers, one boolean row each
+    over ``ids`` (the whole context when None); deterministic given
+    (policy.seed, trial).
 
     ``delta`` holds the fractional values of ``lp``'s variables, which are
-    aligned with ``ids`` (the whole context when ids is None).  Stage two
-    drops the variable of every row whose load exceeds its limit, or the
-    whole sample for such a row without one.  Returns the selected ids,
-    sorted.
+    aligned with ``ids``.  Stage two drops the variable of every row whose
+    load exceeds its limit, or the whole sample for such a row without one.
     """
     use_ids = np.asarray(ctx.ids if ids is None else ids, dtype=int)
     delta = np.asarray(delta, dtype=float)
     if delta.shape != (use_ids.size,) or lp.n != use_ids.size:
         raise ValueError("delta length must match the variable ids")
-    selected = bernoulli_draws(policy.seed, trial, use_ids) < delta
-    over = lp.row_coeffs @ selected.astype(float) > lp.row_limit
-    if np.any(lp.row_var[over] < 0):
-        return ()
-    selected[lp.row_var[over]] = False
-    return tuple(int(i) for i in use_ids[selected])
+    sel = np.empty((len(trials), use_ids.size), dtype=bool)
+    for row, trial in zip(sel, trials):
+        row[:] = bernoulli_draws(policy.seed, trial, use_ids) < delta
+    sel_f = sel.astype(float)
+    over = np.empty((sel.shape[0], lp.m), dtype=bool)
+    for r0 in range(0, lp.m, ROW_BLOCK):  # loads T x ROW_BLOCK at a time
+        block = slice(r0, r0 + ROW_BLOCK)
+        over[:, block] = sel_f @ lp.row_coeffs[block].T > lp.row_limit[block]
+    sel[np.any(over & (lp.row_var < 0), axis=1)] = False
+    hit, rows = np.nonzero(over & (lp.row_var >= 0))
+    sel[hit, lp.row_var[rows]] = False
+    return sel
+
+
+def sample_round(ctx: AffectanceContext, lp: LinearProgram, delta: np.ndarray,
+                 policy: RoundingPolicy, trial: int,
+                 ids: Optional[Sequence[int]] = None) -> tuple:
+    """One trial of ``sample_batch``; returns the selected ids in ``ids``
+    order."""
+    use_ids = np.asarray(ctx.ids if ids is None else ids, dtype=int)
+    return _members(use_ids, sample_batch(ctx, lp, delta, policy, [trial], use_ids)[0])
+
+
+def _members(ids: np.ndarray, row: np.ndarray) -> tuple:
+    return tuple(int(i) for i in ids[row])
+
+
+def _one_row(S) -> tuple:
+    """(sorted ids, 1 x len selection of all of them) for a single set."""
+    ids = np.unique(np.asarray([int(i) for i in S], dtype=int))
+    return ids, np.ones((1, ids.size), dtype=bool)
+
+
+def _extract_rows(ctx: AffectanceContext, idx: np.ndarray, sel: np.ndarray,
+                  bound: float) -> np.ndarray:
+    """Each row's members whose clipped affectance received from that row's
+    members is at most bound; ``idx`` holds the columns' context positions.
+    One product over the union of selected columns serves every row; it is
+    taken ROW_BLOCK receivers at a time."""
+    cols = np.flatnonzero(sel.any(axis=0))
+    sub = sel[:, cols]
+    sub_f = sub.astype(float)
+    kept = np.zeros_like(sel)
+    for c0 in range(0, cols.size, ROW_BLOCK):
+        block = slice(c0, c0 + ROW_BLOCK)
+        aff = ctx.raw[np.ix_(idx[cols], idx[cols[block]])]
+        np.minimum(aff, 1.0, out=aff)
+        kept[:, cols[block]] = sub[:, block] & (sub_f @ aff <= bound)
+    return kept
+
+
+def _strengthen_rows(ctx: AffectanceContext, idx: np.ndarray, sel: np.ndarray,
+                     theta: float) -> Iterator[list]:
+    """Theta-feasible parts of every row of ``sel`` (columns: the context
+    positions ``idx``, in id order) by first fit over the row's links in
+    non-increasing length order, ties by id.
+
+    The rows run in lockstep: step i places each row's i-th longest link u
+    into its first part p where u's in-load from p is at most theta and
+    every member of p stays within theta after adding u's affectance.
+    Loads are summed in the order members joined their part.  Yields each
+    row's parts in row order, so only one row's id tuples are alive at once.
+    """
+    if not theta > 0:
+        raise ValueError("theta must be positive")
+    rank = np.argsort(-ctx.lengths[idx], kind="stable")
+    idx, sel = idx[rank], sel[:, rank]
+    sizes = sel.sum(axis=1)
+    rows = np.argsort(-sizes, kind="stable")  # rows still placing form a prefix
+    k = int(sizes.max(initial=0))
+    pos = np.zeros((rows.size, k), dtype=int)  # each row's links, longest first
+    pos[np.arange(k) < sizes[rows, None]] = idx[np.nonzero(sel[rows])[1]]
+    part = np.zeros((rows.size, k), dtype=int)
+    own = np.zeros((rows.size, k))  # each placed link's load from its own part
+    nparts = np.zeros(rows.size, dtype=int)
+    count = np.arange(max(rows.size, k + 1))
+    width = 1  # parts any live row has, plus the new one
+    for i, a in enumerate(np.count_nonzero(sizes[rows, None] > count[:k], axis=0)):
+        live = count[:a]
+        u, placed, assigned = pos[:a, i, None], pos[:a, :i], part[:a, :i]
+        out_u, in_u = ctx.raw[u, placed], ctx.raw[placed, u]
+        if theta > 1.0:
+            np.minimum(out_u, 1.0, out=out_u)
+            np.minimum(in_u, 1.0, out=in_u)
+        in_load = np.bincount((live[:, None] * width + assigned).ravel(), in_u.ravel(),
+                              a * width).reshape(a, width)
+        # a row's new part has no members and load 0, so it always fits
+        fits = (in_load <= theta) & (count[:width] <= nparts[:a, None])
+        bad_r, bad_j = np.nonzero(own[:a, :i] + out_u > theta)
+        fits[bad_r, assigned[bad_r, bad_j]] = False
+        choice = fits.argmax(axis=1)
+        out_u[assigned != choice[:, None]] = 0.0
+        own[:a, :i] += out_u
+        own[:a, i] = in_load[live, choice]
+        part[:a, i] = choice
+        np.maximum(nparts[:a], choice + 1, out=nparts[:a])
+        width = max(width, int(choice.max()) + 2)
+    row_of = np.argsort(rows)
+    for t in range(rows.size):
+        r = row_of[t]
+        members, assigned = ctx.ids[pos[r, :sizes[t]]], part[r, :sizes[t]]
+        parts = [tuple(int(i) for i in np.sort(members[assigned == p]))
+                 for p in range(nparts[r])]
+        for p in parts:
+            if not check_feasibility(ctx, p, theta, "feasible"):
+                raise AssertionError("signal strengthening produced an infeasible part")
+        yield parts
 
 
 def extract_low_affectance(ctx: AffectanceContext, S, bound: float = 12.0) -> tuple:
     """Members of S whose received affectance within S is at most bound."""
-    ids = np.asarray(sorted(int(i) for i in S), dtype=int)
-    if ids.size == 0:
-        return ()
-    idx = ctx.index_of(ids)
-    in_sums = np.minimum(ctx.raw[np.ix_(idx, idx)], 1.0).sum(axis=0)
-    return tuple(int(i) for i in ids[in_sums <= bound])
+    ids, sel = _one_row(S)
+    return _members(ids, _extract_rows(ctx, ctx.index_of(ids), sel, bound)[0])
 
 
 def signal_strengthen(ctx: AffectanceContext, S, theta: float = 1.0) -> list:
@@ -111,35 +219,8 @@ def signal_strengthen(ctx: AffectanceContext, S, theta: float = 1.0) -> list:
     non-increasing length order.  Thresholds at or below 1 use unclipped
     affectance sums, making parts sound against the exact SINR condition.
     """
-    if not theta > 0:
-        raise ValueError("theta must be positive")
-    ids = sorted(int(i) for i in S)
-    if not ids:
-        return []
-    idx = ctx.index_of(ids)
-    order = np.argsort(-ctx.lengths[idx], kind="stable")
-    mat = ctx.raw[np.ix_(idx, idx)]  # positions within ids from here on
-    if theta > 1.0:
-        mat = np.minimum(mat, 1.0)
-    parts = []      # each entry: [member_positions, received_sums]
-    for u in order:
-        for entry in parts:
-            members, in_sums = entry
-            updated = in_sums + mat[u, members]
-            own = float(mat[members, u].sum())
-            if own <= theta and np.all(updated <= theta):
-                entry[0] = members + [u]
-                entry[1] = np.append(updated, own)
-                break
-        else:
-            parts.append([[u], np.zeros(1)])
-    out = []
-    for members, _ in parts:
-        part = tuple(sorted(ids[p] for p in members))
-        if not check_feasibility(ctx, part, theta, "feasible"):
-            raise AssertionError("signal strengthening produced an infeasible part")
-        out.append(part)
-    return out
+    ids, sel = _one_row(S)
+    return next(_strengthen_rows(ctx, ctx.index_of(ids), sel, theta))
 
 
 def _schedule_objective(ctx: AffectanceContext, ids: tuple, mode: str) -> float:
@@ -164,31 +245,43 @@ def best_part(ctx: AffectanceContext, parts, mode: str) -> tuple:
     return best_ids
 
 
+def final_selection_batch(ctx: AffectanceContext, ids: Sequence[int], sel: np.ndarray,
+                          bound: float, theta: float, mode: str) -> list:
+    """``final_selection`` of every row of ``sel`` (rows of booleans over
+    the columns ``ids``), in row order."""
+    ids = np.asarray(ids, dtype=int)
+    order = np.argsort(ids, kind="stable")
+    ids, sel = ids[order], sel[:, order]
+    idx = ctx.index_of(ids)
+    kept = _extract_rows(ctx, idx, sel, bound)
+    return [best_part(ctx, parts, mode)
+            for parts in _strengthen_rows(ctx, idx, kept, theta)]
+
+
 def final_selection(ctx: AffectanceContext, S, bound: float, theta: float,
                     mode: str) -> tuple:
     """Extract S's low-affectance members, strengthen them into
     theta-feasible parts and return the best part under ``mode``'s
     objective."""
-    kept = extract_low_affectance(ctx, S, bound)
-    return best_part(ctx, signal_strengthen(ctx, kept, theta), mode)
+    return final_selection_batch(ctx, *_one_row(S), bound, theta, mode)[0]
 
 
 def run_pipeline(ctx: AffectanceContext, lp: LinearProgram,
                  policy: RoundingPolicy,
                  session: Optional[LpSession] = None) -> Schedule:
     """Solve (through ``session`` when given, so a constant sweep reuses
-    one model), round over ``policy.trials`` independent samples, extract
-    and strengthen each, and return the best resulting feasible set."""
+    one model), round ``policy.trials`` independent samples, extract and
+    strengthen them all at once, and return the best resulting feasible
+    set."""
     if policy.mode in ("admission_general", "admission_large"):
         raise ValueError("admission pipelines are driven by the admission module")
     if lp.n != ctx.n:
         raise ValueError("program size does not match the context")
     sol = solve_lp(lp, session)
+    sel = sample_batch(ctx, lp, sol.values, policy, range(policy.trials))
     best_ids, best_val = (), 0.0
-    for trial in range(policy.trials):
-        sample = sample_round(ctx, lp, sol.values, policy, trial)
-        cand = final_selection(ctx, sample, policy.extraction_bound, policy.theta,
-                               policy.mode)
+    for cand in final_selection_batch(ctx, ctx.ids, sel, policy.extraction_bound,
+                                      policy.theta, policy.mode):
         val = _schedule_objective(ctx, cand, policy.mode)
         if _better(val, cand, best_val, best_ids or None):
             best_ids, best_val = cand, val

@@ -1,4 +1,5 @@
 import logging
+import math
 
 import numpy as np
 import pytest
@@ -8,6 +9,10 @@ from sinrcap import (AffectanceContext, Instance, PowerAssignment, PrimarySet,
                      admit_large_opt, check_feasibility, exact_admission,
                      nearly_uniform_classes, partition_by_primaries, sparsify,
                      verify_admission)
+from sinrcap import admission
+from sinrcap.formulations import build_admission_large_lp
+from sinrcap.lp_core import FractionalSolution
+from sinrcap.rounding import _better, final_selection, sample_round
 
 from conftest import far_instance, feasible_prim_ctx, make_link, random_ctx
 
@@ -244,3 +249,79 @@ def test_admission_results_pass_verification_sweep():
         assert verify_admission(ctx, res.admitted.ids)
         # hat-affectance one-feasibility of the admitted set
         assert check_feasibility(ctx, res.admitted.ids, 1.0, "feasible")
+
+
+def _ring_ctx(count=20, radius=2.75):
+    """One primary with ``count`` unit secondaries around its receiver, each
+    at plain affectance ~0.08 on it: every link passes the prefilter, but
+    more than 12 of them together overload the primary."""
+    prim = PrimarySet(links=(make_link(99, 0.0, 0.0, 1.0, 0.0),), powers=(1.0,))
+    links = []
+    for i in range(count):
+        a = 2 * math.pi * i / count
+        sx, sy = 1.0 + radius * math.cos(a), radius * math.sin(a)
+        links.append(make_link(i, sx, sy, sx + math.cos(a), sy + math.sin(a)))
+    inst = Instance(links=tuple(links), alpha=2.5, primaries=prim)
+    return AffectanceContext(inst, UNIFORM, primaries=prim)
+
+
+def _sequential_large_opt(ctx, pol, retry_cap):
+    """admit_large_opt's attempts one sample at a time, the reference its
+    block batching must reproduce: (best ids, successes, attempts made)."""
+    kept_ids, lp = build_admission_large_lp(ctx, pol.C)
+    sol = admission.solve_lp(lp)
+    best_ids, successes = (), 0
+    attempts_cap = max(pol.trials, retry_cap)
+    for trial in range(attempts_cap):
+        sample = sample_round(ctx, lp, sol.values, pol, trial, ids=kept_ids)
+        if np.any(admission._primary_loads(ctx, sample) > 1.0):
+            continue
+        successes += 1
+        cand = final_selection(ctx, sample, pol.extraction_bound, 1.0, "capacity")
+        if _better(len(cand), cand, len(best_ids), best_ids):
+            best_ids = cand
+        if successes >= pol.trials:
+            break
+    if successes == 0:
+        raise RetriesExhausted("no success")
+    return best_ids, successes, trial + 1
+
+
+def _fixed_fractions(monkeypatch, value):
+    # every variable at the same fractional value, so the primary budget
+    # fails often enough to need more than one block of attempts
+    monkeypatch.setattr(admission, "solve_lp",
+                        lambda lp, session=None: FractionalSolution(np.full(lp.n, value), 0.0))
+
+
+def test_large_opt_blocks_match_sequential_attempts(monkeypatch):
+    ctx = _ring_ctx()
+    second_block = short_of_trials = 0
+    for value, trials, retry_cap in ((0.65, 5, 200), (0.7, 5, 200), (0.6, 8, 200),
+                                     (0.5, 5, 200), (0.7, 5, 7), (0.65, 4, 11)):
+        _fixed_fractions(monkeypatch, value)
+        for seed in range(4):
+            pol = policy("admission_large", seed=seed, trials=trials, C=10.0)
+            try:
+                best, successes, attempts = _sequential_large_opt(ctx, pol, retry_cap)
+            except RetriesExhausted:
+                with pytest.raises(RetriesExhausted):
+                    admit_large_opt(ctx, pol, retry_cap=retry_cap)
+                continue
+            res = admit_large_opt(ctx, pol, retry_cap=retry_cap)
+            assert res.admitted.ids == best
+            assert res.notes["successful_samples"] == successes
+            assert res.verified
+            second_block += attempts > trials
+            short_of_trials += successes < trials
+    assert second_block > 0 and short_of_trials > 0
+
+
+def test_large_opt_blocks_exhaust_retries(monkeypatch):
+    ctx = _ring_ctx()
+    _fixed_fractions(monkeypatch, 1.0)  # every sample holds all 20 links
+    pol = policy("admission_large", trials=3, C=10.0)
+    with pytest.raises(RetriesExhausted):
+        _sequential_large_opt(ctx, pol, 7)
+    with pytest.raises(RetriesExhausted):
+        admit_large_opt(ctx, pol, retry_cap=7)

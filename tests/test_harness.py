@@ -4,11 +4,12 @@ import math
 
 import pytest
 
-from sinrcap import (GenConfig, generate_instance, run_compare,
-                     run_oracle_suite)
+from sinrcap import (AffectanceContext, GenConfig, PowerAssignment, certify,
+                     check_feasibility, generate_instance, run_compare,
+                     run_oracle_suite, verify_admission)
 from sinrcap import cli
 from sinrcap.cli import main as cli_main
-from sinrcap.harness import CSV_COLUMNS, _best_over_sweep
+from sinrcap.harness import CSV_COLUMNS, _best_over_sweep, verify_output
 from sinrcap.model import read_instance, write_instance
 
 
@@ -128,11 +129,34 @@ def test_cli_gen_solve_oracle(tmp_path, beta):
     rc = cli_main(["oracle", str(inst_path), "--out", str(tmp_path / "opt.json")])
     assert rc == 0
     opt = json.loads((tmp_path / "opt.json").read_text())
+    assert opt["verified"]
     assert sol["value"] <= opt["size"]
 
     rc = cli_main(["solve", str(inst_path), "--algo", "greedy",
                    "--sweep", "0.5,1.0", "--out", str(out)])
     assert rc == 0
+
+
+@pytest.mark.parametrize("flags,oracle_fn", [
+    (["--mode", "exact"], "exact_capacity"),
+    (["--mode", "affectance"], "exact_capacity"),
+    (["--admission"], "exact_admission"),
+])
+def test_cli_oracle_fails_on_infeasible_optimum(tmp_path, monkeypatch, flags, oracle_fn):
+    # every link of a dense instance at once, certified, stands in for a
+    # wrong optimum; the subcommand's own re-check must reject it
+    inst = generate_instance(GenConfig(n=8, R=2.0, delta=2.0, seed=5, primaries=1))
+    inst_path = tmp_path / "dense.json"
+    write_instance(inst, inst_path)
+    plain = AffectanceContext(inst, PowerAssignment.uniform())
+    assert not verify_output(plain, plain.ids)
+    assert not check_feasibility(plain, plain.ids, 1.0, "feasible")
+    joint = AffectanceContext(inst, PowerAssignment.uniform(), primaries=inst.primaries)
+    assert not verify_admission(joint, joint.ids)
+    monkeypatch.setattr(cli, oracle_fn, lambda ctx, *args, **kwargs: certify(ctx, ctx.ids))
+    out = tmp_path / "opt.json"
+    assert cli_main(["oracle", str(inst_path), *flags, "--out", str(out)]) == 1
+    assert json.loads(out.read_text())["verified"] is False
 
 
 def test_best_over_sweep_ignores_float_noise():

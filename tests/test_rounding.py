@@ -13,7 +13,8 @@ from sinrcap import (AffectanceContext, Instance, PowerAssignment,
                      build_weighted_lp, check_feasibility, exact_capacity,
                      extract_low_affectance, run_pipeline, sample_round,
                      signal_strengthen, solve_lp)
-from sinrcap.rounding import ROUNDING_MODES
+from sinrcap.rounding import (ROUNDING_MODES, _extract_rows, _strengthen_rows, best_part,
+                              final_selection_batch, sample_batch)
 
 from conftest import (colocated_pair, far_instance, feasible_prim_ctx, make_link,
                       random_ctx)
@@ -259,3 +260,122 @@ def test_expected_selection_size():
     sizes = np.array(sizes, dtype=float)
     sem = sizes.std(ddof=1) / np.sqrt(len(sizes))
     assert sizes.mean() >= sol.objective / 3 - 3 * sem
+
+
+# The per-trial engine the batched one replaced, kept verbatim as the
+# reference: stage two as one matvec per trial, extraction per set, and the
+# per-set first-fit loop of signal strengthening.
+
+def _reference_sample_round(ctx, lp, delta, policy, trial, ids=None):
+    use_ids = np.asarray(ctx.ids if ids is None else ids, dtype=int)
+    delta = np.asarray(delta, dtype=float)
+    if delta.shape != (use_ids.size,) or lp.n != use_ids.size:
+        raise ValueError("delta length must match the variable ids")
+    selected = bernoulli_draws(policy.seed, trial, use_ids) < delta
+    over = lp.row_coeffs @ selected.astype(float) > lp.row_limit
+    if np.any(lp.row_var[over] < 0):
+        return ()
+    selected[lp.row_var[over]] = False
+    return tuple(int(i) for i in use_ids[selected])
+
+
+def _reference_extract(ctx, S, bound=12.0):
+    ids = np.asarray(sorted(int(i) for i in S), dtype=int)
+    if ids.size == 0:
+        return ()
+    idx = ctx.index_of(ids)
+    in_sums = np.minimum(ctx.raw[np.ix_(idx, idx)], 1.0).sum(axis=0)
+    return tuple(int(i) for i in ids[in_sums <= bound])
+
+
+def _reference_strengthen(ctx, S, theta=1.0):
+    if not theta > 0:
+        raise ValueError("theta must be positive")
+    ids = sorted(int(i) for i in S)
+    if not ids:
+        return []
+    idx = ctx.index_of(ids)
+    order = np.argsort(-ctx.lengths[idx], kind="stable")
+    mat = ctx.raw[np.ix_(idx, idx)]  # positions within ids from here on
+    if theta > 1.0:
+        mat = np.minimum(mat, 1.0)
+    parts = []      # each entry: [member_positions, received_sums]
+    for u in order:
+        for entry in parts:
+            members, in_sums = entry
+            updated = in_sums + mat[u, members]
+            own = float(mat[members, u].sum())
+            if own <= theta and np.all(updated <= theta):
+                entry[0] = members + [u]
+                entry[1] = np.append(updated, own)
+                break
+        else:
+            parts.append([[u], np.zeros(1)])
+    out = []
+    for members, _ in parts:
+        part = tuple(sorted(ids[p] for p in members))
+        if not check_feasibility(ctx, part, theta, "feasible"):
+            raise AssertionError("signal strengthening produced an infeasible part")
+        out.append(part)
+    return out
+
+
+def _engine_cases(with_primaries):
+    """(ctx, lp, ids) triples: whole-context capacity and weighted programs,
+    an ``ids=`` subset, and with primaries the admission programs (the
+    general one has a whole-sample drop row)."""
+    for seed in range(3):
+        if with_primaries:
+            ctx = feasible_prim_ctx(seed, n=40, R=6.0, delta=2.0, primaries=2)
+            yield ctx, build_admission_lp(ctx, 1.0), ctx.ids
+            kept, lp = build_admission_large_lp(ctx, 2.0)
+            yield ctx, lp, np.asarray(kept, dtype=int)
+        else:
+            ctx = random_ctx(seed, n=24, R=2.5, delta=2.0)
+            yield ctx, build_capacity_lp(ctx, 1.0), ctx.ids
+            yield ctx, build_weighted_lp(ctx, 2.0), ctx.ids
+        sub = ctx.ids[::2]
+        sub_ctx = AffectanceContext(ctx.instance.restrict([int(i) for i in sub]),
+                                    ctx.assignment)
+        yield ctx, build_qos_lp(sub_ctx, 1.0), sub
+
+
+@pytest.mark.parametrize("trials", [1, 7])
+@pytest.mark.parametrize("theta", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("with_primaries", [False, True], ids=["plain", "primaries"])
+def test_batched_engine_matches_per_set_reference(with_primaries, theta, trials):
+    seen = {"stage_two_drop": 0, "whole_sample_drop": 0, "extract_drop": 0, "multi_part": 0}
+    for case, (ctx, lp, ids) in enumerate(_engine_cases(with_primaries)):
+        delta = np.random.default_rng(case).uniform(0.4, 1.0, len(ids))
+        policy = RoundingPolicy(mode="capacity", C=1.0, trials=trials, seed=case)
+        numbers = range(3, 3 + trials)
+        sel = sample_batch(ctx, lp, delta, policy, numbers, ids)
+        samples = [_reference_sample_round(ctx, lp, delta, policy, t, ids) for t in numbers]
+        assert [tuple(int(i) for i in ids[row]) for row in sel] == samples
+        for t, sample in zip(numbers, samples):
+            drawn = bernoulli_draws(case, t, ids) < delta
+            over = lp.row_coeffs @ drawn.astype(float) > lp.row_limit
+            seen["stage_two_drop"] += len(sample) < drawn.sum()
+            seen["whole_sample_drop"] += bool(np.any(lp.row_var[over] < 0))
+        # the same rows plus an empty and a singleton set, over sorted ids
+        sets = samples + [(), tuple(int(i) for i in ids[-1:])]
+        order = np.argsort(ids)
+        rows = np.array([np.isin(ids[order], s) for s in sets])
+        idx = ctx.index_of(ids[order])
+        bound = 1.5  # low enough that extraction drops members
+        kept = _extract_rows(ctx, idx, rows, bound)
+        kept_sets = [_reference_extract(ctx, s, bound) for s in sets]
+        assert [tuple(int(i) for i in ids[order][row]) for row in kept] == kept_sets
+        parts = list(_strengthen_rows(ctx, idx, rows, theta))
+        assert parts == [_reference_strengthen(ctx, s, theta) for s in sets]
+        assert final_selection_batch(ctx, ids, rows[:, np.argsort(order)], bound, theta,
+                                     "capacity") == \
+            [best_part(ctx, _reference_strengthen(ctx, k, theta), "capacity")
+             for k in kept_sets]
+        assert extract_low_affectance(ctx, sets[0], bound) == kept_sets[0]
+        assert signal_strengthen(ctx, sets[0], theta) == parts[0]
+        seen["extract_drop"] += sum(len(k) < len(s) for k, s in zip(kept_sets, sets))
+        seen["multi_part"] += sum(len(p) > 1 for p in parts)
+    # none of the compared paths was vacuous
+    assert seen["stage_two_drop"] and seen["extract_drop"] and seen["multi_part"]
+    assert bool(seen["whole_sample_drop"]) == with_primaries  # the aggregate row
