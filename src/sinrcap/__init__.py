@@ -2,8 +2,8 @@
 greedy baselines, admission control, and an exhaustive oracle."""
 
 from .model import (DistanceMatrix, Instance, Link, Point, PowerAssignment,
-                    PrimarySet, cross_distance, length_ratio, parse_power,
-                    power_of, read_instance, validate_power_class, write_instance)
+                    PrimarySet, length_ratio, parse_power, read_instance,
+                    validate_power_class, write_instance)
 from .affectance import (AffectanceContext, IndividuallyInfeasible,
                          InfeasiblePrimaries, Schedule, affectance,
                          aggregate_affectance, c_factor, certify,

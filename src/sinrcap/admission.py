@@ -20,8 +20,8 @@ import numpy as np
 from .affectance import AffectanceContext, Schedule, certify, sinr_terms
 from .formulations import (admission_filter_threshold, build_admission_large_lp,
                            build_admission_lp)
-from .lp_core import LpSession, solve_lp
-from .rounding import RoundingPolicy, _better, final_selection_batch, sample_batch
+from .lp_core import LpSession
+from .rounding import RoundingPolicy, _better, best_part, round_trials
 
 logger = logging.getLogger(__name__)
 
@@ -141,11 +141,8 @@ def admit_general(ctx: AffectanceContext, policy: RoundingPolicy,
     if not ctx.has_primaries:
         raise ValueError("admit_general requires a context with primaries attached")
     lp = build_admission_lp(ctx, policy.C)
-    sol = solve_lp(lp, session)
-    sel = sample_batch(ctx, lp, sol.values, policy, range(policy.trials))
     best_ids, best_groups, best_aggregate = (), [], 0.0
-    for feasible_set in final_selection_batch(ctx, ctx.ids, sel, policy.extraction_bound,
-                                              1.0, "capacity"):
+    for feasible_set in round_trials(ctx, lp, policy, session):
         groups = partition_by_primaries(ctx, feasible_set)
         cand = min(groups, key=lambda g: (-len(g), g), default=())
         if _better(len(cand), cand, len(best_ids), best_ids):
@@ -165,44 +162,32 @@ def admit_general(ctx: AffectanceContext, policy: RoundingPolicy,
 
 
 def admit_large_opt(ctx: AffectanceContext, policy: RoundingPolicy,
-                    log_base: str = "e", retry_cap: int = RETRY_CAP,
+                    retry_cap: int = RETRY_CAP,
                     session: Optional[LpSession] = None) -> AdmissionResult:
     """Prefilter, LP, and rounding where one rounded set must respect every
-    primary's unit budget simultaneously; no grouping step is needed.  The
-    LP is solved through ``session`` when given."""
+    primary's unit budget simultaneously; no grouping step is needed.  Up
+    to ``max(policy.trials, retry_cap)`` samples are drawn, and the first
+    ``policy.trials`` that meet the budgets are kept.  The LP is solved
+    through ``session`` when given."""
     if policy.mode != "admission_large":
         raise ValueError("policy mode must be admission_large")
     if not ctx.has_primaries or ctx.k == 0:
         raise ValueError("admit_large_opt requires at least one primary")
-    kept_ids, lp = build_admission_large_lp(ctx, policy.C, log_base)
-    sol = solve_lp(lp, session)
-    ids = np.asarray(kept_ids, dtype=int)
-    to_prim = ctx.raw_to_prim[ctx.index_of(ids)]
-    best_ids = ()
-    successes = 0
-    attempts_cap = max(policy.trials, retry_cap)
-    # Attempts are drawn in blocks of policy.trials; successes are taken in
-    # attempt order up to policy.trials, the samples a one-by-one loop takes.
-    for start in range(0, attempts_cap, policy.trials):
-        sel = sample_batch(ctx, lp, sol.values, policy,
-                           range(start, min(start + policy.trials, attempts_cap)), ids)
-        sel = sel[np.all(sel.astype(float) @ to_prim <= 1.0, axis=1)]
-        sel = sel[:policy.trials - successes]
-        successes += len(sel)
-        for cand in final_selection_batch(ctx, ids, sel, policy.extraction_bound, 1.0,
-                                          "capacity"):
-            if _better(len(cand), cand, len(best_ids), best_ids):
-                best_ids = cand
-        if successes >= policy.trials:
-            break
-    if successes == 0:
+    kept_ids, lp = build_admission_large_lp(ctx, policy.C)
+    to_prim = ctx.raw_to_prim[ctx.index_of(kept_ids)]
+    attempts = max(policy.trials, retry_cap)
+    selections = list(round_trials(
+        ctx, lp, policy, session, kept_ids, attempts=attempts,
+        accept=lambda sel: np.all(sel.astype(float) @ to_prim <= 1.0, axis=1)))
+    if not selections:
         raise RetriesExhausted(
-            f"primary budget condition failed in all {attempts_cap} attempts")
+            f"primary budget condition failed in all {attempts} attempts")
+    best_ids = best_part(ctx, selections, policy.mode)
     notes = {
         "group_count": 1 if best_ids else 0,
         "filtered_to": len(kept_ids),
         "k1_fallback": ctx.k == 1,
-        "successful_samples": successes,
+        "successful_samples": len(selections),
     }
     groups = [best_ids] if best_ids else []
     return _result(ctx, best_ids, groups, notes)

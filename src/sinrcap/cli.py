@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .admission import admit_general, admit_large_opt, verify_admission
@@ -14,14 +15,17 @@ from .affectance import AffectanceContext, check_feasibility, schedule_weight
 from .formulations import (build_capacity_lp, build_qos_lp, build_weighted_lp)
 from .greedy import (greedy_combined, greedy_length_classes,
                      greedy_weight_classes)
-from .harness import (DEFAULT_SWEEP, GenConfig, _best_over_sweep, generate_instance,
+from .harness import (DEFAULT_SWEEP, GenConfig, best_over_sweep, generate_instance,
                       run_compare, run_oracle_suite, verify_output)
-from .lp_core import LpSession
 from .model import parse_power, read_instance, write_instance
 from .oracle import exact_admission, exact_capacity
 from .rounding import RoundingPolicy, run_pipeline
 
 ORACLE_GAMMA = 1.0  # affectance threshold of ``oracle --mode affectance``
+
+BUILDERS = {"capacity": build_capacity_lp, "qos": build_qos_lp, "weighted": build_weighted_lp}
+GREEDIES = {"greedy": greedy_combined, "greedy_w": greedy_weight_classes,
+            "greedy_l": greedy_length_classes}
 
 
 def _add_common(p, default_power="uniform"):
@@ -29,17 +33,20 @@ def _add_common(p, default_power="uniform"):
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--power", default=default_power,
                    help="uniform[:P0] | linear | mean | exp:tau")
-    p.add_argument("--sweep", default=None,
+    p.add_argument("--sweep", type=_sweep, default=list(DEFAULT_SWEEP),
                    help="comma-separated constants (default 0.2..3.0 step 0.2)")
     p.add_argument("--out", default=None)
 
 
-def _sweep(args):
-    if args.sweep is None:
-        return list(DEFAULT_SWEEP)
-    values = [float(x) for x in args.sweep.split(",") if x.strip()]
-    if not values:
-        raise SystemExit("empty --sweep")
+def _sweep(text):
+    """The constants of ``--sweep``: at least one, each finite and positive."""
+    try:
+        values = [float(x) for x in text.split(",") if x.strip()]
+    except ValueError:
+        values = []
+    if not values or not all(0 < v < math.inf for v in values):
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated finite positive constants, got {text!r}")
     return values
 
 
@@ -124,27 +131,19 @@ def _cmd_gen(args) -> int:
 def _cmd_solve(args) -> int:
     inst = read_instance(args.instance)
     ctx = AffectanceContext(inst, parse_power(args.power))
-    sweep = _sweep(args)
-    builders = {"capacity": build_capacity_lp, "qos": build_qos_lp,
-                "weighted": build_weighted_lp}
-    session = LpSession()  # the sweep's programs differ only in their bounds
-    runs = []
-    for c in sweep:
+
+    def run(c, session):
         if args.algo == "lp":
-            policy = RoundingPolicy(mode="weighted" if args.formulation == "weighted"
-                                    else args.formulation,
-                                    C=c, trials=args.trials, seed=args.seed)
-            sched = run_pipeline(ctx, builders[args.formulation](ctx, c), policy, session)
-        elif args.algo == "greedy":
-            sched = greedy_combined(ctx, c)
-        elif args.algo == "greedy_w":
-            sched = greedy_weight_classes(ctx, c)
+            policy = RoundingPolicy(mode=args.formulation, C=c, trials=args.trials,
+                                    seed=args.seed)
+            sched = run_pipeline(ctx, BUILDERS[args.formulation](ctx, c), policy, session)
         else:
-            sched = greedy_length_classes(ctx, c)
+            sched = GREEDIES[args.algo](ctx, c)
         value = schedule_weight(ctx, sched) if args.formulation == "weighted" \
             else float(sched.size)
-        runs.append((c, value, sched))
-    c, value, sched = _best_over_sweep(runs)
+        return value, sched
+
+    c, value, sched = best_over_sweep(args.sweep, run)
     best = {"constant": c, "value": value, "ids": list(sched.ids),
             "exact_sinr_ok": sched.exact_sinr_ok}
     ok = verify_output(ctx, best["ids"])
@@ -158,16 +157,15 @@ def _cmd_admit(args) -> int:
     if inst.primaries is None:
         raise SystemExit("admit requires an instance with primaries")
     ctx = AffectanceContext(inst, parse_power(args.power), primaries=inst.primaries)
-    sweep = _sweep(args)
-    mode = "admission_general" if args.method == "general" else "admission_large"
-    session = LpSession()
-    runs = []
-    for c in sweep:
+    mode, admit = {"general": ("admission_general", admit_general),
+                   "large": ("admission_large", admit_large_opt)}[args.method]
+
+    def run(c, session):
         policy = RoundingPolicy(mode=mode, C=c, trials=args.trials, seed=args.seed)
-        res = admit_general(ctx, policy, session) if args.method == "general" \
-            else admit_large_opt(ctx, policy, session=session)
-        runs.append((c, res.admitted.size, res))
-    c, value, res = _best_over_sweep(runs)
+        res = admit(ctx, policy, session=session)
+        return res.admitted.size, res
+
+    c, value, res = best_over_sweep(args.sweep, run)
     best = {"constant": c, "value": value, "ids": list(res.admitted.ids),
             "groups": [list(g) for g in res.groups],
             "per_primary_load": list(res.per_primary_load),
@@ -210,7 +208,7 @@ def _cmd_compare(args) -> int:
     ]
     if not args.out:
         raise SystemExit("compare requires --out")
-    records = run_compare(configs, _sweep(args), args.trials, args.out,
+    records = run_compare(configs, args.sweep, args.trials, args.out,
                           power=parse_power(args.power), timing=args.timing)
     ratios = [r.ratio for r in records if r.algo == "ratio"]
     print(f"wrote {args.out}: {len(records)} rows, "

@@ -121,16 +121,14 @@ def build_admission_lp(ctx: AffectanceContext, C: float = DEFAULT_C) -> LinearPr
     )
 
 
-def admission_filter_threshold(k: int, log_base: str = "e") -> float:
-    """Per-pair affectance cap 1/(10 sqrt(log k)); 1/10 when k < 2."""
+def admission_filter_threshold(k: int) -> float:
+    """Per-pair affectance cap 1/(10 sqrt(ln k)); 1/10 when k < 2."""
     if k < 2:
         return 1.0 / FILTER_COEFF
-    logk = math.log(k) if log_base == "e" else math.log2(k)
-    return 1.0 / (FILTER_COEFF * math.sqrt(logk))
+    return 1.0 / (FILTER_COEFF * math.sqrt(math.log(k)))
 
 
-def build_admission_large_lp(ctx: AffectanceContext, C: float = DEFAULT_C,
-                             log_base: str = "e"):
+def build_admission_large_lp(ctx: AffectanceContext, C: float = DEFAULT_C):
     """Admission relaxation for large optima.
 
     Secondaries whose (plain) affectance on some primary exceeds
@@ -148,7 +146,7 @@ def build_admission_large_lp(ctx: AffectanceContext, C: float = DEFAULT_C,
     if ctx.k == 1:
         logger.warning("single primary: filter threshold falls back to 1/10; "
                        "the general admission pipeline is the intended route")
-    thr = admission_filter_threshold(ctx.k, log_base)
+    thr = admission_filter_threshold(ctx.k)
     keep = np.all(ctx.aff_to_prim_plain <= thr, axis=1)
     kept_ids = tuple(int(i) for i in ctx.ids[keep])
     idx = np.flatnonzero(keep)

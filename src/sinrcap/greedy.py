@@ -116,12 +116,12 @@ def _best_class_solution(ctx, classes, c_g, order) -> tuple:
     return best_ids
 
 
+def heavier(ctx: AffectanceContext, a: Schedule, b: Schedule) -> Schedule:
+    """The heavier schedule; equal weights go to the smaller id tuple, then to a."""
+    w_a, w_b = schedule_weight(ctx, a), schedule_weight(ctx, b)
+    return a if w_a > w_b or (w_a == w_b and a.ids <= b.ids) else b
+
+
 def greedy_combined(ctx: AffectanceContext, c_g: float = 1.0) -> Schedule:
     """Better of the weight-class and length-class runs, by total weight."""
-    by_weight = greedy_weight_classes(ctx, c_g)
-    by_length = greedy_length_classes(ctx, c_g)
-    w_w = schedule_weight(ctx, by_weight)
-    w_l = schedule_weight(ctx, by_length)
-    if w_w > w_l or (w_w == w_l and by_weight.ids <= by_length.ids):
-        return by_weight
-    return by_length
+    return heavier(ctx, greedy_weight_classes(ctx, c_g), greedy_length_classes(ctx, c_g))

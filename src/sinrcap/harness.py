@@ -4,7 +4,8 @@ Instances are drawn inside an R x R square with link lengths uniform in
 [1, delta]; four weight distributions are supported.  ``run_compare``
 reproduces the sweep-and-compare methodology: every algorithm is run over
 a grid of acceptance/bound constants and its best result is reported,
-together with the LP-to-greedy quality ratio.
+together with the LP-to-greedy quality ratio.  ``best_over_sweep`` runs
+every such sweep, here and in the CLI.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from .affectance import AffectanceContext, check_feasibility, schedule_weight
 from .formulations import build_capacity_lp, build_weighted_lp
-from .greedy import greedy_base, greedy_length_classes, greedy_weight_classes
+from .greedy import greedy_base, greedy_length_classes, greedy_weight_classes, heavier
 from .lp_core import LpSession, solve_lp
 from .model import Instance, Link, Point, PowerAssignment, PrimarySet
 from .oracle import exact_capacity, largest_bifeasible
@@ -139,26 +140,35 @@ def verify_output(ctx: AffectanceContext, ids) -> bool:
             and check_feasibility(ctx, ids, mode="exact_sinr"))
 
 
-def _best_over_sweep(values_by_constant):
-    """(constant, value, result) with the largest value; ties, and gains of
-    at most 1e-12, prefer the earlier (smaller) constant."""
+def best_over_sweep(sweep: Sequence[float], run):
+    """Call ``run(c, session) -> (value, result)`` for each constant of the
+    sweep, all through one ``LpSession`` (a builder's programs differ only
+    in their row bounds across C), and return (constant, value, result)
+    with the largest value; ties, and gains of at most 1e-12, keep the
+    earlier constant."""
+    session = LpSession()
     best = None
-    for c, value, result in values_by_constant:
+    for c in sweep:
+        value, result = run(c, session)
         if best is None or value > best[1] + 1e-12:
             best = (c, value, result)
     return best
 
 
+def _weight_and_ids(ctx: AffectanceContext, schedule):
+    return schedule_weight(ctx, schedule), schedule.ids
+
+
 def run_compare(gen_configs: Sequence[GenConfig], sweep: Sequence[float],
                 trials: int, out_path, power: Optional[PowerAssignment] = None,
                 timing: bool = False) -> list:
-    """Run the LP pipeline and the combined greedy over a constant sweep on
+    """Run the LP pipeline and the greedy variants over a constant sweep on
     each instance, keep each algorithm's best, and write one CSV.
 
     Every emitted solution row is re-verified feasible before writing.
-    The LP sweep on one instance reuses one ``LpSession``.
-    Rows are deterministic for fixed configs; runtimes are recorded only
-    when ``timing`` is set (they would break byte-for-byte determinism).
+    Rows are deterministic for fixed configs; runtimes, each the wall time
+    of the row's sweep, are recorded only when ``timing`` is set (they
+    would break byte-for-byte determinism).
     """
     sweep = list(sweep)
     if not sweep:
@@ -171,51 +181,30 @@ def run_compare(gen_configs: Sequence[GenConfig], sweep: Sequence[float],
         ctx = AffectanceContext(inst, power)
         meta = dict(seed=cfg.seed, n=cfg.n, R=cfg.R, delta=cfg.delta,
                     density=cfg.density, weight_dist=cfg.weight_dist)
-
-        def timed(fn):
+        by_weight, by_length = {}, {}  # the class greedies' schedules by constant
+        sweeps = {  # algo -> schedule(c, session), in row order
+            "lp": lambda c, session: run_pipeline(
+                ctx, build_weighted_lp(ctx, c),
+                RoundingPolicy(mode="weighted", C=c, trials=trials, seed=cfg.seed), session),
+            "greedy_w": lambda c, _: by_weight.setdefault(c, greedy_weight_classes(ctx, c)),
+            "greedy_l": lambda c, _: by_length.setdefault(c, greedy_length_classes(ctx, c)),
+            "greedy": lambda c, _: heavier(ctx, by_weight[c], by_length[c]),
+        }
+        best, ms = {}, {}
+        for algo, schedule in sweeps.items():
             t0 = time.perf_counter()
-            out = fn()
-            ms = (time.perf_counter() - t0) * 1e3
-            return out, (ms if timing else None)
-
-        lp_runs = []
-        lp_ms = 0.0
-        session = LpSession()
-        for c in sweep:
-            policy = RoundingPolicy(mode="weighted", C=c, trials=trials, seed=cfg.seed)
-            (sched, ms) = timed(lambda: run_pipeline(ctx, build_weighted_lp(ctx, c), policy,
-                                                     session))
-            lp_ms += ms or 0.0
-            lp_runs.append((c, schedule_weight(ctx, sched), sched.ids))
-        lp_best = _best_over_sweep(lp_runs)
-
-        gw_runs, gl_runs, g_runs = [], [], []
-        greedy_ms = 0.0
-        for c in sweep:
-            (sw, ms1) = timed(lambda: greedy_weight_classes(ctx, c))
-            (sl, ms2) = timed(lambda: greedy_length_classes(ctx, c))
-            greedy_ms += (ms1 or 0.0) + (ms2 or 0.0)
-            ww, wl = schedule_weight(ctx, sw), schedule_weight(ctx, sl)
-            gw_runs.append((c, ww, sw.ids))
-            gl_runs.append((c, wl, sl.ids))
-            if ww > wl or (ww == wl and sw.ids <= sl.ids):
-                g_runs.append((c, ww, sw.ids))
-            else:
-                g_runs.append((c, wl, sl.ids))
-        gw_best = _best_over_sweep(gw_runs)
-        gl_best = _best_over_sweep(gl_runs)
-        g_best = _best_over_sweep(g_runs)
-
-        for algo, best, ms in (("lp", lp_best, lp_ms if timing else None),
-                               ("greedy_w", gw_best, None),
-                               ("greedy_l", gl_best, None),
-                               ("greedy", g_best, greedy_ms if timing else None)):
-            c, value, ids = best
+            best[algo] = best_over_sweep(sweep, lambda c, session: _weight_and_ids(
+                ctx, schedule(c, session)))
+            ms[algo] = (time.perf_counter() - t0) * 1e3
+        ms["greedy"] += ms["greedy_w"] + ms["greedy_l"]  # it reuses the class runs
+        for algo, (c, value, ids) in best.items():
             if not verify_output(ctx, ids):
                 raise AssertionError(f"{algo} produced an infeasible solution")
-            records.append(ExperimentRecord(**meta, algo=algo, constant=c,
-                                            value=value, feasible=True, runtime_ms=ms))
-        ratio = lp_best[1] / g_best[1] if g_best[1] > 0 else float("inf")
+            records.append(ExperimentRecord(**meta, algo=algo, constant=c, value=value,
+                                            feasible=True,
+                                            runtime_ms=ms[algo] if timing else None))
+        lp_value, g_value = best["lp"][1], best["greedy"][1]
+        ratio = lp_value / g_value if g_value > 0 else float("inf")
         records.append(ExperimentRecord(**meta, algo="ratio", constant=None,
                                         value=ratio, feasible=None,
                                         runtime_ms=None, ratio=ratio))

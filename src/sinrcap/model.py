@@ -176,9 +176,6 @@ class Instance:
         except KeyError:
             raise KeyError(f"unknown link id {link_id}") from None
 
-    def is_primary(self, link_id: int) -> bool:
-        return self._by_id[link_id][0] == "primary"
-
     def _point_index(self, link_id: int, role: str) -> int:
         kind, pos, _ = self._by_id[link_id]
         base = 2 * pos if kind == "link" else 2 * self.n + 2 * pos
@@ -284,23 +281,12 @@ class PowerAssignment:
         return self.kind
 
 
-def cross_distance(instance: Instance, w: int, v: int) -> float:
-    """Distance from w's sender to v's receiver; the link length when w == v."""
-    return instance.distance(w, v)
-
-
 def length_ratio(instance: Instance) -> float:
     """Max/min link length over the instance's (non-primary) links."""
     if instance.n == 0:
         raise ValueError("length ratio is undefined for an empty instance")
     lengths = [instance.length_of(lk.id) for lk in instance.links]
     return max(lengths) / min(lengths)
-
-
-def power_of(assignment: PowerAssignment, link, alpha: float) -> float:
-    """Power assigned to a link (or to an explicit length)."""
-    length = link.length if isinstance(link, Link) else float(link)
-    return float(assignment.power(length, alpha))
 
 
 def validate_power_class(instance: Instance, assignment: PowerAssignment) -> dict:

@@ -18,6 +18,10 @@ step i.  Strengthening state is O(T * n) for T trials, and its loads are
 summed in the order members joined their part.  ``sample_round``,
 ``extract_low_affectance``, ``signal_strengthen`` and ``final_selection``
 are the one-trial case of the same code.
+
+``round_trials`` is the one trial loop: it solves the LP and yields every
+trial's final selection.  ``run_pipeline`` and both admission pipelines
+reduce what it yields.
 """
 
 from __future__ import annotations
@@ -43,8 +47,6 @@ class RoundingPolicy:
     C: float = 1.0
     trials: int = 100
     seed: int = 0
-    low_affectance_bound: Optional[float] = None  # default 12 * C
-    theta: float = 1.0
 
     def __post_init__(self):
         if self.mode not in ROUNDING_MODES:
@@ -53,12 +55,10 @@ class RoundingPolicy:
             raise ValueError("trials must be >= 1")
         if not self.C > 0:
             raise ValueError("C must be positive")
-        if not self.theta > 0:
-            raise ValueError("theta must be positive")
 
     @property
     def extraction_bound(self) -> float:
-        return 12.0 * self.C if self.low_affectance_bound is None else self.low_affectance_bound
+        return 12.0 * self.C
 
 
 def bernoulli_draws(seed: int, trial: int, ids: Sequence[int]) -> np.ndarray:
@@ -266,6 +266,36 @@ def final_selection(ctx: AffectanceContext, S, bound: float, theta: float,
     return final_selection_batch(ctx, *_one_row(S), bound, theta, mode)[0]
 
 
+def round_trials(ctx: AffectanceContext, lp: LinearProgram, policy: RoundingPolicy,
+                 session: Optional[LpSession] = None, ids: Optional[Sequence[int]] = None,
+                 accept=None, attempts: int = 0) -> Iterator[tuple]:
+    """Solve ``lp`` (through ``session`` when given, so a constant sweep
+    reuses one model) and yield the final selection of each of
+    ``policy.trials`` two-stage samples over ``ids`` (the whole context
+    when None), in trial order.  All samples of a block run in lockstep.
+
+    With ``accept``, a function from a block's selection matrix to one
+    boolean per row, trials are drawn in blocks of ``policy.trials`` until
+    ``attempts`` have been made, and only accepted samples count, in
+    attempt order: the samples a one-by-one loop would take.
+    """
+    use_ids = np.asarray(ctx.ids if ids is None else ids, dtype=int)
+    sol = solve_lp(lp, session)
+    if accept is None:
+        attempts = policy.trials
+    wanted = policy.trials
+    for start in range(0, attempts, policy.trials):
+        sel = sample_batch(ctx, lp, sol.values, policy,
+                           range(start, min(start + policy.trials, attempts)), use_ids)
+        if accept is not None:
+            sel = sel[accept(sel)][:wanted]
+        wanted -= len(sel)
+        yield from final_selection_batch(ctx, use_ids, sel, policy.extraction_bound, 1.0,
+                                         policy.mode)
+        if wanted <= 0:
+            break
+
+
 def run_pipeline(ctx: AffectanceContext, lp: LinearProgram,
                  policy: RoundingPolicy,
                  session: Optional[LpSession] = None) -> Schedule:
@@ -277,15 +307,8 @@ def run_pipeline(ctx: AffectanceContext, lp: LinearProgram,
         raise ValueError("admission pipelines are driven by the admission module")
     if lp.n != ctx.n:
         raise ValueError("program size does not match the context")
-    sol = solve_lp(lp, session)
-    sel = sample_batch(ctx, lp, sol.values, policy, range(policy.trials))
-    best_ids, best_val = (), 0.0
-    for cand in final_selection_batch(ctx, ctx.ids, sel, policy.extraction_bound,
-                                      policy.theta, policy.mode):
-        val = _schedule_objective(ctx, cand, policy.mode)
-        if _better(val, cand, best_val, best_ids or None):
-            best_ids, best_val = cand, val
-    schedule = certify(ctx, best_ids)
+    schedule = certify(ctx, best_part(ctx, round_trials(ctx, lp, policy, session),
+                                      policy.mode))
     if not check_feasibility(ctx, schedule.ids, 1.0, "feasible"):
         raise AssertionError("pipeline produced an infeasible schedule")
     return schedule

@@ -9,7 +9,7 @@ from sinrcap import (AffectanceContext, Instance, PowerAssignment, PrimarySet,
                      admit_large_opt, check_feasibility, exact_admission,
                      nearly_uniform_classes, partition_by_primaries, sparsify,
                      verify_admission)
-from sinrcap import admission
+from sinrcap import admission, rounding
 from sinrcap.formulations import build_admission_large_lp
 from sinrcap.lp_core import FractionalSolution
 from sinrcap.rounding import _better, final_selection, sample_round
@@ -269,7 +269,7 @@ def _sequential_large_opt(ctx, pol, retry_cap):
     """admit_large_opt's attempts one sample at a time, the reference its
     block batching must reproduce: (best ids, successes, attempts made)."""
     kept_ids, lp = build_admission_large_lp(ctx, pol.C)
-    sol = admission.solve_lp(lp)
+    sol = rounding.solve_lp(lp)
     best_ids, successes = (), 0
     attempts_cap = max(pol.trials, retry_cap)
     for trial in range(attempts_cap):
@@ -290,7 +290,7 @@ def _sequential_large_opt(ctx, pol, retry_cap):
 def _fixed_fractions(monkeypatch, value):
     # every variable at the same fractional value, so the primary budget
     # fails often enough to need more than one block of attempts
-    monkeypatch.setattr(admission, "solve_lp",
+    monkeypatch.setattr(rounding, "solve_lp",
                         lambda lp, session=None: FractionalSolution(np.full(lp.n, value), 0.0))
 
 

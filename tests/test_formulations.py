@@ -114,8 +114,6 @@ def test_filter_threshold_values():
     assert admission_filter_threshold(1) == pytest.approx(0.1)
     # hand arithmetic: 1 / (10 sqrt(ln 4)) = 0.0849322...
     assert admission_filter_threshold(4) == pytest.approx(0.08493, abs=1e-5)
-    # base-2 option only rescales
-    assert admission_filter_threshold(4, "2") == pytest.approx(1.0 / (10 * math.sqrt(2)))
 
 
 def test_admission_large_filtering():

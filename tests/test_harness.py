@@ -9,7 +9,7 @@ from sinrcap import (AffectanceContext, GenConfig, PowerAssignment, certify,
                      run_oracle_suite, verify_admission)
 from sinrcap import cli
 from sinrcap.cli import main as cli_main
-from sinrcap.harness import CSV_COLUMNS, _best_over_sweep, verify_output
+from sinrcap.harness import CSV_COLUMNS, best_over_sweep, verify_output
 from sinrcap.model import read_instance, write_instance
 
 
@@ -161,8 +161,29 @@ def test_cli_oracle_fails_on_infeasible_optimum(tmp_path, monkeypatch, flags, or
 
 def test_best_over_sweep_ignores_float_noise():
     runs = [(1.0, 5.0, "a"), (2.0, 5.0 + 5e-13, "b"), (3.0, 5.0 + 2e-12, "c")]
-    assert _best_over_sweep(runs[:2]) == runs[0]
-    assert _best_over_sweep(runs) == runs[2]
+    by_constant = {c: (value, result) for c, value, result in runs}
+
+    def run(c, session):
+        return by_constant[c]
+
+    assert best_over_sweep([1.0, 2.0], run) == runs[0]
+    assert best_over_sweep([1.0, 2.0, 3.0], run) == runs[2]
+
+
+@pytest.mark.parametrize("command", ["solve", "admit", "compare"])
+@pytest.mark.parametrize("constant", ["inf", "0", "-1", "nan"])
+def test_cli_rejects_constants_that_are_not_finite_and_positive(command, constant,
+                                                                 tmp_path):
+    inst_path = tmp_path / "inst.json"
+    write_instance(generate_instance(GenConfig(n=6, R=6.0, delta=2.0, seed=4,
+                                               primaries=1)), inst_path)
+    args = {"solve": ["solve", str(inst_path), "--algo", "greedy"],
+            "admit": ["admit", str(inst_path)],
+            "compare": ["compare", "--n", "6", "--deltas", "2", "--sides", "6"]}[command]
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit):
+        cli_main([*args, "--trials", "2", "--sweep", f"1.0,{constant}", "--out", str(out)])
+    assert not out.exists()
 
 
 def test_cli_solve_keeps_smaller_constant_over_float_noise(tmp_path, monkeypatch):

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from sinrcap import (DistanceMatrix, Instance, PowerAssignment,
-                     PrimarySet, cross_distance, length_ratio, power_of,
-                     read_instance, validate_power_class, write_instance)
+                     PrimarySet, length_ratio, read_instance, validate_power_class,
+                     write_instance)
 from sinrcap.model import instance_from_dict, parse_power
 
 from conftest import far_instance, line_links, make_link
@@ -13,19 +13,19 @@ def test_cross_distance_pythagorean():
     w = make_link(0, 0.0, 0.0, 1.0, 0.0)
     v = make_link(1, 10.0, 10.0, 3.0, 4.0)
     inst = Instance(links=(w, v), alpha=2.0)
-    assert cross_distance(inst, 0, 1) == pytest.approx(5.0)
+    assert inst.distance(0, 1) == pytest.approx(5.0)
 
 
 def test_cross_distance_self_is_length():
     v = make_link(0, 0.0, 0.0, 2.0, 0.0)
     inst = Instance(links=(v,), alpha=2.0)
-    assert cross_distance(inst, 0, 0) == pytest.approx(2.0)
+    assert inst.distance(0, 0) == pytest.approx(2.0)
 
 
 def test_cross_distance_unknown_id():
     inst = far_instance(2)
     with pytest.raises(KeyError):
-        cross_distance(inst, 0, 99)
+        inst.distance(0, 99)
 
 
 def test_cross_distance_matrix_entry():
@@ -34,7 +34,7 @@ def test_cross_distance_matrix_entry():
     mat = [[abs(a - b) for b in xs] for a in xs]
     links = line_links((0.0, 1.0), (8.5, 7.0))
     inst = Instance(links=links, alpha=2.0, metric=DistanceMatrix(mat))
-    assert cross_distance(inst, 1, 0) == 7.5
+    assert inst.distance(1, 0) == 7.5
     assert inst.length_of(1) == 1.5
 
 
@@ -78,17 +78,17 @@ def test_length_ratio_scale_invariant():
 
 def test_power_of_uniform():
     lk = make_link(0, 0.0, 0.0, 3.0, 0.0)
-    assert power_of(PowerAssignment.uniform(1.0), lk, 2.5) == 1.0
+    assert PowerAssignment.uniform(1.0).power(lk.length, 2.5) == 1.0
 
 
 def test_power_of_linear():
     lk = make_link(0, 0.0, 0.0, 2.0, 0.0)
-    assert power_of(PowerAssignment.linear(), lk, 2.5) == pytest.approx(5.656854249492381)
+    assert PowerAssignment.linear().power(lk.length, 2.5) == pytest.approx(5.656854249492381)
 
 
 def test_power_of_mean():
     lk = make_link(0, 0.0, 0.0, 4.0, 0.0)
-    assert power_of(PowerAssignment.mean(), lk, 2.0) == pytest.approx(4.0)
+    assert PowerAssignment.mean().power(lk.length, 2.0) == pytest.approx(4.0)
 
 
 @pytest.mark.parametrize("pa", [
@@ -132,7 +132,7 @@ def test_zero_cross_distance_allowed():
     # sender of one link on the receiver of the other is valid input
     links = (make_link(0, 0.0, 0.0, 1.0, 0.0), make_link(1, 1.0, 0.0, 2.0, 0.0))
     inst = Instance(links=links, alpha=2.0)
-    assert cross_distance(inst, 1, 0) == 0.0
+    assert inst.distance(1, 0) == 0.0
 
 
 def test_roundtrip_bytes_identical(tmp_path):
@@ -161,7 +161,7 @@ def test_matrix_instance_roundtrip(tmp_path):
     path = tmp_path / "m.json"
     write_instance(inst, path)
     back = read_instance(path)
-    assert cross_distance(back, 1, 0) == 7.5
+    assert back.distance(1, 0) == 7.5
 
 
 def test_parse_error_reports_position(tmp_path):

@@ -2,6 +2,8 @@
 
 Each sweep below re-solves one model after changing only its row bounds.
 The reference is a fresh session, so a cold load, for every constant.
+``sinrcap solve``/``admit`` and ``run_compare`` sweep through
+``harness.best_over_sweep``, whose session class the tests replace.
 """
 
 import math
@@ -11,7 +13,8 @@ import pytest
 
 from sinrcap import (AffectanceContext, GenConfig, LpSession, PowerAssignment,
                      RoundingPolicy, build_capacity_lp, build_weighted_lp,
-                     generate_instance, run_oracle_suite, sample_round, solve_lp)
+                     generate_instance, run_compare, run_oracle_suite, sample_round,
+                     solve_lp)
 from sinrcap import cli, harness
 from sinrcap.model import write_instance
 
@@ -68,24 +71,54 @@ def test_session_sweep_matches_cold_solves(case):
                 sample_round(ctx, lp, cold.values, policy, trial)
 
 
+def _assert_warm_matches_cold(monkeypatch, run, lp_sweeps=1):
+    """``run()`` solves ``lp_sweeps`` LP sweeps, each one cold solve and
+    then warm ones, and returns what it returns with cold sessions."""
+    RecordingSession.warm_flags = []
+    monkeypatch.setattr(harness, "LpSession", RecordingSession)
+    warm = run()
+    assert RecordingSession.warm_flags == \
+        ([False] + [True] * (len(SWEEP) - 1)) * lp_sweeps
+    monkeypatch.setattr(harness, "LpSession", ColdSession)
+    assert warm == run()
+
+
+def _cli_output(tmp_path, argv):
+    out = tmp_path / "out.json"
+    assert cli.main([*argv, "--trials", str(TRIALS), "--sweep", ",".join(map(str, SWEEP)),
+                     "--seed", "5", "--out", str(out)]) == 0
+    return out.read_bytes()
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_cli_solve_output_matches_cold_solves(case, tmp_path, monkeypatch):
     formulation, _, _, power, cfg = CASES[case]
     inst_path = tmp_path / "inst.json"
     write_instance(generate_instance(cfg), inst_path)
+    argv = ["solve", str(inst_path), "--algo", "lp", "--formulation", formulation,
+            "--power", power]
+    _assert_warm_matches_cold(monkeypatch, lambda: _cli_output(tmp_path, argv))
 
-    def solve(out, session_cls):
-        monkeypatch.setattr(cli, "LpSession", session_cls)
-        assert cli.main(["solve", str(inst_path), "--algo", "lp", "--formulation",
-                         formulation, "--power", power, "--trials", str(TRIALS),
-                         "--sweep", ",".join(map(str, SWEEP)), "--seed", "5",
-                         "--out", str(out)]) == 0
+
+@pytest.mark.parametrize("method", ["general", "large"])
+def test_cli_admit_output_matches_cold_solves(method, tmp_path, monkeypatch):
+    inst_path = tmp_path / "prim.json"
+    write_instance(generate_instance(GenConfig(n=80, R=math.sqrt(80 / 0.1), delta=8.0,
+                                               seed=1, primaries=2)), inst_path)
+    argv = ["admit", str(inst_path), "--method", method, "--power", "uniform"]
+    _assert_warm_matches_cold(monkeypatch, lambda: _cli_output(tmp_path, argv))
+
+
+def test_run_compare_csv_matches_cold_solves(tmp_path, monkeypatch):
+    configs = [CASES["weighted"][4], GenConfig(n=60, R=8.0, delta=4.0, seed=3)]
+    out = tmp_path / "compare.csv"
+
+    def run():
+        run_compare(configs, SWEEP, TRIALS, out)
         return out.read_bytes()
 
-    RecordingSession.warm_flags = []
-    warm = solve(tmp_path / "warm.json", RecordingSession)
-    assert RecordingSession.warm_flags == [False] + [True] * (len(SWEEP) - 1)
-    assert warm == solve(tmp_path / "cold.json", ColdSession)
+    # one LP sweep per instance; the greedy sweeps solve nothing
+    _assert_warm_matches_cold(monkeypatch, run, lp_sweeps=len(configs))
 
 
 def test_oracle_suite_rows_match_cold_solves(monkeypatch):
