@@ -30,24 +30,36 @@ GREEDIES = {"greedy": greedy_combined, "greedy_w": greedy_weight_classes,
 
 def _add_common(p, default_power="uniform"):
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=_positive_int, default=100)
     p.add_argument("--power", default=default_power,
                    help="uniform[:P0] | linear | mean | exp:tau")
-    p.add_argument("--sweep", type=_sweep, default=list(DEFAULT_SWEEP),
+    p.add_argument("--sweep", type=_positive_floats, default=list(DEFAULT_SWEEP),
                    help="comma-separated constants (default 0.2..3.0 step 0.2)")
     p.add_argument("--out", default=None)
 
 
-def _sweep(text):
-    """The constants of ``--sweep``: at least one, each finite and positive."""
+def _positive_floats(text):
+    """A comma-separated list flag (``--sweep``, ``--deltas``, ``--sides``):
+    at least one value, each finite and positive."""
     try:
         values = [float(x) for x in text.split(",") if x.strip()]
     except ValueError:
         values = []
     if not values or not all(0 < v < math.inf for v in values):
         raise argparse.ArgumentTypeError(
-            f"expected comma-separated finite positive constants, got {text!r}")
+            f"expected comma-separated finite positive numbers, got {text!r}")
     return values
+
+
+def _positive_int(text):
+    """A count flag (``--n``, ``--trials``, ``--count``): an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
 
 
 def _parse_args(argv):
@@ -55,7 +67,7 @@ def _parse_args(argv):
     sub = ap.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen", help="generate a random instance file")
-    g.add_argument("--n", type=int, required=True)
+    g.add_argument("--n", type=_positive_int, required=True)
     g.add_argument("--side", type=float, required=True, help="square side R")
     g.add_argument("--delta", type=float, required=True, help="max link length")
     g.add_argument("--weights", default="ordinary",
@@ -89,9 +101,9 @@ def _parse_args(argv):
     _add_common(o)
 
     c = sub.add_parser("compare", help="sweep-and-compare experiment, CSV output")
-    c.add_argument("--n", type=int, default=100)
-    c.add_argument("--deltas", default="2,8,32")
-    c.add_argument("--sides", default="8,32,128")
+    c.add_argument("--n", type=_positive_int, default=100)
+    c.add_argument("--deltas", type=_positive_floats, default="2,8,32")
+    c.add_argument("--sides", type=_positive_floats, default="8,32,128")
     c.add_argument("--weights", default="ordinary",
                    choices=("ordinary", "reversed", "length_determined", "weight_class"))
     c.add_argument("--timing", action="store_true",
@@ -99,8 +111,8 @@ def _parse_args(argv):
     _add_common(c, default_power="linear")  # the weighted guarantee's setting
 
     u = sub.add_parser("suite", help="small-instance property checks")
-    u.add_argument("--count", type=int, default=10)
-    u.add_argument("--n", type=int, default=8)
+    u.add_argument("--count", type=_positive_int, default=10)
+    u.add_argument("--n", type=_positive_int, default=8)
     _add_common(u)
 
     return ap.parse_args(argv)
@@ -199,12 +211,10 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    deltas = [float(x) for x in args.deltas.split(",") if x.strip()]
-    sides = [float(x) for x in args.sides.split(",") if x.strip()]
     configs = [
         GenConfig(n=args.n, R=r, delta=d, weight_dist=args.weights,
                   seed=args.seed + i)
-        for i, (d, r) in enumerate((d, r) for d in deltas for r in sides)
+        for i, (d, r) in enumerate((d, r) for d in args.deltas for r in args.sides)
     ]
     if not args.out:
         raise SystemExit("compare requires --out")

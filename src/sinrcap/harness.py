@@ -227,8 +227,6 @@ def run_oracle_suite(gen_configs: Sequence[GenConfig], trials: int = 50,
     rows = []
     all_ok = True
     for cfg in gen_configs:
-        if cfg.n > 12:
-            raise ValueError("oracle suite expects n <= 12")
         inst = generate_instance(cfg)
         ctx = AffectanceContext(inst, power)
         opt = exact_capacity(ctx, "cardinality", "exact_sinr")

@@ -186,6 +186,29 @@ def test_cli_rejects_constants_that_are_not_finite_and_positive(command, constan
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args,flag", [
+    (["compare", "--sides", "0"], "--sides"),
+    (["compare", "--sides", "a"], "--sides"),
+    (["compare", "--deltas", "2,inf"], "--deltas"),
+    (["compare", "--n", "-3"], "--n"),
+    (["gen", "--n", "0", "--side", "6", "--delta", "2"], "--n"),
+    (["gen", "--n", "2.5", "--side", "6", "--delta", "2"], "--n"),
+    (["solve", "INSTANCE", "--algo", "lp", "--trials", "0"], "--trials"),
+    (["suite", "--count", "0"], "--count"),
+], ids=["sides-0", "sides-a", "deltas-inf", "compare-n", "gen-n-0", "gen-n-float",
+        "solve-trials-0", "suite-count-0"])
+def test_cli_rejects_bad_numeric_flags(args, flag, tmp_path, capsys):
+    inst_path = tmp_path / "inst.json"
+    write_instance(generate_instance(GenConfig(n=6, R=6.0, delta=2.0, seed=4)), inst_path)
+    out = tmp_path / "out"
+    args = [str(inst_path) if a == "INSTANCE" else a for a in args]
+    with pytest.raises(SystemExit) as exc:
+        cli_main([*args, "--out", str(out)])
+    assert exc.value.code == 2  # a usage error, not a traceback
+    assert f"argument {flag}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_solve_keeps_smaller_constant_over_float_noise(tmp_path, monkeypatch):
     inst_path = tmp_path / "inst.json"
     write_instance(generate_instance(GenConfig(n=10, R=6.0, delta=2.0, seed=3)), inst_path)

@@ -1,10 +1,16 @@
+from dataclasses import replace
+from functools import partial
+
+import numpy as np
 import pytest
 
-from sinrcap import (AffectanceContext, InfeasiblePrimaries, Instance,
+from sinrcap import (AffectanceContext, GenConfig, InfeasiblePrimaries, Instance,
                      PowerAssignment, PrimarySet, TooLarge, exact_admission,
-                     exact_capacity, largest_bifeasible, schedule_weight)
+                     exact_capacity, generate_instance, largest_bifeasible,
+                     run_oracle_suite, schedule_weight)
+from sinrcap.oracle import _exact_budgets, _feasible_affectance, _feasible_exact
 
-from conftest import colocated_pair, far_instance, make_link, random_ctx
+from conftest import colocated_pair, far_instance, feasible_prim_ctx, make_link, random_ctx
 
 UNIFORM = PowerAssignment.uniform()
 
@@ -12,6 +18,11 @@ UNIFORM = PowerAssignment.uniform()
 def test_empty_instance():
     ctx = AffectanceContext(Instance(links=(), alpha=2.5), UNIFORM)
     assert exact_capacity(ctx).ids == ()
+    assert exact_capacity(ctx, "weight").ids == ()
+    assert largest_bifeasible(ctx).ids == ()
+    prim = PrimarySet(links=(make_link(9, 0.0, 0.0, 1.0, 0.0),), powers=(1.0,))
+    inst = Instance(links=(), alpha=2.5, primaries=prim)
+    assert exact_admission(AffectanceContext(inst, UNIFORM, primaries=prim)).ids == ()
 
 
 def test_far_pair_both_selected():
@@ -106,3 +117,99 @@ def test_bifeasible_witness_at_least_half_opt(seed):
     opt = exact_capacity(ctx)
     w2 = largest_bifeasible(ctx, 2.0)
     assert 2 * w2.size >= opt.size
+
+
+def _brute_force(ctx, accept, weights=None):
+    """Reference enumeration: judge all 2**n masks with ``accept`` and take
+    the largest cardinality (or weight), ties to the smallest id tuple.
+    Also returns the sizes of all sets tied at the best value."""
+    sel = ((np.arange(1 << ctx.n)[:, None] >> np.arange(ctx.n)) & 1) == 1
+    values = sel.sum(axis=1) if weights is None else sel.astype(float) @ weights
+    ok = accept(sel)
+    tied = np.flatnonzero(ok & (values == values[ok].max()))
+    ids = min(tuple(int(i) for i in ctx.ids[sel[r]]) for r in tied)
+    return ids, {int(sel[r].sum()) for r in tied}
+
+
+def _integer_weight_ctx(seed):
+    """Up to 14 links with weights in {1, 2}, so that sets of different
+    sizes often tie in weight."""
+    inst = generate_instance(GenConfig(n=8 + seed % 7, R=6.0, delta=2.0, seed=seed))
+    rng = np.random.default_rng(seed)
+    links = tuple(replace(lk, weight=float(rng.integers(1, 3))) for lk in inst.links)
+    return AffectanceContext(replace(inst, links=links), UNIFORM)
+
+
+def _exact(ctx, primaries=False):
+    rows, budget = _exact_budgets(ctx)
+    return partial(_feasible_exact, rows=rows, budget=budget, k=ctx.k, primaries=primaries)
+
+
+# name -> (oracle, the same check for the reference, reference weights)
+EQUIVALENCE_CASES = {
+    "cardinality": (exact_capacity, _exact, lambda ctx: None),
+    "weight": (partial(exact_capacity, objective="weight"), _exact,
+               lambda ctx: ctx.weights),
+    "affectance_raw": (partial(exact_capacity, mode="affectance", gamma=0.8),
+                       lambda ctx: partial(_feasible_affectance, ctx.raw, gamma=0.8),
+                       lambda ctx: None),
+    "affectance_clipped": (partial(exact_capacity, mode="affectance", gamma=2.0),
+                           lambda ctx: partial(_feasible_affectance, ctx.aff, gamma=2.0),
+                           lambda ctx: None),
+    "bifeasible": (largest_bifeasible,
+                   lambda ctx: partial(_feasible_affectance, ctx.aff, gamma=2.0, anti=True),
+                   lambda ctx: None),
+    "admission": (exact_admission, partial(_exact, primaries=True), lambda ctx: None),
+}
+
+
+@pytest.mark.parametrize("case", EQUIVALENCE_CASES)
+def test_level_wise_search_matches_all_masks(case):
+    oracle, check, weights = EQUIVALENCE_CASES[case]
+    sizes, cross_size_ties = set(), 0
+    for seed in range(30):
+        ctx = feasible_prim_ctx(100 * seed, n=8 + seed % 7, R=6.0, delta=2.0, primaries=2) \
+            if case == "admission" else _integer_weight_ctx(seed)
+        expected, tie_sizes = _brute_force(ctx, check(ctx), weights(ctx))
+        assert oracle(ctx).ids == expected, (case, seed)
+        sizes.add(len(expected))
+        cross_size_ties += len(tie_sizes) > 1
+    assert len(sizes) >= 3  # optima of several sizes, not a trivial family
+    if case == "weight":
+        assert cross_size_ties >= 5  # the tie rule is exercised across sizes
+
+
+def test_every_subset_feasible_returns_all_links():
+    ctx = AffectanceContext(far_instance(20), UNIFORM)
+    everything = tuple(range(20))
+    assert exact_capacity(ctx).ids == everything
+    assert exact_capacity(ctx, "weight").ids == everything
+    assert exact_capacity(ctx, "cardinality", "affectance", 1.0).ids == everything
+    assert largest_bifeasible(ctx, 2.0).ids == everything
+    prim = PrimarySet(links=(make_link(99, 1e6, 0.0, 1e6 + 1, 0.0),), powers=(1.0,))
+    with_prim = replace(far_instance(20), primaries=prim)
+    assert exact_admission(AffectanceContext(with_prim, UNIFORM, primaries=prim)).ids \
+        == everything
+
+
+def test_exact_admission_nothing_fits_beside_primaries():
+    # One primary of length 1 with its receiver at (1, 0), as in the hand
+    # instance above.  Each secondary's sender sits 0.5 from that receiver
+    # (interference 4 > signal 1), while its own receiver, 1 further out,
+    # hears the primary at distance > 1.5 and so is feasible alone.
+    prim = PrimarySet(links=(make_link(9, 0.0, 0.0, 1.0, 0.0),), powers=(1.0,))
+    sec = (make_link(0, 1.5, 0.0, 2.5, 0.0),
+           make_link(1, 1.0, 0.5, 1.0, 1.5),
+           make_link(2, 1.0, -0.5, 1.0, -1.5))
+    inst = Instance(links=sec, alpha=2.0, beta=1.0, noise=0.0, primaries=prim)
+    ctx = AffectanceContext(inst, UNIFORM, primaries=prim)
+    assert ctx.n == 3  # every secondary is feasible on its own
+    assert exact_admission(ctx).ids == ()
+
+
+def test_oracle_suite_at_the_enumeration_cap():
+    configs = [GenConfig(n=20, R=4.0 + 2.0 * (i % 3), delta=4.0, seed=i) for i in range(4)]
+    report = run_oracle_suite(configs, trials=20)
+    assert [row["n"] for row in report["rows"]] == [20] * 4
+    assert all(all(row["verdicts"].values()) for row in report["rows"])
+    assert report["all_ok"]
