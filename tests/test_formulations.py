@@ -9,7 +9,8 @@ from sinrcap import (AffectanceContext, Instance, PowerAssignment, PrimarySet,
                      build_weighted_lp, exact_capacity, largest_bifeasible,
                      solve_lp)
 
-from conftest import colocated_pair, far_instance, make_link, random_ctx
+from conftest import (colocated_pair, far_instance, feasible_prim_ctx, make_link,
+                      random_ctx)
 
 UNIFORM = PowerAssignment.uniform()
 
@@ -172,3 +173,60 @@ def test_relaxation_dominates_bifeasible_witness(seed):
     lp_star = solve_lp(build_capacity_lp(ctx, c_star)).objective
     assert lp_star >= len(w2.ids) - 1e-6
     assert len(w2.ids) >= math.ceil(opt.size / 2)
+
+
+def _expected_rows(ctx, C):
+    """Every builder's rows written out from ``ctx.raw``, ``ctx.raw_to_prim``
+    and ``length_ge_mask()``: builder -> (coeffs, bounds, names, var, limit,
+    objective)."""
+    n, k = ctx.n, ctx.k
+    keep = ctx.length_ge_mask().T
+    aff = np.minimum(ctx.raw, 1.0)
+    out_names = tuple(f"out_{int(u)}" for u in ctx.ids)
+    in_names = tuple(f"in_{int(u)}" for u in ctx.ids)
+    full = lambda m, v: np.full(m, float(v))  # noqa: E731
+    large = np.all(ctx.aff_to_prim_plain <= admission_filter_threshold(k), axis=1)
+    idx = np.flatnonzero(large)
+    m = idx.size
+    return {
+        build_capacity_lp: (np.vstack([aff.T * keep, aff * keep]), full(2 * n, C),
+                            in_names + out_names, np.tile(np.arange(n), 2),
+                            full(2 * n, 3 * C), np.ones(n)),
+        build_qos_lp: (aff, full(n, C), out_names, np.arange(n), full(n, 3 * C), np.ones(n)),
+        build_weighted_lp: (aff.T, full(n, C), in_names, np.arange(n), full(n, 4 * C),
+                            ctx.weights),
+        build_admission_lp: (
+            np.vstack([np.minimum(ctx.raw_to_prim, 1.0).sum(axis=1), aff]),
+            np.concatenate([[float(k)], full(n, C)]), ("primaries_total",) + out_names,
+            np.arange(-1, n), np.concatenate([[5.0 * k], full(n, 4 * C)]), np.ones(n)),
+        build_admission_large_lp: (
+            np.vstack([np.minimum(ctx.raw_to_prim[idx], 1.0).T, aff[np.ix_(idx, idx)]]),
+            np.concatenate([full(k, 1 / 3), full(m, C)]),
+            tuple(f"prim_{int(w)}" for w in ctx.prim_ids)
+            + tuple(f"out_{int(i)}" for i in ctx.ids[idx]),
+            np.concatenate([np.full(k, -1), np.arange(m)]),
+            np.concatenate([full(k, np.inf), full(m, 4 * C)]), np.ones(m)),
+    }
+
+
+def test_builder_rows_match_definitions():
+    ctx = feasible_prim_ctx(10, n=14, R=6.0, delta=2.0, primaries=3)
+    aggregate = np.minimum(ctx.raw_to_prim, 1.0).sum(axis=1)
+    assert aggregate.max() > 1.0  # an aggregate coefficient a clip would change
+    assert np.any(ctx.raw > 1.0) and np.any(ctx.raw_to_prim > 1.0)
+    large = np.all(ctx.aff_to_prim_plain <= admission_filter_threshold(ctx.k), axis=1)
+    assert 0 < large.sum() < ctx.n
+    C = 0.7
+    for build, expected in _expected_rows(ctx, C).items():
+        lp = build(ctx, C)
+        if build is build_admission_large_lp:
+            kept, lp = lp
+            assert kept == tuple(int(i) for i in ctx.ids[large])
+        coeffs, bounds, names, var, limit, objective = expected
+        assert lp.row_coeffs.dtype == np.float64, build.__name__
+        assert np.array_equal(lp.row_coeffs, coeffs), build.__name__
+        assert np.array_equal(lp.row_bounds, bounds), build.__name__
+        assert lp.row_names == names, build.__name__
+        assert np.array_equal(lp.row_var, var), build.__name__
+        assert np.array_equal(lp.row_limit, limit), build.__name__
+        assert np.array_equal(lp.objective, objective), build.__name__
