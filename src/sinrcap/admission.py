@@ -17,7 +17,8 @@ from typing import Optional
 
 import numpy as np
 
-from .affectance import AffectanceContext, Schedule, certify, sinr_terms
+from .affectance import (AffectanceContext, Schedule, _exact_budgets, _feasible_exact,
+                         certify)
 from .formulations import (admission_filter_threshold, build_admission_large_lp,
                            build_admission_lp)
 from .lp_core import LpSession
@@ -48,10 +49,11 @@ def verify_admission(ctx: AffectanceContext, Q) -> bool:
     """Exact SINR check of the primaries plus Q, all transmitting.
 
     Recomputed from the instance geometry and powers alone
-    (``sinr_terms``), independent of the context's affectance matrix.
+    (``_exact_budgets``), independent of the context's affectance matrix.
     """
-    interf, signal, betas, noise = sinr_terms(ctx, sorted(int(x) for x in Q))
-    return bool(np.all(signal >= betas * (noise + interf.sum(axis=0))))
+    rows, budget = _exact_budgets(ctx, Q)
+    return bool(_feasible_exact(np.ones((1, len(rows)), bool), rows, budget, ctx.k,
+                                primaries=True)[0])
 
 
 def partition_by_primaries(ctx: AffectanceContext, R) -> list:
@@ -110,8 +112,6 @@ def sparsify(ctx: AffectanceContext, R, rng, retry_cap: int = RETRY_CAP) -> tupl
 
 
 def _primary_loads(ctx: AffectanceContext, ids) -> np.ndarray:
-    if not ids or ctx.k == 0:
-        return np.zeros(ctx.k)
     return ctx.raw_to_prim[ctx.index_of(ids), :].sum(axis=0)
 
 
@@ -149,8 +149,7 @@ def admit_general(ctx: AffectanceContext, policy: RoundingPolicy,
             best_ids = cand
             best_groups = groups
             fs_idx = ctx.index_of(feasible_set)
-            best_aggregate = float(np.minimum(ctx.raw_to_prim[fs_idx], 1.0).sum()) \
-                if ctx.k else 0.0
+            best_aggregate = float(np.minimum(ctx.raw_to_prim[fs_idx], 1.0).sum())
     notes = {
         "group_count": len(best_groups),
         "aggregate_primary_load": best_aggregate,

@@ -12,8 +12,13 @@ the interference received from the primaries, and the same formulas yield
 the "hat" affectance used by admission control.
 
 The context stores one n x n matrix, the unclipped affectance; values are
-clipped where they are read.  Exact SINR checks recompute a subset's
-interference from geometry and powers instead (``sinr_terms``).
+clipped where they are read.
+
+The library's only feasibility tests judge a boolean selection matrix, one
+candidate set per row: ``_feasible_exact``, the SINR inequality in budget
+form over ``_exact_budgets`` (recomputed from geometry and powers), and
+``_feasible_affectance``, affectance sums within gamma with terms clipped
+at 1 only when gamma > 1.
 """
 
 from __future__ import annotations
@@ -235,27 +240,6 @@ class AffectanceContext:
 # ---------------------------------------------------------------------------
 # operations
 
-def sinr_terms(ctx: AffectanceContext, ids) -> tuple:
-    """(interference, signal, beta, noise) of the primaries followed by
-    ``ids``, from the instance geometry on these links only.
-
-    ``interference[w, v]`` is the power w delivers at v's receiver (capped
-    at ``RAW_CAP``, 0 on the diagonal).  Link v meets its threshold when
-    ``signal[v] >= beta[v] * (noise[v] + sum_w interference[w, v])``.
-    """
-    ids = [int(i) for i in ids]
-    idx = ctx.index_of(ids)
-    inst = ctx.instance
-    links = ctx.prim_ids + ids
-    powers = np.concatenate([ctx.prim_powers, ctx.powers[idx]])
-    lengths = np.concatenate([ctx.prim_lengths, ctx.lengths[idx]])
-    interf = _interference(powers, inst.sr_matrix(links, links), inst.alpha)
-    np.fill_diagonal(interf, 0.0)
-    betas = np.concatenate([np.full(ctx.k, inst.beta), ctx.betas[idx]])
-    noise = np.concatenate([np.full(ctx.k, inst.noise), ctx.base_noise[idx]])
-    return interf, powers / lengths ** inst.alpha, betas, noise
-
-
 def c_factor(ctx: AffectanceContext, v: int) -> float:
     return float(ctx.c[ctx.index_of([v])[0]])
 
@@ -290,13 +274,55 @@ def aggregate_affectance(ctx: AffectanceContext, S, v: int, direction: str = "in
     raise ValueError(f"unknown direction {direction!r}")
 
 
-def _exact_sinr_ok(ctx: AffectanceContext, S) -> bool:
-    """Direct SINR evaluation at every member of S, primaries transmitting
-    too (their own thresholds are not checked)."""
-    interf, signal, betas, noise = sinr_terms(ctx, S)
-    k = ctx.k
-    noise = noise[k:] + interf[:k, k:].sum(axis=0)
-    return bool(np.all(signal[k:] >= betas[k:] * (noise + interf[k:, k:].sum(axis=0))))
+# ---------------------------------------------------------------------------
+# feasibility predicates
+
+def _exact_budgets(ctx: AffectanceContext, ids=None) -> tuple:
+    """Interference rows of the secondaries ``ids`` (all when None) and each
+    receiver's budget, primaries first, from the geometry and powers of these
+    links only.  ``rows[w, v]`` is the power w delivers at v's receiver
+    (capped at ``RAW_CAP``, 0 at its own); v meets its SINR threshold when
+    its load from the transmitting rows is at most ``signal / beta - noise -
+    primary interference``, its budget."""
+    ids = [int(i) for i in (ctx.ids if ids is None else ids)]
+    idx = ctx.index_of(ids)
+    inst = ctx.instance
+    links = ctx.prim_ids + ids
+    powers = np.concatenate([ctx.prim_powers, ctx.powers[idx]])
+    lengths = np.concatenate([ctx.prim_lengths, ctx.lengths[idx]])
+    interf = _interference(powers, inst.sr_matrix(links, links), inst.alpha)
+    np.fill_diagonal(interf, 0.0)
+    betas = np.concatenate([np.full(ctx.k, inst.beta), ctx.betas[idx]])
+    noise = np.concatenate([np.full(ctx.k, inst.noise), ctx.base_noise[idx]])
+    signal = powers / lengths ** inst.alpha
+    return interf[ctx.k:], signal / betas - (noise + interf[:ctx.k].sum(axis=0))
+
+
+def _feasible_exact(sel: np.ndarray, rows: np.ndarray, budget: np.ndarray, k: int,
+                    primaries: bool = False) -> np.ndarray:
+    """Exact SINR feasibility of every selected member, the primaries
+    transmitting too (``rows``, ``budget``: ``_exact_budgets``); with
+    ``primaries`` also at every primary."""
+    loads = sel.astype(float) @ rows
+    ok = ((loads[:, k:] <= budget[k:]) | ~sel).all(axis=1)
+    if primaries:
+        ok &= (loads[:, :k] <= budget[:k]).all(axis=1)
+    return ok
+
+
+def _feasible_affectance(mat: np.ndarray, sel: np.ndarray, gamma: float,
+                         anti: bool = False) -> np.ndarray:
+    """Every selected member receives affectance at most gamma in ``mat``;
+    with ``anti`` it also sends at most gamma.  Terms are clipped at 1 only
+    when gamma > 1: at or below 1 a saturated term understates its true
+    interference, so it must count as a violation."""
+    if gamma > 1.0:
+        mat = np.minimum(mat, 1.0)
+    f = sel.astype(float)
+    ok = ((f @ mat <= gamma) | ~sel).all(axis=1)
+    if anti:
+        ok &= ((f @ mat.T <= gamma) | ~sel).all(axis=1)
+    return ok
 
 
 def check_feasibility(ctx: AffectanceContext, S, gamma: float = 1.0,
@@ -305,26 +331,17 @@ def check_feasibility(ctx: AffectanceContext, S, gamma: float = 1.0,
 
     feasible: a_S(v) <= gamma for every member; anti_feasible: a_v(S) <=
     gamma; bi_feasible: both; exact_sinr: the SINR inequality holds at every
-    member (gamma ignored).  For gamma <= 1 the affectance sums are taken
-    unclipped: a saturated term understates its true interference, so it
-    must count as a violation at these thresholds.
+    member, the primaries transmitting too (gamma ignored).
     """
     if mode not in FEASIBILITY_MODES:
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "exact_sinr":
-        return _exact_sinr_ok(ctx, S)
+        rows, budget = _exact_budgets(ctx, S)
+        return bool(_feasible_exact(np.ones((1, len(rows)), bool), rows, budget, ctx.k)[0])
     idx = ctx.index_of(S)
-    if idx.size == 0:
-        return True
-    sub = ctx.raw[np.ix_(idx, idx)]
-    if gamma > 1.0:
-        sub = np.minimum(sub, 1.0)
-    ok = True
-    if mode in ("feasible", "bi_feasible"):
-        ok = ok and bool(np.all(sub.sum(axis=0) <= gamma))
-    if mode in ("anti_feasible", "bi_feasible"):
-        ok = ok and bool(np.all(sub.sum(axis=1) <= gamma))
-    return ok
+    raw = ctx.raw.T if mode == "anti_feasible" else ctx.raw
+    return bool(_feasible_affectance(raw[idx[:, None], idx], np.ones((1, idx.size), bool),
+                                     gamma, mode == "bi_feasible")[0])
 
 
 def separation_check(ctx: AffectanceContext, S, q: float) -> bool:
@@ -350,7 +367,7 @@ def certify(ctx: AffectanceContext, S) -> Schedule:
         ids=ids,
         in_affectance=tuple(float(x) for x in sub.sum(axis=0)),
         out_affectance=tuple(float(x) for x in sub.sum(axis=1)),
-        exact_sinr_ok=_exact_sinr_ok(ctx, ids),
+        exact_sinr_ok=check_feasibility(ctx, ids, mode="exact_sinr"),
     )
 
 

@@ -6,6 +6,7 @@ Every subcommand exits 0 only if its internal verifications pass.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -18,7 +19,7 @@ from .greedy import (greedy_combined, greedy_length_classes,
 from .harness import (DEFAULT_SWEEP, GenConfig, best_over_sweep, generate_instance,
                       run_compare, run_oracle_suite, verify_output)
 from .model import parse_power, read_instance, write_instance
-from .oracle import exact_admission, exact_capacity
+from .oracle import TooLarge, exact_admission, exact_capacity
 from .rounding import RoundingPolicy, run_pipeline
 
 ORACLE_GAMMA = 1.0  # affectance threshold of ``oracle --mode affectance``
@@ -28,14 +29,29 @@ GREEDIES = {"greedy": greedy_combined, "greedy_w": greedy_weight_classes,
             "greedy_l": greedy_length_classes}
 
 
-def _add_common(p, default_power="uniform"):
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=_positive_int, default=100)
-    p.add_argument("--power", default=default_power,
-                   help="uniform[:P0] | linear | mean | exp:tau")
-    p.add_argument("--sweep", type=_positive_floats, default=list(DEFAULT_SWEEP),
-                   help="comma-separated constants (default 0.2..3.0 step 0.2)")
-    p.add_argument("--out", default=None)
+def _add_shared(p, flags=("seed", "trials", "power", "sweep", "out"), default_power="uniform"):
+    """Add the shared flags named in ``flags``: only those the subcommand reads."""
+    shared = {
+        "seed": dict(type=int, default=0),
+        "trials": dict(type=_positive_int, default=100),
+        "power": dict(default=default_power, help="uniform[:P0] | linear | mean | exp:tau"),
+        "sweep": dict(type=_positive_floats, default=list(DEFAULT_SWEEP),
+                      help="comma-separated constants (default 0.2..3.0 step 0.2)"),
+        "out": dict(default=None),
+    }
+    for flag in flags:
+        p.add_argument(f"--{flag}", **shared[flag])
+
+
+@contextlib.contextmanager
+def _rejected(command, *errors):
+    """Report ``errors``, raised on an input the library refuses, as one line
+    on stderr and exit with status 2, as argparse does for a bad flag."""
+    try:
+        yield
+    except errors as exc:
+        print(f"sinrcap {command}: error: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
 
 
 def _positive_floats(text):
@@ -77,7 +93,7 @@ def _parse_args(argv):
     g.add_argument("--noise", type=float, default=0.0)
     g.add_argument("--primaries", type=int, default=0)
     g.add_argument("--primary-power", type=float, default=1.0)
-    _add_common(g)
+    _add_shared(g, ("seed", "out"))
 
     s = sub.add_parser("solve", help="run one algorithm on an instance file")
     s.add_argument("instance")
@@ -85,12 +101,12 @@ def _parse_args(argv):
                    choices=("lp", "greedy", "greedy_w", "greedy_l"))
     s.add_argument("--formulation", default="capacity",
                    choices=("capacity", "qos", "weighted"))
-    _add_common(s)
+    _add_shared(s)
 
     a = sub.add_parser("admit", help="admission control on an instance with primaries")
     a.add_argument("instance")
     a.add_argument("--method", default="general", choices=("general", "large"))
-    _add_common(a)
+    _add_shared(a)
 
     o = sub.add_parser("oracle", help="exhaustive optimum on a small instance")
     o.add_argument("instance")
@@ -98,7 +114,7 @@ def _parse_args(argv):
     o.add_argument("--mode", default="exact", choices=("exact", "affectance"))
     o.add_argument("--admission", action="store_true",
                    help="admission optimum (requires primaries)")
-    _add_common(o)
+    _add_shared(o, ("power", "out"))
 
     c = sub.add_parser("compare", help="sweep-and-compare experiment, CSV output")
     c.add_argument("--n", type=_positive_int, default=100)
@@ -108,12 +124,12 @@ def _parse_args(argv):
                    choices=("ordinary", "reversed", "length_determined", "weight_class"))
     c.add_argument("--timing", action="store_true",
                    help="record wall times (breaks byte determinism)")
-    _add_common(c, default_power="linear")  # the weighted guarantee's setting
+    _add_shared(c, default_power="linear")  # the weighted guarantee's setting
 
     u = sub.add_parser("suite", help="small-instance property checks")
     u.add_argument("--count", type=_positive_int, default=10)
     u.add_argument("--n", type=_positive_int, default=8)
-    _add_common(u)
+    _add_shared(u, ("seed", "trials"))
 
     return ap.parse_args(argv)
 
@@ -128,10 +144,11 @@ def _emit(payload, out):
 
 
 def _cmd_gen(args) -> int:
-    cfg = GenConfig(n=args.n, R=args.side, delta=args.delta, weight_dist=args.weights,
-                    alpha=args.alpha, beta=args.beta, noise=args.noise, seed=args.seed,
-                    primaries=args.primaries, primary_power=args.primary_power)
-    inst = generate_instance(cfg)
+    with _rejected("gen", ValueError):
+        inst = generate_instance(GenConfig(
+            n=args.n, R=args.side, delta=args.delta, weight_dist=args.weights,
+            alpha=args.alpha, beta=args.beta, noise=args.noise, seed=args.seed,
+            primaries=args.primaries, primary_power=args.primary_power))
     if not args.out:
         raise SystemExit("gen requires --out")
     write_instance(inst, args.out)
@@ -189,20 +206,21 @@ def _cmd_admit(args) -> int:
 def _cmd_oracle(args) -> int:
     inst = read_instance(args.instance)
     power = parse_power(args.power)
-    if args.admission:
-        if inst.primaries is None:
-            raise SystemExit("admission oracle requires primaries")
-        ctx = AffectanceContext(inst, power, primaries=inst.primaries)
-        sched = exact_admission(ctx)
-        ok = verify_admission(ctx, sched.ids)
-    elif args.mode == "exact":
-        ctx = AffectanceContext(inst, power)
-        sched = exact_capacity(ctx, args.objective, "exact_sinr")
-        ok = verify_output(ctx, sched.ids)
-    else:
-        ctx = AffectanceContext(inst, power)
-        sched = exact_capacity(ctx, args.objective, "affectance", ORACLE_GAMMA)
-        ok = check_feasibility(ctx, sched.ids, ORACLE_GAMMA, "feasible")
+    with _rejected("oracle", TooLarge):
+        if args.admission:
+            if inst.primaries is None:
+                raise SystemExit("admission oracle requires primaries")
+            ctx = AffectanceContext(inst, power, primaries=inst.primaries)
+            sched = exact_admission(ctx)
+            ok = verify_admission(ctx, sched.ids)
+        elif args.mode == "exact":
+            ctx = AffectanceContext(inst, power)
+            sched = exact_capacity(ctx, args.objective, "exact_sinr")
+            ok = verify_output(ctx, sched.ids)
+        else:
+            ctx = AffectanceContext(inst, power)
+            sched = exact_capacity(ctx, args.objective, "affectance", ORACLE_GAMMA)
+            ok = check_feasibility(ctx, sched.ids, ORACLE_GAMMA, "feasible")
     payload = {"ids": list(sched.ids), "size": sched.size,
                "weight": schedule_weight(ctx, sched),
                "exact_sinr_ok": sched.exact_sinr_ok, "verified": ok}
@@ -211,11 +229,10 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    configs = [
-        GenConfig(n=args.n, R=r, delta=d, weight_dist=args.weights,
-                  seed=args.seed + i)
-        for i, (d, r) in enumerate((d, r) for d in args.deltas for r in args.sides)
-    ]
+    with _rejected("compare", ValueError):
+        configs = [GenConfig(n=args.n, R=r, delta=d, weight_dist=args.weights,
+                             seed=args.seed + i)
+                   for i, (d, r) in enumerate((d, r) for d in args.deltas for r in args.sides)]
     if not args.out:
         raise SystemExit("compare requires --out")
     records = run_compare(configs, args.sweep, args.trials, args.out,
@@ -229,7 +246,8 @@ def _cmd_compare(args) -> int:
 def _cmd_suite(args) -> int:
     configs = [GenConfig(n=args.n, R=4.0 + 2.0 * (i % 3), delta=4.0,
                          seed=args.seed + i) for i in range(args.count)]
-    report = run_oracle_suite(configs, trials=args.trials)
+    with _rejected("suite", TooLarge):
+        report = run_oracle_suite(configs, trials=args.trials)
     for row in report["rows"]:
         flags = "".join("+" if v else "-" for v in row["verdicts"].values())
         print(f"seed={row['seed']} n={row['n']} ALG={row['ALG']} OPT={row['OPT']} "

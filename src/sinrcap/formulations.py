@@ -2,7 +2,8 @@
 
 Each builder returns a program whose variables follow the context's id
 order (``ctx.ids``).  Coefficients are clipped affectances, so every
-entry lies in [0, 1].
+entry lies in [0, 1], except on the admission program's aggregate row,
+whose coefficients are sums of clipped affectances.
 
 Each builder also attaches the second rounding stage's data: per row, the
 variable whose survival the row decides (or -1 for the whole sample) and
@@ -11,10 +12,16 @@ keeps a link only while every row it owns stays within its limit; each
 builder's docstring states its limits.  The large-optimum primary rows
 have no limit, since that pipeline checks the unclipped primary loads
 itself.
+
+All programs share one row template.  A row block is (fill, names, var,
+bound, limit): ``fill`` writes the block's coefficients into the rows it
+is handed.  ``_link_rows`` is the per-link block of every builder, and
+``_program`` writes a builder's blocks, in order, into one row matrix.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 
@@ -37,6 +44,42 @@ def _warn_unless(cond: bool, message: str):
         logger.warning(message)
 
 
+def _link_rows(ctx: AffectanceContext, direction: str, C: float, slack: float,
+               idx=None, keep=None) -> tuple:
+    """One row per link of ``idx`` (every link when None), over the same
+    links: the clipped affectance the link sends ("out": row u holds a_u(v)
+    at v) or receives ("in": a_v(u)), times the 0/1 ``keep`` when given.
+    Bound C, stage-two limit slack * C."""
+    if not C > 0:
+        raise ValueError("C must be positive")
+    ids = ctx.ids if idx is None else ctx.ids[idx]
+
+    def fill(out):
+        raw = ctx.raw if idx is None else ctx.raw[np.ix_(idx, idx)]
+        np.minimum(raw if direction == "out" else raw.T, 1.0, out=out)
+        if keep is not None:
+            out *= keep
+
+    return fill, [f"{direction}_{int(u)}" for u in ids], np.arange(ids.size), C, slack * C
+
+
+def _program(objective: np.ndarray, *blocks) -> LinearProgram:
+    """Maximize ``objective`` subject to the row blocks, each written in
+    order into one preallocated row matrix."""
+    sizes = [len(b[1]) for b in blocks]
+    rows = np.empty((sum(sizes), objective.size))
+    for (fill, *_), start, size in zip(blocks, np.cumsum([0] + sizes), sizes):
+        fill(rows[start:start + size])
+    return LinearProgram(
+        objective=objective,
+        row_coeffs=rows,
+        row_bounds=np.repeat([float(b[3]) for b in blocks], sizes),
+        row_names=tuple(itertools.chain.from_iterable(b[1] for b in blocks)),
+        row_var=np.concatenate([b[2] for b in blocks]),
+        row_limit=np.repeat([float(b[4]) for b in blocks], sizes),
+    )
+
+
 def build_capacity_lp(ctx: AffectanceContext, C: float = DEFAULT_C) -> LinearProgram:
     """Maximize the number of links, bounding per link both the affectance
     received from and sent to no-shorter links by C (2n rows).  Stage-two
@@ -44,24 +87,9 @@ def build_capacity_lp(ctx: AffectanceContext, C: float = DEFAULT_C) -> LinearPro
     pc = ctx.power_class()
     _warn_unless(pc["non_decreasing"] and pc["sub_linear"],
                  "capacity LP expects a non-decreasing sub-linear power assignment")
-    if not C > 0:
-        raise ValueError("C must be positive")
-    n = ctx.n
     keep = ctx.length_ge_mask().T  # keep[u, v]: l_v >= l_u, v != u
-    rows = np.empty((2 * n, n))   # filled in place, without n x n float temporaries
-    np.minimum(ctx.raw.T, 1.0, out=rows[:n])  # row u, coefficient at v: a_v(u)
-    np.minimum(ctx.raw, 1.0, out=rows[n:])    # row u, coefficient at v: a_u(v)
-    rows[:n] *= keep
-    rows[n:] *= keep
-    names = tuple(f"in_{int(u)}" for u in ctx.ids) + tuple(f"out_{int(u)}" for u in ctx.ids)
-    return LinearProgram(
-        objective=np.ones(n),
-        row_coeffs=rows,
-        row_bounds=np.full(2 * n, C),
-        row_names=names,
-        row_var=np.tile(np.arange(n), 2),
-        row_limit=np.full(2 * n, 3.0 * C),
-    )
+    return _program(np.ones(ctx.n), _link_rows(ctx, "in", C, 3.0, keep=keep),
+                    _link_rows(ctx, "out", C, 3.0, keep=keep))
 
 
 def build_qos_lp(ctx: AffectanceContext, C: float = DEFAULT_C) -> LinearProgram:
@@ -70,18 +98,7 @@ def build_qos_lp(ctx: AffectanceContext, C: float = DEFAULT_C) -> LinearProgram:
     3C."""
     _warn_unless(ctx.nearly_uniform(),
                  "QoS LP guarantee assumes (nearly) uniform power")
-    if not C > 0:
-        raise ValueError("C must be positive")
-    n = ctx.n
-    rows = ctx.aff  # row u, coeff at v: a_u(v)
-    return LinearProgram(
-        objective=np.ones(n),
-        row_coeffs=rows,
-        row_bounds=np.full(n, C),
-        row_names=tuple(f"out_{int(u)}" for u in ctx.ids),
-        row_var=np.arange(n),
-        row_limit=np.full(n, 3.0 * C),
-    )
+    return _program(np.ones(ctx.n), _link_rows(ctx, "out", C, 3.0))
 
 
 def build_admission_lp(ctx: AffectanceContext, C: float = DEFAULT_C) -> LinearProgram:
@@ -97,28 +114,12 @@ def build_admission_lp(ctx: AffectanceContext, C: float = DEFAULT_C) -> LinearPr
         raise ValueError("admission LP requires a context with primaries attached")
     _warn_unless(ctx.nearly_uniform(),
                  "admission guarantee assumes (nearly) uniform secondary power")
-    if not C > 0:
-        raise ValueError("C must be positive")
-    n = ctx.n
-    rows = [ctx.aff]
-    bounds = [np.full(n, C)]
-    names = [f"out_{int(u)}" for u in ctx.ids]
-    var = [np.arange(n)]
-    limits = [np.full(n, 4.0 * C)]
-    if ctx.k and n:  # with no variables the aggregate row constrains nothing
-        rows.insert(0, ctx.aff_to_prim.sum(axis=1).reshape(1, -1))
-        bounds.insert(0, np.array([float(ctx.k)]))
-        names.insert(0, "primaries_total")
-        var.insert(0, np.array([-1]))
-        limits.insert(0, np.array([5.0 * ctx.k]))
-    return LinearProgram(
-        objective=np.ones(n),
-        row_coeffs=np.vstack(rows),
-        row_bounds=np.concatenate(bounds),
-        row_names=tuple(names),
-        row_var=np.concatenate(var),
-        row_limit=np.concatenate(limits),
-    )
+    links = _link_rows(ctx, "out", C, 4.0)
+    if not (ctx.k and ctx.n):  # with no variables the aggregate row constrains nothing
+        return _program(np.ones(ctx.n), links)
+    total = (lambda out: np.minimum(ctx.raw_to_prim, 1.0).sum(axis=1, out=out[0]),
+             ["primaries_total"], np.array([-1]), ctx.k, 5.0 * ctx.k)  # sums, not clipped
+    return _program(np.ones(ctx.n), total, links)
 
 
 def admission_filter_threshold(k: int) -> float:
@@ -141,29 +142,15 @@ def build_admission_large_lp(ctx: AffectanceContext, C: float = DEFAULT_C):
         raise ValueError("large-optimum admission requires at least one primary")
     _warn_unless(ctx.nearly_uniform(),
                  "admission guarantee assumes (nearly) uniform secondary power")
-    if not C > 0:
-        raise ValueError("C must be positive")
+    thr = admission_filter_threshold(ctx.k)
+    idx = np.flatnonzero(np.all(ctx.aff_to_prim_plain <= thr, axis=1))
+    links = _link_rows(ctx, "out", C, 4.0, idx=idx)
     if ctx.k == 1:
         logger.warning("single primary: filter threshold falls back to 1/10; "
                        "the general admission pipeline is the intended route")
-    thr = admission_filter_threshold(ctx.k)
-    keep = np.all(ctx.aff_to_prim_plain <= thr, axis=1)
-    kept_ids = tuple(int(i) for i in ctx.ids[keep])
-    idx = np.flatnonzero(keep)
-    m = idx.size
-    prim_rows = np.minimum(ctx.raw_to_prim[idx, :], 1.0).T
-    link_rows = np.minimum(ctx.raw[np.ix_(idx, idx)], 1.0)
-    names = tuple(f"prim_{int(w)}" for w in ctx.prim_ids) \
-        + tuple(f"out_{i}" for i in kept_ids)
-    lp = LinearProgram(
-        objective=np.ones(m),
-        row_coeffs=np.vstack([prim_rows, link_rows]),
-        row_bounds=np.concatenate([np.full(ctx.k, 1.0 / 3.0), np.full(m, C)]),
-        row_names=names,
-        row_var=np.concatenate([np.full(ctx.k, -1), np.arange(m)]),
-        row_limit=np.concatenate([np.full(ctx.k, np.inf), np.full(m, 4.0 * C)]),
-    )
-    return kept_ids, lp
+    prims = (lambda out: np.minimum(ctx.raw_to_prim[idx].T, 1.0, out=out),
+             [f"prim_{int(w)}" for w in ctx.prim_ids], np.full(ctx.k, -1), 1.0 / 3.0, np.inf)
+    return tuple(int(i) for i in ctx.ids[idx]), _program(np.ones(idx.size), prims, links)
 
 
 def build_weighted_lp(ctx: AffectanceContext, C: float = DEFAULT_C) -> LinearProgram:
@@ -172,15 +159,4 @@ def build_weighted_lp(ctx: AffectanceContext, C: float = DEFAULT_C) -> LinearPro
     ratios = ctx.powers / ctx.lengths ** ctx.instance.alpha if ctx.n else np.zeros(0)
     _warn_unless(ctx.n <= 1 or bool(np.allclose(ratios, ratios[0])),
                  "weighted-capacity guarantee assumes linear power")
-    if not C > 0:
-        raise ValueError("C must be positive")
-    n = ctx.n
-    rows = np.minimum(ctx.raw.T, 1.0, out=np.empty((n, n)))  # row u, coeff at v: a_v(u)
-    return LinearProgram(
-        objective=ctx.weights.copy(),
-        row_coeffs=rows,
-        row_bounds=np.full(n, C),
-        row_names=tuple(f"in_{int(u)}" for u in ctx.ids),
-        row_var=np.arange(n),
-        row_limit=np.full(n, 4.0 * C),
-    )
+    return _program(ctx.weights.copy(), _link_rows(ctx, "in", C, 4.0))

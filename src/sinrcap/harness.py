@@ -49,11 +49,13 @@ class GenConfig:
 
     def __post_init__(self):
         if self.n < 1:
-            raise ValueError("n must be at least 1")
-        if not self.R > 0:
-            raise ValueError("R must be positive")
-        if not self.delta >= 1:
-            raise ValueError("delta must be at least 1")
+            raise ValueError(f"n must be at least 1, got {self.n!r}")
+        if not 0 < self.R < math.inf:
+            raise ValueError(f"R must be finite and positive, got {self.R!r}")
+        if not 1 <= self.delta < math.inf:
+            raise ValueError(f"delta must be finite and at least 1, got {self.delta!r}")
+        if self.primaries < 0:
+            raise ValueError(f"primaries must be nonnegative, got {self.primaries!r}")
         if self.weight_dist not in WEIGHT_DISTRIBUTIONS:
             raise ValueError(f"unknown weight distribution {self.weight_dist!r}")
 

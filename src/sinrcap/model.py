@@ -46,6 +46,8 @@ class Link:
     noise_override: Optional[float] = None
 
     def __post_init__(self):
+        if self.id < 0:
+            raise ValueError(f"link id must be nonnegative, got {self.id}")
         if self.weight < 0 or not math.isfinite(self.weight):
             raise ValueError(f"link {self.id}: weight must be a finite nonnegative real")
         if self.beta_override is not None and not self.beta_override > 0:
@@ -71,7 +73,7 @@ class PrimarySet:
             raise ValueError("primaries and powers must have equal length")
         for link, p in zip(self.links, self.powers):
             if not p > 0:
-                raise ValueError(f"primary {link.id}: power must be positive")
+                raise ValueError(f"primary {link.id}: power must be positive, got {p!r}")
 
     def __len__(self):
         return len(self.links)
@@ -128,11 +130,11 @@ class Instance:
 
     def __post_init__(self):
         if not self.alpha > 0:
-            raise ValueError("alpha must be positive")
+            raise ValueError(f"alpha must be positive, got {self.alpha!r}")
         if not self.beta > 0:
-            raise ValueError("beta must be positive")
-        if self.noise < 0:
-            raise ValueError("noise must be nonnegative")
+            raise ValueError(f"beta must be positive, got {self.beta!r}")
+        if not self.noise >= 0:
+            raise ValueError(f"noise must be nonnegative, got {self.noise!r}")
         ids = [lk.id for lk in self.links]
         if self.primaries is not None:
             ids += [lk.id for lk in self.primaries.links]

@@ -1,10 +1,12 @@
 """Exhaustive optima on small instances; ground truth for everything else.
 
-Exact subset feasibility is the SINR inequality itself, computed from
-powers and distances (``affectance.sinr_terms``) independently of the
-affectance matrix the approximation pipelines use.  Interference and
-affectance are nonnegative, so every check here is hereditary, and the
-search walks only the accepted sets, level by level, not all 2**n subsets.
+The oracles define no feasibility test of their own: they judge blocks of
+candidate sets with the affectance module's predicates, the exact SINR
+inequality in budget form (computed from powers and distances, not from
+the affectance matrix the approximation pipelines use) and the gamma
+affectance test.  Interference and affectance are nonnegative, so every
+check is hereditary, and the search walks only the accepted sets, level
+by level, not all 2**n subsets.
 """
 
 from __future__ import annotations
@@ -13,8 +15,8 @@ from functools import partial
 
 import numpy as np
 
-from .affectance import (AffectanceContext, InfeasiblePrimaries, Schedule, certify,
-                         sinr_terms)
+from .affectance import (AffectanceContext, InfeasiblePrimaries, Schedule, _exact_budgets,
+                         _feasible_affectance, _feasible_exact, certify)
 
 ENUMERATION_CAP = 20
 _CHUNK = 1 << 11  # rows per judged block; 1 << 14 measured slower (page faults)
@@ -52,34 +54,6 @@ def _accepted_sets(n: int, accept):
         cand = masks[parent] | bit[np.arange(parent.size) - np.cumsum(width)[parent] + n]
 
 
-def _exact_budgets(ctx: AffectanceContext) -> tuple:
-    """Interference rows of the secondaries and every receiver's budget
-    (signal / beta minus noise and primary interference), primaries first."""
-    interf, signal, betas, noise = sinr_terms(ctx, ctx.ids)
-    return interf[ctx.k:], signal / betas - (noise + interf[:ctx.k].sum(axis=0))
-
-
-def _feasible_exact(sel: np.ndarray, rows: np.ndarray, budget: np.ndarray, k: int,
-                    primaries: bool = False) -> np.ndarray:
-    """Exact SINR feasibility of every member for a block of subsets, the
-    primaries transmitting too (``rows``, ``budget``: ``_exact_budgets``);
-    with ``primaries`` also at every primary."""
-    loads = sel.astype(float) @ rows
-    ok = np.all((loads[:, k:] <= budget[k:]) | ~sel, axis=1)
-    if primaries:
-        ok &= np.all(loads[:, :k] <= budget[:k], axis=1)
-    return ok
-
-
-def _feasible_affectance(mat: np.ndarray, sel: np.ndarray, gamma: float,
-                         anti: bool = False) -> np.ndarray:
-    f = sel.astype(float)
-    ok = np.all((f @ mat <= gamma) | ~sel, axis=1)
-    if anti:
-        ok &= np.all((f @ mat.T <= gamma) | ~sel, axis=1)
-    return ok
-
-
 def _best(ctx: AffectanceContext, accept, weights=None) -> Schedule:
     """The accepted set of largest cardinality, or weight given ``weights``;
     ties, across sizes too, take the lexicographically smallest id tuple."""
@@ -108,8 +82,7 @@ def exact_capacity(ctx: AffectanceContext, objective: str = "cardinality",
         rows, budget = _exact_budgets(ctx)
         accept = partial(_feasible_exact, rows=rows, budget=budget, k=ctx.k)
     else:
-        accept = partial(_feasible_affectance, ctx.raw if gamma <= 1.0 else ctx.aff,
-                         gamma=gamma)
+        accept = partial(_feasible_affectance, ctx.raw, gamma=gamma)
     return _best(ctx, accept, ctx.weights if objective == "weight" else None)
 
 
@@ -130,5 +103,4 @@ def largest_bifeasible(ctx: AffectanceContext, gamma: float = 2.0) -> Schedule:
     """Maximum-cardinality subset whose received and sent affectance sums
     both stay within gamma at every member."""
     _check_cap(ctx.n)
-    return _best(ctx, partial(_feasible_affectance, ctx.raw if gamma <= 1.0 else ctx.aff,
-                              gamma=gamma, anti=True))
+    return _best(ctx, partial(_feasible_affectance, ctx.raw, gamma=gamma, anti=True))

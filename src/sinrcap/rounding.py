@@ -64,23 +64,24 @@ class RoundingPolicy:
 def bernoulli_draws(seed: int, trial: int, ids: Sequence[int]) -> np.ndarray:
     """Uniform [0,1) draw per link, a pure function of (seed, trial, id).
 
-    Dense ids index into one counter-based Philox stream keyed by
-    (seed, trial); sparse ids fall back to per-id seed sequences.  Either
-    way a link's draw does not depend on which other links are present.
+    Link id i reads entry i of one counter-based Philox stream keyed by
+    (seed, trial).  Dense ids slice the stream; sparse ids jump to each
+    id's block of four draws, so a link's draw does not depend on which
+    other links are present.
     """
     ids = np.asarray(ids, dtype=np.int64)
     if ids.size == 0:
         return np.zeros(0)
-    lo, hi = int(ids.min()), int(ids.max())
+    if int(ids.min()) < 0:
+        raise ValueError("link ids must be nonnegative")
+    hi = int(ids.max())
     key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(trial)])
-    if lo >= 0 and hi < 4 * ids.size + 1024:
-        stream = np.random.Generator(np.random.Philox(key=key)).random(hi + 1)
-        return stream[ids]
+    if hi < 4 * ids.size + 1024:
+        return np.random.Generator(np.random.Philox(key=key)).random(hi + 1)[ids]
     out = np.empty(ids.size)
-    for i, lid in enumerate(ids):
-        ss = np.random.SeedSequence([seed & 0xFFFFFFFFFFFFFFFF, trial,
-                                     int(lid) & 0xFFFFFFFFFFFFFFFF])
-        out[i] = np.random.Generator(np.random.Philox(ss)).random()
+    for i, lid in enumerate(ids.tolist()):
+        block = np.random.Philox(key=key).advance(lid // 4)  # four draws per counter
+        out[i] = np.random.Generator(block).random(4)[lid % 4]
     return out
 
 

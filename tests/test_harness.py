@@ -209,6 +209,67 @@ def test_cli_rejects_bad_numeric_flags(args, flag, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args,flag", [
+    (["gen", "--n", "5", "--side", "6", "--delta", "2"], ["--trials", "3"]),
+    (["gen", "--n", "5", "--side", "6", "--delta", "2"], ["--power", "linear"]),
+    (["gen", "--n", "5", "--side", "6", "--delta", "2"], ["--sweep", "9"]),
+    (["oracle", "INSTANCE"], ["--seed", "3"]),
+    (["oracle", "INSTANCE"], ["--trials", "3"]),
+    (["oracle", "INSTANCE"], ["--sweep", "9"]),
+    (["suite", "--n", "6", "--count", "1"], ["--power", "linear"]),
+    (["suite", "--n", "6", "--count", "1"], ["--sweep", "9"]),
+    (["suite", "--n", "6", "--count", "1"], ["--out", "OUT"]),
+], ids=["gen-trials", "gen-power", "gen-sweep", "oracle-seed", "oracle-trials",
+        "oracle-sweep", "suite-power", "suite-sweep", "suite-out"])
+def test_cli_rejects_flags_its_subcommand_ignores(args, flag, tmp_path, capsys):
+    inst_path = tmp_path / "inst.json"
+    write_instance(generate_instance(GenConfig(n=6, R=6.0, delta=2.0, seed=4)), inst_path)
+    out = tmp_path / "out"
+    sub = {"INSTANCE": str(inst_path), "OUT": str(out)}
+    argv = [sub.get(a, a) for a in args + flag]
+    if args[0] != "suite":
+        argv += ["--out", str(out)]
+    with pytest.raises(SystemExit) as exc:
+        cli_main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+GEN = ["gen", "--n", "5", "--side", "6", "--delta", "2"]
+
+
+@pytest.mark.parametrize("args,bad", [
+    (GEN + ["--side", "0"], "0.0"),
+    (GEN + ["--side", "nan"], "nan"),
+    (GEN + ["--side", "inf"], "inf"),
+    (GEN + ["--delta", "0.5"], "0.5"),
+    (GEN + ["--alpha", "0"], "alpha must be positive, got 0.0"),
+    (GEN + ["--beta", "0"], "beta must be positive, got 0.0"),
+    (GEN + ["--noise", "-1"], "noise must be nonnegative, got -1.0"),
+    (GEN + ["--primaries", "2", "--primary-power", "0"], "power must be positive, got 0.0"),
+    (GEN + ["--primaries", "-1"], "primaries must be nonnegative, got -1"),
+    (["compare", "--n", "5", "--deltas", "0.5", "--sides", "6"], "0.5"),
+    (["oracle", "BIG"], "21 links"),
+    (["suite", "--n", "21", "--count", "1"], "21 links"),
+], ids=["side-0", "side-nan", "side-inf", "delta-0.5", "alpha-0", "beta-0", "noise-neg",
+        "primary-power-0", "primaries-neg", "compare-delta", "oracle-21", "suite-21"])
+def test_cli_reports_rejected_input_in_one_line(args, bad, tmp_path, capsys):
+    big = tmp_path / "big.json"
+    write_instance(generate_instance(GenConfig(n=21, R=9.0, delta=2.0, seed=4)), big)
+    out = tmp_path / "out"
+    argv = [str(big) if a == "BIG" else a for a in args]
+    if args[0] != "suite":
+        argv += ["--out", str(out)]
+    with pytest.raises(SystemExit) as exc:
+        cli_main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"sinrcap {args[0]}: error: ") and err.count("\n") == 1
+    assert bad in err
+    assert not out.exists()
+
+
 def test_cli_solve_keeps_smaller_constant_over_float_noise(tmp_path, monkeypatch):
     inst_path = tmp_path / "inst.json"
     write_instance(generate_instance(GenConfig(n=10, R=6.0, delta=2.0, seed=3)), inst_path)

@@ -123,6 +123,11 @@ def test_duplicate_ids_rejected():
         Instance(links=links, alpha=2.0)
 
 
+def test_negative_id_rejected():
+    with pytest.raises(ValueError, match="-3"):
+        make_link(-3, 0, 0, 1, 0)
+
+
 def test_negative_weight_rejected():
     with pytest.raises(ValueError, match="weight"):
         make_link(0, 0, 0, 1, 0, weight=-1.0)

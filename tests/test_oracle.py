@@ -8,7 +8,7 @@ from sinrcap import (AffectanceContext, GenConfig, InfeasiblePrimaries, Instance
                      PowerAssignment, PrimarySet, TooLarge, exact_admission,
                      exact_capacity, generate_instance, largest_bifeasible,
                      run_oracle_suite, schedule_weight)
-from sinrcap.oracle import _exact_budgets, _feasible_affectance, _feasible_exact
+from sinrcap.affectance import _exact_budgets, _feasible_affectance, _feasible_exact
 
 from conftest import colocated_pair, far_instance, feasible_prim_ctx, make_link, random_ctx
 

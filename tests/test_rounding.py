@@ -32,6 +32,20 @@ def test_draws_are_link_keyed():
     assert not np.array_equal(full, other_trial)
 
 
+def test_sparse_ids_read_the_dense_stream():
+    # a sparse call (max id >= 4 * len(ids) + 1024) must give each link the
+    # draw a dense call gives it
+    assert bernoulli_draws(1, 0, [5000])[0] == bernoulli_draws(1, 0, range(5001))[5000]
+    rng = np.random.default_rng(8)
+    ids = rng.choice(60_000, 40, replace=False)
+    dense = bernoulli_draws(9, 4, range(60_000))
+    assert np.array_equal(bernoulli_draws(9, 4, ids), dense[ids])
+    assert np.array_equal(bernoulli_draws(9, 4, [0, 1, 2, 3, 4, 5, 59_999]),
+                          dense[[0, 1, 2, 3, 4, 5, 59_999]])
+    with pytest.raises(ValueError, match="nonnegative"):
+        bernoulli_draws(9, 4, [3, -1])
+
+
 def test_sample_round_degenerate_deltas():
     ctx = AffectanceContext(far_instance(5), UNIFORM)
     lp = build_capacity_lp(ctx, 1.0)
