@@ -16,8 +16,8 @@ from .affectance import AffectanceContext, check_feasibility, schedule_weight
 from .formulations import (build_capacity_lp, build_qos_lp, build_weighted_lp)
 from .greedy import (greedy_combined, greedy_length_classes,
                      greedy_weight_classes)
-from .harness import (DEFAULT_SWEEP, GenConfig, best_over_sweep, generate_instance,
-                      run_compare, run_oracle_suite, verify_output)
+from .harness import (DEFAULT_SWEEP, WEIGHT_DISTRIBUTIONS, GenConfig, best_over_sweep,
+                      generate_instance, run_compare, run_oracle_suite, verify_output)
 from .model import parse_power, read_instance, write_instance
 from .oracle import TooLarge, exact_admission, exact_capacity
 from .rounding import RoundingPolicy, run_pipeline
@@ -86,8 +86,7 @@ def _parse_args(argv):
     g.add_argument("--n", type=_positive_int, required=True)
     g.add_argument("--side", type=float, required=True, help="square side R")
     g.add_argument("--delta", type=float, required=True, help="max link length")
-    g.add_argument("--weights", default="ordinary",
-                   choices=("ordinary", "reversed", "length_determined", "weight_class"))
+    g.add_argument("--weights", default="ordinary", choices=WEIGHT_DISTRIBUTIONS)
     g.add_argument("--alpha", type=float, default=2.5)
     g.add_argument("--beta", type=float, default=1.0)
     g.add_argument("--noise", type=float, default=0.0)
@@ -120,8 +119,7 @@ def _parse_args(argv):
     c.add_argument("--n", type=_positive_int, default=100)
     c.add_argument("--deltas", type=_positive_floats, default="2,8,32")
     c.add_argument("--sides", type=_positive_floats, default="8,32,128")
-    c.add_argument("--weights", default="ordinary",
-                   choices=("ordinary", "reversed", "length_determined", "weight_class"))
+    c.add_argument("--weights", default="ordinary", choices=WEIGHT_DISTRIBUTIONS)
     c.add_argument("--timing", action="store_true",
                    help="record wall times (breaks byte determinism)")
     _add_shared(c, default_power="linear")  # the weighted guarantee's setting
@@ -144,21 +142,22 @@ def _emit(payload, out):
 
 
 def _cmd_gen(args) -> int:
-    with _rejected("gen", ValueError):
+    if not args.out:
+        raise SystemExit("gen requires --out")
+    with _rejected("gen", OSError, ValueError):
         inst = generate_instance(GenConfig(
             n=args.n, R=args.side, delta=args.delta, weight_dist=args.weights,
             alpha=args.alpha, beta=args.beta, noise=args.noise, seed=args.seed,
             primaries=args.primaries, primary_power=args.primary_power))
-    if not args.out:
-        raise SystemExit("gen requires --out")
-    write_instance(inst, args.out)
+        write_instance(inst, args.out)
     print(f"wrote {args.out} ({inst.n} links"
           + (f", {len(inst.primaries)} primaries" if inst.primaries else "") + ")")
     return 0
 
 
 def _cmd_solve(args) -> int:
-    inst = read_instance(args.instance)
+    with _rejected("solve", OSError, ValueError):
+        inst = read_instance(args.instance)
     ctx = AffectanceContext(inst, parse_power(args.power))
 
     def run(c, session):
@@ -182,7 +181,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_admit(args) -> int:
-    inst = read_instance(args.instance)
+    with _rejected("admit", OSError, ValueError):
+        inst = read_instance(args.instance)
     if inst.primaries is None:
         raise SystemExit("admit requires an instance with primaries")
     ctx = AffectanceContext(inst, parse_power(args.power), primaries=inst.primaries)
@@ -204,7 +204,8 @@ def _cmd_admit(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    inst = read_instance(args.instance)
+    with _rejected("oracle", OSError, ValueError):
+        inst = read_instance(args.instance)
     power = parse_power(args.power)
     with _rejected("oracle", TooLarge):
         if args.admission:

@@ -129,6 +129,9 @@ class Instance:
     primaries: Optional[PrimarySet] = None
 
     def __post_init__(self):
+        for name in ("alpha", "beta", "noise"):  # inf and nan are not valid JSON
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if not self.alpha > 0:
             raise ValueError(f"alpha must be positive, got {self.alpha!r}")
         if not self.beta > 0:
@@ -214,12 +217,9 @@ class Instance:
         links = tuple(lk for lk in self.links if lk.id in keep)
         metric = self.metric
         if isinstance(self.metric, DistanceMatrix):
-            rows = []
-            for lk in links:
-                rows += [self._point_index(lk.id, "sender"), self._point_index(lk.id, "receiver")]
-            if self.primaries is not None:
-                for lk in self.primaries.links:
-                    rows += [self._point_index(lk.id, "sender"), self._point_index(lk.id, "receiver")]
+            kept = links + (self.primaries.links if self.primaries is not None else ())
+            rows = [self._point_index(lk.id, role)
+                    for lk in kept for role in ("sender", "receiver")]
             metric = DistanceMatrix(self.metric.values[np.ix_(rows, rows)])
         return Instance(links=links, alpha=self.alpha, beta=self.beta, noise=self.noise,
                         metric=metric, primaries=self.primaries)
@@ -408,9 +408,9 @@ def instance_from_dict(d: dict) -> Instance:
 
 
 def write_instance(instance: Instance, path) -> None:
+    text = json.dumps(instance_to_dict(instance), indent=2, allow_nan=False)
     with open(path, "w") as fh:
-        json.dump(instance_to_dict(instance), fh, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def read_instance(path) -> Instance:

@@ -247,13 +247,18 @@ GEN = ["gen", "--n", "5", "--side", "6", "--delta", "2"]
     (GEN + ["--alpha", "0"], "alpha must be positive, got 0.0"),
     (GEN + ["--beta", "0"], "beta must be positive, got 0.0"),
     (GEN + ["--noise", "-1"], "noise must be nonnegative, got -1.0"),
+    (GEN + ["--alpha", "inf"], "alpha must be finite, got inf"),
+    (GEN + ["--beta", "inf"], "beta must be finite, got inf"),
+    (GEN + ["--noise", "inf"], "noise must be finite, got inf"),
+    (GEN + ["--primaries", "1", "--primary-power", "inf"], "not JSON compliant"),
     (GEN + ["--primaries", "2", "--primary-power", "0"], "power must be positive, got 0.0"),
     (GEN + ["--primaries", "-1"], "primaries must be nonnegative, got -1"),
     (["compare", "--n", "5", "--deltas", "0.5", "--sides", "6"], "0.5"),
     (["oracle", "BIG"], "21 links"),
     (["suite", "--n", "21", "--count", "1"], "21 links"),
 ], ids=["side-0", "side-nan", "side-inf", "delta-0.5", "alpha-0", "beta-0", "noise-neg",
-        "primary-power-0", "primaries-neg", "compare-delta", "oracle-21", "suite-21"])
+        "alpha-inf", "beta-inf", "noise-inf", "primary-power-inf", "primary-power-0",
+        "primaries-neg", "compare-delta", "oracle-21", "suite-21"])
 def test_cli_reports_rejected_input_in_one_line(args, bad, tmp_path, capsys):
     big = tmp_path / "big.json"
     write_instance(generate_instance(GenConfig(n=21, R=9.0, delta=2.0, seed=4)), big)
@@ -266,6 +271,32 @@ def test_cli_reports_rejected_input_in_one_line(args, bad, tmp_path, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith(f"sinrcap {args[0]}: error: ") and err.count("\n") == 1
+    assert bad in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["solve", "--algo", "lp"], ["admit"], ["oracle"]],
+                         ids=["solve", "admit", "oracle"])
+@pytest.mark.parametrize("case,bad", [
+    ("missing", "No such file or directory"),
+    ("not-json", "parse error at line 1"),
+    ("negative-id", "link id must be nonnegative, got -1"),
+])
+def test_cli_reports_unreadable_instance_in_one_line(command, case, bad, tmp_path, capsys):
+    path = tmp_path / "inst.json"
+    if case == "not-json":
+        path.write_text("{")
+    elif case == "negative-id":
+        write_instance(generate_instance(GenConfig(n=3, R=6.0, delta=2.0, seed=4)), path)
+        d = json.loads(path.read_text())
+        d["links"][0]["id"] = -1
+        path.write_text(json.dumps(d))
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        cli_main([command[0], str(path), *command[1:], "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"sinrcap {command[0]}: error: ") and err.count("\n") == 1
     assert bad in err
     assert not out.exists()
 

@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
 from scipy.optimize import linprog
+from scipy.sparse import csc_array
 
-from sinrcap import (LinearProgram, LpSession, LpSolveError, RoundingPolicy,
-                     build_capacity_lp, check_solution, dump_lp, sample_round,
-                     solve_lp)
+from sinrcap import (LinearProgram, LpSession, LpSolveError, PowerAssignment,
+                     RoundingPolicy, build_admission_large_lp, build_admission_lp,
+                     build_capacity_lp, build_qos_lp, build_weighted_lp,
+                     check_solution, dump_lp, sample_round, solve_lp)
 from sinrcap import lp_core
+from sinrcap.lp_core import highs
 
-from conftest import random_ctx
+from conftest import feasible_prim_ctx, random_ctx
 
 
 def lp(obj, rows, bounds, names=()):
@@ -236,3 +239,73 @@ def test_empty_programs_through_a_session(rng):
     solve_lp(lp([1.0], np.zeros((0, 1)), []), session)
     assert solve_lp(program, session).objective == first.objective
     assert session.warm
+
+
+class _HighsLpSession(LpSession):
+    """The reference load path: the program built as a ``HighsLp`` from
+    ``csc_array``'s arrays and passed as one object."""
+
+    def _load(self, lp):
+        a = csc_array(lp.row_coeffs)
+        model = highs.HighsLp()
+        model.num_col_, model.num_row_ = lp.n, lp.m
+        model.col_cost_ = -lp.objective
+        model.col_lower_, model.col_upper_ = np.zeros(lp.n), np.ones(lp.n)
+        model.row_lower_, model.row_upper_ = np.full(lp.m, -np.inf), lp.row_bounds
+        matrix = model.a_matrix_
+        matrix.format_ = highs.MatrixFormat.kColwise
+        matrix.num_col_, matrix.num_row_ = lp.n, lp.m
+        matrix.start_, matrix.index_, matrix.value_ = a.indptr, a.indices, a.data
+        return self._highs.passModel(model)
+
+
+def _load_cases():
+    rng = np.random.default_rng(3)
+    rows = rng.uniform(0, 1, (6, 5)) * (rng.uniform(size=(6, 5)) < 0.6)
+    zero_row, zero_col = rows.copy(), rows.copy()
+    zero_row[2], zero_col[:, 3] = 0.0, 0.0
+    obj, bounds = rng.uniform(0.5, 2, 5), rng.uniform(0.5, 2, 6)
+    return {"sparse": lp(obj, rows, bounds),
+            "zero-row": lp(obj, zero_row, bounds),
+            "zero-column": lp(obj, zero_col, bounds),
+            "one-row": lp(obj, rows[:1], bounds[:1]),
+            "capacity": build_capacity_lp(random_ctx(4, n=12, R=4.0, delta=2.0), 1.0)}
+
+
+@pytest.mark.parametrize("name", list(_load_cases()))
+def test_cold_load_passes_the_program(name):
+    program = _load_cases()[name]
+    session = LpSession()
+    solve_lp(program, session)
+    model, a = session._highs.getLp(), csc_array(program.row_coeffs)
+    assert (model.num_col_, model.num_row_) == (program.n, program.m)
+    assert model.sense_ == highs.ObjSense.kMinimize and model.offset_ == 0.0
+    assert np.array_equal(model.col_cost_, -program.objective)
+    assert np.array_equal(model.col_lower_, np.zeros(program.n))
+    assert np.array_equal(model.col_upper_, np.ones(program.n))
+    assert np.array_equal(model.row_lower_, np.full(program.m, -np.inf))
+    assert np.array_equal(model.row_upper_, program.row_bounds)
+    assert all(v == highs.HighsVarType.kContinuous for v in model.integrality_)
+    matrix = model.a_matrix_
+    assert matrix.format_ == highs.MatrixFormat.kColwise
+    assert np.array_equal(matrix.start_, a.indptr)
+    assert np.array_equal(matrix.index_, a.indices)
+    assert np.array_equal(matrix.value_, a.data)
+
+
+def _builder_programs():
+    ctx = random_ctx(6, n=16, R=5.0, delta=3.0, power=PowerAssignment.mean())
+    prim = feasible_prim_ctx(8, n=16, R=6.0, delta=3.0, primaries=2)
+    return {"capacity": build_capacity_lp(ctx, 1.0), "qos": build_qos_lp(ctx, 1.0),
+            "weighted": build_weighted_lp(ctx, 1.0),
+            "admission": build_admission_lp(prim, 1.0),
+            "admission-large": build_admission_large_lp(prim, 1.0)[1]}
+
+
+@pytest.mark.parametrize("name", list(_builder_programs()))
+def test_cold_solution_matches_the_highs_lp_load(name):
+    program = _builder_programs()[name]
+    assert program.m > 0 and program.n > 0
+    sol, ref = solve_lp(program, LpSession()), solve_lp(program, _HighsLpSession())
+    assert np.array_equal(sol.values, ref.values)
+    assert sol.objective == ref.objective

@@ -123,6 +123,27 @@ def test_duplicate_ids_rejected():
         Instance(links=links, alpha=2.0)
 
 
+@pytest.mark.parametrize("field", ["alpha", "beta", "noise"])
+@pytest.mark.parametrize("value", [float("inf"), float("nan")])
+def test_nonfinite_parameters_rejected(field, value, tmp_path):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        Instance(links=line_links((0.0, 1.0)), **{"alpha": 2.5, field: value})
+    # a file holding the non-standard JSON constant is refused on reading too
+    path = tmp_path / "inst.json"
+    path.write_text('{"alpha": 2.5, "%s": %s, "links": [{"id": 0, "sx": 0, "sy": 0, '
+                    '"rx": 1, "ry": 0}]}' % (field, "Infinity" if value > 0 else "NaN"))
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        read_instance(path)
+
+
+def test_write_refuses_nonstandard_json(tmp_path):
+    prim = PrimarySet(links=(make_link(7, 10.0, 0.0, 11.0, 0.0),), powers=(float("inf"),))
+    path = tmp_path / "inst.json"
+    with pytest.raises(ValueError, match="JSON compliant"):
+        write_instance(Instance(links=line_links((0.0, 1.0)), alpha=2.5, primaries=prim), path)
+    assert not path.exists()
+
+
 def test_negative_id_rejected():
     with pytest.raises(ValueError, match="-3"):
         make_link(-3, 0, 0, 1, 0)
