@@ -61,32 +61,22 @@ def partition_by_primaries(ctx: AffectanceContext, R) -> list:
     every primary is at most 1.  A link that alone overloads some primary
     cannot be placed and is dropped with a warning."""
     ids = sorted(int(i) for i in R)
-    if not ids:
-        return []
-    if ctx.k == 0:
-        return [tuple(ids)]
-    idx = ctx.index_of(ids)
-    order = sorted(range(len(ids)),
-                   key=lambda p: (-float(np.minimum(ctx.raw_to_prim[idx[p]], 1.0).sum()),
-                                  ids[p]))
-    groups = []  # each entry: [member_ids, load_vector]
-    dropped = []
-    for p in order:
-        contrib = ctx.raw_to_prim[idx[p], :]
-        if np.any(contrib > 1.0):
-            dropped.append(ids[p])
-            continue
-        for entry in groups:
-            if np.all(entry[1] + contrib <= 1.0):
-                entry[0].append(ids[p])
-                entry[1] = entry[1] + contrib
-                break
-        else:
-            groups.append([[ids[p]], contrib.copy()])
-    if dropped:
+    rows = ctx.raw_to_prim[ctx.index_of(ids)]  # unclipped, one row per link
+    order = np.lexsort((ids, -np.minimum(rows, 1.0).sum(axis=1)))
+    alone_over = np.any(rows > 1.0, axis=1)
+    groups, loads = [], np.zeros((len(ids), ctx.k))  # a load row per group
+    for p in order[~alone_over[order]]:
+        # the row after the last group is empty, and a kept link fits there
+        g = int(np.all(loads[:len(groups) + 1] + rows[p] <= 1.0, axis=1).argmax())
+        if g == len(groups):
+            groups.append([])
+        groups[g].append(ids[p])
+        loads[g] += rows[p]
+    if alone_over.any():
+        dropped = [ids[p] for p in order[alone_over[order]]]
         logger.warning("dropped %d link(s) that alone overload a primary: %s",
                        len(dropped), dropped)
-    return [tuple(sorted(g)) for g, _ in groups]
+    return [tuple(sorted(g)) for g in groups]
 
 
 def sparsify(ctx: AffectanceContext, R, rng, retry_cap: int = RETRY_CAP) -> tuple:
@@ -144,7 +134,7 @@ def admit_general(ctx: AffectanceContext, policy: RoundingPolicy,
     best_ids, best_groups, best_aggregate = (), [], 0.0
     for feasible_set in round_trials(ctx, lp, policy, session):
         groups = partition_by_primaries(ctx, feasible_set)
-        cand = min(groups, key=lambda g: (-len(g), g), default=())
+        cand = best_part(ctx, groups, policy.mode)
         if _better(len(cand), cand, len(best_ids), best_ids):
             best_ids = cand
             best_groups = groups

@@ -12,7 +12,8 @@ import math
 import sys
 
 from .admission import admit_general, admit_large_opt, verify_admission
-from .affectance import AffectanceContext, check_feasibility, schedule_weight
+from .affectance import (AffectanceContext, InfeasiblePrimaries, check_feasibility,
+                         schedule_weight)
 from .formulations import (build_capacity_lp, build_qos_lp, build_weighted_lp)
 from .greedy import (greedy_combined, greedy_length_classes,
                      greedy_weight_classes)
@@ -20,7 +21,7 @@ from .harness import (DEFAULT_SWEEP, WEIGHT_DISTRIBUTIONS, GenConfig, best_over_
                       generate_instance, run_compare, run_oracle_suite, verify_output)
 from .model import parse_power, read_instance, write_instance
 from .oracle import TooLarge, exact_admission, exact_capacity
-from .rounding import RoundingPolicy, run_pipeline
+from .rounding import RoundingPolicy, _schedule_objective, run_pipeline
 
 ORACLE_GAMMA = 1.0  # affectance threshold of ``oracle --mode affectance``
 
@@ -34,7 +35,8 @@ def _add_shared(p, flags=("seed", "trials", "power", "sweep", "out"), default_po
     shared = {
         "seed": dict(type=int, default=0),
         "trials": dict(type=_positive_int, default=100),
-        "power": dict(default=default_power, help="uniform[:P0] | linear | mean | exp:tau"),
+        "power": dict(type=parse_power, default=default_power,
+                      help="uniform[:P0] | linear | mean | exp:tau"),
         "sweep": dict(type=_positive_floats, default=list(DEFAULT_SWEEP),
                       help="comma-separated constants (default 0.2..3.0 step 0.2)"),
         "out": dict(default=None),
@@ -158,7 +160,7 @@ def _cmd_gen(args) -> int:
 def _cmd_solve(args) -> int:
     with _rejected("solve", OSError, ValueError):
         inst = read_instance(args.instance)
-    ctx = AffectanceContext(inst, parse_power(args.power))
+    ctx = AffectanceContext(inst, args.power)
 
     def run(c, session):
         if args.algo == "lp":
@@ -167,9 +169,7 @@ def _cmd_solve(args) -> int:
             sched = run_pipeline(ctx, BUILDERS[args.formulation](ctx, c), policy, session)
         else:
             sched = GREEDIES[args.algo](ctx, c)
-        value = schedule_weight(ctx, sched) if args.formulation == "weighted" \
-            else float(sched.size)
-        return value, sched
+        return _schedule_objective(ctx, sched.ids, args.formulation), sched
 
     c, value, sched = best_over_sweep(args.sweep, run)
     best = {"constant": c, "value": value, "ids": list(sched.ids),
@@ -185,7 +185,8 @@ def _cmd_admit(args) -> int:
         inst = read_instance(args.instance)
     if inst.primaries is None:
         raise SystemExit("admit requires an instance with primaries")
-    ctx = AffectanceContext(inst, parse_power(args.power), primaries=inst.primaries)
+    with _rejected("admit", InfeasiblePrimaries):
+        ctx = AffectanceContext(inst, args.power, primaries=inst.primaries)
     mode, admit = {"general": ("admission_general", admit_general),
                    "large": ("admission_large", admit_large_opt)}[args.method]
 
@@ -206,20 +207,19 @@ def _cmd_admit(args) -> int:
 def _cmd_oracle(args) -> int:
     with _rejected("oracle", OSError, ValueError):
         inst = read_instance(args.instance)
-    power = parse_power(args.power)
-    with _rejected("oracle", TooLarge):
+    with _rejected("oracle", TooLarge, InfeasiblePrimaries):
         if args.admission:
             if inst.primaries is None:
                 raise SystemExit("admission oracle requires primaries")
-            ctx = AffectanceContext(inst, power, primaries=inst.primaries)
+            ctx = AffectanceContext(inst, args.power, primaries=inst.primaries)
             sched = exact_admission(ctx)
             ok = verify_admission(ctx, sched.ids)
         elif args.mode == "exact":
-            ctx = AffectanceContext(inst, power)
+            ctx = AffectanceContext(inst, args.power)
             sched = exact_capacity(ctx, args.objective, "exact_sinr")
             ok = verify_output(ctx, sched.ids)
         else:
-            ctx = AffectanceContext(inst, power)
+            ctx = AffectanceContext(inst, args.power)
             sched = exact_capacity(ctx, args.objective, "affectance", ORACLE_GAMMA)
             ok = check_feasibility(ctx, sched.ids, ORACLE_GAMMA, "feasible")
     payload = {"ids": list(sched.ids), "size": sched.size,
@@ -237,7 +237,7 @@ def _cmd_compare(args) -> int:
     if not args.out:
         raise SystemExit("compare requires --out")
     records = run_compare(configs, args.sweep, args.trials, args.out,
-                          power=parse_power(args.power), timing=args.timing)
+                          power=args.power, timing=args.timing)
     ratios = [r.ratio for r in records if r.algo == "ratio"]
     print(f"wrote {args.out}: {len(records)} rows, "
           f"LP/greedy ratios {['%.3f' % r for r in ratios]}")

@@ -5,7 +5,8 @@ affectance to and from the already-accepted set stays within the
 acceptance constant.  The class-based variants bucket links by weight or
 by length and run the base acceptance inside each bucket, returning the
 heaviest bucket solution.  All variants share the LP pipeline's final
-selection stage, so their outputs carry the same feasibility guarantee.
+selection stage, so their outputs carry the same feasibility guarantee,
+and its best-set rule, ``rounding.best_part``.
 """
 
 from __future__ import annotations
@@ -14,10 +15,9 @@ import math
 
 import numpy as np
 
-from .affectance import AffectanceContext, Schedule, certify, schedule_weight
-from .rounding import final_selection_batch
-
-DEFAULT_EXTRACTION_BOUND = 12.0
+from .affectance import AffectanceContext, Schedule, certify
+from .rounding import (RoundingPolicy, _better, _schedule_objective, best_part,
+                       final_selection_batch)
 
 
 def _greedy_accept(ctx: AffectanceContext, candidate_idx, c_g: float) -> list:
@@ -42,23 +42,25 @@ def _class_candidates(ctx: AffectanceContext, class_idx, c_g: float, order: str)
     return _greedy_accept(ctx, keys, c_g)
 
 
-def _final_selections(ctx: AffectanceContext, accepted: list) -> list:
-    """The LP pipeline's final selection of every accepted position list,
-    run as one batch."""
-    sel = np.zeros((len(accepted), ctx.n), dtype=bool)
-    for row, acc in zip(sel, accepted):
-        row[acc] = True
-    return final_selection_batch(ctx, ctx.ids, sel, DEFAULT_EXTRACTION_BOUND, 1.0,
-                                 "capacity")
+def _run(ctx: AffectanceContext, classes: dict, c_g: float, order: str,
+         objective: str) -> Schedule:
+    """Scan each class with the acceptance test in ``order``, pass every
+    class's accepted links through the LP pipeline's final selection in one
+    batch and certify the best selection under ``objective``."""
+    if not c_g > 0:
+        raise ValueError("c_g must be positive")
+    sel = np.zeros((len(classes), ctx.n), dtype=bool)
+    for row, t in zip(sel, sorted(classes)):
+        row[_class_candidates(ctx, classes[t], c_g, order)] = True
+    bound = RoundingPolicy("capacity").extraction_bound
+    selections = final_selection_batch(ctx, ctx.ids, sel, bound, 1.0, "capacity")
+    return certify(ctx, best_part(ctx, selections, objective))
 
 
 def greedy_base(ctx: AffectanceContext, c_g: float = 1.0) -> Schedule:
     """Shortest-first greedy with a symmetric acceptance test, followed by
     the same final selection as the LP pipeline."""
-    if not c_g > 0:
-        raise ValueError("c_g must be positive")
-    accepted = _class_candidates(ctx, range(ctx.n), c_g, "length")
-    return certify(ctx, _final_selections(ctx, [accepted])[0])
+    return _run(ctx, {0: range(ctx.n)}, c_g, "length", "capacity")
 
 
 def weight_class_partition(ctx: AffectanceContext) -> dict:
@@ -91,35 +93,19 @@ def length_class_partition(ctx: AffectanceContext) -> dict:
 def greedy_weight_classes(ctx: AffectanceContext, c_g: float = 1.0) -> Schedule:
     """Run the base greedy inside each weight bucket and return the heaviest
     bucket solution."""
-    if not c_g > 0:
-        raise ValueError("c_g must be positive")
-    classes = weight_class_partition(ctx)
-    return certify(ctx, _best_class_solution(ctx, classes, c_g, "length"))
+    return _run(ctx, weight_class_partition(ctx), c_g, "length", "weighted")
 
 
 def greedy_length_classes(ctx: AffectanceContext, c_g: float = 1.0) -> Schedule:
     """Run the acceptance test heaviest-first inside each length bucket and
     return the heaviest bucket solution."""
-    if not c_g > 0:
-        raise ValueError("c_g must be positive")
-    classes = length_class_partition(ctx)
-    return certify(ctx, _best_class_solution(ctx, classes, c_g, "weight"))
-
-
-def _best_class_solution(ctx, classes, c_g, order) -> tuple:
-    best_ids, best_w = (), -1.0
-    accepted = [_class_candidates(ctx, classes[t], c_g, order) for t in sorted(classes)]
-    for ids in _final_selections(ctx, accepted):
-        w = float(ctx.weights[ctx.index_of(ids)].sum()) if ids else 0.0
-        if w > best_w or (w == best_w and ids < best_ids):
-            best_ids, best_w = ids, w
-    return best_ids
+    return _run(ctx, length_class_partition(ctx), c_g, "weight", "weighted")
 
 
 def heavier(ctx: AffectanceContext, a: Schedule, b: Schedule) -> Schedule:
     """The heavier schedule; equal weights go to the smaller id tuple, then to a."""
-    w_a, w_b = schedule_weight(ctx, a), schedule_weight(ctx, b)
-    return a if w_a > w_b or (w_a == w_b and a.ids <= b.ids) else b
+    return b if _better(_schedule_objective(ctx, b.ids, "weighted"), b.ids,
+                        _schedule_objective(ctx, a.ids, "weighted"), a.ids) else a
 
 
 def greedy_combined(ctx: AffectanceContext, c_g: float = 1.0) -> Schedule:

@@ -147,7 +147,9 @@ def best_over_sweep(sweep: Sequence[float], run):
     sweep, all through one ``LpSession`` (a builder's programs differ only
     in their row bounds across C), and return (constant, value, result)
     with the largest value; ties, and gains of at most 1e-12, keep the
-    earlier constant."""
+    earlier constant.  This is deliberately not ``rounding.best_part``'s
+    rule: the sweep compares constants, not id tuples, and float noise
+    between constants must not pick a later one."""
     session = LpSession()
     best = None
     for c in sweep:

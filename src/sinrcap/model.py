@@ -57,7 +57,8 @@ class Link:
 
     @property
     def length(self) -> float:
-        """Euclidean sender-receiver distance (matrix instances override this)."""
+        """Euclidean sender-receiver distance; an instance with a distance
+        matrix takes lengths from the matrix (``Instance.length_of``)."""
         return self.sender.distance_to(self.receiver)
 
 
@@ -365,6 +366,8 @@ def instance_to_dict(instance: Instance) -> dict:
 
 
 def _parse_link(entry: dict, where: str) -> Link:
+    if not isinstance(entry, dict):
+        raise ValueError(f"{where}: expected an object, got {type(entry).__name__}")
     try:
         return Link(
             id=int(entry["id"]),
@@ -378,18 +381,28 @@ def _parse_link(entry: dict, where: str) -> Link:
         raise ValueError(f"{where}: missing field {exc}") from None
 
 
+def _list_field(d: dict, field: str) -> list:
+    if not isinstance(d[field], list):
+        raise ValueError(f"instance: field {field!r} must be a list, "
+                         f"got {type(d[field]).__name__}")
+    return d[field]
+
+
 def instance_from_dict(d: dict) -> Instance:
+    if not isinstance(d, dict):
+        raise ValueError(f"instance: expected an object, got {type(d).__name__}")
     for field in ("alpha", "links"):
         if field not in d:
             raise ValueError(f"instance: missing field {field!r}")
-    links = tuple(_parse_link(e, f"link #{i}") for i, e in enumerate(d["links"]))
+    links = tuple(_parse_link(e, f"link #{i}")
+                  for i, e in enumerate(_list_field(d, "links")))
     primaries = None
     if "primaries" in d and d["primaries"] is not None:
         plinks, powers = [], []
-        for i, e in enumerate(d["primaries"]):
+        for i, e in enumerate(_list_field(d, "primaries")):
+            plinks.append(_parse_link(e, f"primary #{i}"))
             if "power" not in e:
                 raise ValueError(f"primary #{i}: missing field 'power'")
-            plinks.append(_parse_link(e, f"primary #{i}"))
             powers.append(float(e["power"]))
         primaries = PrimarySet(links=tuple(plinks), powers=tuple(powers))
     metric = d.get("metric", "euclidean")

@@ -56,7 +56,9 @@ def _accepted_sets(n: int, accept):
 
 def _best(ctx: AffectanceContext, accept, weights=None) -> Schedule:
     """The accepted set of largest cardinality, or weight given ``weights``;
-    ties, across sizes too, take the lexicographically smallest id tuple."""
+    ties, across sizes too, take the lexicographically smallest id tuple.
+    This is ``rounding.best_part``'s rule, vectorized: each block is
+    reduced with one argmax instead of a Python loop over its sets."""
     best = (np.inf, ())  # (-value, ids) of the best set so far
     for sel in _accepted_sets(ctx.n, accept):
         values = sel[:1].sum(axis=1) if weights is None else sel.astype(float) @ weights

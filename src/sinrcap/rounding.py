@@ -22,6 +22,8 @@ are the one-trial case of the same code.
 ``round_trials`` is the one trial loop: it solves the LP and yields every
 trial's final selection.  ``run_pipeline`` and both admission pipelines
 reduce what it yields.
+``best_part`` is the one rule by which this module, ``greedy`` and
+``admission`` choose among candidate sets; ``_schedule_objective`` values a set.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from .lp_core import LinearProgram, LpSession, solve_lp
 logger = logging.getLogger(__name__)
 
 ROUNDING_MODES = ("capacity", "qos", "weighted", "admission_general", "admission_large")
+_EXTRACTION_FACTOR = 12.0  # extraction bound per unit of the LP constant C
 
 
 @dataclass(frozen=True)
@@ -58,7 +61,7 @@ class RoundingPolicy:
 
     @property
     def extraction_bound(self) -> float:
-        return 12.0 * self.C
+        return _EXTRACTION_FACTOR * self.C
 
 
 def bernoulli_draws(seed: int, trial: int, ids: Sequence[int]) -> np.ndarray:
@@ -209,7 +212,8 @@ def _strengthen_rows(ctx: AffectanceContext, idx: np.ndarray, sel: np.ndarray,
         yield parts
 
 
-def extract_low_affectance(ctx: AffectanceContext, S, bound: float = 12.0) -> tuple:
+def extract_low_affectance(ctx: AffectanceContext, S,
+                           bound: float = _EXTRACTION_FACTOR) -> tuple:
     """Members of S whose received affectance within S is at most bound."""
     ids, sel = _one_row(S)
     return _members(ids, _extract_rows(ctx, ctx.index_of(ids), sel, bound)[0])
@@ -231,13 +235,13 @@ def _schedule_objective(ctx: AffectanceContext, ids: tuple, mode: str) -> float:
 
 
 def _better(cand_val, cand_ids, best_val, best_ids) -> bool:
-    if cand_val != best_val:
-        return cand_val > best_val
-    return cand_ids < best_ids if best_ids is not None else True
+    """A larger objective, or an equal one with a smaller id tuple."""
+    return cand_val > best_val or (cand_val == best_val and cand_ids < best_ids)
 
 
 def best_part(ctx: AffectanceContext, parts, mode: str) -> tuple:
-    """Highest-objective part; ties resolved by smallest id tuple."""
+    """Highest-objective part under ``mode``, ties to the smallest id tuple;
+    () unless some part's objective is positive."""
     best_ids, best_val = (), 0.0
     for part in parts:
         val = _schedule_objective(ctx, part, mode)

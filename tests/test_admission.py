@@ -91,6 +91,47 @@ def test_partition_drops_overloading_link(caplog):
     assert any("overload" in r.message for r in caplog.records)
 
 
+def _reference_partition(ctx, R):
+    """partition_by_primaries as a plain first-fit loop over [members, load]
+    pairs, links sorted by clipped primary load, heaviest first."""
+    ids = sorted(int(i) for i in R)
+    if not ids:
+        return []
+    if ctx.k == 0:
+        return [tuple(ids)]
+    idx = ctx.index_of(ids)
+    order = sorted(range(len(ids)),
+                   key=lambda p: (-float(np.minimum(ctx.raw_to_prim[idx[p]], 1.0).sum()),
+                                  ids[p]))
+    groups = []
+    for p in order:
+        contrib = ctx.raw_to_prim[idx[p], :]
+        if np.any(contrib > 1.0):
+            continue
+        for entry in groups:
+            if np.all(entry[1] + contrib <= 1.0):
+                entry[0].append(ids[p])
+                entry[1] = entry[1] + contrib
+                break
+        else:
+            groups.append([[ids[p]], contrib.copy()])
+    return [tuple(sorted(g)) for g, _ in groups]
+
+
+def test_partition_matches_first_fit_reference():
+    rng = np.random.default_rng(7)
+    shapes = set()
+    for seed in range(20):
+        k = 1 + seed % 8
+        ctx = prim_ctx(100 + 10 * seed, n=int(rng.integers(8, 30)), R=4.0 + k, primaries=k)
+        ids = [int(i) for i in ctx.ids]
+        for R in (ids, [i for i in ids if rng.random() < 0.5]):
+            groups = partition_by_primaries(ctx, R)
+            assert groups == _reference_partition(ctx, R)
+            shapes.add((len(groups) > 1, sum(map(len, groups)) < len(R)))
+    assert shapes == {(False, False), (False, True), (True, False), (True, True)}
+
+
 def test_sparsify_empty_and_zero_affectance(rng):
     ctx = prim_ctx(1, n=8, R=50.0, primaries=2)
     assert sparsify(ctx, [], rng) == ()

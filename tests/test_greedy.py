@@ -1,12 +1,16 @@
+import numpy as np
 import pytest
 
-from sinrcap import (AffectanceContext, Instance, PowerAssignment,
-                     check_feasibility, exact_capacity, greedy_base,
-                     greedy_combined, greedy_length_classes,
-                     greedy_weight_classes, schedule_weight)
-from sinrcap.greedy import length_class_partition, weight_class_partition
+from sinrcap import (AffectanceContext, GenConfig, Instance, Link, PowerAssignment,
+                     RoundingPolicy, build_weighted_lp, certify, check_feasibility,
+                     exact_capacity, generate_instance, greedy_base, greedy_combined,
+                     greedy_length_classes, greedy_weight_classes, run_pipeline,
+                     schedule_weight)
+from sinrcap.greedy import (_class_candidates, length_class_partition,
+                            weight_class_partition)
+from sinrcap.rounding import final_selection_batch, round_trials
 
-from conftest import colocated_pair, far_instance, make_link, random_ctx
+from conftest import colocated_pair, far_instance, feasible_prim_ctx, make_link, random_ctx
 
 UNIFORM = PowerAssignment.uniform()
 
@@ -146,3 +150,79 @@ def test_outputs_one_feasible():
             sched = algo(ctx, 2.5)  # generous acceptance still ends feasible
             assert check_feasibility(ctx, sched.ids, 1.0, "feasible")
             assert sched.exact_sinr_ok
+
+
+def _reweighted(inst, weights):
+    return Instance(links=tuple(Link(lk.id, lk.sender, lk.receiver, weight=float(w))
+                                for lk, w in zip(inst.links, weights)),
+                    alpha=inst.alpha, beta=inst.beta, noise=inst.noise)
+
+
+def test_every_selection_keeps_the_heaviest_set_ties_to_smallest_ids():
+    greedies = (greedy_weight_classes, greedy_length_classes, greedy_combined)
+    # all weights 0: no set beats the empty one
+    zero = _reweighted(generate_instance(GenConfig(n=10, R=6.0, delta=2.0, seed=3)),
+                       [0.0] * 10)
+    ctx = AffectanceContext(zero, UNIFORM)
+    pipeline = run_pipeline(ctx, build_weighted_lp(ctx, 1.0),
+                            RoundingPolicy(mode="weighted", trials=20))
+    assert pipeline.ids == ()
+    assert exact_capacity(ctx, "weight").ids == ()
+    for algo in greedies:
+        assert algo(ctx, 1.0).ids == ()
+    # long link 0 blocks the unit links 1 and 2, which coexist: {0} and
+    # {1, 2} both weigh 4, lie in different weight and length classes, and
+    # the smaller id tuple wins although its class is scanned last
+    tie = Instance(links=(make_link(0, 1.1, 0.0, 100.9, 0.0, weight=4.0),
+                          make_link(1, 0.0, 0.0, 1.0, 0.0, weight=2.0),
+                          make_link(2, 100.0, 0.0, 101.0, 0.0, weight=2.0)), alpha=2.5)
+    ctx = AffectanceContext(tie, UNIFORM)
+    assert sorted(weight_class_partition(ctx).items()) == [(0, [1, 2]), (1, [0])]
+    assert sorted(length_class_partition(ctx))[0] == 0
+    assert length_class_partition(ctx)[0] == [1, 2]
+    assert certify(ctx, (1, 2)).exact_sinr_ok and not certify(ctx, (0, 1)).exact_sinr_ok
+    assert exact_capacity(ctx, "weight").ids == (0,)
+    for algo in greedies:
+        assert algo(ctx, 1.0).ids == (0,)
+    # equal weights: several rounded sets share the largest weight
+    flat = _reweighted(generate_instance(GenConfig(n=8, R=3.0, delta=2.0, seed=3)),
+                       [2.0] * 8)
+    ctx = AffectanceContext(flat, PowerAssignment.linear())
+    lp, policy = build_weighted_lp(ctx, 1.0), RoundingPolicy(mode="weighted", trials=20,
+                                                             seed=3)
+    rounded = set(round_trials(ctx, lp, policy))
+    heaviest = sorted(s for s in rounded if len(s) == max(map(len, rounded)))
+    assert len(heaviest) > 1
+    assert run_pipeline(ctx, lp, policy).ids == heaviest[0]
+
+
+def _reference_greedy(ctx, classes, c_g, order, weighted):
+    """The greedy runner as separate per-variant code: every class's final
+    selection in one batch, then the heaviest (or, unweighted, the single)
+    selection, ties to the smaller id tuple."""
+    sel = np.zeros((len(classes), ctx.n), dtype=bool)
+    for row, t in zip(sel, sorted(classes)):
+        row[_class_candidates(ctx, classes[t], c_g, order)] = True
+    selections = final_selection_batch(ctx, ctx.ids, sel, 12.0, 1.0, "capacity")
+    if not weighted:
+        return certify(ctx, selections[0])
+    best_ids, best_w = (), -1.0
+    for ids in selections:
+        w = float(ctx.weights[ctx.index_of(ids)].sum()) if ids else 0.0
+        if w > best_w or (w == best_w and ids < best_ids):
+            best_ids, best_w = ids, w
+    return certify(ctx, best_ids)
+
+
+def test_greedies_match_reference_on_random_contexts():
+    for seed in range(20):
+        k = 1 + seed % 8
+        ctx = feasible_prim_ctx(200 + 10 * seed, n=12 + seed, R=5.0 + 2 * k, delta=2.0,
+                                primaries=k, weight_dist=("ordinary", "reversed")[seed % 2])
+        assert ctx.k == k and np.all(ctx.weights > 0)
+        c_g = (0.5, 1.0, 2.0)[seed % 3]
+        cases = [(greedy_base, {0: range(ctx.n)}, "length", False),
+                 (greedy_weight_classes, weight_class_partition(ctx), "length", True),
+                 (greedy_length_classes, length_class_partition(ctx), "weight", True)]
+        for algo, classes, order, weighted in cases:
+            assert algo(ctx, c_g) == _reference_greedy(ctx, classes, c_g, order, weighted)

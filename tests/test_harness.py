@@ -195,8 +195,13 @@ def test_cli_rejects_constants_that_are_not_finite_and_positive(command, constan
     (["gen", "--n", "2.5", "--side", "6", "--delta", "2"], "--n"),
     (["solve", "INSTANCE", "--algo", "lp", "--trials", "0"], "--trials"),
     (["suite", "--count", "0"], "--count"),
+    (["solve", "INSTANCE", "--algo", "lp", "--power", "foo"], "--power"),
+    (["admit", "INSTANCE", "--power", "exp:2"], "--power"),
+    (["oracle", "INSTANCE", "--power", "uniform:x"], "--power"),
+    (["compare", "--power", "quadratic"], "--power"),
 ], ids=["sides-0", "sides-a", "deltas-inf", "compare-n", "gen-n-0", "gen-n-float",
-        "solve-trials-0", "suite-count-0"])
+        "solve-trials-0", "suite-count-0", "solve-power-foo", "admit-power-exp-2",
+        "oracle-power-uniform-x", "compare-power-quadratic"])
 def test_cli_rejects_bad_numeric_flags(args, flag, tmp_path, capsys):
     inst_path = tmp_path / "inst.json"
     write_instance(generate_instance(GenConfig(n=6, R=6.0, delta=2.0, seed=4)), inst_path)
@@ -281,11 +286,17 @@ def test_cli_reports_rejected_input_in_one_line(args, bad, tmp_path, capsys):
     ("missing", "No such file or directory"),
     ("not-json", "parse error at line 1"),
     ("negative-id", "link id must be nonnegative, got -1"),
+    ("not-object", "instance: expected an object, got int"),
+    ("link-not-object", "link #0: expected an object, got int"),
 ])
 def test_cli_reports_unreadable_instance_in_one_line(command, case, bad, tmp_path, capsys):
     path = tmp_path / "inst.json"
     if case == "not-json":
         path.write_text("{")
+    elif case == "not-object":
+        path.write_text("5")
+    elif case == "link-not-object":
+        path.write_text('{"alpha": 2.5, "links": [5]}')
     elif case == "negative-id":
         write_instance(generate_instance(GenConfig(n=3, R=6.0, delta=2.0, seed=4)), path)
         d = json.loads(path.read_text())
@@ -301,11 +312,31 @@ def test_cli_reports_unreadable_instance_in_one_line(command, case, bad, tmp_pat
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [["admit"], ["oracle", "--admission"]],
+                         ids=["admit", "oracle-admission"])
+def test_cli_reports_infeasible_primaries_in_one_line(command, tmp_path, capsys):
+    # each primary's sender sits 0.1 from the other primary's receiver
+    unit = {"sy": 0.0, "ry": 0.0, "power": 1.0}
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps({
+        "alpha": 2.5, "links": [{"id": 0, "sx": 50.0, "sy": 0.0, "rx": 51.0, "ry": 0.0}],
+        "primaries": [{"id": 1, "sx": 0.0, "rx": 1.0, **unit},
+                      {"id": 2, "sx": 1.1, "rx": -0.1, **unit}]}))
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        cli_main([command[0], str(path), *command[1:], "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"sinrcap {command[0]}: error: ") and err.count("\n") == 1
+    assert "cannot satisfy their own SINR" in err
+    assert not out.exists()
+
+
 def test_cli_solve_keeps_smaller_constant_over_float_noise(tmp_path, monkeypatch):
     inst_path = tmp_path / "inst.json"
     write_instance(generate_instance(GenConfig(n=10, R=6.0, delta=2.0, seed=3)), inst_path)
     values = iter([4.0, 4.0 + 5e-13])  # the two constants' weights, 5e-13 apart
-    monkeypatch.setattr(cli, "schedule_weight", lambda ctx, sched: next(values))
+    monkeypatch.setattr(cli, "_schedule_objective", lambda ctx, ids, mode: next(values))
     out = tmp_path / "sol.json"
     assert cli_main(["solve", str(inst_path), "--algo", "lp", "--formulation", "weighted",
                      "--power", "linear", "--trials", "5", "--sweep", "1.0,2.0",

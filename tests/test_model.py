@@ -202,6 +202,27 @@ def test_missing_field_error():
         instance_from_dict({"alpha": 2.0, "links": [{"id": 0, "sx": 0, "sy": 0}]})
 
 
+UNIT = {"id": 0, "sx": 0, "sy": 0, "rx": 1, "ry": 0}
+
+
+@pytest.mark.parametrize("d,where", [
+    (5, "instance: expected an object, got int"),
+    ([UNIT], "instance: expected an object, got list"),
+    ({"alpha": 2.5, "links": 5}, "instance: field 'links' must be a list, got int"),
+    ({"alpha": 2.5, "links": [5]}, "link #0: expected an object, got int"),
+    ({"alpha": 2.5, "links": [UNIT, "x"]}, "link #1: expected an object, got str"),
+    ({"alpha": 2.5, "links": [], "primaries": {}},
+     "instance: field 'primaries' must be a list, got dict"),
+    ({"alpha": 2.5, "links": [], "primaries": [[1]]},
+     "primary #0: expected an object, got list"),
+], ids=["top-int", "top-list", "links-int", "link-int", "link-str", "primaries-dict",
+        "primary-list"])
+def test_malformed_structure_names_its_location(d, where):
+    with pytest.raises(ValueError) as exc:
+        instance_from_dict(d)
+    assert str(exc.value) == where
+
+
 def test_parse_power_specs():
     assert parse_power("uniform").p0 == 1.0
     assert parse_power("uniform:3.5").p0 == 3.5
