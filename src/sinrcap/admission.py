@@ -124,13 +124,14 @@ def _result(ctx, admitted_ids, groups, notes) -> AdmissionResult:
 def admit_general(ctx: AffectanceContext, policy: RoundingPolicy,
                   session: Optional[LpSession] = None) -> AdmissionResult:
     """LP + rounding + extraction, then primary-safe grouping; returns the
-    largest group.  Works for any number of primaries.  The LP is solved
-    through ``session`` when given."""
+    largest group.  Works for any number of primaries.  The LP is built and
+    solved through ``session`` when given."""
     if policy.mode != "admission_general":
         raise ValueError("policy mode must be admission_general")
     if not ctx.has_primaries:
         raise ValueError("admit_general requires a context with primaries attached")
-    lp = build_admission_lp(ctx, policy.C)
+    session = LpSession() if session is None else session
+    lp = session.program(build_admission_lp, ctx, policy.C)
     best_ids, best_groups, best_aggregate = (), [], 0.0
     for feasible_set in round_trials(ctx, lp, policy, session):
         groups = partition_by_primaries(ctx, feasible_set)
@@ -156,13 +157,14 @@ def admit_large_opt(ctx: AffectanceContext, policy: RoundingPolicy,
     """Prefilter, LP, and rounding where one rounded set must respect every
     primary's unit budget simultaneously; no grouping step is needed.  Up
     to ``max(policy.trials, retry_cap)`` samples are drawn, and the first
-    ``policy.trials`` that meet the budgets are kept.  The LP is solved
-    through ``session`` when given."""
+    ``policy.trials`` that meet the budgets are kept.  The LP is built and
+    solved through ``session`` when given."""
     if policy.mode != "admission_large":
         raise ValueError("policy mode must be admission_large")
     if not ctx.has_primaries or ctx.k == 0:
         raise ValueError("admit_large_opt requires at least one primary")
-    kept_ids, lp = build_admission_large_lp(ctx, policy.C)
+    session = LpSession() if session is None else session
+    kept_ids, lp = session.program(build_admission_large_lp, ctx, policy.C)
     to_prim = ctx.raw_to_prim[ctx.index_of(kept_ids)]
     attempts = max(policy.trials, retry_cap)
     selections = list(round_trials(

@@ -11,10 +11,10 @@ import json
 import math
 import sys
 
+from . import formulations
 from .admission import admit_general, admit_large_opt, verify_admission
 from .affectance import (AffectanceContext, InfeasiblePrimaries, check_feasibility,
                          schedule_weight)
-from .formulations import (build_capacity_lp, build_qos_lp, build_weighted_lp)
 from .greedy import (greedy_combined, greedy_length_classes,
                      greedy_weight_classes)
 from .harness import (DEFAULT_SWEEP, WEIGHT_DISTRIBUTIONS, GenConfig, best_over_sweep,
@@ -25,7 +25,6 @@ from .rounding import RoundingPolicy, _schedule_objective, run_pipeline
 
 ORACLE_GAMMA = 1.0  # affectance threshold of ``oracle --mode affectance``
 
-BUILDERS = {"capacity": build_capacity_lp, "qos": build_qos_lp, "weighted": build_weighted_lp}
 GREEDIES = {"greedy": greedy_combined, "greedy_w": greedy_weight_classes,
             "greedy_l": greedy_length_classes}
 
@@ -166,7 +165,9 @@ def _cmd_solve(args) -> int:
         if args.algo == "lp":
             policy = RoundingPolicy(mode=args.formulation, C=c, trials=args.trials,
                                     seed=args.seed)
-            sched = run_pipeline(ctx, BUILDERS[args.formulation](ctx, c), policy, session)
+            # looked up on every call, so a builder patched into the module is used
+            build = getattr(formulations, f"build_{args.formulation}_lp")
+            sched = run_pipeline(ctx, session.program(build, ctx, c), policy, session)
         else:
             sched = GREEDIES[args.algo](ctx, c)
         return _schedule_objective(ctx, sched.ids, args.formulation), sched

@@ -14,9 +14,11 @@ have no limit, since that pipeline checks the unclipped primary loads
 itself.
 
 All programs share one row template.  A row block is (fill, names, var,
-bound, limit): ``fill`` writes the block's coefficients into the rows it
-is handed.  ``_link_rows`` is the per-link block of every builder, and
-``_program`` writes a builder's blocks, in order, into one row matrix.
+bound, limit, scaled): ``fill`` writes the block's coefficients, which
+never depend on C, into the rows it is handed; a scaled block's bound and
+limit are multiples of C.  ``_link_rows`` is the per-link block of every
+builder, and ``_program`` writes a builder's blocks, in order, into one
+row matrix.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import math
 import numpy as np
 
 from .affectance import AffectanceContext
-from .lp_core import LinearProgram
+from .lp_core import LinearProgram, block_bounds
 
 logger = logging.getLogger(__name__)
 
@@ -44,14 +46,12 @@ def _warn_unless(cond: bool, message: str):
         logger.warning(message)
 
 
-def _link_rows(ctx: AffectanceContext, direction: str, C: float, slack: float,
+def _link_rows(ctx: AffectanceContext, direction: str, slack: float,
                idx=None, keep=None) -> tuple:
     """One row per link of ``idx`` (every link when None), over the same
     links: the clipped affectance the link sends ("out": row u holds a_u(v)
     at v) or receives ("in": a_v(u)), times the 0/1 ``keep`` when given.
     Bound C, stage-two limit slack * C."""
-    if not C > 0:
-        raise ValueError("C must be positive")
     ids = ctx.ids if idx is None else ctx.ids[idx]
 
     def fill(out):
@@ -60,23 +60,26 @@ def _link_rows(ctx: AffectanceContext, direction: str, C: float, slack: float,
         if keep is not None:
             out *= keep
 
-    return fill, [f"{direction}_{int(u)}" for u in ids], np.arange(ids.size), C, slack * C
+    return fill, [f"{direction}_{int(u)}" for u in ids], np.arange(ids.size), 1.0, slack, True
 
 
-def _program(objective: np.ndarray, *blocks) -> LinearProgram:
-    """Maximize ``objective`` subject to the row blocks, each written in
-    order into one preallocated row matrix."""
+def _program(objective: np.ndarray, C: float, *blocks) -> LinearProgram:
+    """Maximize ``objective`` subject to the row blocks at constant C, each
+    written in order into one preallocated row matrix."""
     sizes = [len(b[1]) for b in blocks]
+    scaling = tuple((size, *b[3:]) for size, b in zip(sizes, blocks))
+    bounds, limits = block_bounds(scaling, C)
     rows = np.empty((sum(sizes), objective.size))
     for (fill, *_), start, size in zip(blocks, np.cumsum([0] + sizes), sizes):
         fill(rows[start:start + size])
     return LinearProgram(
         objective=objective,
         row_coeffs=rows,
-        row_bounds=np.repeat([float(b[3]) for b in blocks], sizes),
+        row_bounds=bounds,
         row_names=tuple(itertools.chain.from_iterable(b[1] for b in blocks)),
         row_var=np.concatenate([b[2] for b in blocks]),
-        row_limit=np.repeat([float(b[4]) for b in blocks], sizes),
+        row_limit=limits,
+        row_blocks=scaling,
     )
 
 
@@ -88,8 +91,8 @@ def build_capacity_lp(ctx: AffectanceContext, C: float = DEFAULT_C) -> LinearPro
     _warn_unless(pc["non_decreasing"] and pc["sub_linear"],
                  "capacity LP expects a non-decreasing sub-linear power assignment")
     keep = ctx.length_ge_mask().T  # keep[u, v]: l_v >= l_u, v != u
-    return _program(np.ones(ctx.n), _link_rows(ctx, "in", C, 3.0, keep=keep),
-                    _link_rows(ctx, "out", C, 3.0, keep=keep))
+    return _program(np.ones(ctx.n), C, _link_rows(ctx, "in", 3.0, keep=keep),
+                    _link_rows(ctx, "out", 3.0, keep=keep))
 
 
 def build_qos_lp(ctx: AffectanceContext, C: float = DEFAULT_C) -> LinearProgram:
@@ -98,7 +101,7 @@ def build_qos_lp(ctx: AffectanceContext, C: float = DEFAULT_C) -> LinearProgram:
     3C."""
     _warn_unless(ctx.nearly_uniform(),
                  "QoS LP guarantee assumes (nearly) uniform power")
-    return _program(np.ones(ctx.n), _link_rows(ctx, "out", C, 3.0))
+    return _program(np.ones(ctx.n), C, _link_rows(ctx, "out", 3.0))
 
 
 def build_admission_lp(ctx: AffectanceContext, C: float = DEFAULT_C) -> LinearProgram:
@@ -114,12 +117,12 @@ def build_admission_lp(ctx: AffectanceContext, C: float = DEFAULT_C) -> LinearPr
         raise ValueError("admission LP requires a context with primaries attached")
     _warn_unless(ctx.nearly_uniform(),
                  "admission guarantee assumes (nearly) uniform secondary power")
-    links = _link_rows(ctx, "out", C, 4.0)
+    links = _link_rows(ctx, "out", 4.0)
     if not (ctx.k and ctx.n):  # with no variables the aggregate row constrains nothing
-        return _program(np.ones(ctx.n), links)
+        return _program(np.ones(ctx.n), C, links)
     total = (lambda out: np.minimum(ctx.raw_to_prim, 1.0).sum(axis=1, out=out[0]),
-             ["primaries_total"], np.array([-1]), ctx.k, 5.0 * ctx.k)  # sums, not clipped
-    return _program(np.ones(ctx.n), total, links)
+             ["primaries_total"], np.array([-1]), ctx.k, 5.0 * ctx.k, False)  # sums, not clipped
+    return _program(np.ones(ctx.n), C, total, links)
 
 
 def admission_filter_threshold(k: int) -> float:
@@ -144,13 +147,13 @@ def build_admission_large_lp(ctx: AffectanceContext, C: float = DEFAULT_C):
                  "admission guarantee assumes (nearly) uniform secondary power")
     thr = admission_filter_threshold(ctx.k)
     idx = np.flatnonzero(np.all(ctx.aff_to_prim_plain <= thr, axis=1))
-    links = _link_rows(ctx, "out", C, 4.0, idx=idx)
+    links = _link_rows(ctx, "out", 4.0, idx=idx)
     if ctx.k == 1:
         logger.warning("single primary: filter threshold falls back to 1/10; "
                        "the general admission pipeline is the intended route")
     prims = (lambda out: np.minimum(ctx.raw_to_prim[idx].T, 1.0, out=out),
-             [f"prim_{int(w)}" for w in ctx.prim_ids], np.full(ctx.k, -1), 1.0 / 3.0, np.inf)
-    return tuple(int(i) for i in ctx.ids[idx]), _program(np.ones(idx.size), prims, links)
+             [f"prim_{int(w)}" for w in ctx.prim_ids], np.full(ctx.k, -1), 1 / 3, np.inf, False)
+    return tuple(int(i) for i in ctx.ids[idx]), _program(np.ones(idx.size), C, prims, links)
 
 
 def build_weighted_lp(ctx: AffectanceContext, C: float = DEFAULT_C) -> LinearProgram:
@@ -159,4 +162,4 @@ def build_weighted_lp(ctx: AffectanceContext, C: float = DEFAULT_C) -> LinearPro
     ratios = ctx.powers / ctx.lengths ** ctx.instance.alpha if ctx.n else np.zeros(0)
     _warn_unless(ctx.n <= 1 or bool(np.allclose(ratios, ratios[0])),
                  "weighted-capacity guarantee assumes linear power")
-    return _program(ctx.weights.copy(), _link_rows(ctx, "in", C, 4.0))
+    return _program(ctx.weights.copy(), C, _link_rows(ctx, "in", 4.0))

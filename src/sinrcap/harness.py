@@ -144,10 +144,10 @@ def verify_output(ctx: AffectanceContext, ids) -> bool:
 
 def best_over_sweep(sweep: Sequence[float], run):
     """Call ``run(c, session) -> (value, result)`` for each constant of the
-    sweep, all through one ``LpSession`` (a builder's programs differ only
-    in their row bounds across C), and return (constant, value, result)
-    with the largest value; ties, and gains of at most 1e-12, keep the
-    earlier constant.  This is deliberately not ``rounding.best_part``'s
+    sweep, all through one ``LpSession`` (it builds a builder's rows once,
+    as they do not depend on C), and return (constant, value, result) with
+    the largest value; ties, and gains of at most 1e-12, keep the earlier
+    constant.  This is deliberately not ``rounding.best_part``'s
     rule: the sweep compares constants, not id tuples, and float noise
     between constants must not pick a later one."""
     session = LpSession()
@@ -188,7 +188,7 @@ def run_compare(gen_configs: Sequence[GenConfig], sweep: Sequence[float],
         by_weight, by_length = {}, {}  # the class greedies' schedules by constant
         sweeps = {  # algo -> schedule(c, session), in row order
             "lp": lambda c, session: run_pipeline(
-                ctx, build_weighted_lp(ctx, c),
+                ctx, session.program(build_weighted_lp, ctx, c),
                 RoundingPolicy(mode="weighted", C=c, trials=trials, seed=cfg.seed), session),
             "greedy_w": lambda c, _: by_weight.setdefault(c, greedy_weight_classes(ctx, c)),
             "greedy_l": lambda c, _: by_length.setdefault(c, greedy_length_classes(ctx, c)),
@@ -241,8 +241,8 @@ def run_oracle_suite(gen_configs: Sequence[GenConfig], trials: int = 50,
             indicator[ctx.index_of(w2.ids)] = 1.0
         calibrated = max(float(np.max(lp_probe.row_coeffs @ indicator)), 1e-9) \
             if ctx.n else 1e-9
-        session = LpSession()  # the two programs differ only in their bounds
-        lp_star = solve_lp(build_capacity_lp(ctx, calibrated), session).objective
+        session = LpSession()  # the two programs share their rows
+        lp_star = solve_lp(lp_probe.at(calibrated), session).objective
         policy = RoundingPolicy(mode="capacity", C=1.0, trials=trials, seed=cfg.seed)
         alg = run_pipeline(ctx, lp_probe, policy, session)
         grd = greedy_base(ctx, 1.0)

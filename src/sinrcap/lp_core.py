@@ -6,10 +6,12 @@ so x = 0 is feasible and the optimum is finite.  Solving is delegated to
 the HiGHS solver bundled with scipy behind a thin checked interface,
 which passes the rows' nonzeros column-wise as plain arrays.
 
-An ``LpSession`` holds one HiGHS model across solves.  A constant sweep
-builds programs whose objective and rows are the same for every constant;
-only the row bounds differ.  When a program's objective and rows hash to
-those of the loaded model, the session pushes only the row bounds that
+An ``LpSession`` holds one HiGHS model across solves, and the programs of
+one constant sweep: ``program`` builds a (builder, context) pair's rows
+once and derives each later constant's program with ``LinearProgram.at``,
+which shares the read-only objective and rows and recomputes only the
+row bounds and limits.  When a program's objective and rows are the
+loaded arrays themselves, the session pushes only the row bounds that
 changed and runs the dual simplex again from the previous optimal basis
 (the warm start).  Any other program is loaded cold.  ``solve_lp`` runs
 one program through a given session, or through a fresh one.
@@ -22,7 +24,7 @@ keeps every stage-one pick.
 
 from __future__ import annotations
 
-import hashlib
+import copy
 from dataclasses import dataclass
 from typing import Optional
 
@@ -46,6 +48,17 @@ class LpSolveError(Exception):
     """The LP solver failed; never silently approximated."""
 
 
+def block_bounds(blocks, C: float) -> tuple:
+    """Per-row bounds and limits at constant C of the row blocks ``blocks``,
+    each (rows, bound, limit, scaled): a scaled block's bound and limit are
+    multiples of C, another block's are fixed."""
+    if not C > 0:
+        raise ValueError("C must be positive")
+    sizes = [b[0] for b in blocks]
+    return tuple(np.repeat([float(b[i] * C if b[3] else b[i]) for b in blocks], sizes)
+                 for i in (1, 2))
+
+
 @dataclass(frozen=True, eq=False)
 class LinearProgram:
     objective: np.ndarray
@@ -54,6 +67,7 @@ class LinearProgram:
     row_names: tuple = ()
     row_var: Optional[np.ndarray] = None    # default: -1 for every row
     row_limit: Optional[np.ndarray] = None  # default: inf for every row
+    row_blocks: tuple = ()  # (rows, bound, limit, scaled) per block, for ``at``
 
     def __post_init__(self):
         obj = np.asarray(self.objective, dtype=float)
@@ -62,31 +76,49 @@ class LinearProgram:
             pass  # already (m, n); reshape would drop zero-variable rows
         else:
             a = a.reshape(-1, obj.size)
-        b = np.asarray(self.row_bounds, dtype=float)
         if not np.all(np.isfinite(obj)) or np.any(obj < 0):
             raise ValueError("objective coefficients must be finite and nonnegative")
         if not np.all(np.isfinite(a)) or np.any(a < 0):
             raise ValueError("row coefficients must be finite and nonnegative")
-        if not np.all(np.isfinite(b)) or np.any(b <= 0):
-            raise ValueError("row bounds must be finite and positive")
-        if b.shape != (a.shape[0],):
-            raise ValueError("row bounds length must match the number of rows")
         if self.row_names and len(self.row_names) != a.shape[0]:
             raise ValueError("row names length must match the number of rows")
-        var = np.full(b.size, -1) if self.row_var is None else np.asarray(self.row_var)
-        limit = np.full(b.size, np.inf) if self.row_limit is None \
-            else np.asarray(self.row_limit, dtype=float)
-        if var.shape != b.shape or limit.shape != b.shape:
-            raise ValueError("rounding data length must match the number of rows")
+        var = np.full(a.shape[0], -1) if self.row_var is None else np.asarray(self.row_var)
         if var.dtype.kind not in "iu" or np.any(var < -1) or np.any(var >= obj.size):
             raise ValueError("row variables must be integers in [-1, n)")
+        self._freeze(objective=obj, row_coeffs=a, row_var=var)
+        self._set_bounds(self.row_bounds, self.row_limit)
+
+    def _set_bounds(self, bounds, limit):
+        """Check and set the row bounds and limits: the only arrays that
+        ``at`` changes."""
+        b = np.asarray(bounds, dtype=float)
+        limit = np.full(b.size, np.inf) if limit is None else np.asarray(limit, dtype=float)
+        if not np.all(np.isfinite(b)) or np.any(b <= 0):
+            raise ValueError("row bounds must be finite and positive")
+        if b.shape != (self.m,):
+            raise ValueError("row bounds length must match the number of rows")
+        if self.row_var.shape != b.shape or limit.shape != b.shape:
+            raise ValueError("rounding data length must match the number of rows")
         if not np.all(limit > 0):  # also rejects NaN
             raise ValueError("row limits must be positive")
-        object.__setattr__(self, "objective", obj)
-        object.__setattr__(self, "row_coeffs", a)
-        object.__setattr__(self, "row_bounds", b)
-        object.__setattr__(self, "row_var", var)
-        object.__setattr__(self, "row_limit", limit)
+        self._freeze(row_bounds=b, row_limit=limit)
+
+    def _freeze(self, **arrays):
+        """Set the arrays read-only, each copied first when it is a view,
+        whose base its caller could still write."""
+        for name, a in arrays.items():
+            a = a.copy() if a.base is not None else a
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
+
+    def at(self, C: float) -> "LinearProgram":
+        """This program at constant C: the same arrays, but the bounds and
+        limits of its row blocks at C."""
+        if not self.row_blocks:
+            raise ValueError("program has no row blocks to set at a constant")
+        lp = copy.copy(self)
+        lp._set_bounds(*block_bounds(self.row_blocks, C))
+        return lp
 
     @property
     def n(self) -> int:
@@ -103,19 +135,9 @@ class FractionalSolution:
     objective: float
 
 
-def _rows_digest(lp: LinearProgram) -> bytes:
-    """Digest of the shape, objective and row coefficients: the parts a
-    warm start needs unchanged."""
-    h = hashlib.blake2b(digest_size=32)
-    h.update(np.asarray(lp.row_coeffs.shape, dtype=np.int64).tobytes())
-    h.update(np.ascontiguousarray(lp.objective).data)
-    h.update(np.ascontiguousarray(lp.row_coeffs).data)
-    return h.digest()
-
-
 class LpSession:
     """One HiGHS model reused across solves of programs that differ only in
-    their row bounds.
+    their row bounds, and the programs of one sweep.
 
     ``iterations`` and ``warm`` describe the last solve: its simplex
     iterations and whether it re-solved the loaded model from its basis.
@@ -126,10 +148,21 @@ class LpSession:
         for option, value in HIGHS_OPTIONS.items():
             if self._highs.setOptionValue(option, value) != highs.HighsStatus.kOk:
                 raise LpSolveError(f"HiGHS rejected option {option}={value!r}")
-        self._digest = None   # of the loaded objective and rows; None: reload
-        self._bounds = None   # the loaded row bounds
+        self._loaded = None   # the loaded program; None: reload
+        self._programs = {}   # (builder, context) -> what the builder returned
         self.iterations = 0
         self.warm = False
+
+    def program(self, build, ctx, C: float):
+        """``build(ctx, C)``: built on the session's first request for (build,
+        ctx), derived with ``LinearProgram.at`` on later ones.  A builder's
+        (ids, program) comes back as (ids, program at C)."""
+        built = self._programs.get((build, ctx))
+        if built is None:
+            return self._programs.setdefault((build, ctx), build(ctx, C))
+        if isinstance(built, tuple):
+            return built[0], built[1].at(C)
+        return built.at(C)
 
     def solve(self, lp: LinearProgram) -> FractionalSolution:
         """Solve to optimality; constraint and optimality tolerance 1e-7."""
@@ -140,11 +173,11 @@ class LpSession:
             # box bounds only; nonnegative objective is maximized at 1
             values = np.ones(lp.n)
             return FractionalSolution(values=values, objective=float(lp.objective.sum()))
-        digest = _rows_digest(lp)
-        self.warm = digest == self._digest
-        self._digest = None  # a failed run must not leave a basis to reuse
+        loaded, self._loaded = self._loaded, None  # a failed run leaves no basis to reuse
+        self.warm = loaded is not None and lp.objective is loaded.objective \
+            and lp.row_coeffs is loaded.row_coeffs
         if self.warm:
-            for i in np.flatnonzero(lp.row_bounds != self._bounds):
+            for i in np.flatnonzero(lp.row_bounds != loaded.row_bounds):
                 self._highs.changeRowBounds(int(i), -np.inf, float(lp.row_bounds[i]))
         elif self._load(lp) == highs.HighsStatus.kError:
             raise LpSolveError("HiGHS rejected the program")
@@ -153,7 +186,7 @@ class LpSession:
         if run_status == highs.HighsStatus.kError or status != highs.HighsModelStatus.kOptimal:
             raise LpSolveError(
                 f"LP solve failed: {self._highs.modelStatusToString(status)}")
-        self._digest, self._bounds = digest, lp.row_bounds.copy()
+        self._loaded = lp
         self.iterations = int(self._highs.getInfo().simplex_iteration_count)
         values = np.array(self._highs.getSolution().col_value, dtype=float)
         if np.any(values < -SOLVE_TOL) or np.any(values > 1.0 + SOLVE_TOL):

@@ -152,8 +152,15 @@ class Instance:
                 )
         elif self.metric != "euclidean":
             raise ValueError(f"unknown metric {self.metric!r}")
-        object.__setattr__(self, "_by_id", self._build_index())
-        for lk in self._all_links():
+        every = self._all_links()
+        # id -> (position in links-then-primaries order, link); the same
+        # positions index the sender and receiver coordinates
+        object.__setattr__(self, "_by_id", {lk.id: (p, lk) for p, lk in enumerate(every)})
+        object.__setattr__(self, "_senders", np.array(
+            [(lk.sender.x, lk.sender.y) for lk in every], dtype=float).reshape(-1, 2))
+        object.__setattr__(self, "_receivers", np.array(
+            [(lk.receiver.x, lk.receiver.y) for lk in every], dtype=float).reshape(-1, 2))
+        for lk in every:
             if not self.length_of(lk.id) > 0:
                 raise ValueError(f"link {lk.id}: length must be positive")
 
@@ -163,29 +170,24 @@ class Instance:
             out += list(self.primaries.links)
         return out
 
-    def _build_index(self):
-        by_id = {}
-        for i, lk in enumerate(self.links):
-            by_id[lk.id] = ("link", i, lk)
-        if self.primaries is not None:
-            for j, lk in enumerate(self.primaries.links):
-                by_id[lk.id] = ("primary", j, lk)
-        return by_id
-
     @property
     def n(self) -> int:
         return len(self.links)
 
     def link(self, link_id: int) -> Link:
         try:
-            return self._by_id[link_id][2]
+            return self._by_id[link_id][1]
         except KeyError:
             raise KeyError(f"unknown link id {link_id}") from None
 
+    def _positions(self, link_ids) -> np.ndarray:
+        try:
+            return np.array([self._by_id[i][0] for i in link_ids], dtype=np.intp)
+        except KeyError as exc:
+            raise KeyError(f"unknown link id {exc.args[0]}") from None
+
     def _point_index(self, link_id: int, role: str) -> int:
-        kind, pos, _ = self._by_id[link_id]
-        base = 2 * pos if kind == "link" else 2 * self.n + 2 * pos
-        return base + (0 if role == "sender" else 1)
+        return 2 * self._by_id[link_id][0] + (0 if role == "sender" else 1)
 
     def distance(self, from_id: int, to_id: int) -> float:
         """Distance from ``from_id``'s sender to ``to_id``'s receiver."""
@@ -202,15 +204,11 @@ class Instance:
 
     def sr_matrix(self, from_ids: Sequence[int], to_ids: Sequence[int]) -> np.ndarray:
         """Matrix of sender(from) -> receiver(to) distances."""
+        rows, cols = self._positions(from_ids), self._positions(to_ids)
         if isinstance(self.metric, DistanceMatrix):
-            rows = [self._point_index(i, "sender") for i in from_ids]
-            cols = [self._point_index(j, "receiver") for j in to_ids]
-            return self.metric.values[np.ix_(rows, cols)].copy()
-        sx = np.array([self.link(i).sender.x for i in from_ids])
-        sy = np.array([self.link(i).sender.y for i in from_ids])
-        rx = np.array([self.link(j).receiver.x for j in to_ids])
-        ry = np.array([self.link(j).receiver.y for j in to_ids])
-        return np.hypot(sx[:, None] - rx[None, :], sy[:, None] - ry[None, :])
+            return self.metric.values[np.ix_(2 * rows, 2 * cols + 1)].copy()
+        s, r = self._senders[rows], self._receivers[cols]
+        return np.hypot(s[:, 0, None] - r[None, :, 0], s[:, 1, None] - r[None, :, 1])
 
     def restrict(self, keep_ids) -> "Instance":
         """Sub-instance with only the given (non-primary) links; primaries kept."""
@@ -365,20 +363,37 @@ def instance_to_dict(instance: Instance) -> dict:
     return d
 
 
+_REQUIRED = object()
+
+
+def _number(d: dict, field: str, where: str, default=_REQUIRED, cast=float):
+    """``cast(d[field])``, or ``default`` when the field is absent; a missing
+    required field or a value of the wrong JSON type is a ValueError that
+    names the field."""
+    if field not in d:
+        if default is _REQUIRED:
+            raise ValueError(f"{where}: missing field {field!r}")
+        return default
+    try:
+        return cast(d[field])
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{where}: field {field!r} must be a finite number, "
+                         f"got {type(d[field]).__name__}") from None
+
+
 def _parse_link(entry: dict, where: str) -> Link:
     if not isinstance(entry, dict):
         raise ValueError(f"{where}: expected an object, got {type(entry).__name__}")
-    try:
-        return Link(
-            id=int(entry["id"]),
-            sender=Point(float(entry["sx"]), float(entry["sy"])),
-            receiver=Point(float(entry["rx"]), float(entry["ry"])),
-            weight=float(entry.get("weight", 1.0)),
-            beta_override=float(entry["beta"]) if "beta" in entry else None,
-            noise_override=float(entry["noise"]) if "noise" in entry else None,
-        )
-    except KeyError as exc:
-        raise ValueError(f"{where}: missing field {exc}") from None
+    link_id = _number(entry, "id", where, cast=int)
+    sx, sy, rx, ry = (_number(entry, f, where) for f in ("sx", "sy", "rx", "ry"))
+    return Link(
+        id=link_id,
+        sender=Point(sx, sy),
+        receiver=Point(rx, ry),
+        weight=_number(entry, "weight", where, 1.0),
+        beta_override=_number(entry, "beta", where, None),
+        noise_override=_number(entry, "noise", where, None),
+    )
 
 
 def _list_field(d: dict, field: str) -> list:
@@ -401,20 +416,21 @@ def instance_from_dict(d: dict) -> Instance:
         plinks, powers = [], []
         for i, e in enumerate(_list_field(d, "primaries")):
             plinks.append(_parse_link(e, f"primary #{i}"))
-            if "power" not in e:
-                raise ValueError(f"primary #{i}: missing field 'power'")
-            powers.append(float(e["power"]))
+            powers.append(_number(e, "power", f"primary #{i}"))
         primaries = PrimarySet(links=tuple(plinks), powers=tuple(powers))
     metric = d.get("metric", "euclidean")
     if isinstance(metric, dict):
         if "matrix" not in metric:
             raise ValueError("metric object must contain a 'matrix' field")
-        metric = DistanceMatrix(metric["matrix"])
+        try:
+            metric = DistanceMatrix(metric["matrix"])
+        except TypeError:
+            raise ValueError("metric: 'matrix' must be a list of lists of numbers") from None
     return Instance(
         links=links,
-        alpha=float(d["alpha"]),
-        beta=float(d.get("beta", 1.0)),
-        noise=float(d.get("noise", 0.0)),
+        alpha=_number(d, "alpha", "instance"),
+        beta=_number(d, "beta", "instance", 1.0),
+        noise=_number(d, "noise", "instance", 0.0),
         metric=metric,
         primaries=primaries,
     )

@@ -230,3 +230,27 @@ def test_builder_rows_match_definitions():
         assert np.array_equal(lp.row_var, var), build.__name__
         assert np.array_equal(lp.row_limit, limit), build.__name__
         assert np.array_equal(lp.objective, objective), build.__name__
+
+
+def test_program_at_another_constant_matches_a_fresh_build():
+    ctx = feasible_prim_ctx(10, n=14, R=6.0, delta=2.0, primaries=3)
+    for build in _expected_rows(ctx, 1.0):
+        def program(C):
+            lp = build(ctx, C)
+            return lp[1] if build is build_admission_large_lp else lp
+        built = program(0.7)
+        for C in (0.2, 1.3, 3.0):
+            derived, fresh = built.at(C), program(C)
+            # the derived program shares the built one's arrays
+            assert derived.row_coeffs is built.row_coeffs, build.__name__
+            assert derived.objective is built.objective, build.__name__
+            assert derived.row_var is built.row_var, build.__name__
+            # and equals a fresh build bit for bit, fixed rows included
+            for field in ("row_coeffs", "objective", "row_bounds", "row_var", "row_limit"):
+                a, b = getattr(derived, field), getattr(fresh, field)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (build.__name__, field)
+            assert derived.row_names == fresh.row_names, build.__name__
+            assert derived.row_blocks == fresh.row_blocks, build.__name__
+        for bad in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError, match="C must be positive"):
+                built.at(bad)

@@ -309,3 +309,56 @@ def test_cold_solution_matches_the_highs_lp_load(name):
     sol, ref = solve_lp(program, LpSession()), solve_lp(program, _HighsLpSession())
     assert np.array_equal(sol.values, ref.values)
     assert sol.objective == ref.objective
+
+
+def test_program_rows_and_objective_are_read_only():
+    program = build_capacity_lp(random_ctx(2, n=10, R=2.0, delta=2.0), 0.4)
+    for a in (program.row_coeffs, program.objective):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.5
+    # an array the program owns is frozen in place; a view is copied first
+    rows = np.ones((2, 3))
+    view = np.ones((4, 3))[::2]
+    assert lp(np.ones(3), rows, [1.0, 1.0]).row_coeffs is rows and not rows.flags.writeable
+    copied = lp(np.ones(3), view, [1.0, 1.0]).row_coeffs
+    assert copied is not view and view.flags.writeable and not copied.flags.writeable
+
+
+def test_program_over_a_mutated_view_is_never_solved_warm(rng):
+    base = rng.uniform(0, 1, (12, 10))
+    obj, bounds, view = rng.uniform(0.5, 2, 10), np.ones(6), base[::2]
+    session = LpSession()
+    solve_lp(lp(obj, view, bounds), session)
+    base *= 2.0  # the caller rewrites the rows behind the view
+    stale = lp(obj, view, bounds)
+    sol = solve_lp(stale, session)
+    assert not session.warm
+    fresh = solve_lp(lp(obj, view.copy(), bounds))
+    assert sol.objective == fresh.objective and np.array_equal(sol.values, fresh.values)
+
+
+def test_session_builds_each_program_once():
+    ctx = random_ctx(4, n=12, R=4.0, delta=2.0)
+    prim = feasible_prim_ctx(8, n=16, R=6.0, delta=3.0, primaries=2)
+    calls = []
+
+    def counted(build):
+        return lambda c, C: calls.append(build) or build(c, C)
+
+    capacity, large = counted(build_capacity_lp), counted(build_admission_large_lp)
+    session = LpSession()
+    first = session.program(capacity, ctx, 0.6)
+    kept, first_large = session.program(large, prim, 0.6)
+    for C in (1.2, 1.8):
+        program = session.program(capacity, ctx, C)
+        assert program.row_coeffs is first.row_coeffs
+        assert np.array_equal(program.row_bounds, build_capacity_lp(ctx, C).row_bounds)
+        assert session.program(large, prim, C)[0] == kept
+        solve_lp(program, session)
+        assert session.warm == (C > 1.2)
+    assert calls == [build_capacity_lp, build_admission_large_lp]
+    assert session.program(capacity, random_ctx(4, n=12, R=4.0, delta=2.0), 0.6) \
+        .row_coeffs is not first.row_coeffs  # another context: another build
+    with pytest.raises(ValueError, match="row blocks"):
+        lp([1.0], [[0.5]], [1.0]).at(2.0)

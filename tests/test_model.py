@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from sinrcap import cli
 from sinrcap import (DistanceMatrix, Instance, PowerAssignment,
                      PrimarySet, length_ratio, read_instance, validate_power_class,
                      write_instance)
@@ -221,6 +224,57 @@ def test_malformed_structure_names_its_location(d, where):
     with pytest.raises(ValueError) as exc:
         instance_from_dict(d)
     assert str(exc.value) == where
+
+
+@pytest.mark.parametrize("d,where", [
+    ({"alpha": None, "links": [UNIT]},
+     "instance: field 'alpha' must be a finite number, got NoneType"),
+    ({"alpha": 2.5, "beta": "x", "links": [UNIT]},
+     "instance: field 'beta' must be a finite number, got str"),
+    ({"alpha": 2.5, "links": [dict(UNIT, sx=[1])]},
+     "link #0: field 'sx' must be a finite number, got list"),
+    ({"alpha": 2.5, "links": [dict(UNIT, id={})]},
+     "link #0: field 'id' must be a finite number, got dict"),
+    ({"alpha": 2.5, "links": [UNIT, dict(UNIT, id=1, noise=None)]},
+     "link #1: field 'noise' must be a finite number, got NoneType"),
+    ({"alpha": 2.5, "links": [], "primaries": [dict(UNIT, power=[2])]},
+     "primary #0: field 'power' must be a finite number, got list"),
+    ({"alpha": 2.5, "links": [UNIT], "metric": {"matrix": {"a": 1}}},
+     "metric: 'matrix' must be a list of lists of numbers"),
+    ({"alpha": 2.5, "links": [dict(UNIT, id=float("inf"))]},
+     "link #0: field 'id' must be a finite number, got float"),
+], ids=["alpha-null", "beta-str", "sx-list", "id-dict", "noise-null", "power-list",
+        "matrix-dict", "id-inf"])
+def test_wrong_json_type_names_its_field(d, where):
+    with pytest.raises(ValueError) as exc:
+        instance_from_dict(d)
+    assert str(exc.value) == where
+
+
+def test_wrong_json_type_refused_by_the_cli(tmp_path, capsys):
+    path, out = tmp_path / "bad.json", tmp_path / "out.json"
+    path.write_text('{"alpha": 2.5, "links": [{"id": 0, "sx": [1], "sy": 0, "rx": 1, "ry": 0}]}')
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["solve", str(path), "--algo", "lp", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "link #0: field 'sx' must be a finite number" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sr_matrix_matches_per_link_geometry():
+    links = (make_link(0, 0.25, 0.5, 1.75, 0.5), make_link(3, 3.0, -0.125, 4.5, 1e-3),
+             make_link(1, -2.0, 7.0, -1.0, 6.5))
+    prim = PrimarySet(links=(make_link(7, 10.0, 0.1, 11.0, 0.3),), powers=(2.0,))
+    inst = Instance(links=links, alpha=2.5, primaries=prim)
+    from_ids, to_ids = [7, 1, 3, 0, 1], [3, 7, 0]
+    expected = np.array([[math.hypot(inst.link(i).sender.x - inst.link(j).receiver.x,
+                                     inst.link(i).sender.y - inst.link(j).receiver.y)
+                          for j in to_ids] for i in from_ids])
+    got = inst.sr_matrix(from_ids, to_ids)
+    assert np.array_equal(got, expected)  # bit for bit
+    assert inst.sr_matrix([], to_ids).shape == (0, 3)
+    with pytest.raises(KeyError, match="unknown link id 5"):
+        inst.sr_matrix([0, 5], to_ids)
 
 
 def test_parse_power_specs():

@@ -1,7 +1,8 @@
 """A constant sweep through one LpSession gives what cold solves give.
 
 Each sweep below re-solves one model after changing only its row bounds.
-The reference is a fresh session, so a cold load, for every constant.
+The reference is a fresh build and a fresh session, so a cold load, for
+every constant.
 ``sinrcap solve``/``admit`` and ``run_compare`` sweep through
 ``harness.best_over_sweep``, whose session class the tests replace.
 """
@@ -15,7 +16,7 @@ from sinrcap import (AffectanceContext, GenConfig, LpSession, PowerAssignment,
                      RoundingPolicy, build_capacity_lp, build_weighted_lp,
                      generate_instance, run_compare, run_oracle_suite, sample_round,
                      solve_lp)
-from sinrcap import cli, harness
+from sinrcap import cli, formulations, harness
 from sinrcap.model import write_instance
 
 SWEEP = (0.6, 1.2, 1.8, 2.4)
@@ -60,8 +61,8 @@ def test_session_sweep_matches_cold_solves(case):
     ctx = _ctx(case)
     session = LpSession()
     for i, c in enumerate(SWEEP):
-        lp = build(ctx, c)
-        warm, cold = solve_lp(lp, session), solve_lp(lp)
+        lp = session.program(build, ctx, c)
+        warm, cold = solve_lp(lp, session), solve_lp(build(ctx, c))
         assert session.warm == (i > 0)
         np.testing.assert_allclose(warm.values, cold.values, rtol=0, atol=1e-9)
         assert warm.objective == pytest.approx(cold.objective, rel=0, abs=1e-9)
@@ -126,3 +127,26 @@ def test_oracle_suite_rows_match_cold_solves(monkeypatch):
     report = run_oracle_suite(configs, trials=20)
     monkeypatch.setattr(harness, "LpSession", ColdSession)
     assert run_oracle_suite(configs, trials=20)["rows"] == report["rows"]
+
+
+def test_cli_solve_sweep_builds_its_program_once(tmp_path, monkeypatch):
+    formulation, build, _, power, cfg = CASES["capacity"]
+    inst_path = tmp_path / "inst.json"
+    write_instance(generate_instance(cfg), inst_path)
+    calls = []
+
+    def counted(ctx, C):
+        calls.append(C)
+        return build(ctx, C)
+
+    # the CLI looks the builder up in its module on every sweep
+    monkeypatch.setattr(formulations, "build_capacity_lp", counted)
+    RecordingSession.warm_flags = []
+    monkeypatch.setattr(harness, "LpSession", RecordingSession)
+    out = tmp_path / "out.json"
+    sweep = (0.6, 1.2, 1.8, 2.4, 3.0)
+    assert cli.main(["solve", str(inst_path), "--algo", "lp", "--formulation", formulation,
+                     "--power", power, "--trials", "5", "--sweep", ",".join(map(str, sweep)),
+                     "--out", str(out)]) == 0
+    assert calls == [sweep[0]]
+    assert RecordingSession.warm_flags == [False, True, True, True, True]
