@@ -139,20 +139,17 @@ class Instance:
             raise ValueError(f"beta must be positive, got {self.beta!r}")
         if not self.noise >= 0:
             raise ValueError(f"noise must be nonnegative, got {self.noise!r}")
-        ids = [lk.id for lk in self.links]
-        if self.primaries is not None:
-            ids += [lk.id for lk in self.primaries.links]
-        if len(set(ids)) != len(ids):
+        every = [*self.links, *(self.primaries.links if self.primaries is not None else ())]
+        if len({lk.id for lk in every}) != len(every):
             raise ValueError("link ids (including primaries) must be distinct")
         if isinstance(self.metric, DistanceMatrix):
-            expected = 2 * (len(self.links) + (len(self.primaries) if self.primaries else 0))
+            expected = 2 * len(every)
             if self.metric.size != expected:
                 raise ValueError(
                     f"distance matrix has {self.metric.size} points, expected {expected}"
                 )
         elif self.metric != "euclidean":
             raise ValueError(f"unknown metric {self.metric!r}")
-        every = self._all_links()
         # id -> (position in links-then-primaries order, link); the same
         # positions index the sender and receiver coordinates
         object.__setattr__(self, "_by_id", {lk.id: (p, lk) for p, lk in enumerate(every)})
@@ -163,12 +160,6 @@ class Instance:
         for lk in every:
             if not self.length_of(lk.id) > 0:
                 raise ValueError(f"link {lk.id}: length must be positive")
-
-    def _all_links(self):
-        out = list(self.links)
-        if self.primaries is not None:
-            out += list(self.primaries.links)
-        return out
 
     @property
     def n(self) -> int:
