@@ -7,12 +7,18 @@ LP and splits the result into groups that are individually safe for every
 primary; the large-optimum pipeline prefilters links that affect any
 primary too much, after which one rounded set is safe outright with high
 probability.
+
+The general pipeline groups every trial's set in lockstep, as the
+rounding engine does: one ranking of the links serves every set, and step
+i places each set's i-th link by first fit.  ``partition_by_primaries``
+is the one-set case of the same code.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -60,23 +66,52 @@ def partition_by_primaries(ctx: AffectanceContext, R) -> list:
     """First-fit grouping of R so each group's unclipped hat-affectance on
     every primary is at most 1.  A link that alone overloads some primary
     cannot be placed and is dropped with a warning."""
-    ids = sorted(int(i) for i in R)
-    rows = ctx.raw_to_prim[ctx.index_of(ids)]  # unclipped, one row per link
-    order = np.lexsort((ids, -np.minimum(rows, 1.0).sum(axis=1)))
-    alone_over = np.any(rows > 1.0, axis=1)
-    groups, loads = [], np.zeros((len(ids), ctx.k))  # a load row per group
-    for p in order[~alone_over[order]]:
-        # the row after the last group is empty, and a kept link fits there
-        g = int(np.all(loads[:len(groups) + 1] + rows[p] <= 1.0, axis=1).argmax())
-        if g == len(groups):
-            groups.append([])
-        groups[g].append(ids[p])
-        loads[g] += rows[p]
-    if alone_over.any():
-        dropped = [ids[p] for p in order[alone_over[order]]]
+    return _partition_rows(ctx, [R])[0]
+
+
+def _partition_rows(ctx: AffectanceContext, sets) -> list:
+    """``partition_by_primaries`` of every set in ``sets``, in order.
+
+    The sets run in lockstep.  Links are ranked once by (-clipped primary
+    load, id), a key of the link alone, so one ranking orders every set.
+    Step i places each set's i-th link into its first group whose loads
+    plus the link's stay at most 1 on every primary; the set's empty group
+    after its last one always fits.  Loads are summed in the order links
+    joined their group."""
+    members = [[int(i) for i in R] for R in sets]
+    ids = np.unique(np.fromiter(chain.from_iterable(members), dtype=int))
+    sel = np.zeros((len(members), ids.size), dtype=bool)
+    for row, m in zip(sel, members):
+        row[np.searchsorted(ids, m)] = True
+    contrib = ctx.raw_to_prim[ctx.index_of(ids)]  # unclipped, one row per link
+    rank = np.lexsort((ids, -np.minimum(contrib, 1.0).sum(axis=1)))
+    ids, contrib, sel = ids[rank], contrib[rank], sel[:, rank]
+    alone_over = np.any(contrib > 1.0, axis=1)
+    for row in sel[sel[:, alone_over].any(axis=1)]:
+        dropped = ids[row & alone_over].tolist()
         logger.warning("dropped %d link(s) that alone overload a primary: %s",
                        len(dropped), dropped)
-    return [tuple(sorted(g)) for g in groups]
+    sel[:, alone_over] = False
+    sizes = sel.sum(axis=1)
+    rows = np.argsort(-sizes, kind="stable")  # sets still placing form a prefix
+    steps = int(sizes.max(initial=0))
+    pos = np.zeros((rows.size, steps), dtype=int)  # each set's links, in rank order
+    pos[np.arange(steps) < sizes[rows, None]] = np.nonzero(sel[rows])[1]
+    group = np.zeros((rows.size, steps), dtype=int)
+    loads = np.zeros((rows.size, steps + 1, ctx.k))  # a load row per group
+    width = 1  # groups any live set has, plus its empty one
+    for i, a in enumerate(np.count_nonzero(sizes[rows, None] > np.arange(steps), axis=0)):
+        u = contrib[pos[:a, i]]
+        choice = np.all(loads[:a, :width] + u[:, None] <= 1.0, axis=2).argmax(axis=1)
+        loads[np.arange(a), choice] += u
+        group[:a, i] = choice
+        width = max(width, int(choice.max()) + 2)
+    out = [None] * rows.size
+    for r, t in enumerate(rows):
+        placed, g = ids[pos[r, :sizes[t]]], group[r, :sizes[t]]
+        out[t] = [tuple(int(i) for i in np.sort(placed[g == p]))
+                  for p in range(g.max(initial=-1) + 1)]
+    return out
 
 
 def sparsify(ctx: AffectanceContext, R, rng, retry_cap: int = RETRY_CAP) -> tuple:
@@ -132,9 +167,9 @@ def admit_general(ctx: AffectanceContext, policy: RoundingPolicy,
         raise ValueError("admit_general requires a context with primaries attached")
     session = LpSession() if session is None else session
     lp = session.program(build_admission_lp, ctx, policy.C)
+    feasible_sets = list(round_trials(ctx, lp, policy, session))
     best_ids, best_groups, best_aggregate = (), [], 0.0
-    for feasible_set in round_trials(ctx, lp, policy, session):
-        groups = partition_by_primaries(ctx, feasible_set)
+    for feasible_set, groups in zip(feasible_sets, _partition_rows(ctx, feasible_sets)):
         cand = best_part(ctx, groups, policy.mode)
         if _better(len(cand), cand, len(best_ids), best_ids):
             best_ids = cand

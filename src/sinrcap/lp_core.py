@@ -12,9 +12,13 @@ once and derives each later constant's program with ``LinearProgram.at``,
 which shares the read-only objective and rows and recomputes only the
 row bounds and limits.  When a program's objective and rows are the
 loaded arrays themselves, the session pushes only the row bounds that
-changed and runs the dual simplex again from the previous optimal basis
-(the warm start).  Any other program is loaded cold.  ``solve_lp`` runs
-one program through a given session, or through a fresh one.
+changed and re-solves with the dual simplex from the previous optimal
+basis (the warm start): after a bound change only that basis's dual
+feasibility survives.  Any other program is loaded cold and solved by
+the primal simplex.  x = 0 is a feasible basis of every program here, so
+the primal starts in its phase 2, while the dual would start from the
+all-at-upper-bound point.  ``solve_lp`` runs one program through a given
+session, or through a fresh one.
 
 A program may also carry the data of the second rounding stage: per row,
 the variable whose survival the row decides (-1: the whole sample) and
@@ -33,15 +37,20 @@ from scipy.optimize._highspy import _core as highs  # private; scipy >= 1.15
 
 SOLVE_TOL = 1e-7
 
-# Quiet dual simplex without presolve: on these dense nonnegative rows it
+# Quiet simplex without presolve: on these dense nonnegative rows it
 # reduces next to nothing, yet took about 45 % of a cold solve and 40 MiB
 # of the peak memory of ``sinrcap solve`` at n=1000.
 HIGHS_OPTIONS = {
     "output_flag": False,
     "log_to_console": False,
     "presolve": "off",
-    "simplex_strategy": int(highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual),
 }
+# Set on every solve: a cold load starts the primal simplex from the
+# feasible basis x = 0; a warm re-solve keeps the old basis, which is
+# still dual feasible after a bound change but may be primal infeasible.
+_STRATEGY = highs.simplex_constants.SimplexStrategy
+SIMPLEX_STRATEGY = {False: int(_STRATEGY.kSimplexStrategyPrimal),
+                    True: int(_STRATEGY.kSimplexStrategyDual)}
 
 
 class LpSolveError(Exception):
@@ -181,6 +190,9 @@ class LpSession:
                 self._highs.changeRowBounds(int(i), -np.inf, float(lp.row_bounds[i]))
         elif self._load(lp) == highs.HighsStatus.kError:
             raise LpSolveError("HiGHS rejected the program")
+        if self._highs.setOptionValue("simplex_strategy",
+                                      SIMPLEX_STRATEGY[self.warm]) != highs.HighsStatus.kOk:
+            raise LpSolveError("HiGHS rejected the simplex strategy")
         run_status = self._highs.run()
         status = self._highs.getModelStatus()
         if run_status == highs.HighsStatus.kError or status != highs.HighsModelStatus.kOptimal:

@@ -358,18 +358,25 @@ _REQUIRED = object()
 
 
 def _number(d: dict, field: str, where: str, default=_REQUIRED, cast=float):
-    """``cast(d[field])``, or ``default`` when the field is absent; a missing
-    required field or a value of the wrong JSON type is a ValueError that
-    names the field."""
+    """``cast(d[field])``, or ``default`` when the field is absent.  A missing
+    required field, a value that is not a JSON number (a string or a boolean
+    included) and, for ``cast=int``, a fractional number are ValueErrors
+    that name the field."""
     if field not in d:
         if default is _REQUIRED:
             raise ValueError(f"{where}: missing field {field!r}")
         return default
+    value = d[field]
     try:
-        return cast(d[field])
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise TypeError
+        number = cast(value)
     except (TypeError, ValueError, OverflowError):
         raise ValueError(f"{where}: field {field!r} must be a finite number, "
-                         f"got {type(d[field]).__name__}") from None
+                         f"got {type(value).__name__}") from None
+    if cast is int and number != value:
+        raise ValueError(f"{where}: field {field!r} must be an integer, got {value!r}")
+    return number
 
 
 def _parse_link(entry: dict, where: str) -> Link:

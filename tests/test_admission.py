@@ -132,6 +132,40 @@ def test_partition_matches_first_fit_reference():
     assert shapes == {(False, False), (False, True), (True, False), (True, True)}
 
 
+def _lockstep_batch(ctx, rng):
+    """Sets of very different lengths, empty ones among them."""
+    ids = [int(i) for i in ctx.ids]
+    return [[], ids, [i for i in ids if rng.random() < 0.3], ids[:1], [],
+            ids[len(ids) // 2:], [i for i in ids if rng.random() < 0.8], ids[-2:]]
+
+
+def test_lockstep_partition_matches_reference_row_by_row(caplog):
+    rng = np.random.default_rng(11)
+    none = PrimarySet(links=(), powers=())
+    affected_total = 0
+    for k in range(9):
+        if k == 0:
+            ctx = AffectanceContext(random_ctx(3, n=15).instance, UNIFORM, primaries=none)
+        else:
+            ctx = prim_ctx(200 + 10 * k, n=int(rng.integers(10, 30)), R=3.0 + k,
+                           primaries=k)
+        assert ctx.k == k
+        batch = _lockstep_batch(ctx, rng)
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="sinrcap.admission"):
+            groups = admission._partition_rows(ctx, batch)
+        assert groups == [_reference_partition(ctx, R) for R in batch]
+        assert groups == [partition_by_primaries(ctx, R) for R in batch]
+        # one warning per set holding a link that alone overloads a primary
+        over = set(ctx.ids[np.any(ctx.raw_to_prim > 1.0, axis=1)].tolist())
+        affected = [sorted(over & set(R)) for R in batch if over & set(R)]
+        warnings = [r for r in caplog.records if "overload" in r.getMessage()]
+        assert [sorted(r.args[1]) for r in warnings[:len(affected)]] == affected
+        assert len(warnings) == 2 * len(affected)  # the batch, then one set at a time
+        affected_total += len(affected)
+    assert affected_total > 0
+
+
 def test_sparsify_empty_and_zero_affectance(rng):
     ctx = prim_ctx(1, n=8, R=50.0, primaries=2)
     assert sparsify(ctx, [], rng) == ()

@@ -362,3 +362,60 @@ def test_session_builds_each_program_once():
         .row_coeffs is not first.row_coeffs  # another context: another build
     with pytest.raises(ValueError, match="row blocks"):
         lp([1.0], [[0.5]], [1.0]).at(2.0)
+
+
+def _strategy(session):
+    return session._highs.getOptionValue("simplex_strategy")[1]
+
+
+PRIMAL = int(highs.simplex_constants.SimplexStrategy.kSimplexStrategyPrimal)
+DUAL = int(highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual)
+
+
+def _seeded_programs(seed):
+    """(name, context, variable ids, program) of the five builders."""
+    ctx = random_ctx(seed, n=24, R=5.0, delta=3.0, power=PowerAssignment.mean(),
+                     weight_dist="weight_class")
+    prim = feasible_prim_ctx(seed, n=24, R=6.0, delta=3.0, primaries=2)
+    kept, large = build_admission_large_lp(prim, 1.0)
+    return [("capacity", ctx, ctx.ids, build_capacity_lp(ctx, 1.0)),
+            ("qos", ctx, ctx.ids, build_qos_lp(ctx, 1.0)),
+            ("weighted", ctx, ctx.ids, build_weighted_lp(ctx, 1.0)),
+            ("admission", prim, prim.ids, build_admission_lp(prim, 1.0)),
+            ("admission-large", prim, kept, large)]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_cold_primal_solve_matches_a_dual_simplex_reference(seed):
+    for name, ctx, ids, program in _seeded_programs(seed):
+        assert program.m > 0 and program.n > 0, name  # the program reaches HiGHS
+        session = LpSession()
+        sol = solve_lp(program, session)
+        assert not session.warm and _strategy(session) == PRIMAL, name
+        ref = linprog(-program.objective, A_ub=program.row_coeffs, b_ub=program.row_bounds,
+                      bounds=(0.0, 1.0), method="highs-ds")
+        assert ref.success, name
+        np.testing.assert_allclose(sol.values, ref.x, rtol=0, atol=1e-9, err_msg=name)
+        policy = RoundingPolicy(mode="capacity", C=1.0, trials=25, seed=seed)
+        for trial in range(25):
+            assert sample_round(ctx, program, sol.values, policy, trial, ids) == \
+                sample_round(ctx, program, ref.x, policy, trial, ids), (name, trial)
+
+
+def test_warm_resolve_after_a_primal_load_is_dual():
+    ctx = random_ctx(5, n=30, R=5.0, delta=3.0, power=PowerAssignment.mean())
+    session = LpSession()
+    solve_lp(session.program(build_capacity_lp, ctx, 1.0), session)
+    assert not session.warm and _strategy(session) == PRIMAL
+    for C in (1.6, 0.6):
+        program = session.program(build_capacity_lp, ctx, C)
+        warm = solve_lp(program, session)
+        assert session.warm and _strategy(session) == DUAL
+        cold_session = LpSession()
+        cold = solve_lp(program, cold_session)
+        assert not cold_session.warm and _strategy(cold_session) == PRIMAL
+        np.testing.assert_allclose(warm.values, cold.values, rtol=0, atol=1e-9)
+        assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
+    # a program with other rows loads cold again, and runs the primal
+    solve_lp(build_qos_lp(ctx, 1.0), session)
+    assert not session.warm and _strategy(session) == PRIMAL

@@ -243,21 +243,53 @@ def test_malformed_structure_names_its_location(d, where):
      "metric: 'matrix' must be a list of lists of numbers"),
     ({"alpha": 2.5, "links": [dict(UNIT, id=float("inf"))]},
      "link #0: field 'id' must be a finite number, got float"),
+    ({"alpha": "2.5", "links": [UNIT]},
+     "instance: field 'alpha' must be a finite number, got str"),
+    ({"alpha": 2.5, "links": [dict(UNIT, sx="0")]},
+     "link #0: field 'sx' must be a finite number, got str"),
+    ({"alpha": 2.5, "links": [dict(UNIT, sy=True)]},
+     "link #0: field 'sy' must be a finite number, got bool"),
+    ({"alpha": 2.5, "links": [dict(UNIT, id=False)]},
+     "link #0: field 'id' must be a finite number, got bool"),
+    ({"alpha": 2.5, "links": [dict(UNIT, id="1")]},
+     "link #0: field 'id' must be a finite number, got str"),
+    ({"alpha": 2.5, "links": [dict(UNIT, id=2.7)]},
+     "link #0: field 'id' must be an integer, got 2.7"),
+    ({"alpha": 2.5, "links": [dict(UNIT, id=float("nan"))]},
+     "link #0: field 'id' must be a finite number, got float"),
 ], ids=["alpha-null", "beta-str", "sx-list", "id-dict", "noise-null", "power-list",
-        "matrix-dict", "id-inf"])
+        "matrix-dict", "id-inf", "alpha-numeric-str", "sx-numeric-str", "sy-bool",
+        "id-bool", "id-str", "id-fractional", "id-nan"])
 def test_wrong_json_type_names_its_field(d, where):
     with pytest.raises(ValueError) as exc:
         instance_from_dict(d)
     assert str(exc.value) == where
 
 
-def test_wrong_json_type_refused_by_the_cli(tmp_path, capsys):
+def test_integral_float_id_accepted():
+    inst = instance_from_dict({"alpha": 2.5, "links": [dict(UNIT, id=3.0)]})
+    assert [link.id for link in inst.links] == [3]
+    assert type(inst.links[0].id) is int
+
+
+@pytest.mark.parametrize("text,message", [
+    ('{"alpha": 2.5, "links": [{"id": 0, "sx": [1], "sy": 0, "rx": 1, "ry": 0}]}',
+     "link #0: field 'sx' must be a finite number, got list"),
+    ('{"alpha": "2.5", "links": [{"id": 0, "sx": 0, "sy": 0, "rx": 1, "ry": 0}]}',
+     "instance: field 'alpha' must be a finite number, got str"),
+    ('{"alpha": 2.5, "links": [{"id": 2.7, "sx": 0, "sy": 0, "rx": 1, "ry": 0}]}',
+     "link #0: field 'id' must be an integer, got 2.7"),
+    ('{"alpha": 2.5, "links": [{"id": 0, "sx": 0, "sy": true, "rx": 1, "ry": 0}]}',
+     "link #0: field 'sy' must be a finite number, got bool"),
+], ids=["list", "str", "fractional-id", "bool"])
+def test_wrong_json_type_refused_by_the_cli(tmp_path, capsys, text, message):
     path, out = tmp_path / "bad.json", tmp_path / "out.json"
-    path.write_text('{"alpha": 2.5, "links": [{"id": 0, "sx": [1], "sy": 0, "rx": 1, "ry": 0}]}')
+    path.write_text(text)
     with pytest.raises(SystemExit) as exc:
         cli.main(["solve", str(path), "--algo", "lp", "--out", str(out)])
     assert exc.value.code == 2
-    assert "link #0: field 'sx' must be a finite number" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
     assert not out.exists()
 
 
