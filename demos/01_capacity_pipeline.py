@@ -16,12 +16,12 @@ ctx = AffectanceContext(inst, PowerAssignment.mean())
 print(f"instance: {ctx.n} links in a {cfg.R} x {cfg.R} square, "
       f"lengths {ctx.lengths.min():.2f}..{ctx.lengths.max():.2f}")
 
-lp = build_capacity_lp(ctx, C=1.0)
-frac = solve_lp(lp)
+frac = solve_lp(build_capacity_lp(ctx, C=1.0))
 print(f"fractional optimum LP* = {frac.objective:.3f}")
 
+# the policy's mode and C name the program: the pipeline builds this LP itself
 policy = RoundingPolicy(mode="capacity", C=1.0, trials=100, seed=1)
-sched = run_pipeline(ctx, lp, policy)
+sched = run_pipeline(ctx, policy)
 print(f"rounded schedule: {sched.ids} (size {sched.size}, "
       f"exact SINR ok: {sched.exact_sinr_ok})")
 print("  received affectance per member:",

@@ -5,8 +5,8 @@ and ambient noise, folded into its affectance factor c_v.
 import numpy as np
 
 from sinrcap import (AffectanceContext, GenConfig, Instance, Link,
-                     PowerAssignment, RoundingPolicy, build_qos_lp, c_factor,
-                     generate_instance, run_pipeline)
+                     PowerAssignment, RoundingPolicy, c_factor, generate_instance,
+                     run_pipeline)
 
 base = generate_instance(GenConfig(n=14, R=5.0, delta=2.0, seed=3))
 rng = np.random.default_rng(0)
@@ -26,7 +26,7 @@ for i in list(ctx.ids)[:5]:
     print(f"  link {i}: beta={inst.link(int(i)).beta_override}, "
           f"c factor {c_factor(ctx, int(i)):.3f}")
 
-lp = build_qos_lp(ctx, C=1.0)
-sched = run_pipeline(ctx, lp, RoundingPolicy(mode="qos", C=1.0, trials=100, seed=4))
+# mode "qos" rounds the QoS LP, built at C by the pipeline
+sched = run_pipeline(ctx, RoundingPolicy(mode="qos", C=1.0, trials=100, seed=4))
 print(f"selected {sched.size} links: {sched.ids}")
 print(f"exact SINR verification: {sched.exact_sinr_ok}")

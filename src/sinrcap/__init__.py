@@ -7,8 +7,7 @@ from .model import (DistanceMatrix, Instance, Link, Point, PowerAssignment,
 from .affectance import (AffectanceContext, IndividuallyInfeasible,
                          InfeasiblePrimaries, Schedule, affectance,
                          aggregate_affectance, c_factor, certify,
-                         check_feasibility, hat_noise, schedule_weight,
-                         separation_check)
+                         check_feasibility, hat_noise, separation_check)
 from .lp_core import (FractionalSolution, LinearProgram, LpSession, LpSolveError,
                       check_solution, dump_lp, solve_lp)
 from .formulations import (admission_filter_threshold, build_admission_large_lp,
@@ -16,7 +15,7 @@ from .formulations import (admission_filter_threshold, build_admission_large_lp,
                            build_weighted_lp)
 from .rounding import (RoundingPolicy, bernoulli_draws, extract_low_affectance,
                        final_selection, run_pipeline, sample_round,
-                       signal_strengthen)
+                       schedule_weight, signal_strengthen)
 from .greedy import (greedy_base, greedy_combined, greedy_length_classes,
                      greedy_weight_classes)
 from .oracle import TooLarge, exact_admission, exact_capacity, largest_bifeasible

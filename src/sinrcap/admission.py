@@ -77,7 +77,7 @@ def _partition_rows(ctx: AffectanceContext, sets) -> list:
     Step i places each set's i-th link into its first group whose loads
     plus the link's stay at most 1 on every primary; the set's empty group
     after its last one always fits.  Loads are summed in the order links
-    joined their group."""
+    joined their group.  One warning names the links dropped from any set."""
     members = [[int(i) for i in R] for R in sets]
     ids = np.unique(np.fromiter(chain.from_iterable(members), dtype=int))
     sel = np.zeros((len(members), ids.size), dtype=bool)
@@ -87,8 +87,8 @@ def _partition_rows(ctx: AffectanceContext, sets) -> list:
     rank = np.lexsort((ids, -np.minimum(contrib, 1.0).sum(axis=1)))
     ids, contrib, sel = ids[rank], contrib[rank], sel[:, rank]
     alone_over = np.any(contrib > 1.0, axis=1)
-    for row in sel[sel[:, alone_over].any(axis=1)]:
-        dropped = ids[row & alone_over].tolist()
+    dropped = np.sort(ids[alone_over & sel.any(axis=0)]).tolist()
+    if dropped:
         logger.warning("dropped %d link(s) that alone overload a primary: %s",
                        len(dropped), dropped)
     sel[:, alone_over] = False
@@ -199,11 +199,11 @@ def admit_large_opt(ctx: AffectanceContext, policy: RoundingPolicy,
     if not ctx.has_primaries or ctx.k == 0:
         raise ValueError("admit_large_opt requires at least one primary")
     session = LpSession() if session is None else session
-    kept_ids, lp = session.program(build_admission_large_lp, ctx, policy.C)
-    to_prim = ctx.raw_to_prim[ctx.index_of(kept_ids)]
+    lp = session.program(build_admission_large_lp, ctx, policy.C)
+    to_prim = ctx.raw_to_prim[ctx.index_of(lp.ids)]
     attempts = max(policy.trials, retry_cap)
     selections = list(round_trials(
-        ctx, lp, policy, session, kept_ids, attempts=attempts,
+        ctx, lp, policy, session, attempts=attempts,
         accept=lambda sel: np.all(sel.astype(float) @ to_prim <= 1.0, axis=1)))
     if not selections:
         raise RetriesExhausted(
@@ -211,7 +211,7 @@ def admit_large_opt(ctx: AffectanceContext, policy: RoundingPolicy,
     best_ids = best_part(ctx, selections, policy.mode)
     notes = {
         "group_count": 1 if best_ids else 0,
-        "filtered_to": len(kept_ids),
+        "filtered_to": lp.n,
         "k1_fallback": ctx.k == 1,
         "successful_samples": len(selections),
     }

@@ -369,9 +369,3 @@ def certify(ctx: AffectanceContext, S) -> Schedule:
         out_affectance=tuple(float(x) for x in sub.sum(axis=1)),
         exact_sinr_ok=check_feasibility(ctx, ids, mode="exact_sinr"),
     )
-
-
-def schedule_weight(ctx: AffectanceContext, schedule: Schedule) -> float:
-    if not schedule.ids:
-        return 0.0
-    return float(ctx.weights[ctx.index_of(schedule.ids)].sum())

@@ -11,17 +11,15 @@ import json
 import math
 import sys
 
-from . import formulations
 from .admission import admit_general, admit_large_opt, verify_admission
-from .affectance import (AffectanceContext, InfeasiblePrimaries, check_feasibility,
-                         schedule_weight)
+from .affectance import AffectanceContext, InfeasiblePrimaries, check_feasibility
 from .greedy import (greedy_combined, greedy_length_classes,
                      greedy_weight_classes)
 from .harness import (DEFAULT_SWEEP, WEIGHT_DISTRIBUTIONS, GenConfig, best_over_sweep,
                       generate_instance, run_compare, run_oracle_suite, verify_output)
 from .model import parse_power, read_instance, write_instance
 from .oracle import TooLarge, exact_admission, exact_capacity
-from .rounding import RoundingPolicy, _schedule_objective, run_pipeline
+from .rounding import RoundingPolicy, _schedule_objective, run_pipeline, schedule_weight
 
 ORACLE_GAMMA = 1.0  # affectance threshold of ``oracle --mode affectance``
 
@@ -29,8 +27,10 @@ GREEDIES = {"greedy": greedy_combined, "greedy_w": greedy_weight_classes,
             "greedy_l": greedy_length_classes}
 
 
-def _add_shared(p, flags=("seed", "trials", "power", "sweep", "out"), default_power="uniform"):
-    """Add the shared flags named in ``flags``: only those the subcommand reads."""
+def _add_shared(p, flags=("seed", "trials", "power", "sweep", "out"), default_power="uniform",
+                need_out=False):
+    """Add the shared flags named in ``flags``: only those the subcommand
+    reads; ``need_out``: the subcommand has no output but its ``--out`` file."""
     shared = {
         "seed": dict(type=int, default=0),
         "trials": dict(type=_positive_int, default=100),
@@ -38,7 +38,7 @@ def _add_shared(p, flags=("seed", "trials", "power", "sweep", "out"), default_po
                       help="uniform[:P0] | linear | mean | exp:tau"),
         "sweep": dict(type=_positive_floats, default=list(DEFAULT_SWEEP),
                       help="comma-separated constants (default 0.2..3.0 step 0.2)"),
-        "out": dict(default=None),
+        "out": dict(required=need_out),
     }
     for flag in flags:
         p.add_argument(f"--{flag}", **shared[flag])
@@ -93,7 +93,7 @@ def _parse_args(argv):
     g.add_argument("--noise", type=float, default=0.0)
     g.add_argument("--primaries", type=int, default=0)
     g.add_argument("--primary-power", type=float, default=1.0)
-    _add_shared(g, ("seed", "out"))
+    _add_shared(g, ("seed", "out"), need_out=True)
 
     s = sub.add_parser("solve", help="run one algorithm on an instance file")
     s.add_argument("instance")
@@ -123,7 +123,7 @@ def _parse_args(argv):
     c.add_argument("--weights", default="ordinary", choices=WEIGHT_DISTRIBUTIONS)
     c.add_argument("--timing", action="store_true",
                    help="record wall times (breaks byte determinism)")
-    _add_shared(c, default_power="linear")  # the weighted guarantee's setting
+    _add_shared(c, default_power="linear", need_out=True)  # the weighted guarantee's power
 
     u = sub.add_parser("suite", help="small-instance property checks")
     u.add_argument("--count", type=_positive_int, default=10)
@@ -142,9 +142,17 @@ def _emit(payload, out):
         print(text)
 
 
+def _read(args, primaries=False):
+    """The instance file, refused as a bad input when it cannot be read or,
+    with ``primaries``, when it has none."""
+    with _rejected(args.command, OSError, ValueError):
+        inst = read_instance(args.instance)
+        if primaries and inst.primaries is None:
+            raise ValueError(f"{args.instance} has no primaries")
+    return inst
+
+
 def _cmd_gen(args) -> int:
-    if not args.out:
-        raise SystemExit("gen requires --out")
     with _rejected("gen", OSError, ValueError):
         inst = generate_instance(GenConfig(
             n=args.n, R=args.side, delta=args.delta, weight_dist=args.weights,
@@ -157,17 +165,13 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    with _rejected("solve", OSError, ValueError):
-        inst = read_instance(args.instance)
-    ctx = AffectanceContext(inst, args.power)
+    ctx = AffectanceContext(_read(args), args.power)
 
     def run(c, session):
         if args.algo == "lp":
             policy = RoundingPolicy(mode=args.formulation, C=c, trials=args.trials,
                                     seed=args.seed)
-            # looked up on every call, so a builder patched into the module is used
-            build = getattr(formulations, f"build_{args.formulation}_lp")
-            sched = run_pipeline(ctx, session.program(build, ctx, c), policy, session)
+            sched = run_pipeline(ctx, policy, session)
         else:
             sched = GREEDIES[args.algo](ctx, c)
         return _schedule_objective(ctx, sched.ids, args.formulation), sched
@@ -182,10 +186,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_admit(args) -> int:
-    with _rejected("admit", OSError, ValueError):
-        inst = read_instance(args.instance)
-    if inst.primaries is None:
-        raise SystemExit("admit requires an instance with primaries")
+    inst = _read(args, primaries=True)
     with _rejected("admit", InfeasiblePrimaries):
         ctx = AffectanceContext(inst, args.power, primaries=inst.primaries)
     mode, admit = {"general": ("admission_general", admit_general),
@@ -206,12 +207,9 @@ def _cmd_admit(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    with _rejected("oracle", OSError, ValueError):
-        inst = read_instance(args.instance)
+    inst = _read(args, primaries=args.admission)
     with _rejected("oracle", TooLarge, InfeasiblePrimaries):
         if args.admission:
-            if inst.primaries is None:
-                raise SystemExit("admission oracle requires primaries")
             ctx = AffectanceContext(inst, args.power, primaries=inst.primaries)
             sched = exact_admission(ctx)
             ok = verify_admission(ctx, sched.ids)
@@ -235,8 +233,6 @@ def _cmd_compare(args) -> int:
         configs = [GenConfig(n=args.n, R=r, delta=d, weight_dist=args.weights,
                              seed=args.seed + i)
                    for i, (d, r) in enumerate((d, r) for d in args.deltas for r in args.sides)]
-    if not args.out:
-        raise SystemExit("compare requires --out")
     records = run_compare(configs, args.sweep, args.trials, args.out,
                           power=args.power, timing=args.timing)
     ratios = [r.ratio for r in records if r.algo == "ratio"]

@@ -1,9 +1,11 @@
 """LP relaxations over an affectance context.
 
-Each builder returns a program whose variables follow the context's id
-order (``ctx.ids``).  Coefficients are clipped affectances, so every
-entry lies in [0, 1], except on the admission program's aggregate row,
-whose coefficients are sums of clipped affectances.
+Each builder returns a program whose variables are the links
+``program.ids``, in the context's id order: every link of the context,
+or the links the large-optimum prefilter keeps.  Coefficients are
+clipped affectances, so every entry lies in [0, 1], except on the
+admission program's aggregate row, whose coefficients are sums of
+clipped affectances.
 
 Each builder also attaches the second rounding stage's data: per row, the
 variable whose survival the row decides (or -1 for the whole sample) and
@@ -63,9 +65,11 @@ def _link_rows(ctx: AffectanceContext, direction: str, slack: float,
     return fill, [f"{direction}_{int(u)}" for u in ids], np.arange(ids.size), 1.0, slack, True
 
 
-def _program(objective: np.ndarray, C: float, *blocks) -> LinearProgram:
-    """Maximize ``objective`` subject to the row blocks at constant C, each
-    written in order into one preallocated row matrix."""
+def _program(ids: np.ndarray, C: float, *blocks, objective=None) -> LinearProgram:
+    """Maximize ``objective`` (default: the count of links) over the links
+    ``ids``, an array the program keeps, subject to the row blocks at
+    constant C, each written in order into one preallocated row matrix."""
+    objective = np.ones(ids.size) if objective is None else objective
     sizes = [len(b[1]) for b in blocks]
     scaling = tuple((size, *b[3:]) for size, b in zip(sizes, blocks))
     bounds, limits = block_bounds(scaling, C)
@@ -80,6 +84,7 @@ def _program(objective: np.ndarray, C: float, *blocks) -> LinearProgram:
         row_var=np.concatenate([b[2] for b in blocks]),
         row_limit=limits,
         row_blocks=scaling,
+        ids=ids,
     )
 
 
@@ -91,7 +96,7 @@ def build_capacity_lp(ctx: AffectanceContext, C: float = DEFAULT_C) -> LinearPro
     _warn_unless(pc["non_decreasing"] and pc["sub_linear"],
                  "capacity LP expects a non-decreasing sub-linear power assignment")
     keep = ctx.length_ge_mask().T  # keep[u, v]: l_v >= l_u, v != u
-    return _program(np.ones(ctx.n), C, _link_rows(ctx, "in", 3.0, keep=keep),
+    return _program(ctx.ids.copy(), C, _link_rows(ctx, "in", 3.0, keep=keep),
                     _link_rows(ctx, "out", 3.0, keep=keep))
 
 
@@ -101,7 +106,7 @@ def build_qos_lp(ctx: AffectanceContext, C: float = DEFAULT_C) -> LinearProgram:
     3C."""
     _warn_unless(ctx.nearly_uniform(),
                  "QoS LP guarantee assumes (nearly) uniform power")
-    return _program(np.ones(ctx.n), C, _link_rows(ctx, "out", 3.0))
+    return _program(ctx.ids.copy(), C, _link_rows(ctx, "out", 3.0))
 
 
 def build_admission_lp(ctx: AffectanceContext, C: float = DEFAULT_C) -> LinearProgram:
@@ -119,10 +124,10 @@ def build_admission_lp(ctx: AffectanceContext, C: float = DEFAULT_C) -> LinearPr
                  "admission guarantee assumes (nearly) uniform secondary power")
     links = _link_rows(ctx, "out", 4.0)
     if not (ctx.k and ctx.n):  # with no variables the aggregate row constrains nothing
-        return _program(np.ones(ctx.n), C, links)
+        return _program(ctx.ids.copy(), C, links)
     total = (lambda out: np.minimum(ctx.raw_to_prim, 1.0).sum(axis=1, out=out[0]),
              ["primaries_total"], np.array([-1]), ctx.k, 5.0 * ctx.k, False)  # sums, not clipped
-    return _program(np.ones(ctx.n), C, total, links)
+    return _program(ctx.ids.copy(), C, total, links)
 
 
 def admission_filter_threshold(k: int) -> float:
@@ -132,13 +137,13 @@ def admission_filter_threshold(k: int) -> float:
     return 1.0 / (FILTER_COEFF * math.sqrt(math.log(k)))
 
 
-def build_admission_large_lp(ctx: AffectanceContext, C: float = DEFAULT_C):
+def build_admission_large_lp(ctx: AffectanceContext, C: float = DEFAULT_C) -> LinearProgram:
     """Admission relaxation for large optima.
 
     Secondaries whose (plain) affectance on some primary exceeds
     1/(10 sqrt(log k)) are filtered out; the program then caps each
-    primary's received hat-affectance at 1/3 and keeps the per-link rows.
-    Returns (kept_ids, program); variables follow kept_ids order.
+    primary's received hat-affectance at 1/3 and keeps the per-link rows;
+    the program's ``ids`` are the kept links.
     Stage-two limits: 4C on a link row, none on a primary row.
     """
     if not ctx.has_primaries or ctx.k == 0:
@@ -153,7 +158,7 @@ def build_admission_large_lp(ctx: AffectanceContext, C: float = DEFAULT_C):
                        "the general admission pipeline is the intended route")
     prims = (lambda out: np.minimum(ctx.raw_to_prim[idx].T, 1.0, out=out),
              [f"prim_{int(w)}" for w in ctx.prim_ids], np.full(ctx.k, -1), 1 / 3, np.inf, False)
-    return tuple(int(i) for i in ctx.ids[idx]), _program(np.ones(idx.size), C, prims, links)
+    return _program(ctx.ids[idx], C, prims, links)
 
 
 def build_weighted_lp(ctx: AffectanceContext, C: float = DEFAULT_C) -> LinearProgram:
@@ -162,4 +167,5 @@ def build_weighted_lp(ctx: AffectanceContext, C: float = DEFAULT_C) -> LinearPro
     ratios = ctx.powers / ctx.lengths ** ctx.instance.alpha if ctx.n else np.zeros(0)
     _warn_unless(ctx.n <= 1 or bool(np.allclose(ratios, ratios[0])),
                  "weighted-capacity guarantee assumes linear power")
-    return _program(ctx.weights.copy(), C, _link_rows(ctx, "in", 4.0))
+    return _program(ctx.ids.copy(), C, _link_rows(ctx, "in", 4.0),
+                    objective=ctx.weights.copy())

@@ -53,7 +53,7 @@ def _run(ctx: AffectanceContext, classes: dict, c_g: float, order: str,
     for row, t in zip(sel, sorted(classes)):
         row[_class_candidates(ctx, classes[t], c_g, order)] = True
     bound = RoundingPolicy("capacity").extraction_bound
-    selections = final_selection_batch(ctx, ctx.ids, sel, bound, 1.0, "capacity")
+    selections = final_selection_batch(ctx, ctx.ids, sel, bound, "capacity")
     return certify(ctx, best_part(ctx, selections, objective))
 
 

@@ -18,13 +18,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .affectance import AffectanceContext, check_feasibility, schedule_weight
-from .formulations import build_capacity_lp, build_weighted_lp
+from .affectance import AffectanceContext, check_feasibility
+from .formulations import build_capacity_lp
 from .greedy import greedy_base, greedy_length_classes, greedy_weight_classes, heavier
 from .lp_core import LpSession, solve_lp
 from .model import Instance, Link, Point, PowerAssignment, PrimarySet
 from .oracle import exact_capacity, largest_bifeasible
-from .rounding import RoundingPolicy, run_pipeline
+from .rounding import RoundingPolicy, run_pipeline, schedule_weight
 
 WEIGHT_DISTRIBUTIONS = ("ordinary", "reversed", "length_determined", "weight_class")
 
@@ -188,8 +188,7 @@ def run_compare(gen_configs: Sequence[GenConfig], sweep: Sequence[float],
         by_weight, by_length = {}, {}  # the class greedies' schedules by constant
         sweeps = {  # algo -> schedule(c, session), in row order
             "lp": lambda c, session: run_pipeline(
-                ctx, session.program(build_weighted_lp, ctx, c),
-                RoundingPolicy(mode="weighted", C=c, trials=trials, seed=cfg.seed), session),
+                ctx, RoundingPolicy(mode="weighted", C=c, trials=trials, seed=cfg.seed), session),
             "greedy_w": lambda c, _: by_weight.setdefault(c, greedy_weight_classes(ctx, c)),
             "greedy_l": lambda c, _: by_length.setdefault(c, greedy_length_classes(ctx, c)),
             "greedy": lambda c, _: heavier(ctx, by_weight[c], by_length[c]),
@@ -235,16 +234,16 @@ def run_oracle_suite(gen_configs: Sequence[GenConfig], trials: int = 50,
         ctx = AffectanceContext(inst, power)
         opt = exact_capacity(ctx, "cardinality", "exact_sinr")
         w2 = largest_bifeasible(ctx, 2.0)
-        lp_probe = build_capacity_lp(ctx, 1.0)
+        session = LpSession()  # the probe's rows serve the pipeline's solve too
+        lp_probe = session.program(build_capacity_lp, ctx, 1.0)
         indicator = np.zeros(ctx.n)
         if w2.ids:
             indicator[ctx.index_of(w2.ids)] = 1.0
         calibrated = max(float(np.max(lp_probe.row_coeffs @ indicator)), 1e-9) \
             if ctx.n else 1e-9
-        session = LpSession()  # the two programs share their rows
         lp_star = solve_lp(lp_probe.at(calibrated), session).objective
         policy = RoundingPolicy(mode="capacity", C=1.0, trials=trials, seed=cfg.seed)
-        alg = run_pipeline(ctx, lp_probe, policy, session)
+        alg = run_pipeline(ctx, policy, session)
         grd = greedy_base(ctx, 1.0)
         verdicts = {
             "alg_le_opt": alg.size <= opt.size and grd.size <= opt.size,

@@ -6,6 +6,10 @@ so x = 0 is feasible and the optimum is finite.  Solving is delegated to
 the HiGHS solver bundled with scipy behind a thin checked interface,
 which passes the rows' nonzeros column-wise as plain arrays.
 
+A program names its variables: ``ids`` holds the link id of each
+variable (0..n-1 unless given), so rounding needs no other record of
+which links a program covers.
+
 An ``LpSession`` holds one HiGHS model across solves, and the programs of
 one constant sweep: ``program`` builds a (builder, context) pair's rows
 once and derives each later constant's program with ``LinearProgram.at``,
@@ -77,6 +81,7 @@ class LinearProgram:
     row_var: Optional[np.ndarray] = None    # default: -1 for every row
     row_limit: Optional[np.ndarray] = None  # default: inf for every row
     row_blocks: tuple = ()  # (rows, bound, limit, scaled) per block, for ``at``
+    ids: Optional[np.ndarray] = None        # link id per variable; default: 0..n-1
 
     def __post_init__(self):
         obj = np.asarray(self.objective, dtype=float)
@@ -94,7 +99,10 @@ class LinearProgram:
         var = np.full(a.shape[0], -1) if self.row_var is None else np.asarray(self.row_var)
         if var.dtype.kind not in "iu" or np.any(var < -1) or np.any(var >= obj.size):
             raise ValueError("row variables must be integers in [-1, n)")
-        self._freeze(objective=obj, row_coeffs=a, row_var=var)
+        ids = np.arange(obj.size) if self.ids is None else np.asarray(self.ids)
+        if ids.shape != obj.shape or ids.dtype.kind not in "iu":
+            raise ValueError("variable ids must be one integer per variable")
+        self._freeze(objective=obj, row_coeffs=a, row_var=var, ids=ids)
         self._set_bounds(self.row_bounds, self.row_limit)
 
     def _set_bounds(self, bounds, limit):
@@ -158,19 +166,16 @@ class LpSession:
             if self._highs.setOptionValue(option, value) != highs.HighsStatus.kOk:
                 raise LpSolveError(f"HiGHS rejected option {option}={value!r}")
         self._loaded = None   # the loaded program; None: reload
-        self._programs = {}   # (builder, context) -> what the builder returned
+        self._programs = {}   # (builder, context) -> the program it built
         self.iterations = 0
         self.warm = False
 
-    def program(self, build, ctx, C: float):
+    def program(self, build, ctx, C: float) -> LinearProgram:
         """``build(ctx, C)``: built on the session's first request for (build,
-        ctx), derived with ``LinearProgram.at`` on later ones.  A builder's
-        (ids, program) comes back as (ids, program at C)."""
+        ctx), derived with ``LinearProgram.at`` on later ones."""
         built = self._programs.get((build, ctx))
         if built is None:
             return self._programs.setdefault((build, ctx), build(ctx, C))
-        if isinstance(built, tuple):
-            return built[0], built[1].at(C)
         return built.at(C)
 
     def solve(self, lp: LinearProgram) -> FractionalSolution:

@@ -265,13 +265,6 @@ class PowerAssignment:
             out = length ** (self.tau * alpha)
         return float(out) if out.ndim == 0 else out
 
-    def describe(self) -> str:
-        if self.kind == "uniform":
-            return f"uniform({self.p0})"
-        if self.kind == "exponent":
-            return f"exp:{self.tau}"
-        return self.kind
-
 
 def length_ratio(instance: Instance) -> float:
     """Max/min link length over the instance's (non-primary) links."""

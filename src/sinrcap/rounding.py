@@ -1,12 +1,13 @@
 """Two-stage randomized rounding and final selection.
 
 Stage one keeps each link independently with its fractional LP value as
-probability.  Stage two reads the LP rows: a row's load is its
-coefficients summed over the stage-one sample, and a selected link
-survives only while every row it owns stays within that row's limit (the
-builders in ``formulations`` set the limits).  Final selection, shared by
+probability; a program's variables are the links ``lp.ids``.  Stage two
+reads the LP rows: a row's load is its coefficients summed over the
+stage-one sample, and a selected link survives only while every row it
+owns stays within that row's limit (the builders in ``formulations`` set
+the limits).  Final selection, shared by
 the LP, admission and greedy pipelines, drops high-affectance members and
-partitions the rest into feasible groups (signal strengthening),
+partitions the rest into 1-feasible groups (signal strengthening),
 returning the best group.
 
 Every trial of a pipeline runs in lockstep, as one row of a boolean
@@ -21,7 +22,8 @@ are the one-trial case of the same code.
 
 ``round_trials`` is the one trial loop: it solves the LP and yields every
 trial's final selection.  ``run_pipeline`` and both admission pipelines
-reduce what it yields.
+reduce what it yields; each builds its program through an ``LpSession``,
+``run_pipeline`` the one ``formulations`` builder of ``policy.mode``.
 ``best_part`` is the one rule by which this module, ``greedy`` and
 ``admission`` choose among candidate sets; ``_schedule_objective`` values a set.
 """
@@ -34,6 +36,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
+from . import formulations
 from .affectance import (ROW_BLOCK, AffectanceContext, Schedule, certify,
                          check_feasibility)
 from .lp_core import LinearProgram, LpSession, solve_lp
@@ -88,24 +91,21 @@ def bernoulli_draws(seed: int, trial: int, ids: Sequence[int]) -> np.ndarray:
     return out
 
 
-def sample_batch(ctx: AffectanceContext, lp: LinearProgram, delta: np.ndarray,
-                 policy: RoundingPolicy, trials: Sequence[int],
-                 ids: Optional[Sequence[int]] = None) -> np.ndarray:
+def sample_batch(lp: LinearProgram, delta: np.ndarray, policy: RoundingPolicy,
+                 trials: Sequence[int]) -> np.ndarray:
     """Two-stage samples of the given trial numbers, one boolean row each
-    over ``ids`` (the whole context when None); deterministic given
-    (policy.seed, trial).
+    over ``lp.ids``; deterministic given (policy.seed, trial).
 
-    ``delta`` holds the fractional values of ``lp``'s variables, which are
-    aligned with ``ids``.  Stage two drops the variable of every row whose
-    load exceeds its limit, or the whole sample for such a row without one.
+    ``delta`` holds the fractional values of ``lp``'s variables.  Stage two
+    drops the variable of every row whose load exceeds its limit, or the
+    whole sample for such a row without one.
     """
-    use_ids = np.asarray(ctx.ids if ids is None else ids, dtype=int)
     delta = np.asarray(delta, dtype=float)
-    if delta.shape != (use_ids.size,) or lp.n != use_ids.size:
-        raise ValueError("delta length must match the variable ids")
-    sel = np.empty((len(trials), use_ids.size), dtype=bool)
+    if delta.shape != (lp.n,):
+        raise ValueError("delta length must match the program's variables")
+    sel = np.empty((len(trials), lp.n), dtype=bool)
     for row, trial in zip(sel, trials):
-        row[:] = bernoulli_draws(policy.seed, trial, use_ids) < delta
+        row[:] = bernoulli_draws(policy.seed, trial, lp.ids) < delta
     sel_f = sel.astype(float)
     over = np.empty((sel.shape[0], lp.m), dtype=bool)
     for r0 in range(0, lp.m, ROW_BLOCK):  # loads T x ROW_BLOCK at a time
@@ -117,13 +117,11 @@ def sample_batch(ctx: AffectanceContext, lp: LinearProgram, delta: np.ndarray,
     return sel
 
 
-def sample_round(ctx: AffectanceContext, lp: LinearProgram, delta: np.ndarray,
-                 policy: RoundingPolicy, trial: int,
-                 ids: Optional[Sequence[int]] = None) -> tuple:
-    """One trial of ``sample_batch``; returns the selected ids in ``ids``
-    order."""
-    use_ids = np.asarray(ctx.ids if ids is None else ids, dtype=int)
-    return _members(use_ids, sample_batch(ctx, lp, delta, policy, [trial], use_ids)[0])
+def sample_round(lp: LinearProgram, delta: np.ndarray, policy: RoundingPolicy,
+                 trial: int) -> tuple:
+    """One trial of ``sample_batch``; returns the selected ids in
+    ``lp.ids`` order."""
+    return _members(lp.ids, sample_batch(lp, delta, policy, [trial])[0])
 
 
 def _members(ids: np.ndarray, row: np.ndarray) -> tuple:
@@ -154,20 +152,19 @@ def _extract_rows(ctx: AffectanceContext, idx: np.ndarray, sel: np.ndarray,
     return kept
 
 
-def _strengthen_rows(ctx: AffectanceContext, idx: np.ndarray, sel: np.ndarray,
-                     theta: float) -> Iterator[list]:
-    """Theta-feasible parts of every row of ``sel`` (columns: the context
+def _strengthen_rows(ctx: AffectanceContext, idx: np.ndarray,
+                     sel: np.ndarray) -> Iterator[list]:
+    """1-feasible parts of every row of ``sel`` (columns: the context
     positions ``idx``, in id order) by first fit over the row's links in
     non-increasing length order, ties by id.
 
     The rows run in lockstep: step i places each row's i-th longest link u
-    into its first part p where u's in-load from p is at most theta and
-    every member of p stays within theta after adding u's affectance.
-    Loads are summed in the order members joined their part.  Yields each
-    row's parts in row order, so only one row's id tuples are alive at once.
+    into its first part p where u's unclipped in-load from p is at most 1
+    and every member of p stays within 1 after adding u's affectance, so
+    parts are sound against the exact SINR condition.  Loads are summed in
+    the order members joined their part.  Yields each row's parts in row
+    order, so only one row's id tuples are alive at once.
     """
-    if not theta > 0:
-        raise ValueError("theta must be positive")
     rank = np.argsort(-ctx.lengths[idx], kind="stable")
     idx, sel = idx[rank], sel[:, rank]
     sizes = sel.sum(axis=1)
@@ -184,14 +181,11 @@ def _strengthen_rows(ctx: AffectanceContext, idx: np.ndarray, sel: np.ndarray,
         live = count[:a]
         u, placed, assigned = pos[:a, i, None], pos[:a, :i], part[:a, :i]
         out_u, in_u = ctx.raw[u, placed], ctx.raw[placed, u]
-        if theta > 1.0:
-            np.minimum(out_u, 1.0, out=out_u)
-            np.minimum(in_u, 1.0, out=in_u)
         in_load = np.bincount((live[:, None] * width + assigned).ravel(), in_u.ravel(),
                               a * width).reshape(a, width)
         # a row's new part has no members and load 0, so it always fits
-        fits = (in_load <= theta) & (count[:width] <= nparts[:a, None])
-        bad_r, bad_j = np.nonzero(own[:a, :i] + out_u > theta)
+        fits = (in_load <= 1.0) & (count[:width] <= nparts[:a, None])
+        bad_r, bad_j = np.nonzero(own[:a, :i] + out_u > 1.0)
         fits[bad_r, assigned[bad_r, bad_j]] = False
         choice = fits.argmax(axis=1)
         out_u[assigned != choice[:, None]] = 0.0
@@ -207,7 +201,7 @@ def _strengthen_rows(ctx: AffectanceContext, idx: np.ndarray, sel: np.ndarray,
         parts = [tuple(int(i) for i in np.sort(members[assigned == p]))
                  for p in range(nparts[r])]
         for p in parts:
-            if not check_feasibility(ctx, p, theta, "feasible"):
+            if not check_feasibility(ctx, p, 1.0, "feasible"):
                 raise AssertionError("signal strengthening produced an infeasible part")
         yield parts
 
@@ -219,19 +213,22 @@ def extract_low_affectance(ctx: AffectanceContext, S,
     return _members(ids, _extract_rows(ctx, ctx.index_of(ids), sel, bound)[0])
 
 
-def signal_strengthen(ctx: AffectanceContext, S, theta: float = 1.0) -> list:
-    """Partition S into theta-feasible parts by first fit over links in
-    non-increasing length order.  Thresholds at or below 1 use unclipped
-    affectance sums, making parts sound against the exact SINR condition.
-    """
+def signal_strengthen(ctx: AffectanceContext, S) -> list:
+    """Partition S into 1-feasible parts by first fit over links in
+    non-increasing length order."""
     ids, sel = _one_row(S)
-    return next(_strengthen_rows(ctx, ctx.index_of(ids), sel, theta))
+    return next(_strengthen_rows(ctx, ctx.index_of(ids), sel))
 
 
 def _schedule_objective(ctx: AffectanceContext, ids: tuple, mode: str) -> float:
     if mode == "weighted":
-        return float(ctx.weights[ctx.index_of(ids)].sum()) if ids else 0.0
+        return float(ctx.weights[ctx.index_of(ids)].sum())
     return float(len(ids))
+
+
+def schedule_weight(ctx: AffectanceContext, schedule: Schedule) -> float:
+    """Total weight of the schedule's links."""
+    return _schedule_objective(ctx, schedule.ids, "weighted")
 
 
 def _better(cand_val, cand_ids, best_val, best_ids) -> bool:
@@ -251,7 +248,7 @@ def best_part(ctx: AffectanceContext, parts, mode: str) -> tuple:
 
 
 def final_selection_batch(ctx: AffectanceContext, ids: Sequence[int], sel: np.ndarray,
-                          bound: float, theta: float, mode: str) -> list:
+                          bound: float, mode: str) -> list:
     """``final_selection`` of every row of ``sel`` (rows of booleans over
     the columns ``ids``), in row order."""
     ids = np.asarray(ids, dtype=int)
@@ -260,58 +257,57 @@ def final_selection_batch(ctx: AffectanceContext, ids: Sequence[int], sel: np.nd
     idx = ctx.index_of(ids)
     kept = _extract_rows(ctx, idx, sel, bound)
     return [best_part(ctx, parts, mode)
-            for parts in _strengthen_rows(ctx, idx, kept, theta)]
+            for parts in _strengthen_rows(ctx, idx, kept)]
 
 
-def final_selection(ctx: AffectanceContext, S, bound: float, theta: float,
-                    mode: str) -> tuple:
-    """Extract S's low-affectance members, strengthen them into
-    theta-feasible parts and return the best part under ``mode``'s
-    objective."""
-    return final_selection_batch(ctx, *_one_row(S), bound, theta, mode)[0]
+def final_selection(ctx: AffectanceContext, S, bound: float, mode: str) -> tuple:
+    """Extract S's low-affectance members, strengthen them into 1-feasible
+    parts and return the best part under ``mode``'s objective."""
+    return final_selection_batch(ctx, *_one_row(S), bound, mode)[0]
 
 
 def round_trials(ctx: AffectanceContext, lp: LinearProgram, policy: RoundingPolicy,
-                 session: Optional[LpSession] = None, ids: Optional[Sequence[int]] = None,
-                 accept=None, attempts: int = 0) -> Iterator[tuple]:
+                 session: Optional[LpSession] = None, accept=None,
+                 attempts: int = 0) -> Iterator[tuple]:
     """Solve ``lp`` (through ``session`` when given, so a constant sweep
     reuses one model) and yield the final selection of each of
-    ``policy.trials`` two-stage samples over ``ids`` (the whole context
-    when None), in trial order.  All samples of a block run in lockstep.
+    ``policy.trials`` two-stage samples over ``lp.ids``, in trial order.
+    All samples of a block run in lockstep.
 
     With ``accept``, a function from a block's selection matrix to one
     boolean per row, trials are drawn in blocks of ``policy.trials`` until
     ``attempts`` have been made, and only accepted samples count, in
     attempt order: the samples a one-by-one loop would take.
     """
-    use_ids = np.asarray(ctx.ids if ids is None else ids, dtype=int)
     sol = solve_lp(lp, session)
     if accept is None:
         attempts = policy.trials
     wanted = policy.trials
     for start in range(0, attempts, policy.trials):
-        sel = sample_batch(ctx, lp, sol.values, policy,
-                           range(start, min(start + policy.trials, attempts)), use_ids)
+        sel = sample_batch(lp, sol.values, policy,
+                           range(start, min(start + policy.trials, attempts)))
         if accept is not None:
             sel = sel[accept(sel)][:wanted]
         wanted -= len(sel)
-        yield from final_selection_batch(ctx, use_ids, sel, policy.extraction_bound, 1.0,
+        yield from final_selection_batch(ctx, lp.ids, sel, policy.extraction_bound,
                                          policy.mode)
         if wanted <= 0:
             break
 
 
-def run_pipeline(ctx: AffectanceContext, lp: LinearProgram,
-                 policy: RoundingPolicy,
+def run_pipeline(ctx: AffectanceContext, policy: RoundingPolicy,
                  session: Optional[LpSession] = None) -> Schedule:
-    """Solve (through ``session`` when given, so a constant sweep reuses
-    one model), round ``policy.trials`` independent samples, extract and
-    strengthen them all at once, and return the best resulting feasible
+    """Build ``policy.mode``'s program at ``policy.C`` and solve it (through
+    ``session`` when given, so a constant sweep builds the rows once and
+    reuses one model), round ``policy.trials`` independent samples, extract
+    and strengthen them all at once, and return the best resulting feasible
     set."""
     if policy.mode in ("admission_general", "admission_large"):
         raise ValueError("admission pipelines are driven by the admission module")
-    if lp.n != ctx.n:
-        raise ValueError("program size does not match the context")
+    session = LpSession() if session is None else session
+    # looked up on every call, so a builder patched into the module is used
+    build = getattr(formulations, f"build_{policy.mode}_lp")
+    lp = session.program(build, ctx, policy.C)
     schedule = certify(ctx, best_part(ctx, round_trials(ctx, lp, policy, session),
                                       policy.mode))
     if not check_feasibility(ctx, schedule.ids, 1.0, "feasible"):

@@ -12,7 +12,7 @@ import numpy as np
 from sinrcap import (AffectanceContext, GenConfig, Instance, Link,
                      PowerAssignment, PrimarySet, RoundingPolicy, admit_general,
                      admit_large_opt, bernoulli_draws, build_capacity_lp,
-                     build_qos_lp, build_weighted_lp, certify, check_feasibility,
+                     certify, check_feasibility,
                      exact_capacity, generate_instance,
                      greedy_base, greedy_combined, largest_bifeasible,
                      run_compare, run_pipeline, schedule_weight,
@@ -64,13 +64,13 @@ def test_criterion_1_feasibility_soundness():
                          power=powers[i % 3])
         policy = RoundingPolicy(mode="capacity", C=0.5 + 0.25 * (i % 4),
                                 trials=10, seed=i)
-        check(ctx, run_pipeline(ctx, build_capacity_lp(ctx, policy.C), policy))
+        check(ctx, run_pipeline(ctx, policy))
 
     for i in range(250):  # variable QoS
         n = (15, 40)[i % 2]
         ctx = AffectanceContext(_qos_instance(i, n), UNIFORM)
         policy = RoundingPolicy(mode="qos", C=0.5 + 0.5 * (i % 3), trials=10, seed=i)
-        check(ctx, run_pipeline(ctx, build_qos_lp(ctx, policy.C), policy))
+        check(ctx, run_pipeline(ctx, policy))
 
     for i in range(250):  # weighted
         dist = ("ordinary", "reversed", "length_determined", "weight_class")[i % 4]
@@ -78,7 +78,7 @@ def test_criterion_1_feasibility_soundness():
                          power=PowerAssignment.linear(), weight_dist=dist)
         policy = RoundingPolicy(mode="weighted", C=0.5 + 0.25 * (i % 4),
                                 trials=10, seed=i)
-        check(ctx, run_pipeline(ctx, build_weighted_lp(ctx, policy.C), policy))
+        check(ctx, run_pipeline(ctx, policy))
 
     for i in range(200):  # admission
         k = (1, 2)[i % 2]
@@ -102,12 +102,10 @@ def test_criterion_2_oracle_dominance_and_relaxation():
         ctx = random_ctx(seed, n=n, R=3.0 + (seed % 3), delta=2.0)
         opt = exact_capacity(ctx, "cardinality", "exact_sinr")
         opt_w = exact_capacity(ctx, "weight", "exact_sinr")
-        cap = run_pipeline(ctx, build_capacity_lp(ctx, 1.0),
-                           RoundingPolicy(mode="capacity", C=1.0, trials=20, seed=seed))
+        cap = run_pipeline(ctx, RoundingPolicy(mode="capacity", C=1.0, trials=20, seed=seed))
         grd = greedy_base(ctx, 1.0)
         grd_c = greedy_combined(ctx, 1.0)
-        wgt = run_pipeline(ctx, build_weighted_lp(ctx, 1.0),
-                           RoundingPolicy(mode="weighted", C=1.0, trials=20, seed=seed))
+        wgt = run_pipeline(ctx, RoundingPolicy(mode="weighted", C=1.0, trials=20, seed=seed))
         w2 = largest_bifeasible(ctx, 2.0)
         probe = build_capacity_lp(ctx, 1.0)
         indicator = np.zeros(ctx.n)
@@ -217,7 +215,7 @@ def test_criterion_5_signal_strengthening():
         for seed in range(12):
             ctx = random_ctx(400 + seed, n=30, R=3.0, delta=3.0)
             source = _gamma_feasible_set(ctx, float(ratio), rng)
-            parts = signal_strengthen(ctx, source, theta=1.0)
+            parts = signal_strengthen(ctx, source)
             flat = sorted(i for p in parts for i in p)
             assert flat == sorted(source)
             for part in parts:

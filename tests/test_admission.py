@@ -156,14 +156,25 @@ def test_lockstep_partition_matches_reference_row_by_row(caplog):
             groups = admission._partition_rows(ctx, batch)
         assert groups == [_reference_partition(ctx, R) for R in batch]
         assert groups == [partition_by_primaries(ctx, R) for R in batch]
-        # one warning per set holding a link that alone overloads a primary
+        # one warning names the links that alone overload a primary in the
+        # whole batch, then one per such set, as each runs on its own
         over = set(ctx.ids[np.any(ctx.raw_to_prim > 1.0, axis=1)].tolist())
         affected = [sorted(over & set(R)) for R in batch if over & set(R)]
+        union = [sorted(set().union(*affected))] if affected else []
         warnings = [r for r in caplog.records if "overload" in r.getMessage()]
-        assert [sorted(r.args[1]) for r in warnings[:len(affected)]] == affected
-        assert len(warnings) == 2 * len(affected)  # the batch, then one set at a time
+        assert [r.args[1] for r in warnings] == union + affected
         affected_total += len(affected)
     assert affected_total > 0
+
+
+def test_admit_general_warns_once_about_dropped_links(caplog):
+    ctx = prim_ctx(220, n=20, R=5.0, primaries=2)
+    over = set(ctx.ids[np.any(ctx.raw_to_prim > 1.0, axis=1)].tolist())
+    with caplog.at_level(logging.WARNING, logger="sinrcap.admission"):
+        admit_general(ctx, policy("admission_general"))
+    warnings = [r for r in caplog.records if "overload" in r.getMessage()]
+    assert len(warnings) == 1  # one per call, not one per trial
+    assert warnings[0].args[1] and set(warnings[0].args[1]) <= over
 
 
 def test_sparsify_empty_and_zero_affectance(rng):
@@ -343,16 +354,16 @@ def _ring_ctx(count=20, radius=2.75):
 def _sequential_large_opt(ctx, pol, retry_cap):
     """admit_large_opt's attempts one sample at a time, the reference its
     block batching must reproduce: (best ids, successes, attempts made)."""
-    kept_ids, lp = build_admission_large_lp(ctx, pol.C)
+    lp = build_admission_large_lp(ctx, pol.C)
     sol = rounding.solve_lp(lp)
     best_ids, successes = (), 0
     attempts_cap = max(pol.trials, retry_cap)
     for trial in range(attempts_cap):
-        sample = sample_round(ctx, lp, sol.values, pol, trial, ids=kept_ids)
+        sample = sample_round(lp, sol.values, pol, trial)
         if np.any(admission._primary_loads(ctx, sample) > 1.0):
             continue
         successes += 1
-        cand = final_selection(ctx, sample, pol.extraction_bound, 1.0, "capacity")
+        cand = final_selection(ctx, sample, pol.extraction_bound, "capacity")
         if _better(len(cand), cand, len(best_ids), best_ids):
             best_ids = cand
         if successes >= pol.trials:

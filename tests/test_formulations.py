@@ -125,10 +125,9 @@ def test_admission_large_filtering():
     near = [make_link(2, 101.0, 0.0, 101.6, 0.0)]
     inst = Instance(links=tuple(far + near), alpha=2.5, primaries=prim)
     ctx = AffectanceContext(inst, UNIFORM, primaries=prim)
-    kept, lp = build_admission_large_lp(ctx, 1.0)
-    assert 2 not in kept and set(kept) == {0, 1}
-    assert lp.m == 2 + len(kept)
-    assert lp.n == len(kept)
+    lp = build_admission_large_lp(ctx, 1.0)
+    assert lp.ids.tolist() == [0, 1]
+    assert lp.m == 2 + lp.n
 
 
 def test_weighted_values():
@@ -219,9 +218,8 @@ def test_builder_rows_match_definitions():
     C = 0.7
     for build, expected in _expected_rows(ctx, C).items():
         lp = build(ctx, C)
-        if build is build_admission_large_lp:
-            kept, lp = lp
-            assert kept == tuple(int(i) for i in ctx.ids[large])
+        kept = large if build is build_admission_large_lp else np.ones(ctx.n, dtype=bool)
+        assert np.array_equal(lp.ids, ctx.ids[kept]), build.__name__
         coeffs, bounds, names, var, limit, objective = expected
         assert lp.row_coeffs.dtype == np.float64, build.__name__
         assert np.array_equal(lp.row_coeffs, coeffs), build.__name__
@@ -235,18 +233,17 @@ def test_builder_rows_match_definitions():
 def test_program_at_another_constant_matches_a_fresh_build():
     ctx = feasible_prim_ctx(10, n=14, R=6.0, delta=2.0, primaries=3)
     for build in _expected_rows(ctx, 1.0):
-        def program(C):
-            lp = build(ctx, C)
-            return lp[1] if build is build_admission_large_lp else lp
-        built = program(0.7)
+        built = build(ctx, 0.7)
         for C in (0.2, 1.3, 3.0):
-            derived, fresh = built.at(C), program(C)
+            derived, fresh = built.at(C), build(ctx, C)
             # the derived program shares the built one's arrays
             assert derived.row_coeffs is built.row_coeffs, build.__name__
             assert derived.objective is built.objective, build.__name__
             assert derived.row_var is built.row_var, build.__name__
+            assert derived.ids is built.ids, build.__name__
             # and equals a fresh build bit for bit, fixed rows included
-            for field in ("row_coeffs", "objective", "row_bounds", "row_var", "row_limit"):
+            for field in ("row_coeffs", "objective", "row_bounds", "row_var", "row_limit",
+                          "ids"):
                 a, b = getattr(derived, field), getattr(fresh, field)
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (build.__name__, field)
             assert derived.row_names == fresh.row_names, build.__name__

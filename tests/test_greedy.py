@@ -164,8 +164,7 @@ def test_every_selection_keeps_the_heaviest_set_ties_to_smallest_ids():
     zero = _reweighted(generate_instance(GenConfig(n=10, R=6.0, delta=2.0, seed=3)),
                        [0.0] * 10)
     ctx = AffectanceContext(zero, UNIFORM)
-    pipeline = run_pipeline(ctx, build_weighted_lp(ctx, 1.0),
-                            RoundingPolicy(mode="weighted", trials=20))
+    pipeline = run_pipeline(ctx, RoundingPolicy(mode="weighted", trials=20))
     assert pipeline.ids == ()
     assert exact_capacity(ctx, "weight").ids == ()
     for algo in greedies:
@@ -193,7 +192,7 @@ def test_every_selection_keeps_the_heaviest_set_ties_to_smallest_ids():
     rounded = set(round_trials(ctx, lp, policy))
     heaviest = sorted(s for s in rounded if len(s) == max(map(len, rounded)))
     assert len(heaviest) > 1
-    assert run_pipeline(ctx, lp, policy).ids == heaviest[0]
+    assert run_pipeline(ctx, policy).ids == heaviest[0]
 
 
 def _reference_greedy(ctx, classes, c_g, order, weighted):
@@ -203,7 +202,7 @@ def _reference_greedy(ctx, classes, c_g, order, weighted):
     sel = np.zeros((len(classes), ctx.n), dtype=bool)
     for row, t in zip(sel, sorted(classes)):
         row[_class_candidates(ctx, classes[t], c_g, order)] = True
-    selections = final_selection_batch(ctx, ctx.ids, sel, 12.0, 1.0, "capacity")
+    selections = final_selection_batch(ctx, ctx.ids, sel, 12.0, "capacity")
     if not weighted:
         return certify(ctx, selections[0])
     best_ids, best_w = (), -1.0

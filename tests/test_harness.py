@@ -261,9 +261,12 @@ GEN = ["gen", "--n", "5", "--side", "6", "--delta", "2"]
     (["compare", "--n", "5", "--deltas", "0.5", "--sides", "6"], "0.5"),
     (["oracle", "BIG"], "21 links"),
     (["suite", "--n", "21", "--count", "1"], "21 links"),
+    (["admit", "BIG"], "big.json has no primaries"),
+    (["oracle", "BIG", "--admission"], "big.json has no primaries"),
 ], ids=["side-0", "side-nan", "side-inf", "delta-0.5", "alpha-0", "beta-0", "noise-neg",
         "alpha-inf", "beta-inf", "noise-inf", "primary-power-inf", "primary-power-0",
-        "primaries-neg", "compare-delta", "oracle-21", "suite-21"])
+        "primaries-neg", "compare-delta", "oracle-21", "suite-21", "admit-no-primaries",
+        "oracle-admission-no-primaries"])
 def test_cli_reports_rejected_input_in_one_line(args, bad, tmp_path, capsys):
     big = tmp_path / "big.json"
     write_instance(generate_instance(GenConfig(n=21, R=9.0, delta=2.0, seed=4)), big)
@@ -278,6 +281,17 @@ def test_cli_reports_rejected_input_in_one_line(args, bad, tmp_path, capsys):
     assert err.startswith(f"sinrcap {args[0]}: error: ") and err.count("\n") == 1
     assert bad in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [GEN, ["compare", "--n", "5", "--deltas", "2", "--sides", "6"]],
+                         ids=["gen", "compare"])
+def test_cli_requires_out_where_the_file_is_the_output(args, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        cli_main(args)
+    assert exc.value.code == 2
+    assert "the following arguments are required: --out" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("command", [["solve", "--algo", "lp"], ["admit"], ["oracle"]],

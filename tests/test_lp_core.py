@@ -97,15 +97,23 @@ def test_invalid_programs_rejected():
                           row_limit=np.asarray(limit))
 
 
+def test_program_ids_are_one_integer_per_variable():
+    assert lp([1.0, 1.0], [[1.0, 1.0]], [1.0]).ids.tolist() == [0, 1]  # the default
+    for ids in ([0], [0.5, 1.0], [[0, 1]]):
+        with pytest.raises(ValueError, match="variable ids"):
+            LinearProgram(objective=np.ones(2), row_coeffs=np.ones((1, 2)),
+                          row_bounds=np.ones(1), ids=np.asarray(ids))
+
+
 def test_program_without_rounding_data_keeps_stage_one_picks():
     ctx = random_ctx(2, n=10, R=2.0, delta=2.0)
     built = build_capacity_lp(ctx, 0.4)
     bare = LinearProgram(objective=built.objective, row_coeffs=built.row_coeffs,
-                         row_bounds=built.row_bounds)
+                         row_bounds=built.row_bounds, ids=built.ids)
     policy = RoundingPolicy(mode="capacity", C=0.4, trials=1, seed=5)
     ones = np.ones(ctx.n)
-    assert sample_round(ctx, bare, ones, policy, 0) == tuple(int(i) for i in ctx.ids)
-    assert len(sample_round(ctx, built, ones, policy, 0)) < ctx.n
+    assert sample_round(bare, ones, policy, 0) == tuple(int(i) for i in ctx.ids)
+    assert len(sample_round(built, ones, policy, 0)) < ctx.n
 
 
 def test_dump_format():
@@ -299,7 +307,7 @@ def _builder_programs():
     return {"capacity": build_capacity_lp(ctx, 1.0), "qos": build_qos_lp(ctx, 1.0),
             "weighted": build_weighted_lp(ctx, 1.0),
             "admission": build_admission_lp(prim, 1.0),
-            "admission-large": build_admission_large_lp(prim, 1.0)[1]}
+            "admission-large": build_admission_large_lp(prim, 1.0)}
 
 
 @pytest.mark.parametrize("name", list(_builder_programs()))
@@ -312,8 +320,10 @@ def test_cold_solution_matches_the_highs_lp_load(name):
 
 
 def test_program_rows_and_objective_are_read_only():
-    program = build_capacity_lp(random_ctx(2, n=10, R=2.0, delta=2.0), 0.4)
-    for a in (program.row_coeffs, program.objective):
+    ctx = random_ctx(2, n=10, R=2.0, delta=2.0)
+    program = build_capacity_lp(ctx, 0.4)
+    assert ctx.ids.flags.writeable  # the program froze a copy of the context's ids
+    for a in (program.row_coeffs, program.objective, program.ids):
         assert not a.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 0.5
@@ -349,12 +359,12 @@ def test_session_builds_each_program_once():
     capacity, large = counted(build_capacity_lp), counted(build_admission_large_lp)
     session = LpSession()
     first = session.program(capacity, ctx, 0.6)
-    kept, first_large = session.program(large, prim, 0.6)
+    first_large = session.program(large, prim, 0.6)
     for C in (1.2, 1.8):
         program = session.program(capacity, ctx, C)
         assert program.row_coeffs is first.row_coeffs
         assert np.array_equal(program.row_bounds, build_capacity_lp(ctx, C).row_bounds)
-        assert session.program(large, prim, C)[0] == kept
+        assert session.program(large, prim, C).ids is first_large.ids
         solve_lp(program, session)
         assert session.warm == (C > 1.2)
     assert calls == [build_capacity_lp, build_admission_large_lp]
@@ -362,6 +372,19 @@ def test_session_builds_each_program_once():
         .row_coeffs is not first.row_coeffs  # another context: another build
     with pytest.raises(ValueError, match="row blocks"):
         lp([1.0], [[0.5]], [1.0]).at(2.0)
+
+
+@pytest.mark.parametrize("build", [build_capacity_lp, build_qos_lp, build_weighted_lp,
+                                   build_admission_lp, build_admission_large_lp],
+                         ids=lambda build: build.__name__)
+def test_session_program_is_a_program_for_every_builder(build):
+    prim = feasible_prim_ctx(8, n=16, R=6.0, delta=3.0, primaries=2)
+    session = LpSession()
+    for C in (0.6, 1.2):
+        program, fresh = session.program(build, prim, C), build(prim, C)
+        assert isinstance(program, LinearProgram)
+        assert np.array_equal(program.ids, fresh.ids)
+        assert np.array_equal(program.row_bounds, fresh.row_bounds)
 
 
 def _strategy(session):
@@ -373,21 +396,20 @@ DUAL = int(highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual)
 
 
 def _seeded_programs(seed):
-    """(name, context, variable ids, program) of the five builders."""
+    """(name, program) of the five builders."""
     ctx = random_ctx(seed, n=24, R=5.0, delta=3.0, power=PowerAssignment.mean(),
                      weight_dist="weight_class")
     prim = feasible_prim_ctx(seed, n=24, R=6.0, delta=3.0, primaries=2)
-    kept, large = build_admission_large_lp(prim, 1.0)
-    return [("capacity", ctx, ctx.ids, build_capacity_lp(ctx, 1.0)),
-            ("qos", ctx, ctx.ids, build_qos_lp(ctx, 1.0)),
-            ("weighted", ctx, ctx.ids, build_weighted_lp(ctx, 1.0)),
-            ("admission", prim, prim.ids, build_admission_lp(prim, 1.0)),
-            ("admission-large", prim, kept, large)]
+    return [("capacity", build_capacity_lp(ctx, 1.0)),
+            ("qos", build_qos_lp(ctx, 1.0)),
+            ("weighted", build_weighted_lp(ctx, 1.0)),
+            ("admission", build_admission_lp(prim, 1.0)),
+            ("admission-large", build_admission_large_lp(prim, 1.0))]
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_cold_primal_solve_matches_a_dual_simplex_reference(seed):
-    for name, ctx, ids, program in _seeded_programs(seed):
+    for name, program in _seeded_programs(seed):
         assert program.m > 0 and program.n > 0, name  # the program reaches HiGHS
         session = LpSession()
         sol = solve_lp(program, session)
@@ -398,8 +420,8 @@ def test_cold_primal_solve_matches_a_dual_simplex_reference(seed):
         np.testing.assert_allclose(sol.values, ref.x, rtol=0, atol=1e-9, err_msg=name)
         policy = RoundingPolicy(mode="capacity", C=1.0, trials=25, seed=seed)
         for trial in range(25):
-            assert sample_round(ctx, program, sol.values, policy, trial, ids) == \
-                sample_round(ctx, program, ref.x, policy, trial, ids), (name, trial)
+            assert sample_round(program, sol.values, policy, trial) == \
+                sample_round(program, ref.x, policy, trial), (name, trial)
 
 
 def test_warm_resolve_after_a_primal_load_is_dual():

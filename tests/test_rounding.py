@@ -7,14 +7,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sinrcap import (AffectanceContext, Instance, PowerAssignment,
+from sinrcap import (AffectanceContext, Instance, LpSession, PowerAssignment,
                      RoundingPolicy, bernoulli_draws, build_admission_large_lp,
                      build_admission_lp, build_capacity_lp, build_qos_lp,
                      build_weighted_lp, check_feasibility, exact_capacity,
                      extract_low_affectance, run_pipeline, sample_round,
                      signal_strengthen, solve_lp)
+from sinrcap import formulations
 from sinrcap.rounding import (ROUNDING_MODES, _extract_rows, _strengthen_rows, best_part,
-                              final_selection_batch, sample_batch)
+                              final_selection_batch, round_trials, sample_batch)
 
 from conftest import (colocated_pair, far_instance, feasible_prim_ctx, make_link,
                       random_ctx)
@@ -50,9 +51,9 @@ def test_sample_round_degenerate_deltas():
     ctx = AffectanceContext(far_instance(5), UNIFORM)
     lp = build_capacity_lp(ctx, 1.0)
     policy = RoundingPolicy(mode="capacity", C=1.0, trials=1, seed=0)
-    assert sample_round(ctx, lp, np.zeros(5), policy, 0) == ()
+    assert sample_round(lp, np.zeros(5), policy, 0) == ()
     # all-ones fractional values with negligible affectances keep every link
-    assert sample_round(ctx, lp, np.ones(5), policy, 0) == tuple(int(i) for i in ctx.ids)
+    assert sample_round(lp, np.ones(5), policy, 0) == tuple(int(i) for i in ctx.ids)
 
 
 def test_sample_round_deterministic():
@@ -60,8 +61,8 @@ def test_sample_round_deterministic():
     lp = build_capacity_lp(ctx, 1.0)
     sol = solve_lp(lp)
     policy = RoundingPolicy(mode="capacity", C=1.0, trials=1, seed=11)
-    a = sample_round(ctx, lp, sol.values, policy, 5)
-    b = sample_round(ctx, lp, sol.values, policy, 5)
+    a = sample_round(lp, sol.values, policy, 5)
+    b = sample_round(lp, sol.values, policy, 5)
     assert a == b
 
 
@@ -109,7 +110,8 @@ def _per_mode_survivors(ctx, mode, C, ids, selected):
 
 
 BUILDERS = {"capacity": build_capacity_lp, "qos": build_qos_lp,
-            "weighted": build_weighted_lp, "admission_general": build_admission_lp}
+            "weighted": build_weighted_lp, "admission_general": build_admission_lp,
+            "admission_large": build_admission_large_lp}
 
 
 @pytest.mark.parametrize("mode", ROUNDING_MODES)
@@ -123,11 +125,8 @@ def test_stage_two_matches_per_mode_conditions(mode):
         else:
             ctx = random_ctx(seed, n=16, R=3.0, delta=2.0)
         for C in (0.4, 1.0, 2.0):
-            if mode == "admission_large":
-                ids, lp = build_admission_large_lp(ctx, C)
-            else:
-                ids, lp = ctx.ids, BUILDERS[mode](ctx, C)
-            ids = np.asarray(ids, dtype=int)
+            lp = BUILDERS[mode](ctx, C)
+            ids = lp.ids
             delta = np.random.default_rng(seed).uniform(0.3, 1.0, ids.size)
             policy = RoundingPolicy(mode=mode, C=C, trials=1, seed=seed)
             for t in range(40):
@@ -135,7 +134,7 @@ def test_stage_two_matches_per_mode_conditions(mode):
                 expected = _per_mode_survivors(ctx, mode, C, ids, selected)
                 discarded += expected is None
                 expected = expected or ()
-                assert sample_round(ctx, lp, delta, policy, t, ids=ids) == expected
+                assert sample_round(lp, delta, policy, t) == expected
                 shrunk += len(expected) < selected.sum()
     assert shrunk > 0  # stage two did drop links
     assert (discarded > 0) == (mode == "admission_general")
@@ -158,7 +157,7 @@ def test_extract_keeps_half_on_rounded_sets():
     sol = solve_lp(lp)
     policy = RoundingPolicy(mode="capacity", C=C, trials=1, seed=4)
     for t in range(50):
-        s = sample_round(ctx, lp, sol.values, policy, t)
+        s = sample_round(lp, sol.values, policy, t)
         kept = extract_low_affectance(ctx, s, 12 * C)
         assert 2 * len(kept) >= len(s)
 
@@ -166,29 +165,28 @@ def test_extract_keeps_half_on_rounded_sets():
 def test_signal_strengthen_basics():
     ctx = AffectanceContext(far_instance(4), UNIFORM)
     ids = tuple(int(i) for i in ctx.ids)
-    assert signal_strengthen(ctx, ids, 1.0) == [ids]
-    assert signal_strengthen(ctx, (), 1.0) == []
+    assert signal_strengthen(ctx, ids) == [ids]
+    assert signal_strengthen(ctx, ()) == []
     dense = AffectanceContext(colocated_pair(noise=0.1), UNIFORM)
-    parts = signal_strengthen(dense, (0, 1), 1.0)
+    parts = signal_strengthen(dense, (0, 1))
     assert sorted(parts) == [(0,), (1,)]
 
 
-@pytest.mark.parametrize("theta", [0.5, 1.0, 2.0])
-def test_signal_strengthen_partition_properties(theta):
+def test_signal_strengthen_partition_properties():
     ctx = random_ctx(7, n=12, R=2.0, delta=2.0)
     ids = [int(i) for i in ctx.ids]
-    parts = signal_strengthen(ctx, ids, theta)
+    parts = signal_strengthen(ctx, ids)
     flat = [i for part in parts for i in part]
     assert sorted(flat) == sorted(ids)  # disjoint cover
     assert len(set(flat)) == len(flat)
     for part in parts:
-        assert check_feasibility(ctx, part, theta, "feasible")
+        assert check_feasibility(ctx, part, 1.0, "feasible")
 
 
 def test_signal_strengthen_parts_pass_exact_sinr():
     for seed in range(4):
         ctx = random_ctx(seed, n=10, R=2.0, delta=2.0)
-        parts = signal_strengthen(ctx, [int(i) for i in ctx.ids], 1.0)
+        parts = signal_strengthen(ctx, [int(i) for i in ctx.ids])
         for part in parts:
             assert check_feasibility(ctx, part, mode="exact_sinr")
 
@@ -222,17 +220,17 @@ def test_pipeline_single_and_far():
     single = AffectanceContext(Instance(links=(make_link(0, 0, 0, 1, 0),), alpha=2.5),
                                UNIFORM)
     policy = RoundingPolicy(mode="capacity", C=1.0, trials=10, seed=1)
-    assert run_pipeline(single, build_capacity_lp(single, 1.0), policy).ids == (0,)
+    assert run_pipeline(single, policy).ids == (0,)
     far = AffectanceContext(far_instance(5), UNIFORM)
-    sched = run_pipeline(far, build_capacity_lp(far, 1.0), policy)
+    sched = run_pipeline(far, policy)
     assert sched.ids == tuple(int(i) for i in far.ids)
 
 
 def test_pipeline_deterministic():
     ctx = random_ctx(4, n=12, R=3.0)
     policy = RoundingPolicy(mode="capacity", C=1.0, trials=25, seed=17)
-    a = run_pipeline(ctx, build_capacity_lp(ctx, 1.0), policy)
-    b = run_pipeline(ctx, build_capacity_lp(ctx, 1.0), policy)
+    a = run_pipeline(ctx, policy)
+    b = run_pipeline(ctx, policy)
     assert a == b
 
 
@@ -240,10 +238,34 @@ def test_pipeline_deterministic():
 def test_pipeline_never_beats_oracle(seed):
     ctx = random_ctx(seed, n=9, R=3.0, delta=2.0)
     policy = RoundingPolicy(mode="capacity", C=1.0, trials=30, seed=seed)
-    sched = run_pipeline(ctx, build_capacity_lp(ctx, 1.0), policy)
+    sched = run_pipeline(ctx, policy)
     opt = exact_capacity(ctx, "cardinality", "exact_sinr")
     assert sched.size <= opt.size
     assert sched.exact_sinr_ok
+
+
+@pytest.mark.parametrize("mode", ["capacity", "qos", "weighted"])
+def test_pipeline_rounds_the_program_of_its_mode(mode):
+    ctx = random_ctx(12, n=20, R=3.0, delta=2.0, power=PowerAssignment.linear())
+    for C in (0.6, 1.4):
+        policy = RoundingPolicy(mode=mode, C=C, trials=15, seed=3)
+        program = BUILDERS[mode](ctx, C)
+        assert run_pipeline(ctx, policy).ids == \
+            best_part(ctx, round_trials(ctx, program, policy), mode)
+    with pytest.raises(ValueError, match="admission module"):
+        run_pipeline(ctx, RoundingPolicy(mode="admission_general"))
+
+
+def test_pipeline_looks_its_builder_up_when_it_runs(monkeypatch):
+    ctx = random_ctx(12, n=20, R=3.0, delta=2.0)
+    calls = []
+    build = formulations.build_qos_lp
+    monkeypatch.setattr(formulations, "build_qos_lp",
+                        lambda c, C: calls.append(C) or build(c, C))
+    session = LpSession()
+    for C in (0.5, 1.0):
+        run_pipeline(ctx, RoundingPolicy(mode="qos", C=C, trials=3), session)
+    assert calls == [0.5]  # built once per session, derived at the next constant
 
 
 def test_context_shared_across_threads():
@@ -252,11 +274,10 @@ def test_context_shared_across_threads():
     from concurrent.futures import ThreadPoolExecutor
 
     ctx = random_ctx(6, n=14, R=3.0, delta=2.0)
-    lp = build_capacity_lp(ctx, 1.0)
     policy = RoundingPolicy(mode="capacity", C=1.0, trials=20, seed=9)
-    sequential = run_pipeline(ctx, lp, policy)
+    sequential = run_pipeline(ctx, policy)
     with ThreadPoolExecutor(max_workers=4) as pool:
-        results = list(pool.map(lambda _: run_pipeline(ctx, lp, policy), range(4)))
+        results = list(pool.map(lambda _: run_pipeline(ctx, policy), range(4)))
     assert all(r == sequential for r in results)
 
 
@@ -270,21 +291,18 @@ def test_expected_selection_size():
     policy = RoundingPolicy(mode="capacity", C=C, trials=1, seed=23)
     sizes = []
     for t in range(2000):
-        sizes.append(len(sample_round(ctx, lp, sol.values, policy, t)))
+        sizes.append(len(sample_round(lp, sol.values, policy, t)))
     sizes = np.array(sizes, dtype=float)
     sem = sizes.std(ddof=1) / np.sqrt(len(sizes))
     assert sizes.mean() >= sol.objective / 3 - 3 * sem
 
 
-# The per-trial engine the batched one replaced, kept verbatim as the
-# reference: stage two as one matvec per trial, extraction per set, and the
-# per-set first-fit loop of signal strengthening.
+# The per-trial engine the batched one replaced, kept as the reference:
+# stage two as one matvec per trial, extraction per set, and the per-set
+# first-fit loop of signal strengthening at threshold 1.
 
-def _reference_sample_round(ctx, lp, delta, policy, trial, ids=None):
-    use_ids = np.asarray(ctx.ids if ids is None else ids, dtype=int)
-    delta = np.asarray(delta, dtype=float)
-    if delta.shape != (use_ids.size,) or lp.n != use_ids.size:
-        raise ValueError("delta length must match the variable ids")
+def _reference_sample_round(lp, delta, policy, trial):
+    use_ids = lp.ids
     selected = bernoulli_draws(policy.seed, trial, use_ids) < delta
     over = lp.row_coeffs @ selected.astype(float) > lp.row_limit
     if np.any(lp.row_var[over] < 0):
@@ -302,24 +320,20 @@ def _reference_extract(ctx, S, bound=12.0):
     return tuple(int(i) for i in ids[in_sums <= bound])
 
 
-def _reference_strengthen(ctx, S, theta=1.0):
-    if not theta > 0:
-        raise ValueError("theta must be positive")
+def _reference_strengthen(ctx, S):
     ids = sorted(int(i) for i in S)
     if not ids:
         return []
     idx = ctx.index_of(ids)
     order = np.argsort(-ctx.lengths[idx], kind="stable")
     mat = ctx.raw[np.ix_(idx, idx)]  # positions within ids from here on
-    if theta > 1.0:
-        mat = np.minimum(mat, 1.0)
     parts = []      # each entry: [member_positions, received_sums]
     for u in order:
         for entry in parts:
             members, in_sums = entry
             updated = in_sums + mat[u, members]
             own = float(mat[members, u].sum())
-            if own <= theta and np.all(updated <= theta):
+            if own <= 1.0 and np.all(updated <= 1.0):
                 entry[0] = members + [u]
                 entry[1] = np.append(updated, own)
                 break
@@ -328,43 +342,41 @@ def _reference_strengthen(ctx, S, theta=1.0):
     out = []
     for members, _ in parts:
         part = tuple(sorted(ids[p] for p in members))
-        if not check_feasibility(ctx, part, theta, "feasible"):
+        if not check_feasibility(ctx, part, 1.0, "feasible"):
             raise AssertionError("signal strengthening produced an infeasible part")
         out.append(part)
     return out
 
 
 def _engine_cases(with_primaries):
-    """(ctx, lp, ids) triples: whole-context capacity and weighted programs,
-    an ``ids=`` subset, and with primaries the admission programs (the
-    general one has a whole-sample drop row)."""
+    """(ctx, lp) pairs: whole-context capacity and weighted programs, a
+    program over a subset of the context's links, and with primaries the
+    admission programs (the general one has a whole-sample drop row)."""
     for seed in range(3):
         if with_primaries:
             ctx = feasible_prim_ctx(seed, n=40, R=6.0, delta=2.0, primaries=2)
-            yield ctx, build_admission_lp(ctx, 1.0), ctx.ids
-            kept, lp = build_admission_large_lp(ctx, 2.0)
-            yield ctx, lp, np.asarray(kept, dtype=int)
+            yield ctx, build_admission_lp(ctx, 1.0)
+            yield ctx, build_admission_large_lp(ctx, 2.0)
         else:
             ctx = random_ctx(seed, n=24, R=2.5, delta=2.0)
-            yield ctx, build_capacity_lp(ctx, 1.0), ctx.ids
-            yield ctx, build_weighted_lp(ctx, 2.0), ctx.ids
-        sub = ctx.ids[::2]
-        sub_ctx = AffectanceContext(ctx.instance.restrict([int(i) for i in sub]),
-                                    ctx.assignment)
-        yield ctx, build_qos_lp(sub_ctx, 1.0), sub
+            yield ctx, build_capacity_lp(ctx, 1.0)
+            yield ctx, build_weighted_lp(ctx, 2.0)
+        sub = [int(i) for i in ctx.ids[::2]]
+        yield ctx, build_qos_lp(AffectanceContext(ctx.instance.restrict(sub),
+                                                  ctx.assignment), 1.0)
 
 
 @pytest.mark.parametrize("trials", [1, 7])
-@pytest.mark.parametrize("theta", [0.5, 1.0, 2.0])
 @pytest.mark.parametrize("with_primaries", [False, True], ids=["plain", "primaries"])
-def test_batched_engine_matches_per_set_reference(with_primaries, theta, trials):
+def test_batched_engine_matches_per_set_reference(with_primaries, trials):
     seen = {"stage_two_drop": 0, "whole_sample_drop": 0, "extract_drop": 0, "multi_part": 0}
-    for case, (ctx, lp, ids) in enumerate(_engine_cases(with_primaries)):
+    for case, (ctx, lp) in enumerate(_engine_cases(with_primaries)):
+        ids = lp.ids
         delta = np.random.default_rng(case).uniform(0.4, 1.0, len(ids))
         policy = RoundingPolicy(mode="capacity", C=1.0, trials=trials, seed=case)
         numbers = range(3, 3 + trials)
-        sel = sample_batch(ctx, lp, delta, policy, numbers, ids)
-        samples = [_reference_sample_round(ctx, lp, delta, policy, t, ids) for t in numbers]
+        sel = sample_batch(lp, delta, policy, numbers)
+        samples = [_reference_sample_round(lp, delta, policy, t) for t in numbers]
         assert [tuple(int(i) for i in ids[row]) for row in sel] == samples
         for t, sample in zip(numbers, samples):
             drawn = bernoulli_draws(case, t, ids) < delta
@@ -380,14 +392,13 @@ def test_batched_engine_matches_per_set_reference(with_primaries, theta, trials)
         kept = _extract_rows(ctx, idx, rows, bound)
         kept_sets = [_reference_extract(ctx, s, bound) for s in sets]
         assert [tuple(int(i) for i in ids[order][row]) for row in kept] == kept_sets
-        parts = list(_strengthen_rows(ctx, idx, rows, theta))
-        assert parts == [_reference_strengthen(ctx, s, theta) for s in sets]
-        assert final_selection_batch(ctx, ids, rows[:, np.argsort(order)], bound, theta,
+        parts = list(_strengthen_rows(ctx, idx, rows))
+        assert parts == [_reference_strengthen(ctx, s) for s in sets]
+        assert final_selection_batch(ctx, ids, rows[:, np.argsort(order)], bound,
                                      "capacity") == \
-            [best_part(ctx, _reference_strengthen(ctx, k, theta), "capacity")
-             for k in kept_sets]
+            [best_part(ctx, _reference_strengthen(ctx, k), "capacity") for k in kept_sets]
         assert extract_low_affectance(ctx, sets[0], bound) == kept_sets[0]
-        assert signal_strengthen(ctx, sets[0], theta) == parts[0]
+        assert signal_strengthen(ctx, sets[0]) == parts[0]
         seen["extract_drop"] += sum(len(k) < len(s) for k, s in zip(kept_sets, sets))
         seen["multi_part"] += sum(len(p) > 1 for p in parts)
     # none of the compared paths was vacuous

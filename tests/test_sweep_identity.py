@@ -68,8 +68,8 @@ def test_session_sweep_matches_cold_solves(case):
         assert warm.objective == pytest.approx(cold.objective, rel=0, abs=1e-9)
         policy = RoundingPolicy(mode=mode, C=c, trials=TRIALS, seed=11)
         for trial in range(TRIALS):
-            assert sample_round(ctx, lp, warm.values, policy, trial) == \
-                sample_round(ctx, lp, cold.values, policy, trial)
+            assert sample_round(lp, warm.values, policy, trial) == \
+                sample_round(lp, cold.values, policy, trial)
 
 
 def _assert_warm_matches_cold(monkeypatch, run, lp_sweeps=1):
