@@ -1,5 +1,7 @@
 """Per-link quality requirements: each link carries its own SINR threshold
-and ambient noise, folded into its affectance factor c_v.
+and ambient noise, which set its SINR budget B_v = signal / beta_v - N_v;
+every affectance on the link is interference over that budget, and its
+c factor is signal / B_v.
 """
 
 import numpy as np

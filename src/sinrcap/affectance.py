@@ -1,15 +1,18 @@
 """Affectance kernel and feasibility predicates.
 
-The affectance of link w on link v is the interference w causes at v's
-receiver relative to the margin v has above its SINR threshold, clipped
-at 1:
+The affectance of link w on link v is w's interference at v's receiver
+over v's SINR budget, clipped at 1:
 
-    a_w(v) = min(1, c_v * (P_w / P_v) * (l_v / d_wv) ** alpha)
-    c_v    = beta_v / (1 - beta_v * N_v * l_v ** alpha / P_v)
+    a_w(v) = min(1, I_wv / B_v)
+    I_wv   = P_w / d_wv ** alpha
+    B_v    = P_v / (beta_v * l_v ** alpha) - N_v
 
-When a set of primary links is attached, every noise term is augmented by
-the interference received from the primaries, and the same formulas yield
-the "hat" affectance used by admission control.
+This equals the paper's c_v * (P_w / P_v) * (l_v / d_wv) ** alpha with
+c_v = beta_v / (1 - beta_v * N_v * l_v ** alpha / P_v) = P_v / l_v ** alpha / B_v,
+and a link meets its threshold alone exactly when B_v > 0.  When a set of
+primary links is attached, every noise term adds the interference received
+from the primaries, and the same rule yields the "hat" affectance used by
+admission control.
 
 The context stores one n x n matrix, the unclipped affectance; values are
 clipped where they are read.
@@ -70,29 +73,39 @@ class Schedule:
         return len(self.ids)
 
 
-def _interference(powers_from, dist, alpha):
+def _interference(powers_from, dist, alpha, budget=1.0, out=None):
+    """Power each sender delivers at each receiver, ``P_w / d_wv ** alpha``,
+    over the receiver's ``budget``; capped at ``RAW_CAP`` after dividing,
+    so a zero distance reads ``RAW_CAP`` whatever the budget.  ``out``
+    receives the result in place."""
     with np.errstate(divide="ignore"):
-        out = powers_from[:, None] / dist ** alpha
-    return np.minimum(out, RAW_CAP)
+        out = np.divide(powers_from[:, None], dist ** alpha, out=out)
+    out /= budget
+    return np.minimum(out, RAW_CAP, out=out)
 
 
 class AffectanceContext:
-    """Immutable precomputation of powers, c-factors and affectances.
+    """Immutable precomputation of powers, budgets and affectances.
 
-    ``raw[w, v]`` is w's unclipped affectance on v (capped at ``RAW_CAP``,
-    0 on the diagonal), the only n x n array held; thresholds at or below 1
-    read it as is, larger ones clip the rows or blocks they read.  With
-    primaries, n x k ``raw_to_prim`` and ``aff_to_prim_plain`` hold each
-    secondary's affectance on each primary, with and without the other
-    primaries as noise.  Distances and interference are not stored.
+    ``raw[w, v]`` is w's unclipped affectance on v, its interference at v
+    over v's hat budget (capped at ``RAW_CAP``, 0 on the diagonal); it is
+    the only n x n array held.  Thresholds at or below 1 read it as is,
+    larger ones clip the rows or blocks they read.  With primaries, n x k
+    ``raw_to_prim`` holds each secondary's unclipped affectance on each
+    primary over the primary's hat budget, and ``aff_to_prim_plain`` the
+    clipped one over its plain budget, the other primaries silent.
+    Distances and interference are not stored.
 
-    Links that cannot meet their SINR threshold alone (given the ambient,
-    possibly primary-augmented, noise) are dropped with a warning; their
-    ids are listed in ``removed_ids``.
+    ``primaries`` is None, empty or the instance's own primary set.  A link
+    whose hat budget is not positive cannot meet its SINR threshold alone;
+    it is dropped with a warning and listed in ``removed_ids``.  A primary
+    whose hat budget is not positive raises ``InfeasiblePrimaries``.
     """
 
     def __init__(self, instance: Instance, assignment: PowerAssignment,
                  primaries: Optional[PrimarySet] = None):
+        if primaries is not None and primaries.links and primaries != instance.primaries:
+            raise ValueError("primaries must be None, empty or the instance's own")
         self.instance = instance
         self.assignment = assignment
         self.primaries = primaries
@@ -105,29 +118,37 @@ class AffectanceContext:
             raise ValueError("power assignment produced a nonpositive power")
 
         # primaries: explicit powers, instance-global beta/noise
-        if primaries is not None:
-            self.prim_ids = [lk.id for lk in primaries.links]
-            self.prim_powers = np.array(primaries.powers, dtype=float)
-            self.prim_lengths = np.array([instance.length_of(i) for i in self.prim_ids])
-        else:
-            self.prim_ids = []
-            self.prim_powers = np.zeros(0)
-            self.prim_lengths = np.zeros(0)
-        self.k = len(self.prim_ids)
+        prims = primaries if primaries is not None else PrimarySet(links=(), powers=())
+        self.prim_ids = [lk.id for lk in prims.links]
+        self.prim_powers = np.array(prims.powers, dtype=float)
+        self.prim_lengths = np.array([instance.length_of(i) for i in self.prim_ids])
+        k = self.k = len(self.prim_ids)
 
-        # hat noise at every receiver: base noise plus primary interference
+        # every receiver's budget, primaries first: signal over beta minus
+        # noise, the hat noise adding the primaries' interference
         betas = np.array([instance.link(i).beta_override or instance.beta for i in all_ids])
         base_noise = np.array([
             instance.noise if instance.link(i).noise_override is None
             else instance.link(i).noise_override
             for i in all_ids
         ])
-        hat_noise = base_noise + _interference(
-            self.prim_powers, instance.sr_matrix(self.prim_ids, all_ids), alpha).sum(axis=0)
+        from_prim = _interference(self.prim_powers,
+                                  instance.sr_matrix(self.prim_ids, self.prim_ids + all_ids),
+                                  alpha)
+        np.fill_diagonal(from_prim, 0.0)
+        noise = np.concatenate([np.full(k, instance.noise), base_noise])
+        hat_noise = noise + from_prim.sum(axis=0)
+        signal = np.concatenate([self.prim_powers, all_powers]) \
+            / np.concatenate([self.prim_lengths, all_lengths]) ** alpha
+        signal_over_beta = signal / np.concatenate([np.full(k, instance.beta), betas])
+        budget = signal_over_beta - hat_noise
+        if np.any(budget[:k] <= 0):
+            bad = [self.prim_ids[i] for i in np.flatnonzero(budget[:k] <= 0)]
+            raise InfeasiblePrimaries(f"primary link(s) {bad} cannot satisfy their own SINR")
+        self.prim_hat_noise = hat_noise[:k]
 
         # drop links that are infeasible even alone
-        margins = 1.0 - betas * hat_noise * all_lengths ** alpha / all_powers
-        keep = margins > 0
+        keep = budget[k:] > 0
         self.removed_ids = tuple(i for i, k_ in zip(all_ids, keep) if not k_)
         if self.removed_ids:
             logger.warning("dropping %d individually infeasible link(s): %s",
@@ -140,54 +161,26 @@ class AffectanceContext:
         self.powers = all_powers[sel]
         self.betas = betas[sel]
         self.base_noise = base_noise[sel]
-        self.hat_noise_sec = hat_noise[sel]
+        self.hat_noise_sec = hat_noise[k:][sel]
         self.weights = np.array([instance.link(int(i)).weight for i in self.ids])
-        self.c = self.betas / (1.0 - self.betas * self.hat_noise_sec
-                               * self.lengths ** alpha / self.powers)
+        sec_budget = budget[k:][sel]
+        self.c = signal[k:][sel] / sec_budget
 
         n = len(self.ids)
         ids_list = [int(i) for i in self.ids]
-        self.raw = np.zeros((n, n))
+        self.raw = np.empty((n, n))
         for r0 in range(0, n, ROW_BLOCK):
             r1 = min(r0 + ROW_BLOCK, n)
-            dist = instance.sr_matrix(ids_list[r0:r1], ids_list)
-            with np.errstate(divide="ignore"):
-                block = (self.c[None, :]
-                         * (self.powers[r0:r1, None] / self.powers[None, :])
-                         * (self.lengths[None, :] / dist) ** alpha)
-            self.raw[r0:r1] = np.minimum(np.nan_to_num(block, posinf=RAW_CAP), RAW_CAP)
+            _interference(self.powers[r0:r1], instance.sr_matrix(ids_list[r0:r1], ids_list),
+                          alpha, sec_budget, out=self.raw[r0:r1])
         np.fill_diagonal(self.raw, 0.0)
-        self._init_primaries(alpha, ids_list)
+
+        to_prim = instance.sr_matrix(ids_list, self.prim_ids)
+        self.raw_to_prim = _interference(self.powers, to_prim, alpha, budget[:k])
+        self.aff_to_prim_plain = np.minimum(
+            _interference(self.powers, to_prim, alpha, signal_over_beta[:k] - noise[:k]), 1.0)
 
         self._power_class = None
-
-    def _init_primaries(self, alpha, ids_list):
-        inst = self.instance
-        mutual = _interference(self.prim_powers,
-                               inst.sr_matrix(self.prim_ids, self.prim_ids), alpha)
-        np.fill_diagonal(mutual, 0.0)
-        self.prim_hat_noise = np.full(self.k, inst.noise) + mutual.sum(axis=0)
-        self.prim_betas = np.full(self.k, inst.beta)
-
-        margins_hat = 1.0 - self.prim_betas * self.prim_hat_noise \
-            * self.prim_lengths ** alpha / self.prim_powers
-        if np.any(margins_hat <= 0):
-            bad = [self.prim_ids[i] for i in np.flatnonzero(margins_hat <= 0)]
-            raise InfeasiblePrimaries(f"primary link(s) {bad} cannot satisfy their own SINR")
-        self.prim_c_hat = self.prim_betas / margins_hat
-
-        margins_plain = 1.0 - self.prim_betas * inst.noise \
-            * self.prim_lengths ** alpha / self.prim_powers
-        self.prim_c_plain = np.where(margins_plain > 0, self.prim_betas / margins_plain, np.inf)
-
-        with np.errstate(divide="ignore"):
-            ratio = (self.powers[:, None] / self.prim_powers[None, :]) \
-                * (self.prim_lengths[None, :] / inst.sr_matrix(ids_list, self.prim_ids)) ** alpha
-        self.raw_to_prim = np.minimum(np.nan_to_num(self.prim_c_hat[None, :] * ratio,
-                                                    posinf=RAW_CAP), RAW_CAP)
-        raw_plain = np.minimum(np.nan_to_num(self.prim_c_plain[None, :] * ratio,
-                                             posinf=RAW_CAP), RAW_CAP)
-        self.aff_to_prim_plain = np.minimum(raw_plain, 1.0)
 
     # -- basic accessors ----------------------------------------------------
 
@@ -198,16 +191,6 @@ class AffectanceContext:
     @property
     def has_primaries(self) -> bool:
         return self.primaries is not None
-
-    @property
-    def aff(self) -> np.ndarray:
-        """Clipped affectance, a fresh n x n array on every read."""
-        return np.minimum(self.raw, 1.0)
-
-    @property
-    def aff_to_prim(self) -> np.ndarray:
-        """Clipped hat-affectance on the primaries, a fresh n x k array."""
-        return np.minimum(self.raw_to_prim, 1.0)
 
     def index_of(self, link_ids: Iterable[int]) -> np.ndarray:
         """Context positions of link ids; IndividuallyInfeasible for a

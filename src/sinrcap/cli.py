@@ -207,6 +207,10 @@ def _cmd_admit(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    with _rejected("oracle", ValueError):
+        if args.admission and (args.objective, args.mode) != ("cardinality", "exact"):
+            raise ValueError("--admission finds the cardinality optimum under exact SINR "
+                             "and takes neither --objective weight nor --mode affectance")
     inst = _read(args, primaries=args.admission)
     with _rejected("oracle", TooLarge, InfeasiblePrimaries):
         if args.admission:

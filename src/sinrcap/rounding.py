@@ -174,7 +174,6 @@ def _strengthen_rows(ctx: AffectanceContext, idx: np.ndarray,
     pos[np.arange(k) < sizes[rows, None]] = idx[np.nonzero(sel[rows])[1]]
     part = np.zeros((rows.size, k), dtype=int)
     own = np.zeros((rows.size, k))  # each placed link's load from its own part
-    nparts = np.zeros(rows.size, dtype=int)
     count = np.arange(max(rows.size, k + 1))
     width = 1  # parts any live row has, plus the new one
     for i, a in enumerate(np.count_nonzero(sizes[rows, None] > count[:k], axis=0)):
@@ -183,8 +182,8 @@ def _strengthen_rows(ctx: AffectanceContext, idx: np.ndarray,
         out_u, in_u = ctx.raw[u, placed], ctx.raw[placed, u]
         in_load = np.bincount((live[:, None] * width + assigned).ravel(), in_u.ravel(),
                               a * width).reshape(a, width)
-        # a row's new part has no members and load 0, so it always fits
-        fits = (in_load <= 1.0) & (count[:width] <= nparts[:a, None])
+        # a row's first empty part has load 0, so it always fits
+        fits = in_load <= 1.0
         bad_r, bad_j = np.nonzero(own[:a, :i] + out_u > 1.0)
         fits[bad_r, assigned[bad_r, bad_j]] = False
         choice = fits.argmax(axis=1)
@@ -192,14 +191,13 @@ def _strengthen_rows(ctx: AffectanceContext, idx: np.ndarray,
         own[:a, :i] += out_u
         own[:a, i] = in_load[live, choice]
         part[:a, i] = choice
-        np.maximum(nparts[:a], choice + 1, out=nparts[:a])
         width = max(width, int(choice.max()) + 2)
     row_of = np.argsort(rows)
     for t in range(rows.size):
         r = row_of[t]
         members, assigned = ctx.ids[pos[r, :sizes[t]]], part[r, :sizes[t]]
         parts = [tuple(int(i) for i in np.sort(members[assigned == p]))
-                 for p in range(nparts[r])]
+                 for p in range(assigned.max(initial=-1) + 1)]
         for p in parts:
             if not check_feasibility(ctx, p, 1.0, "feasible"):
                 raise AssertionError("signal strengthening produced an infeasible part")

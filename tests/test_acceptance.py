@@ -137,7 +137,8 @@ def test_criterion_3_rounding_probability():
         ctx = random_ctx(31, n=40, R=4.0, delta=2.5)
         sol = solve_lp(build_capacity_lp(ctx, C))
         mask = ctx.length_ge_mask()
-        m_in, m_out = ctx.aff * mask, ctx.aff.T * mask
+        aff = np.minimum(ctx.raw, 1.0)
+        m_in, m_out = aff * mask, aff.T * mask
         sel = np.empty((trials, ctx.n))
         for t in range(trials):
             sel[t] = bernoulli_draws(5, t, ctx.ids) < sol.values
@@ -182,7 +183,7 @@ def test_criterion_4_sparsification_acceptance():
     for i in range(100):
         k = (2, 4)[i % 2]
         ctx = _sparsify_input(i, k)
-        per_pair = ctx.aff_to_prim
+        per_pair = np.minimum(ctx.raw_to_prim, 1.0)
         thr = admission_filter_threshold(ctx.k)
         assert np.all(per_pair <= thr), "synthetic input violates the per-pair cap"
         assert np.all(per_pair.sum(axis=0) <= 1.0), "aggregate precondition violated"
@@ -201,7 +202,7 @@ def _gamma_feasible_set(ctx, gamma, rng):
     chosen = []
     for u in order:
         cand = chosen + [int(u)]
-        sub = ctx.aff[np.ix_(cand, cand)]
+        sub = np.minimum(ctx.raw[np.ix_(cand, cand)], 1.0)
         if np.all(sub.sum(axis=0) <= gamma):
             chosen = cand
     return [int(ctx.ids[i]) for i in chosen]

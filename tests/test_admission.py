@@ -201,7 +201,8 @@ def test_sparsify_respects_budget(rng):
     ctx = prim_ctx(2, n=12, R=30.0, primaries=2)
     ids = [int(i) for i in ctx.ids]
     q = sparsify(ctx, ids, rng)
-    loads = ctx.aff_to_prim[ctx.index_of(q), :].sum(axis=0) if q else np.zeros(ctx.k)
+    loads = (np.minimum(ctx.raw_to_prim[ctx.index_of(q), :], 1.0).sum(axis=0) if q
+             else np.zeros(ctx.k))
     assert np.all(loads <= 1.0 / 3.0)
 
 
@@ -214,7 +215,7 @@ def test_sparsify_exhausts_on_hopeless_input(rng):
                 for i in range(40))
     inst = Instance(links=sec, alpha=2.0, beta=0.2, primaries=prim)
     ctx = AffectanceContext(inst, UNIFORM, primaries=prim)
-    assert np.all(ctx.aff_to_prim.sum(axis=1) > 1 / 3)
+    assert np.all(np.minimum(ctx.raw_to_prim, 1.0).sum(axis=1) > 1 / 3)
     with pytest.raises(RetriesExhausted):
         sparsify(ctx, [int(i) for i in ctx.ids], rng, retry_cap=25)
 

