@@ -90,8 +90,9 @@ def test_second_stage_condition_frequency():
 
 
 def _per_mode_survivors(ctx, mode, C, ids, selected):
-    """Stage two as each mode's conditions state it, from the clipped affectance directly:
-    the reference the LP-row form must reproduce.  None: sample discarded."""
+    """Stage two as each mode's conditions state it, from the clipped
+    affectance directly: the reference the LP-row form must reproduce.
+    None: sample discarded."""
     idx = ctx.index_of(ids)
     aff = np.minimum(ctx.raw[np.ix_(idx, idx)], 1.0)
     sel = selected.astype(float)
