@@ -8,10 +8,9 @@ primary; the large-optimum pipeline prefilters links that affect any
 primary too much, after which one rounded set is safe outright with high
 probability.
 
-The general pipeline groups every trial's set in lockstep, as the
-rounding engine does: one ranking of the links serves every set, and step
-i places each set's i-th link by first fit.  ``partition_by_primaries``
-is the one-set case of the same code.
+The general pipeline groups every trial's set at once through
+``rounding._first_fit``, the engine of signal strengthening;
+``partition_by_primaries`` is the one-set case of the same code.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from .affectance import (AffectanceContext, Schedule, _exact_budgets, _feasible_
 from .formulations import (admission_filter_threshold, build_admission_large_lp,
                            build_admission_lp)
 from .lp_core import LpSession
-from .rounding import RoundingPolicy, _better, best_part, round_trials
+from .rounding import RoundingPolicy, _better, _first_fit, best_part, round_trials
 
 logger = logging.getLogger(__name__)
 
@@ -70,48 +69,34 @@ def partition_by_primaries(ctx: AffectanceContext, R) -> list:
 
 
 def _partition_rows(ctx: AffectanceContext, sets) -> list:
-    """``partition_by_primaries`` of every set in ``sets``, in order.
-
-    The sets run in lockstep.  Links are ranked once by (-clipped primary
-    load, id), a key of the link alone, so one ranking orders every set.
-    Step i places each set's i-th link into its first group whose loads
-    plus the link's stay at most 1 on every primary; the set's empty group
-    after its last one always fits.  Loads are summed in the order links
-    joined their group.  One warning names the links dropped from any set."""
+    """``partition_by_primaries`` of every set in ``sets``, in order, by
+    ``_first_fit`` over links ranked by (-clipped primary load, id).  A link
+    joins its set's first group whose loads plus its own stay at most 1 on
+    every primary, loads summed in the order links joined.  One warning
+    names the links dropped from any set."""
     members = [[int(i) for i in R] for R in sets]
     ids = np.unique(np.fromiter(chain.from_iterable(members), dtype=int))
     sel = np.zeros((len(members), ids.size), dtype=bool)
     for row, m in zip(sel, members):
         row[np.searchsorted(ids, m)] = True
     contrib = ctx.raw_to_prim[ctx.index_of(ids)]  # unclipped, one row per link
-    rank = np.lexsort((ids, -np.minimum(contrib, 1.0).sum(axis=1)))
-    ids, contrib, sel = ids[rank], contrib[rank], sel[:, rank]
     alone_over = np.any(contrib > 1.0, axis=1)
-    dropped = np.sort(ids[alone_over & sel.any(axis=0)]).tolist()
+    dropped = ids[alone_over & sel.any(axis=0)].tolist()
     if dropped:
         logger.warning("dropped %d link(s) that alone overload a primary: %s",
                        len(dropped), dropped)
     sel[:, alone_over] = False
-    sizes = sel.sum(axis=1)
-    rows = np.argsort(-sizes, kind="stable")  # sets still placing form a prefix
-    steps = int(sizes.max(initial=0))
-    pos = np.zeros((rows.size, steps), dtype=int)  # each set's links, in rank order
-    pos[np.arange(steps) < sizes[rows, None]] = np.nonzero(sel[rows])[1]
-    group = np.zeros((rows.size, steps), dtype=int)
-    loads = np.zeros((rows.size, steps + 1, ctx.k))  # a load row per group
-    width = 1  # groups any live set has, plus its empty one
-    for i, a in enumerate(np.count_nonzero(sizes[rows, None] > np.arange(steps), axis=0)):
-        u = contrib[pos[:a, i]]
-        choice = np.all(loads[:a, :width] + u[:, None] <= 1.0, axis=2).argmax(axis=1)
-        loads[np.arange(a), choice] += u
-        group[:a, i] = choice
-        width = max(width, int(choice.max()) + 2)
-    out = [None] * rows.size
-    for r, t in enumerate(rows):
-        placed, g = ids[pos[r, :sizes[t]]], group[r, :sizes[t]]
-        out[t] = [tuple(int(i) for i in np.sort(placed[g == p]))
-                  for p in range(g.max(initial=-1) + 1)]
-    return out
+    steps = int(sel.sum(axis=1).max(initial=0))
+    loads = np.zeros((len(members), steps + 1, ctx.k))  # a load row per group
+
+    def fit(i, cols, groups, width):
+        u = contrib[cols[:, i]]
+        choice = np.all(loads[:len(u), :width] + u[:, None] <= 1.0, axis=2).argmax(axis=1)
+        loads[np.arange(len(u)), choice] += u
+        return choice
+
+    rank = np.lexsort((ids, -np.minimum(contrib, 1.0).sum(axis=1)))
+    return list(_first_fit(ids, sel, rank, fit))
 
 
 def sparsify(ctx: AffectanceContext, R, rng, retry_cap: int = RETRY_CAP) -> tuple:

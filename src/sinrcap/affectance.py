@@ -114,8 +114,8 @@ class AffectanceContext:
         all_ids = sorted(lk.id for lk in instance.links)
         all_lengths = np.array([instance.length_of(i) for i in all_ids])
         all_powers = np.asarray(assignment.power(all_lengths, alpha), dtype=float)
-        if all_ids and np.any(all_powers <= 0):
-            raise ValueError("power assignment produced a nonpositive power")
+        if not np.all(np.isfinite(all_powers) & (all_powers > 0)):
+            raise ValueError("power assignment produced a nonpositive or non-finite power")
 
         # primaries: explicit powers, instance-global beta/noise
         prims = primaries if primaries is not None else PrimarySet(links=(), powers=())

@@ -152,6 +152,15 @@ def _read(args, primaries=False):
     return inst
 
 
+def _context(args, inst, primaries=False):
+    """The affectance context of ``inst`` under ``--power`` (with the
+    instance's primaries when ``primaries``), refused as a bad input when a
+    power is not finite and positive or the primaries cannot coexist."""
+    with _rejected(args.command, ValueError, InfeasiblePrimaries):
+        return AffectanceContext(inst, args.power,
+                                 primaries=inst.primaries if primaries else None)
+
+
 def _cmd_gen(args) -> int:
     with _rejected("gen", OSError, ValueError):
         inst = generate_instance(GenConfig(
@@ -165,7 +174,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    ctx = AffectanceContext(_read(args), args.power)
+    ctx = _context(args, _read(args))
 
     def run(c, session):
         if args.algo == "lp":
@@ -186,9 +195,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_admit(args) -> int:
-    inst = _read(args, primaries=True)
-    with _rejected("admit", InfeasiblePrimaries):
-        ctx = AffectanceContext(inst, args.power, primaries=inst.primaries)
+    ctx = _context(args, _read(args, primaries=True), primaries=True)
     mode, admit = {"general": ("admission_general", admit_general),
                    "large": ("admission_large", admit_large_opt)}[args.method]
 
@@ -211,18 +218,15 @@ def _cmd_oracle(args) -> int:
         if args.admission and (args.objective, args.mode) != ("cardinality", "exact"):
             raise ValueError("--admission finds the cardinality optimum under exact SINR "
                              "and takes neither --objective weight nor --mode affectance")
-    inst = _read(args, primaries=args.admission)
-    with _rejected("oracle", TooLarge, InfeasiblePrimaries):
+    ctx = _context(args, _read(args, primaries=args.admission), primaries=args.admission)
+    with _rejected("oracle", TooLarge):
         if args.admission:
-            ctx = AffectanceContext(inst, args.power, primaries=inst.primaries)
             sched = exact_admission(ctx)
             ok = verify_admission(ctx, sched.ids)
         elif args.mode == "exact":
-            ctx = AffectanceContext(inst, args.power)
             sched = exact_capacity(ctx, args.objective, "exact_sinr")
             ok = verify_output(ctx, sched.ids)
         else:
-            ctx = AffectanceContext(inst, args.power)
             sched = exact_capacity(ctx, args.objective, "affectance", ORACLE_GAMMA)
             ok = check_feasibility(ctx, sched.ids, ORACLE_GAMMA, "feasible")
     payload = {"ids": list(sched.ids), "size": sched.size,

@@ -86,10 +86,8 @@ class LinearProgram:
     def __post_init__(self):
         obj = np.asarray(self.objective, dtype=float)
         a = np.asarray(self.row_coeffs, dtype=float)
-        if a.ndim == 2 and a.shape[1] == obj.size:
-            pass  # already (m, n); reshape would drop zero-variable rows
-        else:
-            a = a.reshape(-1, obj.size)
+        if a.ndim != 2 or a.shape[1] != obj.size:
+            raise ValueError("row coefficients must be a matrix with one column per variable")
         if not np.all(np.isfinite(obj)) or np.any(obj < 0):
             raise ValueError("objective coefficients must be finite and nonnegative")
         if not np.all(np.isfinite(a)) or np.any(a < 0):

@@ -230,8 +230,8 @@ class PowerAssignment:
     def __post_init__(self):
         if self.kind not in POWER_KINDS:
             raise ValueError(f"unknown power assignment kind {self.kind!r}")
-        if self.kind == "uniform" and not self.p0 > 0:
-            raise ValueError("uniform power requires p0 > 0")
+        if self.kind == "uniform" and not 0 < self.p0 < math.inf:
+            raise ValueError("uniform power requires a finite p0 > 0")
         if self.kind == "exponent":
             if self.tau is None or not (0.0 <= self.tau <= 1.0):
                 raise ValueError("exponent power requires tau in [0, 1]")

@@ -14,11 +14,10 @@ Every trial of a pipeline runs in lockstep, as one row of a boolean
 selection matrix: stage one stacks the trials' draws (each a pure function
 of seed, trial and link id), stage two takes every trial's row loads in
 one product with the LP rows, extraction one product over the union of
-sampled links, and strengthening places each trial's i-th longest link at
-step i.  Strengthening state is O(T * n) for T trials, and its loads are
-summed in the order members joined their part.  ``sample_round``,
-``extract_low_affectance``, ``signal_strengthen`` and ``final_selection``
-are the one-trial case of the same code.
+sampled links, and strengthening one ``_first_fit`` over every row, the
+lockstep first-fit engine that admission's grouping shares.
+``sample_round``, ``extract_low_affectance``, ``signal_strengthen`` and
+``final_selection`` are the one-trial case of the same code.
 
 ``round_trials`` is the one trial loop: it solves the LP and yields every
 trial's final selection.  ``run_pipeline`` and both admission pipelines
@@ -152,52 +151,66 @@ def _extract_rows(ctx: AffectanceContext, idx: np.ndarray, sel: np.ndarray,
     return kept
 
 
+def _first_fit(ids: np.ndarray, sel: np.ndarray, rank: np.ndarray,
+               fit) -> Iterator[list]:
+    """First fit of every row of ``sel`` (booleans over the columns ``ids``),
+    each row placing its columns in ``rank`` order, all rows in lockstep.
+
+    Step i calls ``fit(i, cols, groups, width)`` on the rows still placing
+    (a prefix: rows run longest first): their first i + 1 columns (indices
+    into ``ids``; the last is being placed), the groups of the first i, and
+    a width above every such row's groups, its empty one included.  ``fit``
+    keeps its own load state, indexed like ``cols``, and returns each row's
+    first group that fits; an empty group always does.  Yields each row's
+    groups as sorted id tuples, in row order.
+    """
+    sel = sel[:, rank]
+    sizes = sel.sum(axis=1)
+    rows = np.argsort(-sizes, kind="stable")
+    k = int(sizes.max(initial=0))
+    cols = np.zeros((rows.size, k), dtype=int)
+    cols[np.arange(k) < sizes[rows, None]] = rank[np.nonzero(sel[rows])[1]]
+    groups = np.zeros((rows.size, k), dtype=int)
+    width = 1
+    for i, a in enumerate(np.count_nonzero(sizes[rows, None] > np.arange(k), axis=0)):
+        groups[:a, i] = choice = fit(i, cols[:a, :i + 1], groups[:a, :i], width)
+        width = max(width, int(choice.max()) + 2)
+    for r, size in zip(np.argsort(rows), sizes):
+        members, g = ids[cols[r, :size]], groups[r, :size]
+        yield [tuple(int(i) for i in np.sort(members[g == p]))
+               for p in range(g.max(initial=-1) + 1)]
+
+
 def _strengthen_rows(ctx: AffectanceContext, idx: np.ndarray,
                      sel: np.ndarray) -> Iterator[list]:
     """1-feasible parts of every row of ``sel`` (columns: the context
-    positions ``idx``, in id order) by first fit over the row's links in
-    non-increasing length order, ties by id.
-
-    The rows run in lockstep: step i places each row's i-th longest link u
-    into its first part p where u's unclipped in-load from p is at most 1
-    and every member of p stays within 1 after adding u's affectance, so
-    parts are sound against the exact SINR condition.  Loads are summed in
-    the order members joined their part.  Yields each row's parts in row
-    order, so only one row's id tuples are alive at once.
+    positions ``idx``): ``_first_fit`` over links by non-increasing length,
+    ties by id.  Link u joins its row's first part p where u's unclipped
+    in-load from p is at most 1 and every member of p stays within 1 after
+    adding u's affectance, so parts are sound against the exact SINR
+    condition.  Loads are summed in the order members joined their part.
     """
-    rank = np.argsort(-ctx.lengths[idx], kind="stable")
-    idx, sel = idx[rank], sel[:, rank]
-    sizes = sel.sum(axis=1)
-    rows = np.argsort(-sizes, kind="stable")  # rows still placing form a prefix
-    k = int(sizes.max(initial=0))
-    pos = np.zeros((rows.size, k), dtype=int)  # each row's links, longest first
-    pos[np.arange(k) < sizes[rows, None]] = idx[np.nonzero(sel[rows])[1]]
-    part = np.zeros((rows.size, k), dtype=int)
-    own = np.zeros((rows.size, k))  # each placed link's load from its own part
-    count = np.arange(max(rows.size, k + 1))
-    width = 1  # parts any live row has, plus the new one
-    for i, a in enumerate(np.count_nonzero(sizes[rows, None] > count[:k], axis=0)):
-        live = count[:a]
-        u, placed, assigned = pos[:a, i, None], pos[:a, :i], part[:a, :i]
+    full = np.zeros((sel.shape[0], ctx.n), dtype=bool)  # columns: context positions
+    full[:, idx] = sel
+    own = np.zeros((sel.shape[0], int(sel.sum(axis=1).max(initial=0))))  # load from own part
+
+    def fit(i, cols, parts, width):
+        a, live = len(cols), np.arange(len(cols))
+        u, placed = cols[:, i, None], cols[:, :i]
         out_u, in_u = ctx.raw[u, placed], ctx.raw[placed, u]
-        in_load = np.bincount((live[:, None] * width + assigned).ravel(), in_u.ravel(),
+        in_load = np.bincount((live[:, None] * width + parts).ravel(), in_u.ravel(),
                               a * width).reshape(a, width)
-        # a row's first empty part has load 0, so it always fits
         fits = in_load <= 1.0
         bad_r, bad_j = np.nonzero(own[:a, :i] + out_u > 1.0)
-        fits[bad_r, assigned[bad_r, bad_j]] = False
+        fits[bad_r, parts[bad_r, bad_j]] = False
         choice = fits.argmax(axis=1)
-        out_u[assigned != choice[:, None]] = 0.0
+        out_u[parts != choice[:, None]] = 0.0
         own[:a, :i] += out_u
         own[:a, i] = in_load[live, choice]
-        part[:a, i] = choice
-        width = max(width, int(choice.max()) + 2)
-    row_of = np.argsort(rows)
-    for t in range(rows.size):
-        r = row_of[t]
-        members, assigned = ctx.ids[pos[r, :sizes[t]]], part[r, :sizes[t]]
-        parts = [tuple(int(i) for i in np.sort(members[assigned == p]))
-                 for p in range(assigned.max(initial=-1) + 1)]
+        return choice
+
+    rank = np.argsort(-ctx.lengths, kind="stable")  # ties by id: ctx.ids is sorted
+    for parts in _first_fit(ctx.ids, full, rank, fit):
         for p in parts:
             if not check_feasibility(ctx, p, 1.0, "feasible"):
                 raise AssertionError("signal strengthening produced an infeasible part")

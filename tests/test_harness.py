@@ -199,9 +199,10 @@ def test_cli_rejects_constants_that_are_not_finite_and_positive(command, constan
     (["admit", "INSTANCE", "--power", "exp:2"], "--power"),
     (["oracle", "INSTANCE", "--power", "uniform:x"], "--power"),
     (["compare", "--power", "quadratic"], "--power"),
+    (["solve", "INSTANCE", "--algo", "lp", "--power", "uniform:inf"], "--power"),
 ], ids=["sides-0", "sides-a", "deltas-inf", "compare-n", "gen-n-0", "gen-n-float",
         "solve-trials-0", "suite-count-0", "solve-power-foo", "admit-power-exp-2",
-        "oracle-power-uniform-x", "compare-power-quadratic"])
+        "oracle-power-uniform-x", "compare-power-quadratic", "solve-power-uniform-inf"])
 def test_cli_rejects_bad_numeric_flags(args, flag, tmp_path, capsys):
     inst_path = tmp_path / "inst.json"
     write_instance(generate_instance(GenConfig(n=6, R=6.0, delta=2.0, seed=4)), inst_path)
@@ -349,6 +350,34 @@ def test_cli_reports_infeasible_primaries_in_one_line(command, tmp_path, capsys)
     err = capsys.readouterr().err
     assert err.startswith(f"sinrcap {command[0]}: error: ") and err.count("\n") == 1
     assert "cannot satisfy their own SINR" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["solve", "--algo", "lp"], ["solve", "--algo", "greedy"],
+                                     ["admit"], ["oracle"], ["oracle", "--admission"]],
+                         ids=["solve-lp", "solve-greedy", "admit", "oracle", "oracle-admission"])
+@pytest.mark.parametrize("length", [1e-200, 1e200], ids=["underflow", "overflow"])
+def test_cli_reports_power_out_of_range_in_one_line(command, length, tmp_path, capsys):
+    # under linear power (l**alpha) link 0's power is 0 or overflows to inf
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps({
+        "alpha": 2.5,
+        "links": [{"id": 0, "sx": 0.0, "sy": 0.0, "rx": length, "ry": 0.0},
+                  {"id": 1, "sx": 5.0, "sy": 0.0, "rx": 6.0, "ry": 0.0}],
+        "primaries": [{"id": 2, "sx": 50.0, "sy": 0.0, "rx": 51.0, "ry": 0.0,
+                       "power": 1.0}]}))
+    out = tmp_path / "out"
+    argv = [command[0], str(path), *command[1:], "--power", "linear", "--out", str(out)]
+    with pytest.raises(SystemExit) as exc:
+        if length > 1:
+            with pytest.warns(RuntimeWarning, match="overflow"):
+                cli_main(argv)
+        else:
+            cli_main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"sinrcap {command[0]}: error: ") and err.count("\n") == 1
+    assert "nonpositive or non-finite power" in err
     assert not out.exists()
 
 

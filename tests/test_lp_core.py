@@ -85,6 +85,10 @@ def test_invalid_programs_rejected():
         lp([1.0], [[0.5]], [0.0])   # nonpositive bound
     with pytest.raises(ValueError):
         lp([-1.0], [[0.5]], [1.0])  # negative objective
+    for coeffs, bounds in ((np.ones((3, 4)), np.ones(6)),  # 12 entries, but not 6 x 2
+                           ([1.0, 2.0, 3.0, 4.0], np.ones(2))):  # flat, not 2 x 2
+        with pytest.raises(ValueError, match="one column per variable"):
+            LinearProgram(objective=np.ones(2), row_coeffs=coeffs, row_bounds=bounds)
     rows, bounds = [[0.5, 0.5], [0.5, 0.5]], [1.0, 1.0]
     for var, limit in (([0], [1.0, 1.0]),         # rounding data of the wrong length
                        ([0, 1], [1.0]),

@@ -14,8 +14,8 @@ from sinrcap import (AffectanceContext, Instance, LpSession, PowerAssignment,
                      extract_low_affectance, run_pipeline, sample_round,
                      signal_strengthen, solve_lp)
 from sinrcap import formulations
-from sinrcap.rounding import (ROUNDING_MODES, _extract_rows, _strengthen_rows, best_part,
-                              final_selection_batch, round_trials, sample_batch)
+from sinrcap.rounding import (ROUNDING_MODES, _extract_rows, _first_fit, _strengthen_rows,
+                              best_part, final_selection_batch, round_trials, sample_batch)
 
 from conftest import (colocated_pair, far_instance, feasible_prim_ctx, make_link,
                       random_ctx)
@@ -406,3 +406,65 @@ def test_batched_engine_matches_per_set_reference(with_primaries, trials):
     # none of the compared paths was vacuous
     assert seen["stage_two_drop"] and seen["extract_drop"] and seen["multi_part"]
     assert bool(seen["whole_sample_drop"]) == with_primaries  # the aggregate row
+
+
+def _bin_fit(size, rows, steps):
+    """A ``_first_fit`` callback packing items of the given sizes into unit
+    bins; checks the arguments the engine hands it."""
+    loads = np.zeros((rows, steps + 1))
+
+    def fit(i, cols, groups, width):
+        a = cols.shape[0]
+        assert cols.shape == (a, i + 1) and groups.shape == (a, i)
+        assert width >= groups.max(initial=-1) + 2
+        u = size[cols[:, i]]
+        choice = (loads[:a, :width] + u[:, None] <= 1.0).argmax(axis=1)
+        loads[np.arange(a), choice] += u
+        return choice
+
+    return fit
+
+
+def _reference_first_fit(ids, row, rank, size):
+    """One row's first fit into unit bins, one column at a time."""
+    bins = []  # [members, load]
+    for c in rank:
+        if not row[c]:
+            continue
+        for b in bins:
+            if b[1] + size[c] <= 1.0:
+                b[0].append(int(ids[c]))
+                b[1] += size[c]
+                break
+        else:
+            bins.append([[int(ids[c])], size[c]])
+    return [tuple(sorted(m)) for m, _ in bins]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_first_fit_matches_sequential_reference(seed):
+    rng = np.random.default_rng(seed)
+    n = 30
+    ids = rng.permutation(1000)[:n]  # unsorted labels: groups come back sorted by id
+    size = rng.uniform(0.05, 1.0, n)
+    # a coarse key, so the rank order has ties (broken by column)
+    rank = np.argsort(-np.round(size, 1), kind="stable")
+    sel = rng.random((7, n)) < rng.uniform(0.1, 0.9, (7, 1))  # rows of unequal size
+    sel[2] = False     # an empty row
+    sel[4] = True      # a row that places every column
+    sel[5, :] = False  # a singleton
+    sel[5, 3] = True
+    steps = int(sel.sum(axis=1).max())
+    out = list(_first_fit(ids, sel, rank, _bin_fit(size, len(sel), steps)))
+    assert out == [_reference_first_fit(ids, row, rank, size) for row in sel]
+    assert out[2] == [] and out[5] == [(int(ids[3]),)]
+    assert sorted(i for g in out[4] for i in g) == sorted(ids.tolist())
+    assert any(len(groups) > 1 for groups in out)  # the placement was not trivial
+
+
+def test_first_fit_without_rows_or_columns():
+    ids, rank, size = np.arange(5), np.arange(5), np.full(5, 0.5)
+    assert list(_first_fit(ids, np.zeros((0, 5), bool), rank, _bin_fit(size, 0, 0))) == []
+    empty = np.arange(0)
+    assert list(_first_fit(empty, np.zeros((2, 0), bool), empty,
+                           _bin_fit(size, 2, 0))) == [[], []]
