@@ -14,10 +14,10 @@ from .formulations import (admission_filter_threshold, build_admission_large_lp,
                            build_admission_lp, build_capacity_lp, build_qos_lp,
                            build_weighted_lp)
 from .rounding import (RoundingPolicy, bernoulli_draws, extract_low_affectance,
-                       final_selection, run_pipeline, sample_round,
+                       final_selection, run_pipeline, run_sweep, sample_round,
                        schedule_weight, signal_strengthen)
 from .greedy import (greedy_base, greedy_combined, greedy_length_classes,
-                     greedy_weight_classes)
+                     greedy_sweep, greedy_weight_classes)
 from .oracle import TooLarge, exact_admission, exact_capacity, largest_bifeasible
 from .admission import (AdmissionResult, RetriesExhausted, admit_general,
                         admit_large_opt, nearly_uniform_classes,

@@ -96,7 +96,8 @@ def _partition_rows(ctx: AffectanceContext, sets) -> list:
         return choice
 
     rank = np.lexsort((ids, -np.minimum(contrib, 1.0).sum(axis=1)))
-    return list(_first_fit(ids, sel, rank, fit))
+    return [[tuple(g.tolist()) for g in groups]
+            for groups in _first_fit(ids, sel, rank, fit)]
 
 
 def sparsify(ctx: AffectanceContext, R, rng, retry_cap: int = RETRY_CAP) -> tuple:
@@ -152,7 +153,7 @@ def admit_general(ctx: AffectanceContext, policy: RoundingPolicy,
         raise ValueError("admit_general requires a context with primaries attached")
     session = LpSession() if session is None else session
     lp = session.program(build_admission_lp, ctx, policy.C)
-    feasible_sets = list(round_trials(ctx, lp, policy, session))
+    feasible_sets, = round_trials(ctx, [(lp, policy)], session)
     best_ids, best_groups, best_aggregate = (), [], 0.0
     for feasible_set, groups in zip(feasible_sets, _partition_rows(ctx, feasible_sets)):
         cand = best_part(ctx, groups, policy.mode)
@@ -187,9 +188,9 @@ def admit_large_opt(ctx: AffectanceContext, policy: RoundingPolicy,
     lp = session.program(build_admission_large_lp, ctx, policy.C)
     to_prim = ctx.raw_to_prim[ctx.index_of(lp.ids)]
     attempts = max(policy.trials, retry_cap)
-    selections = list(round_trials(
-        ctx, lp, policy, session, attempts=attempts,
-        accept=lambda sel: np.all(sel.astype(float) @ to_prim <= 1.0, axis=1)))
+    selections, = round_trials(
+        ctx, [(lp, policy)], session, attempts=attempts,
+        accept=lambda sel: np.all(sel.astype(float) @ to_prim <= 1.0, axis=1))
     if not selections:
         raise RetriesExhausted(
             f"primary budget condition failed in all {attempts} attempts")

@@ -6,12 +6,15 @@ acceptance constant.  The class-based variants bucket links by weight or
 by length and run the base acceptance inside each bucket, returning the
 heaviest bucket solution.  All variants share the LP pipeline's final
 selection stage, so their outputs carry the same feasibility guarantee,
-and its best-set rule, ``rounding.best_part``.
+and its best-set rule, ``rounding.best_part``.  ``greedy_sweep`` runs a
+variant over a sweep of acceptance constants with one final selection
+batch; the per-constant functions are its one-constant case.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import product
 
 import numpy as np
 
@@ -42,25 +45,8 @@ def _class_candidates(ctx: AffectanceContext, class_idx, c_g: float, order: str)
     return _greedy_accept(ctx, keys, c_g)
 
 
-def _run(ctx: AffectanceContext, classes: dict, c_g: float, order: str,
-         objective: str) -> Schedule:
-    """Scan each class with the acceptance test in ``order``, pass every
-    class's accepted links through the LP pipeline's final selection in one
-    batch and certify the best selection under ``objective``."""
-    if not c_g > 0:
-        raise ValueError("c_g must be positive")
-    sel = np.zeros((len(classes), ctx.n), dtype=bool)
-    for row, t in zip(sel, sorted(classes)):
-        row[_class_candidates(ctx, classes[t], c_g, order)] = True
-    bound = RoundingPolicy("capacity").extraction_bound
-    selections = final_selection_batch(ctx, ctx.ids, sel, bound, "capacity")
-    return certify(ctx, best_part(ctx, selections, objective))
-
-
-def greedy_base(ctx: AffectanceContext, c_g: float = 1.0) -> Schedule:
-    """Shortest-first greedy with a symmetric acceptance test, followed by
-    the same final selection as the LP pipeline."""
-    return _run(ctx, {0: range(ctx.n)}, c_g, "length", "capacity")
+def _base_classes(ctx: AffectanceContext) -> dict:
+    return {0: range(ctx.n)}
 
 
 def weight_class_partition(ctx: AffectanceContext) -> dict:
@@ -90,16 +76,51 @@ def length_class_partition(ctx: AffectanceContext) -> dict:
     return classes
 
 
+# variant -> (class partition, scan order within a class, best-class objective)
+GREEDY_VARIANTS = {
+    "base": (_base_classes, "length", "capacity"),
+    "weight_classes": (weight_class_partition, "length", "weighted"),
+    "length_classes": (length_class_partition, "weight", "weighted"),
+}
+
+
+def greedy_sweep(ctx: AffectanceContext, variant: str, constants) -> list:
+    """One schedule of the ``GREEDY_VARIANTS`` variant per acceptance
+    constant c_g, in order: scan each class with the acceptance test at
+    c_g, and certify the best final selection of the classes' accepted
+    links under the variant's objective.  Every constant's classes go
+    through the LP pipeline's final selection in one batch."""
+    partition, order, objective = GREEDY_VARIANTS[variant]
+    constants = list(constants)
+    if not all(c_g > 0 for c_g in constants):
+        raise ValueError("c_g must be positive")
+    classes = partition(ctx)
+    k = len(classes)
+    sel = np.zeros((len(constants) * k, ctx.n), dtype=bool)
+    for row, (c_g, t) in zip(sel, product(constants, sorted(classes))):
+        row[_class_candidates(ctx, classes[t], c_g, order)] = True
+    bound = RoundingPolicy("capacity").extraction_bound
+    selections = final_selection_batch(ctx, ctx.ids, sel, bound, "capacity")
+    return [certify(ctx, best_part(ctx, selections[i * k:(i + 1) * k], objective))
+            for i in range(len(constants))]
+
+
+def greedy_base(ctx: AffectanceContext, c_g: float = 1.0) -> Schedule:
+    """Shortest-first greedy with a symmetric acceptance test, followed by
+    the same final selection as the LP pipeline."""
+    return greedy_sweep(ctx, "base", [c_g])[0]
+
+
 def greedy_weight_classes(ctx: AffectanceContext, c_g: float = 1.0) -> Schedule:
     """Run the base greedy inside each weight bucket and return the heaviest
     bucket solution."""
-    return _run(ctx, weight_class_partition(ctx), c_g, "length", "weighted")
+    return greedy_sweep(ctx, "weight_classes", [c_g])[0]
 
 
 def greedy_length_classes(ctx: AffectanceContext, c_g: float = 1.0) -> Schedule:
     """Run the acceptance test heaviest-first inside each length bucket and
     return the heaviest bucket solution."""
-    return _run(ctx, length_class_partition(ctx), c_g, "weight", "weighted")
+    return greedy_sweep(ctx, "length_classes", [c_g])[0]
 
 
 def heavier(ctx: AffectanceContext, a: Schedule, b: Schedule) -> Schedule:

@@ -20,11 +20,11 @@ import numpy as np
 
 from .affectance import AffectanceContext, check_feasibility
 from .formulations import build_capacity_lp
-from .greedy import greedy_base, greedy_length_classes, greedy_weight_classes, heavier
+from .greedy import greedy_base, greedy_sweep, heavier
 from .lp_core import LpSession, solve_lp
 from .model import Instance, Link, Point, PowerAssignment, PrimarySet
 from .oracle import exact_capacity, largest_bifeasible
-from .rounding import RoundingPolicy, run_pipeline, schedule_weight
+from .rounding import RoundingPolicy, run_pipeline, run_sweep, schedule_weight
 
 WEIGHT_DISTRIBUTIONS = ("ordinary", "reversed", "length_determined", "weight_class")
 
@@ -145,15 +145,20 @@ def verify_output(ctx: AffectanceContext, ids) -> bool:
 def best_over_sweep(sweep: Sequence[float], run):
     """Call ``run(c, session) -> (value, result)`` for each constant of the
     sweep, all through one ``LpSession`` (it builds a builder's rows once,
-    as they do not depend on C), and return (constant, value, result) with
-    the largest value; ties, and gains of at most 1e-12, keep the earlier
-    constant.  This is deliberately not ``rounding.best_part``'s
-    rule: the sweep compares constants, not id tuples, and float noise
-    between constants must not pick a later one."""
+    as they do not depend on C), and return ``_sweep_best`` of the
+    results."""
     session = LpSession()
+    return _sweep_best(sweep, [run(c, session) for c in sweep])
+
+
+def _sweep_best(sweep: Sequence[float], results) -> tuple:
+    """(constant, value, result) with the largest value among the
+    (value, result) pairs of the sweep's constants; ties, and gains of at
+    most 1e-12, keep the earlier constant.  This is deliberately not
+    ``rounding.best_part``'s rule: the sweep compares constants, not id
+    tuples, and float noise between constants must not pick a later one."""
     best = None
-    for c in sweep:
-        value, result = run(c, session)
+    for c, (value, result) in zip(sweep, results):
         if best is None or value > best[1] + 1e-12:
             best = (c, value, result)
     return best
@@ -169,10 +174,13 @@ def run_compare(gen_configs: Sequence[GenConfig], sweep: Sequence[float],
     """Run the LP pipeline and the greedy variants over a constant sweep on
     each instance, keep each algorithm's best, and write one CSV.
 
-    Every emitted solution row is re-verified feasible before writing.
-    Rows are deterministic for fixed configs; runtimes, each the wall time
-    of the row's sweep, are recorded only when ``timing`` is set (they
-    would break byte-for-byte determinism).
+    Each algorithm's sweep is one batch: ``run_sweep`` for the LP, through
+    one ``LpSession`` per instance, and ``greedy_sweep`` for each class
+    greedy, whose schedules the combined greedy compares constant by
+    constant.  Every emitted solution row is re-verified feasible before
+    writing.  Rows are deterministic for fixed configs; runtimes, each the
+    wall time of the row's sweep, are recorded only when ``timing`` is set
+    (they would break byte-for-byte determinism).
     """
     sweep = list(sweep)
     if not sweep:
@@ -185,19 +193,22 @@ def run_compare(gen_configs: Sequence[GenConfig], sweep: Sequence[float],
         ctx = AffectanceContext(inst, power)
         meta = dict(seed=cfg.seed, n=cfg.n, R=cfg.R, delta=cfg.delta,
                     density=cfg.density, weight_dist=cfg.weight_dist)
-        by_weight, by_length = {}, {}  # the class greedies' schedules by constant
-        sweeps = {  # algo -> schedule(c, session), in row order
-            "lp": lambda c, session: run_pipeline(
-                ctx, RoundingPolicy(mode="weighted", C=c, trials=trials, seed=cfg.seed), session),
-            "greedy_w": lambda c, _: by_weight.setdefault(c, greedy_weight_classes(ctx, c)),
-            "greedy_l": lambda c, _: by_length.setdefault(c, greedy_length_classes(ctx, c)),
-            "greedy": lambda c, _: heavier(ctx, by_weight[c], by_length[c]),
+        session = LpSession()
+        policies = [RoundingPolicy(mode="weighted", C=c, trials=trials, seed=cfg.seed)
+                    for c in sweep]
+        schedules, best, ms = {}, {}, {}
+        sweeps = {  # algo -> its schedule per constant, in row order
+            "lp": lambda: run_sweep(ctx, policies, session),
+            "greedy_w": lambda: greedy_sweep(ctx, "weight_classes", sweep),
+            "greedy_l": lambda: greedy_sweep(ctx, "length_classes", sweep),
+            "greedy": lambda: [heavier(ctx, w, l) for w, l in zip(schedules["greedy_w"],
+                                                                schedules["greedy_l"])],
         }
-        best, ms = {}, {}
-        for algo, schedule in sweeps.items():
+        for algo, run in sweeps.items():
             t0 = time.perf_counter()
-            best[algo] = best_over_sweep(sweep, lambda c, session: _weight_and_ids(
-                ctx, schedule(c, session)))
+            schedules[algo] = run()
+            best[algo] = _sweep_best(sweep, [_weight_and_ids(ctx, schedule)
+                                             for schedule in schedules[algo]])
             ms[algo] = (time.perf_counter() - t0) * 1e3
         ms["greedy"] += ms["greedy_w"] + ms["greedy_l"]  # it reuses the class runs
         for algo, (c, value, ids) in best.items():

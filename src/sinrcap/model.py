@@ -255,14 +255,15 @@ class PowerAssignment:
     def power(self, length, alpha: float):
         """Transmit power for a link of the given length (scalar or array)."""
         length = np.asarray(length, dtype=float)
-        if self.kind == "uniform":
-            out = np.full_like(length, self.p0)
-        elif self.kind == "linear":
-            out = length ** alpha
-        elif self.kind == "mean":
-            out = length ** (alpha / 2.0)
-        else:
-            out = length ** (self.tau * alpha)
+        with np.errstate(over="ignore"):  # an infinite power is refused by its reader
+            if self.kind == "uniform":
+                out = np.full_like(length, self.p0)
+            elif self.kind == "linear":
+                out = length ** alpha
+            elif self.kind == "mean":
+                out = length ** (alpha / 2.0)
+            else:
+                out = length ** (self.tau * alpha)
         return float(out) if out.ndim == 0 else out
 
 

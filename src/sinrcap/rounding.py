@@ -16,13 +16,25 @@ of seed, trial and link id), stage two takes every trial's row loads in
 one product with the LP rows, extraction one product over the union of
 sampled links, and strengthening one ``_first_fit`` over every row, the
 lockstep first-fit engine that admission's grouping shares.
+Strengthening copies its rows' union submatrix out of the context once,
+in rank order, with a transpose, and works on context positions: a part
+stays a sorted position array through the per-part check and the best-part
+rule, and only each row's winner becomes an id tuple.
 ``sample_round``, ``extract_low_affectance``, ``signal_strengthen`` and
 ``final_selection`` are the one-trial case of the same code.
 
-``round_trials`` is the one trial loop: it solves the LP and yields every
-trial's final selection.  ``run_pipeline`` and both admission pipelines
-reduce what it yields; each builds its program through an ``LpSession``,
-``run_pipeline`` the one ``formulations`` builder of ``policy.mode``.
+``round_trials`` is the one trial loop: it solves and samples a sweep's
+(program, policy) pairs in order through one session, so warm starts are
+those of a loop over the constants, and runs one final selection over
+every kept sample, each under its own policy's bound and objective.
+``run_sweep`` reduces what it returns per policy, and ``run_pipeline`` is
+its one-policy case; both admission pipelines reduce it too.  Each builds
+its program through an ``LpSession``, ``run_sweep`` the one
+``formulations`` builder of each policy's mode.  A batch costs lockstep
+steps by its longest row, not by its number of rows, so ``run_compare``
+runs each algorithm's sweep as one batch; ``sinrcap solve`` keeps one
+constant per batch, since at n=1000 one batch over its 15 constants
+raised max RSS from 200 to 240 MiB and gained no clear time.
 ``best_part`` is the one rule by which this module, ``greedy`` and
 ``admission`` choose among candidate sets; ``_schedule_objective`` values a set.
 """
@@ -31,19 +43,23 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 from . import formulations
-from .affectance import (ROW_BLOCK, AffectanceContext, Schedule, certify,
-                         check_feasibility)
+from .affectance import (ROW_BLOCK, AffectanceContext, Schedule, _feasible_affectance,
+                         certify, check_feasibility)
 from .lp_core import LinearProgram, LpSession, solve_lp
 
 logger = logging.getLogger(__name__)
 
 ROUNDING_MODES = ("capacity", "qos", "weighted", "admission_general", "admission_large")
 _EXTRACTION_FACTOR = 12.0  # extraction bound per unit of the LP constant C
+# strengthening's load limit: below 1 by far more than n ulps, so a part
+# it admits, its loads summed in join order, passes the check in id order
+_STRENGTHEN_LIMIT = 1.0 - 1e-12
 
 
 @dataclass(frozen=True)
@@ -124,7 +140,7 @@ def sample_round(lp: LinearProgram, delta: np.ndarray, policy: RoundingPolicy,
 
 
 def _members(ids: np.ndarray, row: np.ndarray) -> tuple:
-    return tuple(int(i) for i in ids[row])
+    return tuple(ids[row].tolist())
 
 
 def _one_row(S) -> tuple:
@@ -134,14 +150,16 @@ def _one_row(S) -> tuple:
 
 
 def _extract_rows(ctx: AffectanceContext, idx: np.ndarray, sel: np.ndarray,
-                  bound: float) -> np.ndarray:
+                  bound) -> np.ndarray:
     """Each row's members whose clipped affectance received from that row's
-    members is at most bound; ``idx`` holds the columns' context positions.
+    members is at most bound (one for every row, or one per row); ``idx``
+    holds the columns' context positions.
     One product over the union of selected columns serves every row; it is
     taken ROW_BLOCK receivers at a time."""
     cols = np.flatnonzero(sel.any(axis=0))
     sub = sel[:, cols]
     sub_f = sub.astype(float)
+    bound = np.asarray(bound, dtype=float).reshape(-1, 1)
     kept = np.zeros_like(sel)
     for c0 in range(0, cols.size, ROW_BLOCK):
         block = slice(c0, c0 + ROW_BLOCK)
@@ -151,18 +169,19 @@ def _extract_rows(ctx: AffectanceContext, idx: np.ndarray, sel: np.ndarray,
     return kept
 
 
-def _first_fit(ids: np.ndarray, sel: np.ndarray, rank: np.ndarray,
+def _first_fit(labels: np.ndarray, sel: np.ndarray, rank: np.ndarray,
                fit) -> Iterator[list]:
-    """First fit of every row of ``sel`` (booleans over the columns ``ids``),
-    each row placing its columns in ``rank`` order, all rows in lockstep.
+    """First fit of every row of ``sel`` (booleans over the columns
+    ``labels``), each row placing its columns in ``rank`` order, all rows in
+    lockstep.
 
     Step i calls ``fit(i, cols, groups, width)`` on the rows still placing
     (a prefix: rows run longest first): their first i + 1 columns (indices
-    into ``ids``; the last is being placed), the groups of the first i, and
-    a width above every such row's groups, its empty one included.  ``fit``
-    keeps its own load state, indexed like ``cols``, and returns each row's
-    first group that fits; an empty group always does.  Yields each row's
-    groups as sorted id tuples, in row order.
+    into ``labels``; the last is being placed), the groups of the first i,
+    and a width above every such row's groups, its empty one included.
+    ``fit`` keeps its own load state, indexed like ``cols``, and returns
+    each row's first group that fits; an empty group always does.  Yields
+    each row's groups as sorted arrays of labels, in row order.
     """
     sel = sel[:, rank]
     sizes = sel.sum(axis=1)
@@ -176,43 +195,55 @@ def _first_fit(ids: np.ndarray, sel: np.ndarray, rank: np.ndarray,
         groups[:a, i] = choice = fit(i, cols[:a, :i + 1], groups[:a, :i], width)
         width = max(width, int(choice.max()) + 2)
     for r, size in zip(np.argsort(rows), sizes):
-        members, g = ids[cols[r, :size]], groups[r, :size]
-        yield [tuple(int(i) for i in np.sort(members[g == p]))
-               for p in range(g.max(initial=-1) + 1)]
+        members, g = labels[cols[r, :size]], groups[r, :size]
+        members = members[np.lexsort((members, g))]
+        ends = np.cumsum(np.bincount(g)).tolist()  # groups 0..max are all nonempty
+        yield [members[start:end] for start, end in zip([0] + ends, ends)]
 
 
 def _strengthen_rows(ctx: AffectanceContext, idx: np.ndarray,
                      sel: np.ndarray) -> Iterator[list]:
     """1-feasible parts of every row of ``sel`` (columns: the context
-    positions ``idx``): ``_first_fit`` over links by non-increasing length,
-    ties by id.  Link u joins its row's first part p where u's unclipped
-    in-load from p is at most 1 and every member of p stays within 1 after
-    adding u's affectance, so parts are sound against the exact SINR
-    condition.  Loads are summed in the order members joined their part.
+    positions ``idx``), each a sorted array of context positions:
+    ``_first_fit`` over links by non-increasing length, ties by id.  Link u
+    joins its row's first part p where u's unclipped in-load from p is at
+    most 1 and every member of p stays within 1 after adding u's
+    affectance, so parts are sound against the exact SINR condition.  Loads
+    are summed in the order members joined their part, and both tests keep
+    a margin of 1e-12 so that the per-part check, which sums in id order,
+    agrees.
+
+    The rows' union is copied once out of ``ctx.raw``, in rank order, and
+    once transposed, so the loads a step reads for one row lie in one row
+    of each copy.
     """
-    full = np.zeros((sel.shape[0], ctx.n), dtype=bool)  # columns: context positions
-    full[:, idx] = sel
+    cols = np.flatnonzero(sel.any(axis=0))
+    pos = idx[cols]
+    rank = np.lexsort((pos, -ctx.lengths[pos]))  # ties by id: ctx.ids is sorted
+    pos, sel = pos[rank], sel[:, cols[rank]]
+    m = pos.size
+    out_of = ctx.raw[np.ix_(pos, pos)].ravel()   # row u: u's affectance on each link
+    into = np.ascontiguousarray(out_of.reshape(m, m).T).ravel()  # row u: each one's on u
     own = np.zeros((sel.shape[0], int(sel.sum(axis=1).max(initial=0))))  # load from own part
+    live = np.arange(sel.shape[0])
 
     def fit(i, cols, parts, width):
-        a, live = len(cols), np.arange(len(cols))
-        u, placed = cols[:, i, None], cols[:, :i]
-        out_u, in_u = ctx.raw[u, placed], ctx.raw[placed, u]
-        in_load = np.bincount((live[:, None] * width + parts).ravel(), in_u.ravel(),
+        a = len(cols)
+        at = cols[:, :i] + cols[:, i, None] * m  # row u's entries of the placed links
+        with_u = own[:a, :i] + out_of[at]
+        # a member pushed past the limit counts 2 towards u's in-load from its part
+        in_u = np.where(with_u > _STRENGTHEN_LIMIT, 2.0, into[at])
+        in_load = np.bincount((parts + live[:a, None] * width).ravel(), in_u.ravel(),
                               a * width).reshape(a, width)
-        fits = in_load <= 1.0
-        bad_r, bad_j = np.nonzero(own[:a, :i] + out_u > 1.0)
-        fits[bad_r, parts[bad_r, bad_j]] = False
-        choice = fits.argmax(axis=1)
-        out_u[parts != choice[:, None]] = 0.0
-        own[:a, :i] += out_u
-        own[:a, i] = in_load[live, choice]
+        choice = (in_load <= _STRENGTHEN_LIMIT).argmax(axis=1)
+        np.copyto(own[:a, :i], with_u, where=parts == choice[:, None])
+        own[:a, i] = in_load[live[:a], choice]
         return choice
 
-    rank = np.argsort(-ctx.lengths, kind="stable")  # ties by id: ctx.ids is sorted
-    for parts in _first_fit(ctx.ids, full, rank, fit):
-        for p in parts:
-            if not check_feasibility(ctx, p, 1.0, "feasible"):
+    for parts in _first_fit(pos, sel, np.arange(pos.size), fit):
+        for p in parts:  # check_feasibility's test, on positions
+            if not _feasible_affectance(ctx.raw[p[:, None], p], np.ones((1, p.size), bool),
+                                        1.0)[0]:
                 raise AssertionError("signal strengthening produced an infeasible part")
         yield parts
 
@@ -228,13 +259,17 @@ def signal_strengthen(ctx: AffectanceContext, S) -> list:
     """Partition S into 1-feasible parts by first fit over links in
     non-increasing length order."""
     ids, sel = _one_row(S)
-    return next(_strengthen_rows(ctx, ctx.index_of(ids), sel))
+    return [_members(ctx.ids, p) for p in next(_strengthen_rows(ctx, ctx.index_of(ids), sel))]
+
+
+def _objective(ctx: AffectanceContext, pos: np.ndarray, mode: str) -> float:
+    """The objective of the links at context positions ``pos``: their total
+    weight under "weighted", else their number."""
+    return float(ctx.weights[pos].sum()) if mode == "weighted" else float(len(pos))
 
 
 def _schedule_objective(ctx: AffectanceContext, ids: tuple, mode: str) -> float:
-    if mode == "weighted":
-        return float(ctx.weights[ctx.index_of(ids)].sum())
-    return float(len(ids))
+    return _objective(ctx, ctx.index_of(ids), mode)
 
 
 def schedule_weight(ctx: AffectanceContext, schedule: Schedule) -> float:
@@ -247,28 +282,43 @@ def _better(cand_val, cand_ids, best_val, best_ids) -> bool:
     return cand_val > best_val or (cand_val == best_val and cand_ids < best_ids)
 
 
+def _best_index(ctx: AffectanceContext, parts: Sequence[np.ndarray], mode: str):
+    """Index of the highest-objective part under ``mode`` among ``parts``
+    (arrays of context positions), ties to the lexicographically smallest,
+    by ``_better``; None unless some part's objective is positive.
+    Positions order as ids do (``ctx.ids`` is sorted), so ties go as they
+    would between id tuples."""
+    best, best_val, best_key = None, 0.0, ()
+    for j, p in enumerate(parts):
+        val, key = _objective(ctx, p, mode), tuple(p.tolist())
+        if _better(val, key, best_val, best_key):
+            best, best_val, best_key = j, val, key
+    return best
+
+
 def best_part(ctx: AffectanceContext, parts, mode: str) -> tuple:
-    """Highest-objective part under ``mode``, ties to the smallest id tuple;
-    () unless some part's objective is positive."""
-    best_ids, best_val = (), 0.0
-    for part in parts:
-        val = _schedule_objective(ctx, part, mode)
-        if _better(val, part, best_val, best_ids):
-            best_ids, best_val = part, val
-    return best_ids
+    """Highest-objective part under ``mode`` (id tuples), ties to the
+    smallest id tuple; () unless some part's objective is positive."""
+    parts = list(parts)
+    best = _best_index(ctx, [ctx.index_of(p) for p in parts], mode)
+    return () if best is None else parts[best]
 
 
 def final_selection_batch(ctx: AffectanceContext, ids: Sequence[int], sel: np.ndarray,
-                          bound: float, mode: str) -> list:
+                          bound, mode) -> list:
     """``final_selection`` of every row of ``sel`` (rows of booleans over
-    the columns ``ids``), in row order."""
+    the columns ``ids``), in row order.  ``bound`` and ``mode`` are one
+    value for every row or one per row."""
     ids = np.asarray(ids, dtype=int)
     order = np.argsort(ids, kind="stable")
-    ids, sel = ids[order], sel[:, order]
-    idx = ctx.index_of(ids)
+    idx, sel = ctx.index_of(ids[order]), sel[:, order]
+    modes = [mode] * len(sel) if isinstance(mode, str) else mode
     kept = _extract_rows(ctx, idx, sel, bound)
-    return [best_part(ctx, parts, mode)
-            for parts in _strengthen_rows(ctx, idx, kept)]
+    out = []
+    for parts, row_mode in zip(_strengthen_rows(ctx, idx, kept), modes):
+        best = _best_index(ctx, parts, row_mode)
+        out.append(() if best is None else _members(ctx.ids, parts[best]))
+    return out
 
 
 def final_selection(ctx: AffectanceContext, S, bound: float, mode: str) -> tuple:
@@ -277,33 +327,68 @@ def final_selection(ctx: AffectanceContext, S, bound: float, mode: str) -> tuple
     return final_selection_batch(ctx, *_one_row(S), bound, mode)[0]
 
 
-def round_trials(ctx: AffectanceContext, lp: LinearProgram, policy: RoundingPolicy,
-                 session: Optional[LpSession] = None, accept=None,
-                 attempts: int = 0) -> Iterator[tuple]:
-    """Solve ``lp`` (through ``session`` when given, so a constant sweep
-    reuses one model) and yield the final selection of each of
-    ``policy.trials`` two-stage samples over ``lp.ids``, in trial order.
-    All samples of a block run in lockstep.
+def round_trials(ctx: AffectanceContext, runs, session: Optional[LpSession] = None,
+                 accept=None, attempts: int = 0) -> list:
+    """For each (program, policy) pair of ``runs``, in order: solve the
+    program (through ``session`` when given, so a constant sweep reuses one
+    model) and draw ``policy.trials`` two-stage samples over its ids.
+    Returns per pair the final selection of each sample, in trial order,
+    all samples of all pairs selected in one ``final_selection_batch``
+    under each policy's extraction bound and mode.
 
     With ``accept``, a function from a block's selection matrix to one
-    boolean per row, trials are drawn in blocks of ``policy.trials`` until
-    ``attempts`` have been made, and only accepted samples count, in
-    attempt order: the samples a one-by-one loop would take.
+    boolean per row, each pair's trials are drawn in blocks of
+    ``policy.trials`` until ``attempts`` have been made, and only accepted
+    samples count, in attempt order: the samples a one-by-one loop would
+    take.
     """
-    sol = solve_lp(lp, session)
-    if accept is None:
-        attempts = policy.trials
-    wanted = policy.trials
-    for start in range(0, attempts, policy.trials):
-        sel = sample_batch(lp, sol.values, policy,
-                           range(start, min(start + policy.trials, attempts)))
-        if accept is not None:
-            sel = sel[accept(sel)][:wanted]
-        wanted -= len(sel)
-        yield from final_selection_batch(ctx, lp.ids, sel, policy.extraction_bound,
-                                         policy.mode)
-        if wanted <= 0:
-            break
+    blocks, bounds, modes = [], [], []
+    for lp, policy in runs:
+        sol = solve_lp(lp, session)
+        tries = policy.trials if accept is None else attempts
+        wanted, kept = policy.trials, [np.zeros((0, lp.n), dtype=bool)]
+        for start in range(0, tries, policy.trials):
+            sel = sample_batch(lp, sol.values, policy,
+                               range(start, min(start + policy.trials, tries)))
+            if accept is not None:
+                sel = sel[accept(sel)][:wanted]
+            wanted -= len(sel)
+            kept.append(sel)
+            if wanted <= 0:
+                break
+        kept = np.concatenate(kept)
+        block = np.zeros((len(kept), ctx.n), dtype=bool)  # columns: context positions
+        block[:, ctx.index_of(lp.ids)] = kept
+        blocks.append(block)
+        bounds += [policy.extraction_bound] * len(block)
+        modes += [policy.mode] * len(block)
+    sel = np.concatenate([np.zeros((0, ctx.n), dtype=bool)] + blocks)
+    selections = iter(final_selection_batch(ctx, ctx.ids, sel, bounds, modes))
+    return [list(islice(selections, len(block))) for block in blocks]
+
+
+def run_sweep(ctx: AffectanceContext, policies: Sequence[RoundingPolicy],
+              session: Optional[LpSession] = None) -> list:
+    """``run_pipeline`` of each policy, in order, through one ``session``
+    (a fresh one when None); returns one schedule per policy.  Each
+    policy's mode and C name its program, and the session builds a
+    builder's rows once.  The programs are solved and sampled in order,
+    and every sample goes through one final selection batch."""
+    session = LpSession() if session is None else session
+    runs = []
+    for policy in policies:
+        if policy.mode in ("admission_general", "admission_large"):
+            raise ValueError("admission pipelines are driven by the admission module")
+        # looked up on every call, so a builder patched into the module is used
+        build = getattr(formulations, f"build_{policy.mode}_lp")
+        runs.append((session.program(build, ctx, policy.C), policy))
+    schedules = []
+    for selections, policy in zip(round_trials(ctx, runs, session), policies):
+        schedule = certify(ctx, best_part(ctx, selections, policy.mode))
+        if not check_feasibility(ctx, schedule.ids, 1.0, "feasible"):
+            raise AssertionError("pipeline produced an infeasible schedule")
+        schedules.append(schedule)
+    return schedules
 
 
 def run_pipeline(ctx: AffectanceContext, policy: RoundingPolicy,
@@ -312,15 +397,5 @@ def run_pipeline(ctx: AffectanceContext, policy: RoundingPolicy,
     ``session`` when given, so a constant sweep builds the rows once and
     reuses one model), round ``policy.trials`` independent samples, extract
     and strengthen them all at once, and return the best resulting feasible
-    set."""
-    if policy.mode in ("admission_general", "admission_large"):
-        raise ValueError("admission pipelines are driven by the admission module")
-    session = LpSession() if session is None else session
-    # looked up on every call, so a builder patched into the module is used
-    build = getattr(formulations, f"build_{policy.mode}_lp")
-    lp = session.program(build, ctx, policy.C)
-    schedule = certify(ctx, best_part(ctx, round_trials(ctx, lp, policy, session),
-                                      policy.mode))
-    if not check_feasibility(ctx, schedule.ids, 1.0, "feasible"):
-        raise AssertionError("pipeline produced an infeasible schedule")
-    return schedule
+    set: the one-policy case of ``run_sweep``."""
+    return run_sweep(ctx, [policy], session)[0]

@@ -4,7 +4,7 @@ import pytest
 from sinrcap import (AffectanceContext, GenConfig, Instance, Link, PowerAssignment,
                      RoundingPolicy, build_weighted_lp, certify, check_feasibility,
                      exact_capacity, generate_instance, greedy_base, greedy_combined,
-                     greedy_length_classes, greedy_weight_classes, run_pipeline,
+                     greedy_length_classes, greedy_sweep, greedy_weight_classes, run_pipeline,
                      schedule_weight)
 from sinrcap.greedy import (_class_candidates, length_class_partition,
                             weight_class_partition)
@@ -152,6 +152,24 @@ def test_outputs_one_feasible():
             assert sched.exact_sinr_ok
 
 
+def test_greedy_sweep_matches_per_constant_calls():
+    constants = (1.5, 0.5, 1.0, 0.5, 3.0)  # unsorted, with a repeat
+    variants = {"base": greedy_base, "weight_classes": greedy_weight_classes,
+                "length_classes": greedy_length_classes}
+    differ = set()
+    for seed in range(4):
+        ctx = random_ctx(seed, n=40, R=4.0, delta=4.0, power=PowerAssignment.linear())
+        for variant, algo in variants.items():
+            per_constant = [algo(ctx, c) for c in constants]
+            assert greedy_sweep(ctx, variant, constants) == per_constant
+            if len({s.ids for s in per_constant}) > 1:
+                differ.add(variant)
+        assert greedy_sweep(ctx, "base", []) == []
+        with pytest.raises(ValueError, match="positive"):
+            greedy_sweep(ctx, "weight_classes", [1.0, 0.0])
+    assert differ == set(variants)  # every variant's constants mattered somewhere
+
+
 def _reweighted(inst, weights):
     return Instance(links=tuple(Link(lk.id, lk.sender, lk.receiver, weight=float(w))
                                 for lk, w in zip(inst.links, weights)),
@@ -189,7 +207,7 @@ def test_every_selection_keeps_the_heaviest_set_ties_to_smallest_ids():
     ctx = AffectanceContext(flat, PowerAssignment.linear())
     lp, policy = build_weighted_lp(ctx, 1.0), RoundingPolicy(mode="weighted", trials=20,
                                                              seed=3)
-    rounded = set(round_trials(ctx, lp, policy))
+    rounded = set(round_trials(ctx, [(lp, policy)])[0])
     heaviest = sorted(s for s in rounded if len(s) == max(map(len, rounded)))
     assert len(heaviest) > 1
     assert run_pipeline(ctx, policy).ids == heaviest[0]

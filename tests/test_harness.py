@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import warnings
 
 import pytest
 
@@ -368,17 +369,30 @@ def test_cli_reports_power_out_of_range_in_one_line(command, length, tmp_path, c
                        "power": 1.0}]}))
     out = tmp_path / "out"
     argv = [command[0], str(path), *command[1:], "--power", "linear", "--out", str(out)]
-    with pytest.raises(SystemExit) as exc:
-        if length > 1:
-            with pytest.warns(RuntimeWarning, match="overflow"):
-                cli_main(argv)
-        else:
-            cli_main(argv)
+    with pytest.raises(SystemExit) as exc, warnings.catch_warnings():
+        warnings.simplefilter("error")  # the refusal is the only report
+        cli_main(argv)
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith(f"sinrcap {command[0]}: error: ") and err.count("\n") == 1
     assert "nonpositive or non-finite power" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("algo", ["lp", "greedy"])
+def test_cli_solves_an_instance_at_the_float_order_boundary(algo, tmp_path, capsys):
+    # links 2, 1 and 0 put affectance of about 0.7, 0.2 and 0.1 on link 3,
+    # found by a search in ulp steps: summed in one order the three stay
+    # within 1, summed in another they exceed it
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps({"alpha": 1.0, "beta": 1.0, "noise": 0.0, "links": [
+        {"id": 0, "sx": 100.0, "sy": 1000.0000000000001, "rx": 100.0, "ry": 1001.0000000000001},
+        {"id": 1, "sx": 100.0, "sy": -500.0000000000005, "rx": 100.0, "ry": -502.0000000000005},
+        {"id": 2, "sx": 100.0, "sy": 142.85714285714278, "rx": 100.0, "ry": 145.85714285714278},
+        {"id": 3, "sx": 0.0, "sy": 0.0, "rx": 100.0, "ry": 0.0}]}))
+    assert cli_main(["solve", str(path), "--algo", algo, "--power", "uniform"]) == 0
+    best = json.loads(capsys.readouterr().out)
+    assert best["ids"] == [0, 1, 2] and best["verified"] is True
 
 
 def test_cli_solve_keeps_smaller_constant_over_float_noise(tmp_path, monkeypatch):

@@ -7,12 +7,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sinrcap import (AffectanceContext, Instance, LpSession, PowerAssignment,
-                     RoundingPolicy, bernoulli_draws, build_admission_large_lp,
-                     build_admission_lp, build_capacity_lp, build_qos_lp,
-                     build_weighted_lp, check_feasibility, exact_capacity,
-                     extract_low_affectance, run_pipeline, sample_round,
-                     signal_strengthen, solve_lp)
+from sinrcap import (AffectanceContext, GenConfig, Instance, Link, LpSession,
+                     PowerAssignment, RoundingPolicy, bernoulli_draws,
+                     build_admission_large_lp, build_admission_lp, build_capacity_lp,
+                     build_qos_lp, build_weighted_lp, check_feasibility, exact_capacity,
+                     extract_low_affectance, generate_instance, run_pipeline, run_sweep,
+                     sample_round, signal_strengthen, solve_lp)
 from sinrcap import formulations
 from sinrcap.rounding import (ROUNDING_MODES, _extract_rows, _first_fit, _strengthen_rows,
                               best_part, final_selection_batch, round_trials, sample_batch)
@@ -203,7 +203,7 @@ def test_strengthening_check_runs_under_optimize():
             raise SystemExit("not running under -O")
         inst = Instance(links=(Link(0, Point(0.0, 0.0), Point(1.0, 0.0)),), alpha=2.5)
         ctx = AffectanceContext(inst, PowerAssignment.uniform())
-        rounding.check_feasibility = lambda *args, **kwargs: False
+        rounding._feasible_affectance = lambda *args, **kwargs: [False]
         try:
             rounding.signal_strengthen(ctx, [0])
         except AssertionError as exc:
@@ -253,7 +253,7 @@ def test_pipeline_rounds_the_program_of_its_mode(mode):
         policy = RoundingPolicy(mode=mode, C=C, trials=15, seed=3)
         program = BUILDERS[mode](ctx, C)
         assert run_pipeline(ctx, policy).ids == \
-            best_part(ctx, round_trials(ctx, program, policy), mode)
+            best_part(ctx, round_trials(ctx, [(program, policy)])[0], mode)
     with pytest.raises(ValueError, match="admission module"):
         run_pipeline(ctx, RoundingPolicy(mode="admission_general"))
 
@@ -322,6 +322,9 @@ def _reference_extract(ctx, S, bound=12.0):
     return tuple(int(i) for i in ids[in_sums <= bound])
 
 
+_LIMIT = 1.0 - 1e-12  # strengthening's load limit, a margin below 1
+
+
 def _reference_strengthen(ctx, S):
     ids = sorted(int(i) for i in S)
     if not ids:
@@ -335,7 +338,7 @@ def _reference_strengthen(ctx, S):
             members, in_sums = entry
             updated = in_sums + mat[u, members]
             own = float(mat[members, u].sum())
-            if own <= 1.0 and np.all(updated <= 1.0):
+            if own <= _LIMIT and np.all(updated <= _LIMIT):
                 entry[0] = members + [u]
                 entry[1] = np.append(updated, own)
                 break
@@ -394,7 +397,8 @@ def test_batched_engine_matches_per_set_reference(with_primaries, trials):
         kept = _extract_rows(ctx, idx, rows, bound)
         kept_sets = [_reference_extract(ctx, s, bound) for s in sets]
         assert [tuple(int(i) for i in ids[order][row]) for row in kept] == kept_sets
-        parts = list(_strengthen_rows(ctx, idx, rows))
+        parts = [[tuple(ctx.ids[p].tolist()) for p in row]
+                 for row in _strengthen_rows(ctx, idx, rows)]
         assert parts == [_reference_strengthen(ctx, s) for s in sets]
         assert final_selection_batch(ctx, ids, rows[:, np.argsort(order)], bound,
                                      "capacity") == \
@@ -406,6 +410,54 @@ def test_batched_engine_matches_per_set_reference(with_primaries, trials):
     # none of the compared paths was vacuous
     assert seen["stage_two_drop"] and seen["extract_drop"] and seen["multi_part"]
     assert bool(seen["whole_sample_drop"]) == with_primaries  # the aggregate row
+
+
+def test_strengthening_a_gapped_subset_of_sparse_ids_matches_per_set_reference():
+    rng = np.random.default_rng(5)
+    seen_parts = 0
+    for seed in range(3):
+        inst = generate_instance(GenConfig(n=40, R=2.5, delta=2.0, seed=seed))
+        sparse = Instance(links=tuple(Link(1000 * lk.id + 7 * (lk.id % 3), lk.sender,
+                                           lk.receiver, weight=lk.weight)
+                                      for lk in inst.links), alpha=inst.alpha)
+        ctx = AffectanceContext(sparse, UNIFORM)
+        # every third position left out, then unsorted: the rows' union has
+        # gaps and is a strict subset of the context
+        cols = rng.permutation(np.flatnonzero(np.arange(ctx.n) % 3 != 1))
+        rows = rng.random((6, cols.size)) < rng.uniform(0.3, 0.9, (6, 1))
+        rows[0] = False
+        rows[1, 1:] = False
+        rows[2, :] = True
+        idx = cols
+        assert 0 < np.unique(idx[rows.any(axis=0)]).size < ctx.n
+        sets = [tuple(int(i) for i in ctx.ids[idx[row]]) for row in rows]
+        parts = [[tuple(ctx.ids[p].tolist()) for p in row]
+                 for row in _strengthen_rows(ctx, idx, rows)]
+        assert parts == [_reference_strengthen(ctx, s) for s in sets]
+        seen_parts += sum(len(p) > 1 for p in parts)
+    assert seen_parts  # some row was split into several parts
+
+
+@pytest.mark.parametrize("mode", ["capacity", "qos", "weighted"])
+def test_sweep_matches_per_constant_pipelines(mode):
+    ctx = random_ctx(12, n=30, R=3.0, delta=2.0, power=PowerAssignment.linear())
+    constants = (0.2, 1.4, 0.6, 1.4, 2.2)  # unsorted, with a repeat
+    policies = [RoundingPolicy(mode=mode, C=C, trials=12, seed=4) for C in constants]
+    session = LpSession()
+    per_constant = [run_pipeline(ctx, policy, session) for policy in policies]
+    assert run_sweep(ctx, policies, LpSession()) == per_constant
+    assert len({s.ids for s in per_constant}) > 1  # the constants did differ
+    assert run_sweep(ctx, [], LpSession()) == []
+
+
+def test_sweep_of_mixed_modes_matches_per_policy_pipelines():
+    ctx = random_ctx(3, n=24, R=3.0, delta=2.0, power=PowerAssignment.linear())
+    policies = [RoundingPolicy(mode=mode, C=C, trials=9, seed=2)
+                for mode, C in (("weighted", 1.0), ("capacity", 0.8), ("qos", 1.0),
+                                ("weighted", 2.0))]
+    session = LpSession()
+    assert run_sweep(ctx, policies, LpSession()) == \
+        [run_pipeline(ctx, policy, session) for policy in policies]
 
 
 def _bin_fit(size, rows, steps):
@@ -455,7 +507,8 @@ def test_first_fit_matches_sequential_reference(seed):
     sel[5, :] = False  # a singleton
     sel[5, 3] = True
     steps = int(sel.sum(axis=1).max())
-    out = list(_first_fit(ids, sel, rank, _bin_fit(size, len(sel), steps)))
+    out = [[tuple(g.tolist()) for g in groups]
+           for groups in _first_fit(ids, sel, rank, _bin_fit(size, len(sel), steps))]
     assert out == [_reference_first_fit(ids, row, rank, size) for row in sel]
     assert out[2] == [] and out[5] == [(int(ids[3]),)]
     assert sorted(i for g in out[4] for i in g) == sorted(ids.tolist())
