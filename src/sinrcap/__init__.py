@@ -16,8 +16,8 @@ from .formulations import (admission_filter_threshold, build_admission_large_lp,
 from .rounding import (RoundingPolicy, bernoulli_draws, extract_low_affectance,
                        final_selection, run_pipeline, run_sweep, sample_round,
                        schedule_weight, signal_strengthen)
-from .greedy import (greedy_base, greedy_combined, greedy_length_classes,
-                     greedy_sweep, greedy_weight_classes)
+from .greedy import (greedy_base, greedy_combined, greedy_combined_sweep,
+                     greedy_length_classes, greedy_sweep, greedy_weight_classes)
 from .oracle import TooLarge, exact_admission, exact_capacity, largest_bifeasible
 from .admission import (AdmissionResult, RetriesExhausted, admit_general,
                         admit_large_opt, nearly_uniform_classes,

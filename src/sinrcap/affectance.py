@@ -321,7 +321,13 @@ def check_feasibility(ctx: AffectanceContext, S, gamma: float = 1.0,
     if mode == "exact_sinr":
         rows, budget = _exact_budgets(ctx, S)
         return bool(_feasible_exact(np.ones((1, len(rows)), bool), rows, budget, ctx.k)[0])
-    idx = ctx.index_of(S)
+    return check_positions(ctx, ctx.index_of(S), gamma, mode)
+
+
+def check_positions(ctx: AffectanceContext, idx: np.ndarray, gamma: float = 1.0,
+                    mode: str = "feasible") -> bool:
+    """``check_feasibility``'s affectance modes (not exact_sinr) on the
+    links at context positions ``idx``."""
     raw = ctx.raw.T if mode == "anti_feasible" else ctx.raw
     return bool(_feasible_affectance(raw[idx[:, None], idx], np.ones((1, idx.size), bool),
                                      gamma, mode == "bi_feasible")[0])

@@ -13,18 +13,19 @@ import sys
 
 from .admission import admit_general, admit_large_opt, verify_admission
 from .affectance import AffectanceContext, InfeasiblePrimaries, check_feasibility
-from .greedy import (greedy_combined, greedy_length_classes,
-                     greedy_weight_classes)
+from .greedy import greedy_combined_sweep, greedy_sweep
 from .harness import (DEFAULT_SWEEP, WEIGHT_DISTRIBUTIONS, GenConfig, best_over_sweep,
-                      generate_instance, run_compare, run_oracle_suite, verify_output)
+                      generate_instance, lp_sweep, run_compare, run_oracle_suite,
+                      sweep_best, verify_output)
 from .model import parse_power, read_instance, write_instance
 from .oracle import TooLarge, exact_admission, exact_capacity
-from .rounding import RoundingPolicy, _schedule_objective, run_pipeline, schedule_weight
+from .rounding import RoundingPolicy, _schedule_objective, schedule_weight
 
 ORACLE_GAMMA = 1.0  # affectance threshold of ``oracle --mode affectance``
 
-GREEDIES = {"greedy": greedy_combined, "greedy_w": greedy_weight_classes,
-            "greedy_l": greedy_length_classes}
+GREEDY_SWEEPS = {"greedy": greedy_combined_sweep,
+                 "greedy_w": lambda ctx, sweep: greedy_sweep(ctx, "weight_classes", sweep),
+                 "greedy_l": lambda ctx, sweep: greedy_sweep(ctx, "length_classes", sweep)}
 
 
 def _add_shared(p, flags=("seed", "trials", "power", "sweep", "out"), default_power="uniform",
@@ -175,17 +176,12 @@ def _cmd_gen(args) -> int:
 
 def _cmd_solve(args) -> int:
     ctx = _context(args, _read(args))
-
-    def run(c, session):
-        if args.algo == "lp":
-            policy = RoundingPolicy(mode=args.formulation, C=c, trials=args.trials,
-                                    seed=args.seed)
-            sched = run_pipeline(ctx, policy, session)
-        else:
-            sched = GREEDIES[args.algo](ctx, c)
-        return _schedule_objective(ctx, sched.ids, args.formulation), sched
-
-    c, value, sched = best_over_sweep(args.sweep, run)
+    if args.algo == "lp":
+        schedules = lp_sweep(ctx, args.formulation, args.sweep, args.trials, args.seed)
+    else:
+        schedules = GREEDY_SWEEPS[args.algo](ctx, args.sweep)
+    c, value, sched = sweep_best(args.sweep, [
+        (_schedule_objective(ctx, sched.ids, args.formulation), sched) for sched in schedules])
     best = {"constant": c, "value": value, "ids": list(sched.ids),
             "exact_sinr_ok": sched.exact_sinr_ok}
     ok = verify_output(ctx, best["ids"])

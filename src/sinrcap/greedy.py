@@ -7,8 +7,9 @@ by length and run the base acceptance inside each bucket, returning the
 heaviest bucket solution.  All variants share the LP pipeline's final
 selection stage, so their outputs carry the same feasibility guarantee,
 and its best-set rule, ``rounding.best_part``.  ``greedy_sweep`` runs a
-variant over a sweep of acceptance constants with one final selection
-batch; the per-constant functions are its one-constant case.
+variant over a sweep of acceptance constants through one call of final
+selection, and ``greedy_combined_sweep`` the combined greedy; the
+per-constant functions are their one-constant cases.
 """
 
 from __future__ import annotations
@@ -100,7 +101,8 @@ def greedy_sweep(ctx: AffectanceContext, variant: str, constants) -> list:
     for row, (c_g, t) in zip(sel, product(constants, sorted(classes))):
         row[_class_candidates(ctx, classes[t], c_g, order)] = True
     bound = RoundingPolicy("capacity").extraction_bound
-    selections = final_selection_batch(ctx, ctx.ids, sel, bound, "capacity")
+    selections = final_selection_batch(ctx, ctx.ids, sel, [bound] * len(sel),
+                                       ["capacity"] * len(sel))
     return [certify(ctx, best_part(ctx, selections[i * k:(i + 1) * k], objective))
             for i in range(len(constants))]
 
@@ -129,6 +131,14 @@ def heavier(ctx: AffectanceContext, a: Schedule, b: Schedule) -> Schedule:
                         _schedule_objective(ctx, a.ids, "weighted"), a.ids) else a
 
 
+def greedy_combined_sweep(ctx: AffectanceContext, constants) -> list:
+    """``greedy_combined`` per acceptance constant, in order, from one
+    ``greedy_sweep`` of each class variant."""
+    constants = list(constants)
+    return [heavier(ctx, w, l) for w, l in zip(greedy_sweep(ctx, "weight_classes", constants),
+                                               greedy_sweep(ctx, "length_classes", constants))]
+
+
 def greedy_combined(ctx: AffectanceContext, c_g: float = 1.0) -> Schedule:
     """Better of the weight-class and length-class runs, by total weight."""
-    return heavier(ctx, greedy_weight_classes(ctx, c_g), greedy_length_classes(ctx, c_g))
+    return greedy_combined_sweep(ctx, [c_g])[0]

@@ -4,8 +4,8 @@ Instances are drawn inside an R x R square with link lengths uniform in
 [1, delta]; four weight distributions are supported.  ``run_compare``
 reproduces the sweep-and-compare methodology: every algorithm is run over
 a grid of acceptance/bound constants and its best result is reported,
-together with the LP-to-greedy quality ratio.  ``best_over_sweep`` runs
-every such sweep, here and in the CLI.
+together with the LP-to-greedy quality ratio.  ``sweep_best`` picks each
+such sweep's best constant, here and in the CLI.
 """
 
 from __future__ import annotations
@@ -145,13 +145,21 @@ def verify_output(ctx: AffectanceContext, ids) -> bool:
 def best_over_sweep(sweep: Sequence[float], run):
     """Call ``run(c, session) -> (value, result)`` for each constant of the
     sweep, all through one ``LpSession`` (it builds a builder's rows once,
-    as they do not depend on C), and return ``_sweep_best`` of the
+    as they do not depend on C), and return ``sweep_best`` of the
     results."""
     session = LpSession()
-    return _sweep_best(sweep, [run(c, session) for c in sweep])
+    return sweep_best(sweep, [run(c, session) for c in sweep])
 
 
-def _sweep_best(sweep: Sequence[float], results) -> tuple:
+def lp_sweep(ctx: AffectanceContext, mode: str, sweep: Sequence[float], trials: int,
+             seed: int) -> list:
+    """The LP pipeline's schedule under ``mode`` at each constant of the
+    sweep, in order: one ``run_sweep`` through one fresh ``LpSession``."""
+    return run_sweep(ctx, [RoundingPolicy(mode=mode, C=c, trials=trials, seed=seed)
+                           for c in sweep], LpSession())
+
+
+def sweep_best(sweep: Sequence[float], results) -> tuple:
     """(constant, value, result) with the largest value among the
     (value, result) pairs of the sweep's constants; ties, and gains of at
     most 1e-12, keep the earlier constant.  This is deliberately not
@@ -174,13 +182,13 @@ def run_compare(gen_configs: Sequence[GenConfig], sweep: Sequence[float],
     """Run the LP pipeline and the greedy variants over a constant sweep on
     each instance, keep each algorithm's best, and write one CSV.
 
-    Each algorithm's sweep is one batch: ``run_sweep`` for the LP, through
-    one ``LpSession`` per instance, and ``greedy_sweep`` for each class
-    greedy, whose schedules the combined greedy compares constant by
-    constant.  Every emitted solution row is re-verified feasible before
-    writing.  Rows are deterministic for fixed configs; runtimes, each the
-    wall time of the row's sweep, are recorded only when ``timing`` is set
-    (they would break byte-for-byte determinism).
+    Each algorithm runs its whole sweep in one call: ``lp_sweep`` for the
+    LP and ``greedy_sweep`` for each class greedy, whose schedules the
+    combined greedy compares constant by constant.  Every emitted solution
+    row is re-verified feasible before writing.  Rows are deterministic for
+    fixed configs; runtimes, each the wall time of the row's sweep, are
+    recorded only when ``timing`` is set (they would break byte-for-byte
+    determinism).
     """
     sweep = list(sweep)
     if not sweep:
@@ -193,12 +201,9 @@ def run_compare(gen_configs: Sequence[GenConfig], sweep: Sequence[float],
         ctx = AffectanceContext(inst, power)
         meta = dict(seed=cfg.seed, n=cfg.n, R=cfg.R, delta=cfg.delta,
                     density=cfg.density, weight_dist=cfg.weight_dist)
-        session = LpSession()
-        policies = [RoundingPolicy(mode="weighted", C=c, trials=trials, seed=cfg.seed)
-                    for c in sweep]
         schedules, best, ms = {}, {}, {}
         sweeps = {  # algo -> its schedule per constant, in row order
-            "lp": lambda: run_sweep(ctx, policies, session),
+            "lp": lambda: lp_sweep(ctx, "weighted", sweep, trials, cfg.seed),
             "greedy_w": lambda: greedy_sweep(ctx, "weight_classes", sweep),
             "greedy_l": lambda: greedy_sweep(ctx, "length_classes", sweep),
             "greedy": lambda: [heavier(ctx, w, l) for w, l in zip(schedules["greedy_w"],
@@ -207,8 +212,8 @@ def run_compare(gen_configs: Sequence[GenConfig], sweep: Sequence[float],
         for algo, run in sweeps.items():
             t0 = time.perf_counter()
             schedules[algo] = run()
-            best[algo] = _sweep_best(sweep, [_weight_and_ids(ctx, schedule)
-                                             for schedule in schedules[algo]])
+            best[algo] = sweep_best(sweep, [_weight_and_ids(ctx, schedule)
+                                            for schedule in schedules[algo]])
             ms[algo] = (time.perf_counter() - t0) * 1e3
         ms["greedy"] += ms["greedy_w"] + ms["greedy_l"]  # it reuses the class runs
         for algo, (c, value, ids) in best.items():

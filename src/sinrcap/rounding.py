@@ -25,16 +25,18 @@ rule, and only each row's winner becomes an id tuple.
 
 ``round_trials`` is the one trial loop: it solves and samples a sweep's
 (program, policy) pairs in order through one session, so warm starts are
-those of a loop over the constants, and runs one final selection over
-every kept sample, each under its own policy's bound and objective.
-``run_sweep`` reduces what it returns per policy, and ``run_pipeline`` is
+those of a loop over the constants, and selects the kept samples of
+consecutive pairs in one batch, each under its own policy's bound and
+objective.  A batch costs lockstep steps by its longest row, not by its
+number of rows, which pays while rows are short; so a batch runs once
+its samples times the links they hold reach ``_BATCH_CELLS``.  At n=200
+a compare sweep's 2 x 50 samples stay one batch; at n=1000 each
+constant's 100 samples hold more and run alone, since one batch over
+15 constants raised max RSS from 200 to 240 MiB and gained no clear time.
+``run_sweep`` reduces what it yields per policy, and ``run_pipeline`` is
 its one-policy case; both admission pipelines reduce it too.  Each builds
 its program through an ``LpSession``, ``run_sweep`` the one
-``formulations`` builder of each policy's mode.  A batch costs lockstep
-steps by its longest row, not by its number of rows, so ``run_compare``
-runs each algorithm's sweep as one batch; ``sinrcap solve`` keeps one
-constant per batch, since at n=1000 one batch over its 15 constants
-raised max RSS from 200 to 240 MiB and gained no clear time.
+``formulations`` builder of each policy's mode.
 ``best_part`` is the one rule by which this module, ``greedy`` and
 ``admission`` choose among candidate sets; ``_schedule_objective`` values a set.
 """
@@ -49,8 +51,8 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from . import formulations
-from .affectance import (ROW_BLOCK, AffectanceContext, Schedule, _feasible_affectance,
-                         certify, check_feasibility)
+from .affectance import (ROW_BLOCK, AffectanceContext, Schedule, certify, check_feasibility,
+                         check_positions)
 from .lp_core import LinearProgram, LpSession, solve_lp
 
 logger = logging.getLogger(__name__)
@@ -60,6 +62,9 @@ _EXTRACTION_FACTOR = 12.0  # extraction bound per unit of the LP constant C
 # strengthening's load limit: below 1 by far more than n ulps, so a part
 # it admits, its loads summed in join order, passes the check in id order
 _STRENGTHEN_LIMIT = 1.0 - 1e-12
+# samples times the links they hold at which round_trials runs a final
+# selection batch (the module docstring says why)
+_BATCH_CELLS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -150,22 +155,22 @@ def _one_row(S) -> tuple:
 
 
 def _extract_rows(ctx: AffectanceContext, idx: np.ndarray, sel: np.ndarray,
-                  bound) -> np.ndarray:
+                  bounds) -> np.ndarray:
     """Each row's members whose clipped affectance received from that row's
-    members is at most bound (one for every row, or one per row); ``idx``
-    holds the columns' context positions.
+    members is at most the row's entry of ``bounds``; ``idx`` holds the
+    columns' context positions.
     One product over the union of selected columns serves every row; it is
     taken ROW_BLOCK receivers at a time."""
     cols = np.flatnonzero(sel.any(axis=0))
     sub = sel[:, cols]
     sub_f = sub.astype(float)
-    bound = np.asarray(bound, dtype=float).reshape(-1, 1)
+    bounds = np.asarray(bounds, dtype=float)[:, None]
     kept = np.zeros_like(sel)
     for c0 in range(0, cols.size, ROW_BLOCK):
         block = slice(c0, c0 + ROW_BLOCK)
         aff = ctx.raw[np.ix_(idx[cols], idx[cols[block]])]
         np.minimum(aff, 1.0, out=aff)
-        kept[:, cols[block]] = sub[:, block] & (sub_f @ aff <= bound)
+        kept[:, cols[block]] = sub[:, block] & (sub_f @ aff <= bounds)
     return kept
 
 
@@ -241,10 +246,8 @@ def _strengthen_rows(ctx: AffectanceContext, idx: np.ndarray,
         return choice
 
     for parts in _first_fit(pos, sel, np.arange(pos.size), fit):
-        for p in parts:  # check_feasibility's test, on positions
-            if not _feasible_affectance(ctx.raw[p[:, None], p], np.ones((1, p.size), bool),
-                                        1.0)[0]:
-                raise AssertionError("signal strengthening produced an infeasible part")
+        if not all(check_positions(ctx, p) for p in parts):
+            raise AssertionError("signal strengthening produced an infeasible part")
         yield parts
 
 
@@ -252,7 +255,7 @@ def extract_low_affectance(ctx: AffectanceContext, S,
                            bound: float = _EXTRACTION_FACTOR) -> tuple:
     """Members of S whose received affectance within S is at most bound."""
     ids, sel = _one_row(S)
-    return _members(ids, _extract_rows(ctx, ctx.index_of(ids), sel, bound)[0])
+    return _members(ids, _extract_rows(ctx, ctx.index_of(ids), sel, [bound])[0])
 
 
 def signal_strengthen(ctx: AffectanceContext, S) -> list:
@@ -305,18 +308,17 @@ def best_part(ctx: AffectanceContext, parts, mode: str) -> tuple:
 
 
 def final_selection_batch(ctx: AffectanceContext, ids: Sequence[int], sel: np.ndarray,
-                          bound, mode) -> list:
+                          bounds: Sequence[float], modes: Sequence[str]) -> list:
     """``final_selection`` of every row of ``sel`` (rows of booleans over
-    the columns ``ids``), in row order.  ``bound`` and ``mode`` are one
-    value for every row or one per row."""
+    the columns ``ids``) under that row's entries of ``bounds`` and
+    ``modes``, in row order, all rows in one lockstep batch."""
     ids = np.asarray(ids, dtype=int)
     order = np.argsort(ids, kind="stable")
     idx, sel = ctx.index_of(ids[order]), sel[:, order]
-    modes = [mode] * len(sel) if isinstance(mode, str) else mode
-    kept = _extract_rows(ctx, idx, sel, bound)
+    kept = _extract_rows(ctx, idx, sel, bounds)
     out = []
-    for parts, row_mode in zip(_strengthen_rows(ctx, idx, kept), modes):
-        best = _best_index(ctx, parts, row_mode)
+    for parts, mode in zip(_strengthen_rows(ctx, idx, kept), modes):
+        best = _best_index(ctx, parts, mode)
         out.append(() if best is None else _members(ctx.ids, parts[best]))
     return out
 
@@ -324,17 +326,18 @@ def final_selection_batch(ctx: AffectanceContext, ids: Sequence[int], sel: np.nd
 def final_selection(ctx: AffectanceContext, S, bound: float, mode: str) -> tuple:
     """Extract S's low-affectance members, strengthen them into 1-feasible
     parts and return the best part under ``mode``'s objective."""
-    return final_selection_batch(ctx, *_one_row(S), bound, mode)[0]
+    return final_selection_batch(ctx, *_one_row(S), [bound], [mode])[0]
 
 
 def round_trials(ctx: AffectanceContext, runs, session: Optional[LpSession] = None,
-                 accept=None, attempts: int = 0) -> list:
+                 accept=None, attempts: int = 0) -> Iterator[list]:
     """For each (program, policy) pair of ``runs``, in order: solve the
     program (through ``session`` when given, so a constant sweep reuses one
     model) and draw ``policy.trials`` two-stage samples over its ids.
-    Returns per pair the final selection of each sample, in trial order,
-    all samples of all pairs selected in one ``final_selection_batch``
-    under each policy's extraction bound and mode.
+    Yields per pair the final selection of each sample, in trial order,
+    under the policy's extraction bound and mode.  Consecutive pairs share
+    one ``final_selection_batch``, which runs as soon as its samples times
+    the links they hold reach ``_BATCH_CELLS``; a pair is never split.
 
     With ``accept``, a function from a block's selection matrix to one
     boolean per row, each pair's trials are drawn in blocks of
@@ -342,7 +345,7 @@ def round_trials(ctx: AffectanceContext, runs, session: Optional[LpSession] = No
     samples count, in attempt order: the samples a one-by-one loop would
     take.
     """
-    blocks, bounds, modes = [], [], []
+    batch = []  # (context positions of lp.ids, samples, policy) per pair
     for lp, policy in runs:
         sol = solve_lp(lp, session)
         tries = policy.trials if accept is None else attempts
@@ -356,15 +359,33 @@ def round_trials(ctx: AffectanceContext, runs, session: Optional[LpSession] = No
             kept.append(sel)
             if wanted <= 0:
                 break
-        kept = np.concatenate(kept)
-        block = np.zeros((len(kept), ctx.n), dtype=bool)  # columns: context positions
-        block[:, ctx.index_of(lp.ids)] = kept
-        blocks.append(block)
-        bounds += [policy.extraction_bound] * len(block)
-        modes += [policy.mode] * len(block)
-    sel = np.concatenate([np.zeros((0, ctx.n), dtype=bool)] + blocks)
+        batch.append((ctx.index_of(lp.ids), np.concatenate(kept), policy))
+        if _cells(batch) >= _BATCH_CELLS:
+            yield from _select_batch(ctx, batch)
+            batch = []
+    if batch:
+        yield from _select_batch(ctx, batch)
+
+
+def _cells(batch) -> int:
+    """A batch's samples times the number of links any of them holds."""
+    rows = sum(len(kept) for _, kept, _ in batch)
+    return rows * np.unique(np.concatenate([pos[kept.any(axis=0)]
+                                            for pos, kept, _ in batch])).size
+
+
+def _select_batch(ctx: AffectanceContext, batch) -> list:
+    """Per pair of ``round_trials``' batch, the final selection of each of
+    its samples, all in one ``final_selection_batch``."""
+    sel = np.zeros((sum(len(kept) for _, kept, _ in batch), ctx.n), dtype=bool)
+    bounds, modes, start = [], [], 0
+    for pos, kept, policy in batch:  # the columns of sel are context positions
+        sel[start:start + len(kept), pos] = kept
+        start += len(kept)
+        bounds += [policy.extraction_bound] * len(kept)
+        modes += [policy.mode] * len(kept)
     selections = iter(final_selection_batch(ctx, ctx.ids, sel, bounds, modes))
-    return [list(islice(selections, len(block))) for block in blocks]
+    return [list(islice(selections, len(kept))) for _, kept, _ in batch]
 
 
 def run_sweep(ctx: AffectanceContext, policies: Sequence[RoundingPolicy],
@@ -372,16 +393,15 @@ def run_sweep(ctx: AffectanceContext, policies: Sequence[RoundingPolicy],
     """``run_pipeline`` of each policy, in order, through one ``session``
     (a fresh one when None); returns one schedule per policy.  Each
     policy's mode and C name its program, and the session builds a
-    builder's rows once.  The programs are solved and sampled in order,
-    and every sample goes through one final selection batch."""
+    builder's rows once.  The programs are built, solved and sampled in
+    order, and their samples selected in ``round_trials``' batches."""
     session = LpSession() if session is None else session
-    runs = []
-    for policy in policies:
-        if policy.mode in ("admission_general", "admission_large"):
-            raise ValueError("admission pipelines are driven by the admission module")
-        # looked up on every call, so a builder patched into the module is used
-        build = getattr(formulations, f"build_{policy.mode}_lp")
-        runs.append((session.program(build, ctx, policy.C), policy))
+    if any(policy.mode in ("admission_general", "admission_large") for policy in policies):
+        raise ValueError("admission pipelines are driven by the admission module")
+    # each program is built when round_trials reaches it, its builder looked
+    # up then, so a builder patched into the module is used
+    runs = ((session.program(getattr(formulations, f"build_{policy.mode}_lp"), ctx, policy.C),
+             policy) for policy in policies)
     schedules = []
     for selections, policy in zip(round_trials(ctx, runs, session), policies):
         schedule = certify(ctx, best_part(ctx, selections, policy.mode))

@@ -4,8 +4,8 @@ import pytest
 from sinrcap import (AffectanceContext, GenConfig, Instance, Link, PowerAssignment,
                      RoundingPolicy, build_weighted_lp, certify, check_feasibility,
                      exact_capacity, generate_instance, greedy_base, greedy_combined,
-                     greedy_length_classes, greedy_sweep, greedy_weight_classes, run_pipeline,
-                     schedule_weight)
+                     greedy_combined_sweep, greedy_length_classes, greedy_sweep,
+                     greedy_weight_classes, run_pipeline, schedule_weight)
 from sinrcap.greedy import (_class_candidates, length_class_partition,
                             weight_class_partition)
 from sinrcap.rounding import final_selection_batch, round_trials
@@ -164,6 +164,8 @@ def test_greedy_sweep_matches_per_constant_calls():
             assert greedy_sweep(ctx, variant, constants) == per_constant
             if len({s.ids for s in per_constant}) > 1:
                 differ.add(variant)
+        assert greedy_combined_sweep(ctx, constants) == \
+            [greedy_combined(ctx, c) for c in constants]
         assert greedy_sweep(ctx, "base", []) == []
         with pytest.raises(ValueError, match="positive"):
             greedy_sweep(ctx, "weight_classes", [1.0, 0.0])
@@ -207,7 +209,7 @@ def test_every_selection_keeps_the_heaviest_set_ties_to_smallest_ids():
     ctx = AffectanceContext(flat, PowerAssignment.linear())
     lp, policy = build_weighted_lp(ctx, 1.0), RoundingPolicy(mode="weighted", trials=20,
                                                              seed=3)
-    rounded = set(round_trials(ctx, [(lp, policy)])[0])
+    rounded = set(next(round_trials(ctx, [(lp, policy)])))
     heaviest = sorted(s for s in rounded if len(s) == max(map(len, rounded)))
     assert len(heaviest) > 1
     assert run_pipeline(ctx, policy).ids == heaviest[0]
@@ -220,7 +222,8 @@ def _reference_greedy(ctx, classes, c_g, order, weighted):
     sel = np.zeros((len(classes), ctx.n), dtype=bool)
     for row, t in zip(sel, sorted(classes)):
         row[_class_candidates(ctx, classes[t], c_g, order)] = True
-    selections = final_selection_batch(ctx, ctx.ids, sel, 12.0, "capacity")
+    selections = final_selection_batch(ctx, ctx.ids, sel, [12.0] * len(sel),
+                                       ["capacity"] * len(sel))
     if not weighted:
         return certify(ctx, selections[0])
     best_ids, best_w = (), -1.0

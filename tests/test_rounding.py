@@ -11,9 +11,9 @@ from sinrcap import (AffectanceContext, GenConfig, Instance, Link, LpSession,
                      PowerAssignment, RoundingPolicy, bernoulli_draws,
                      build_admission_large_lp, build_admission_lp, build_capacity_lp,
                      build_qos_lp, build_weighted_lp, check_feasibility, exact_capacity,
-                     extract_low_affectance, generate_instance, run_pipeline, run_sweep,
-                     sample_round, signal_strengthen, solve_lp)
-from sinrcap import formulations
+                     extract_low_affectance, final_selection, generate_instance,
+                     run_pipeline, run_sweep, sample_round, signal_strengthen, solve_lp)
+from sinrcap import formulations, rounding
 from sinrcap.rounding import (ROUNDING_MODES, _extract_rows, _first_fit, _strengthen_rows,
                               best_part, final_selection_batch, round_trials, sample_batch)
 
@@ -203,7 +203,7 @@ def test_strengthening_check_runs_under_optimize():
             raise SystemExit("not running under -O")
         inst = Instance(links=(Link(0, Point(0.0, 0.0), Point(1.0, 0.0)),), alpha=2.5)
         ctx = AffectanceContext(inst, PowerAssignment.uniform())
-        rounding._feasible_affectance = lambda *args, **kwargs: [False]
+        rounding.check_positions = lambda *args, **kwargs: False
         try:
             rounding.signal_strengthen(ctx, [0])
         except AssertionError as exc:
@@ -253,7 +253,7 @@ def test_pipeline_rounds_the_program_of_its_mode(mode):
         policy = RoundingPolicy(mode=mode, C=C, trials=15, seed=3)
         program = BUILDERS[mode](ctx, C)
         assert run_pipeline(ctx, policy).ids == \
-            best_part(ctx, round_trials(ctx, [(program, policy)])[0], mode)
+            best_part(ctx, next(round_trials(ctx, [(program, policy)])), mode)
     with pytest.raises(ValueError, match="admission module"):
         run_pipeline(ctx, RoundingPolicy(mode="admission_general"))
 
@@ -394,14 +394,14 @@ def test_batched_engine_matches_per_set_reference(with_primaries, trials):
         rows = np.array([np.isin(ids[order], s) for s in sets])
         idx = ctx.index_of(ids[order])
         bound = 1.5  # low enough that extraction drops members
-        kept = _extract_rows(ctx, idx, rows, bound)
+        kept = _extract_rows(ctx, idx, rows, [bound] * len(rows))
         kept_sets = [_reference_extract(ctx, s, bound) for s in sets]
         assert [tuple(int(i) for i in ids[order][row]) for row in kept] == kept_sets
         parts = [[tuple(ctx.ids[p].tolist()) for p in row]
                  for row in _strengthen_rows(ctx, idx, rows)]
         assert parts == [_reference_strengthen(ctx, s) for s in sets]
-        assert final_selection_batch(ctx, ids, rows[:, np.argsort(order)], bound,
-                                     "capacity") == \
+        assert final_selection_batch(ctx, ids, rows[:, np.argsort(order)], [bound] * len(rows),
+                                     ["capacity"] * len(rows)) == \
             [best_part(ctx, _reference_strengthen(ctx, k), "capacity") for k in kept_sets]
         assert extract_low_affectance(ctx, sets[0], bound) == kept_sets[0]
         assert signal_strengthen(ctx, sets[0]) == parts[0]
@@ -458,6 +458,51 @@ def test_sweep_of_mixed_modes_matches_per_policy_pipelines():
     session = LpSession()
     assert run_sweep(ctx, policies, LpSession()) == \
         [run_pipeline(ctx, policy, session) for policy in policies]
+
+
+def test_final_selection_batch_takes_a_bound_and_mode_per_row():
+    ctx = random_ctx(5, n=30, R=3.0, delta=2.0, power=PowerAssignment.linear())
+    sel = np.random.default_rng(2).random((30, ctx.n)) < 0.4
+    bounds = np.linspace(1.0, 24.0, 30)
+    modes = ["weighted", "capacity", "qos"] * 10
+    batch = final_selection_batch(ctx, ctx.ids, sel, bounds, modes)
+    assert batch == [final_selection(ctx, ctx.ids[row], bound, mode)
+                     for row, bound, mode in zip(sel, bounds, modes)]
+    assert len(set(batch)) > 1
+
+
+def test_round_trials_batches_consecutive_pairs_up_to_the_cell_budget(monkeypatch):
+    ctx = random_ctx(12, n=30, R=3.0, delta=2.0, power=PowerAssignment.linear())
+    policies = [RoundingPolicy(mode=mode, C=C, trials=12, seed=4)
+                for mode, C in (("weighted", 0.2), ("capacity", 1.4), ("qos", 0.6),
+                                ("weighted", 1.4), ("capacity", 2.2), ("qos", 0.6))]
+    batches = []
+    select = rounding.final_selection_batch
+
+    def recorded(ctx, ids, sel, bounds, modes):
+        batches.append(sel)
+        return select(ctx, ids, sel, bounds, modes)
+
+    def cells(sel):
+        return len(sel) * int(sel.any(axis=0).sum())
+
+    monkeypatch.setattr(rounding, "final_selection_batch", recorded)
+    whole = run_sweep(ctx, policies)
+    assert [len(b) for b in batches] == [72]
+    for budget in (1, 300, 500, 800):
+        batches.clear()
+        monkeypatch.setattr(rounding, "_BATCH_CELLS", budget)
+        assert run_sweep(ctx, policies) == whole
+        assert sum(len(b) for b in batches) == 72
+        for b in batches:
+            assert len(b) % 12 == 0  # a pair is never split
+            # every batch but the last ran at the pair that took it to the budget
+            assert cells(b[:-12]) < budget
+            assert b is batches[-1] or cells(b) >= budget
+        if budget == 1:
+            assert len(batches) == 6
+        else:
+            assert 1 < len(batches) < 6, budget
 
 
 def _bin_fit(size, rows, steps):

@@ -3,8 +3,9 @@
 Each sweep below re-solves one model after changing only its row bounds.
 The reference is a fresh build and a fresh session, so a cold load, for
 every constant.
-``sinrcap solve``/``admit`` and ``run_compare`` sweep through
-``harness.best_over_sweep``, whose session class the tests replace.
+``sinrcap solve`` and ``run_compare`` sweep the LP through
+``harness.lp_sweep`` and ``sinrcap admit`` through
+``harness.best_over_sweep``; the tests replace their session class.
 """
 
 import math
