@@ -242,21 +242,6 @@ def hat_noise(ctx: AffectanceContext, u: int) -> float:
     return float(ctx.hat_noise_sec[ctx.index_of([u])[0]])
 
 
-def aggregate_affectance(ctx: AffectanceContext, S, v: int, direction: str = "in") -> float:
-    """Sum of pairwise affectances between v and the set S.
-
-    direction "in" gives a_S(v), the total affectance on v from S;
-    "out" gives a_v(S), the total affectance of v on S.
-    """
-    idx = ctx.index_of(S)
-    p = ctx.index_of([v])[0]
-    if direction == "in":
-        return float(np.minimum(ctx.raw[idx, p], 1.0).sum())
-    if direction == "out":
-        return float(np.minimum(ctx.raw[p, idx], 1.0).sum())
-    raise ValueError(f"unknown direction {direction!r}")
-
-
 # ---------------------------------------------------------------------------
 # feasibility predicates
 

@@ -12,7 +12,8 @@ import math
 import sys
 
 from .admission import admit_general, admit_large_opt, verify_admission
-from .affectance import AffectanceContext, InfeasiblePrimaries, check_feasibility
+from .affectance import AffectanceContext, InfeasiblePrimaries
+from .formulations import PROBLEMS
 from .greedy import greedy_combined_sweep, greedy_sweep
 from .harness import (DEFAULT_SWEEP, WEIGHT_DISTRIBUTIONS, GenConfig, best_over_sweep,
                       generate_instance, lp_sweep, run_compare, run_oracle_suite,
@@ -21,7 +22,9 @@ from .model import parse_power, read_instance, write_instance
 from .oracle import TooLarge, exact_admission, exact_capacity
 from .rounding import RoundingPolicy, _schedule_objective, schedule_weight
 
-ORACLE_GAMMA = 1.0  # affectance threshold of ``oracle --mode affectance``
+# by the paper's problem: both admission programs solve "admission"
+ORACLE_PROBLEMS = {problem.name: problem for problem in PROBLEMS.values()}
+ADMIT_METHODS = {"general": admit_general, "large": admit_large_opt}
 
 GREEDY_SWEEPS = {"greedy": greedy_combined_sweep,
                  "greedy_w": lambda ctx, sweep: greedy_sweep(ctx, "weight_classes", sweep),
@@ -101,20 +104,19 @@ def _parse_args(argv):
     s.add_argument("--algo", required=True,
                    choices=("lp", "greedy", "greedy_w", "greedy_l"))
     s.add_argument("--formulation", default="capacity",
-                   choices=("capacity", "qos", "weighted"))
+                   choices=[mode for mode, problem in PROBLEMS.items() if not problem.primaries])
     _add_shared(s)
 
     a = sub.add_parser("admit", help="admission control on an instance with primaries")
     a.add_argument("instance")
-    a.add_argument("--method", default="general", choices=("general", "large"))
+    a.add_argument("--method", default="general", choices=[
+        mode.split("_")[1] for mode, problem in PROBLEMS.items() if problem.primaries])
     _add_shared(a)
 
     o = sub.add_parser("oracle", help="exhaustive optimum on a small instance")
     o.add_argument("instance")
-    o.add_argument("--objective", default="cardinality", choices=("cardinality", "weight"))
-    o.add_argument("--mode", default="exact", choices=("exact", "affectance"))
-    o.add_argument("--admission", action="store_true",
-                   help="admission optimum (requires primaries)")
+    o.add_argument("--problem", default="capacity", choices=ORACLE_PROBLEMS,
+                   help="admission requires primaries")
     _add_shared(o, ("power", "out"))
 
     c = sub.add_parser("compare", help="sweep-and-compare experiment, CSV output")
@@ -143,21 +145,15 @@ def _emit(payload, out):
         print(text)
 
 
-def _read(args, primaries=False):
-    """The instance file, refused as a bad input when it cannot be read or,
-    with ``primaries``, when it has none."""
-    with _rejected(args.command, OSError, ValueError):
+def _context(args, primaries=False):
+    """The affectance context of the instance file under ``--power``, with
+    its primaries when ``primaries``; refused as a bad input when the file
+    cannot be read, has no primaries that are needed, gives a power that is
+    not finite and positive, or has primaries that cannot coexist."""
+    with _rejected(args.command, OSError, ValueError, InfeasiblePrimaries):
         inst = read_instance(args.instance)
         if primaries and inst.primaries is None:
             raise ValueError(f"{args.instance} has no primaries")
-    return inst
-
-
-def _context(args, inst, primaries=False):
-    """The affectance context of ``inst`` under ``--power`` (with the
-    instance's primaries when ``primaries``), refused as a bad input when a
-    power is not finite and positive or the primaries cannot coexist."""
-    with _rejected(args.command, ValueError, InfeasiblePrimaries):
         return AffectanceContext(inst, args.power,
                                  primaries=inst.primaries if primaries else None)
 
@@ -175,7 +171,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    ctx = _context(args, _read(args))
+    ctx = _context(args)
     if args.algo == "lp":
         schedules = lp_sweep(ctx, args.formulation, args.sweep, args.trials, args.seed)
     else:
@@ -191,13 +187,12 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_admit(args) -> int:
-    ctx = _context(args, _read(args, primaries=True), primaries=True)
-    mode, admit = {"general": ("admission_general", admit_general),
-                   "large": ("admission_large", admit_large_opt)}[args.method]
+    ctx = _context(args, primaries=True)
 
     def run(c, session):
-        policy = RoundingPolicy(mode=mode, C=c, trials=args.trials, seed=args.seed)
-        res = admit(ctx, policy, session=session)
+        policy = RoundingPolicy(mode=f"admission_{args.method}", C=c, trials=args.trials,
+                                seed=args.seed)
+        res = ADMIT_METHODS[args.method](ctx, policy, session=session)
         return res.admitted.size, res
 
     c, value, res = best_over_sweep(args.sweep, run)
@@ -210,21 +205,15 @@ def _cmd_admit(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    with _rejected("oracle", ValueError):
-        if args.admission and (args.objective, args.mode) != ("cardinality", "exact"):
-            raise ValueError("--admission finds the cardinality optimum under exact SINR "
-                             "and takes neither --objective weight nor --mode affectance")
-    ctx = _context(args, _read(args, primaries=args.admission), primaries=args.admission)
+    problem = ORACLE_PROBLEMS[args.problem]
+    ctx = _context(args, primaries=problem.primaries)
     with _rejected("oracle", TooLarge):
-        if args.admission:
+        if problem.primaries:
             sched = exact_admission(ctx)
             ok = verify_admission(ctx, sched.ids)
-        elif args.mode == "exact":
-            sched = exact_capacity(ctx, args.objective, "exact_sinr")
-            ok = verify_output(ctx, sched.ids)
         else:
-            sched = exact_capacity(ctx, args.objective, "affectance", ORACLE_GAMMA)
-            ok = check_feasibility(ctx, sched.ids, ORACLE_GAMMA, "feasible")
+            sched = exact_capacity(ctx, problem.objective, "exact_sinr")
+            ok = verify_output(ctx, sched.ids)
     payload = {"ids": list(sched.ids), "size": sched.size,
                "weight": schedule_weight(ctx, sched),
                "exact_sinr_ok": sched.exact_sinr_ok, "verified": ok}

@@ -20,7 +20,7 @@ bound, limit, scaled): ``fill`` writes the block's coefficients, which
 never depend on C, into the rows it is handed; a scaled block's bound and
 limit are multiples of C.  ``_link_rows`` is the per-link block of every
 builder, and ``_program`` writes a builder's blocks, in order, into one
-row matrix.
+row matrix.  ``PROBLEMS`` states each program once, keyed by its mode.
 """
 
 from __future__ import annotations
@@ -28,6 +28,8 @@ from __future__ import annotations
 import itertools
 import logging
 import math
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -41,11 +43,6 @@ DEFAULT_C = 1.0
 # Per-pair affectance cap on secondaries kept by the large-optimum
 # admission prefilter; the coefficient of the 1/sqrt(log k) rule.
 FILTER_COEFF = 10.0
-
-
-def _warn_unless(cond: bool, message: str):
-    if not cond:
-        logger.warning(message)
 
 
 def _link_rows(ctx: AffectanceContext, direction: str, slack: float,
@@ -92,9 +89,6 @@ def build_capacity_lp(ctx: AffectanceContext, C: float = DEFAULT_C) -> LinearPro
     """Maximize the number of links, bounding per link both the affectance
     received from and sent to no-shorter links by C (2n rows).  Stage-two
     limit: 3C on both rows of a link."""
-    pc = ctx.power_class()
-    _warn_unless(pc["non_decreasing"] and pc["sub_linear"],
-                 "capacity LP expects a non-decreasing sub-linear power assignment")
     keep = ctx.length_ge_mask().T  # keep[u, v]: l_v >= l_u, v != u
     return _program(ctx.ids.copy(), C, _link_rows(ctx, "in", 3.0, keep=keep),
                     _link_rows(ctx, "out", 3.0, keep=keep))
@@ -104,8 +98,6 @@ def build_qos_lp(ctx: AffectanceContext, C: float = DEFAULT_C) -> LinearProgram:
     """Variant honoring per-link thresholds and noise: one row per link
     bounding the affectance it sends to all others by C.  Stage-two limit:
     3C."""
-    _warn_unless(ctx.nearly_uniform(),
-                 "QoS LP guarantee assumes (nearly) uniform power")
     return _program(ctx.ids.copy(), C, _link_rows(ctx, "out", 3.0))
 
 
@@ -120,8 +112,6 @@ def build_admission_lp(ctx: AffectanceContext, C: float = DEFAULT_C) -> LinearPr
     """
     if not ctx.has_primaries:
         raise ValueError("admission LP requires a context with primaries attached")
-    _warn_unless(ctx.nearly_uniform(),
-                 "admission guarantee assumes (nearly) uniform secondary power")
     links = _link_rows(ctx, "out", 4.0)
     if not (ctx.k and ctx.n):  # with no variables the aggregate row constrains nothing
         return _program(ctx.ids.copy(), C, links)
@@ -148,8 +138,6 @@ def build_admission_large_lp(ctx: AffectanceContext, C: float = DEFAULT_C) -> Li
     """
     if not ctx.has_primaries or ctx.k == 0:
         raise ValueError("large-optimum admission requires at least one primary")
-    _warn_unless(ctx.nearly_uniform(),
-                 "admission guarantee assumes (nearly) uniform secondary power")
     thr = admission_filter_threshold(ctx.k)
     idx = np.flatnonzero(np.all(ctx.aff_to_prim_plain <= thr, axis=1))
     links = _link_rows(ctx, "out", 4.0, idx=idx)
@@ -164,8 +152,53 @@ def build_admission_large_lp(ctx: AffectanceContext, C: float = DEFAULT_C) -> Li
 def build_weighted_lp(ctx: AffectanceContext, C: float = DEFAULT_C) -> LinearProgram:
     """Maximize total weight; one row per link bounding its received
     affectance from all links by C.  Stage-two limit: 4C."""
-    ratios = ctx.powers / ctx.lengths ** ctx.instance.alpha if ctx.n else np.zeros(0)
-    _warn_unless(ctx.n <= 1 or bool(np.allclose(ratios, ratios[0])),
-                 "weighted-capacity guarantee assumes linear power")
     return _program(ctx.ids.copy(), C, _link_rows(ctx, "in", 4.0),
                     objective=ctx.weights.copy())
+
+
+def _sub_linear(ctx: AffectanceContext) -> bool:
+    pc = ctx.power_class()
+    return pc["non_decreasing"] and pc["sub_linear"]
+
+
+def _linear(ctx: AffectanceContext) -> bool:
+    ratios = ctx.powers / ctx.lengths ** ctx.instance.alpha
+    return ctx.n <= 1 or bool(np.allclose(ratios, ratios[0]))
+
+
+@dataclass(frozen=True)
+class Problem:
+    """A program of the paper's problem ``name``: the name of its builder
+    here, its objective ("cardinality" or "weight"), and the power
+    precondition of its guarantee, logged as ``warning`` once per build
+    when broken."""
+    name: str
+    builder: str
+    objective: str
+    power: Callable
+    warning: str
+
+    @property
+    def primaries(self) -> bool:  # admits secondaries beside the context's primaries
+        return self.name == "admission"
+
+    def build(self, ctx: AffectanceContext, C: float = DEFAULT_C) -> LinearProgram:
+        if not self.power(ctx):
+            logger.warning(self.warning)
+        return globals()[self.builder](ctx, C)  # looked up now, so a patched builder is used
+
+
+_UNIFORM = AffectanceContext.nearly_uniform
+_ADMISSION = "admission guarantee assumes (nearly) uniform secondary power"
+PROBLEMS = {
+    "capacity": Problem("capacity", "build_capacity_lp", "cardinality", _sub_linear,
+                        "capacity LP expects a non-decreasing sub-linear power assignment"),
+    "qos": Problem("qos", "build_qos_lp", "cardinality", _UNIFORM,
+                   "QoS LP guarantee assumes (nearly) uniform power"),
+    "weighted": Problem("weighted", "build_weighted_lp", "weight", _linear,
+                        "weighted-capacity guarantee assumes linear power"),
+    "admission_general": Problem("admission", "build_admission_lp", "cardinality", _UNIFORM,
+                                 _ADMISSION),
+    "admission_large": Problem("admission", "build_admission_large_lp", "cardinality",
+                               _UNIFORM, _ADMISSION),
+}

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .affectance import AffectanceContext, check_feasibility
-from .formulations import build_capacity_lp
+from .formulations import PROBLEMS
 from .greedy import greedy_base, greedy_sweep, heavier
 from .lp_core import LpSession, solve_lp
 from .model import Instance, Link, Point, PowerAssignment, PrimarySet
@@ -251,7 +251,7 @@ def run_oracle_suite(gen_configs: Sequence[GenConfig], trials: int = 50,
         opt = exact_capacity(ctx, "cardinality", "exact_sinr")
         w2 = largest_bifeasible(ctx, 2.0)
         session = LpSession()  # the probe's rows serve the pipeline's solve too
-        lp_probe = session.program(build_capacity_lp, ctx, 1.0)
+        lp_probe = session.program(PROBLEMS["capacity"].build, ctx, 1.0)
         indicator = np.zeros(ctx.n)
         if w2.ids:
             indicator[ctx.index_of(w2.ids)] = 1.0

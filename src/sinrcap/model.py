@@ -177,17 +177,13 @@ class Instance:
         except KeyError as exc:
             raise KeyError(f"unknown link id {exc.args[0]}") from None
 
-    def _point_index(self, link_id: int, role: str) -> int:
-        return 2 * self._by_id[link_id][0] + (0 if role == "sender" else 1)
-
     def distance(self, from_id: int, to_id: int) -> float:
         """Distance from ``from_id``'s sender to ``to_id``'s receiver."""
         a = self.link(from_id)
         b = self.link(to_id)
         if isinstance(self.metric, DistanceMatrix):
-            i = self._point_index(from_id, "sender")
-            j = self._point_index(to_id, "receiver")
-            return float(self.metric.values[i, j])
+            i, j = self._by_id[from_id][0], self._by_id[to_id][0]
+            return float(self.metric.values[2 * i, 2 * j + 1])
         return a.sender.distance_to(b.receiver)
 
     def length_of(self, link_id: int) -> float:
@@ -200,19 +196,6 @@ class Instance:
             return self.metric.values[np.ix_(2 * rows, 2 * cols + 1)].copy()
         s, r = self._senders[rows], self._receivers[cols]
         return np.hypot(s[:, 0, None] - r[None, :, 0], s[:, 1, None] - r[None, :, 1])
-
-    def restrict(self, keep_ids) -> "Instance":
-        """Sub-instance with only the given (non-primary) links; primaries kept."""
-        keep = set(keep_ids)
-        links = tuple(lk for lk in self.links if lk.id in keep)
-        metric = self.metric
-        if isinstance(self.metric, DistanceMatrix):
-            kept = links + (self.primaries.links if self.primaries is not None else ())
-            rows = [self._point_index(lk.id, role)
-                    for lk in kept for role in ("sender", "receiver")]
-            metric = DistanceMatrix(self.metric.values[np.ix_(rows, rows)])
-        return Instance(links=links, alpha=self.alpha, beta=self.beta, noise=self.noise,
-                        metric=metric, primaries=self.primaries)
 
 
 @dataclass(frozen=True)
@@ -265,14 +248,6 @@ class PowerAssignment:
             else:
                 out = length ** (self.tau * alpha)
         return float(out) if out.ndim == 0 else out
-
-
-def length_ratio(instance: Instance) -> float:
-    """Max/min link length over the instance's (non-primary) links."""
-    if instance.n == 0:
-        raise ValueError("length ratio is undefined for an empty instance")
-    lengths = [instance.length_of(lk.id) for lk in instance.links]
-    return max(lengths) / min(lengths)
 
 
 def validate_power_class(instance: Instance, assignment: PowerAssignment) -> dict:

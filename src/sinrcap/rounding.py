@@ -35,8 +35,7 @@ constant's 100 samples hold more and run alone, since one batch over
 15 constants raised max RSS from 200 to 240 MiB and gained no clear time.
 ``run_sweep`` reduces what it yields per policy, and ``run_pipeline`` is
 its one-policy case; both admission pipelines reduce it too.  Each builds
-its program through an ``LpSession``, ``run_sweep`` the one
-``formulations`` builder of each policy's mode.
+its policy's program (``formulations.PROBLEMS``) through an ``LpSession``.
 ``best_part`` is the one rule by which this module, ``greedy`` and
 ``admission`` choose among candidate sets; ``_schedule_objective`` values a set.
 """
@@ -57,10 +56,10 @@ from .lp_core import LinearProgram, LpSession, solve_lp
 
 logger = logging.getLogger(__name__)
 
-ROUNDING_MODES = ("capacity", "qos", "weighted", "admission_general", "admission_large")
+ROUNDING_MODES = tuple(formulations.PROBLEMS)
 _EXTRACTION_FACTOR = 12.0  # extraction bound per unit of the LP constant C
-# strengthening's load limit: below 1 by far more than n ulps, so a part
-# it admits, its loads summed in join order, passes the check in id order
+# strengthening's and admission's load limit: below 1 by far more than n ulps, so
+# a set they admit, its loads summed in join order, passes the check in id order
 _STRENGTHEN_LIMIT = 1.0 - 1e-12
 # samples times the links they hold at which round_trials runs a final
 # selection batch (the module docstring says why)
@@ -85,6 +84,10 @@ class RoundingPolicy:
     @property
     def extraction_bound(self) -> float:
         return _EXTRACTION_FACTOR * self.C
+
+    @property
+    def problem(self) -> formulations.Problem:
+        return formulations.PROBLEMS[self.mode]
 
 
 def bernoulli_draws(seed: int, trial: int, ids: Sequence[int]) -> np.ndarray:
@@ -266,9 +269,9 @@ def signal_strengthen(ctx: AffectanceContext, S) -> list:
 
 
 def _objective(ctx: AffectanceContext, pos: np.ndarray, mode: str) -> float:
-    """The objective of the links at context positions ``pos``: their total
-    weight under "weighted", else their number."""
-    return float(ctx.weights[pos].sum()) if mode == "weighted" else float(len(pos))
+    """``mode``'s objective on the links at context positions ``pos``."""
+    weighted = formulations.PROBLEMS[mode].objective == "weight"
+    return float(ctx.weights[pos].sum()) if weighted else float(len(pos))
 
 
 def _schedule_objective(ctx: AffectanceContext, ids: tuple, mode: str) -> float:
@@ -396,12 +399,10 @@ def run_sweep(ctx: AffectanceContext, policies: Sequence[RoundingPolicy],
     builder's rows once.  The programs are built, solved and sampled in
     order, and their samples selected in ``round_trials``' batches."""
     session = LpSession() if session is None else session
-    if any(policy.mode in ("admission_general", "admission_large") for policy in policies):
+    if any(policy.problem.primaries for policy in policies):
         raise ValueError("admission pipelines are driven by the admission module")
-    # each program is built when round_trials reaches it, its builder looked
-    # up then, so a builder patched into the module is used
-    runs = ((session.program(getattr(formulations, f"build_{policy.mode}_lp"), ctx, policy.C),
-             policy) for policy in policies)
+    runs = ((session.program(policy.problem.build, ctx, policy.C), policy)
+            for policy in policies)
     schedules = []
     for selections, policy in zip(round_trials(ctx, runs, session), policies):
         schedule = certify(ctx, best_part(ctx, selections, policy.mode))

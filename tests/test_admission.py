@@ -7,8 +7,7 @@ import pytest
 from sinrcap import (AffectanceContext, Instance, PowerAssignment, PrimarySet,
                      RetriesExhausted, RoundingPolicy, admit_general,
                      admit_large_opt, check_feasibility, exact_admission,
-                     nearly_uniform_classes, partition_by_primaries, sparsify,
-                     verify_admission)
+                     partition_by_primaries, verify_admission)
 from sinrcap import admission, rounding
 from sinrcap.formulations import build_admission_large_lp
 from sinrcap.lp_core import FractionalSolution
@@ -177,49 +176,6 @@ def test_admit_general_warns_once_about_dropped_links(caplog):
     assert warnings[0].args[1] and set(warnings[0].args[1]) <= over
 
 
-def test_sparsify_empty_and_zero_affectance(rng):
-    ctx = prim_ctx(1, n=8, R=50.0, primaries=2)
-    assert sparsify(ctx, [], rng) == ()
-    far_prim = PrimarySet(links=(make_link(9, 1e7, 0.0, 1e7 + 1, 0.0),), powers=(1.0,))
-    inst = Instance(links=far_instance(6).links, alpha=2.5, primaries=far_prim)
-    fctx = AffectanceContext(inst, UNIFORM, primaries=far_prim)
-    # all affectance on the primary is negligible: first sample accepted
-    q = sparsify(fctx, [int(i) for i in fctx.ids], rng)
-    assert set(q) <= set(int(i) for i in fctx.ids)
-
-
-def test_sparsify_with_empty_primary_set(rng):
-    empty = PrimarySet(links=(), powers=())
-    inst = Instance(links=far_instance(6).links, alpha=2.5, primaries=empty)
-    ctx = AffectanceContext(inst, UNIFORM, primaries=empty)
-    assert ctx.raw_to_prim.shape == (6, 0)
-    q = sparsify(ctx, [int(i) for i in ctx.ids], rng)
-    assert set(q) <= set(int(i) for i in ctx.ids)
-
-
-def test_sparsify_respects_budget(rng):
-    ctx = prim_ctx(2, n=12, R=30.0, primaries=2)
-    ids = [int(i) for i in ctx.ids]
-    q = sparsify(ctx, ids, rng)
-    loads = (np.minimum(ctx.raw_to_prim[ctx.index_of(q), :], 1.0).sum(axis=0) if q
-             else np.zeros(ctx.k))
-    assert np.all(loads <= 1.0 / 3.0)
-
-
-def test_sparsify_exhausts_on_hopeless_input(rng):
-    # every secondary alone exceeds the budget on the primary: acceptance is
-    # impossible unless the empty set is drawn, and with 40 links at keep
-    # probability 1/6 that has probability (5/6)**40 per attempt
-    prim = PrimarySet(links=(make_link(99, 0.0, 0.0, 1.0, 0.0),), powers=(1.0,))
-    sec = tuple(make_link(i, 1.4 + 0.001 * i, 0.0, 2.4 + 0.001 * i, 0.0)
-                for i in range(40))
-    inst = Instance(links=sec, alpha=2.0, beta=0.2, primaries=prim)
-    ctx = AffectanceContext(inst, UNIFORM, primaries=prim)
-    assert np.all(np.minimum(ctx.raw_to_prim, 1.0).sum(axis=1) > 1 / 3)
-    with pytest.raises(RetriesExhausted):
-        sparsify(ctx, [int(i) for i in ctx.ids], rng, retry_cap=25)
-
-
 @pytest.mark.parametrize("seed", range(4))
 def test_large_opt_verifies(seed):
     ctx = prim_ctx(seed + 30, n=10, R=8.0, primaries=2)
@@ -246,58 +202,6 @@ def test_large_opt_single_primary_flagged():
     res = admit_large_opt(ctx, policy("admission_large", trials=10))
     assert res.notes["k1_fallback"]
     assert res.verified
-
-
-def test_nearly_uniform_classes_uniform_power():
-    ctx = random_ctx(7, n=8, R=5.0)
-    assert len(nearly_uniform_classes(ctx)) == 1
-
-
-def test_nearly_uniform_classes_hand_powers():
-    # lengths 1, 2.5, 7 with tau such that P = length: anchored doubling
-    # classes split {1}, {2.5}, {7}
-    links = (make_link(0, 0, 0, 1, 0), make_link(1, 50, 0, 52.5, 0),
-             make_link(2, 100, 0, 107, 0))
-    inst = Instance(links=links, alpha=1.0, primaries=None)
-    ctx = AffectanceContext(inst, PowerAssignment.linear())  # P = length here
-    classes = nearly_uniform_classes(ctx, c1=2.0)
-    assert [list(c.ids) for c in classes] == [[0], [1], [2]]
-    for sub in classes:
-        assert sub.nearly_uniform()
-
-
-def test_nearly_uniform_classes_linear_power_bound():
-    # delta = 16, alpha = 2: power ratio 256, at most 8 classes
-    rng = np.random.default_rng(0)
-    links = tuple(make_link(i, 200.0 * i, 0.0, 200.0 * i + l, 0.0)
-                  for i, l in enumerate(rng.uniform(1.0, 16.0, 12)))
-    links += (make_link(12, 5000.0, 0.0, 5001.0, 0.0),
-              make_link(13, 6000.0, 0.0, 6016.0, 0.0))  # hit both extremes
-    inst = Instance(links=links, alpha=2.0)
-    ctx = AffectanceContext(inst, PowerAssignment.linear())
-    classes = nearly_uniform_classes(ctx, c1=2.0)
-    assert len(classes) <= 8
-    covered = sorted(int(i) for c in classes for i in c.ids)
-    assert covered == sorted(int(i) for i in ctx.ids)
-
-
-def test_per_class_admission_extends_to_length_based_power():
-    # mean power is not nearly uniform in general; splitting into nearly
-    # uniform power classes and admitting per class recovers a verified
-    # result under the same guarantees
-    ctx = feasible_prim_ctx(70, n=12, R=6.0, delta=4.0, primaries=2,
-                            power=PowerAssignment.mean())
-    classes = nearly_uniform_classes(ctx, c1=2.0)
-    assert sum(c.n for c in classes) == ctx.n
-    best = None
-    for sub in classes:
-        assert sub.nearly_uniform()
-        res = admit_general(sub, policy("admission_general", trials=10))
-        if best is None or res.admitted.size > best.admitted.size:
-            best = res
-    assert best is not None and best.verified
-    # the winning class result is also valid against the full context
-    assert verify_admission(ctx, best.admitted.ids)
 
 
 def test_verify_admission_cases():

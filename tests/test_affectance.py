@@ -5,14 +5,12 @@ import numpy as np
 import pytest
 
 from sinrcap import (AffectanceContext, GenConfig, IndividuallyInfeasible, Instance,
-                     PowerAssignment, PrimarySet, affectance,
-                     aggregate_affectance, c_factor, certify, check_feasibility,
-                     exact_admission, generate_instance, hat_noise, separation_check,
-                     verify_admission)
+                     PowerAssignment, PrimarySet, affectance, c_factor, certify,
+                     check_feasibility, exact_admission, generate_instance, hat_noise,
+                     separation_check, verify_admission)
 from sinrcap.affectance import RAW_CAP
 
-from conftest import (colocated_pair, far_instance, feasible_prim_ctx, make_link,
-                      random_ctx)
+from conftest import colocated_pair, feasible_prim_ctx, make_link, random_ctx
 
 UNIFORM = PowerAssignment.uniform()
 
@@ -48,8 +46,6 @@ def test_individually_infeasible_removed():
         lambda c: c_factor(c, 0),
         lambda c: affectance(c, 1, 0),
         lambda c: affectance(c, 0, 1),
-        lambda c: aggregate_affectance(c, [1], 0),
-        lambda c: aggregate_affectance(c, [0], 1, "out"),
         lambda c: check_feasibility(c, [0, 1]),
         lambda c: check_feasibility(c, [0], mode="exact_sinr"),
         lambda c: certify(c, [0]),
@@ -67,7 +63,7 @@ def test_individually_infeasible_removed():
             call(with_prim)
     # an id the instance never had is a KeyError, not a removed link
     for call in (lambda c: c.index_of([7]), lambda c: c_factor(c, 7),
-                 lambda c: affectance(c, 1, 7), lambda c: aggregate_affectance(c, [1], 7),
+                 lambda c: affectance(c, 1, 7),
                  lambda c: certify(c, [7]), lambda c: hat_noise(c, 7)):
         with pytest.raises(KeyError):
             call(with_prim)
@@ -143,15 +139,6 @@ def test_hat_noise_values():
     inst = Instance(links=sec, alpha=2.0, noise=0.5, beta=0.05, primaries=prim)
     ctx = AffectanceContext(inst, UNIFORM, primaries=prim)
     assert hat_noise(ctx, 0) == pytest.approx(0.5 + 1.0 + 0.25)
-
-
-def test_aggregate_affectance():
-    # spacing 2e4, alpha 2.5: each term is below (1/2e4)**2.5 ~ 9e-11
-    ctx = AffectanceContext(far_instance(4, spacing=2e4), UNIFORM)
-    assert aggregate_affectance(ctx, [], 0) == 0.0
-    assert aggregate_affectance(ctx, [0], 0) == 0.0
-    assert aggregate_affectance(ctx, [1, 2, 3], 0, "in") <= 1e-9
-    assert aggregate_affectance(ctx, [1, 2, 3], 0, "out") <= 1e-9
 
 
 def _sinr_holds(inst, power, subset, primaries=None, check_primaries=False):
@@ -285,9 +272,9 @@ def test_certificate_consistent_with_recomputation():
     sched = certify(ctx, ids)
     for pos, v in enumerate(sched.ids):
         assert sched.in_affectance[pos] == pytest.approx(
-            aggregate_affectance(ctx, sched.ids, v, "in"))
+            sum(affectance(ctx, w, v) for w in sched.ids))
         assert sched.out_affectance[pos] == pytest.approx(
-            aggregate_affectance(ctx, sched.ids, v, "out"))
+            sum(affectance(ctx, v, w) for w in sched.ids))
 
 
 def test_affectance_bounds_random():

@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -8,6 +9,8 @@ from sinrcap import (AffectanceContext, Instance, PowerAssignment, PrimarySet,
                      build_admission_lp, build_capacity_lp, build_qos_lp,
                      build_weighted_lp, exact_capacity, largest_bifeasible,
                      solve_lp)
+from sinrcap.formulations import PROBLEMS
+from sinrcap.lp_core import LpSession
 
 from conftest import (colocated_pair, far_instance, feasible_prim_ctx, make_link,
                       random_ctx)
@@ -251,3 +254,44 @@ def test_program_at_another_constant_matches_a_fresh_build():
         for bad in (0.0, -1.0, float("nan")):
             with pytest.raises(ValueError, match="C must be positive"):
                 built.at(bad)
+
+
+@pytest.mark.parametrize("mode", [mode for mode in PROBLEMS if mode != "capacity"])
+def test_problem_warns_its_power_precondition_once_per_built_program(mode, caplog):
+    # linear power breaks the nearly-uniform preconditions, uniform power the
+    # linear one; capacity's holds for every power assignment the model has
+    problem = PROBLEMS[mode]
+    kept, broken = UNIFORM, PowerAssignment.linear()
+    if problem.objective == "weight":
+        kept, broken = broken, kept
+    for power, warnings in ((broken, [problem.warning]), (kept, [])):
+        ctx = feasible_prim_ctx(3, n=16, R=8.0, delta=4.0, primaries=2, power=power)
+        session = LpSession()
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="sinrcap.formulations"):
+            for C in (0.5, 1.0, 2.0):
+                assert session.program(problem.build, ctx, C).m > 0
+        assert [r.getMessage() for r in caplog.records
+                if r.name == "sinrcap.formulations"] == warnings
+
+
+@pytest.mark.parametrize("mode", PROBLEMS)
+def test_problem_builds_through_its_named_builder_when_called(mode, monkeypatch):
+    # the table names each builder and looks it up at build time, so a
+    # builder patched after import (as perfbench's spans do) is the one used
+    import sinrcap.formulations as formulations
+
+    problem = PROBLEMS[mode]
+    ctx = feasible_prim_ctx(3, n=16, R=8.0, delta=4.0, primaries=2)
+    build = getattr(formulations, problem.builder)
+    calls = []
+    monkeypatch.setattr(formulations, problem.builder,
+                        lambda c, C: calls.append(C) or build(c, C))
+    lp = problem.build(ctx, 0.7)
+    assert calls == [0.7]
+    fresh = build(ctx, 0.7)
+    assert lp.row_coeffs.tobytes() == fresh.row_coeffs.tobytes()
+    # and the program maximizes the objective the table states, over its links
+    expected = ctx.weights if problem.objective == "weight" else np.ones(lp.ids.size)
+    assert problem.objective in ("cardinality", "weight")
+    assert np.array_equal(lp.objective, expected)

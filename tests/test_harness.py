@@ -10,6 +10,7 @@ from sinrcap import (AffectanceContext, GenConfig, PowerAssignment, certify,
                      run_oracle_suite, verify_admission)
 from sinrcap import cli
 from sinrcap.cli import main as cli_main
+from sinrcap.formulations import PROBLEMS
 from sinrcap.harness import CSV_COLUMNS, best_over_sweep, verify_output
 from sinrcap.model import read_instance, write_instance
 
@@ -138,12 +139,30 @@ def test_cli_gen_solve_oracle(tmp_path, beta):
     assert rc == 0
 
 
-@pytest.mark.parametrize("flags,oracle_fn", [
-    (["--mode", "exact"], "exact_capacity"),
-    (["--mode", "affectance"], "exact_capacity"),
-    (["--admission"], "exact_admission"),
+@pytest.mark.parametrize("mode", PROBLEMS)
+def test_cli_runs_and_verifies_every_problem_of_the_table(mode, tmp_path, capsys):
+    # 12 links, 2 primaries: small enough for the oracle, and both
+    # admission pipelines admit a link
+    path = tmp_path / "prim.json"
+    write_instance(generate_instance(GenConfig(n=12, R=6.0, delta=2.0, seed=3, primaries=2)),
+                   path)
+    problem = PROBLEMS[mode]
+    run = (["admit", str(path), "--method", mode.removeprefix("admission_")]
+           if problem.primaries else ["solve", str(path), "--algo", "lp", "--formulation", mode])
+    assert cli_main([*run, "--trials", "10", "--sweep", "0.5,1.0"]) == 0
+    found = json.loads(capsys.readouterr().out)
+    assert cli_main(["oracle", str(path), "--problem", problem.name]) == 0
+    opt = json.loads(capsys.readouterr().out)
+    assert found["verified"] is True and opt["verified"] is True
+    assert found["value"] <= opt["weight" if problem.objective == "weight" else "size"]
+
+
+@pytest.mark.parametrize("problem,oracle_fn", [
+    ("capacity", "exact_capacity"),
+    ("weighted", "exact_capacity"),
+    ("admission", "exact_admission"),
 ])
-def test_cli_oracle_fails_on_infeasible_optimum(tmp_path, monkeypatch, flags, oracle_fn):
+def test_cli_oracle_fails_on_infeasible_optimum(tmp_path, monkeypatch, problem, oracle_fn):
     # every link of a dense instance at once, certified, stands in for a
     # wrong optimum; the subcommand's own re-check must reject it
     inst = generate_instance(GenConfig(n=8, R=2.0, delta=2.0, seed=5, primaries=1))
@@ -156,7 +175,7 @@ def test_cli_oracle_fails_on_infeasible_optimum(tmp_path, monkeypatch, flags, or
     assert not verify_admission(joint, joint.ids)
     monkeypatch.setattr(cli, oracle_fn, lambda ctx, *args, **kwargs: certify(ctx, ctx.ids))
     out = tmp_path / "opt.json"
-    assert cli_main(["oracle", str(inst_path), *flags, "--out", str(out)]) == 1
+    assert cli_main(["oracle", str(inst_path), "--problem", problem, "--out", str(out)]) == 1
     assert json.loads(out.read_text())["verified"] is False
 
 
@@ -201,9 +220,11 @@ def test_cli_rejects_constants_that_are_not_finite_and_positive(command, constan
     (["oracle", "INSTANCE", "--power", "uniform:x"], "--power"),
     (["compare", "--power", "quadratic"], "--power"),
     (["solve", "INSTANCE", "--algo", "lp", "--power", "uniform:inf"], "--power"),
+    (["oracle", "INSTANCE", "--problem", "foo"], "--problem"),
 ], ids=["sides-0", "sides-a", "deltas-inf", "compare-n", "gen-n-0", "gen-n-float",
         "solve-trials-0", "suite-count-0", "solve-power-foo", "admit-power-exp-2",
-        "oracle-power-uniform-x", "compare-power-quadratic", "solve-power-uniform-inf"])
+        "oracle-power-uniform-x", "compare-power-quadratic", "solve-power-uniform-inf",
+        "oracle-problem-foo"])
 def test_cli_rejects_bad_numeric_flags(args, flag, tmp_path, capsys):
     inst_path = tmp_path / "inst.json"
     write_instance(generate_instance(GenConfig(n=6, R=6.0, delta=2.0, seed=4)), inst_path)
@@ -223,11 +244,15 @@ def test_cli_rejects_bad_numeric_flags(args, flag, tmp_path, capsys):
     (["oracle", "INSTANCE"], ["--seed", "3"]),
     (["oracle", "INSTANCE"], ["--trials", "3"]),
     (["oracle", "INSTANCE"], ["--sweep", "9"]),
+    (["oracle", "INSTANCE"], ["--objective", "weight"]),
+    (["oracle", "INSTANCE"], ["--mode", "affectance"]),
+    (["oracle", "INSTANCE"], ["--admission"]),
     (["suite", "--n", "6", "--count", "1"], ["--power", "linear"]),
     (["suite", "--n", "6", "--count", "1"], ["--sweep", "9"]),
     (["suite", "--n", "6", "--count", "1"], ["--out", "OUT"]),
 ], ids=["gen-trials", "gen-power", "gen-sweep", "oracle-seed", "oracle-trials",
-        "oracle-sweep", "suite-power", "suite-sweep", "suite-out"])
+        "oracle-sweep", "oracle-objective", "oracle-mode", "oracle-admission", "suite-power",
+        "suite-sweep", "suite-out"])
 def test_cli_rejects_flags_its_subcommand_ignores(args, flag, tmp_path, capsys):
     inst_path = tmp_path / "inst.json"
     write_instance(generate_instance(GenConfig(n=6, R=6.0, delta=2.0, seed=4)), inst_path)
@@ -264,20 +289,14 @@ GEN = ["gen", "--n", "5", "--side", "6", "--delta", "2"]
     (["oracle", "BIG"], "21 links"),
     (["suite", "--n", "21", "--count", "1"], "21 links"),
     (["admit", "BIG"], "big.json has no primaries"),
-    (["oracle", "BIG", "--admission"], "big.json has no primaries"),
-    (["oracle", "PRIM", "--admission", "--objective", "weight"], "--objective weight"),
-    (["oracle", "PRIM", "--admission", "--mode", "affectance"], "--mode affectance"),
+    (["oracle", "BIG", "--problem", "admission"], "big.json has no primaries"),
 ], ids=["side-0", "side-nan", "side-inf", "delta-0.5", "alpha-0", "beta-0", "noise-neg",
         "alpha-inf", "beta-inf", "noise-inf", "primary-power-inf", "primary-power-0",
         "primaries-neg", "compare-delta", "oracle-21", "suite-21", "admit-no-primaries",
-        "oracle-admission-no-primaries", "oracle-admission-weight",
-        "oracle-admission-affectance"])
+        "oracle-admission-no-primaries"])
 def test_cli_reports_rejected_input_in_one_line(args, bad, tmp_path, capsys):
-    paths = {"BIG": tmp_path / "big.json", "PRIM": tmp_path / "prim.json"}
+    paths = {"BIG": tmp_path / "big.json"}
     write_instance(generate_instance(GenConfig(n=21, R=9.0, delta=2.0, seed=4)), paths["BIG"])
-    # the admission optimum of this instance is (3,): a run would succeed
-    write_instance(generate_instance(GenConfig(n=12, R=6.0, delta=2.0, seed=3, primaries=2)),
-                   paths["PRIM"])
     out = tmp_path / "out"
     argv = [str(paths.get(a, a)) for a in args]
     if args[0] != "suite":
@@ -334,7 +353,7 @@ def test_cli_reports_unreadable_instance_in_one_line(command, case, bad, tmp_pat
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", [["admit"], ["oracle", "--admission"]],
+@pytest.mark.parametrize("command", [["admit"], ["oracle", "--problem", "admission"]],
                          ids=["admit", "oracle-admission"])
 def test_cli_reports_infeasible_primaries_in_one_line(command, tmp_path, capsys):
     # each primary's sender sits 0.1 from the other primary's receiver
@@ -355,7 +374,7 @@ def test_cli_reports_infeasible_primaries_in_one_line(command, tmp_path, capsys)
 
 
 @pytest.mark.parametrize("command", [["solve", "--algo", "lp"], ["solve", "--algo", "greedy"],
-                                     ["admit"], ["oracle"], ["oracle", "--admission"]],
+                                     ["admit"], ["oracle"], ["oracle", "--problem", "admission"]],
                          ids=["solve-lp", "solve-greedy", "admit", "oracle", "oracle-admission"])
 @pytest.mark.parametrize("length", [1e-200, 1e200], ids=["underflow", "overflow"])
 def test_cli_reports_power_out_of_range_in_one_line(command, length, tmp_path, capsys):
@@ -395,6 +414,26 @@ def test_cli_solves_an_instance_at_the_float_order_boundary(algo, tmp_path, caps
     assert best["ids"] == [0, 1, 2] and best["verified"] is True
 
 
+@pytest.mark.parametrize("method", ["general", "large"])
+def test_cli_admits_at_the_float_order_boundary(method, tmp_path, capsys):
+    # the geometry above with link 3 as a primary: links 2, 1 and 0 load it
+    # by about 0.7, 0.2 and 0.1, summed in join order within 1 while their
+    # interference exceeds its budget, found by a search in ulp steps
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps({"alpha": 1.0, "beta": 1.0, "noise": 0.0, "links": [
+        {"id": 0, "sx": 100.0, "sy": 999.9999999999864, "rx": 100.0, "ry": 1000.9999999999864},
+        {"id": 1, "sx": 100.0, "sy": -500.00000000000324, "rx": 100.0,
+         "ry": -502.00000000000324},
+        {"id": 2, "sx": 100.0, "sy": 142.85714285714286, "rx": 100.0, "ry": 145.85714285714286}],
+        "primaries": [{"id": 3, "sx": 0.0, "sy": 0.0, "rx": 100.0, "ry": 0.0, "power": 1.0}]}))
+    assert cli_main(["admit", str(path), "--method", method, "--trials", "10",
+                     "--sweep", "1.0"]) == 0
+    best = json.loads(capsys.readouterr().out)
+    assert best["verified"] is True
+    if method == "general":
+        assert best["ids"] == [1, 2]
+
+
 def test_cli_solve_keeps_smaller_constant_over_float_noise(tmp_path, monkeypatch):
     inst_path = tmp_path / "inst.json"
     write_instance(generate_instance(GenConfig(n=10, R=6.0, delta=2.0, seed=3)), inst_path)
@@ -420,7 +459,7 @@ def test_cli_admit_and_suite(tmp_path):
     res = json.loads(out.read_text())
     assert res["verified"]
 
-    rc = cli_main(["oracle", str(inst_path), "--admission",
+    rc = cli_main(["oracle", str(inst_path), "--problem", "admission",
                    "--out", str(tmp_path / "aopt.json")])
     assert rc == 0
     aopt = json.loads((tmp_path / "aopt.json").read_text())

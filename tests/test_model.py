@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from sinrcap import cli
-from sinrcap import (DistanceMatrix, Instance, PowerAssignment,
-                     PrimarySet, length_ratio, read_instance, validate_power_class,
-                     write_instance)
+from sinrcap import (DistanceMatrix, Instance, PowerAssignment, PrimarySet,
+                     read_instance, validate_power_class, write_instance)
 from sinrcap.model import instance_from_dict, parse_power
 
 from conftest import far_instance, line_links, make_link
@@ -53,30 +52,6 @@ def test_matrix_validation_rejects_triangle_violation():
     mat = np.array([[0.0, 10.0, 1.0], [10.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
     with pytest.raises(ValueError, match="triangle"):
         DistanceMatrix(mat)
-
-
-@pytest.mark.parametrize("segments,expected", [
-    (((0, 1), (5, 6), (10, 11)), 1.0),
-    (((0, 1), (5, 9)), 4.0),
-    (((0, 2), (5, 8), (20, 30)), 5.0),
-])
-def test_length_ratio(segments, expected):
-    inst = Instance(links=line_links(*segments), alpha=2.0)
-    assert length_ratio(inst) == pytest.approx(expected)
-
-
-def test_length_ratio_empty():
-    inst = Instance(links=(), alpha=2.0)
-    with pytest.raises(ValueError):
-        length_ratio(inst)
-
-
-def test_length_ratio_scale_invariant():
-    segments = ((0.0, 1.3), (2.0, 4.7), (8.0, 8.9))
-    inst = Instance(links=line_links(*segments), alpha=2.0)
-    scaled = Instance(links=line_links(*[(3.7 * a, 3.7 * b) for a, b in segments]),
-                      alpha=2.0)
-    assert length_ratio(scaled) == pytest.approx(length_ratio(inst), rel=1e-12)
 
 
 def test_power_of_uniform():

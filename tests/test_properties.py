@@ -10,13 +10,12 @@ that would break the bounded-spillover structure the LP rows rely on.
 import math
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sinrcap import (AffectanceContext, Instance, PowerAssignment,
-                     build_capacity_lp, build_qos_lp, exact_admission,
-                     length_ratio, solve_lp, validate_power_class)
+                     build_capacity_lp, build_qos_lp, exact_admission, solve_lp,
+                     validate_power_class)
 from sinrcap.formulations import admission_filter_threshold
 
 from conftest import feasible_prim_ctx, line_links, make_link, random_ctx
@@ -118,17 +117,6 @@ def test_lp_value_monotone_in_bound():
             lo = solve_lp(build(ctx, 0.5)).objective
             hi = solve_lp(build(ctx, 1.0)).objective
             assert hi >= lo - 1e-7
-
-
-@given(scale=st.floats(min_value=1e-3, max_value=1e3,
-                       allow_nan=False, allow_infinity=False))
-@settings(max_examples=40, deadline=None)
-def test_length_ratio_scale_invariance(scale):
-    segments = ((0.0, 1.3), (2.0, 4.7), (8.0, 8.9))
-    base = Instance(links=line_links(*segments), alpha=2.0)
-    scaled = Instance(links=line_links(*[(scale * a, scale * b) for a, b in segments]),
-                      alpha=2.0)
-    assert length_ratio(scaled) == pytest.approx(length_ratio(base), rel=1e-9)
 
 
 @given(tau=st.floats(min_value=0.0, max_value=1.0))
