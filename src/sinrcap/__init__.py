@@ -11,14 +11,12 @@ from .lp_core import (FractionalSolution, LinearProgram, LpSession, LpSolveError
 from .formulations import (PROBLEMS, admission_filter_threshold, build_admission_large_lp,
                            build_admission_lp, build_capacity_lp, build_qos_lp,
                            build_weighted_lp)
-from .rounding import (RoundingPolicy, bernoulli_draws, extract_low_affectance,
-                       final_selection, run_pipeline, run_sweep, sample_round,
+from .rounding import (RoundingPolicy, bernoulli_draws, run_pipeline, run_sweep,
                        schedule_weight, signal_strengthen)
-from .greedy import (greedy_base, greedy_combined, greedy_combined_sweep,
-                     greedy_length_classes, greedy_sweep, greedy_weight_classes)
+from .greedy import greedy_base, greedy_combined, greedy_combined_sweep, greedy_sweep
 from .oracle import TooLarge, exact_admission, exact_capacity, largest_bifeasible
-from .admission import (AdmissionResult, RetriesExhausted, admit_general,
-                        admit_large_opt, partition_by_primaries, verify_admission)
+from .admission import (AdmissionResult, RetriesExhausted, admit_general, admit_large_opt,
+                        verify_admission)
 from .harness import (GenConfig, ExperimentRecord, generate_instance,
                       run_compare, run_oracle_suite)
 

@@ -9,15 +9,15 @@ primary too much, after which one rounded set is safe outright with high
 probability.
 
 The general pipeline groups every trial's set at once through
-``rounding._first_fit``, the engine of signal strengthening;
-``partition_by_primaries`` is the one-set case of the same code.
+``rounding._first_fit``, the engine of signal strengthening, on context
+positions like the rest of final selection; ids are formed only in the
+returned ``AdmissionResult``.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -58,33 +58,30 @@ def verify_admission(ctx: AffectanceContext, Q) -> bool:
                                 primaries=True)[0])
 
 
-def partition_by_primaries(ctx: AffectanceContext, R) -> list:
-    """First-fit grouping of R so each group's unclipped hat-affectance on
-    every primary is at most ``_STRENGTHEN_LIMIT``.  A link that alone
-    overloads some primary cannot be placed and is dropped with a warning."""
-    return _partition_rows(ctx, [R])[0]
-
-
 def _partition_rows(ctx: AffectanceContext, sets) -> list:
-    """``partition_by_primaries`` of every set in ``sets``, in order, by
-    ``_first_fit`` over links ranked by (-clipped primary load, id).  A link
-    joins its set's first group whose loads plus its own stay within the
-    limit on every primary, loads summed in the order links joined.  One
-    warning names the links dropped from any set."""
-    members = [[int(i) for i in R] for R in sets]
-    ids = np.unique(np.fromiter(chain.from_iterable(members), dtype=int))
-    sel = np.zeros((len(members), ids.size), dtype=bool)
-    for row, m in zip(sel, members):
-        row[np.searchsorted(ids, m)] = True
-    contrib = ctx.raw_to_prim[ctx.index_of(ids)]  # unclipped, one row per link
+    """First-fit grouping of every set in ``sets`` (arrays of context
+    positions), in order, so each group's unclipped hat-affectance on every
+    primary is at most ``_STRENGTHEN_LIMIT``: ``_first_fit`` over the sets'
+    union, links ranked by (-clipped primary load, id).  A link joins its
+    set's first group whose loads plus its own stay within the limit on
+    every primary, loads summed in the order links joined.  A link that
+    alone overloads some primary cannot be placed and is dropped; one
+    warning names the links dropped from any set.  Groups are sorted
+    position arrays."""
+    sel = np.zeros((len(sets), ctx.n), dtype=bool)
+    for row, pos in zip(sel, sets):
+        row[pos] = True
+    cols = np.flatnonzero(sel.any(axis=0))
+    sel = sel[:, cols]
+    contrib = ctx.raw_to_prim[cols]  # unclipped, one row per link
     alone_over = np.any(contrib > _STRENGTHEN_LIMIT, axis=1)
-    dropped = ids[alone_over & sel.any(axis=0)].tolist()
+    dropped = ctx.ids[cols[alone_over]].tolist()
     if dropped:
         logger.warning("dropped %d link(s) that alone overload a primary: %s",
                        len(dropped), dropped)
     sel[:, alone_over] = False
     steps = int(sel.sum(axis=1).max(initial=0))
-    loads = np.zeros((len(members), steps + 1, ctx.k))  # a load row per group
+    loads = np.zeros((len(sets), steps + 1, ctx.k))  # a load row per group
 
     def fit(i, cols, groups, width):
         u = contrib[cols[:, i]]
@@ -93,23 +90,19 @@ def _partition_rows(ctx: AffectanceContext, sets) -> list:
         loads[np.arange(len(u)), choice] += u
         return choice
 
-    rank = np.lexsort((ids, -np.minimum(contrib, 1.0).sum(axis=1)))
-    return [[tuple(g.tolist()) for g in groups]
-            for groups in _first_fit(ids, sel, rank, fit)]
+    rank = np.lexsort((cols, -np.minimum(contrib, 1.0).sum(axis=1)))
+    return list(_first_fit(cols, sel, rank, fit))
 
 
-def _primary_loads(ctx: AffectanceContext, ids) -> np.ndarray:
-    return ctx.raw_to_prim[ctx.index_of(ids), :].sum(axis=0)
-
-
-def _result(ctx, admitted_ids, groups, notes) -> AdmissionResult:
-    schedule = certify(ctx, admitted_ids)
-    loads = _primary_loads(ctx, schedule.ids)
+def _result(ctx, admitted, groups, notes) -> AdmissionResult:
+    """The result admitting the sorted positions ``admitted``, grouped as
+    ``groups``; ids are formed here."""
+    schedule = certify(ctx, ctx.ids[admitted])
     verified = verify_admission(ctx, schedule.ids)
     result = AdmissionResult(
         admitted=schedule,
-        groups=tuple(tuple(g) for g in groups),
-        per_primary_load=tuple(float(x) for x in loads),
+        groups=tuple(tuple(ctx.ids[g].tolist()) for g in groups),
+        per_primary_load=tuple(float(x) for x in ctx.raw_to_prim[admitted].sum(axis=0)),
         verified=verified,
         notes=notes,
     )
@@ -128,14 +121,13 @@ def admit_general(ctx: AffectanceContext, policy: RoundingPolicy,
     session = LpSession() if session is None else session
     lp = session.program(policy.problem.build, ctx, policy.C)
     feasible_sets, = round_trials(ctx, [(lp, policy)], session)
-    best_ids, best_groups, best_aggregate = (), [], 0.0
+    best, best_groups, best_aggregate = (), [], 0.0
     for feasible_set, groups in zip(feasible_sets, _partition_rows(ctx, feasible_sets)):
-        cand = best_part(ctx, groups, policy.mode)
-        if _better(len(cand), cand, len(best_ids), best_ids):
-            best_ids = cand
+        cand = tuple(best_part(ctx, groups, policy.mode).tolist())
+        if _better(len(cand), cand, len(best), best):
+            best = cand
             best_groups = groups
-            fs_idx = ctx.index_of(feasible_set)
-            best_aggregate = float(np.minimum(ctx.raw_to_prim[fs_idx], 1.0).sum())
+            best_aggregate = float(np.minimum(ctx.raw_to_prim[feasible_set], 1.0).sum())
     notes = {
         "group_count": len(best_groups),
         "aggregate_primary_load": best_aggregate,
@@ -143,15 +135,14 @@ def admit_general(ctx: AffectanceContext, policy: RoundingPolicy,
     }
     if notes["group_bound_exceeded"]:
         logger.warning("group count %d exceeds 10*|P|=%d", len(best_groups), 10 * ctx.k)
-    return _result(ctx, best_ids, best_groups, notes)
+    return _result(ctx, np.array(best, dtype=int), best_groups, notes)
 
 
 def admit_large_opt(ctx: AffectanceContext, policy: RoundingPolicy,
-                    retry_cap: int = RETRY_CAP,
                     session: Optional[LpSession] = None) -> AdmissionResult:
     """Prefilter, LP, and rounding where one rounded set must respect every
     primary's unit budget simultaneously; no grouping step is needed.  Up
-    to ``max(policy.trials, retry_cap)`` samples are drawn, and the first
+    to ``max(policy.trials, RETRY_CAP)`` samples are drawn, and the first
     ``policy.trials`` whose loads stay within ``_STRENGTHEN_LIMIT`` on every
     primary are kept.  The LP is built and solved through ``session`` when
     given."""
@@ -160,20 +151,19 @@ def admit_large_opt(ctx: AffectanceContext, policy: RoundingPolicy,
     session = LpSession() if session is None else session
     lp = session.program(policy.problem.build, ctx, policy.C)
     to_prim = ctx.raw_to_prim[ctx.index_of(lp.ids)]
-    attempts = max(policy.trials, retry_cap)
+    attempts = max(policy.trials, RETRY_CAP)
     selections, = round_trials(
         ctx, [(lp, policy)], session, attempts=attempts,
         accept=lambda sel: np.all(sel.astype(float) @ to_prim <= _STRENGTHEN_LIMIT, axis=1))
     if not selections:
         raise RetriesExhausted(
             f"primary budget condition failed in all {attempts} attempts")
-    best_ids = best_part(ctx, selections, policy.mode)
+    best = best_part(ctx, selections, policy.mode)
     notes = {
-        "group_count": 1 if best_ids else 0,
+        "group_count": 1 if best.size else 0,
         "filtered_to": lp.n,
         "k1_fallback": ctx.k == 1,
         "successful_samples": len(selections),
     }
-    groups = [best_ids] if best_ids else []
-    return _result(ctx, best_ids, groups, notes)
+    return _result(ctx, best, [best] if best.size else [], notes)
 

@@ -208,10 +208,11 @@ class AffectanceContext:
             self._power_class = validate_power_class(self.instance, self.assignment)
         return self._power_class
 
-    def nearly_uniform(self, c1: float = 2.0) -> bool:
+    def nearly_uniform(self) -> bool:
+        """Every power within a factor of 2 of every other."""
         if self.n <= 1:
             return True
-        return float(self.powers.max()) <= c1 * float(self.powers.min())
+        return float(self.powers.max()) <= 2.0 * float(self.powers.min())
 
     def length_ge_mask(self) -> np.ndarray:
         """mask[v, u] true iff l_v >= l_u and v != u (LP row membership)."""

@@ -137,7 +137,7 @@ def _parse_args(argv):
 
 
 def _emit(payload, out):
-    text = json.dumps(payload, indent=2, default=str)
+    text = json.dumps(payload, indent=2)
     if out:
         with open(out, "w") as fh:
             fh.write(text + "\n")
@@ -148,11 +148,12 @@ def _emit(payload, out):
 def _context(args, primaries=False):
     """The affectance context of the instance file under ``--power``, with
     its primaries when ``primaries``; refused as a bad input when the file
-    cannot be read, has no primaries that are needed, gives a power that is
-    not finite and positive, or has primaries that cannot coexist."""
+    cannot be read, has no primaries (or an empty list of them) that are
+    needed, gives a power that is not finite and positive, or has primaries
+    that cannot coexist."""
     with _rejected(args.command, OSError, ValueError, InfeasiblePrimaries):
         inst = read_instance(args.instance)
-        if primaries and inst.primaries is None:
+        if primaries and not inst.primaries:
             raise ValueError(f"{args.instance} has no primaries")
         return AffectanceContext(inst, args.power,
                                  primaries=inst.primaries if primaries else None)

@@ -6,10 +6,11 @@ acceptance constant.  The class-based variants bucket links by weight or
 by length and run the base acceptance inside each bucket, returning the
 heaviest bucket solution.  All variants share the LP pipeline's final
 selection stage, so their outputs carry the same feasibility guarantee,
-and its best-set rule, ``rounding.best_part``.  ``greedy_sweep`` runs a
-variant over a sweep of acceptance constants through one call of final
-selection, and ``greedy_combined_sweep`` the combined greedy; the
-per-constant functions are their one-constant cases.
+and its best-set rule, ``rounding.best_part``, on context positions.
+``greedy_sweep`` runs a variant over a sweep of acceptance constants
+through one call of final selection, and ``greedy_combined_sweep`` the
+combined greedy; ``greedy_base`` and ``greedy_combined`` are their
+one-constant cases.
 """
 
 from __future__ import annotations
@@ -101,9 +102,8 @@ def greedy_sweep(ctx: AffectanceContext, variant: str, constants) -> list:
     for row, (c_g, t) in zip(sel, product(constants, sorted(classes))):
         row[_class_candidates(ctx, classes[t], c_g, order)] = True
     bound = RoundingPolicy("capacity").extraction_bound
-    selections = final_selection_batch(ctx, ctx.ids, sel, [bound] * len(sel),
-                                       ["capacity"] * len(sel))
-    return [certify(ctx, best_part(ctx, selections[i * k:(i + 1) * k], objective))
+    selections = final_selection_batch(ctx, sel, [bound] * len(sel), ["capacity"] * len(sel))
+    return [certify(ctx, ctx.ids[best_part(ctx, selections[i * k:(i + 1) * k], objective)])
             for i in range(len(constants))]
 
 
@@ -111,18 +111,6 @@ def greedy_base(ctx: AffectanceContext, c_g: float = 1.0) -> Schedule:
     """Shortest-first greedy with a symmetric acceptance test, followed by
     the same final selection as the LP pipeline."""
     return greedy_sweep(ctx, "base", [c_g])[0]
-
-
-def greedy_weight_classes(ctx: AffectanceContext, c_g: float = 1.0) -> Schedule:
-    """Run the base greedy inside each weight bucket and return the heaviest
-    bucket solution."""
-    return greedy_sweep(ctx, "weight_classes", [c_g])[0]
-
-
-def greedy_length_classes(ctx: AffectanceContext, c_g: float = 1.0) -> Schedule:
-    """Run the acceptance test heaviest-first inside each length bucket and
-    return the heaviest bucket solution."""
-    return greedy_sweep(ctx, "length_classes", [c_g])[0]
 
 
 def heavier(ctx: AffectanceContext, a: Schedule, b: Schedule) -> Schedule:

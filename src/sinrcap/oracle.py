@@ -72,8 +72,11 @@ def exact_capacity(ctx: AffectanceContext, objective: str = "cardinality",
                    mode: str = "exact_sinr", gamma: float = 1.0) -> Schedule:
     """Maximum feasible subset by enumeration (n <= 20).
 
-    mode "exact_sinr" checks the SINR inequality; "affectance" checks
-    gamma-feasibility of received affectance sums.
+    mode "exact_sinr" checks the SINR inequality, and affectance sums
+    within 1 as well: the two state one condition, but their float sums can
+    round apart within an ulp of the threshold, and ``harness.verify_output``
+    demands both.  "affectance" checks gamma-feasibility of received
+    affectance sums.
     """
     _check_cap(ctx.n)
     if objective not in ("cardinality", "weight"):
@@ -82,7 +85,10 @@ def exact_capacity(ctx: AffectanceContext, objective: str = "cardinality",
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "exact_sinr":
         rows, budget = _exact_budgets(ctx)
-        accept = partial(_feasible_exact, rows=rows, budget=budget, k=ctx.k)
+
+        def accept(sel):
+            return (_feasible_exact(sel, rows, budget, ctx.k)
+                    & _feasible_affectance(ctx.raw, sel, 1.0))
     else:
         accept = partial(_feasible_affectance, ctx.raw, gamma=gamma)
     return _best(ctx, accept, ctx.weights if objective == "weight" else None)

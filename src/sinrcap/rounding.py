@@ -11,17 +11,17 @@ partitions the rest into 1-feasible groups (signal strengthening),
 returning the best group.
 
 Every trial of a pipeline runs in lockstep, as one row of a boolean
-selection matrix: stage one stacks the trials' draws (each a pure function
-of seed, trial and link id), stage two takes every trial's row loads in
-one product with the LP rows, extraction one product over the union of
+selection matrix over the context positions (each link's index in
+``ctx.ids``): stage one stacks the trials' draws (each a pure function of
+seed, trial and link id), stage two takes every trial's row loads in one
+product with the LP rows, extraction one product over the union of
 sampled links, and strengthening one ``_first_fit`` over every row, the
 lockstep first-fit engine that admission's grouping shares.
 Strengthening copies its rows' union submatrix out of the context once,
-in rank order, with a transpose, and works on context positions: a part
-stays a sorted position array through the per-part check and the best-part
-rule, and only each row's winner becomes an id tuple.
-``sample_round``, ``extract_low_affectance``, ``signal_strengthen`` and
-``final_selection`` are the one-trial case of the same code.
+in rank order, with a transpose.  A selected set stays a sorted array of
+context positions through the per-part check, the best-part rule and
+admission's grouping; ids are formed only where a pipeline certifies its
+result.  ``signal_strengthen`` is the one-set case of the same code.
 
 ``round_trials`` is the one trial loop: it solves and samples a sweep's
 (program, policy) pairs in order through one session, so warm starts are
@@ -50,8 +50,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from . import formulations
-from .affectance import (ROW_BLOCK, AffectanceContext, Schedule, certify, check_feasibility,
-                         check_positions)
+from .affectance import ROW_BLOCK, AffectanceContext, Schedule, certify, check_positions
 from .lp_core import LinearProgram, LpSession, solve_lp
 
 logger = logging.getLogger(__name__)
@@ -140,28 +139,10 @@ def sample_batch(lp: LinearProgram, delta: np.ndarray, policy: RoundingPolicy,
     return sel
 
 
-def sample_round(lp: LinearProgram, delta: np.ndarray, policy: RoundingPolicy,
-                 trial: int) -> tuple:
-    """One trial of ``sample_batch``; returns the selected ids in
-    ``lp.ids`` order."""
-    return _members(lp.ids, sample_batch(lp, delta, policy, [trial])[0])
-
-
-def _members(ids: np.ndarray, row: np.ndarray) -> tuple:
-    return tuple(ids[row].tolist())
-
-
-def _one_row(S) -> tuple:
-    """(sorted ids, 1 x len selection of all of them) for a single set."""
-    ids = np.unique(np.asarray([int(i) for i in S], dtype=int))
-    return ids, np.ones((1, ids.size), dtype=bool)
-
-
-def _extract_rows(ctx: AffectanceContext, idx: np.ndarray, sel: np.ndarray,
-                  bounds) -> np.ndarray:
+def _extract_rows(ctx: AffectanceContext, sel: np.ndarray, bounds) -> np.ndarray:
     """Each row's members whose clipped affectance received from that row's
-    members is at most the row's entry of ``bounds``; ``idx`` holds the
-    columns' context positions.
+    members is at most the row's entry of ``bounds``; ``sel``'s columns
+    are the context positions.
     One product over the union of selected columns serves every row; it is
     taken ROW_BLOCK receivers at a time."""
     cols = np.flatnonzero(sel.any(axis=0))
@@ -171,7 +152,7 @@ def _extract_rows(ctx: AffectanceContext, idx: np.ndarray, sel: np.ndarray,
     kept = np.zeros_like(sel)
     for c0 in range(0, cols.size, ROW_BLOCK):
         block = slice(c0, c0 + ROW_BLOCK)
-        aff = ctx.raw[np.ix_(idx[cols], idx[cols[block]])]
+        aff = ctx.raw[np.ix_(cols, cols[block])]
         np.minimum(aff, 1.0, out=aff)
         kept[:, cols[block]] = sub[:, block] & (sub_f @ aff <= bounds)
     return kept
@@ -209,10 +190,9 @@ def _first_fit(labels: np.ndarray, sel: np.ndarray, rank: np.ndarray,
         yield [members[start:end] for start, end in zip([0] + ends, ends)]
 
 
-def _strengthen_rows(ctx: AffectanceContext, idx: np.ndarray,
-                     sel: np.ndarray) -> Iterator[list]:
+def _strengthen_rows(ctx: AffectanceContext, sel: np.ndarray) -> Iterator[list]:
     """1-feasible parts of every row of ``sel`` (columns: the context
-    positions ``idx``), each a sorted array of context positions:
+    positions), each a sorted array of context positions:
     ``_first_fit`` over links by non-increasing length, ties by id.  Link u
     joins its row's first part p where u's unclipped in-load from p is at
     most 1 and every member of p stays within 1 after adding u's
@@ -225,10 +205,9 @@ def _strengthen_rows(ctx: AffectanceContext, idx: np.ndarray,
     once transposed, so the loads a step reads for one row lie in one row
     of each copy.
     """
-    cols = np.flatnonzero(sel.any(axis=0))
-    pos = idx[cols]
+    pos = np.flatnonzero(sel.any(axis=0))
     rank = np.lexsort((pos, -ctx.lengths[pos]))  # ties by id: ctx.ids is sorted
-    pos, sel = pos[rank], sel[:, cols[rank]]
+    pos, sel = pos[rank], sel[:, pos[rank]]
     m = pos.size
     out_of = ctx.raw[np.ix_(pos, pos)].ravel()   # row u: u's affectance on each link
     into = np.ascontiguousarray(out_of.reshape(m, m).T).ravel()  # row u: each one's on u
@@ -254,18 +233,12 @@ def _strengthen_rows(ctx: AffectanceContext, idx: np.ndarray,
         yield parts
 
 
-def extract_low_affectance(ctx: AffectanceContext, S,
-                           bound: float = _EXTRACTION_FACTOR) -> tuple:
-    """Members of S whose received affectance within S is at most bound."""
-    ids, sel = _one_row(S)
-    return _members(ids, _extract_rows(ctx, ctx.index_of(ids), sel, [bound])[0])
-
-
 def signal_strengthen(ctx: AffectanceContext, S) -> list:
     """Partition S into 1-feasible parts by first fit over links in
     non-increasing length order."""
-    ids, sel = _one_row(S)
-    return [_members(ctx.ids, p) for p in next(_strengthen_rows(ctx, ctx.index_of(ids), sel))]
+    sel = np.zeros((1, ctx.n), dtype=bool)
+    sel[0, ctx.index_of(S)] = True
+    return [tuple(ctx.ids[p].tolist()) for p in next(_strengthen_rows(ctx, sel))]
 
 
 def _objective(ctx: AffectanceContext, pos: np.ndarray, mode: str) -> float:
@@ -283,53 +256,34 @@ def schedule_weight(ctx: AffectanceContext, schedule: Schedule) -> float:
     return _schedule_objective(ctx, schedule.ids, "weighted")
 
 
-def _better(cand_val, cand_ids, best_val, best_ids) -> bool:
-    """A larger objective, or an equal one with a smaller id tuple."""
-    return cand_val > best_val or (cand_val == best_val and cand_ids < best_ids)
+def _better(cand_val, cand_key, best_val, best_key) -> bool:
+    """A larger objective, or an equal one with a smaller key tuple."""
+    return cand_val > best_val or (cand_val == best_val and cand_key < best_key)
 
 
-def _best_index(ctx: AffectanceContext, parts: Sequence[np.ndarray], mode: str):
-    """Index of the highest-objective part under ``mode`` among ``parts``
-    (arrays of context positions), ties to the lexicographically smallest,
-    by ``_better``; None unless some part's objective is positive.
+def best_part(ctx: AffectanceContext, parts, mode: str) -> np.ndarray:
+    """Highest-objective part under ``mode`` among ``parts`` (sorted arrays
+    of context positions), ties to the lexicographically smallest, by
+    ``_better``; empty unless some part's objective is positive.
     Positions order as ids do (``ctx.ids`` is sorted), so ties go as they
     would between id tuples."""
-    best, best_val, best_key = None, 0.0, ()
-    for j, p in enumerate(parts):
+    best, best_val, best_key = np.zeros(0, dtype=int), 0.0, ()
+    for p in parts:
         val, key = _objective(ctx, p, mode), tuple(p.tolist())
         if _better(val, key, best_val, best_key):
-            best, best_val, best_key = j, val, key
+            best, best_val, best_key = p, val, key
     return best
 
 
-def best_part(ctx: AffectanceContext, parts, mode: str) -> tuple:
-    """Highest-objective part under ``mode`` (id tuples), ties to the
-    smallest id tuple; () unless some part's objective is positive."""
-    parts = list(parts)
-    best = _best_index(ctx, [ctx.index_of(p) for p in parts], mode)
-    return () if best is None else parts[best]
-
-
-def final_selection_batch(ctx: AffectanceContext, ids: Sequence[int], sel: np.ndarray,
+def final_selection_batch(ctx: AffectanceContext, sel: np.ndarray,
                           bounds: Sequence[float], modes: Sequence[str]) -> list:
-    """``final_selection`` of every row of ``sel`` (rows of booleans over
-    the columns ``ids``) under that row's entries of ``bounds`` and
-    ``modes``, in row order, all rows in one lockstep batch."""
-    ids = np.asarray(ids, dtype=int)
-    order = np.argsort(ids, kind="stable")
-    idx, sel = ctx.index_of(ids[order]), sel[:, order]
-    kept = _extract_rows(ctx, idx, sel, bounds)
-    out = []
-    for parts, mode in zip(_strengthen_rows(ctx, idx, kept), modes):
-        best = _best_index(ctx, parts, mode)
-        out.append(() if best is None else _members(ctx.ids, parts[best]))
-    return out
-
-
-def final_selection(ctx: AffectanceContext, S, bound: float, mode: str) -> tuple:
-    """Extract S's low-affectance members, strengthen them into 1-feasible
-    parts and return the best part under ``mode``'s objective."""
-    return final_selection_batch(ctx, *_one_row(S), [bound], [mode])[0]
+    """Final selection of every row of ``sel`` (booleans over the context
+    positions) under that row's entries of ``bounds`` and ``modes``, all
+    rows in one lockstep batch: extract the row's low-affectance members,
+    strengthen them into 1-feasible parts and keep the best part under the
+    mode's objective.  Returns one position array per row, in row order."""
+    parts = _strengthen_rows(ctx, _extract_rows(ctx, sel, bounds))
+    return [best_part(ctx, p, mode) for p, mode in zip(parts, modes)]
 
 
 def round_trials(ctx: AffectanceContext, runs, session: Optional[LpSession] = None,
@@ -337,10 +291,11 @@ def round_trials(ctx: AffectanceContext, runs, session: Optional[LpSession] = No
     """For each (program, policy) pair of ``runs``, in order: solve the
     program (through ``session`` when given, so a constant sweep reuses one
     model) and draw ``policy.trials`` two-stage samples over its ids.
-    Yields per pair the final selection of each sample, in trial order,
-    under the policy's extraction bound and mode.  Consecutive pairs share
-    one ``final_selection_batch``, which runs as soon as its samples times
-    the links they hold reach ``_BATCH_CELLS``; a pair is never split.
+    Yields per pair the final selection of each sample, a position array,
+    in trial order, under the policy's extraction bound and mode.
+    Consecutive pairs share one ``final_selection_batch``, which runs as
+    soon as its samples times the links they hold reach ``_BATCH_CELLS``;
+    a pair is never split.
 
     With ``accept``, a function from a block's selection matrix to one
     boolean per row, each pair's trials are drawn in blocks of
@@ -348,7 +303,7 @@ def round_trials(ctx: AffectanceContext, runs, session: Optional[LpSession] = No
     samples count, in attempt order: the samples a one-by-one loop would
     take.
     """
-    batch = []  # (context positions of lp.ids, samples, policy) per pair
+    batch = []  # (samples over the context positions, policy) per pair
     for lp, policy in runs:
         sol = solve_lp(lp, session)
         tries = policy.trials if accept is None else attempts
@@ -362,7 +317,10 @@ def round_trials(ctx: AffectanceContext, runs, session: Optional[LpSession] = No
             kept.append(sel)
             if wanted <= 0:
                 break
-        batch.append((ctx.index_of(lp.ids), np.concatenate(kept), policy))
+        samples = np.concatenate(kept)
+        rows = np.zeros((len(samples), ctx.n), dtype=bool)
+        rows[:, ctx.index_of(lp.ids)] = samples
+        batch.append((rows, policy))
         if _cells(batch) >= _BATCH_CELLS:
             yield from _select_batch(ctx, batch)
             batch = []
@@ -372,23 +330,18 @@ def round_trials(ctx: AffectanceContext, runs, session: Optional[LpSession] = No
 
 def _cells(batch) -> int:
     """A batch's samples times the number of links any of them holds."""
-    rows = sum(len(kept) for _, kept, _ in batch)
-    return rows * np.unique(np.concatenate([pos[kept.any(axis=0)]
-                                            for pos, kept, _ in batch])).size
+    held = np.logical_or.reduce([rows.any(axis=0) for rows, _ in batch])
+    return sum(len(rows) for rows, _ in batch) * int(held.sum())
 
 
 def _select_batch(ctx: AffectanceContext, batch) -> list:
     """Per pair of ``round_trials``' batch, the final selection of each of
     its samples, all in one ``final_selection_batch``."""
-    sel = np.zeros((sum(len(kept) for _, kept, _ in batch), ctx.n), dtype=bool)
-    bounds, modes, start = [], [], 0
-    for pos, kept, policy in batch:  # the columns of sel are context positions
-        sel[start:start + len(kept), pos] = kept
-        start += len(kept)
-        bounds += [policy.extraction_bound] * len(kept)
-        modes += [policy.mode] * len(kept)
-    selections = iter(final_selection_batch(ctx, ctx.ids, sel, bounds, modes))
-    return [list(islice(selections, len(kept))) for _, kept, _ in batch]
+    sel = np.concatenate([rows for rows, _ in batch])
+    bounds = [policy.extraction_bound for rows, policy in batch for _ in rows]
+    modes = [policy.mode for rows, policy in batch for _ in rows]
+    selections = iter(final_selection_batch(ctx, sel, bounds, modes))
+    return [list(islice(selections, len(rows))) for rows, _ in batch]
 
 
 def run_sweep(ctx: AffectanceContext, policies: Sequence[RoundingPolicy],
@@ -405,10 +358,10 @@ def run_sweep(ctx: AffectanceContext, policies: Sequence[RoundingPolicy],
             for policy in policies)
     schedules = []
     for selections, policy in zip(round_trials(ctx, runs, session), policies):
-        schedule = certify(ctx, best_part(ctx, selections, policy.mode))
-        if not check_feasibility(ctx, schedule.ids, 1.0, "feasible"):
+        best = best_part(ctx, selections, policy.mode)
+        if not check_positions(ctx, best):
             raise AssertionError("pipeline produced an infeasible schedule")
-        schedules.append(schedule)
+        schedules.append(certify(ctx, ctx.ids[best]))
     return schedules
 
 

@@ -3,6 +3,7 @@ import pytest
 
 from sinrcap import (AffectanceContext, GenConfig, InfeasiblePrimaries, Instance,
                      Link, Point, PowerAssignment, generate_instance)
+from sinrcap.rounding import sample_batch
 
 
 def make_link(lid, sx, sy, rx, ry, **kw):
@@ -51,3 +52,16 @@ def feasible_prim_ctx(seed, **kw):
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+def selection(ctx, *sets):
+    """Boolean rows over the context positions, one per set of link ids."""
+    sel = np.zeros((len(sets), ctx.n), dtype=bool)
+    for row, S in zip(sel, sets):
+        row[ctx.index_of(S)] = True
+    return sel
+
+
+def sampled(lp, delta, policy, trial):
+    """Ids of one trial's two-stage sample: a one-row ``sample_batch``."""
+    return tuple(lp.ids[sample_batch(lp, delta, policy, [trial])[0]].tolist())

@@ -6,14 +6,13 @@ import pytest
 
 from sinrcap import (AffectanceContext, Instance, PowerAssignment, PrimarySet,
                      RetriesExhausted, RoundingPolicy, admit_general,
-                     admit_large_opt, check_feasibility, exact_admission,
-                     partition_by_primaries, verify_admission)
+                     admit_large_opt, check_feasibility, exact_admission, verify_admission)
 from sinrcap import admission, rounding
 from sinrcap.formulations import build_admission_large_lp
 from sinrcap.lp_core import FractionalSolution
-from sinrcap.rounding import _better, final_selection, sample_round
+from sinrcap.rounding import _better, final_selection_batch
 
-from conftest import far_instance, feasible_prim_ctx, make_link, random_ctx
+from conftest import far_instance, feasible_prim_ctx, make_link, random_ctx, sampled, selection
 
 UNIFORM = PowerAssignment.uniform()
 
@@ -57,19 +56,29 @@ def test_general_never_beats_admission_oracle(seed):
     assert all(load <= 1.0 for load in res.per_primary_load)
 
 
+def partition(ctx, R):
+    """Primary-safe groups of the id set R as id tuples: a one-set
+    ``_partition_rows``."""
+    return _id_groups(ctx, admission._partition_rows(ctx, [ctx.index_of(R)])[0])
+
+
+def _id_groups(ctx, groups):
+    return [tuple(ctx.ids[g].tolist()) for g in groups]
+
+
 def test_partition_by_primaries_basics():
     ctx = prim_ctx(3, n=8, primaries=2)
-    assert partition_by_primaries(ctx, []) == []
+    assert partition(ctx, []) == []
     far = AffectanceContext(far_instance(4), UNIFORM,
                             primaries=PrimarySet(links=(), powers=()))
-    assert partition_by_primaries(far, [0, 1, 2, 3]) == [(0, 1, 2, 3)]
+    assert partition(far, [0, 1, 2, 3]) == [(0, 1, 2, 3)]
 
 
 def test_partition_groups_respect_unit_budget():
     for seed in range(5):
         ctx = prim_ctx(seed + 10, n=12, R=4.0, primaries=2)
         ids = [int(i) for i in ctx.ids]
-        groups = partition_by_primaries(ctx, ids)
+        groups = partition(ctx, ids)
         covered = [i for g in groups for i in g]
         assert len(covered) == len(set(covered))
         for g in groups:
@@ -85,13 +94,13 @@ def test_partition_drops_overloading_link(caplog):
     ctx = AffectanceContext(inst, UNIFORM, primaries=prim)
     assert ctx.raw_to_prim[0, 0] > 1.0
     with caplog.at_level(logging.WARNING):
-        groups = partition_by_primaries(ctx, [0, 1])
+        groups = partition(ctx, [0, 1])
     assert groups == [(1,)]
     assert any("overload" in r.message for r in caplog.records)
 
 
 def _reference_partition(ctx, R):
-    """partition_by_primaries as a plain first-fit loop over [members, load]
+    """Primary-safe grouping as a plain first-fit loop over [members, load]
     pairs, links sorted by clipped primary load, heaviest first."""
     ids = sorted(int(i) for i in R)
     if not ids:
@@ -125,7 +134,7 @@ def test_partition_matches_first_fit_reference():
         ctx = prim_ctx(100 + 10 * seed, n=int(rng.integers(8, 30)), R=4.0 + k, primaries=k)
         ids = [int(i) for i in ctx.ids]
         for R in (ids, [i for i in ids if rng.random() < 0.5]):
-            groups = partition_by_primaries(ctx, R)
+            groups = partition(ctx, R)
             assert groups == _reference_partition(ctx, R)
             shapes.add((len(groups) > 1, sum(map(len, groups)) < len(R)))
     assert shapes == {(False, False), (False, True), (True, False), (True, True)}
@@ -152,9 +161,10 @@ def test_lockstep_partition_matches_reference_row_by_row(caplog):
         batch = _lockstep_batch(ctx, rng)
         caplog.clear()
         with caplog.at_level(logging.WARNING, logger="sinrcap.admission"):
-            groups = admission._partition_rows(ctx, batch)
+            groups = [_id_groups(ctx, g) for g in
+                      admission._partition_rows(ctx, [ctx.index_of(R) for R in batch])]
         assert groups == [_reference_partition(ctx, R) for R in batch]
-        assert groups == [partition_by_primaries(ctx, R) for R in batch]
+        assert groups == [partition(ctx, R) for R in batch]
         # one warning names the links that alone overload a primary in the
         # whole batch, then one per such set, as each runs on its own
         over = set(ctx.ids[np.any(ctx.raw_to_prim > 1.0, axis=1)].tolist())
@@ -264,11 +274,13 @@ def _sequential_large_opt(ctx, pol, retry_cap):
     best_ids, successes = (), 0
     attempts_cap = max(pol.trials, retry_cap)
     for trial in range(attempts_cap):
-        sample = sample_round(lp, sol.values, pol, trial)
-        if np.any(admission._primary_loads(ctx, sample) > 1.0):
+        sample = sampled(lp, sol.values, pol, trial)
+        if np.any(ctx.raw_to_prim[ctx.index_of(sample)].sum(axis=0) > 1.0):
             continue
         successes += 1
-        cand = final_selection(ctx, sample, pol.extraction_bound, "capacity")
+        cand = tuple(ctx.ids[final_selection_batch(ctx, selection(ctx, sample),
+                                                   [pol.extraction_bound], ["capacity"])[0]]
+                     .tolist())
         if _better(len(cand), cand, len(best_ids), best_ids):
             best_ids = cand
         if successes >= pol.trials:
@@ -293,13 +305,14 @@ def test_large_opt_blocks_match_sequential_attempts(monkeypatch):
         _fixed_fractions(monkeypatch, value)
         for seed in range(4):
             pol = policy("admission_large", seed=seed, trials=trials, C=10.0)
+            monkeypatch.setattr(admission, "RETRY_CAP", retry_cap)
             try:
                 best, successes, attempts = _sequential_large_opt(ctx, pol, retry_cap)
             except RetriesExhausted:
                 with pytest.raises(RetriesExhausted):
-                    admit_large_opt(ctx, pol, retry_cap=retry_cap)
+                    admit_large_opt(ctx, pol)
                 continue
-            res = admit_large_opt(ctx, pol, retry_cap=retry_cap)
+            res = admit_large_opt(ctx, pol)
             assert res.admitted.ids == best
             assert res.notes["successful_samples"] == successes
             assert res.verified
@@ -314,5 +327,6 @@ def test_large_opt_blocks_exhaust_retries(monkeypatch):
     pol = policy("admission_large", trials=3, C=10.0)
     with pytest.raises(RetriesExhausted):
         _sequential_large_opt(ctx, pol, 7)
+    monkeypatch.setattr(admission, "RETRY_CAP", 7)
     with pytest.raises(RetriesExhausted):
-        admit_large_opt(ctx, pol, retry_cap=7)
+        admit_large_opt(ctx, pol)

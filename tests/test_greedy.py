@@ -4,8 +4,7 @@ import pytest
 from sinrcap import (AffectanceContext, GenConfig, Instance, Link, PowerAssignment,
                      RoundingPolicy, build_weighted_lp, certify, check_feasibility,
                      exact_capacity, generate_instance, greedy_base, greedy_combined,
-                     greedy_combined_sweep, greedy_length_classes, greedy_sweep,
-                     greedy_weight_classes, run_pipeline, schedule_weight)
+                     greedy_combined_sweep, greedy_sweep, run_pipeline, schedule_weight)
 from sinrcap.greedy import (_class_candidates, length_class_partition,
                             weight_class_partition)
 from sinrcap.rounding import final_selection_batch, round_trials
@@ -13,6 +12,14 @@ from sinrcap.rounding import final_selection_batch, round_trials
 from conftest import colocated_pair, far_instance, feasible_prim_ctx, make_link, random_ctx
 
 UNIFORM = PowerAssignment.uniform()
+
+
+def weight_classes(ctx, c_g):
+    return greedy_sweep(ctx, "weight_classes", [c_g])[0]
+
+
+def length_classes(ctx, c_g):
+    return greedy_sweep(ctx, "length_classes", [c_g])[0]
 
 
 def test_base_accepts_all_far_links():
@@ -41,7 +48,7 @@ def test_weight_classes_equal_weights_match_base():
         make_link(lk.id, lk.sender.x, lk.sender.y, lk.receiver.x, lk.receiver.y,
                   weight=3.0) for lk in inst.links), alpha=inst.alpha)
     fctx = AffectanceContext(flat, UNIFORM)
-    assert greedy_weight_classes(fctx, 1.0).ids == greedy_base(fctx, 1.0).ids
+    assert weight_classes(fctx, 1.0).ids == greedy_base(fctx, 1.0).ids
 
 
 def test_weight_classes_prefer_heavy_singleton():
@@ -52,7 +59,7 @@ def test_weight_classes_prefer_heavy_singleton():
         make_link(1, *_coords(far.links[1]), weight=float(n)),
     ), alpha=2.5)
     ctx = AffectanceContext(inst, UNIFORM)
-    sched = greedy_weight_classes(ctx, 1.0)
+    sched = weight_classes(ctx, 1.0)
     assert sched.ids == (1,)
     assert schedule_weight(ctx, sched) == pytest.approx(2.0)
 
@@ -67,8 +74,8 @@ def test_weight_classes_scale_invariance():
     scaled = Instance(links=tuple(
         make_link(lk.id, *_coords(lk), weight=37.0 * lk.weight) for lk in inst.links),
         alpha=inst.alpha)
-    a = greedy_weight_classes(ctx, 1.0)
-    b = greedy_weight_classes(AffectanceContext(scaled, UNIFORM), 1.0)
+    a = weight_classes(ctx, 1.0)
+    b = weight_classes(AffectanceContext(scaled, UNIFORM), 1.0)
     assert a.ids == b.ids
 
 
@@ -77,20 +84,20 @@ def test_length_classes_single_and_split():
     links = tuple(make_link(i, 20.0 * i, 0.0, 20.0 * i + 1.0 + 0.1 * i, 0.0)
                   for i in range(4))
     ctx = AffectanceContext(Instance(links=links, alpha=2.5), UNIFORM)
-    assert greedy_length_classes(ctx, 1.0).ids == (0, 1, 2, 3)
+    assert length_classes(ctx, 1.0).ids == (0, 1, 2, 3)
     # lengths 1 and 8 land in classes t=0 and t=3; both are far apart, each
     # class solution is a singleton and the heavier (by weight) wins
     links = (make_link(0, 0.0, 0.0, 1.0, 0.0, weight=1.0),
              make_link(1, 500.0, 0.0, 508.0, 0.0, weight=5.0))
     ctx = AffectanceContext(Instance(links=links, alpha=2.5), UNIFORM)
-    assert greedy_length_classes(ctx, 1.0).ids == (1,)
+    assert length_classes(ctx, 1.0).ids == (1,)
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_class_greedys_never_beat_weighted_oracle(seed):
     ctx = random_ctx(seed, n=9, R=3.0, delta=3.0, weight_dist="ordinary")
     opt_w = schedule_weight(ctx, exact_capacity(ctx, "weight", "exact_sinr"))
-    for algo in (greedy_weight_classes, greedy_length_classes, greedy_combined):
+    for algo in (weight_classes, length_classes, greedy_combined):
         sched = algo(ctx, 1.0)
         assert schedule_weight(ctx, sched) <= opt_w + 1e-9
         assert sched.exact_sinr_ok
@@ -99,8 +106,8 @@ def test_class_greedys_never_beat_weighted_oracle(seed):
 def test_combined_at_least_each_constituent():
     for seed in range(4):
         ctx = random_ctx(seed + 20, n=10, R=3.0, delta=4.0, weight_dist="reversed")
-        w = schedule_weight(ctx, greedy_weight_classes(ctx, 1.0))
-        l = schedule_weight(ctx, greedy_length_classes(ctx, 1.0))
+        w = schedule_weight(ctx, weight_classes(ctx, 1.0))
+        l = schedule_weight(ctx, length_classes(ctx, 1.0))
         c = schedule_weight(ctx, greedy_combined(ctx, 1.0))
         assert c >= max(w, l) - 1e-12
 
@@ -138,7 +145,7 @@ def test_empty_instance():
     ctx = AffectanceContext(Instance(links=(), alpha=2.5), UNIFORM)
     assert weight_class_partition(ctx) == {}
     assert length_class_partition(ctx) == {}
-    for algo in (greedy_base, greedy_weight_classes, greedy_length_classes,
+    for algo in (greedy_base, weight_classes, length_classes,
                  greedy_combined):
         assert algo(ctx, 1.0).ids == ()
 
@@ -154,8 +161,8 @@ def test_outputs_one_feasible():
 
 def test_greedy_sweep_matches_per_constant_calls():
     constants = (1.5, 0.5, 1.0, 0.5, 3.0)  # unsorted, with a repeat
-    variants = {"base": greedy_base, "weight_classes": greedy_weight_classes,
-                "length_classes": greedy_length_classes}
+    variants = {"base": greedy_base, "weight_classes": weight_classes,
+                "length_classes": length_classes}
     differ = set()
     for seed in range(4):
         ctx = random_ctx(seed, n=40, R=4.0, delta=4.0, power=PowerAssignment.linear())
@@ -179,7 +186,7 @@ def _reweighted(inst, weights):
 
 
 def test_every_selection_keeps_the_heaviest_set_ties_to_smallest_ids():
-    greedies = (greedy_weight_classes, greedy_length_classes, greedy_combined)
+    greedies = (weight_classes, length_classes, greedy_combined)
     # all weights 0: no set beats the empty one
     zero = _reweighted(generate_instance(GenConfig(n=10, R=6.0, delta=2.0, seed=3)),
                        [0.0] * 10)
@@ -209,7 +216,7 @@ def test_every_selection_keeps_the_heaviest_set_ties_to_smallest_ids():
     ctx = AffectanceContext(flat, PowerAssignment.linear())
     lp, policy = build_weighted_lp(ctx, 1.0), RoundingPolicy(mode="weighted", trials=20,
                                                              seed=3)
-    rounded = set(next(round_trials(ctx, [(lp, policy)])))
+    rounded = {tuple(ctx.ids[p].tolist()) for p in next(round_trials(ctx, [(lp, policy)]))}
     heaviest = sorted(s for s in rounded if len(s) == max(map(len, rounded)))
     assert len(heaviest) > 1
     assert run_pipeline(ctx, policy).ids == heaviest[0]
@@ -222,8 +229,8 @@ def _reference_greedy(ctx, classes, c_g, order, weighted):
     sel = np.zeros((len(classes), ctx.n), dtype=bool)
     for row, t in zip(sel, sorted(classes)):
         row[_class_candidates(ctx, classes[t], c_g, order)] = True
-    selections = final_selection_batch(ctx, ctx.ids, sel, [12.0] * len(sel),
-                                       ["capacity"] * len(sel))
+    selections = [tuple(ctx.ids[p].tolist()) for p in
+                  final_selection_batch(ctx, sel, [12.0] * len(sel), ["capacity"] * len(sel))]
     if not weighted:
         return certify(ctx, selections[0])
     best_ids, best_w = (), -1.0
@@ -242,7 +249,7 @@ def test_greedies_match_reference_on_random_contexts():
         assert ctx.k == k and np.all(ctx.weights > 0)
         c_g = (0.5, 1.0, 2.0)[seed % 3]
         cases = [(greedy_base, {0: range(ctx.n)}, "length", False),
-                 (greedy_weight_classes, weight_class_partition(ctx), "length", True),
-                 (greedy_length_classes, length_class_partition(ctx), "weight", True)]
+                 (weight_classes, weight_class_partition(ctx), "length", True),
+                 (length_classes, length_class_partition(ctx), "weight", True)]
         for algo, classes, order, weighted in cases:
             assert algo(ctx, c_g) == _reference_greedy(ctx, classes, c_g, order, weighted)

@@ -290,13 +290,20 @@ GEN = ["gen", "--n", "5", "--side", "6", "--delta", "2"]
     (["suite", "--n", "21", "--count", "1"], "21 links"),
     (["admit", "BIG"], "big.json has no primaries"),
     (["oracle", "BIG", "--problem", "admission"], "big.json has no primaries"),
+    (["admit", "EMPTY", "--method", "large"], "empty.json has no primaries"),
+    (["admit", "EMPTY"], "empty.json has no primaries"),
+    (["oracle", "EMPTY", "--problem", "admission"], "empty.json has no primaries"),
 ], ids=["side-0", "side-nan", "side-inf", "delta-0.5", "alpha-0", "beta-0", "noise-neg",
         "alpha-inf", "beta-inf", "noise-inf", "primary-power-inf", "primary-power-0",
         "primaries-neg", "compare-delta", "oracle-21", "suite-21", "admit-no-primaries",
-        "oracle-admission-no-primaries"])
+        "oracle-admission-no-primaries", "admit-large-empty-primaries",
+        "admit-empty-primaries", "oracle-admission-empty-primaries"])
 def test_cli_reports_rejected_input_in_one_line(args, bad, tmp_path, capsys):
-    paths = {"BIG": tmp_path / "big.json"}
+    paths = {"BIG": tmp_path / "big.json", "EMPTY": tmp_path / "empty.json"}
     write_instance(generate_instance(GenConfig(n=21, R=9.0, delta=2.0, seed=4)), paths["BIG"])
+    paths["EMPTY"].write_text(json.dumps({  # a primary list, but an empty one
+        "alpha": 2.5, "links": [{"id": 0, "sx": 0.0, "sy": 0.0, "rx": 1.0, "ry": 0.0}],
+        "primaries": []}))
     out = tmp_path / "out"
     argv = [str(paths.get(a, a)) for a in args]
     if args[0] != "suite":
@@ -371,6 +378,24 @@ def test_cli_reports_infeasible_primaries_in_one_line(command, tmp_path, capsys)
     assert err.startswith(f"sinrcap {command[0]}: error: ") and err.count("\n") == 1
     assert "cannot satisfy their own SINR" in err
     assert not out.exists()
+
+
+def test_cli_writes_every_id_as_a_json_integer(tmp_path, capsys):
+    path = tmp_path / "prim.json"
+    write_instance(generate_instance(GenConfig(n=12, R=8.0, delta=2.0, seed=3, primaries=2)),
+                   path)
+    runs = [["solve", "--algo", algo] for algo in ("lp", "greedy", "greedy_w", "greedy_l")]
+    runs += [["admit", "--method", "general"], ["admit", "--method", "large"], ["oracle"],
+             ["oracle", "--problem", "admission"]]
+    for run in runs:
+        assert cli_main([run[0], str(path), *run[1:], *(["--trials", "10", "--sweep", "0.5,1.0"]
+                                                      if run[0] != "oracle" else [])]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        members = payload["ids"] + [i for g in payload.get("groups", []) for i in g]
+        assert payload["ids"], run  # something to check
+        assert all(type(i) is int for i in members), run
+        if run[1:] == ["--method", "general"]:
+            assert len(payload["groups"]) > 1
 
 
 @pytest.mark.parametrize("command", [["solve", "--algo", "lp"], ["solve", "--algo", "greedy"],

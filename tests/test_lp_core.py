@@ -6,11 +6,11 @@ from scipy.sparse import csc_array
 from sinrcap import (LinearProgram, LpSession, LpSolveError, PowerAssignment,
                      RoundingPolicy, build_admission_large_lp, build_admission_lp,
                      build_capacity_lp, build_qos_lp, build_weighted_lp,
-                     check_solution, dump_lp, sample_round, solve_lp)
+                     check_solution, dump_lp, solve_lp)
 from sinrcap import lp_core
 from sinrcap.lp_core import highs
 
-from conftest import feasible_prim_ctx, random_ctx
+from conftest import feasible_prim_ctx, random_ctx, sampled
 
 
 def lp(obj, rows, bounds, names=()):
@@ -116,8 +116,8 @@ def test_program_without_rounding_data_keeps_stage_one_picks():
                          row_bounds=built.row_bounds, ids=built.ids)
     policy = RoundingPolicy(mode="capacity", C=0.4, trials=1, seed=5)
     ones = np.ones(ctx.n)
-    assert sample_round(bare, ones, policy, 0) == tuple(int(i) for i in ctx.ids)
-    assert len(sample_round(built, ones, policy, 0)) < ctx.n
+    assert sampled(bare, ones, policy, 0) == tuple(int(i) for i in ctx.ids)
+    assert len(sampled(built, ones, policy, 0)) < ctx.n
 
 
 def test_dump_format():
@@ -424,8 +424,8 @@ def test_cold_primal_solve_matches_a_dual_simplex_reference(seed):
         np.testing.assert_allclose(sol.values, ref.x, rtol=0, atol=1e-9, err_msg=name)
         policy = RoundingPolicy(mode="capacity", C=1.0, trials=25, seed=seed)
         for trial in range(25):
-            assert sample_round(program, sol.values, policy, trial) == \
-                sample_round(program, ref.x, policy, trial), (name, trial)
+            assert sampled(program, sol.values, policy, trial) == \
+                sampled(program, ref.x, policy, trial), (name, trial)
 
 
 def test_warm_resolve_after_a_primal_load_is_dual():

@@ -12,14 +12,13 @@ from sinrcap import (AffectanceContext, GenConfig, Instance, Link, LpSession,
                      PowerAssignment, RoundingPolicy, bernoulli_draws,
                      build_admission_large_lp, build_admission_lp, build_capacity_lp,
                      build_qos_lp, build_weighted_lp, check_feasibility, exact_capacity,
-                     extract_low_affectance, final_selection, generate_instance,
-                     run_pipeline, run_sweep, sample_round, signal_strengthen, solve_lp)
+                     generate_instance, run_pipeline, run_sweep, signal_strengthen, solve_lp)
 from sinrcap import formulations, rounding
 from sinrcap.rounding import (ROUNDING_MODES, _extract_rows, _first_fit, _strengthen_rows,
                               best_part, final_selection_batch, round_trials, sample_batch)
 
 from conftest import (colocated_pair, far_instance, feasible_prim_ctx, make_link,
-                      random_ctx)
+                      random_ctx, sampled, selection)
 
 UNIFORM = PowerAssignment.uniform()
 
@@ -52,9 +51,9 @@ def test_sample_round_degenerate_deltas():
     ctx = AffectanceContext(far_instance(5), UNIFORM)
     lp = build_capacity_lp(ctx, 1.0)
     policy = RoundingPolicy(mode="capacity", C=1.0, trials=1, seed=0)
-    assert sample_round(lp, np.zeros(5), policy, 0) == ()
+    assert sampled(lp, np.zeros(5), policy, 0) == ()
     # all-ones fractional values with negligible affectances keep every link
-    assert sample_round(lp, np.ones(5), policy, 0) == tuple(int(i) for i in ctx.ids)
+    assert sampled(lp, np.ones(5), policy, 0) == tuple(int(i) for i in ctx.ids)
 
 
 def test_sample_round_deterministic():
@@ -62,8 +61,8 @@ def test_sample_round_deterministic():
     lp = build_capacity_lp(ctx, 1.0)
     sol = solve_lp(lp)
     policy = RoundingPolicy(mode="capacity", C=1.0, trials=1, seed=11)
-    a = sample_round(lp, sol.values, policy, 5)
-    b = sample_round(lp, sol.values, policy, 5)
+    a = sampled(lp, sol.values, policy, 5)
+    b = sampled(lp, sol.values, policy, 5)
     assert a == b
 
 
@@ -137,20 +136,25 @@ def test_stage_two_matches_per_mode_conditions(mode):
                 expected = _per_mode_survivors(ctx, mode, C, ids, selected)
                 discarded += expected is None
                 expected = expected or ()
-                assert sample_round(lp, delta, policy, t) == expected
+                assert sampled(lp, delta, policy, t) == expected
                 shrunk += len(expected) < selected.sum()
     assert shrunk > 0  # stage two did drop links
     assert (discarded > 0) == (mode == "admission_general")
 
 
+def _extracted(ctx, S, bound):
+    """Ids of S's low-affectance members: a one-row ``_extract_rows``."""
+    return tuple(ctx.ids[_extract_rows(ctx, selection(ctx, S), [bound])[0]].tolist())
+
+
 def test_extract_low_affectance():
     ctx = AffectanceContext(far_instance(4), UNIFORM)
     ids = tuple(int(i) for i in ctx.ids)
-    assert extract_low_affectance(ctx, ids, 12.0) == ids
-    assert extract_low_affectance(ctx, (), 12.0) == ()
+    assert _extracted(ctx, ids, 12.0) == ids
+    assert _extracted(ctx, (), 12.0) == ()
     dense = AffectanceContext(colocated_pair(noise=0.1), UNIFORM)
     # each member receives affectance 1 from the other; bound 0.5 drops both
-    assert extract_low_affectance(dense, (0, 1), 0.5) == ()
+    assert _extracted(dense, (0, 1), 0.5) == ()
 
 
 def test_extract_keeps_half_on_rounded_sets():
@@ -160,8 +164,8 @@ def test_extract_keeps_half_on_rounded_sets():
     sol = solve_lp(lp)
     policy = RoundingPolicy(mode="capacity", C=C, trials=1, seed=4)
     for t in range(50):
-        s = sample_round(lp, sol.values, policy, t)
-        kept = extract_low_affectance(ctx, s, 12 * C)
+        s = sampled(lp, sol.values, policy, t)
+        kept = _extracted(ctx, s, 12 * C)
         assert 2 * len(kept) >= len(s)
 
 
@@ -253,8 +257,8 @@ def test_pipeline_rounds_the_program_of_its_mode(mode):
     for C in (0.6, 1.4):
         policy = RoundingPolicy(mode=mode, C=C, trials=15, seed=3)
         program = BUILDERS[mode](ctx, C)
-        assert run_pipeline(ctx, policy).ids == \
-            best_part(ctx, next(round_trials(ctx, [(program, policy)])), mode)
+        best = best_part(ctx, next(round_trials(ctx, [(program, policy)])), mode)
+        assert run_pipeline(ctx, policy).ids == tuple(ctx.ids[best].tolist())
     with pytest.raises(ValueError, match="admission module"):
         run_pipeline(ctx, RoundingPolicy(mode="admission_general"))
 
@@ -294,7 +298,7 @@ def test_expected_selection_size():
     policy = RoundingPolicy(mode="capacity", C=C, trials=1, seed=23)
     sizes = []
     for t in range(2000):
-        sizes.append(len(sample_round(lp, sol.values, policy, t)))
+        sizes.append(len(sampled(lp, sol.values, policy, t)))
     sizes = np.array(sizes, dtype=float)
     sem = sizes.std(ddof=1) / np.sqrt(len(sizes))
     assert sizes.mean() >= sol.objective / 3 - 3 * sem
@@ -390,22 +394,22 @@ def test_batched_engine_matches_per_set_reference(with_primaries, trials):
             over = lp.row_coeffs @ drawn.astype(float) > lp.row_limit
             seen["stage_two_drop"] += len(sample) < drawn.sum()
             seen["whole_sample_drop"] += bool(np.any(lp.row_var[over] < 0))
-        # the same rows plus an empty and a singleton set, over sorted ids
+        # the same rows plus an empty and a singleton set, over context positions
         sets = samples + [(), tuple(int(i) for i in ids[-1:])]
-        order = np.argsort(ids)
-        rows = np.array([np.isin(ids[order], s) for s in sets])
-        idx = ctx.index_of(ids[order])
+        rows = selection(ctx, *sets)
         bound = 1.5  # low enough that extraction drops members
-        kept = _extract_rows(ctx, idx, rows, [bound] * len(rows))
+        kept = _extract_rows(ctx, rows, [bound] * len(rows))
         kept_sets = [_reference_extract(ctx, s, bound) for s in sets]
-        assert [tuple(int(i) for i in ids[order][row]) for row in kept] == kept_sets
+        assert [tuple(ctx.ids[row].tolist()) for row in kept] == kept_sets
         parts = [[tuple(ctx.ids[p].tolist()) for p in row]
-                 for row in _strengthen_rows(ctx, idx, rows)]
+                 for row in _strengthen_rows(ctx, rows)]
         assert parts == [_reference_strengthen(ctx, s) for s in sets]
-        assert final_selection_batch(ctx, ids, rows[:, np.argsort(order)], [bound] * len(rows),
-                                     ["capacity"] * len(rows)) == \
-            [best_part(ctx, _reference_strengthen(ctx, k), "capacity") for k in kept_sets]
-        assert extract_low_affectance(ctx, sets[0], bound) == kept_sets[0]
+        best = [best_part(ctx, [ctx.index_of(p) for p in _reference_strengthen(ctx, k)],
+                          "capacity") for k in kept_sets]
+        assert [p.tolist() for p in final_selection_batch(
+            ctx, rows, [bound] * len(rows), ["capacity"] * len(rows))] == \
+            [p.tolist() for p in best]
+        assert _extracted(ctx, sets[0], bound) == kept_sets[0]
         assert signal_strengthen(ctx, sets[0]) == parts[0]
         seen["extract_drop"] += sum(len(k) < len(s) for k, s in zip(kept_sets, sets))
         seen["multi_part"] += sum(len(p) > 1 for p in parts)
@@ -423,18 +427,18 @@ def test_strengthening_a_gapped_subset_of_sparse_ids_matches_per_set_reference()
                                            lk.receiver, weight=lk.weight)
                                       for lk in inst.links), alpha=inst.alpha)
         ctx = AffectanceContext(sparse, UNIFORM)
-        # every third position left out, then unsorted: the rows' union has
-        # gaps and is a strict subset of the context
-        cols = rng.permutation(np.flatnonzero(np.arange(ctx.n) % 3 != 1))
-        rows = rng.random((6, cols.size)) < rng.uniform(0.3, 0.9, (6, 1))
+        # every third position left out: the rows' union has gaps and is a
+        # strict subset of the context
+        cols = np.flatnonzero(np.arange(ctx.n) % 3 != 1)
+        rows = np.zeros((6, ctx.n), dtype=bool)
+        rows[:, cols] = rng.random((6, cols.size)) < rng.uniform(0.3, 0.9, (6, 1))
         rows[0] = False
-        rows[1, 1:] = False
-        rows[2, :] = True
-        idx = cols
-        assert 0 < np.unique(idx[rows.any(axis=0)]).size < ctx.n
-        sets = [tuple(int(i) for i in ctx.ids[idx[row]]) for row in rows]
+        rows[1, cols[1:]] = False
+        rows[2, cols] = True
+        assert 0 < rows.any(axis=0).sum() < ctx.n
+        sets = [tuple(int(i) for i in ctx.ids[row]) for row in rows]
         parts = [[tuple(ctx.ids[p].tolist()) for p in row]
-                 for row in _strengthen_rows(ctx, idx, rows)]
+                 for row in _strengthen_rows(ctx, rows)]
         assert parts == [_reference_strengthen(ctx, s) for s in sets]
         seen_parts += sum(len(p) > 1 for p in parts)
     assert seen_parts  # some row was split into several parts
@@ -467,10 +471,10 @@ def test_final_selection_batch_takes_a_bound_and_mode_per_row():
     sel = np.random.default_rng(2).random((30, ctx.n)) < 0.4
     bounds = np.linspace(1.0, 24.0, 30)
     modes = ["weighted", "capacity", "qos"] * 10
-    batch = final_selection_batch(ctx, ctx.ids, sel, bounds, modes)
-    assert batch == [final_selection(ctx, ctx.ids[row], bound, mode)
+    batch = [p.tolist() for p in final_selection_batch(ctx, sel, bounds, modes)]
+    assert batch == [final_selection_batch(ctx, row[None], [bound], [mode])[0].tolist()
                      for row, bound, mode in zip(sel, bounds, modes)]
-    assert len(set(batch)) > 1
+    assert len(set(map(tuple, batch))) > 1
 
 
 def test_round_trials_batches_consecutive_pairs_up_to_the_cell_budget(monkeypatch):
@@ -481,9 +485,9 @@ def test_round_trials_batches_consecutive_pairs_up_to_the_cell_budget(monkeypatc
     batches = []
     select = rounding.final_selection_batch
 
-    def recorded(ctx, ids, sel, bounds, modes):
+    def recorded(ctx, sel, bounds, modes):
         batches.append(sel)
-        return select(ctx, ids, sel, bounds, modes)
+        return select(ctx, sel, bounds, modes)
 
     def cells(sel):
         return len(sel) * int(sel.any(axis=0).sum())

@@ -15,10 +15,11 @@ import pytest
 
 from sinrcap import (AffectanceContext, GenConfig, LpSession, PowerAssignment,
                      RoundingPolicy, build_capacity_lp, build_weighted_lp,
-                     generate_instance, run_compare, run_oracle_suite, sample_round,
-                     solve_lp)
+                     generate_instance, run_compare, run_oracle_suite, solve_lp)
 from sinrcap import cli, formulations, harness
 from sinrcap.model import write_instance
+
+from conftest import sampled
 
 SWEEP = (0.6, 1.2, 1.8, 2.4)
 TRIALS = 25
@@ -69,8 +70,8 @@ def test_session_sweep_matches_cold_solves(case):
         assert warm.objective == pytest.approx(cold.objective, rel=0, abs=1e-9)
         policy = RoundingPolicy(mode=mode, C=c, trials=TRIALS, seed=11)
         for trial in range(TRIALS):
-            assert sample_round(lp, warm.values, policy, trial) == \
-                sample_round(lp, cold.values, policy, trial)
+            assert sampled(lp, warm.values, policy, trial) == \
+                sampled(lp, cold.values, policy, trial)
 
 
 def _assert_warm_matches_cold(monkeypatch, run, lp_sweeps=1):
