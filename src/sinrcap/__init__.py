@@ -16,7 +16,7 @@ from .rounding import (RoundingPolicy, bernoulli_draws, run_pipeline, run_sweep,
 from .greedy import greedy_base, greedy_combined, greedy_combined_sweep, greedy_sweep
 from .oracle import TooLarge, exact_admission, exact_capacity, largest_bifeasible
 from .admission import (AdmissionResult, RetriesExhausted, admit_general, admit_large_opt,
-                        verify_admission)
+                        admit_sweep, verify_admission)
 from .harness import (GenConfig, ExperimentRecord, generate_instance,
                       run_compare, run_oracle_suite)
 

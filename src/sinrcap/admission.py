@@ -12,19 +12,22 @@ The general pipeline groups every trial's set at once through
 ``rounding._first_fit``, the engine of signal strengthening, on context
 positions like the rest of final selection; ids are formed only in the
 returned ``AdmissionResult``.
+
+``admit_sweep`` runs a constant sweep of either pipeline as one
+``rounding.round_trials`` call and reduces each constant's selections
+(``_general``, ``_large``).
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Optional
+from functools import partial
 
 import numpy as np
 
 from .affectance import (AffectanceContext, Schedule, _exact_budgets, _feasible_exact,
                          certify)
-from .lp_core import LpSession
 from .rounding import (_STRENGTHEN_LIMIT, RoundingPolicy, _better, _first_fit, best_part,
                        round_trials)
 
@@ -111,16 +114,9 @@ def _result(ctx, admitted, groups, notes) -> AdmissionResult:
     return result
 
 
-def admit_general(ctx: AffectanceContext, policy: RoundingPolicy,
-                  session: Optional[LpSession] = None) -> AdmissionResult:
-    """LP + rounding + extraction, then primary-safe grouping; returns the
-    largest group.  Works for any number of primaries.  The LP is built and
-    solved through ``session`` when given."""
-    if policy.mode != "admission_general":
-        raise ValueError("policy mode must be admission_general")
-    session = LpSession() if session is None else session
-    lp = session.program(policy.problem.build, ctx, policy.C)
-    feasible_sets, = round_trials(ctx, [(lp, policy)], session)
+def _general(ctx, lp, policy, feasible_sets) -> AdmissionResult:
+    """The general pipeline's result from its rounded sets: primary-safe
+    grouping of each, then the largest group."""
     best, best_groups, best_aggregate = (), [], 0.0
     for feasible_set, groups in zip(feasible_sets, _partition_rows(ctx, feasible_sets)):
         cand = tuple(best_part(ctx, groups, policy.mode).tolist())
@@ -138,26 +134,12 @@ def admit_general(ctx: AffectanceContext, policy: RoundingPolicy,
     return _result(ctx, np.array(best, dtype=int), best_groups, notes)
 
 
-def admit_large_opt(ctx: AffectanceContext, policy: RoundingPolicy,
-                    session: Optional[LpSession] = None) -> AdmissionResult:
-    """Prefilter, LP, and rounding where one rounded set must respect every
-    primary's unit budget simultaneously; no grouping step is needed.  Up
-    to ``max(policy.trials, RETRY_CAP)`` samples are drawn, and the first
-    ``policy.trials`` whose loads stay within ``_STRENGTHEN_LIMIT`` on every
-    primary are kept.  The LP is built and solved through ``session`` when
-    given."""
-    if policy.mode != "admission_large":
-        raise ValueError("policy mode must be admission_large")
-    session = LpSession() if session is None else session
-    lp = session.program(policy.problem.build, ctx, policy.C)
-    to_prim = ctx.raw_to_prim[ctx.index_of(lp.ids)]
-    attempts = max(policy.trials, RETRY_CAP)
-    selections, = round_trials(
-        ctx, [(lp, policy)], session, attempts=attempts,
-        accept=lambda sel: np.all(sel.astype(float) @ to_prim <= _STRENGTHEN_LIMIT, axis=1))
+def _large(ctx, lp, policy, selections) -> AdmissionResult:
+    """The large-optimum pipeline's result from its accepted samples: the
+    best of them."""
     if not selections:
-        raise RetriesExhausted(
-            f"primary budget condition failed in all {attempts} attempts")
+        raise RetriesExhausted("primary budget condition failed in all "
+                               f"{max(policy.trials, RETRY_CAP)} attempts")
     best = best_part(ctx, selections, policy.mode)
     notes = {
         "group_count": 1 if best.size else 0,
@@ -167,3 +149,41 @@ def admit_large_opt(ctx: AffectanceContext, policy: RoundingPolicy,
     }
     return _result(ctx, best, [best] if best.size else [], notes)
 
+
+def _primary_safe(ctx, lp, sel) -> np.ndarray:
+    """Per sample of ``sel`` (booleans over ``lp.ids``): whether its
+    unclipped loads stay within ``_STRENGTHEN_LIMIT`` on every primary."""
+    to_prim = ctx.raw_to_prim[ctx.index_of(lp.ids)]
+    return np.all(sel.astype(float) @ to_prim <= _STRENGTHEN_LIMIT, axis=1)
+
+
+def admit_sweep(ctx: AffectanceContext, policies) -> list:
+    """The admission result of each policy, in order, from one
+    ``round_trials`` sweep; the policies share one admission mode.  The
+    large-optimum mode draws up to ``max(policy.trials, RETRY_CAP)``
+    samples per policy and keeps the first ``policy.trials`` that are safe
+    for every primary."""
+    modes = {policy.mode for policy in policies}
+    if len(modes) > 1 or not modes <= {"admission_general", "admission_large"}:
+        raise ValueError("admission sweep policies must share one admission mode")
+    large = modes == {"admission_large"}
+    trials = round_trials(ctx, policies, accept=partial(_primary_safe, ctx) if large else None,
+                          attempts=RETRY_CAP if large else 0)
+    reduce = _large if large else _general
+    return [reduce(ctx, lp, policy, sel) for (lp, sel), policy in zip(trials, policies)]
+
+
+def admit_general(ctx: AffectanceContext, policy: RoundingPolicy) -> AdmissionResult:
+    """LP + rounding + extraction, then primary-safe grouping; returns the
+    largest group, for any number of primaries: ``admit_sweep`` of one policy."""
+    if policy.mode != "admission_general":
+        raise ValueError("policy mode must be admission_general")
+    return admit_sweep(ctx, [policy])[0]
+
+
+def admit_large_opt(ctx: AffectanceContext, policy: RoundingPolicy) -> AdmissionResult:
+    """Prefilter, LP, and rounding where one rounded set must respect every
+    primary's unit budget at once, with no grouping: ``admit_sweep`` of one policy."""
+    if policy.mode != "admission_large":
+        raise ValueError("policy mode must be admission_large")
+    return admit_sweep(ctx, [policy])[0]

@@ -11,20 +11,18 @@ import json
 import math
 import sys
 
-from .admission import admit_general, admit_large_opt, verify_admission
+from .admission import admit_sweep, verify_admission
 from .affectance import AffectanceContext, InfeasiblePrimaries
 from .formulations import PROBLEMS
 from .greedy import greedy_combined_sweep, greedy_sweep
-from .harness import (DEFAULT_SWEEP, WEIGHT_DISTRIBUTIONS, GenConfig, best_over_sweep,
-                      generate_instance, lp_sweep, run_compare, run_oracle_suite,
-                      sweep_best, verify_output)
+from .harness import (DEFAULT_SWEEP, WEIGHT_DISTRIBUTIONS, GenConfig, generate_instance,
+                      run_compare, run_oracle_suite, sweep_best, verify_output)
 from .model import parse_power, read_instance, write_instance
 from .oracle import TooLarge, exact_admission, exact_capacity
-from .rounding import RoundingPolicy, _schedule_objective, schedule_weight
+from .rounding import RoundingPolicy, _schedule_objective, run_sweep, schedule_weight
 
 # by the paper's problem: both admission programs solve "admission"
 ORACLE_PROBLEMS = {problem.name: problem for problem in PROBLEMS.values()}
-ADMIT_METHODS = {"general": admit_general, "large": admit_large_opt}
 
 GREEDY_SWEEPS = {"greedy": greedy_combined_sweep,
                  "greedy_w": lambda ctx, sweep: greedy_sweep(ctx, "weight_classes", sweep),
@@ -174,7 +172,8 @@ def _cmd_gen(args) -> int:
 def _cmd_solve(args) -> int:
     ctx = _context(args)
     if args.algo == "lp":
-        schedules = lp_sweep(ctx, args.formulation, args.sweep, args.trials, args.seed)
+        schedules = run_sweep(ctx, [RoundingPolicy(mode=args.formulation, C=c, trials=args.trials,
+                                                   seed=args.seed) for c in args.sweep])
     else:
         schedules = GREEDY_SWEEPS[args.algo](ctx, args.sweep)
     c, value, sched = sweep_best(args.sweep, [
@@ -189,14 +188,10 @@ def _cmd_solve(args) -> int:
 
 def _cmd_admit(args) -> int:
     ctx = _context(args, primaries=True)
-
-    def run(c, session):
-        policy = RoundingPolicy(mode=f"admission_{args.method}", C=c, trials=args.trials,
-                                seed=args.seed)
-        res = ADMIT_METHODS[args.method](ctx, policy, session=session)
-        return res.admitted.size, res
-
-    c, value, res = best_over_sweep(args.sweep, run)
+    results = admit_sweep(ctx, [RoundingPolicy(mode=f"admission_{args.method}", C=c,
+                                               trials=args.trials, seed=args.seed)
+                                for c in args.sweep])
+    c, value, res = sweep_best(args.sweep, [(res.admitted.size, res) for res in results])
     best = {"constant": c, "value": value, "ids": list(res.admitted.ids),
             "groups": [list(g) for g in res.groups],
             "per_primary_load": list(res.per_primary_load),

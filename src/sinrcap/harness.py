@@ -3,9 +3,9 @@
 Instances are drawn inside an R x R square with link lengths uniform in
 [1, delta]; four weight distributions are supported.  ``run_compare``
 reproduces the sweep-and-compare methodology: every algorithm is run over
-a grid of acceptance/bound constants and its best result is reported,
-together with the LP-to-greedy quality ratio.  ``sweep_best`` picks each
-such sweep's best constant, here and in the CLI.
+a grid of acceptance/bound constants, each sweep in one call, and its
+best result is reported, together with the LP-to-greedy quality ratio.
+``sweep_best`` picks each such sweep's best constant, here and in the CLI.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 from .affectance import AffectanceContext, check_feasibility
 from .formulations import PROBLEMS
 from .greedy import greedy_base, greedy_sweep, heavier
-from .lp_core import LpSession, solve_lp
+from .lp_core import solve_lp
 from .model import Instance, Link, Point, PowerAssignment, PrimarySet
 from .oracle import exact_capacity, largest_bifeasible
 from .rounding import RoundingPolicy, run_pipeline, run_sweep, schedule_weight
@@ -142,23 +142,6 @@ def verify_output(ctx: AffectanceContext, ids) -> bool:
             and check_feasibility(ctx, ids, mode="exact_sinr"))
 
 
-def best_over_sweep(sweep: Sequence[float], run):
-    """Call ``run(c, session) -> (value, result)`` for each constant of the
-    sweep, all through one ``LpSession`` (it builds a builder's rows once,
-    as they do not depend on C), and return ``sweep_best`` of the
-    results."""
-    session = LpSession()
-    return sweep_best(sweep, [run(c, session) for c in sweep])
-
-
-def lp_sweep(ctx: AffectanceContext, mode: str, sweep: Sequence[float], trials: int,
-             seed: int) -> list:
-    """The LP pipeline's schedule under ``mode`` at each constant of the
-    sweep, in order: one ``run_sweep`` through one fresh ``LpSession``."""
-    return run_sweep(ctx, [RoundingPolicy(mode=mode, C=c, trials=trials, seed=seed)
-                           for c in sweep], LpSession())
-
-
 def sweep_best(sweep: Sequence[float], results) -> tuple:
     """(constant, value, result) with the largest value among the
     (value, result) pairs of the sweep's constants; ties, and gains of at
@@ -172,17 +155,13 @@ def sweep_best(sweep: Sequence[float], results) -> tuple:
     return best
 
 
-def _weight_and_ids(ctx: AffectanceContext, schedule):
-    return schedule_weight(ctx, schedule), schedule.ids
-
-
 def run_compare(gen_configs: Sequence[GenConfig], sweep: Sequence[float],
                 trials: int, out_path, power: Optional[PowerAssignment] = None,
                 timing: bool = False) -> list:
     """Run the LP pipeline and the greedy variants over a constant sweep on
     each instance, keep each algorithm's best, and write one CSV.
 
-    Each algorithm runs its whole sweep in one call: ``lp_sweep`` for the
+    Each algorithm runs its whole sweep in one call: ``run_sweep`` for the
     LP and ``greedy_sweep`` for each class greedy, whose schedules the
     combined greedy compares constant by constant.  Every emitted solution
     row is re-verified feasible before writing.  Rows are deterministic for
@@ -203,7 +182,8 @@ def run_compare(gen_configs: Sequence[GenConfig], sweep: Sequence[float],
                     density=cfg.density, weight_dist=cfg.weight_dist)
         schedules, best, ms = {}, {}, {}
         sweeps = {  # algo -> its schedule per constant, in row order
-            "lp": lambda: lp_sweep(ctx, "weighted", sweep, trials, cfg.seed),
+            "lp": lambda: run_sweep(ctx, [RoundingPolicy(mode="weighted", C=c, trials=trials,
+                                                         seed=cfg.seed) for c in sweep]),
             "greedy_w": lambda: greedy_sweep(ctx, "weight_classes", sweep),
             "greedy_l": lambda: greedy_sweep(ctx, "length_classes", sweep),
             "greedy": lambda: [heavier(ctx, w, l) for w, l in zip(schedules["greedy_w"],
@@ -212,7 +192,7 @@ def run_compare(gen_configs: Sequence[GenConfig], sweep: Sequence[float],
         for algo, run in sweeps.items():
             t0 = time.perf_counter()
             schedules[algo] = run()
-            best[algo] = sweep_best(sweep, [_weight_and_ids(ctx, schedule)
+            best[algo] = sweep_best(sweep, [(schedule_weight(ctx, schedule), schedule.ids)
                                             for schedule in schedules[algo]])
             ms[algo] = (time.perf_counter() - t0) * 1e3
         ms["greedy"] += ms["greedy_w"] + ms["greedy_l"]  # it reuses the class runs
@@ -250,16 +230,15 @@ def run_oracle_suite(gen_configs: Sequence[GenConfig], trials: int = 50,
         ctx = AffectanceContext(inst, power)
         opt = exact_capacity(ctx, "cardinality", "exact_sinr")
         w2 = largest_bifeasible(ctx, 2.0)
-        session = LpSession()  # the probe's rows serve the pipeline's solve too
-        lp_probe = session.program(PROBLEMS["capacity"].build, ctx, 1.0)
+        lp_probe = PROBLEMS["capacity"].build(ctx, 1.0)
         indicator = np.zeros(ctx.n)
         if w2.ids:
             indicator[ctx.index_of(w2.ids)] = 1.0
         calibrated = max(float(np.max(lp_probe.row_coeffs @ indicator)), 1e-9) \
             if ctx.n else 1e-9
-        lp_star = solve_lp(lp_probe.at(calibrated), session).objective
+        lp_star = solve_lp(lp_probe.at(calibrated)).objective
         policy = RoundingPolicy(mode="capacity", C=1.0, trials=trials, seed=cfg.seed)
-        alg = run_pipeline(ctx, policy, session)
+        alg = run_pipeline(ctx, policy)
         grd = greedy_base(ctx, 1.0)
         verdicts = {
             "alg_le_opt": alg.size <= opt.size and grd.size <= opt.size,

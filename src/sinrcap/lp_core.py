@@ -10,19 +10,18 @@ A program names its variables: ``ids`` holds the link id of each
 variable (0..n-1 unless given), so rounding needs no other record of
 which links a program covers.
 
-An ``LpSession`` holds one HiGHS model across solves, and the programs of
-one constant sweep: ``program`` builds a (builder, context) pair's rows
-once and derives each later constant's program with ``LinearProgram.at``,
-which shares the read-only objective and rows and recomputes only the
-row bounds and limits.  When a program's objective and rows are the
-loaded arrays themselves, the session pushes only the row bounds that
-changed and re-solves with the dual simplex from the previous optimal
-basis (the warm start): after a bound change only that basis's dual
-feasibility survives.  Any other program is loaded cold and solved by
-the primal simplex.  x = 0 is a feasible basis of every program here, so
-the primal starts in its phase 2, while the dual would start from the
-all-at-upper-bound point.  ``solve_lp`` runs one program through a given
-session, or through a fresh one.
+An ``LpSession`` holds one HiGHS model across solves.  A constant sweep
+(``rounding.round_trials``) derives each later constant's program with
+``LinearProgram.at``, which shares the read-only objective and rows and
+recomputes only the row bounds and limits.  When a program's objective
+and rows are the loaded arrays themselves, the session pushes only the
+row bounds that changed and re-solves with the dual simplex from the
+previous optimal basis (the warm start): after a bound change only that
+basis's dual feasibility survives.  Any other program is loaded cold and
+solved by the primal simplex.  x = 0 is a feasible basis of every
+program here, so the primal starts in its phase 2, while the dual would
+start from the all-at-upper-bound point.  ``solve_lp`` runs one program
+through a given session, or through a fresh one.
 
 A program may also carry the data of the second rounding stage: per row,
 the variable whose survival the row decides (-1: the whole sample) and
@@ -152,7 +151,7 @@ class FractionalSolution:
 
 class LpSession:
     """One HiGHS model reused across solves of programs that differ only in
-    their row bounds, and the programs of one sweep.
+    their row bounds.
 
     ``iterations`` and ``warm`` describe the last solve: its simplex
     iterations and whether it re-solved the loaded model from its basis.
@@ -164,17 +163,8 @@ class LpSession:
             if self._highs.setOptionValue(option, value) != highs.HighsStatus.kOk:
                 raise LpSolveError(f"HiGHS rejected option {option}={value!r}")
         self._loaded = None   # the loaded program; None: reload
-        self._programs = {}   # (builder, context) -> the program it built
         self.iterations = 0
         self.warm = False
-
-    def program(self, build, ctx, C: float) -> LinearProgram:
-        """``build(ctx, C)``: built on the session's first request for (build,
-        ctx), derived with ``LinearProgram.at`` on later ones."""
-        built = self._programs.get((build, ctx))
-        if built is None:
-            return self._programs.setdefault((build, ctx), build(ctx, C))
-        return built.at(C)
 
     def solve(self, lp: LinearProgram) -> FractionalSolution:
         """Solve to optimality; constraint and optimality tolerance 1e-7."""

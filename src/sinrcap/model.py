@@ -55,12 +55,6 @@ class Link:
         if self.noise_override is not None and self.noise_override < 0:
             raise ValueError(f"link {self.id}: noise override must be nonnegative")
 
-    @property
-    def length(self) -> float:
-        """Euclidean sender-receiver distance; an instance with a distance
-        matrix takes lengths from the matrix (``Instance.length_of``)."""
-        return self.sender.distance_to(self.receiver)
-
 
 @dataclass(frozen=True)
 class PrimarySet:
@@ -75,6 +69,8 @@ class PrimarySet:
         for link, p in zip(self.links, self.powers):
             if not p > 0:
                 raise ValueError(f"primary {link.id}: power must be positive, got {p!r}")
+            if link.beta_override is not None or link.noise_override is not None:
+                raise ValueError(f"primary {link.id}: takes no beta or noise override")
 
     def __len__(self):
         return len(self.links)

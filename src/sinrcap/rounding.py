@@ -23,19 +23,19 @@ context positions through the per-part check, the best-part rule and
 admission's grouping; ids are formed only where a pipeline certifies its
 result.  ``signal_strengthen`` is the one-set case of the same code.
 
-``round_trials`` is the one trial loop: it solves and samples a sweep's
-(program, policy) pairs in order through one session, so warm starts are
-those of a loop over the constants, and selects the kept samples of
-consecutive pairs in one batch, each under its own policy's bound and
+``round_trials`` is the one trial loop and the only code that knows how
+a sweep shares its solves: one ``LpSession`` per call, in which each
+mode's program (``formulations.PROBLEMS``) is built once, so warm starts
+are those of a loop over the constants.  It selects the kept samples of
+consecutive policies in one batch, each under its own policy's bound and
 objective.  A batch costs lockstep steps by its longest row, not by its
 number of rows, which pays while rows are short; so a batch runs once
 its samples times the links they hold reach ``_BATCH_CELLS``.  At n=200
 a compare sweep's 2 x 50 samples stay one batch; at n=1000 each
-constant's 100 samples hold more and run alone, since one batch over
-15 constants raised max RSS from 200 to 240 MiB and gained no clear time.
+constant's 100 samples hold more and run alone, since one batch over 15
+constants raised max RSS from 200 to 240 MiB and gained no clear time.
 ``run_sweep`` reduces what it yields per policy, and ``run_pipeline`` is
-its one-policy case; both admission pipelines reduce it too.  Each builds
-its policy's program (``formulations.PROBLEMS``) through an ``LpSession``.
+its one-policy case; ``admission.admit_sweep`` reduces it too.
 ``best_part`` is the one rule by which this module, ``greedy`` and
 ``admission`` choose among candidate sets; ``_schedule_objective`` values a set.
 """
@@ -45,7 +45,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -286,33 +286,39 @@ def final_selection_batch(ctx: AffectanceContext, sel: np.ndarray,
     return [best_part(ctx, p, mode) for p, mode in zip(parts, modes)]
 
 
-def round_trials(ctx: AffectanceContext, runs, session: Optional[LpSession] = None,
-                 accept=None, attempts: int = 0) -> Iterator[list]:
-    """For each (program, policy) pair of ``runs``, in order: solve the
-    program (through ``session`` when given, so a constant sweep reuses one
-    model) and draw ``policy.trials`` two-stage samples over its ids.
-    Yields per pair the final selection of each sample, a position array,
-    in trial order, under the policy's extraction bound and mode.
-    Consecutive pairs share one ``final_selection_batch``, which runs as
+def round_trials(ctx: AffectanceContext, policies: Sequence[RoundingPolicy], accept=None,
+                 attempts: int = 0) -> Iterator[tuple]:
+    """For each policy, in order: solve its program, through the call's one
+    ``LpSession``, and draw ``policy.trials`` two-stage samples over the
+    program's ids.  Each mode's program is built at its first constant and
+    derived with ``LinearProgram.at`` at later ones.  Yields per policy its
+    program and the final selection of each sample, a position array, in
+    trial order, under the policy's extraction bound and mode.
+    Consecutive policies share one ``final_selection_batch``, which runs as
     soon as its samples times the links they hold reach ``_BATCH_CELLS``;
-    a pair is never split.
+    a policy is never split.
 
-    With ``accept``, a function from a block's selection matrix to one
-    boolean per row, each pair's trials are drawn in blocks of
-    ``policy.trials`` until ``attempts`` have been made, and only accepted
-    samples count, in attempt order: the samples a one-by-one loop would
-    take.
+    With ``accept``, a function from a program and a block's selection
+    matrix to one boolean per row, each policy's trials are drawn in blocks
+    of ``policy.trials`` until ``max(policy.trials, attempts)`` have been
+    made, and only accepted samples count, in attempt order: the samples a
+    one-by-one loop would take.
     """
-    batch = []  # (samples over the context positions, policy) per pair
-    for lp, policy in runs:
+    session, built = LpSession(), {}
+    batch = []  # (samples over the context positions, policy, program) per policy
+    for policy in policies:
+        if policy.mode in built:
+            lp = built[policy.mode].at(policy.C)
+        else:
+            lp = built[policy.mode] = policy.problem.build(ctx, policy.C)
         sol = solve_lp(lp, session)
-        tries = policy.trials if accept is None else attempts
+        tries = max(policy.trials, attempts)
         wanted, kept = policy.trials, [np.zeros((0, lp.n), dtype=bool)]
         for start in range(0, tries, policy.trials):
             sel = sample_batch(lp, sol.values, policy,
                                range(start, min(start + policy.trials, tries)))
             if accept is not None:
-                sel = sel[accept(sel)][:wanted]
+                sel = sel[accept(lp, sel)][:wanted]
             wanted -= len(sel)
             kept.append(sel)
             if wanted <= 0:
@@ -320,7 +326,7 @@ def round_trials(ctx: AffectanceContext, runs, session: Optional[LpSession] = No
         samples = np.concatenate(kept)
         rows = np.zeros((len(samples), ctx.n), dtype=bool)
         rows[:, ctx.index_of(lp.ids)] = samples
-        batch.append((rows, policy))
+        batch.append((rows, policy, lp))
         if _cells(batch) >= _BATCH_CELLS:
             yield from _select_batch(ctx, batch)
             batch = []
@@ -330,34 +336,27 @@ def round_trials(ctx: AffectanceContext, runs, session: Optional[LpSession] = No
 
 def _cells(batch) -> int:
     """A batch's samples times the number of links any of them holds."""
-    held = np.logical_or.reduce([rows.any(axis=0) for rows, _ in batch])
-    return sum(len(rows) for rows, _ in batch) * int(held.sum())
+    held = np.logical_or.reduce([rows.any(axis=0) for rows, *_ in batch])
+    return sum(len(rows) for rows, *_ in batch) * int(held.sum())
 
 
 def _select_batch(ctx: AffectanceContext, batch) -> list:
-    """Per pair of ``round_trials``' batch, the final selection of each of
-    its samples, all in one ``final_selection_batch``."""
-    sel = np.concatenate([rows for rows, _ in batch])
-    bounds = [policy.extraction_bound for rows, policy in batch for _ in rows]
-    modes = [policy.mode for rows, policy in batch for _ in rows]
+    """Per policy of ``round_trials``' batch, its program and the final
+    selection of each of its samples, all in one ``final_selection_batch``."""
+    sel = np.concatenate([rows for rows, *_ in batch])
+    bounds = [policy.extraction_bound for rows, policy, _ in batch for _ in rows]
+    modes = [policy.mode for rows, policy, _ in batch for _ in rows]
     selections = iter(final_selection_batch(ctx, sel, bounds, modes))
-    return [list(islice(selections, len(rows))) for rows, _ in batch]
+    return [(lp, list(islice(selections, len(rows)))) for rows, _, lp in batch]
 
 
-def run_sweep(ctx: AffectanceContext, policies: Sequence[RoundingPolicy],
-              session: Optional[LpSession] = None) -> list:
-    """``run_pipeline`` of each policy, in order, through one ``session``
-    (a fresh one when None); returns one schedule per policy.  Each
-    policy's mode and C name its program, and the session builds a
-    builder's rows once.  The programs are built, solved and sampled in
-    order, and their samples selected in ``round_trials``' batches."""
-    session = LpSession() if session is None else session
+def run_sweep(ctx: AffectanceContext, policies: Sequence[RoundingPolicy]) -> list:
+    """``run_pipeline`` of each policy, in order, as one ``round_trials``
+    sweep; returns one schedule per policy."""
     if any(policy.problem.primaries for policy in policies):
         raise ValueError("admission pipelines are driven by the admission module")
-    runs = ((session.program(policy.problem.build, ctx, policy.C), policy)
-            for policy in policies)
     schedules = []
-    for selections, policy in zip(round_trials(ctx, runs, session), policies):
+    for (_, selections), policy in zip(round_trials(ctx, policies), policies):
         best = best_part(ctx, selections, policy.mode)
         if not check_positions(ctx, best):
             raise AssertionError("pipeline produced an infeasible schedule")
@@ -365,11 +364,9 @@ def run_sweep(ctx: AffectanceContext, policies: Sequence[RoundingPolicy],
     return schedules
 
 
-def run_pipeline(ctx: AffectanceContext, policy: RoundingPolicy,
-                 session: Optional[LpSession] = None) -> Schedule:
-    """Build ``policy.mode``'s program at ``policy.C`` and solve it (through
-    ``session`` when given, so a constant sweep builds the rows once and
-    reuses one model), round ``policy.trials`` independent samples, extract
-    and strengthen them all at once, and return the best resulting feasible
-    set: the one-policy case of ``run_sweep``."""
-    return run_sweep(ctx, [policy], session)[0]
+def run_pipeline(ctx: AffectanceContext, policy: RoundingPolicy) -> Schedule:
+    """Build ``policy.mode``'s program at ``policy.C`` and solve it, round
+    ``policy.trials`` independent samples, extract and strengthen them all
+    at once, and return the best resulting feasible set: the one-policy
+    case of ``run_sweep``."""
+    return run_sweep(ctx, [policy])[0]

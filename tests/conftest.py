@@ -2,8 +2,15 @@ import numpy as np
 import pytest
 
 from sinrcap import (AffectanceContext, GenConfig, InfeasiblePrimaries, Instance,
-                     Link, Point, PowerAssignment, generate_instance)
+                     Link, LpSession, Point, PowerAssignment, generate_instance)
 from sinrcap.rounding import sample_batch
+
+
+class ColdSession(LpSession):
+    """Loads every program cold, as solving without a session did."""
+
+    def solve(self, lp):
+        return LpSession().solve(lp)
 
 
 def make_link(lid, sx, sy, rx, ry, **kw):

@@ -5,14 +5,15 @@ import numpy as np
 import pytest
 
 from sinrcap import (AffectanceContext, Instance, PowerAssignment, PrimarySet,
-                     RetriesExhausted, RoundingPolicy, admit_general,
-                     admit_large_opt, check_feasibility, exact_admission, verify_admission)
+                     RetriesExhausted, RoundingPolicy, admit_general, admit_large_opt,
+                     admit_sweep, check_feasibility, exact_admission, verify_admission)
 from sinrcap import admission, rounding
 from sinrcap.formulations import build_admission_large_lp
 from sinrcap.lp_core import FractionalSolution
 from sinrcap.rounding import _better, final_selection_batch
 
-from conftest import far_instance, feasible_prim_ctx, make_link, random_ctx, sampled, selection
+from conftest import (ColdSession, far_instance, feasible_prim_ctx, make_link, random_ctx,
+                      sampled, selection)
 
 UNIFORM = PowerAssignment.uniform()
 
@@ -330,3 +331,28 @@ def test_large_opt_blocks_exhaust_retries(monkeypatch):
     monkeypatch.setattr(admission, "RETRY_CAP", 7)
     with pytest.raises(RetriesExhausted):
         admit_large_opt(ctx, pol)
+
+
+@pytest.mark.parametrize("mode", ["admission_general", "admission_large"])
+def test_admit_sweep_matches_per_constant_pipelines(mode, monkeypatch):
+    ctx = prim_ctx(62, n=16, R=8.0, primaries=2)
+    policies = [policy(mode, seed=3, trials=12, C=C) for C in (0.4, 1.2, 0.8, 1.2, 2.0)]
+    sweep = admit_sweep(ctx, policies)  # one session: warm re-solves
+    monkeypatch.setattr(rounding, "LpSession", ColdSession)
+    pipeline = admit_general if mode == "admission_general" else admit_large_opt
+    assert sweep == [pipeline(ctx, p) for p in policies]
+    assert len({res.admitted.ids for res in sweep}) > 1  # the constants did differ
+
+
+def test_admit_sweep_refuses_mixed_or_non_admission_modes():
+    ctx = prim_ctx(62, n=16, R=8.0, primaries=2)
+    assert admit_sweep(ctx, []) == []
+    for modes in (("admission_general", "admission_large"), ("capacity",),
+                  ("admission_large", "qos")):
+        with pytest.raises(ValueError, match="one admission mode"):
+            admit_sweep(ctx, [policy(mode) for mode in modes])
+    # the one-policy cases keep their own mode checks
+    with pytest.raises(ValueError, match="admission_general"):
+        admit_general(ctx, policy("admission_large"))
+    with pytest.raises(ValueError, match="admission_large"):
+        admit_large_opt(ctx, policy("admission_general"))

@@ -10,7 +10,7 @@ from sinrcap import (AffectanceContext, Instance, PowerAssignment, PrimarySet,
                      build_weighted_lp, exact_capacity, largest_bifeasible,
                      solve_lp)
 from sinrcap.formulations import PROBLEMS
-from sinrcap.lp_core import LpSession
+from sinrcap.rounding import RoundingPolicy, round_trials
 
 from conftest import (colocated_pair, far_instance, feasible_prim_ctx, make_link,
                       random_ctx)
@@ -257,7 +257,7 @@ def test_program_at_another_constant_matches_a_fresh_build():
 
 
 @pytest.mark.parametrize("mode", [mode for mode in PROBLEMS if mode != "capacity"])
-def test_problem_warns_its_power_precondition_once_per_built_program(mode, caplog):
+def test_problem_warns_its_power_precondition_once_per_sweep(mode, caplog):
     # linear power breaks the nearly-uniform preconditions, uniform power the
     # linear one; capacity's holds for every power assignment the model has
     problem = PROBLEMS[mode]
@@ -266,11 +266,11 @@ def test_problem_warns_its_power_precondition_once_per_built_program(mode, caplo
         kept, broken = broken, kept
     for power, warnings in ((broken, [problem.warning]), (kept, [])):
         ctx = feasible_prim_ctx(3, n=16, R=8.0, delta=4.0, primaries=2, power=power)
-        session = LpSession()
+        policies = [RoundingPolicy(mode=mode, C=C, trials=2) for C in (0.5, 1.0, 2.0)]
         caplog.clear()
         with caplog.at_level(logging.WARNING, logger="sinrcap.formulations"):
-            for C in (0.5, 1.0, 2.0):
-                assert session.program(problem.build, ctx, C).m > 0
+            for program, _ in round_trials(ctx, policies):  # one build, two derived
+                assert program.m > 0
         assert [r.getMessage() for r in caplog.records
                 if r.name == "sinrcap.formulations"] == warnings
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sinrcap import (AffectanceContext, GenConfig, Instance, Link, PowerAssignment,
-                     RoundingPolicy, build_weighted_lp, certify, check_feasibility,
+                     RoundingPolicy, certify, check_feasibility,
                      exact_capacity, generate_instance, greedy_base, greedy_combined,
                      greedy_combined_sweep, greedy_sweep, run_pipeline, schedule_weight)
 from sinrcap.greedy import (_class_candidates, length_class_partition,
@@ -214,9 +214,9 @@ def test_every_selection_keeps_the_heaviest_set_ties_to_smallest_ids():
     flat = _reweighted(generate_instance(GenConfig(n=8, R=3.0, delta=2.0, seed=3)),
                        [2.0] * 8)
     ctx = AffectanceContext(flat, PowerAssignment.linear())
-    lp, policy = build_weighted_lp(ctx, 1.0), RoundingPolicy(mode="weighted", trials=20,
-                                                             seed=3)
-    rounded = {tuple(ctx.ids[p].tolist()) for p in next(round_trials(ctx, [(lp, policy)]))}
+    policy = RoundingPolicy(mode="weighted", trials=20, seed=3)
+    _, selections = next(round_trials(ctx, [policy]))
+    rounded = {tuple(ctx.ids[p].tolist()) for p in selections}
     heaviest = sorted(s for s in rounded if len(s) == max(map(len, rounded)))
     assert len(heaviest) > 1
     assert run_pipeline(ctx, policy).ids == heaviest[0]

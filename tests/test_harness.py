@@ -11,7 +11,7 @@ from sinrcap import (AffectanceContext, GenConfig, PowerAssignment, certify,
 from sinrcap import cli
 from sinrcap.cli import main as cli_main
 from sinrcap.formulations import PROBLEMS
-from sinrcap.harness import CSV_COLUMNS, best_over_sweep, verify_output
+from sinrcap.harness import CSV_COLUMNS, sweep_best, verify_output
 from sinrcap.model import read_instance, write_instance
 
 
@@ -179,15 +179,11 @@ def test_cli_oracle_fails_on_infeasible_optimum(tmp_path, monkeypatch, problem, 
     assert json.loads(out.read_text())["verified"] is False
 
 
-def test_best_over_sweep_ignores_float_noise():
+def test_sweep_best_ignores_float_noise():
     runs = [(1.0, 5.0, "a"), (2.0, 5.0 + 5e-13, "b"), (3.0, 5.0 + 2e-12, "c")]
-    by_constant = {c: (value, result) for c, value, result in runs}
-
-    def run(c, session):
-        return by_constant[c]
-
-    assert best_over_sweep([1.0, 2.0], run) == runs[0]
-    assert best_over_sweep([1.0, 2.0, 3.0], run) == runs[2]
+    results = [(value, result) for _, value, result in runs]
+    assert sweep_best([1.0, 2.0], results[:2]) == runs[0]
+    assert sweep_best([1.0, 2.0, 3.0], results) == runs[2]
 
 
 @pytest.mark.parametrize("command", ["solve", "admit", "compare"])
@@ -293,17 +289,26 @@ GEN = ["gen", "--n", "5", "--side", "6", "--delta", "2"]
     (["admit", "EMPTY", "--method", "large"], "empty.json has no primaries"),
     (["admit", "EMPTY"], "empty.json has no primaries"),
     (["oracle", "EMPTY", "--problem", "admission"], "empty.json has no primaries"),
+    (["admit", "OWN"], "primary 1: takes no beta or noise override"),
+    (["admit", "OWN", "--method", "large"], "primary 1: takes no beta or noise override"),
+    (["oracle", "OWN", "--problem", "admission"], "primary 1: takes no beta or noise override"),
 ], ids=["side-0", "side-nan", "side-inf", "delta-0.5", "alpha-0", "beta-0", "noise-neg",
         "alpha-inf", "beta-inf", "noise-inf", "primary-power-inf", "primary-power-0",
         "primaries-neg", "compare-delta", "oracle-21", "suite-21", "admit-no-primaries",
         "oracle-admission-no-primaries", "admit-large-empty-primaries",
-        "admit-empty-primaries", "oracle-admission-empty-primaries"])
+        "admit-empty-primaries", "oracle-admission-empty-primaries",
+        "admit-primary-override", "admit-large-primary-override",
+        "oracle-admission-primary-override"])
 def test_cli_reports_rejected_input_in_one_line(args, bad, tmp_path, capsys):
-    paths = {"BIG": tmp_path / "big.json", "EMPTY": tmp_path / "empty.json"}
+    paths = {"BIG": tmp_path / "big.json", "EMPTY": tmp_path / "empty.json",
+             "OWN": tmp_path / "own.json"}
     write_instance(generate_instance(GenConfig(n=21, R=9.0, delta=2.0, seed=4)), paths["BIG"])
-    paths["EMPTY"].write_text(json.dumps({  # a primary list, but an empty one
-        "alpha": 2.5, "links": [{"id": 0, "sx": 0.0, "sy": 0.0, "rx": 1.0, "ry": 0.0}],
-        "primaries": []}))
+    link = {"id": 0, "sx": 0.0, "sy": 0.0, "rx": 1.0, "ry": 0.0}
+    # a primary list, but an empty one
+    paths["EMPTY"].write_text(json.dumps({"alpha": 2.5, "links": [link], "primaries": []}))
+    # a primary with its own threshold, which no SINR could reach
+    paths["OWN"].write_text(json.dumps({"alpha": 2.5, "links": [link], "primaries": [
+        {"id": 1, "sx": 50.0, "sy": 0.0, "rx": 51.0, "ry": 0.0, "power": 1.0, "beta": 1e9}]}))
     out = tmp_path / "out"
     argv = [str(paths.get(a, a)) for a in args]
     if args[0] != "suite":

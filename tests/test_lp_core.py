@@ -99,6 +99,8 @@ def test_invalid_programs_rejected():
             LinearProgram(objective=np.ones(2), row_coeffs=np.asarray(rows),
                           row_bounds=np.asarray(bounds), row_var=np.asarray(var),
                           row_limit=np.asarray(limit))
+    with pytest.raises(ValueError, match="row blocks"):
+        lp([1.0], [[0.5]], [1.0]).at(2.0)  # no blocks to set at a constant
 
 
 def test_program_ids_are_one_integer_per_variable():
@@ -352,45 +354,6 @@ def test_program_over_a_mutated_view_is_never_solved_warm(rng):
     assert sol.objective == fresh.objective and np.array_equal(sol.values, fresh.values)
 
 
-def test_session_builds_each_program_once():
-    ctx = random_ctx(4, n=12, R=4.0, delta=2.0)
-    prim = feasible_prim_ctx(8, n=16, R=6.0, delta=3.0, primaries=2)
-    calls = []
-
-    def counted(build):
-        return lambda c, C: calls.append(build) or build(c, C)
-
-    capacity, large = counted(build_capacity_lp), counted(build_admission_large_lp)
-    session = LpSession()
-    first = session.program(capacity, ctx, 0.6)
-    first_large = session.program(large, prim, 0.6)
-    for C in (1.2, 1.8):
-        program = session.program(capacity, ctx, C)
-        assert program.row_coeffs is first.row_coeffs
-        assert np.array_equal(program.row_bounds, build_capacity_lp(ctx, C).row_bounds)
-        assert session.program(large, prim, C).ids is first_large.ids
-        solve_lp(program, session)
-        assert session.warm == (C > 1.2)
-    assert calls == [build_capacity_lp, build_admission_large_lp]
-    assert session.program(capacity, random_ctx(4, n=12, R=4.0, delta=2.0), 0.6) \
-        .row_coeffs is not first.row_coeffs  # another context: another build
-    with pytest.raises(ValueError, match="row blocks"):
-        lp([1.0], [[0.5]], [1.0]).at(2.0)
-
-
-@pytest.mark.parametrize("build", [build_capacity_lp, build_qos_lp, build_weighted_lp,
-                                   build_admission_lp, build_admission_large_lp],
-                         ids=lambda build: build.__name__)
-def test_session_program_is_a_program_for_every_builder(build):
-    prim = feasible_prim_ctx(8, n=16, R=6.0, delta=3.0, primaries=2)
-    session = LpSession()
-    for C in (0.6, 1.2):
-        program, fresh = session.program(build, prim, C), build(prim, C)
-        assert isinstance(program, LinearProgram)
-        assert np.array_equal(program.ids, fresh.ids)
-        assert np.array_equal(program.row_bounds, fresh.row_bounds)
-
-
 def _strategy(session):
     return session._highs.getOptionValue("simplex_strategy")[1]
 
@@ -430,11 +393,11 @@ def test_cold_primal_solve_matches_a_dual_simplex_reference(seed):
 
 def test_warm_resolve_after_a_primal_load_is_dual():
     ctx = random_ctx(5, n=30, R=5.0, delta=3.0, power=PowerAssignment.mean())
-    session = LpSession()
-    solve_lp(session.program(build_capacity_lp, ctx, 1.0), session)
+    session, built = LpSession(), build_capacity_lp(ctx, 1.0)
+    solve_lp(built, session)
     assert not session.warm and _strategy(session) == PRIMAL
     for C in (1.6, 0.6):
-        program = session.program(build_capacity_lp, ctx, C)
+        program = built.at(C)
         warm = solve_lp(program, session)
         assert session.warm and _strategy(session) == DUAL
         cold_session = LpSession()

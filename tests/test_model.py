@@ -56,17 +56,20 @@ def test_matrix_validation_rejects_triangle_violation():
 
 def test_power_of_uniform():
     lk = make_link(0, 0.0, 0.0, 3.0, 0.0)
-    assert PowerAssignment.uniform(1.0).power(lk.length, 2.5) == 1.0
+    length = lk.sender.distance_to(lk.receiver)
+    assert PowerAssignment.uniform(1.0).power(length, 2.5) == 1.0
 
 
 def test_power_of_linear():
     lk = make_link(0, 0.0, 0.0, 2.0, 0.0)
-    assert PowerAssignment.linear().power(lk.length, 2.5) == pytest.approx(5.656854249492381)
+    length = lk.sender.distance_to(lk.receiver)
+    assert PowerAssignment.linear().power(length, 2.5) == pytest.approx(5.656854249492381)
 
 
 def test_power_of_mean():
     lk = make_link(0, 0.0, 0.0, 4.0, 0.0)
-    assert PowerAssignment.mean().power(lk.length, 2.0) == pytest.approx(4.0)
+    length = lk.sender.distance_to(lk.receiver)
+    assert PowerAssignment.mean().power(length, 2.0) == pytest.approx(4.0)
 
 
 @pytest.mark.parametrize("pa", [

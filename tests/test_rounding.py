@@ -8,11 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sinrcap import (AffectanceContext, GenConfig, Instance, Link, LpSession,
-                     PowerAssignment, RoundingPolicy, bernoulli_draws,
-                     build_admission_large_lp, build_admission_lp, build_capacity_lp,
-                     build_qos_lp, build_weighted_lp, check_feasibility, exact_capacity,
-                     generate_instance, run_pipeline, run_sweep, signal_strengthen, solve_lp)
+from sinrcap import (AffectanceContext, GenConfig, Instance, Link, PowerAssignment,
+                     RoundingPolicy, bernoulli_draws, build_admission_large_lp,
+                     build_admission_lp, build_capacity_lp, build_qos_lp, build_weighted_lp,
+                     check_feasibility, exact_capacity, generate_instance, run_pipeline,
+                     run_sweep, signal_strengthen, solve_lp)
 from sinrcap import formulations, rounding
 from sinrcap.rounding import (ROUNDING_MODES, _extract_rows, _first_fit, _strengthen_rows,
                               best_part, final_selection_batch, round_trials, sample_batch)
@@ -257,7 +257,10 @@ def test_pipeline_rounds_the_program_of_its_mode(mode):
     for C in (0.6, 1.4):
         policy = RoundingPolicy(mode=mode, C=C, trials=15, seed=3)
         program = BUILDERS[mode](ctx, C)
-        best = best_part(ctx, next(round_trials(ctx, [(program, policy)])), mode)
+        sel = sample_batch(program, solve_lp(program).values, policy, range(policy.trials))
+        parts = final_selection_batch(ctx, sel, [policy.extraction_bound] * len(sel),
+                                      [mode] * len(sel))
+        best = best_part(ctx, parts, mode)
         assert run_pipeline(ctx, policy).ids == tuple(ctx.ids[best].tolist())
     with pytest.raises(ValueError, match="admission module"):
         run_pipeline(ctx, RoundingPolicy(mode="admission_general"))
@@ -269,10 +272,10 @@ def test_pipeline_looks_its_builder_up_when_it_runs(monkeypatch):
     build = formulations.build_qos_lp
     monkeypatch.setattr(formulations, "build_qos_lp",
                         lambda c, C: calls.append(C) or build(c, C))
-    session = LpSession()
-    for C in (0.5, 1.0):
-        run_pipeline(ctx, RoundingPolicy(mode="qos", C=C, trials=3), session)
-    assert calls == [0.5]  # built once per session, derived at the next constant
+    run_sweep(ctx, [RoundingPolicy(mode="qos", C=C, trials=3) for C in (0.5, 1.0)])
+    assert calls == [0.5]  # built once per sweep, derived at the next constant
+    run_pipeline(ctx, RoundingPolicy(mode="qos", C=2.0, trials=3))
+    assert calls == [0.5, 2.0]
 
 
 def test_context_shared_across_threads():
@@ -449,11 +452,10 @@ def test_sweep_matches_per_constant_pipelines(mode):
     ctx = random_ctx(12, n=30, R=3.0, delta=2.0, power=PowerAssignment.linear())
     constants = (0.2, 1.4, 0.6, 1.4, 2.2)  # unsorted, with a repeat
     policies = [RoundingPolicy(mode=mode, C=C, trials=12, seed=4) for C in constants]
-    session = LpSession()
-    per_constant = [run_pipeline(ctx, policy, session) for policy in policies]
-    assert run_sweep(ctx, policies, LpSession()) == per_constant
+    per_constant = [run_pipeline(ctx, policy) for policy in policies]
+    assert run_sweep(ctx, policies) == per_constant
     assert len({s.ids for s in per_constant}) > 1  # the constants did differ
-    assert run_sweep(ctx, [], LpSession()) == []
+    assert run_sweep(ctx, []) == []
 
 
 def test_sweep_of_mixed_modes_matches_per_policy_pipelines():
@@ -461,9 +463,7 @@ def test_sweep_of_mixed_modes_matches_per_policy_pipelines():
     policies = [RoundingPolicy(mode=mode, C=C, trials=9, seed=2)
                 for mode, C in (("weighted", 1.0), ("capacity", 0.8), ("qos", 1.0),
                                 ("weighted", 2.0))]
-    session = LpSession()
-    assert run_sweep(ctx, policies, LpSession()) == \
-        [run_pipeline(ctx, policy, session) for policy in policies]
+    assert run_sweep(ctx, policies) == [run_pipeline(ctx, policy) for policy in policies]
 
 
 def test_final_selection_batch_takes_a_bound_and_mode_per_row():
@@ -509,6 +509,42 @@ def test_round_trials_batches_consecutive_pairs_up_to_the_cell_budget(monkeypatc
             assert len(batches) == 6
         else:
             assert 1 < len(batches) < 6, budget
+
+
+def test_round_trials_builds_each_mode_once_per_sweep(monkeypatch):
+    ctx = random_ctx(4, n=12, R=4.0, delta=2.0)
+    prim = feasible_prim_ctx(8, n=16, R=6.0, delta=3.0, primaries=2)
+    calls, warm = [], []
+    solve = rounding.solve_lp
+
+    def counted(name):
+        build = getattr(formulations, name)
+        return lambda c, C: calls.append(name) or build(c, C)
+
+    def recorded(lp, session=None):
+        sol = solve(lp, session)
+        warm.append(session.warm)
+        return sol
+
+    for name in ("build_capacity_lp", "build_admission_large_lp"):
+        monkeypatch.setattr(formulations, name, counted(name))
+    monkeypatch.setattr(rounding, "solve_lp", recorded)
+    constants = (0.6, 1.2, 1.8)
+    for c, mode in ((ctx, "capacity"), (prim, "admission_large"), (ctx, "capacity")):
+        calls.clear()
+        warm.clear()
+        programs = [lp for lp, _ in round_trials(
+            c, [RoundingPolicy(mode=mode, C=C, trials=3) for C in constants])]
+        assert calls == [formulations.PROBLEMS[mode].builder]  # each sweep builds again, once
+        assert warm == [False, True, True]
+        first = programs[0]
+        for program, C in zip(programs, constants):
+            assert program.objective is first.objective
+            assert program.row_coeffs is first.row_coeffs
+            assert program.ids is first.ids
+            fresh = formulations.PROBLEMS[mode].build(c, C)
+            assert np.array_equal(program.row_bounds, fresh.row_bounds)
+            assert np.array_equal(program.row_limit, fresh.row_limit)
 
 
 def _bin_fit(size, rows, steps):

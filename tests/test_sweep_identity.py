@@ -3,9 +3,9 @@
 Each sweep below re-solves one model after changing only its row bounds.
 The reference is a fresh build and a fresh session, so a cold load, for
 every constant.
-``sinrcap solve`` and ``run_compare`` sweep the LP through
-``harness.lp_sweep`` and ``sinrcap admit`` through
-``harness.best_over_sweep``; the tests replace their session class.
+``sinrcap solve``, ``run_compare`` and ``sinrcap admit`` each sweep in one
+``rounding.round_trials`` call, which makes the sweep's session; the
+tests replace its session class.
 """
 
 import math
@@ -16,10 +16,10 @@ import pytest
 from sinrcap import (AffectanceContext, GenConfig, LpSession, PowerAssignment,
                      RoundingPolicy, build_capacity_lp, build_weighted_lp,
                      generate_instance, run_compare, run_oracle_suite, solve_lp)
-from sinrcap import cli, formulations, harness
+from sinrcap import cli, formulations, lp_core, rounding
 from sinrcap.model import write_instance
 
-from conftest import sampled
+from conftest import ColdSession, sampled
 
 SWEEP = (0.6, 1.2, 1.8, 2.4)
 TRIALS = 25
@@ -31,13 +31,6 @@ CASES = {
     "weighted": ("weighted", build_weighted_lp, "weighted", "linear",
                  GenConfig(n=100, R=math.sqrt(100 / 0.5), delta=2.0, seed=2)),
 }
-
-
-class ColdSession(LpSession):
-    """Loads every program cold, as solving without a session did."""
-
-    def solve(self, lp):
-        return LpSession().solve(lp)
 
 
 class RecordingSession(LpSession):
@@ -61,9 +54,9 @@ def _ctx(case):
 def test_session_sweep_matches_cold_solves(case):
     _, build, mode, _, _ = CASES[case]
     ctx = _ctx(case)
-    session = LpSession()
+    session, built = LpSession(), build(ctx, SWEEP[0])
     for i, c in enumerate(SWEEP):
-        lp = session.program(build, ctx, c)
+        lp = built.at(c)
         warm, cold = solve_lp(lp, session), solve_lp(build(ctx, c))
         assert session.warm == (i > 0)
         np.testing.assert_allclose(warm.values, cold.values, rtol=0, atol=1e-9)
@@ -78,11 +71,11 @@ def _assert_warm_matches_cold(monkeypatch, run, lp_sweeps=1):
     """``run()`` solves ``lp_sweeps`` LP sweeps, each one cold solve and
     then warm ones, and returns what it returns with cold sessions."""
     RecordingSession.warm_flags = []
-    monkeypatch.setattr(harness, "LpSession", RecordingSession)
+    monkeypatch.setattr(rounding, "LpSession", RecordingSession)
     warm = run()
     assert RecordingSession.warm_flags == \
         ([False] + [True] * (len(SWEEP) - 1)) * lp_sweeps
-    monkeypatch.setattr(harness, "LpSession", ColdSession)
+    monkeypatch.setattr(rounding, "LpSession", ColdSession)
     assert warm == run()
 
 
@@ -127,7 +120,8 @@ def test_run_compare_csv_matches_cold_solves(tmp_path, monkeypatch):
 def test_oracle_suite_rows_match_cold_solves(monkeypatch):
     configs = [GenConfig(n=8, R=4.0 + 2.0 * (s % 3), delta=4.0, seed=s) for s in range(6)]
     report = run_oracle_suite(configs, trials=20)
-    monkeypatch.setattr(harness, "LpSession", ColdSession)
+    monkeypatch.setattr(rounding, "LpSession", ColdSession)
+    monkeypatch.setattr(lp_core, "LpSession", ColdSession)
     assert run_oracle_suite(configs, trials=20)["rows"] == report["rows"]
 
 
@@ -144,7 +138,7 @@ def test_cli_solve_sweep_builds_its_program_once(tmp_path, monkeypatch):
     # the CLI looks the builder up in its module on every sweep
     monkeypatch.setattr(formulations, "build_capacity_lp", counted)
     RecordingSession.warm_flags = []
-    monkeypatch.setattr(harness, "LpSession", RecordingSession)
+    monkeypatch.setattr(rounding, "LpSession", RecordingSession)
     out = tmp_path / "out.json"
     sweep = (0.6, 1.2, 1.8, 2.4, 3.0)
     assert cli.main(["solve", str(inst_path), "--algo", "lp", "--formulation", formulation,
