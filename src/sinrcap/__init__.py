@@ -13,7 +13,7 @@ from .formulations import (PROBLEMS, admission_filter_threshold, build_admission
                            build_weighted_lp)
 from .rounding import (RoundingPolicy, bernoulli_draws, run_pipeline, run_sweep,
                        schedule_weight, signal_strengthen)
-from .greedy import greedy_base, greedy_combined, greedy_combined_sweep, greedy_sweep
+from .greedy import greedy_base, greedy_combined, greedy_sweep
 from .oracle import TooLarge, exact_admission, exact_capacity, largest_bifeasible
 from .admission import (AdmissionResult, RetriesExhausted, admit_general, admit_large_opt,
                         admit_sweep, verify_admission)

@@ -10,23 +10,20 @@ import contextlib
 import json
 import math
 import sys
+from dataclasses import replace
 
 from .admission import admit_sweep, verify_admission
 from .affectance import AffectanceContext, InfeasiblePrimaries
 from .formulations import PROBLEMS
-from .greedy import greedy_combined_sweep, greedy_sweep
+from .greedy import GREEDY_VARIANTS, greedy_sweep
 from .harness import (DEFAULT_SWEEP, WEIGHT_DISTRIBUTIONS, GenConfig, generate_instance,
                       run_compare, run_oracle_suite, sweep_best, verify_output)
-from .model import parse_power, read_instance, write_instance
+from .model import PowerAssignment, parse_power, read_instance, write_instance
 from .oracle import TooLarge, exact_admission, exact_capacity
 from .rounding import RoundingPolicy, _schedule_objective, run_sweep, schedule_weight
 
 # by the paper's problem: both admission programs solve "admission"
 ORACLE_PROBLEMS = {problem.name: problem for problem in PROBLEMS.values()}
-
-GREEDY_SWEEPS = {"greedy": greedy_combined_sweep,
-                 "greedy_w": lambda ctx, sweep: greedy_sweep(ctx, "weight_classes", sweep),
-                 "greedy_l": lambda ctx, sweep: greedy_sweep(ctx, "length_classes", sweep)}
 
 
 def _add_shared(p, flags=("seed", "trials", "power", "sweep", "out"), default_power="uniform",
@@ -100,7 +97,7 @@ def _parse_args(argv):
     s = sub.add_parser("solve", help="run one algorithm on an instance file")
     s.add_argument("instance")
     s.add_argument("--algo", required=True,
-                   choices=("lp", "greedy", "greedy_w", "greedy_l"))
+                   choices=["lp", *(v for v in GREEDY_VARIANTS if v != "base")])
     s.add_argument("--formulation", default="capacity",
                    choices=[mode for mode, problem in PROBLEMS.items() if not problem.primaries])
     _add_shared(s)
@@ -158,11 +155,14 @@ def _context(args, primaries=False):
 
 
 def _cmd_gen(args) -> int:
-    with _rejected("gen", OSError, ValueError):
+    with _rejected("gen", OSError, ValueError, InfeasiblePrimaries):
         inst = generate_instance(GenConfig(
             n=args.n, R=args.side, delta=args.delta, weight_dist=args.weights,
             alpha=args.alpha, beta=args.beta, noise=args.noise, seed=args.seed,
             primaries=args.primaries, primary_power=args.primary_power))
+        if inst.primaries:  # every admission command refuses primaries that cannot coexist
+            AffectanceContext(replace(inst, links=()), PowerAssignment.uniform(),
+                              primaries=inst.primaries)
         write_instance(inst, args.out)
     print(f"wrote {args.out} ({inst.n} links"
           + (f", {len(inst.primaries)} primaries" if inst.primaries else "") + ")")
@@ -175,7 +175,7 @@ def _cmd_solve(args) -> int:
         schedules = run_sweep(ctx, [RoundingPolicy(mode=args.formulation, C=c, trials=args.trials,
                                                    seed=args.seed) for c in args.sweep])
     else:
-        schedules = GREEDY_SWEEPS[args.algo](ctx, args.sweep)
+        schedules = greedy_sweep(ctx, [args.algo], args.sweep)[args.algo]
     c, value, sched = sweep_best(args.sweep, [
         (_schedule_objective(ctx, sched.ids, args.formulation), sched) for sched in schedules])
     best = {"constant": c, "value": value, "ids": list(sched.ids),

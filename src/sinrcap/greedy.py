@@ -1,16 +1,16 @@
-"""Greedy baselines: plain, weight-class, and length-class variants.
+"""Greedy baselines: plain, weight-class, length-class and combined variants.
 
 The base greedy scans links shortest first and accepts a link when its
 affectance to and from the already-accepted set stays within the
 acceptance constant.  The class-based variants bucket links by weight or
 by length and run the base acceptance inside each bucket, returning the
-heaviest bucket solution.  All variants share the LP pipeline's final
-selection stage, so their outputs carry the same feasibility guarantee,
-and its best-set rule, ``rounding.best_part``, on context positions.
-``greedy_sweep`` runs a variant over a sweep of acceptance constants
-through one call of final selection, and ``greedy_combined_sweep`` the
-combined greedy; ``greedy_base`` and ``greedy_combined`` are their
-one-constant cases.
+heaviest bucket solution; the combined variant takes the heaviest of both
+bucketings.  All variants share the LP pipeline's final selection stage,
+so their outputs carry the same feasibility guarantee, and its best-set
+rule, ``rounding.best_part``, on context positions.  ``GREEDY_VARIANTS``
+states every variant; ``greedy_sweep`` runs several of them over a sweep
+of acceptance constants, each scan they share once.  ``greedy_base`` and
+``greedy_combined`` are its one-constant cases.
 """
 
 from __future__ import annotations
@@ -21,8 +21,7 @@ from itertools import product
 import numpy as np
 
 from .affectance import AffectanceContext, Schedule, certify
-from .rounding import (RoundingPolicy, _better, _schedule_objective, best_part,
-                       final_selection_batch)
+from .rounding import RoundingPolicy, best_part, final_selection_batch
 
 
 def _greedy_accept(ctx: AffectanceContext, candidate_idx, c_g: float) -> list:
@@ -47,8 +46,13 @@ def _class_candidates(ctx: AffectanceContext, class_idx, c_g: float, order: str)
     return _greedy_accept(ctx, keys, c_g)
 
 
-def _base_classes(ctx: AffectanceContext) -> dict:
-    return {0: range(ctx.n)}
+def _doubling_classes(ratios: np.ndarray) -> dict:
+    """Doubling buckets of the positions whose ratio is at least 1: keys
+    are bucket exponents, values link positions in order."""
+    classes = {}
+    for u in np.flatnonzero(ratios >= 1.0):
+        classes.setdefault(int(math.floor(math.log2(ratios[u]))), []).append(int(u))
+    return classes
 
 
 def weight_class_partition(ctx: AffectanceContext) -> dict:
@@ -58,44 +62,35 @@ def weight_class_partition(ctx: AffectanceContext) -> dict:
     positions."""
     if ctx.n == 0 or float(ctx.weights.max()) <= 0:
         return {}
-    scaled = ctx.weights * (ctx.n / float(ctx.weights.max()))
-    classes = {}
-    for u in range(ctx.n):
-        if scaled[u] >= 1.0:
-            classes.setdefault(int(math.floor(math.log2(scaled[u]))), []).append(u)
-    return classes
+    return _doubling_classes(ctx.weights * (ctx.n / float(ctx.weights.max())))
 
 
 def length_class_partition(ctx: AffectanceContext) -> dict:
     """Doubling length buckets anchored at the minimum length."""
     if ctx.n == 0:
         return {}
-    min_len = float(ctx.lengths.min())
-    classes = {}
-    for u in range(ctx.n):
-        t = int(math.floor(math.log2(ctx.lengths[u] / min_len)))
-        classes.setdefault(t, []).append(u)
-    return classes
+    return _doubling_classes(ctx.lengths / float(ctx.lengths.min()))
 
 
-# variant -> (class partition, scan order within a class, best-class objective)
+# a scan: (class partition, scan order within a class)
+_BASE_SCAN = (lambda ctx: {0: range(ctx.n)}, "length")
+_WEIGHT_SCAN = (weight_class_partition, "length")
+_LENGTH_SCAN = (length_class_partition, "weight")
+
+# variant -> (its scans, the objective that picks the best of its scans' classes)
 GREEDY_VARIANTS = {
-    "base": (_base_classes, "length", "capacity"),
-    "weight_classes": (weight_class_partition, "length", "weighted"),
-    "length_classes": (length_class_partition, "weight", "weighted"),
+    "greedy": ((_WEIGHT_SCAN, _LENGTH_SCAN), "weighted"),
+    "greedy_w": ((_WEIGHT_SCAN,), "weighted"),
+    "greedy_l": ((_LENGTH_SCAN,), "weighted"),
+    "base": ((_BASE_SCAN,), "capacity"),
 }
 
 
-def greedy_sweep(ctx: AffectanceContext, variant: str, constants) -> list:
-    """One schedule of the ``GREEDY_VARIANTS`` variant per acceptance
-    constant c_g, in order: scan each class with the acceptance test at
-    c_g, and certify the best final selection of the classes' accepted
-    links under the variant's objective.  Every constant's classes go
+def _scan_selections(ctx: AffectanceContext, scan, constants: list) -> list:
+    """Per acceptance constant c_g, the final selection of each class of
+    ``scan`` after the acceptance test at c_g; every constant's classes go
     through the LP pipeline's final selection in one batch."""
-    partition, order, objective = GREEDY_VARIANTS[variant]
-    constants = list(constants)
-    if not all(c_g > 0 for c_g in constants):
-        raise ValueError("c_g must be positive")
+    partition, order = scan
     classes = partition(ctx)
     k = len(classes)
     sel = np.zeros((len(constants) * k, ctx.n), dtype=bool)
@@ -103,30 +98,33 @@ def greedy_sweep(ctx: AffectanceContext, variant: str, constants) -> list:
         row[_class_candidates(ctx, classes[t], c_g, order)] = True
     bound = RoundingPolicy("capacity").extraction_bound
     selections = final_selection_batch(ctx, sel, [bound] * len(sel), ["capacity"] * len(sel))
-    return [certify(ctx, ctx.ids[best_part(ctx, selections[i * k:(i + 1) * k], objective)])
-            for i in range(len(constants))]
+    return [selections[i * k:(i + 1) * k] for i in range(len(constants))]
+
+
+def greedy_sweep(ctx: AffectanceContext, variants, constants) -> dict:
+    """Each ``GREEDY_VARIANTS`` variant in ``variants`` -> its schedule per
+    acceptance constant, in order: the certified best final selection,
+    under the variant's objective, among the classes of all its scans.
+    Each scan the variants need runs once, in one final-selection batch."""
+    constants = list(constants)
+    if not all(c_g > 0 for c_g in constants):
+        raise ValueError("c_g must be positive")
+    scans = dict.fromkeys(scan for v in variants for scan in GREEDY_VARIANTS[v][0])
+    runs = {scan: _scan_selections(ctx, scan, constants) for scan in scans}
+    result = {}
+    for v in variants:
+        own, objective = GREEDY_VARIANTS[v]
+        result[v] = [certify(ctx, ctx.ids[best_part(ctx, sum(classes, []), objective)])
+                     for classes in zip(*(runs[scan] for scan in own))]
+    return result
 
 
 def greedy_base(ctx: AffectanceContext, c_g: float = 1.0) -> Schedule:
     """Shortest-first greedy with a symmetric acceptance test, followed by
     the same final selection as the LP pipeline."""
-    return greedy_sweep(ctx, "base", [c_g])[0]
-
-
-def heavier(ctx: AffectanceContext, a: Schedule, b: Schedule) -> Schedule:
-    """The heavier schedule; equal weights go to the smaller id tuple, then to a."""
-    return b if _better(_schedule_objective(ctx, b.ids, "weighted"), b.ids,
-                        _schedule_objective(ctx, a.ids, "weighted"), a.ids) else a
-
-
-def greedy_combined_sweep(ctx: AffectanceContext, constants) -> list:
-    """``greedy_combined`` per acceptance constant, in order, from one
-    ``greedy_sweep`` of each class variant."""
-    constants = list(constants)
-    return [heavier(ctx, w, l) for w, l in zip(greedy_sweep(ctx, "weight_classes", constants),
-                                               greedy_sweep(ctx, "length_classes", constants))]
+    return greedy_sweep(ctx, ["base"], [c_g])["base"][0]
 
 
 def greedy_combined(ctx: AffectanceContext, c_g: float = 1.0) -> Schedule:
-    """Better of the weight-class and length-class runs, by total weight."""
-    return greedy_combined_sweep(ctx, [c_g])[0]
+    """Heaviest class selection of the weight-class and length-class scans."""
+    return greedy_sweep(ctx, ["greedy"], [c_g])["greedy"][0]

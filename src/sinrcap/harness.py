@@ -20,7 +20,7 @@ import numpy as np
 
 from .affectance import AffectanceContext, check_feasibility
 from .formulations import PROBLEMS
-from .greedy import greedy_base, greedy_sweep, heavier
+from .greedy import greedy_base, greedy_sweep
 from .lp_core import solve_lp
 from .model import Instance, Link, Point, PowerAssignment, PrimarySet
 from .oracle import exact_capacity, largest_bifeasible
@@ -161,13 +161,14 @@ def run_compare(gen_configs: Sequence[GenConfig], sweep: Sequence[float],
     """Run the LP pipeline and the greedy variants over a constant sweep on
     each instance, keep each algorithm's best, and write one CSV.
 
-    Each algorithm runs its whole sweep in one call: ``run_sweep`` for the
-    LP and ``greedy_sweep`` for each class greedy, whose schedules the
-    combined greedy compares constant by constant.  Every emitted solution
-    row is re-verified feasible before writing.  Rows are deterministic for
-    fixed configs; runtimes, each the wall time of the row's sweep, are
-    recorded only when ``timing`` is set (they would break byte-for-byte
-    determinism).
+    The LP runs its whole sweep in one ``run_sweep`` call, and the three
+    greedy rows (``greedy_w``, ``greedy_l`` and the combined ``greedy``)
+    come from one ``greedy_sweep`` call, which runs each class scan once.
+    Every emitted solution row is re-verified feasible before writing.
+    Rows are deterministic for fixed configs; runtimes are recorded only
+    when ``timing`` is set (they would break byte-for-byte determinism):
+    the LP row's is the wall time of its sweep, and the three greedy rows
+    all carry the wall time of their one shared sweep.
     """
     sweep = list(sweep)
     if not sweep:
@@ -180,30 +181,22 @@ def run_compare(gen_configs: Sequence[GenConfig], sweep: Sequence[float],
         ctx = AffectanceContext(inst, power)
         meta = dict(seed=cfg.seed, n=cfg.n, R=cfg.R, delta=cfg.delta,
                     density=cfg.density, weight_dist=cfg.weight_dist)
-        schedules, best, ms = {}, {}, {}
-        sweeps = {  # algo -> its schedule per constant, in row order
-            "lp": lambda: run_sweep(ctx, [RoundingPolicy(mode="weighted", C=c, trials=trials,
-                                                         seed=cfg.seed) for c in sweep]),
-            "greedy_w": lambda: greedy_sweep(ctx, "weight_classes", sweep),
-            "greedy_l": lambda: greedy_sweep(ctx, "length_classes", sweep),
-            "greedy": lambda: [heavier(ctx, w, l) for w, l in zip(schedules["greedy_w"],
-                                                                schedules["greedy_l"])],
-        }
-        for algo, run in sweeps.items():
-            t0 = time.perf_counter()
-            schedules[algo] = run()
-            best[algo] = sweep_best(sweep, [(schedule_weight(ctx, schedule), schedule.ids)
-                                            for schedule in schedules[algo]])
-            ms[algo] = (time.perf_counter() - t0) * 1e3
-        ms["greedy"] += ms["greedy_w"] + ms["greedy_l"]  # it reuses the class runs
-        for algo, (c, value, ids) in best.items():
+        t0 = time.perf_counter()
+        schedules = {"lp": run_sweep(ctx, [RoundingPolicy(mode="weighted", C=c, trials=trials,
+                                                          seed=cfg.seed) for c in sweep])}
+        t1 = time.perf_counter()
+        schedules.update(greedy_sweep(ctx, ["greedy_w", "greedy_l", "greedy"], sweep))
+        lp_ms, greedy_ms = (t1 - t0) * 1e3, (time.perf_counter() - t1) * 1e3
+        values = {}
+        for algo, runs in schedules.items():  # in row order
+            c, values[algo], ids = sweep_best(
+                sweep, [(schedule_weight(ctx, schedule), schedule.ids) for schedule in runs])
             if not verify_output(ctx, ids):
                 raise AssertionError(f"{algo} produced an infeasible solution")
-            records.append(ExperimentRecord(**meta, algo=algo, constant=c, value=value,
-                                            feasible=True,
-                                            runtime_ms=ms[algo] if timing else None))
-        lp_value, g_value = best["lp"][1], best["greedy"][1]
-        ratio = lp_value / g_value if g_value > 0 else float("inf")
+            records.append(ExperimentRecord(
+                **meta, algo=algo, constant=c, value=values[algo], feasible=True,
+                runtime_ms=(lp_ms if algo == "lp" else greedy_ms) if timing else None))
+        ratio = values["lp"] / values["greedy"] if values["greedy"] > 0 else float("inf")
         records.append(ExperimentRecord(**meta, algo="ratio", constant=None,
                                         value=ratio, feasible=None,
                                         runtime_ms=None, ratio=ratio))

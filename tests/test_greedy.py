@@ -4,7 +4,7 @@ import pytest
 from sinrcap import (AffectanceContext, GenConfig, Instance, Link, PowerAssignment,
                      RoundingPolicy, certify, check_feasibility,
                      exact_capacity, generate_instance, greedy_base, greedy_combined,
-                     greedy_combined_sweep, greedy_sweep, run_pipeline, schedule_weight)
+                     greedy_sweep, run_pipeline, schedule_weight)
 from sinrcap.greedy import (_class_candidates, length_class_partition,
                             weight_class_partition)
 from sinrcap.rounding import final_selection_batch, round_trials
@@ -15,11 +15,11 @@ UNIFORM = PowerAssignment.uniform()
 
 
 def weight_classes(ctx, c_g):
-    return greedy_sweep(ctx, "weight_classes", [c_g])[0]
+    return greedy_sweep(ctx, ["greedy_w"], [c_g])["greedy_w"][0]
 
 
 def length_classes(ctx, c_g):
-    return greedy_sweep(ctx, "length_classes", [c_g])[0]
+    return greedy_sweep(ctx, ["greedy_l"], [c_g])["greedy_l"][0]
 
 
 def test_base_accepts_all_far_links():
@@ -161,22 +161,68 @@ def test_outputs_one_feasible():
 
 def test_greedy_sweep_matches_per_constant_calls():
     constants = (1.5, 0.5, 1.0, 0.5, 3.0)  # unsorted, with a repeat
-    variants = {"base": greedy_base, "weight_classes": weight_classes,
-                "length_classes": length_classes}
+    variants = {"base": greedy_base, "greedy_w": weight_classes,
+                "greedy_l": length_classes, "greedy": greedy_combined}
     differ = set()
     for seed in range(4):
         ctx = random_ctx(seed, n=40, R=4.0, delta=4.0, power=PowerAssignment.linear())
+        swept = greedy_sweep(ctx, list(variants), constants)
+        assert list(swept) == list(variants)
         for variant, algo in variants.items():
             per_constant = [algo(ctx, c) for c in constants]
-            assert greedy_sweep(ctx, variant, constants) == per_constant
+            assert swept[variant] == per_constant
+            assert greedy_sweep(ctx, [variant], constants) == {variant: per_constant}
             if len({s.ids for s in per_constant}) > 1:
                 differ.add(variant)
-        assert greedy_combined_sweep(ctx, constants) == \
-            [greedy_combined(ctx, c) for c in constants]
-        assert greedy_sweep(ctx, "base", []) == []
+        assert greedy_sweep(ctx, ["base"], []) == {"base": []}
         with pytest.raises(ValueError, match="positive"):
-            greedy_sweep(ctx, "weight_classes", [1.0, 0.0])
+            greedy_sweep(ctx, ["greedy_w"], [1.0, 0.0])
     assert differ == set(variants)  # every variant's constants mattered somewhere
+
+
+def _heavier(ctx, a, b):
+    """The combined greedy's rule stated on its two class runs: the heavier
+    schedule; equal weights go to the smaller id tuple, then to a."""
+    wa, wb = schedule_weight(ctx, a), schedule_weight(ctx, b)
+    return b if wb > wa or (wb == wa and b.ids < a.ids) else a
+
+
+def test_combined_greedy_is_the_heavier_class_run():
+    constants = [0.5, 1.0, 2.0]
+    ties = set()  # which class run won an equal-weight tie
+    for seed in range(40, 58):
+        ctx = random_ctx(seed, n=12, R=4.0, delta=3.0)
+        flat = AffectanceContext(_reweighted(ctx.instance, [2.0] * ctx.n), UNIFORM)
+        for context in (ctx, flat):
+            runs = greedy_sweep(context, ["greedy_w", "greedy_l", "greedy"], constants)
+            assert runs["greedy"] == [_heavier(context, w, l)
+                                      for w, l in zip(runs["greedy_w"], runs["greedy_l"])]
+            assert runs["greedy"] == greedy_sweep(context, ["greedy"], constants)["greedy"]
+            for w, l in zip(runs["greedy_w"], runs["greedy_l"]):
+                if w.ids != l.ids and schedule_weight(context, w) == schedule_weight(context, l):
+                    ties.add("w" if w.ids < l.ids else "l")
+    assert ties == {"w", "l"}
+
+
+def test_greedy_sweep_runs_each_scan_once(monkeypatch):
+    calls = {"candidates": 0, "batches": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr("sinrcap.greedy._class_candidates",
+                        counted("candidates", _class_candidates))
+    monkeypatch.setattr("sinrcap.greedy.final_selection_batch",
+                        counted("batches", final_selection_batch))
+    ctx = random_ctx(5, n=40, R=4.0, delta=8.0)
+    constants = [0.5, 1.0, 2.0]
+    partitions = weight_class_partition(ctx), length_class_partition(ctx)
+    assert all(len(classes) > 1 for classes in partitions)
+    greedy_sweep(ctx, ["greedy_w", "greedy_l", "greedy"], constants)
+    assert calls == {"candidates": sum(map(len, partitions)) * len(constants), "batches": 2}
 
 
 def _reweighted(inst, weights):

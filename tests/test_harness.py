@@ -281,6 +281,8 @@ GEN = ["gen", "--n", "5", "--side", "6", "--delta", "2"]
     (GEN + ["--primaries", "1", "--primary-power", "inf"], "not JSON compliant"),
     (GEN + ["--primaries", "2", "--primary-power", "0"], "power must be positive, got 0.0"),
     (GEN + ["--primaries", "-1"], "primaries must be nonnegative, got -1"),
+    (["gen", "--n", "600", "--side", "77", "--delta", "8", "--primaries", "8", "--seed", "3"],
+     "primary link(s) [601] cannot satisfy their own SINR"),
     (["compare", "--n", "5", "--deltas", "0.5", "--sides", "6"], "0.5"),
     (["oracle", "BIG"], "21 links"),
     (["suite", "--n", "21", "--count", "1"], "21 links"),
@@ -294,8 +296,8 @@ GEN = ["gen", "--n", "5", "--side", "6", "--delta", "2"]
     (["oracle", "OWN", "--problem", "admission"], "primary 1: takes no beta or noise override"),
 ], ids=["side-0", "side-nan", "side-inf", "delta-0.5", "alpha-0", "beta-0", "noise-neg",
         "alpha-inf", "beta-inf", "noise-inf", "primary-power-inf", "primary-power-0",
-        "primaries-neg", "compare-delta", "oracle-21", "suite-21", "admit-no-primaries",
-        "oracle-admission-no-primaries", "admit-large-empty-primaries",
+        "primaries-neg", "gen-primaries-clash", "compare-delta", "oracle-21", "suite-21",
+        "admit-no-primaries", "oracle-admission-no-primaries", "admit-large-empty-primaries",
         "admit-empty-primaries", "oracle-admission-empty-primaries",
         "admit-primary-override", "admit-large-primary-override",
         "oracle-admission-primary-override"])
@@ -513,13 +515,20 @@ def test_run_compare_timing_flag(tmp_path):
     out = tmp_path / "timed.csv"
     records = run_compare(_small_configs()[:1], sweep=[1.0], trials=5,
                           out_path=out, timing=True)
-    lp_rows = [r for r in records if r.algo == "lp"]
-    assert lp_rows and lp_rows[0].runtime_ms is not None
-    assert lp_rows[0].runtime_ms > 0
+    ms = {r.algo: r.runtime_ms for r in records}
+    assert ms["lp"] > 0 and ms["ratio"] is None
+    # the three greedy rows come from one shared sweep and carry its time
+    assert ms["greedy_w"] == ms["greedy_l"] == ms["greedy"] > 0
     # without the flag the runtime column stays empty (determinism contract)
-    plain = run_compare(_small_configs()[:1], sweep=[1.0], trials=5,
-                        out_path=tmp_path / "plain.csv")
+    # and the rows are otherwise the timed run's
+    plain_out = tmp_path / "plain.csv"
+    plain = run_compare(_small_configs()[:1], sweep=[1.0], trials=5, out_path=plain_out)
     assert all(r.runtime_ms is None for r in plain)
+    column = CSV_COLUMNS.index("runtime_ms")
+    timed_rows = [row.split(",") for row in out.read_text().splitlines()]
+    for row in timed_rows[1:]:
+        row[column] = ""
+    assert plain_out.read_text().splitlines() == [",".join(row) for row in timed_rows]
 
 
 def test_io_roundtrip_generated(tmp_path):
