@@ -2,14 +2,14 @@
 
 The general pipeline groups its candidate set so every group is safe for
 each primary; the large-optimum pipeline prefilters aggressive links and
-returns a single safe set.  Both results are re-verified against the raw
-SINR inequality with everything transmitting.
+returns a single safe set.  Both results are re-verified by
+``affectance.verify``: hat affectance sums within 1, and the raw SINR
+inequality at every member and primary with everything transmitting.
 """
 
 from sinrcap import (AffectanceContext, GenConfig, PowerAssignment,
                      RoundingPolicy, admit_general, admit_large_opt,
-                     exact_admission, generate_instance, hat_noise,
-                     verify_admission)
+                     exact_admission, generate_instance, hat_noise, verify)
 
 cfg = GenConfig(n=14, R=8.0, delta=2.0, seed=23, primaries=2, primary_power=1.0)
 inst = generate_instance(cfg)
@@ -33,5 +33,6 @@ print(f"  prefilter kept {large.notes['filtered_to']} secondaries")
 
 opt = exact_admission(ctx)
 print(f"exhaustive admission optimum: {opt.size} ({opt.ids})")
-assert verify_admission(ctx, general.admitted.ids)
-assert verify_admission(ctx, large.admitted.ids)
+assert verify(ctx, general.admitted.ids)
+assert verify(ctx, large.admitted.ids)
+assert verify(ctx, opt.ids)

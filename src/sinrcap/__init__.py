@@ -5,7 +5,7 @@ from .model import (DistanceMatrix, Instance, Link, Point, PowerAssignment, Prim
                     parse_power, read_instance, validate_power_class, write_instance)
 from .affectance import (AffectanceContext, IndividuallyInfeasible,
                          InfeasiblePrimaries, Schedule, affectance, c_factor, certify,
-                         check_feasibility, hat_noise, separation_check)
+                         hat_noise, separation_check, verify)
 from .lp_core import (FractionalSolution, LinearProgram, LpSession, LpSolveError,
                       check_solution, dump_lp, solve_lp)
 from .formulations import (PROBLEMS, admission_filter_threshold, build_admission_large_lp,
@@ -16,7 +16,7 @@ from .rounding import (RoundingPolicy, bernoulli_draws, run_pipeline, run_sweep,
 from .greedy import greedy_base, greedy_combined, greedy_sweep
 from .oracle import TooLarge, exact_admission, exact_capacity, largest_bifeasible
 from .admission import (AdmissionResult, RetriesExhausted, admit_general, admit_large_opt,
-                        admit_sweep, verify_admission)
+                        admit_sweep)
 from .harness import (GenConfig, ExperimentRecord, generate_instance,
                       run_compare, run_oracle_suite)
 

@@ -26,8 +26,7 @@ from functools import partial
 
 import numpy as np
 
-from .affectance import (AffectanceContext, Schedule, _exact_budgets, _feasible_exact,
-                         certify)
+from .affectance import AffectanceContext, Schedule, certify, verify
 from .rounding import (_STRENGTHEN_LIMIT, RoundingPolicy, _better, _first_fit, best_part,
                        round_trials)
 
@@ -48,17 +47,6 @@ class AdmissionResult:
     per_primary_load: tuple  # unclipped hat-affectance on each primary
     verified: bool
     notes: dict
-
-
-def verify_admission(ctx: AffectanceContext, Q) -> bool:
-    """Exact SINR check of the primaries plus Q, all transmitting.
-
-    Recomputed from the instance geometry and powers alone
-    (``_exact_budgets``), independent of the context's affectance matrix.
-    """
-    rows, budget = _exact_budgets(ctx, Q)
-    return bool(_feasible_exact(np.ones((1, len(rows)), bool), rows, budget, ctx.k,
-                                primaries=True)[0])
 
 
 def _partition_rows(ctx: AffectanceContext, sets) -> list:
@@ -101,7 +89,7 @@ def _result(ctx, admitted, groups, notes) -> AdmissionResult:
     """The result admitting the sorted positions ``admitted``, grouped as
     ``groups``; ids are formed here."""
     schedule = certify(ctx, ctx.ids[admitted])
-    verified = verify_admission(ctx, schedule.ids)
+    verified = verify(ctx, schedule.ids)
     result = AdmissionResult(
         admitted=schedule,
         groups=tuple(tuple(ctx.ids[g].tolist()) for g in groups),
@@ -110,7 +98,7 @@ def _result(ctx, admitted, groups, notes) -> AdmissionResult:
         notes=notes,
     )
     if not verified:
-        raise AssertionError("admission result failed exact SINR verification")
+        raise AssertionError("admission result failed verification")
     return result
 
 

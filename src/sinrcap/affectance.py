@@ -21,7 +21,8 @@ The library's only feasibility tests judge a boolean selection matrix, one
 candidate set per row: ``_feasible_exact``, the SINR inequality in budget
 form over ``_exact_budgets`` (recomputed from geometry and powers), and
 ``_feasible_affectance``, affectance sums within gamma with terms clipped
-at 1 only when gamma > 1.
+at 1 only when gamma > 1.  ``verify`` is the library's one verdict on a
+returned set: both tests at threshold 1, the exact one at the primaries too.
 """
 
 from __future__ import annotations
@@ -43,8 +44,6 @@ RAW_CAP = 1e300
 # Rows of the affectance matrix computed at a time; bounds the
 # construction temporaries at O(ROW_BLOCK * n).
 ROW_BLOCK = 256
-
-FEASIBILITY_MODES = ("feasible", "anti_feasible", "bi_feasible", "exact_sinr")
 
 
 class IndividuallyInfeasible(Exception):
@@ -294,29 +293,25 @@ def _feasible_affectance(mat: np.ndarray, sel: np.ndarray, gamma: float,
     return ok
 
 
-def check_feasibility(ctx: AffectanceContext, S, gamma: float = 1.0,
-                      mode: str = "feasible") -> bool:
-    """Feasibility predicates over a link set.
-
-    feasible: a_S(v) <= gamma for every member; anti_feasible: a_v(S) <=
-    gamma; bi_feasible: both; exact_sinr: the SINR inequality holds at every
-    member, the primaries transmitting too (gamma ignored).
-    """
-    if mode not in FEASIBILITY_MODES:
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "exact_sinr":
-        rows, budget = _exact_budgets(ctx, S)
-        return bool(_feasible_exact(np.ones((1, len(rows)), bool), rows, budget, ctx.k)[0])
-    return check_positions(ctx, ctx.index_of(S), gamma, mode)
+def check_positions(ctx: AffectanceContext, idx: np.ndarray) -> bool:
+    """Unclipped affectance sums within 1 at every member of the links at
+    context positions ``idx``: strengthening's per-part check."""
+    return bool(_feasible_affectance(ctx.raw[idx[:, None], idx], np.ones((1, idx.size), bool),
+                                     1.0)[0])
 
 
-def check_positions(ctx: AffectanceContext, idx: np.ndarray, gamma: float = 1.0,
-                    mode: str = "feasible") -> bool:
-    """``check_feasibility``'s affectance modes (not exact_sinr) on the
-    links at context positions ``idx``."""
-    raw = ctx.raw.T if mode == "anti_feasible" else ctx.raw
-    return bool(_feasible_affectance(raw[idx[:, None], idx], np.ones((1, idx.size), bool),
-                                     gamma, mode == "bi_feasible")[0])
+def _exact_holds(ctx: AffectanceContext, ids, primaries: bool = False) -> bool:
+    """``_feasible_exact`` of the one set ``ids``."""
+    rows, budget = _exact_budgets(ctx, ids)
+    return bool(_feasible_exact(np.ones((1, len(rows)), bool), rows, budget, ctx.k,
+                                primaries)[0])
+
+
+def verify(ctx: AffectanceContext, ids) -> bool:
+    """The verdict on a returned set: every member's unclipped (hat)
+    affectance sum is at most 1, and the exact SINR inequality holds at
+    every member and every primary, the primaries transmitting."""
+    return check_positions(ctx, ctx.index_of(ids)) and _exact_holds(ctx, ids, primaries=True)
 
 
 def separation_check(ctx: AffectanceContext, S, q: float) -> bool:
@@ -342,5 +337,5 @@ def certify(ctx: AffectanceContext, S) -> Schedule:
         ids=ids,
         in_affectance=tuple(float(x) for x in sub.sum(axis=0)),
         out_affectance=tuple(float(x) for x in sub.sum(axis=1)),
-        exact_sinr_ok=check_feasibility(ctx, ids, mode="exact_sinr"),
+        exact_sinr_ok=_exact_holds(ctx, ids),
     )

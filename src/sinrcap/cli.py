@@ -12,12 +12,12 @@ import math
 import sys
 from dataclasses import replace
 
-from .admission import admit_sweep, verify_admission
-from .affectance import AffectanceContext, InfeasiblePrimaries
+from .admission import admit_sweep
+from .affectance import AffectanceContext, InfeasiblePrimaries, verify
 from .formulations import PROBLEMS
 from .greedy import GREEDY_VARIANTS, greedy_sweep
 from .harness import (DEFAULT_SWEEP, WEIGHT_DISTRIBUTIONS, GenConfig, generate_instance,
-                      run_compare, run_oracle_suite, sweep_best, verify_output)
+                      run_compare, run_oracle_suite, sweep_best)
 from .model import PowerAssignment, parse_power, read_instance, write_instance
 from .oracle import TooLarge, exact_admission, exact_capacity
 from .rounding import RoundingPolicy, _schedule_objective, run_sweep, schedule_weight
@@ -179,11 +179,9 @@ def _cmd_solve(args) -> int:
     c, value, sched = sweep_best(args.sweep, [
         (_schedule_objective(ctx, sched.ids, args.formulation), sched) for sched in schedules])
     best = {"constant": c, "value": value, "ids": list(sched.ids),
-            "exact_sinr_ok": sched.exact_sinr_ok}
-    ok = verify_output(ctx, best["ids"])
-    best["verified"] = ok
+            "exact_sinr_ok": sched.exact_sinr_ok, "verified": verify(ctx, sched.ids)}
     _emit(best, args.out)
-    return 0 if ok else 1
+    return 0 if best["verified"] else 1
 
 
 def _cmd_admit(args) -> int:
@@ -204,12 +202,9 @@ def _cmd_oracle(args) -> int:
     problem = ORACLE_PROBLEMS[args.problem]
     ctx = _context(args, primaries=problem.primaries)
     with _rejected("oracle", TooLarge):
-        if problem.primaries:
-            sched = exact_admission(ctx)
-            ok = verify_admission(ctx, sched.ids)
-        else:
-            sched = exact_capacity(ctx, problem.objective, "exact_sinr")
-            ok = verify_output(ctx, sched.ids)
+        sched = exact_admission(ctx) if problem.primaries \
+            else exact_capacity(ctx, problem.objective, "exact_sinr")
+    ok = verify(ctx, sched.ids)
     payload = {"ids": list(sched.ids), "size": sched.size,
                "weight": schedule_weight(ctx, sched),
                "exact_sinr_ok": sched.exact_sinr_ok, "verified": ok}

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .affectance import AffectanceContext, check_feasibility
+from .affectance import AffectanceContext, verify
 from .formulations import PROBLEMS
 from .greedy import greedy_base, greedy_sweep
 from .lp_core import solve_lp
@@ -136,12 +136,6 @@ def generate_instance(cfg: GenConfig) -> Instance:
                     noise=cfg.noise, primaries=primaries)
 
 
-def verify_output(ctx: AffectanceContext, ids) -> bool:
-    """Affectance feasibility at threshold 1 and the exact SINR inequality."""
-    return (check_feasibility(ctx, ids, 1.0, "feasible")
-            and check_feasibility(ctx, ids, mode="exact_sinr"))
-
-
 def sweep_best(sweep: Sequence[float], results) -> tuple:
     """(constant, value, result) with the largest value among the
     (value, result) pairs of the sweep's constants; ties, and gains of at
@@ -191,7 +185,7 @@ def run_compare(gen_configs: Sequence[GenConfig], sweep: Sequence[float],
         for algo, runs in schedules.items():  # in row order
             c, values[algo], ids = sweep_best(
                 sweep, [(schedule_weight(ctx, schedule), schedule.ids) for schedule in runs])
-            if not verify_output(ctx, ids):
+            if not verify(ctx, ids):
                 raise AssertionError(f"{algo} produced an infeasible solution")
             records.append(ExperimentRecord(
                 **meta, algo=algo, constant=c, value=values[algo], feasible=True,
@@ -237,7 +231,7 @@ def run_oracle_suite(gen_configs: Sequence[GenConfig], trials: int = 50,
             "alg_le_opt": alg.size <= opt.size and grd.size <= opt.size,
             "lp_ge_w2": lp_star >= len(w2.ids) - 1e-6,
             "w2_ge_half_opt": len(w2.ids) >= math.ceil(opt.size / 2),
-            "outputs_feasible": verify_output(ctx, alg.ids) and verify_output(ctx, grd.ids),
+            "outputs_feasible": verify(ctx, alg.ids) and verify(ctx, grd.ids),
         }
         all_ok = all_ok and all(verdicts.values())
         rows.append({

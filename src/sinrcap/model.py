@@ -50,10 +50,10 @@ class Link:
             raise ValueError(f"link id must be nonnegative, got {self.id}")
         if self.weight < 0 or not math.isfinite(self.weight):
             raise ValueError(f"link {self.id}: weight must be a finite nonnegative real")
-        if self.beta_override is not None and not self.beta_override > 0:
-            raise ValueError(f"link {self.id}: beta override must be positive")
-        if self.noise_override is not None and self.noise_override < 0:
-            raise ValueError(f"link {self.id}: noise override must be nonnegative")
+        if self.beta_override is not None and not 0 < self.beta_override < math.inf:
+            raise ValueError(f"link {self.id}: beta override must be finite and positive")
+        if self.noise_override is not None and not 0 <= self.noise_override < math.inf:
+            raise ValueError(f"link {self.id}: noise override must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -67,6 +67,8 @@ class PrimarySet:
         if len(self.links) != len(self.powers):
             raise ValueError("primaries and powers must have equal length")
         for link, p in zip(self.links, self.powers):
+            if not math.isfinite(p):  # inf and nan are not valid JSON
+                raise ValueError(f"primary {link.id}: power must be finite, got {p!r}")
             if not p > 0:
                 raise ValueError(f"primary {link.id}: power must be positive, got {p!r}")
             if link.beta_override is not None or link.noise_override is not None:

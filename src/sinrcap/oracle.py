@@ -74,7 +74,7 @@ def exact_capacity(ctx: AffectanceContext, objective: str = "cardinality",
 
     mode "exact_sinr" checks the SINR inequality, and affectance sums
     within 1 as well: the two state one condition, but their float sums can
-    round apart within an ulp of the threshold, and ``harness.verify_output``
+    round apart within an ulp of the threshold, and ``affectance.verify``
     demands both.  "affectance" checks gamma-feasibility of received
     affectance sums.
     """
@@ -96,15 +96,16 @@ def exact_capacity(ctx: AffectanceContext, objective: str = "cardinality",
 
 def exact_admission(ctx: AffectanceContext) -> Schedule:
     """Maximum secondary subset keeping all primaries and members exactly
-    feasible, primaries at their explicit powers."""
+    feasible, primaries at their explicit powers, with hat affectance sums
+    within 1 as ``exact_capacity``'s exact mode requires."""
     if not ctx.has_primaries:
         raise ValueError("admission oracle requires a context with primaries")
     _check_cap(ctx.n)
     rows, budget = _exact_budgets(ctx)
     if np.any(budget[:ctx.k] < 0):
         raise InfeasiblePrimaries("primaries are infeasible even without secondaries")
-    return _best(ctx, partial(_feasible_exact, rows=rows, budget=budget, k=ctx.k,
-                              primaries=True))
+    return _best(ctx, lambda sel: (_feasible_exact(sel, rows, budget, ctx.k, primaries=True)
+                                   & _feasible_affectance(ctx.raw, sel, 1.0)))
 
 
 def largest_bifeasible(ctx: AffectanceContext, gamma: float = 2.0) -> Schedule:

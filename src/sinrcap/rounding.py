@@ -50,7 +50,8 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import formulations
-from .affectance import ROW_BLOCK, AffectanceContext, Schedule, certify, check_positions
+from .affectance import (ROW_BLOCK, AffectanceContext, Schedule, certify, check_positions,
+                         verify)
 from .lp_core import LinearProgram, LpSession, solve_lp
 
 logger = logging.getLogger(__name__)
@@ -352,15 +353,15 @@ def _select_batch(ctx: AffectanceContext, batch) -> list:
 
 def run_sweep(ctx: AffectanceContext, policies: Sequence[RoundingPolicy]) -> list:
     """``run_pipeline`` of each policy, in order, as one ``round_trials``
-    sweep; returns one schedule per policy."""
+    sweep; returns one schedule per policy, each passing ``verify``."""
     if any(policy.problem.primaries for policy in policies):
         raise ValueError("admission pipelines are driven by the admission module")
     schedules = []
     for (_, selections), policy in zip(round_trials(ctx, policies), policies):
-        best = best_part(ctx, selections, policy.mode)
-        if not check_positions(ctx, best):
+        ids = ctx.ids[best_part(ctx, selections, policy.mode)]
+        if not verify(ctx, ids):
             raise AssertionError("pipeline produced an infeasible schedule")
-        schedules.append(certify(ctx, ctx.ids[best]))
+        schedules.append(certify(ctx, ids))
     return schedules
 
 

@@ -12,17 +12,15 @@ import numpy as np
 from sinrcap import (AffectanceContext, GenConfig, Instance, Link,
                      PowerAssignment, PrimarySet, RoundingPolicy, admit_general,
                      admit_large_opt, bernoulli_draws, build_capacity_lp,
-                     certify, check_feasibility,
-                     exact_capacity, generate_instance,
+                     certify, exact_capacity, generate_instance,
                      greedy_base, greedy_combined, largest_bifeasible,
                      run_compare, run_pipeline, schedule_weight,
-                     separation_check, signal_strengthen, solve_lp,
-                     verify_admission)
-from sinrcap.affectance import RAW_CAP
+                     separation_check, signal_strengthen, solve_lp, verify)
+from sinrcap.affectance import RAW_CAP, _exact_holds
 from sinrcap.formulations import admission_filter_threshold
 from sinrcap.harness import CSV_COLUMNS
 
-from conftest import feasible_prim_ctx, make_link, random_ctx
+from conftest import affectance_ok, feasible_prim_ctx, make_link, random_ctx
 
 UNIFORM = PowerAssignment.uniform()
 
@@ -51,9 +49,7 @@ def test_criterion_1_feasibility_soundness():
     def check(ctx, sched):
         nonlocal runs, failures
         runs += 1
-        ok = check_feasibility(ctx, sched.ids, 1.0, "feasible") \
-            and check_feasibility(ctx, sched.ids, mode="exact_sinr") \
-            and certify(ctx, sched.ids).exact_sinr_ok
+        ok = verify(ctx, sched.ids) and certify(ctx, sched.ids).exact_sinr_ok
         if not ok:
             failures += 1
 
@@ -220,8 +216,8 @@ def test_criterion_5_signal_strengthening():
             flat = sorted(i for p in parts for i in p)
             assert flat == sorted(source)
             for part in parts:
-                assert check_feasibility(ctx, part, 1.0, "feasible")
-                assert check_feasibility(ctx, part, mode="exact_sinr")
+                assert affectance_ok(ctx, part)
+                assert _exact_holds(ctx, part)
             worst_parts = max(worst_parts, len(parts))
         lines.append(f"gamma/theta={ratio}: max parts {worst_parts} "
                      f"(reference curve value {ratio * ratio})")
@@ -282,8 +278,7 @@ def test_criterion_7_clipping_equivalence():
         ids = [int(i) for i in ctx.ids][:5]
         for r in range(len(ids) + 1):
             for sub in itertools.combinations(ids, r):
-                assert check_feasibility(ctx, sub, 1.0, "feasible") == \
-                    check_feasibility(ctx, sub, mode="exact_sinr")
+                assert affectance_ok(ctx, sub) == _exact_holds(ctx, sub)
     assert mismatches == 0
     print(f"\nACCEPTANCE 7 clipping equivalence: PASS "
           f"({subsets} subsets, {mismatches} mismatches)")
@@ -304,7 +299,7 @@ def test_criterion_8_admission_safety():
             res = admit_large_opt(ctx, RoundingPolicy(
                 mode="admission_large", C=1.0, trials=10, seed=i))
         assert res.verified
-        assert verify_admission(ctx, res.admitted.ids)
+        assert verify(ctx, res.admitted.ids)
         if res.notes.get("group_count", 0) > 10 * ctx.k:
             group_flags.append((i, res.notes["group_count"], ctx.k))
         runs += 1

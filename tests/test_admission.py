@@ -6,14 +6,14 @@ import pytest
 
 from sinrcap import (AffectanceContext, Instance, PowerAssignment, PrimarySet,
                      RetriesExhausted, RoundingPolicy, admit_general, admit_large_opt,
-                     admit_sweep, check_feasibility, exact_admission, verify_admission)
+                     admit_sweep, exact_admission, verify)
 from sinrcap import admission, rounding
 from sinrcap.formulations import build_admission_large_lp
 from sinrcap.lp_core import FractionalSolution
 from sinrcap.rounding import _better, final_selection_batch
 
-from conftest import (ColdSession, far_instance, feasible_prim_ctx, make_link, random_ctx,
-                      sampled, selection)
+from conftest import (ColdSession, affectance_ok, far_instance, feasible_prim_ctx, make_link,
+                      random_ctx, sampled, selection)
 
 UNIFORM = PowerAssignment.uniform()
 
@@ -215,16 +215,24 @@ def test_large_opt_single_primary_flagged():
     assert res.verified
 
 
-def test_verify_admission_cases():
+def test_verify_with_primaries_cases():
     # empty admitted set with feasible primaries
     ctx = prim_ctx(11, n=6, primaries=2)
-    assert verify_admission(ctx, ())
+    assert verify(ctx, ())
     # a secondary co-located with the primary receiver at equal power breaks it
     prim = PrimarySet(links=(make_link(9, 0.0, 0.0, 1.0, 0.0),), powers=(1.0,))
     sec = (make_link(0, 1.0, 0.0, 2.0, 0.0),)
     inst = Instance(links=sec, alpha=2.0, noise=0.01, primaries=prim)
     ctx2 = AffectanceContext(inst, UNIFORM, primaries=prim)
-    assert not verify_admission(ctx2, (0,))
+    assert not verify(ctx2, (0,))
+
+
+@pytest.mark.parametrize("mode", ["admission_general", "admission_large"])
+def test_admission_raises_on_a_result_verify_refuses(mode, monkeypatch):
+    ctx = prim_ctx(11, n=6, primaries=2)
+    monkeypatch.setattr(admission, "verify", lambda ctx, ids: False)
+    with pytest.raises(AssertionError, match="admission result failed verification"):
+        admit_sweep(ctx, [policy(mode, trials=5)])
 
 
 def test_admission_with_all_secondaries_removed():
@@ -248,9 +256,9 @@ def test_admission_results_pass_verification_sweep():
         ctx = prim_ctx(seed + 50, n=10, R=5.0, primaries=4)
         res = admit_general(ctx, policy("admission_general", seed=seed, trials=15))
         assert res.verified
-        assert verify_admission(ctx, res.admitted.ids)
+        assert verify(ctx, res.admitted.ids)
         # hat-affectance one-feasibility of the admitted set
-        assert check_feasibility(ctx, res.admitted.ids, 1.0, "feasible")
+        assert affectance_ok(ctx, res.admitted.ids)
 
 
 def _ring_ctx(count=20, radius=2.75):

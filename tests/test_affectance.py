@@ -6,11 +6,11 @@ import pytest
 
 from sinrcap import (AffectanceContext, GenConfig, IndividuallyInfeasible, Instance,
                      PowerAssignment, PrimarySet, affectance, c_factor, certify,
-                     check_feasibility, exact_admission, generate_instance, hat_noise,
-                     separation_check, verify_admission)
-from sinrcap.affectance import RAW_CAP
+                     exact_admission, generate_instance, hat_noise, separation_check,
+                     verify)
+from sinrcap.affectance import RAW_CAP, _exact_holds
 
-from conftest import colocated_pair, feasible_prim_ctx, make_link, random_ctx
+from conftest import affectance_ok, colocated_pair, feasible_prim_ctx, make_link, random_ctx
 
 UNIFORM = PowerAssignment.uniform()
 
@@ -46,10 +46,10 @@ def test_individually_infeasible_removed():
         lambda c: c_factor(c, 0),
         lambda c: affectance(c, 1, 0),
         lambda c: affectance(c, 0, 1),
-        lambda c: check_feasibility(c, [0, 1]),
-        lambda c: check_feasibility(c, [0], mode="exact_sinr"),
+        lambda c: verify(c, [0, 1]),
+        lambda c: _exact_holds(c, [0]),
         lambda c: certify(c, [0]),
-        lambda c: verify_admission(c, [0]),
+        lambda c: verify(c, [0]),
         lambda c: separation_check(c, [0, 1], 2.0),
     ]
     for call in removed_calls:
@@ -204,12 +204,14 @@ def test_exact_sinr_matches_direct_evaluation(seed, kind):
     verdicts = set()
     for r in range(len(ids) + 1):
         for subset in itertools.combinations(ids, r):
-            got = check_feasibility(ctx, subset, mode="exact_sinr")
+            got = _exact_holds(ctx, subset)
             want = _sinr_holds(inst, UNIFORM, subset, ctx.primaries)
             assert got == want, f"subset {subset}"
-            got = verify_admission(ctx, subset)
+            got = _exact_holds(ctx, subset, primaries=True)
             want = _sinr_holds(inst, UNIFORM, subset, ctx.primaries, check_primaries=True)
             assert got == want, f"subset {subset} with primaries checked"
+            got = verify(ctx, subset)
+            assert got == (want and affectance_ok(ctx, subset)), f"subset {subset} verified"
             verdicts.add(got)
     assert verdicts == {True, False}
 
@@ -221,29 +223,33 @@ def test_affectance_feasibility_equals_exact_for_beta_ge_one(seed):
     ids = [int(i) for i in ctx.ids]
     for r in range(len(ids) + 1):
         for subset in itertools.combinations(ids, r):
-            feas = check_feasibility(ctx, subset, 1.0, "feasible")
-            exact = check_feasibility(ctx, subset, mode="exact_sinr")
+            feas = affectance_ok(ctx, subset)
+            exact = _exact_holds(ctx, subset)
             assert feas == exact, f"subset {subset}"
 
 
 def test_feasibility_empty_and_singleton():
     ctx = random_ctx(9, n=4)
-    for mode in ("feasible", "anti_feasible", "bi_feasible", "exact_sinr"):
-        assert check_feasibility(ctx, [], mode=mode)
-        assert check_feasibility(ctx, [int(ctx.ids[0])], mode=mode)
+    for ids in ([], [int(ctx.ids[0])]):
+        assert affectance_ok(ctx, ids)
+        assert affectance_ok(ctx, ids, anti=True)  # anti- and bi-feasible
+        assert _exact_holds(ctx, ids)
+        assert verify(ctx, ids)
 
 
 def test_colocated_pair_boundary_and_noise():
     # with zero noise the pair sits exactly on the SINR boundary: feasible
     ctx0 = AffectanceContext(colocated_pair(noise=0.0), UNIFORM)
-    assert check_feasibility(ctx0, [0, 1], 1.0, "feasible")
-    assert check_feasibility(ctx0, [0, 1], mode="exact_sinr")
+    assert affectance_ok(ctx0, [0, 1])
+    assert _exact_holds(ctx0, [0, 1])
+    assert verify(ctx0, [0, 1])
     # any positive noise breaks it, under both predicates
     ctx = AffectanceContext(colocated_pair(noise=0.1), UNIFORM)
-    assert not check_feasibility(ctx, [0, 1], 1.0, "feasible")
-    assert not check_feasibility(ctx, [0, 1], mode="exact_sinr")
+    assert not affectance_ok(ctx, [0, 1])
+    assert not _exact_holds(ctx, [0, 1])
+    assert not verify(ctx, [0, 1])
     # but the pair is 2-feasible under clipped sums
-    assert check_feasibility(ctx, [0, 1], 2.0, "feasible")
+    assert affectance_ok(ctx, [0, 1], 2.0)
 
 
 def test_separation_check_basics():
@@ -260,7 +266,7 @@ def test_separation_of_strongly_feasible_sets(q):
     found = 0
     for r in range(2, len(ids) + 1):
         for subset in itertools.combinations(ids, r):
-            if check_feasibility(ctx, subset, gamma, "feasible"):
+            if affectance_ok(ctx, subset, gamma):
                 found += 1
                 assert separation_check(ctx, subset, q)
     assert found > 0

@@ -2,14 +2,15 @@ import numpy as np
 import pytest
 
 from sinrcap import (AffectanceContext, GenConfig, Instance, Link, PowerAssignment,
-                     RoundingPolicy, certify, check_feasibility,
-                     exact_capacity, generate_instance, greedy_base, greedy_combined,
-                     greedy_sweep, run_pipeline, schedule_weight)
+                     RoundingPolicy, certify, exact_capacity, generate_instance,
+                     greedy_base, greedy_combined, greedy_sweep, run_pipeline,
+                     schedule_weight)
 from sinrcap.greedy import (_class_candidates, length_class_partition,
                             weight_class_partition)
 from sinrcap.rounding import final_selection_batch, round_trials
 
-from conftest import colocated_pair, far_instance, feasible_prim_ctx, make_link, random_ctx
+from conftest import (affectance_ok, colocated_pair, far_instance, feasible_prim_ctx, make_link,
+                      random_ctx)
 
 UNIFORM = PowerAssignment.uniform()
 
@@ -155,7 +156,7 @@ def test_outputs_one_feasible():
         ctx = random_ctx(seed + 60, n=12, R=2.5, delta=3.0)
         for algo in (greedy_base, greedy_combined):
             sched = algo(ctx, 2.5)  # generous acceptance still ends feasible
-            assert check_feasibility(ctx, sched.ids, 1.0, "feasible")
+            assert affectance_ok(ctx, sched.ids)
             assert sched.exact_sinr_ok
 
 

@@ -6,13 +6,15 @@ import warnings
 import pytest
 
 from sinrcap import (AffectanceContext, GenConfig, PowerAssignment, certify,
-                     check_feasibility, generate_instance, run_compare,
-                     run_oracle_suite, verify_admission)
+                     generate_instance, run_compare, run_oracle_suite, verify)
 from sinrcap import cli
+from sinrcap.affectance import _exact_holds
 from sinrcap.cli import main as cli_main
 from sinrcap.formulations import PROBLEMS
-from sinrcap.harness import CSV_COLUMNS, sweep_best, verify_output
+from sinrcap.harness import CSV_COLUMNS, sweep_best
 from sinrcap.model import read_instance, write_instance
+
+from conftest import affectance_ok
 
 
 def test_generator_deterministic():
@@ -169,10 +171,11 @@ def test_cli_oracle_fails_on_infeasible_optimum(tmp_path, monkeypatch, problem, 
     inst_path = tmp_path / "dense.json"
     write_instance(inst, inst_path)
     plain = AffectanceContext(inst, PowerAssignment.uniform())
-    assert not verify_output(plain, plain.ids)
-    assert not check_feasibility(plain, plain.ids, 1.0, "feasible")
+    assert not verify(plain, plain.ids)
+    assert not affectance_ok(plain, plain.ids)
     joint = AffectanceContext(inst, PowerAssignment.uniform(), primaries=inst.primaries)
-    assert not verify_admission(joint, joint.ids)
+    assert not verify(joint, joint.ids)
+    assert not _exact_holds(joint, joint.ids, primaries=True)
     monkeypatch.setattr(cli, oracle_fn, lambda ctx, *args, **kwargs: certify(ctx, ctx.ids))
     out = tmp_path / "opt.json"
     assert cli_main(["oracle", str(inst_path), "--problem", problem, "--out", str(out)]) == 1
@@ -278,7 +281,7 @@ GEN = ["gen", "--n", "5", "--side", "6", "--delta", "2"]
     (GEN + ["--alpha", "inf"], "alpha must be finite, got inf"),
     (GEN + ["--beta", "inf"], "beta must be finite, got inf"),
     (GEN + ["--noise", "inf"], "noise must be finite, got inf"),
-    (GEN + ["--primaries", "1", "--primary-power", "inf"], "not JSON compliant"),
+    (GEN + ["--primaries", "1", "--primary-power", "inf"], "power must be finite, got inf"),
     (GEN + ["--primaries", "2", "--primary-power", "0"], "power must be positive, got 0.0"),
     (GEN + ["--primaries", "-1"], "primaries must be nonnegative, got -1"),
     (["gen", "--n", "600", "--side", "77", "--delta", "8", "--primaries", "8", "--seed", "3"],
@@ -294,16 +297,23 @@ GEN = ["gen", "--n", "5", "--side", "6", "--delta", "2"]
     (["admit", "OWN"], "primary 1: takes no beta or noise override"),
     (["admit", "OWN", "--method", "large"], "primary 1: takes no beta or noise override"),
     (["oracle", "OWN", "--problem", "admission"], "primary 1: takes no beta or noise override"),
+    (["solve", "NANNOISE", "--algo", "lp"], "link 0: noise override must be finite"),
+    (["solve", "HUGEBETA", "--algo", "lp"], "link 0: beta override must be finite"),
+    (["admit", "HUGEPOWER"], "primary 1: power must be finite, got inf"),
+    (["admit", "HUGEPOWER", "--method", "large"], "primary 1: power must be finite, got inf"),
+    (["oracle", "HUGEPOWER", "--problem", "admission"], "primary 1: power must be finite"),
 ], ids=["side-0", "side-nan", "side-inf", "delta-0.5", "alpha-0", "beta-0", "noise-neg",
         "alpha-inf", "beta-inf", "noise-inf", "primary-power-inf", "primary-power-0",
         "primaries-neg", "gen-primaries-clash", "compare-delta", "oracle-21", "suite-21",
         "admit-no-primaries", "oracle-admission-no-primaries", "admit-large-empty-primaries",
         "admit-empty-primaries", "oracle-admission-empty-primaries",
         "admit-primary-override", "admit-large-primary-override",
-        "oracle-admission-primary-override"])
+        "oracle-admission-primary-override", "solve-noise-nan", "solve-beta-1e400",
+        "admit-primary-power-1e400", "admit-large-primary-power-1e400",
+        "oracle-admission-primary-power-1e400"])
 def test_cli_reports_rejected_input_in_one_line(args, bad, tmp_path, capsys):
-    paths = {"BIG": tmp_path / "big.json", "EMPTY": tmp_path / "empty.json",
-             "OWN": tmp_path / "own.json"}
+    paths = {name: tmp_path / f"{name.lower()}.json"
+             for name in ("BIG", "EMPTY", "OWN", "NANNOISE", "HUGEBETA", "HUGEPOWER")}
     write_instance(generate_instance(GenConfig(n=21, R=9.0, delta=2.0, seed=4)), paths["BIG"])
     link = {"id": 0, "sx": 0.0, "sy": 0.0, "rx": 1.0, "ry": 0.0}
     # a primary list, but an empty one
@@ -311,6 +321,12 @@ def test_cli_reports_rejected_input_in_one_line(args, bad, tmp_path, capsys):
     # a primary with its own threshold, which no SINR could reach
     paths["OWN"].write_text(json.dumps({"alpha": 2.5, "links": [link], "primaries": [
         {"id": 1, "sx": 50.0, "sy": 0.0, "rx": 51.0, "ry": 0.0, "power": 1.0, "beta": 1e9}]}))
+    # values that read as nan or inf: a link's noise and beta, a primary's power
+    text = '{"alpha": 2.5, "links": [{"id": 0, "sx": 0, "sy": 0, "rx": 1, "ry": 0%s}]%s}'
+    paths["NANNOISE"].write_text(text % (', "noise": NaN', ""))
+    paths["HUGEBETA"].write_text(text % (', "beta": 1e400', ""))
+    paths["HUGEPOWER"].write_text(text % ("", ', "primaries": [{"id": 1, "sx": 50, "sy": 0, '
+                                              '"rx": 51, "ry": 0, "power": 1e400}]'))
     out = tmp_path / "out"
     argv = [str(paths.get(a, a)) for a in args]
     if args[0] != "suite":

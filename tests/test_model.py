@@ -117,12 +117,36 @@ def test_nonfinite_parameters_rejected(field, value, tmp_path):
         read_instance(path)
 
 
-def test_write_refuses_nonstandard_json(tmp_path):
-    prim = PrimarySet(links=(make_link(7, 10.0, 0.0, 11.0, 0.0),), powers=(float("inf"),))
+def _json(value):
+    """``value`` as the non-standard JSON that reads back as it: 1e400 for inf."""
+    return "1e400" if value > 0 else "NaN"
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("nan")])
+def test_nonfinite_primary_power_rejected(value, tmp_path):
+    # refused when built, so no instance holding it is ever written
     path = tmp_path / "inst.json"
-    with pytest.raises(ValueError, match="JSON compliant"):
+    with pytest.raises(ValueError, match="primary 7: power must be finite"):
+        prim = PrimarySet(links=(make_link(7, 10.0, 0.0, 11.0, 0.0),), powers=(value,))
         write_instance(Instance(links=line_links((0.0, 1.0)), alpha=2.5, primaries=prim), path)
     assert not path.exists()
+    path.write_text('{"alpha": 2.5, "links": [{"id": 0, "sx": 0, "sy": 0, "rx": 1, "ry": 0}], '
+                    '"primaries": [{"id": 7, "sx": 10, "sy": 0, "rx": 11, "ry": 0, '
+                    '"power": %s}]}' % _json(value))
+    with pytest.raises(ValueError, match="primary 7: power must be finite"):
+        read_instance(path)
+
+
+@pytest.mark.parametrize("field", ["beta", "noise"])
+@pytest.mark.parametrize("value", [float("inf"), float("nan")])
+def test_nonfinite_link_overrides_rejected(field, value, tmp_path):
+    with pytest.raises(ValueError, match=f"link 0: {field} override must be finite"):
+        make_link(0, 0.0, 0.0, 1.0, 0.0, **{f"{field}_override": value})
+    path = tmp_path / "inst.json"
+    path.write_text('{"alpha": 2.5, "links": [{"id": 0, "sx": 0, "sy": 0, "rx": 1, "ry": 0, '
+                    '"%s": %s}]}' % (field, _json(value)))
+    with pytest.raises(ValueError, match=f"link 0: {field} override must be finite"):
+        read_instance(path)
 
 
 def test_negative_id_rejected():

@@ -141,8 +141,11 @@ def _integer_weight_ctx(seed):
 
 
 def _exact(ctx, primaries=False):
+    """The oracles' exact accept: the SINR inequality, at the primaries too
+    with ``primaries``, and affectance sums within 1."""
     rows, budget = _exact_budgets(ctx)
-    return partial(_feasible_exact, rows=rows, budget=budget, k=ctx.k, primaries=primaries)
+    return lambda sel: (_feasible_exact(sel, rows, budget, ctx.k, primaries)
+                        & _feasible_affectance(ctx.raw, sel, 1.0))
 
 
 # name -> (oracle, the same check for the reference, reference weights)

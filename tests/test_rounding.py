@@ -11,13 +11,14 @@ import pytest
 from sinrcap import (AffectanceContext, GenConfig, Instance, Link, PowerAssignment,
                      RoundingPolicy, bernoulli_draws, build_admission_large_lp,
                      build_admission_lp, build_capacity_lp, build_qos_lp, build_weighted_lp,
-                     check_feasibility, exact_capacity, generate_instance, run_pipeline,
-                     run_sweep, signal_strengthen, solve_lp)
+                     exact_capacity, generate_instance, run_pipeline, run_sweep,
+                     signal_strengthen, solve_lp)
 from sinrcap import formulations, rounding
+from sinrcap.affectance import _exact_holds
 from sinrcap.rounding import (ROUNDING_MODES, _extract_rows, _first_fit, _strengthen_rows,
                               best_part, final_selection_batch, round_trials, sample_batch)
 
-from conftest import (colocated_pair, far_instance, feasible_prim_ctx, make_link,
+from conftest import (affectance_ok, colocated_pair, far_instance, feasible_prim_ctx, make_link,
                       random_ctx, sampled, selection)
 
 UNIFORM = PowerAssignment.uniform()
@@ -187,7 +188,7 @@ def test_signal_strengthen_partition_properties():
     assert sorted(flat) == sorted(ids)  # disjoint cover
     assert len(set(flat)) == len(flat)
     for part in parts:
-        assert check_feasibility(ctx, part, 1.0, "feasible")
+        assert affectance_ok(ctx, part)
 
 
 def test_signal_strengthen_parts_pass_exact_sinr():
@@ -195,7 +196,16 @@ def test_signal_strengthen_parts_pass_exact_sinr():
         ctx = random_ctx(seed, n=10, R=2.0, delta=2.0)
         parts = signal_strengthen(ctx, [int(i) for i in ctx.ids])
         for part in parts:
-            assert check_feasibility(ctx, part, mode="exact_sinr")
+            assert _exact_holds(ctx, part)
+
+
+def test_sweep_raises_on_a_schedule_verify_refuses(monkeypatch):
+    ctx = random_ctx(3, n=8)
+    judged = []
+    monkeypatch.setattr(rounding, "verify", lambda ctx, ids: judged.append(ids) and False)
+    with pytest.raises(AssertionError, match="pipeline produced an infeasible schedule"):
+        run_pipeline(ctx, RoundingPolicy(mode="capacity", trials=3))
+    assert len(judged) == 1
 
 
 def test_strengthening_check_runs_under_optimize():
@@ -355,7 +365,7 @@ def _reference_strengthen(ctx, S):
     out = []
     for members, _ in parts:
         part = tuple(sorted(ids[p] for p in members))
-        if not check_feasibility(ctx, part, 1.0, "feasible"):
+        if not affectance_ok(ctx, part):
             raise AssertionError("signal strengthening produced an infeasible part")
         out.append(part)
     return out
