@@ -89,7 +89,7 @@ def _result(ctx, admitted, groups, notes) -> AdmissionResult:
     """The result admitting the sorted positions ``admitted``, grouped as
     ``groups``; ids are formed here."""
     schedule = certify(ctx, ctx.ids[admitted])
-    verified = verify(ctx, schedule.ids)
+    verified = verify(ctx, schedule)
     result = AdmissionResult(
         admitted=schedule,
         groups=tuple(tuple(ctx.ids[g].tolist()) for g in groups),

@@ -23,6 +23,8 @@ form over ``_exact_budgets`` (recomputed from geometry and powers), and
 ``_feasible_affectance``, affectance sums within gamma with terms clipped
 at 1 only when gamma > 1.  ``verify`` is the library's one verdict on a
 returned set: both tests at threshold 1, the exact one at the primaries too.
+It reads the exact test from the set's ``certify`` schedule, so a set is
+tested once.
 """
 
 from __future__ import annotations
@@ -300,18 +302,21 @@ def check_positions(ctx: AffectanceContext, idx: np.ndarray) -> bool:
                                      1.0)[0])
 
 
-def _exact_holds(ctx: AffectanceContext, ids, primaries: bool = False) -> bool:
+def _exact_holds(ctx: AffectanceContext, ids, primaries: bool = True) -> bool:
     """``_feasible_exact`` of the one set ``ids``."""
     rows, budget = _exact_budgets(ctx, ids)
     return bool(_feasible_exact(np.ones((1, len(rows)), bool), rows, budget, ctx.k,
                                 primaries)[0])
 
 
-def verify(ctx: AffectanceContext, ids) -> bool:
+def verify(ctx: AffectanceContext, S) -> bool:
     """The verdict on a returned set: every member's unclipped (hat)
     affectance sum is at most 1, and the exact SINR inequality holds at
-    every member and every primary, the primaries transmitting."""
-    return check_positions(ctx, ctx.index_of(ids)) and _exact_holds(ctx, ids, primaries=True)
+    every member and every primary, the primaries transmitting.  ``S`` is
+    the set's link ids or its ``certify`` schedule, whose exact flag is
+    read rather than recomputed."""
+    schedule = S if isinstance(S, Schedule) else certify(ctx, S)
+    return schedule.exact_sinr_ok and check_positions(ctx, ctx.index_of(schedule.ids))
 
 
 def separation_check(ctx: AffectanceContext, S, q: float) -> bool:
@@ -329,7 +334,8 @@ def separation_check(ctx: AffectanceContext, S, q: float) -> bool:
 
 
 def certify(ctx: AffectanceContext, S) -> Schedule:
-    """Build a schedule with per-link affectance sums and an exact-SINR flag."""
+    """Build a schedule with per-link affectance sums and an exact-SINR flag,
+    true when the inequality holds at every member and every primary."""
     ids = tuple(sorted(int(i) for i in S))
     idx = ctx.index_of(ids)
     sub = np.minimum(ctx.raw[np.ix_(idx, idx)], 1.0)

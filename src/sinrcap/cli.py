@@ -179,7 +179,7 @@ def _cmd_solve(args) -> int:
     c, value, sched = sweep_best(args.sweep, [
         (_schedule_objective(ctx, sched.ids, args.formulation), sched) for sched in schedules])
     best = {"constant": c, "value": value, "ids": list(sched.ids),
-            "exact_sinr_ok": sched.exact_sinr_ok, "verified": verify(ctx, sched.ids)}
+            "exact_sinr_ok": sched.exact_sinr_ok, "verified": verify(ctx, sched)}
     _emit(best, args.out)
     return 0 if best["verified"] else 1
 
@@ -204,7 +204,7 @@ def _cmd_oracle(args) -> int:
     with _rejected("oracle", TooLarge):
         sched = exact_admission(ctx) if problem.primaries \
             else exact_capacity(ctx, problem.objective, "exact_sinr")
-    ok = verify(ctx, sched.ids)
+    ok = verify(ctx, sched)
     payload = {"ids": list(sched.ids), "size": sched.size,
                "weight": schedule_weight(ctx, sched),
                "exact_sinr_ok": sched.exact_sinr_ok, "verified": ok}

@@ -183,9 +183,9 @@ def run_compare(gen_configs: Sequence[GenConfig], sweep: Sequence[float],
         lp_ms, greedy_ms = (t1 - t0) * 1e3, (time.perf_counter() - t1) * 1e3
         values = {}
         for algo, runs in schedules.items():  # in row order
-            c, values[algo], ids = sweep_best(
-                sweep, [(schedule_weight(ctx, schedule), schedule.ids) for schedule in runs])
-            if not verify(ctx, ids):
+            c, values[algo], best = sweep_best(
+                sweep, [(schedule_weight(ctx, schedule), schedule) for schedule in runs])
+            if not verify(ctx, best):
                 raise AssertionError(f"{algo} produced an infeasible solution")
             records.append(ExperimentRecord(
                 **meta, algo=algo, constant=c, value=values[algo], feasible=True,
@@ -231,7 +231,7 @@ def run_oracle_suite(gen_configs: Sequence[GenConfig], trials: int = 50,
             "alg_le_opt": alg.size <= opt.size and grd.size <= opt.size,
             "lp_ge_w2": lp_star >= len(w2.ids) - 1e-6,
             "w2_ge_half_opt": len(w2.ids) >= math.ceil(opt.size / 2),
-            "outputs_feasible": verify(ctx, alg.ids) and verify(ctx, grd.ids),
+            "outputs_feasible": verify(ctx, alg) and verify(ctx, grd),
         }
         all_ok = all_ok and all(verdicts.values())
         rows.append({

@@ -68,44 +68,43 @@ def _best(ctx: AffectanceContext, accept, weights=None) -> Schedule:
     return certify(ctx, best[1])
 
 
+def _exact_accept(ctx: AffectanceContext):
+    """The exact oracles' accept, ``affectance.verify``'s two tests on a
+    block: the SINR inequality at every member and every primary, and
+    affectance sums within 1.  The two state one condition, but their float
+    sums can round apart within an ulp of the threshold."""
+    rows, budget = _exact_budgets(ctx)
+    return lambda sel: (_feasible_exact(sel, rows, budget, ctx.k, primaries=True)
+                        & _feasible_affectance(ctx.raw, sel, 1.0))
+
+
 def exact_capacity(ctx: AffectanceContext, objective: str = "cardinality",
                    mode: str = "exact_sinr", gamma: float = 1.0) -> Schedule:
     """Maximum feasible subset by enumeration (n <= 20).
 
-    mode "exact_sinr" checks the SINR inequality, and affectance sums
-    within 1 as well: the two state one condition, but their float sums can
-    round apart within an ulp of the threshold, and ``affectance.verify``
-    demands both.  "affectance" checks gamma-feasibility of received
-    affectance sums.
+    mode "exact_sinr" checks sets with ``_exact_accept``; "affectance"
+    checks gamma-feasibility of received affectance sums.
     """
     _check_cap(ctx.n)
     if objective not in ("cardinality", "weight"):
         raise ValueError(f"unknown objective {objective!r}")
     if mode not in ("exact_sinr", "affectance"):
         raise ValueError(f"unknown mode {mode!r}")
-    if mode == "exact_sinr":
-        rows, budget = _exact_budgets(ctx)
-
-        def accept(sel):
-            return (_feasible_exact(sel, rows, budget, ctx.k)
-                    & _feasible_affectance(ctx.raw, sel, 1.0))
-    else:
-        accept = partial(_feasible_affectance, ctx.raw, gamma=gamma)
+    accept = _exact_accept(ctx) if mode == "exact_sinr" \
+        else partial(_feasible_affectance, ctx.raw, gamma=gamma)
     return _best(ctx, accept, ctx.weights if objective == "weight" else None)
 
 
 def exact_admission(ctx: AffectanceContext) -> Schedule:
-    """Maximum secondary subset keeping all primaries and members exactly
-    feasible, primaries at their explicit powers, with hat affectance sums
-    within 1 as ``exact_capacity``'s exact mode requires."""
+    """Maximum secondary subset that ``_exact_accept`` passes, primaries at
+    their explicit powers."""
     if not ctx.has_primaries:
         raise ValueError("admission oracle requires a context with primaries")
     _check_cap(ctx.n)
-    rows, budget = _exact_budgets(ctx)
-    if np.any(budget[:ctx.k] < 0):
+    accept = _exact_accept(ctx)
+    if not accept(np.zeros((1, ctx.n), bool))[0]:
         raise InfeasiblePrimaries("primaries are infeasible even without secondaries")
-    return _best(ctx, lambda sel: (_feasible_exact(sel, rows, budget, ctx.k, primaries=True)
-                                   & _feasible_affectance(ctx.raw, sel, 1.0)))
+    return _best(ctx, accept)
 
 
 def largest_bifeasible(ctx: AffectanceContext, gamma: float = 2.0) -> Schedule:

@@ -358,10 +358,10 @@ def run_sweep(ctx: AffectanceContext, policies: Sequence[RoundingPolicy]) -> lis
         raise ValueError("admission pipelines are driven by the admission module")
     schedules = []
     for (_, selections), policy in zip(round_trials(ctx, policies), policies):
-        ids = ctx.ids[best_part(ctx, selections, policy.mode)]
-        if not verify(ctx, ids):
+        schedule = certify(ctx, ctx.ids[best_part(ctx, selections, policy.mode)])
+        if not verify(ctx, schedule):
             raise AssertionError("pipeline produced an infeasible schedule")
-        schedules.append(certify(ctx, ids))
+        schedules.append(schedule)
     return schedules
 
 

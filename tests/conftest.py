@@ -3,7 +3,6 @@ import pytest
 
 from sinrcap import (AffectanceContext, GenConfig, InfeasiblePrimaries, Instance,
                      Link, LpSession, Point, PowerAssignment, generate_instance)
-from sinrcap.affectance import _feasible_affectance
 from sinrcap.rounding import sample_batch
 
 
@@ -68,13 +67,6 @@ def selection(ctx, *sets):
     for row, S in zip(sel, sets):
         row[ctx.index_of(S)] = True
     return sel
-
-
-def affectance_ok(ctx, ids, gamma=1.0, anti=False):
-    """``_feasible_affectance`` at threshold ``gamma`` of the one set ``ids``."""
-    idx = ctx.index_of(ids)
-    return bool(_feasible_affectance(ctx.raw[np.ix_(idx, idx)], np.ones((1, idx.size), bool),
-                                     gamma, anti)[0])
 
 
 def sampled(lp, delta, policy, trial):

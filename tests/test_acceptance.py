@@ -16,11 +16,11 @@ from sinrcap import (AffectanceContext, GenConfig, Instance, Link,
                      greedy_base, greedy_combined, largest_bifeasible,
                      run_compare, run_pipeline, schedule_weight,
                      separation_check, signal_strengthen, solve_lp, verify)
-from sinrcap.affectance import RAW_CAP, _exact_holds
+from sinrcap.affectance import RAW_CAP, _exact_holds, check_positions
 from sinrcap.formulations import admission_filter_threshold
 from sinrcap.harness import CSV_COLUMNS
 
-from conftest import affectance_ok, feasible_prim_ctx, make_link, random_ctx
+from conftest import feasible_prim_ctx, make_link, random_ctx
 
 UNIFORM = PowerAssignment.uniform()
 
@@ -216,7 +216,7 @@ def test_criterion_5_signal_strengthening():
             flat = sorted(i for p in parts for i in p)
             assert flat == sorted(source)
             for part in parts:
-                assert affectance_ok(ctx, part)
+                assert check_positions(ctx, ctx.index_of(part))
                 assert _exact_holds(ctx, part)
             worst_parts = max(worst_parts, len(parts))
         lines.append(f"gamma/theta={ratio}: max parts {worst_parts} "
@@ -278,7 +278,7 @@ def test_criterion_7_clipping_equivalence():
         ids = [int(i) for i in ctx.ids][:5]
         for r in range(len(ids) + 1):
             for sub in itertools.combinations(ids, r):
-                assert affectance_ok(ctx, sub) == _exact_holds(ctx, sub)
+                assert check_positions(ctx, ctx.index_of(sub)) == _exact_holds(ctx, sub)
     assert mismatches == 0
     print(f"\nACCEPTANCE 7 clipping equivalence: PASS "
           f"({subsets} subsets, {mismatches} mismatches)")

@@ -8,11 +8,12 @@ from sinrcap import (AffectanceContext, Instance, PowerAssignment, PrimarySet,
                      RetriesExhausted, RoundingPolicy, admit_general, admit_large_opt,
                      admit_sweep, exact_admission, verify)
 from sinrcap import admission, rounding
+from sinrcap.affectance import check_positions
 from sinrcap.formulations import build_admission_large_lp
 from sinrcap.lp_core import FractionalSolution
 from sinrcap.rounding import _better, final_selection_batch
 
-from conftest import (ColdSession, affectance_ok, far_instance, feasible_prim_ctx, make_link,
+from conftest import (ColdSession, far_instance, feasible_prim_ctx, make_link,
                       random_ctx, sampled, selection)
 
 UNIFORM = PowerAssignment.uniform()
@@ -258,7 +259,7 @@ def test_admission_results_pass_verification_sweep():
         assert res.verified
         assert verify(ctx, res.admitted.ids)
         # hat-affectance one-feasibility of the admitted set
-        assert affectance_ok(ctx, res.admitted.ids)
+        assert check_positions(ctx, ctx.index_of(res.admitted.ids))
 
 
 def _ring_ctx(count=20, radius=2.75):

@@ -8,9 +8,9 @@ from sinrcap import (AffectanceContext, GenConfig, IndividuallyInfeasible, Insta
                      PowerAssignment, PrimarySet, affectance, c_factor, certify,
                      exact_admission, generate_instance, hat_noise, separation_check,
                      verify)
-from sinrcap.affectance import RAW_CAP, _exact_holds
+from sinrcap.affectance import RAW_CAP, _exact_holds, _feasible_affectance, check_positions
 
-from conftest import affectance_ok, colocated_pair, feasible_prim_ctx, make_link, random_ctx
+from conftest import colocated_pair, feasible_prim_ctx, make_link, random_ctx, selection
 
 UNIFORM = PowerAssignment.uniform()
 
@@ -204,14 +204,16 @@ def test_exact_sinr_matches_direct_evaluation(seed, kind):
     verdicts = set()
     for r in range(len(ids) + 1):
         for subset in itertools.combinations(ids, r):
-            got = _exact_holds(ctx, subset)
+            got = _exact_holds(ctx, subset, primaries=False)
             want = _sinr_holds(inst, UNIFORM, subset, ctx.primaries)
             assert got == want, f"subset {subset}"
             got = _exact_holds(ctx, subset, primaries=True)
             want = _sinr_holds(inst, UNIFORM, subset, ctx.primaries, check_primaries=True)
             assert got == want, f"subset {subset} with primaries checked"
             got = verify(ctx, subset)
-            assert got == (want and affectance_ok(ctx, subset)), f"subset {subset} verified"
+            feasible = check_positions(ctx, ctx.index_of(subset))
+            assert got == (want and feasible), f"subset {subset} verified"
+            assert verify(ctx, certify(ctx, subset)) == got, f"subset {subset} certified"
             verdicts.add(got)
     assert verdicts == {True, False}
 
@@ -223,7 +225,7 @@ def test_affectance_feasibility_equals_exact_for_beta_ge_one(seed):
     ids = [int(i) for i in ctx.ids]
     for r in range(len(ids) + 1):
         for subset in itertools.combinations(ids, r):
-            feas = affectance_ok(ctx, subset)
+            feas = check_positions(ctx, ctx.index_of(subset))
             exact = _exact_holds(ctx, subset)
             assert feas == exact, f"subset {subset}"
 
@@ -231,8 +233,9 @@ def test_affectance_feasibility_equals_exact_for_beta_ge_one(seed):
 def test_feasibility_empty_and_singleton():
     ctx = random_ctx(9, n=4)
     for ids in ([], [int(ctx.ids[0])]):
-        assert affectance_ok(ctx, ids)
-        assert affectance_ok(ctx, ids, anti=True)  # anti- and bi-feasible
+        assert check_positions(ctx, ctx.index_of(ids))
+        # anti- and bi-feasible: sent sums within 1 as well
+        assert _feasible_affectance(ctx.raw, selection(ctx, ids), 1.0, anti=True)[0]
         assert _exact_holds(ctx, ids)
         assert verify(ctx, ids)
 
@@ -240,16 +243,16 @@ def test_feasibility_empty_and_singleton():
 def test_colocated_pair_boundary_and_noise():
     # with zero noise the pair sits exactly on the SINR boundary: feasible
     ctx0 = AffectanceContext(colocated_pair(noise=0.0), UNIFORM)
-    assert affectance_ok(ctx0, [0, 1])
+    assert check_positions(ctx0, ctx0.index_of([0, 1]))
     assert _exact_holds(ctx0, [0, 1])
     assert verify(ctx0, [0, 1])
     # any positive noise breaks it, under both predicates
     ctx = AffectanceContext(colocated_pair(noise=0.1), UNIFORM)
-    assert not affectance_ok(ctx, [0, 1])
+    assert not check_positions(ctx, ctx.index_of([0, 1]))
     assert not _exact_holds(ctx, [0, 1])
     assert not verify(ctx, [0, 1])
     # but the pair is 2-feasible under clipped sums
-    assert affectance_ok(ctx, [0, 1], 2.0)
+    assert _feasible_affectance(ctx.raw, selection(ctx, [0, 1]), 2.0)[0]
 
 
 def test_separation_check_basics():
@@ -266,7 +269,7 @@ def test_separation_of_strongly_feasible_sets(q):
     found = 0
     for r in range(2, len(ids) + 1):
         for subset in itertools.combinations(ids, r):
-            if affectance_ok(ctx, subset, gamma):
+            if _feasible_affectance(ctx.raw, selection(ctx, subset), gamma)[0]:
                 found += 1
                 assert separation_check(ctx, subset, q)
     assert found > 0

@@ -5,11 +5,12 @@ from sinrcap import (AffectanceContext, GenConfig, Instance, Link, PowerAssignme
                      RoundingPolicy, certify, exact_capacity, generate_instance,
                      greedy_base, greedy_combined, greedy_sweep, run_pipeline,
                      schedule_weight)
+from sinrcap.affectance import check_positions
 from sinrcap.greedy import (_class_candidates, length_class_partition,
                             weight_class_partition)
 from sinrcap.rounding import final_selection_batch, round_trials
 
-from conftest import (affectance_ok, colocated_pair, far_instance, feasible_prim_ctx, make_link,
+from conftest import (colocated_pair, far_instance, feasible_prim_ctx, make_link,
                       random_ctx)
 
 UNIFORM = PowerAssignment.uniform()
@@ -156,7 +157,7 @@ def test_outputs_one_feasible():
         ctx = random_ctx(seed + 60, n=12, R=2.5, delta=3.0)
         for algo in (greedy_base, greedy_combined):
             sched = algo(ctx, 2.5)  # generous acceptance still ends feasible
-            assert affectance_ok(ctx, sched.ids)
+            assert check_positions(ctx, ctx.index_of(sched.ids))
             assert sched.exact_sinr_ok
 
 

@@ -8,13 +8,12 @@ import pytest
 from sinrcap import (AffectanceContext, GenConfig, PowerAssignment, certify,
                      generate_instance, run_compare, run_oracle_suite, verify)
 from sinrcap import cli
-from sinrcap.affectance import _exact_holds
+from sinrcap.affectance import _exact_holds, check_positions
 from sinrcap.cli import main as cli_main
 from sinrcap.formulations import PROBLEMS
 from sinrcap.harness import CSV_COLUMNS, sweep_best
 from sinrcap.model import read_instance, write_instance
 
-from conftest import affectance_ok
 
 
 def test_generator_deterministic():
@@ -172,7 +171,7 @@ def test_cli_oracle_fails_on_infeasible_optimum(tmp_path, monkeypatch, problem, 
     write_instance(inst, inst_path)
     plain = AffectanceContext(inst, PowerAssignment.uniform())
     assert not verify(plain, plain.ids)
-    assert not affectance_ok(plain, plain.ids)
+    assert not check_positions(plain, plain.index_of(plain.ids))
     joint = AffectanceContext(inst, PowerAssignment.uniform(), primaries=inst.primaries)
     assert not verify(joint, joint.ids)
     assert not _exact_holds(joint, joint.ids, primaries=True)

@@ -8,7 +8,8 @@ from sinrcap import (AffectanceContext, GenConfig, InfeasiblePrimaries, Instance
                      PowerAssignment, PrimarySet, TooLarge, exact_admission,
                      exact_capacity, generate_instance, largest_bifeasible,
                      run_oracle_suite, schedule_weight)
-from sinrcap.affectance import _exact_budgets, _feasible_affectance, _feasible_exact
+from sinrcap.affectance import _feasible_affectance
+from sinrcap.oracle import _exact_accept
 
 from conftest import colocated_pair, far_instance, feasible_prim_ctx, make_link, random_ctx
 
@@ -140,18 +141,10 @@ def _integer_weight_ctx(seed):
     return AffectanceContext(replace(inst, links=links), UNIFORM)
 
 
-def _exact(ctx, primaries=False):
-    """The oracles' exact accept: the SINR inequality, at the primaries too
-    with ``primaries``, and affectance sums within 1."""
-    rows, budget = _exact_budgets(ctx)
-    return lambda sel: (_feasible_exact(sel, rows, budget, ctx.k, primaries)
-                        & _feasible_affectance(ctx.raw, sel, 1.0))
-
-
 # name -> (oracle, the same check for the reference, reference weights)
 EQUIVALENCE_CASES = {
-    "cardinality": (exact_capacity, _exact, lambda ctx: None),
-    "weight": (partial(exact_capacity, objective="weight"), _exact,
+    "cardinality": (exact_capacity, _exact_accept, lambda ctx: None),
+    "weight": (partial(exact_capacity, objective="weight"), _exact_accept,
                lambda ctx: ctx.weights),
     "affectance_raw": (partial(exact_capacity, mode="affectance", gamma=0.8),
                        lambda ctx: partial(_feasible_affectance, ctx.raw, gamma=0.8),
@@ -164,7 +157,7 @@ EQUIVALENCE_CASES = {
                    lambda ctx: partial(_feasible_affectance, np.minimum(ctx.raw, 1.0),
                                        gamma=2.0, anti=True),
                    lambda ctx: None),
-    "admission": (exact_admission, partial(_exact, primaries=True), lambda ctx: None),
+    "admission": (exact_admission, _exact_accept, lambda ctx: None),
 }
 
 

@@ -14,11 +14,11 @@ from sinrcap import (AffectanceContext, GenConfig, Instance, Link, PowerAssignme
                      exact_capacity, generate_instance, run_pipeline, run_sweep,
                      signal_strengthen, solve_lp)
 from sinrcap import formulations, rounding
-from sinrcap.affectance import _exact_holds
+from sinrcap.affectance import _exact_holds, check_positions
 from sinrcap.rounding import (ROUNDING_MODES, _extract_rows, _first_fit, _strengthen_rows,
                               best_part, final_selection_batch, round_trials, sample_batch)
 
-from conftest import (affectance_ok, colocated_pair, far_instance, feasible_prim_ctx, make_link,
+from conftest import (colocated_pair, far_instance, feasible_prim_ctx, make_link,
                       random_ctx, sampled, selection)
 
 UNIFORM = PowerAssignment.uniform()
@@ -188,7 +188,7 @@ def test_signal_strengthen_partition_properties():
     assert sorted(flat) == sorted(ids)  # disjoint cover
     assert len(set(flat)) == len(flat)
     for part in parts:
-        assert affectance_ok(ctx, part)
+        assert check_positions(ctx, ctx.index_of(part))
 
 
 def test_signal_strengthen_parts_pass_exact_sinr():
@@ -365,7 +365,7 @@ def _reference_strengthen(ctx, S):
     out = []
     for members, _ in parts:
         part = tuple(sorted(ids[p] for p in members))
-        if not affectance_ok(ctx, part):
+        if not check_positions(ctx, ctx.index_of(part)):
             raise AssertionError("signal strengthening produced an infeasible part")
         out.append(part)
     return out
