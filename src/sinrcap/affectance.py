@@ -275,7 +275,7 @@ def _feasible_exact(sel: np.ndarray, rows: np.ndarray, budget: np.ndarray, k: in
     ``primaries`` also at every primary."""
     loads = sel.astype(float) @ rows
     ok = ((loads[:, k:] <= budget[k:]) | ~sel).all(axis=1)
-    if primaries:
+    if primaries and k:
         ok &= (loads[:, :k] <= budget[:k]).all(axis=1)
     return ok
 

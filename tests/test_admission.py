@@ -231,7 +231,7 @@ def test_verify_with_primaries_cases():
 @pytest.mark.parametrize("mode", ["admission_general", "admission_large"])
 def test_admission_raises_on_a_result_verify_refuses(mode, monkeypatch):
     ctx = prim_ctx(11, n=6, primaries=2)
-    monkeypatch.setattr(admission, "verify", lambda ctx, ids: False)
+    monkeypatch.setattr(admission, "verify", lambda ctx, schedule: False)
     with pytest.raises(AssertionError, match="admission result failed verification"):
         admit_sweep(ctx, [policy(mode, trials=5)])
 

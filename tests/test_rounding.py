@@ -202,7 +202,7 @@ def test_signal_strengthen_parts_pass_exact_sinr():
 def test_sweep_raises_on_a_schedule_verify_refuses(monkeypatch):
     ctx = random_ctx(3, n=8)
     judged = []
-    monkeypatch.setattr(rounding, "verify", lambda ctx, ids: judged.append(ids) and False)
+    monkeypatch.setattr(rounding, "verify", lambda ctx, schedule: judged.append(schedule) and False)
     with pytest.raises(AssertionError, match="pipeline produced an infeasible schedule"):
         run_pipeline(ctx, RoundingPolicy(mode="capacity", trials=3))
     assert len(judged) == 1
