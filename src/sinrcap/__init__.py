@@ -2,7 +2,7 @@
 greedy baselines, admission control, and an exhaustive oracle."""
 
 from .model import (DistanceMatrix, Instance, Link, Point, PowerAssignment, PrimarySet,
-                    parse_power, read_instance, validate_power_class, write_instance)
+                    parse_power, read_instance, write_instance)
 from .affectance import (AffectanceContext, IndividuallyInfeasible,
                          InfeasiblePrimaries, Schedule, affectance, c_factor, certify,
                          hat_noise, separation_check, verify)

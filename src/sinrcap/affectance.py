@@ -35,7 +35,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .model import Instance, PowerAssignment, PrimarySet, validate_power_class
+from .model import Instance, PowerAssignment, PrimarySet
 
 logger = logging.getLogger(__name__)
 
@@ -139,8 +139,12 @@ class AffectanceContext:
         np.fill_diagonal(from_prim, 0.0)
         noise = np.concatenate([np.full(k, instance.noise), base_noise])
         hat_noise = noise + from_prim.sum(axis=0)
-        signal = np.concatenate([self.prim_powers, all_powers]) \
-            / np.concatenate([self.prim_lengths, all_lengths]) ** alpha
+        with np.errstate(divide="ignore", over="ignore"):  # refused below when not finite
+            signal = np.concatenate([self.prim_powers, all_powers]) \
+                / np.concatenate([self.prim_lengths, all_lengths]) ** alpha
+        if not np.all(np.isfinite(signal)):
+            bad = [(self.prim_ids + all_ids)[i] for i in np.flatnonzero(~np.isfinite(signal))]
+            raise ValueError(f"link(s) {bad}: signal P/l**alpha is not finite")
         signal_over_beta = signal / np.concatenate([np.full(k, instance.beta), betas])
         budget = signal_over_beta - hat_noise
         if np.any(budget[:k] <= 0):
@@ -181,8 +185,6 @@ class AffectanceContext:
         self.aff_to_prim_plain = np.minimum(
             _interference(self.powers, to_prim, alpha, signal_over_beta[:k] - noise[:k]), 1.0)
 
-        self._power_class = None
-
     # -- basic accessors ----------------------------------------------------
 
     @property
@@ -203,17 +205,6 @@ class AffectanceContext:
             if lid in self.removed_ids:
                 raise IndividuallyInfeasible(lid) from None
             raise KeyError(f"unknown link id {lid}") from None
-
-    def power_class(self) -> dict:
-        if self._power_class is None:
-            self._power_class = validate_power_class(self.instance, self.assignment)
-        return self._power_class
-
-    def nearly_uniform(self) -> bool:
-        """Every power within a factor of 2 of every other."""
-        if self.n <= 1:
-            return True
-        return float(self.powers.max()) <= 2.0 * float(self.powers.min())
 
     def length_ge_mask(self) -> np.ndarray:
         """mask[v, u] true iff l_v >= l_u and v != u (LP row membership)."""

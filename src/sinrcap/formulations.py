@@ -29,7 +29,7 @@ import itertools
 import logging
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -156,9 +156,9 @@ def build_weighted_lp(ctx: AffectanceContext, C: float = DEFAULT_C) -> LinearPro
                     objective=ctx.weights.copy())
 
 
-def _sub_linear(ctx: AffectanceContext) -> bool:
-    pc = ctx.power_class()
-    return pc["non_decreasing"] and pc["sub_linear"]
+def _nearly_uniform(ctx: AffectanceContext) -> bool:
+    """Every power within a factor of 2 of every other."""
+    return ctx.n <= 1 or float(ctx.powers.max()) <= 2.0 * float(ctx.powers.min())
 
 
 def _linear(ctx: AffectanceContext) -> bool:
@@ -170,35 +170,34 @@ def _linear(ctx: AffectanceContext) -> bool:
 class Problem:
     """A program of the paper's problem ``name``: the name of its builder
     here, its objective ("cardinality" or "weight"), and the power
-    precondition of its guarantee, logged as ``warning`` once per build
-    when broken."""
+    precondition of its guarantee, if any, logged as ``warning`` once per
+    build when broken.  Capacity states none: its guarantee holds for every
+    ``PowerAssignment``, non-decreasing and sub-linear by construction."""
     name: str
     builder: str
     objective: str
-    power: Callable
-    warning: str
+    power: Optional[Callable] = None
+    warning: str = ""
 
     @property
     def primaries(self) -> bool:  # admits secondaries beside the context's primaries
         return self.name == "admission"
 
     def build(self, ctx: AffectanceContext, C: float = DEFAULT_C) -> LinearProgram:
-        if not self.power(ctx):
+        if self.power is not None and not self.power(ctx):
             logger.warning(self.warning)
         return globals()[self.builder](ctx, C)  # looked up now, so a patched builder is used
 
 
-_UNIFORM = AffectanceContext.nearly_uniform
 _ADMISSION = "admission guarantee assumes (nearly) uniform secondary power"
 PROBLEMS = {
-    "capacity": Problem("capacity", "build_capacity_lp", "cardinality", _sub_linear,
-                        "capacity LP expects a non-decreasing sub-linear power assignment"),
-    "qos": Problem("qos", "build_qos_lp", "cardinality", _UNIFORM,
+    "capacity": Problem("capacity", "build_capacity_lp", "cardinality"),
+    "qos": Problem("qos", "build_qos_lp", "cardinality", _nearly_uniform,
                    "QoS LP guarantee assumes (nearly) uniform power"),
     "weighted": Problem("weighted", "build_weighted_lp", "weight", _linear,
                         "weighted-capacity guarantee assumes linear power"),
-    "admission_general": Problem("admission", "build_admission_lp", "cardinality", _UNIFORM,
-                                 _ADMISSION),
+    "admission_general": Problem("admission", "build_admission_lp", "cardinality",
+                                 _nearly_uniform, _ADMISSION),
     "admission_large": Problem("admission", "build_admission_large_lp", "cardinality",
-                               _UNIFORM, _ADMISSION),
+                               _nearly_uniform, _ADMISSION),
 }

@@ -17,8 +17,6 @@ import numpy as np
 
 TRIANGLE_TOL = 1e-9
 
-POWER_KINDS = ("uniform", "linear", "mean", "exponent")
-
 
 @dataclass(frozen=True)
 class Point:
@@ -198,72 +196,46 @@ class Instance:
 
 @dataclass(frozen=True)
 class PowerAssignment:
-    """Length-based transmit power rule.
+    """Length-based transmit power P = p0 * l**(tau * alpha), tau in [0, 1].
 
-    kind is one of ``uniform`` (P = p0), ``linear`` (P = l**alpha),
-    ``mean`` (P = l**(alpha/2)), or ``exponent`` (P = l**(tau*alpha)).
+    Every such rule is non-decreasing in length (tau >= 0) and sub-linear,
+    P / l**alpha = p0 * l**((tau - 1) * alpha) non-increasing (tau <= 1):
+    the class the capacity guarantee assumes.  ``uniform`` (tau = 0),
+    ``linear`` (tau = 1), ``mean`` (tau = 1/2) and ``exponent`` name its
+    members.
     """
 
-    kind: str
     p0: float = 1.0
-    tau: Optional[float] = None
+    tau: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in POWER_KINDS:
-            raise ValueError(f"unknown power assignment kind {self.kind!r}")
-        if self.kind == "uniform" and not 0 < self.p0 < math.inf:
-            raise ValueError("uniform power requires a finite p0 > 0")
-        if self.kind == "exponent":
-            if self.tau is None or not (0.0 <= self.tau <= 1.0):
-                raise ValueError("exponent power requires tau in [0, 1]")
+        if not 0 < self.p0 < math.inf:
+            raise ValueError("power requires a finite p0 > 0")
+        if not 0.0 <= self.tau <= 1.0:
+            raise ValueError("power requires tau in [0, 1]")
 
     @classmethod
     def uniform(cls, p0: float = 1.0) -> "PowerAssignment":
-        return cls("uniform", p0=p0)
+        return cls(p0=p0)
 
     @classmethod
     def linear(cls) -> "PowerAssignment":
-        return cls("linear")
+        return cls(tau=1.0)
 
     @classmethod
     def mean(cls) -> "PowerAssignment":
-        return cls("mean")
+        return cls(tau=0.5)
 
     @classmethod
     def exponent(cls, tau: float) -> "PowerAssignment":
-        return cls("exponent", tau=tau)
+        return cls(tau=tau)
 
     def power(self, length, alpha: float):
         """Transmit power for a link of the given length (scalar or array)."""
         length = np.asarray(length, dtype=float)
         with np.errstate(over="ignore"):  # an infinite power is refused by its reader
-            if self.kind == "uniform":
-                out = np.full_like(length, self.p0)
-            elif self.kind == "linear":
-                out = length ** alpha
-            elif self.kind == "mean":
-                out = length ** (alpha / 2.0)
-            else:
-                out = length ** (self.tau * alpha)
+            out = self.p0 * length ** (self.tau * alpha)
         return float(out) if out.ndim == 0 else out
-
-
-def validate_power_class(instance: Instance, assignment: PowerAssignment) -> dict:
-    """Check monotonicity (P non-decreasing in length) and sub-linearity
-    (P/l**alpha non-increasing in length) over all link pairs."""
-    lengths = np.array([instance.length_of(lk.id) for lk in instance.links])
-    if lengths.size == 0:
-        return {"non_decreasing": True, "sub_linear": True}
-    powers = np.asarray(assignment.power(lengths, instance.alpha), dtype=float)
-    order = np.argsort(lengths)
-    p_sorted = np.atleast_1d(powers)[order]
-    ratio_sorted = np.atleast_1d(powers / lengths ** instance.alpha)[order]
-    tol = 1e-12
-    non_dec = bool(np.all(np.diff(p_sorted) >= -tol * np.maximum(p_sorted[:-1], 1.0))) \
-        if p_sorted.size > 1 else True
-    sub_lin = bool(np.all(np.diff(ratio_sorted) <= tol * np.maximum(ratio_sorted[:-1], 1.0))) \
-        if ratio_sorted.size > 1 else True
-    return {"non_decreasing": non_dec, "sub_linear": sub_lin}
 
 
 def parse_power(text: str) -> PowerAssignment:

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -69,6 +70,26 @@ def test_individually_infeasible_removed():
             call(with_prim)
     # the same geometry without the override keeps both links
     assert AffectanceContext(inst, UNIFORM).removed_ids == ()
+
+
+@pytest.mark.parametrize("power", [UNIFORM, PowerAssignment.mean(), PowerAssignment.exponent(0.9),
+                                   PowerAssignment.linear()])
+def test_context_refuses_a_link_whose_own_signal_is_not_finite(power):
+    # at length 1e-130 and alpha 2.5, l**alpha underflows to 0: the signal
+    # P/l**alpha is infinite unless P underflows too, as linear power's does
+    tiny = make_link(0, 0.0, 0.0, 1e-130, 0.0)
+    expected = "nonpositive or non-finite power" if power.tau == 1.0 \
+        else r"link\(s\) \[0\]: signal P/l\*\*alpha is not finite"
+    with warnings.catch_warnings(), pytest.raises(ValueError, match=expected):
+        warnings.simplefilter("error")  # the refusal is the only report
+        AffectanceContext(Instance(links=(tiny, make_link(1, 5.0, 0.0, 6.0, 0.0)), alpha=2.5),
+                          power)
+    # a primary's own signal is refused the same way
+    prim = PrimarySet(links=(dataclasses.replace(tiny, id=2),), powers=(1.0,))
+    inst = Instance(links=(make_link(1, 50.0, 0.0, 51.0, 0.0),), alpha=2.5, primaries=prim)
+    with warnings.catch_warnings(), pytest.raises(ValueError, match=r"link\(s\) \[2\]"):
+        warnings.simplefilter("error")
+        AffectanceContext(inst, power, primaries=prim)
 
 
 def test_affectance_self_zero():

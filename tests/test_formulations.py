@@ -10,6 +10,7 @@ from sinrcap import (AffectanceContext, Instance, PowerAssignment, PrimarySet,
                      build_weighted_lp, exact_capacity, largest_bifeasible,
                      solve_lp)
 from sinrcap.formulations import PROBLEMS
+from sinrcap.model import parse_power
 from sinrcap.rounding import RoundingPolicy, round_trials
 
 from conftest import (colocated_pair, far_instance, feasible_prim_ctx, make_link,
@@ -256,10 +257,11 @@ def test_program_at_another_constant_matches_a_fresh_build():
                 built.at(bad)
 
 
-@pytest.mark.parametrize("mode", [mode for mode in PROBLEMS if mode != "capacity"])
+@pytest.mark.parametrize("mode", [mode for mode, problem in PROBLEMS.items()
+                                  if problem.power is not None])
 def test_problem_warns_its_power_precondition_once_per_sweep(mode, caplog):
     # linear power breaks the nearly-uniform preconditions, uniform power the
-    # linear one; capacity's holds for every power assignment the model has
+    # linear one
     problem = PROBLEMS[mode]
     kept, broken = UNIFORM, PowerAssignment.linear()
     if problem.objective == "weight":
@@ -273,6 +275,16 @@ def test_problem_warns_its_power_precondition_once_per_sweep(mode, caplog):
                 assert program.m > 0
         assert [r.getMessage() for r in caplog.records
                 if r.name == "sinrcap.formulations"] == warnings
+
+
+@pytest.mark.parametrize("spec", ["uniform", "uniform:3.5", "linear", "mean", "exp:0.0",
+                                  "exp:0.37", "exp:1.0"])
+def test_capacity_build_states_no_power_precondition(spec, caplog):
+    # every power assignment is non-decreasing and sub-linear by construction
+    ctx = feasible_prim_ctx(3, n=16, R=8.0, delta=4.0, primaries=2, power=parse_power(spec))
+    with caplog.at_level(logging.DEBUG, logger="sinrcap.formulations"):
+        assert PROBLEMS["capacity"].build(ctx, 1.0).m > 0
+    assert [r for r in caplog.records if r.name == "sinrcap.formulations"] == []
 
 
 @pytest.mark.parametrize("mode", PROBLEMS)

@@ -423,9 +423,17 @@ def test_cli_writes_every_id_as_a_json_integer(tmp_path, capsys):
 @pytest.mark.parametrize("command", [["solve", "--algo", "lp"], ["solve", "--algo", "greedy"],
                                      ["admit"], ["oracle"], ["oracle", "--problem", "admission"]],
                          ids=["solve-lp", "solve-greedy", "admit", "oracle", "oracle-admission"])
-@pytest.mark.parametrize("length", [1e-200, 1e200], ids=["underflow", "overflow"])
-def test_cli_reports_power_out_of_range_in_one_line(command, length, tmp_path, capsys):
-    # under linear power (l**alpha) link 0's power is 0 or overflows to inf
+@pytest.mark.parametrize("length,power,message", [
+    (1e-200, "linear", "nonpositive or non-finite power"),
+    (1e200, "linear", "nonpositive or non-finite power"),
+    (1e-130, "uniform", "signal P/l**alpha is not finite"),
+    (1e-130, "mean", "signal P/l**alpha is not finite"),
+], ids=["underflow", "overflow", "uniform-signal", "mean-signal"])
+def test_cli_reports_power_out_of_range_in_one_line(command, length, power, message, tmp_path,
+                                                    capsys):
+    # under linear power (l**alpha) link 0's power is 0 or overflows to inf;
+    # under uniform or mean power its l**alpha underflows to 0, so its own
+    # signal P/l**alpha is infinite
     path = tmp_path / "inst.json"
     path.write_text(json.dumps({
         "alpha": 2.5,
@@ -434,14 +442,14 @@ def test_cli_reports_power_out_of_range_in_one_line(command, length, tmp_path, c
         "primaries": [{"id": 2, "sx": 50.0, "sy": 0.0, "rx": 51.0, "ry": 0.0,
                        "power": 1.0}]}))
     out = tmp_path / "out"
-    argv = [command[0], str(path), *command[1:], "--power", "linear", "--out", str(out)]
+    argv = [command[0], str(path), *command[1:], "--power", power, "--out", str(out)]
     with pytest.raises(SystemExit) as exc, warnings.catch_warnings():
         warnings.simplefilter("error")  # the refusal is the only report
         cli_main(argv)
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith(f"sinrcap {command[0]}: error: ") and err.count("\n") == 1
-    assert "nonpositive or non-finite power" in err
+    assert message in err
     assert not out.exists()
 
 

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sinrcap import cli
 from sinrcap import (DistanceMatrix, Instance, PowerAssignment, PrimarySet,
-                     read_instance, validate_power_class, write_instance)
+                     read_instance, write_instance)
 from sinrcap.model import instance_from_dict, parse_power
 
 from conftest import far_instance, line_links, make_link
@@ -72,25 +74,56 @@ def test_power_of_mean():
     assert PowerAssignment.mean().power(length, 2.0) == pytest.approx(4.0)
 
 
-@pytest.mark.parametrize("pa", [
-    PowerAssignment.uniform(2.0),
-    PowerAssignment.linear(),
-    PowerAssignment.mean(),
-    PowerAssignment.exponent(0.0),
-    PowerAssignment.exponent(0.37),
-    PowerAssignment.exponent(1.0),
-])
-def test_power_class_all_length_based_assignments(pa):
-    rng = np.random.default_rng(7)
-    segs = [(s, s + l) for s, l in zip(rng.uniform(0, 50, 12), rng.uniform(0.2, 9, 12))]
-    inst = Instance(links=line_links(*segs), alpha=2.5)
-    result = validate_power_class(inst, pa)
-    assert result == {"non_decreasing": True, "sub_linear": True}
+def _per_kind_power(pa, length, alpha):
+    """The four per-kind expressions that the single rule replaced, kept as
+    the reference: uniform, linear, mean and exponent."""
+    if pa.tau == 0.0:
+        return np.full_like(length, pa.p0)
+    if pa == PowerAssignment.linear():
+        return length ** alpha
+    if pa == PowerAssignment.mean():
+        return length ** (alpha / 2.0)
+    return length ** (pa.tau * alpha)
+
+
+@given(p0=st.floats(min_value=1e-100, max_value=1e100),
+       tau=st.floats(min_value=0.0, max_value=1.0),
+       alpha=st.floats(min_value=0.5, max_value=6.0),
+       lengths=st.lists(st.floats(min_value=1e-100, max_value=1e100), min_size=2, max_size=12))
+@settings(max_examples=200, deadline=None)
+def test_power_rule_is_non_decreasing_and_sub_linear(p0, tau, alpha, lengths):
+    lengths = np.sort(np.array(lengths))
+    with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
+        scale = lengths ** alpha
+        for pa in (PowerAssignment(p0=p0, tau=tau), PowerAssignment.uniform(p0),
+                   PowerAssignment.linear(), PowerAssignment.mean(),
+                   PowerAssignment.exponent(tau)):
+            power = pa.power(lengths, alpha)
+            ratio = power / scale
+            # compare neighbours where power, l**alpha and their ratio are
+            # finite and normal: a subnormal carries too few digits to order
+            normal = np.all([np.isfinite(x) & (x >= np.finfo(float).tiny)
+                             for x in (power, scale, ratio)], axis=0)
+            pair = normal[:-1] & normal[1:]
+            assert np.all(power[1:][pair] >= power[:-1][pair] * (1 - 1e-12))
+            assert np.all(ratio[1:][pair] <= ratio[:-1][pair] * (1 + 1e-12))
+            if pa.p0 == 1.0 or pa.tau == 0.0:  # a named constructor
+                assert power.tobytes() == _per_kind_power(pa, lengths, alpha).tobytes()
+                one = np.asarray(lengths[0])  # a scalar is read as a 0-d array
+                assert pa.power(lengths[0], alpha) == float(_per_kind_power(pa, one, alpha))
 
 
 def test_exponent_tau_out_of_range():
     with pytest.raises(ValueError):
         PowerAssignment.exponent(1.5)
+
+
+@pytest.mark.parametrize("p0,tau,message", [
+    (0.0, 0.0, "p0"), (-1.0, 0.5, "p0"), (math.inf, 0.0, "p0"), (math.nan, 1.0, "p0"),
+    (1.0, -0.1, "tau"), (1.0, math.nan, "tau"), (1.0, math.inf, "tau")])
+def test_power_rule_refuses_out_of_range_numbers(p0, tau, message):
+    with pytest.raises(ValueError, match=message):
+        PowerAssignment(p0=p0, tau=tau)
 
 
 def test_zero_length_link_rejected():
@@ -312,10 +345,9 @@ def test_sr_matrix_matches_per_link_geometry():
 
 
 def test_parse_power_specs():
-    assert parse_power("uniform").p0 == 1.0
-    assert parse_power("uniform:3.5").p0 == 3.5
-    assert parse_power("linear").kind == "linear"
-    assert parse_power("mean").kind == "mean"
-    assert parse_power("exp:0.5").tau == 0.5
+    specs = {"uniform": (1.0, 0.0), "uniform:3.5": (3.5, 0.0), "linear": (1.0, 1.0),
+             "mean": (1.0, 0.5), "exp:0.25": (1.0, 0.25)}
+    for spec, (p0, tau) in specs.items():
+        assert (parse_power(spec).p0, parse_power(spec).tau) == (p0, tau), spec
     with pytest.raises(ValueError):
         parse_power("quadratic")

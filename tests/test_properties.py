@@ -14,8 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sinrcap import (AffectanceContext, Instance, PowerAssignment,
-                     build_capacity_lp, build_qos_lp, exact_admission, solve_lp,
-                     validate_power_class)
+                     build_capacity_lp, build_qos_lp, exact_admission, solve_lp)
 from sinrcap.formulations import admission_filter_threshold
 
 from conftest import feasible_prim_ctx, line_links, make_link, random_ctx
@@ -117,16 +116,6 @@ def test_lp_value_monotone_in_bound():
             lo = solve_lp(build(ctx, 0.5)).objective
             hi = solve_lp(build(ctx, 1.0)).objective
             assert hi >= lo - 1e-7
-
-
-@given(tau=st.floats(min_value=0.0, max_value=1.0))
-@settings(max_examples=40, deadline=None)
-def test_exponent_assignments_always_valid_class(tau):
-    rng = np.random.default_rng(17)
-    segs = [(s, s + l) for s, l in zip(rng.uniform(0, 40, 10), rng.uniform(0.3, 8, 10))]
-    inst = Instance(links=line_links(*segs), alpha=2.5)
-    assert validate_power_class(inst, PowerAssignment.exponent(tau)) == \
-        {"non_decreasing": True, "sub_linear": True}
 
 
 @given(dx=st.floats(min_value=1.2, max_value=50.0),
