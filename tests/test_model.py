@@ -348,6 +348,6 @@ def test_parse_power_specs():
     specs = {"uniform": (1.0, 0.0), "uniform:3.5": (3.5, 0.0), "linear": (1.0, 1.0),
              "mean": (1.0, 0.5), "exp:0.25": (1.0, 0.25)}
     for spec, (p0, tau) in specs.items():
-        assert (parse_power(spec).p0, parse_power(spec).tau) == (p0, tau), spec
+        assert parse_power(spec) == PowerAssignment(p0=p0, tau=tau), spec
     with pytest.raises(ValueError):
         parse_power("quadratic")
