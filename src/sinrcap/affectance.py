@@ -14,17 +14,17 @@ primary links is attached, every noise term adds the interference received
 from the primaries, and the same rule yields the "hat" affectance used by
 admission control.
 
-The context stores one n x n matrix, the unclipped affectance; values are
-clipped where they are read.
+The context computes each receiver's SINR terms once, in a table with one
+row per receiver, primaries first, and holds one n x n matrix, the unclipped
+affectance; values are clipped where they are read.
 
 The library's only feasibility tests judge a boolean selection matrix, one
-candidate set per row: ``_feasible_exact``, the SINR inequality in budget
-form over ``_exact_budgets`` (recomputed from geometry and powers), and
-``_feasible_affectance``, affectance sums within gamma with terms clipped
-at 1 only when gamma > 1.  ``verify`` is the library's one verdict on a
-returned set: both tests at threshold 1, the exact one at the primaries too.
-It reads the exact test from the set's ``certify`` schedule, so a set is
-tested once.
+candidate set per row: ``_feasible_exact``, the SINR inequality over
+``_exact_budgets`` (interference recomputed from geometry, the other terms
+read from the table), and ``_feasible_affectance``, affectance sums within
+gamma, terms clipped at 1 only when gamma > 1.  ``verify``, the one verdict
+on a returned set, applies both at threshold 1, the exact one at the
+primaries too, and reads the exact one from the set's ``certify`` schedule.
 """
 
 from __future__ import annotations
@@ -39,9 +39,12 @@ from .model import Instance, PowerAssignment, PrimarySet
 
 logger = logging.getLogger(__name__)
 
-# Finite stand-in for an infinite unclipped value (zero cross distance),
-# so that subset sums stay NaN-free.
+# Finite stand-in for an unclipped value past the float range (zero or
+# nearly zero cross distance), so that subset sums stay NaN-free.
 RAW_CAP = 1e300
+
+# Columns of ``AffectanceContext.table``, one row per receiver.
+POWER, SIGNAL, BETA, NOISE, HAT_NOISE, BUDGET = range(6)
 
 # Rows of the affectance matrix computed at a time; bounds the
 # construction temporaries at O(ROW_BLOCK * n).
@@ -76,31 +79,46 @@ class Schedule:
 
 def _interference(powers_from, dist, alpha, budget=1.0, out=None):
     """Power each sender delivers at each receiver, ``P_w / d_wv ** alpha``,
-    over the receiver's ``budget``; capped at ``RAW_CAP`` after dividing,
-    so a zero distance reads ``RAW_CAP`` whatever the budget.  ``out``
-    receives the result in place."""
-    with np.errstate(divide="ignore"):
+    over the receiver's ``budget``, into ``out`` if given; capped at
+    ``RAW_CAP`` after dividing, so a zero or nearly zero distance, whose
+    quotient passes the float range, reads ``RAW_CAP`` whatever the budget."""
+    with np.errstate(divide="ignore", over="ignore"):
         out = np.divide(powers_from[:, None], dist ** alpha, out=out)
-    out /= budget
+        out /= budget
     return np.minimum(out, RAW_CAP, out=out)
 
 
+def _budgets(terms, from_prim):
+    """Hat noise, noise plus ``from_prim`` (one row per primary), and budget,
+    signal over beta minus the hat noise, of the receivers' ``terms`` rows."""
+    hat = terms[:, NOISE] + from_prim.sum(axis=0)
+    return hat, terms[:, SIGNAL] / terms[:, BETA] - hat
+
+
 class AffectanceContext:
-    """Immutable precomputation of powers, budgets and affectances.
+    """Each receiver's SINR terms and the affectances, computed once.
+
+    ``table`` has one row per receiver, primaries first (the secondary at
+    context position p is row ``k + p``), with columns ``POWER``,
+    ``SIGNAL`` P/l**alpha, ``BETA``, ``NOISE``, ``HAT_NOISE`` (adding the
+    primaries' interference) and ``BUDGET``, signal over beta minus the hat
+    noise.  A primary's beta and noise are the instance's.  ``powers`` (a
+    view of the table), ``lengths`` and ``weights`` are the secondaries'.
 
     ``raw[w, v]`` is w's unclipped affectance on v, its interference at v
-    over v's hat budget (capped at ``RAW_CAP``, 0 on the diagonal); it is
-    the only n x n array held.  Thresholds at or below 1 read it as is,
-    larger ones clip the rows or blocks they read.  With primaries, n x k
+    over v's budget (capped at ``RAW_CAP``, 0 on the diagonal); it is the
+    only n x n array held.  Thresholds at or below 1 read it as is, larger
+    ones clip the rows or blocks they read.  With primaries, n x k
     ``raw_to_prim`` holds each secondary's unclipped affectance on each
-    primary over the primary's hat budget, and ``aff_to_prim_plain`` the
-    clipped one over its plain budget, the other primaries silent.
-    Distances and interference are not stored.
+    primary, and ``aff_to_prim_plain`` the clipped one over the primary's
+    plain budget, the other primaries silent.  Distances and interference
+    are not stored.
 
-    ``primaries`` is None, empty or the instance's own primary set.  A link
-    whose hat budget is not positive cannot meet its SINR threshold alone;
-    it is dropped with a warning and listed in ``removed_ids``.  A primary
-    whose hat budget is not positive raises ``InfeasiblePrimaries``.
+    ``primaries`` is None, empty or the instance's own primary set.  A
+    receiver whose signal over beta is not finite raises ``ValueError``, a
+    primary whose budget is not positive ``InfeasiblePrimaries``.  A link
+    whose budget is not positive cannot meet its SINR threshold alone; it
+    is dropped with a warning and listed in ``removed_ids``.
     """
 
     def __init__(self, instance: Instance, assignment: PowerAssignment,
@@ -112,64 +130,48 @@ class AffectanceContext:
         self.primaries = primaries
         alpha = instance.alpha
 
-        all_ids = sorted(lk.id for lk in instance.links)
-        all_lengths = np.array([instance.length_of(i) for i in all_ids])
-        all_powers = np.asarray(assignment.power(all_lengths, alpha), dtype=float)
-        if not np.all(np.isfinite(all_powers) & (all_powers > 0)):
-            raise ValueError("power assignment produced a nonpositive or non-finite power")
-
-        # primaries: explicit powers, instance-global beta/noise
         prims = primaries if primaries is not None else PrimarySet(links=(), powers=())
         self.prim_ids = [lk.id for lk in prims.links]
-        self.prim_powers = np.array(prims.powers, dtype=float)
-        self.prim_lengths = np.array([instance.length_of(i) for i in self.prim_ids])
         k = self.k = len(self.prim_ids)
+        receivers = self.prim_ids + sorted(lk.id for lk in instance.links)
+        lengths = np.array([instance.length_of(i) for i in receivers])
+        powers = np.asarray(assignment.power(lengths[k:], alpha), dtype=float)
+        if not np.all(np.isfinite(powers) & (powers > 0)):
+            raise ValueError("power assignment produced a nonpositive or non-finite power")
 
-        # every receiver's budget, primaries first: signal over beta minus
-        # noise, the hat noise adding the primaries' interference
-        betas = np.array([instance.link(i).beta_override or instance.beta for i in all_ids])
-        base_noise = np.array([
-            instance.noise if instance.link(i).noise_override is None
-            else instance.link(i).noise_override
-            for i in all_ids
-        ])
-        from_prim = _interference(self.prim_powers,
-                                  instance.sr_matrix(self.prim_ids, self.prim_ids + all_ids),
+        # PrimarySet refuses a primary's own beta and noise: the instance's apply
+        links = [instance.link(i) for i in receivers]
+        t = np.empty((len(receivers), 6))
+        t[:, POWER] = np.concatenate([prims.powers, powers])
+        t[:, BETA] = [lk.beta_override or instance.beta for lk in links]
+        t[:, NOISE] = [instance.noise if lk.noise_override is None else lk.noise_override
+                       for lk in links]
+        from_prim = _interference(t[:k, POWER], instance.sr_matrix(self.prim_ids, receivers),
                                   alpha)
         np.fill_diagonal(from_prim, 0.0)
-        noise = np.concatenate([np.full(k, instance.noise), base_noise])
-        hat_noise = noise + from_prim.sum(axis=0)
         with np.errstate(divide="ignore", over="ignore"):  # refused below when not finite
-            signal = np.concatenate([self.prim_powers, all_powers]) \
-                / np.concatenate([self.prim_lengths, all_lengths]) ** alpha
-        if not np.all(np.isfinite(signal)):
-            bad = [(self.prim_ids + all_ids)[i] for i in np.flatnonzero(~np.isfinite(signal))]
-            raise ValueError(f"link(s) {bad}: signal P/l**alpha is not finite")
-        signal_over_beta = signal / np.concatenate([np.full(k, instance.beta), betas])
-        budget = signal_over_beta - hat_noise
-        if np.any(budget[:k] <= 0):
-            bad = [self.prim_ids[i] for i in np.flatnonzero(budget[:k] <= 0)]
+            t[:, SIGNAL] = t[:, POWER] / lengths ** alpha
+            t[:, HAT_NOISE], t[:, BUDGET] = _budgets(t, from_prim)
+        bad = [receivers[i] for i in np.flatnonzero(~np.isfinite(t[:, BUDGET]))]
+        if bad:  # the hat noise is finite, so the signal over beta is not
+            raise ValueError(f"link(s) {bad}: signal P/l**alpha is not finite over beta")
+        keep = t[:, BUDGET] > 0
+        if not keep[:k].all():
+            bad = [self.prim_ids[i] for i in np.flatnonzero(~keep[:k])]
             raise InfeasiblePrimaries(f"primary link(s) {bad} cannot satisfy their own SINR")
-        self.prim_hat_noise = hat_noise[:k]
 
         # drop links that are infeasible even alone
-        keep = budget[k:] > 0
-        self.removed_ids = tuple(i for i, k_ in zip(all_ids, keep) if not k_)
+        self.removed_ids = tuple(receivers[i] for i in np.flatnonzero(~keep))
         if self.removed_ids:
             logger.warning("dropping %d individually infeasible link(s): %s",
                            len(self.removed_ids), list(self.removed_ids))
-
-        self.ids = np.array([i for i, k_ in zip(all_ids, keep) if k_], dtype=int)
+        # column-major, so each column, ``powers`` among them, is contiguous
+        self.table = np.asfortranarray(t[keep])
+        self.ids = np.array(receivers, dtype=int)[keep][k:]
         self._pos = {int(i): p for p, i in enumerate(self.ids)}
-        sel = np.flatnonzero(keep)
-        self.lengths = all_lengths[sel]
-        self.powers = all_powers[sel]
-        self.betas = betas[sel]
-        self.base_noise = base_noise[sel]
-        self.hat_noise_sec = hat_noise[k:][sel]
+        self.lengths = lengths[keep][k:]
+        self.powers = self.table[k:, POWER]
         self.weights = np.array([instance.link(int(i)).weight for i in self.ids])
-        sec_budget = budget[k:][sel]
-        self.c = signal[k:][sel] / sec_budget
 
         n = len(self.ids)
         ids_list = [int(i) for i in self.ids]
@@ -177,13 +179,14 @@ class AffectanceContext:
         for r0 in range(0, n, ROW_BLOCK):
             r1 = min(r0 + ROW_BLOCK, n)
             _interference(self.powers[r0:r1], instance.sr_matrix(ids_list[r0:r1], ids_list),
-                          alpha, sec_budget, out=self.raw[r0:r1])
+                          alpha, self.table[k:, BUDGET], out=self.raw[r0:r1])
         np.fill_diagonal(self.raw, 0.0)
 
         to_prim = instance.sr_matrix(ids_list, self.prim_ids)
-        self.raw_to_prim = _interference(self.powers, to_prim, alpha, budget[:k])
-        self.aff_to_prim_plain = np.minimum(
-            _interference(self.powers, to_prim, alpha, signal_over_beta[:k] - noise[:k]), 1.0)
+        prim = self.table[:k]
+        self.raw_to_prim = _interference(self.powers, to_prim, alpha, prim[:, BUDGET])
+        self.aff_to_prim_plain = np.minimum(_interference(
+            self.powers, to_prim, alpha, prim[:, SIGNAL] / prim[:, BETA] - prim[:, NOISE]), 1.0)
 
     # -- basic accessors ----------------------------------------------------
 
@@ -217,7 +220,9 @@ class AffectanceContext:
 # operations
 
 def c_factor(ctx: AffectanceContext, v: int) -> float:
-    return float(ctx.c[ctx.index_of([v])[0]])
+    """The paper's c_v, v's signal over its (hat) budget."""
+    row = ctx.table[ctx.k + ctx.index_of([v])[0]]
+    return float(row[SIGNAL] / row[BUDGET])
 
 
 def affectance(ctx: AffectanceContext, w: int, v: int) -> float:
@@ -230,9 +235,8 @@ def hat_noise(ctx: AffectanceContext, u: int) -> float:
     """Noise at u's receiver augmented by all primary transmissions."""
     if not ctx.has_primaries:
         raise ValueError("hat noise requires a context with primaries attached")
-    if u in ctx.prim_ids:
-        return float(ctx.prim_hat_noise[ctx.prim_ids.index(u)])
-    return float(ctx.hat_noise_sec[ctx.index_of([u])[0]])
+    row = ctx.prim_ids.index(u) if u in ctx.prim_ids else ctx.k + ctx.index_of([u])[0]
+    return float(ctx.table[row, HAT_NOISE])
 
 
 # ---------------------------------------------------------------------------
@@ -240,23 +244,18 @@ def hat_noise(ctx: AffectanceContext, u: int) -> float:
 
 def _exact_budgets(ctx: AffectanceContext, ids=None) -> tuple:
     """Interference rows of the secondaries ``ids`` (all when None) and each
-    receiver's budget, primaries first, from the geometry and powers of these
-    links only.  ``rows[w, v]`` is the power w delivers at v's receiver
-    (capped at ``RAW_CAP``, 0 at its own); v meets its SINR threshold when
-    its load from the transmitting rows is at most ``signal / beta - noise -
-    primary interference``, its budget."""
+    receiver's budget, primaries first: ``rows[w, v]``, the power w delivers
+    at v's receiver (capped at ``RAW_CAP``, 0 at its own), is recomputed from
+    the geometry of these links, the primaries included; the other terms are
+    their rows of ``ctx.table``.  v meets its SINR threshold when its load
+    from the transmitting rows is at most its budget."""
     ids = [int(i) for i in (ctx.ids if ids is None else ids)]
-    idx = ctx.index_of(ids)
-    inst = ctx.instance
+    terms = ctx.table[np.r_[:ctx.k, ctx.k + ctx.index_of(ids)]]
     links = ctx.prim_ids + ids
-    powers = np.concatenate([ctx.prim_powers, ctx.powers[idx]])
-    lengths = np.concatenate([ctx.prim_lengths, ctx.lengths[idx]])
-    interf = _interference(powers, inst.sr_matrix(links, links), inst.alpha)
+    interf = _interference(terms[:, POWER], ctx.instance.sr_matrix(links, links),
+                           ctx.instance.alpha)
     np.fill_diagonal(interf, 0.0)
-    betas = np.concatenate([np.full(ctx.k, inst.beta), ctx.betas[idx]])
-    noise = np.concatenate([np.full(ctx.k, inst.noise), ctx.base_noise[idx]])
-    signal = powers / lengths ** inst.alpha
-    return interf[ctx.k:], signal / betas - (noise + interf[:ctx.k].sum(axis=0))
+    return interf[ctx.k:], _budgets(terms, interf[:ctx.k])[1]
 
 
 def _feasible_exact(sel: np.ndarray, rows: np.ndarray, budget: np.ndarray, k: int,

@@ -33,7 +33,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .affectance import AffectanceContext
+from .affectance import SIGNAL, AffectanceContext
 from .lp_core import LinearProgram, block_bounds
 
 logger = logging.getLogger(__name__)
@@ -162,7 +162,7 @@ def _nearly_uniform(ctx: AffectanceContext) -> bool:
 
 
 def _linear(ctx: AffectanceContext) -> bool:
-    ratios = ctx.powers / ctx.lengths ** ctx.instance.alpha
+    ratios = ctx.table[ctx.k:, SIGNAL]
     return ctx.n <= 1 or bool(np.allclose(ratios, ratios[0]))
 
 

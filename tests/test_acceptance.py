@@ -16,7 +16,7 @@ from sinrcap import (AffectanceContext, GenConfig, Instance, Link,
                      greedy_base, greedy_combined, largest_bifeasible,
                      run_compare, run_pipeline, schedule_weight,
                      separation_check, signal_strengthen, solve_lp, verify)
-from sinrcap.affectance import RAW_CAP, _exact_holds, check_positions
+from sinrcap.affectance import BETA, NOISE, RAW_CAP, _exact_holds, check_positions
 from sinrcap.formulations import admission_filter_threshold
 from sinrcap.harness import CSV_COLUMNS
 
@@ -266,8 +266,8 @@ def test_criterion_7_clipping_equivalence():
         sel = (masks[:, None] & bits[None, :]) != 0
         aff_ok = np.all(((sel @ ctx.raw) <= 1.0) | ~sel, axis=1)
         alpha = ctx.instance.alpha
-        noise_v = ctx.base_noise
-        budget = ctx.powers / ctx.lengths ** alpha / ctx.betas - noise_v
+        sec = ctx.table[ctx.k:]
+        budget = ctx.powers / ctx.lengths ** alpha / sec[:, BETA] - sec[:, NOISE]
         with np.errstate(divide="ignore"):
             interf = np.minimum(ctx.powers[:, None] / _distances(ctx) ** alpha, RAW_CAP)
         np.fill_diagonal(interf, 0.0)

@@ -9,7 +9,9 @@ from sinrcap import (AffectanceContext, GenConfig, IndividuallyInfeasible, Insta
                      PowerAssignment, PrimarySet, affectance, c_factor, certify,
                      exact_admission, generate_instance, hat_noise, separation_check,
                      verify)
-from sinrcap.affectance import RAW_CAP, _exact_holds, _feasible_affectance, check_positions
+from sinrcap.affectance import (BETA, BUDGET, HAT_NOISE, NOISE, POWER, RAW_CAP,
+                                _exact_budgets, _exact_holds, _feasible_affectance,
+                                check_positions)
 
 from conftest import colocated_pair, feasible_prim_ctx, make_link, random_ctx, selection
 
@@ -360,7 +362,7 @@ def test_kernel_matches_c_factor_form(seed, kind, power):
     ctx = _kernel_case(seed, kind, POWERS[power])
     inst = ctx.instance
     assert ctx.k == (2 if kind in ("primaries", "both") else 0)
-    prim_power = dict(zip(ctx.prim_ids, ctx.prim_powers))
+    prim_power = dict(zip(ctx.prim_ids, ctx.table[:ctx.k, POWER]))
 
     def sec_power(i):
         return float(POWERS[power].power(inst.length_of(i), inst.alpha))
@@ -413,6 +415,88 @@ def test_colocated_sender_reads_raw_cap_over_any_budget():
     assert ctx.aff_to_prim_plain[1, 0] == 1.0
     bare = AffectanceContext(dataclasses.replace(inst, primaries=None), UNIFORM)
     assert bare.raw[1, 0] == RAW_CAP
+
+
+def _terms_before_the_table(ctx, power):
+    """c_v of every secondary and hat noise of every receiver, primaries
+    first, computed as the context did before it held a receiver table:
+    signal over beta minus the noise and the primaries' summed interference,
+    each primary at the instance's beta and noise."""
+    inst, prims = ctx.instance, ctx.prim_ids
+    recv = prims + [int(i) for i in ctx.ids]
+    lengths = np.array([inst.length_of(i) for i in recv])
+    powers = np.concatenate([np.array(ctx.primaries.powers if prims else (), dtype=float),
+                             power.power(lengths[len(prims):], inst.alpha)])
+    beta = np.array([inst.beta if i in prims else inst.link(i).beta_override or inst.beta
+                     for i in recv])
+    noise = np.array([inst.noise if i in prims or inst.link(i).noise_override is None
+                      else inst.link(i).noise_override for i in recv])
+    from_prim = np.minimum(powers[:len(prims), None] / inst.sr_matrix(prims, recv) ** inst.alpha,
+                           RAW_CAP)
+    np.fill_diagonal(from_prim, 0.0)
+    hat = noise + from_prim.sum(axis=0)
+    signal = powers / lengths ** inst.alpha
+    return (signal / (signal / beta - hat))[len(prims):], hat
+
+
+@pytest.mark.parametrize("power", sorted(POWERS))
+@pytest.mark.parametrize("seed,kind", [(0, "plain"), (1, "overrides"), (2, "primaries"),
+                                       (3, "both")])
+def test_receiver_table_is_what_the_exact_check_reads(seed, kind, power):
+    ctx = _kernel_case(seed, kind, POWERS[power])
+    inst, k = ctx.instance, ctx.k
+    assert ctx.table.shape == (k + ctx.n, 6)
+    # the exact check recomputes the interference from geometry and reads
+    # the other terms from the table: its budgets are the stored ones
+    assert np.array_equal(_exact_budgets(ctx)[1], ctx.table[:, BUDGET])
+    # a primary's beta and noise are the instance's; row k + p is the
+    # secondary at position p
+    assert np.all(ctx.table[:k, BETA] == inst.beta) and np.all(ctx.table[:k, NOISE] == inst.noise)
+    assert [float(x) for x in ctx.table[:k, POWER]] == [
+        float(p) for p in (ctx.primaries.powers if k else ())]
+    assert np.array_equal(ctx.table[k:, POWER], ctx.powers)
+    assert np.shares_memory(ctx.powers, ctx.table)
+    # c_factor and hat_noise return what they did before the table
+    c, hat = _terms_before_the_table(ctx, POWERS[power])
+    assert [c_factor(ctx, int(v)) for v in ctx.ids] == c.tolist()
+    if ctx.has_primaries:
+        assert [hat_noise(ctx, int(u)) for u in ctx.prim_ids + list(ctx.ids)] == hat.tolist()
+        assert np.array_equal(ctx.table[:, HAT_NOISE], hat)
+
+
+def test_context_refuses_a_signal_over_beta_that_is_not_finite():
+    # at length 1e-120 and alpha 2.5 the signal P/l**alpha is 1e300, finite,
+    # but over a beta of 1e-10 it passes the float range
+    tiny = make_link(0, 0.0, 0.0, 1e-120, 0.0)
+    far = make_link(1, 50.0, 0.0, 51.0, 0.0)
+    message = r"link\(s\) \[0\]: signal P/l\*\*alpha is not finite over beta"
+    for inst in (Instance(links=(tiny, far), alpha=2.5, beta=1e-10),
+                 Instance(links=(dataclasses.replace(tiny, beta_override=1e-10), far),
+                          alpha=2.5)):
+        with warnings.catch_warnings(), pytest.raises(ValueError, match=message):
+            warnings.simplefilter("error")  # the refusal is the only report
+            AffectanceContext(inst, UNIFORM)
+    # a primary, whose beta is the instance's, is refused the same way
+    prim = PrimarySet(links=(dataclasses.replace(tiny, id=2),), powers=(1.0,))
+    inst = Instance(links=(far,), alpha=2.5, beta=1e-10, primaries=prim)
+    with warnings.catch_warnings(), pytest.raises(ValueError, match=r"link\(s\) \[2\]: signal"):
+        warnings.simplefilter("error")
+        AffectanceContext(inst, UNIFORM, primaries=prim)
+
+
+@pytest.mark.parametrize("noise,sy", [(0.0, 1e-124), (0.9999999, 1e-121)],
+                         ids=["distance", "budget"])
+def test_nearly_colocated_pair_reads_raw_cap(noise, sy):
+    # link 1's sender sits 1e-124 (or 1e-121) from link 0's receiver: its
+    # interference there, or that over link 0's budget of about 1e-7,
+    # passes the float range without the distance being 0
+    inst = Instance(links=(make_link(0, 0.0, 0.0, 1.0, 0.0), make_link(1, 1.0, sy, 1.5, 0.0)),
+                    alpha=2.5, noise=noise)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ctx = AffectanceContext(inst, UNIFORM)
+        assert not _exact_holds(ctx, [0, 1]) and verify(ctx, [0])
+    assert ctx.raw[1, 0] == RAW_CAP and affectance(ctx, 1, 0) == 1.0
 
 
 def test_context_refuses_primaries_other_than_the_instance_own():

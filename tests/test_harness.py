@@ -453,6 +453,41 @@ def test_cli_reports_power_out_of_range_in_one_line(command, length, power, mess
     assert not out.exists()
 
 
+def test_cli_refuses_a_signal_over_beta_that_is_not_finite_in_one_line(tmp_path, capsys):
+    # link 0's signal P/l**alpha is 1e300 under uniform power, finite, but
+    # over the instance's beta of 1e-10 it passes the float range
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps({"alpha": 2.5, "beta": 1e-10, "links": [
+        {"id": 0, "sx": 0, "sy": 0, "rx": 1e-120, "ry": 0},
+        {"id": 1, "sx": 50, "sy": 0, "rx": 51, "ry": 0}]}))
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc, warnings.catch_warnings():
+        warnings.simplefilter("error")  # the refusal is the only report
+        cli_main(["solve", str(path), "--algo", "lp", "--power", "uniform", "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err == "sinrcap solve: error: link(s) [0]: signal P/l**alpha is not finite over beta\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["solve", "--algo", "lp"], ["oracle"]])
+@pytest.mark.parametrize("noise,sy", [(0.0, 1e-124), (0.9999999, 1e-121)],
+                         ids=["distance", "budget"])
+def test_cli_verifies_a_nearly_colocated_pair_without_a_warning(command, noise, sy, tmp_path,
+                                                                capsys):
+    # link 1's sender sits so near link 0's receiver that its interference
+    # there (or that over link 0's budget) passes the float range
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps({"alpha": 2.5, "noise": noise, "links": [
+        {"id": 0, "sx": 0, "sy": 0, "rx": 1, "ry": 0},
+        {"id": 1, "sx": 1, "sy": sy, "rx": 1.5, "ry": 0}]}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli_main([command[0], str(path), *command[1:]]) == 0
+    best = json.loads(capsys.readouterr().out)
+    assert len(best["ids"]) == 1 and best["verified"] is True
+
+
 @pytest.mark.parametrize("algo", ["lp", "greedy"])
 def test_cli_solves_an_instance_at_the_float_order_boundary(algo, tmp_path, capsys):
     # links 2, 1 and 0 put affectance of about 0.7, 0.2 and 0.1 on link 3,
