@@ -12,7 +12,7 @@ from .formulations import (PROBLEMS, admission_filter_threshold, build_admission
                            build_admission_lp, build_capacity_lp, build_qos_lp,
                            build_weighted_lp)
 from .rounding import (RoundingPolicy, bernoulli_draws, run_pipeline, run_sweep,
-                       schedule_weight, signal_strengthen)
+                       schedule_value, signal_strengthen)
 from .greedy import greedy_base, greedy_combined, greedy_sweep
 from .oracle import TooLarge, exact_admission, exact_capacity, largest_bifeasible
 from .admission import (AdmissionResult, RetriesExhausted, admit_general, admit_large_opt,

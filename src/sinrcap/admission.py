@@ -10,8 +10,8 @@ probability.
 
 The general pipeline groups every trial's set at once through
 ``rounding._first_fit``, the engine of signal strengthening, on context
-positions like the rest of final selection; ids are formed only in the
-returned ``AdmissionResult``.
+positions like the rest of final selection, and ``rounding.winner`` picks
+the winning trial; ids are formed only in the returned ``AdmissionResult``.
 
 ``admit_sweep`` runs a constant sweep of either pipeline as one
 ``rounding.round_trials`` call and reduces each constant's selections
@@ -27,8 +27,8 @@ from functools import partial
 import numpy as np
 
 from .affectance import AffectanceContext, Schedule, certify, verify
-from .rounding import (_STRENGTHEN_LIMIT, RoundingPolicy, _better, _first_fit, best_part,
-                       round_trials)
+from .rounding import (_STRENGTHEN_LIMIT, RoundingPolicy, _first_fit, best_part, round_trials,
+                       winner)
 
 logger = logging.getLogger(__name__)
 
@@ -104,22 +104,21 @@ def _result(ctx, admitted, groups, notes) -> AdmissionResult:
 
 def _general(ctx, lp, policy, feasible_sets) -> AdmissionResult:
     """The general pipeline's result from its rounded sets: primary-safe
-    grouping of each, then the largest group."""
-    best, best_groups, best_aggregate = (), [], 0.0
-    for feasible_set, groups in zip(feasible_sets, _partition_rows(ctx, feasible_sets)):
-        cand = tuple(best_part(ctx, groups, policy.mode).tolist())
-        if _better(len(cand), cand, len(best), best):
-            best = cand
-            best_groups = groups
-            best_aggregate = float(np.minimum(ctx.raw_to_prim[feasible_set], 1.0).sum())
+    grouping of each, then the ``winner`` among the sets' best groups."""
+    objective = policy.problem.objective
+    grouped = _partition_rows(ctx, feasible_sets)
+    bests = [best_part(ctx, groups, objective) for groups in grouped]
+    i = winner(ctx, bests, objective)
+    best, groups, aggregate = (np.zeros(0, dtype=int), [], 0.0) if i is None else (
+        bests[i], grouped[i], float(np.minimum(ctx.raw_to_prim[feasible_sets[i]], 1.0).sum()))
     notes = {
-        "group_count": len(best_groups),
-        "aggregate_primary_load": best_aggregate,
-        "group_bound_exceeded": len(best_groups) > 10 * ctx.k if ctx.k else False,
+        "group_count": len(groups),
+        "aggregate_primary_load": aggregate,
+        "group_bound_exceeded": len(groups) > 10 * ctx.k if ctx.k else False,
     }
     if notes["group_bound_exceeded"]:
-        logger.warning("group count %d exceeds 10*|P|=%d", len(best_groups), 10 * ctx.k)
-    return _result(ctx, np.array(best, dtype=int), best_groups, notes)
+        logger.warning("group count %d exceeds 10*|P|=%d", len(groups), 10 * ctx.k)
+    return _result(ctx, best, groups, notes)
 
 
 def _large(ctx, lp, policy, selections) -> AdmissionResult:
@@ -128,7 +127,7 @@ def _large(ctx, lp, policy, selections) -> AdmissionResult:
     if not selections:
         raise RetriesExhausted("primary budget condition failed in all "
                                f"{max(policy.trials, RETRY_CAP)} attempts")
-    best = best_part(ctx, selections, policy.mode)
+    best = best_part(ctx, selections, policy.problem.objective)
     notes = {
         "group_count": 1 if best.size else 0,
         "filtered_to": lp.n,

@@ -258,16 +258,13 @@ def _exact_budgets(ctx: AffectanceContext, ids=None) -> tuple:
     return interf[ctx.k:], _budgets(terms, interf[:ctx.k])[1]
 
 
-def _feasible_exact(sel: np.ndarray, rows: np.ndarray, budget: np.ndarray, k: int,
-                    primaries: bool = False) -> np.ndarray:
-    """Exact SINR feasibility of every selected member, the primaries
-    transmitting too (``rows``, ``budget``: ``_exact_budgets``); with
-    ``primaries`` also at every primary."""
+def _feasible_exact(sel: np.ndarray, rows: np.ndarray, budget: np.ndarray,
+                    k: int) -> np.ndarray:
+    """Exact SINR feasibility of every selected member and every primary,
+    the primaries transmitting too (``rows``, ``budget``: ``_exact_budgets``)."""
     loads = sel.astype(float) @ rows
-    ok = ((loads[:, k:] <= budget[k:]) | ~sel).all(axis=1)
-    if primaries and k:
-        ok &= (loads[:, :k] <= budget[:k]).all(axis=1)
-    return ok
+    return (((loads[:, k:] <= budget[k:]) | ~sel).all(axis=1)
+            & (loads[:, :k] <= budget[:k]).all(axis=1))
 
 
 def _feasible_affectance(mat: np.ndarray, sel: np.ndarray, gamma: float,
@@ -292,11 +289,10 @@ def check_positions(ctx: AffectanceContext, idx: np.ndarray) -> bool:
                                      1.0)[0])
 
 
-def _exact_holds(ctx: AffectanceContext, ids, primaries: bool = True) -> bool:
+def _exact_holds(ctx: AffectanceContext, ids) -> bool:
     """``_feasible_exact`` of the one set ``ids``."""
     rows, budget = _exact_budgets(ctx, ids)
-    return bool(_feasible_exact(np.ones((1, len(rows)), bool), rows, budget, ctx.k,
-                                primaries)[0])
+    return bool(_feasible_exact(np.ones((1, len(rows)), bool), rows, budget, ctx.k)[0])
 
 
 def verify(ctx: AffectanceContext, S) -> bool:

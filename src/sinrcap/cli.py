@@ -19,8 +19,8 @@ from .greedy import GREEDY_VARIANTS, greedy_sweep
 from .harness import (DEFAULT_SWEEP, WEIGHT_DISTRIBUTIONS, GenConfig, generate_instance,
                       run_compare, run_oracle_suite, sweep_best)
 from .model import PowerAssignment, parse_power, read_instance, write_instance
-from .oracle import TooLarge, exact_admission, exact_capacity
-from .rounding import RoundingPolicy, _schedule_objective, run_sweep, schedule_weight
+from .oracle import TooLarge, exact_capacity
+from .rounding import RoundingPolicy, run_sweep, schedule_value
 
 # by the paper's problem: both admission programs solve "admission"
 ORACLE_PROBLEMS = {problem.name: problem for problem in PROBLEMS.values()}
@@ -177,7 +177,7 @@ def _cmd_solve(args) -> int:
     else:
         schedules = greedy_sweep(ctx, [args.algo], args.sweep)[args.algo]
     c, value, sched = sweep_best(args.sweep, [
-        (_schedule_objective(ctx, sched.ids, args.formulation), sched) for sched in schedules])
+        (schedule_value(ctx, s, PROBLEMS[args.formulation].objective), s) for s in schedules])
     best = {"constant": c, "value": value, "ids": list(sched.ids),
             "exact_sinr_ok": sched.exact_sinr_ok, "verified": verify(ctx, sched)}
     _emit(best, args.out)
@@ -202,11 +202,10 @@ def _cmd_oracle(args) -> int:
     problem = ORACLE_PROBLEMS[args.problem]
     ctx = _context(args, primaries=problem.primaries)
     with _rejected("oracle", TooLarge):
-        sched = exact_admission(ctx) if problem.primaries \
-            else exact_capacity(ctx, problem.objective, "exact_sinr")
+        sched = exact_capacity(ctx, problem.objective)
     ok = verify(ctx, sched)
     payload = {"ids": list(sched.ids), "size": sched.size,
-               "weight": schedule_weight(ctx, sched),
+               "weight": schedule_value(ctx, sched, "weight"),
                "exact_sinr_ok": sched.exact_sinr_ok, "verified": ok}
     _emit(payload, args.out)
     return 0 if ok else 1
@@ -226,8 +225,9 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_suite(args) -> int:
-    configs = [GenConfig(n=args.n, R=4.0 + 2.0 * (i % 3), delta=4.0,
-                         seed=args.seed + i) for i in range(args.count)]
+    with _rejected("suite", ValueError):
+        configs = [GenConfig(n=args.n, R=4.0 + 2.0 * (i % 3), delta=4.0,
+                             seed=args.seed + i) for i in range(args.count)]
     with _rejected("suite", TooLarge):
         report = run_oracle_suite(configs, trials=args.trials)
     for row in report["rows"]:

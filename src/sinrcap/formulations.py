@@ -39,6 +39,7 @@ from .lp_core import LinearProgram, block_bounds
 logger = logging.getLogger(__name__)
 
 DEFAULT_C = 1.0
+OBJECTIVES = ("cardinality", "weight")  # what a set is worth: its links, or their weights
 
 # Per-pair affectance cap on secondaries kept by the large-optimum
 # admission prefilter; the coefficient of the 1/sqrt(log k) rule.
@@ -169,7 +170,7 @@ def _linear(ctx: AffectanceContext) -> bool:
 @dataclass(frozen=True)
 class Problem:
     """A program of the paper's problem ``name``: the name of its builder
-    here, its objective ("cardinality" or "weight"), and the power
+    here, its objective (one of ``OBJECTIVES``), and the power
     precondition of its guarantee, if any, logged as ``warning`` once per
     build when broken.  Capacity states none: its guarantee holds for every
     ``PowerAssignment``, non-decreasing and sub-linear by construction."""

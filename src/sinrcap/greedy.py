@@ -7,7 +7,7 @@ by length and run the base acceptance inside each bucket, returning the
 heaviest bucket solution; the combined variant takes the heaviest of both
 bucketings.  All variants share the LP pipeline's final selection stage,
 so their outputs carry the same feasibility guarantee, and its best-set
-rule, ``rounding.best_part``, on context positions.  ``GREEDY_VARIANTS``
+rule, ``rounding.best_part``, under each variant's objective.  ``GREEDY_VARIANTS``
 states every variant; ``greedy_sweep`` runs several of them over a sweep
 of acceptance constants, each scan they share once.  ``greedy_base`` and
 ``greedy_combined`` are its one-constant cases.
@@ -79,10 +79,10 @@ _LENGTH_SCAN = (length_class_partition, "weight")
 
 # variant -> (its scans, the objective that picks the best of its scans' classes)
 GREEDY_VARIANTS = {
-    "greedy": ((_WEIGHT_SCAN, _LENGTH_SCAN), "weighted"),
-    "greedy_w": ((_WEIGHT_SCAN,), "weighted"),
-    "greedy_l": ((_LENGTH_SCAN,), "weighted"),
-    "base": ((_BASE_SCAN,), "capacity"),
+    "greedy": ((_WEIGHT_SCAN, _LENGTH_SCAN), "weight"),
+    "greedy_w": ((_WEIGHT_SCAN,), "weight"),
+    "greedy_l": ((_LENGTH_SCAN,), "weight"),
+    "base": ((_BASE_SCAN,), "cardinality"),
 }
 
 
@@ -97,7 +97,7 @@ def _scan_selections(ctx: AffectanceContext, scan, constants: list) -> list:
     for row, (c_g, t) in zip(sel, product(constants, sorted(classes))):
         row[_class_candidates(ctx, classes[t], c_g, order)] = True
     bound = RoundingPolicy("capacity").extraction_bound
-    selections = final_selection_batch(ctx, sel, [bound] * len(sel), ["capacity"] * len(sel))
+    selections = final_selection_batch(ctx, sel, [bound] * len(sel), ["cardinality"] * len(sel))
     return [selections[i * k:(i + 1) * k] for i in range(len(constants))]
 
 

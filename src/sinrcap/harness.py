@@ -24,7 +24,7 @@ from .greedy import greedy_base, greedy_sweep
 from .lp_core import solve_lp
 from .model import Instance, Link, Point, PowerAssignment, PrimarySet
 from .oracle import exact_capacity, largest_bifeasible
-from .rounding import RoundingPolicy, run_pipeline, run_sweep, schedule_weight
+from .rounding import RoundingPolicy, run_pipeline, run_sweep, schedule_value
 
 WEIGHT_DISTRIBUTIONS = ("ordinary", "reversed", "length_determined", "weight_class")
 
@@ -54,6 +54,8 @@ class GenConfig:
             raise ValueError(f"R must be finite and positive, got {self.R!r}")
         if not 1 <= self.delta < math.inf:
             raise ValueError(f"delta must be finite and at least 1, got {self.delta!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed!r}")
         if self.primaries < 0:
             raise ValueError(f"primaries must be nonnegative, got {self.primaries!r}")
         if self.weight_dist not in WEIGHT_DISTRIBUTIONS:
@@ -184,7 +186,7 @@ def run_compare(gen_configs: Sequence[GenConfig], sweep: Sequence[float],
         values = {}
         for algo, runs in schedules.items():  # in row order
             c, values[algo], best = sweep_best(
-                sweep, [(schedule_weight(ctx, schedule), schedule) for schedule in runs])
+                sweep, [(schedule_value(ctx, schedule, "weight"), schedule) for schedule in runs])
             if not verify(ctx, best):
                 raise AssertionError(f"{algo} produced an infeasible solution")
             records.append(ExperimentRecord(

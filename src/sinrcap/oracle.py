@@ -17,6 +17,7 @@ import numpy as np
 
 from .affectance import (AffectanceContext, InfeasiblePrimaries, Schedule, _exact_budgets,
                          _feasible_affectance, _feasible_exact, certify)
+from .formulations import OBJECTIVES
 
 ENUMERATION_CAP = 20
 _CHUNK = 1 << 11  # rows per judged block; 1 << 14 measured slower (page faults)
@@ -57,7 +58,7 @@ def _accepted_sets(n: int, accept):
 def _best(ctx: AffectanceContext, accept, weights=None) -> Schedule:
     """The accepted set of largest cardinality, or weight given ``weights``;
     ties, across sizes too, take the lexicographically smallest id tuple.
-    This is ``rounding.best_part``'s rule, vectorized: each block is
+    This is ``rounding.winner``'s rule, vectorized: each block is
     reduced with one argmax instead of a Python loop over its sets."""
     best = (np.inf, ())  # (-value, ids) of the best set so far
     for sel in _accepted_sets(ctx.n, accept):
@@ -74,7 +75,7 @@ def _exact_accept(ctx: AffectanceContext):
     affectance sums within 1.  The two state one condition, but their float
     sums can round apart within an ulp of the threshold."""
     rows, budget = _exact_budgets(ctx)
-    return lambda sel: (_feasible_exact(sel, rows, budget, ctx.k, primaries=True)
+    return lambda sel: (_feasible_exact(sel, rows, budget, ctx.k)
                         & _feasible_affectance(ctx.raw, sel, 1.0))
 
 
@@ -86,7 +87,7 @@ def exact_capacity(ctx: AffectanceContext, objective: str = "cardinality",
     checks gamma-feasibility of received affectance sums.
     """
     _check_cap(ctx.n)
-    if objective not in ("cardinality", "weight"):
+    if objective not in OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r}")
     if mode not in ("exact_sinr", "affectance"):
         raise ValueError(f"unknown mode {mode!r}")

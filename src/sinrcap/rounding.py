@@ -36,8 +36,9 @@ constant's 100 samples hold more and run alone, since one batch over 15
 constants raised max RSS from 200 to 240 MiB and gained no clear time.
 ``run_sweep`` reduces what it yields per policy, and ``run_pipeline`` is
 its one-policy case; ``admission.admit_sweep`` reduces it too.
-``best_part`` is the one rule by which this module, ``greedy`` and
-``admission`` choose among candidate sets; ``_schedule_objective`` values a set.
+``winner`` is the one rule by which this module, ``greedy`` and
+``admission`` choose among sets, each valued by its problem's objective;
+``best_part`` returns the winning set, ``schedule_value`` values a schedule.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterator, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -242,49 +243,47 @@ def signal_strengthen(ctx: AffectanceContext, S) -> list:
     return [tuple(ctx.ids[p].tolist()) for p in next(_strengthen_rows(ctx, sel))]
 
 
-def _objective(ctx: AffectanceContext, pos: np.ndarray, mode: str) -> float:
-    """``mode``'s objective on the links at context positions ``pos``."""
-    weighted = formulations.PROBLEMS[mode].objective == "weight"
-    return float(ctx.weights[pos].sum()) if weighted else float(len(pos))
+def _objective(ctx: AffectanceContext, pos: np.ndarray, objective: str) -> float:
+    """``objective``'s value (``formulations.OBJECTIVES``) of the links at
+    context positions ``pos``."""
+    if objective not in formulations.OBJECTIVES:
+        raise ValueError(f"unknown objective {objective!r}")
+    return float(ctx.weights[pos].sum()) if objective == "weight" else float(len(pos))
 
 
-def _schedule_objective(ctx: AffectanceContext, ids: tuple, mode: str) -> float:
-    return _objective(ctx, ctx.index_of(ids), mode)
+def schedule_value(ctx: AffectanceContext, schedule: Schedule, objective: str) -> float:
+    """``objective``'s value of the schedule's links."""
+    return _objective(ctx, ctx.index_of(schedule.ids), objective)
 
 
-def schedule_weight(ctx: AffectanceContext, schedule: Schedule) -> float:
-    """Total weight of the schedule's links."""
-    return _schedule_objective(ctx, schedule.ids, "weighted")
+def winner(ctx: AffectanceContext, parts: Sequence[np.ndarray], objective: str) -> Optional[int]:
+    """Index of the winning part among ``parts`` (sorted arrays of context
+    positions): the largest ``objective``, ties to the lexicographically
+    smallest part, then the first; None unless some part's objective is
+    positive.  Positions order as ids do (``ctx.ids`` is sorted), so ties
+    go as they would between id tuples."""
+    ranked = [(-_objective(ctx, p, objective), tuple(p.tolist()), i)
+              for i, p in enumerate(parts)]
+    best = min(ranked, default=(0.0, (), None))
+    return best[2] if best[0] < 0 else None
 
 
-def _better(cand_val, cand_key, best_val, best_key) -> bool:
-    """A larger objective, or an equal one with a smaller key tuple."""
-    return cand_val > best_val or (cand_val == best_val and cand_key < best_key)
-
-
-def best_part(ctx: AffectanceContext, parts, mode: str) -> np.ndarray:
-    """Highest-objective part under ``mode`` among ``parts`` (sorted arrays
-    of context positions), ties to the lexicographically smallest, by
-    ``_better``; empty unless some part's objective is positive.
-    Positions order as ids do (``ctx.ids`` is sorted), so ties go as they
-    would between id tuples."""
-    best, best_val, best_key = np.zeros(0, dtype=int), 0.0, ()
-    for p in parts:
-        val, key = _objective(ctx, p, mode), tuple(p.tolist())
-        if _better(val, key, best_val, best_key):
-            best, best_val, best_key = p, val, key
-    return best
+def best_part(ctx: AffectanceContext, parts: Sequence[np.ndarray],
+              objective: str) -> np.ndarray:
+    """The ``winner`` of ``parts``, or an empty part when there is none."""
+    i = winner(ctx, parts, objective)
+    return np.zeros(0, dtype=int) if i is None else parts[i]
 
 
 def final_selection_batch(ctx: AffectanceContext, sel: np.ndarray,
-                          bounds: Sequence[float], modes: Sequence[str]) -> list:
+                          bounds: Sequence[float], objectives: Sequence[str]) -> list:
     """Final selection of every row of ``sel`` (booleans over the context
-    positions) under that row's entries of ``bounds`` and ``modes``, all
-    rows in one lockstep batch: extract the row's low-affectance members,
-    strengthen them into 1-feasible parts and keep the best part under the
-    mode's objective.  Returns one position array per row, in row order."""
+    positions) under that row's entries of ``bounds`` and ``objectives``,
+    all rows in one lockstep batch: extract the row's low-affectance
+    members, strengthen them into 1-feasible parts and keep the best part
+    under the objective.  Returns one position array per row, in row order."""
     parts = _strengthen_rows(ctx, _extract_rows(ctx, sel, bounds))
-    return [best_part(ctx, p, mode) for p, mode in zip(parts, modes)]
+    return [best_part(ctx, p, objective) for p, objective in zip(parts, objectives)]
 
 
 def round_trials(ctx: AffectanceContext, policies: Sequence[RoundingPolicy], accept=None,
@@ -294,7 +293,7 @@ def round_trials(ctx: AffectanceContext, policies: Sequence[RoundingPolicy], acc
     program's ids.  Each mode's program is built at its first constant and
     derived with ``LinearProgram.at`` at later ones.  Yields per policy its
     program and the final selection of each sample, a position array, in
-    trial order, under the policy's extraction bound and mode.
+    trial order, under the policy's extraction bound and objective.
     Consecutive policies share one ``final_selection_batch``, which runs as
     soon as its samples times the links they hold reach ``_BATCH_CELLS``;
     a policy is never split.
@@ -346,8 +345,8 @@ def _select_batch(ctx: AffectanceContext, batch) -> list:
     selection of each of its samples, all in one ``final_selection_batch``."""
     sel = np.concatenate([rows for rows, *_ in batch])
     bounds = [policy.extraction_bound for rows, policy, _ in batch for _ in rows]
-    modes = [policy.mode for rows, policy, _ in batch for _ in rows]
-    selections = iter(final_selection_batch(ctx, sel, bounds, modes))
+    objectives = [policy.problem.objective for rows, policy, _ in batch for _ in rows]
+    selections = iter(final_selection_batch(ctx, sel, bounds, objectives))
     return [(lp, list(islice(selections, len(rows)))) for rows, _, lp in batch]
 
 
@@ -358,7 +357,7 @@ def run_sweep(ctx: AffectanceContext, policies: Sequence[RoundingPolicy]) -> lis
         raise ValueError("admission pipelines are driven by the admission module")
     schedules = []
     for (_, selections), policy in zip(round_trials(ctx, policies), policies):
-        schedule = certify(ctx, ctx.ids[best_part(ctx, selections, policy.mode)])
+        schedule = certify(ctx, ctx.ids[best_part(ctx, selections, policy.problem.objective)])
         if not verify(ctx, schedule):
             raise AssertionError("pipeline produced an infeasible schedule")
         schedules.append(schedule)

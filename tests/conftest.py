@@ -61,6 +61,13 @@ def rng():
     return np.random.default_rng(12345)
 
 
+def better(cand_val, cand_key, best_val, best_key) -> bool:
+    """One step of the best-set rule as a loop, the reference that
+    ``rounding.winner`` must match: a larger objective, or an equal one with
+    a smaller key tuple."""
+    return cand_val > best_val or (cand_val == best_val and cand_key < best_key)
+
+
 def selection(ctx, *sets):
     """Boolean rows over the context positions, one per set of link ids."""
     sel = np.zeros((len(sets), ctx.n), dtype=bool)

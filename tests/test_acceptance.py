@@ -14,7 +14,7 @@ from sinrcap import (AffectanceContext, GenConfig, Instance, Link,
                      admit_large_opt, bernoulli_draws, build_capacity_lp,
                      certify, exact_capacity, generate_instance,
                      greedy_base, greedy_combined, largest_bifeasible,
-                     run_compare, run_pipeline, schedule_weight,
+                     run_compare, run_pipeline, schedule_value,
                      separation_check, signal_strengthen, solve_lp, verify)
 from sinrcap.affectance import BETA, NOISE, RAW_CAP, _exact_holds, check_positions
 from sinrcap.formulations import admission_filter_threshold
@@ -110,9 +110,9 @@ def test_criterion_2_oracle_dominance_and_relaxation():
         c_star = max(float(np.max(probe.row_coeffs @ indicator)), 1e-9)
         lp_star = solve_lp(build_capacity_lp(ctx, c_star)).objective
 
+        weight = {sched: schedule_value(ctx, sched, "weight") for sched in (grd_c, wgt, opt_w)}
         ok = (cap.size <= opt.size and grd.size <= opt.size
-              and schedule_weight(ctx, grd_c) <= schedule_weight(ctx, opt_w) + 1e-9
-              and schedule_weight(ctx, wgt) <= schedule_weight(ctx, opt_w) + 1e-9
+              and weight[grd_c] <= weight[opt_w] + 1e-9 and weight[wgt] <= weight[opt_w] + 1e-9
               and lp_star >= len(w2.ids) - 1e-6
               and len(w2.ids) >= math.ceil(opt.size / 2))
         instances += 1

@@ -11,9 +11,9 @@ from sinrcap import admission, rounding
 from sinrcap.affectance import check_positions
 from sinrcap.formulations import build_admission_large_lp
 from sinrcap.lp_core import FractionalSolution
-from sinrcap.rounding import _better, final_selection_batch
+from sinrcap.rounding import final_selection_batch, round_trials
 
-from conftest import (ColdSession, far_instance, feasible_prim_ctx, make_link,
+from conftest import (ColdSession, better, far_instance, feasible_prim_ctx, make_link,
                       random_ctx, sampled, selection)
 
 UNIFORM = PowerAssignment.uniform()
@@ -289,9 +289,9 @@ def _sequential_large_opt(ctx, pol, retry_cap):
             continue
         successes += 1
         cand = tuple(ctx.ids[final_selection_batch(ctx, selection(ctx, sample),
-                                                   [pol.extraction_bound], ["capacity"])[0]]
+                                                   [pol.extraction_bound], ["cardinality"])[0]]
                      .tolist())
-        if _better(len(cand), cand, len(best_ids), best_ids):
+        if better(len(cand), cand, len(best_ids), best_ids):
             best_ids = cand
         if successes >= pol.trials:
             break
@@ -351,6 +351,31 @@ def test_admit_sweep_matches_per_constant_pipelines(mode, monkeypatch):
     pipeline = admit_general if mode == "admission_general" else admit_large_opt
     assert sweep == [pipeline(ctx, p) for p in policies]
     assert len({res.admitted.ids for res in sweep}) > 1  # the constants did differ
+
+
+@pytest.mark.parametrize("seed", [7, 8, 9])
+def test_admit_general_wins_with_the_best_group_of_every_trial(seed):
+    # the loop form of the best-set rule over every group of every trial,
+    # in trial order, names the winning trial, whose groups and aggregate
+    # primary load the result reports
+    ctx = prim_ctx(seed, n=30, R=8.0, primaries=3)
+    pol = policy("admission_general", seed=seed, trials=20, C=2.0)
+    (_, sets), = round_trials(ctx, [pol])
+    grouped = admission._partition_rows(ctx, sets)
+    best, best_key, won, tops = 0, (), None, set()
+    for trial, groups in enumerate(grouped):
+        for g in groups:
+            key = tuple(g.tolist())
+            if better(len(key), key, best, best_key):
+                best, best_key, won = len(key), key, trial
+    for groups in grouped:
+        tops.update(tuple(g.tolist()) for g in groups if len(g) == best)
+    res = admit_general(ctx, pol)
+    assert res.admitted.ids == tuple(ctx.ids[list(best_key)].tolist())
+    assert res.groups == tuple(tuple(ctx.ids[g].tolist()) for g in grouped[won])
+    assert res.notes["aggregate_primary_load"] == \
+        float(np.minimum(ctx.raw_to_prim[sets[won]], 1.0).sum())
+    assert won > 0 and len(tops) > 1  # not the first trial, and won on a tie
 
 
 def test_admit_sweep_refuses_mixed_or_non_admission_modes():

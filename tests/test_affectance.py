@@ -164,18 +164,18 @@ def test_hat_noise_values():
     assert hat_noise(ctx, 0) == pytest.approx(0.5 + 1.0 + 0.25)
 
 
-def _sinr_holds(inst, power, subset, primaries=None, check_primaries=False):
+def _sinr_holds(inst, power, subset, primaries=None):
     """Independent direct evaluation of the SINR inequality, pure python.
 
-    The primaries, if given, transmit at their explicit powers; their own
-    inequalities are checked only when ``check_primaries`` is set.
+    The primaries, if given, transmit at their explicit powers, and their
+    own inequalities are checked too.
     """
     prim_power = dict(zip((lk.id for lk in primaries.links), primaries.powers)) \
         if primaries is not None else {}
     senders = {w: prim_power[w] if w in prim_power
                else power.power(inst.length_of(w), inst.alpha)
                for w in list(prim_power) + list(subset)}
-    receivers = list(subset) + (list(prim_power) if check_primaries else [])
+    receivers = list(subset) + list(prim_power)
     for v in receivers:
         lv = inst.link(v)
         length = inst.length_of(v)
@@ -227,12 +227,9 @@ def test_exact_sinr_matches_direct_evaluation(seed, kind):
     verdicts = set()
     for r in range(len(ids) + 1):
         for subset in itertools.combinations(ids, r):
-            got = _exact_holds(ctx, subset, primaries=False)
+            got = _exact_holds(ctx, subset)
             want = _sinr_holds(inst, UNIFORM, subset, ctx.primaries)
             assert got == want, f"subset {subset}"
-            got = _exact_holds(ctx, subset, primaries=True)
-            want = _sinr_holds(inst, UNIFORM, subset, ctx.primaries, check_primaries=True)
-            assert got == want, f"subset {subset} with primaries checked"
             got = verify(ctx, subset)
             feasible = check_positions(ctx, ctx.index_of(subset))
             assert got == (want and feasible), f"subset {subset} verified"

@@ -4,7 +4,7 @@ import pytest
 from sinrcap import (AffectanceContext, GenConfig, Instance, Link, PowerAssignment,
                      RoundingPolicy, certify, exact_capacity, generate_instance,
                      greedy_base, greedy_combined, greedy_sweep, run_pipeline,
-                     schedule_weight)
+                     schedule_value)
 from sinrcap.affectance import check_positions
 from sinrcap.greedy import (_class_candidates, length_class_partition,
                             weight_class_partition)
@@ -63,7 +63,7 @@ def test_weight_classes_prefer_heavy_singleton():
     ctx = AffectanceContext(inst, UNIFORM)
     sched = weight_classes(ctx, 1.0)
     assert sched.ids == (1,)
-    assert schedule_weight(ctx, sched) == pytest.approx(2.0)
+    assert schedule_value(ctx, sched, "weight") == pytest.approx(2.0)
 
 
 def _coords(lk):
@@ -98,19 +98,19 @@ def test_length_classes_single_and_split():
 @pytest.mark.parametrize("seed", range(4))
 def test_class_greedys_never_beat_weighted_oracle(seed):
     ctx = random_ctx(seed, n=9, R=3.0, delta=3.0, weight_dist="ordinary")
-    opt_w = schedule_weight(ctx, exact_capacity(ctx, "weight", "exact_sinr"))
+    opt_w = schedule_value(ctx, exact_capacity(ctx, "weight", "exact_sinr"), "weight")
     for algo in (weight_classes, length_classes, greedy_combined):
         sched = algo(ctx, 1.0)
-        assert schedule_weight(ctx, sched) <= opt_w + 1e-9
+        assert schedule_value(ctx, sched, "weight") <= opt_w + 1e-9
         assert sched.exact_sinr_ok
 
 
 def test_combined_at_least_each_constituent():
     for seed in range(4):
         ctx = random_ctx(seed + 20, n=10, R=3.0, delta=4.0, weight_dist="reversed")
-        w = schedule_weight(ctx, weight_classes(ctx, 1.0))
-        l = schedule_weight(ctx, length_classes(ctx, 1.0))
-        c = schedule_weight(ctx, greedy_combined(ctx, 1.0))
+        w = schedule_value(ctx, weight_classes(ctx, 1.0), "weight")
+        l = schedule_value(ctx, length_classes(ctx, 1.0), "weight")
+        c = schedule_value(ctx, greedy_combined(ctx, 1.0), "weight")
         assert c >= max(w, l) - 1e-12
 
 
@@ -120,7 +120,7 @@ def test_discard_light_links_loses_at_most_half():
     for seed in range(4):
         ctx = random_ctx(seed + 40, n=9, R=3.0, delta=2.0, weight_dist="ordinary")
         opt = exact_capacity(ctx, "weight", "exact_sinr")
-        opt_w = schedule_weight(ctx, opt)
+        opt_w = schedule_value(ctx, opt, "weight")
         max_w = float(ctx.weights.max())
         kept = [int(i) for i, w in zip(ctx.ids, ctx.weights)
                 if w * ctx.n / max_w >= 1.0]
@@ -185,7 +185,7 @@ def test_greedy_sweep_matches_per_constant_calls():
 def _heavier(ctx, a, b):
     """The combined greedy's rule stated on its two class runs: the heavier
     schedule; equal weights go to the smaller id tuple, then to a."""
-    wa, wb = schedule_weight(ctx, a), schedule_weight(ctx, b)
+    wa, wb = schedule_value(ctx, a, "weight"), schedule_value(ctx, b, "weight")
     return b if wb > wa or (wb == wa and b.ids < a.ids) else a
 
 
@@ -201,7 +201,8 @@ def test_combined_greedy_is_the_heavier_class_run():
                                       for w, l in zip(runs["greedy_w"], runs["greedy_l"])]
             assert runs["greedy"] == greedy_sweep(context, ["greedy"], constants)["greedy"]
             for w, l in zip(runs["greedy_w"], runs["greedy_l"]):
-                if w.ids != l.ids and schedule_weight(context, w) == schedule_weight(context, l):
+                if w.ids != l.ids and (schedule_value(context, w, "weight")
+                                       == schedule_value(context, l, "weight")):
                     ties.add("w" if w.ids < l.ids else "l")
     assert ties == {"w", "l"}
 
@@ -278,7 +279,7 @@ def _reference_greedy(ctx, classes, c_g, order, weighted):
     for row, t in zip(sel, sorted(classes)):
         row[_class_candidates(ctx, classes[t], c_g, order)] = True
     selections = [tuple(ctx.ids[p].tolist()) for p in
-                  final_selection_batch(ctx, sel, [12.0] * len(sel), ["capacity"] * len(sel))]
+                  final_selection_batch(ctx, sel, [12.0] * len(sel), ["cardinality"] * len(sel))]
     if not weighted:
         return certify(ctx, selections[0])
     best_ids, best_w = (), -1.0

@@ -158,12 +158,8 @@ def test_cli_runs_and_verifies_every_problem_of_the_table(mode, tmp_path, capsys
     assert found["value"] <= opt["weight" if problem.objective == "weight" else "size"]
 
 
-@pytest.mark.parametrize("problem,oracle_fn", [
-    ("capacity", "exact_capacity"),
-    ("weighted", "exact_capacity"),
-    ("admission", "exact_admission"),
-])
-def test_cli_oracle_fails_on_infeasible_optimum(tmp_path, monkeypatch, problem, oracle_fn):
+@pytest.mark.parametrize("problem", ["capacity", "weighted", "admission"])
+def test_cli_oracle_fails_on_infeasible_optimum(tmp_path, monkeypatch, problem):
     # every link of a dense instance at once, certified, stands in for a
     # wrong optimum; the subcommand's own re-check must reject it
     inst = generate_instance(GenConfig(n=8, R=2.0, delta=2.0, seed=5, primaries=1))
@@ -174,8 +170,8 @@ def test_cli_oracle_fails_on_infeasible_optimum(tmp_path, monkeypatch, problem, 
     assert not check_positions(plain, plain.index_of(plain.ids))
     joint = AffectanceContext(inst, PowerAssignment.uniform(), primaries=inst.primaries)
     assert not verify(joint, joint.ids)
-    assert not _exact_holds(joint, joint.ids, primaries=True)
-    monkeypatch.setattr(cli, oracle_fn, lambda ctx, *args, **kwargs: certify(ctx, ctx.ids))
+    assert not _exact_holds(joint, joint.ids)
+    monkeypatch.setattr(cli, "exact_capacity", lambda ctx, *args, **kwargs: certify(ctx, ctx.ids))
     out = tmp_path / "opt.json"
     assert cli_main(["oracle", str(inst_path), "--problem", problem, "--out", str(out)]) == 1
     assert json.loads(out.read_text())["verified"] is False
@@ -283,9 +279,13 @@ GEN = ["gen", "--n", "5", "--side", "6", "--delta", "2"]
     (GEN + ["--primaries", "1", "--primary-power", "inf"], "power must be finite, got inf"),
     (GEN + ["--primaries", "2", "--primary-power", "0"], "power must be positive, got 0.0"),
     (GEN + ["--primaries", "-1"], "primaries must be nonnegative, got -1"),
+    (GEN + ["--seed", "-1"], "seed must be nonnegative, got -1"),
     (["gen", "--n", "600", "--side", "77", "--delta", "8", "--primaries", "8", "--seed", "3"],
      "primary link(s) [601] cannot satisfy their own SINR"),
     (["compare", "--n", "5", "--deltas", "0.5", "--sides", "6"], "0.5"),
+    (["compare", "--seed", "-5", "--n", "5", "--deltas", "2", "--sides", "8"],
+     "seed must be nonnegative, got -5"),
+    (["suite", "--seed", "-3", "--count", "1", "--n", "5"], "seed must be nonnegative, got -3"),
     (["oracle", "BIG"], "21 links"),
     (["suite", "--n", "21", "--count", "1"], "21 links"),
     (["admit", "BIG"], "big.json has no primaries"),
@@ -303,7 +303,8 @@ GEN = ["gen", "--n", "5", "--side", "6", "--delta", "2"]
     (["oracle", "HUGEPOWER", "--problem", "admission"], "primary 1: power must be finite"),
 ], ids=["side-0", "side-nan", "side-inf", "delta-0.5", "alpha-0", "beta-0", "noise-neg",
         "alpha-inf", "beta-inf", "noise-inf", "primary-power-inf", "primary-power-0",
-        "primaries-neg", "gen-primaries-clash", "compare-delta", "oracle-21", "suite-21",
+        "primaries-neg", "gen-seed-neg", "gen-primaries-clash", "compare-delta",
+        "compare-seed-neg", "suite-seed-neg", "oracle-21", "suite-21",
         "admit-no-primaries", "oracle-admission-no-primaries", "admit-large-empty-primaries",
         "admit-empty-primaries", "oracle-admission-empty-primaries",
         "admit-primary-override", "admit-large-primary-override",
@@ -528,7 +529,7 @@ def test_cli_solve_keeps_smaller_constant_over_float_noise(tmp_path, monkeypatch
     inst_path = tmp_path / "inst.json"
     write_instance(generate_instance(GenConfig(n=10, R=6.0, delta=2.0, seed=3)), inst_path)
     values = iter([4.0, 4.0 + 5e-13])  # the two constants' weights, 5e-13 apart
-    monkeypatch.setattr(cli, "_schedule_objective", lambda ctx, ids, mode: next(values))
+    monkeypatch.setattr(cli, "schedule_value", lambda ctx, schedule, objective: next(values))
     out = tmp_path / "sol.json"
     assert cli_main(["solve", str(inst_path), "--algo", "lp", "--formulation", "weighted",
                      "--power", "linear", "--trials", "5", "--sweep", "1.0,2.0",
@@ -556,6 +557,19 @@ def test_cli_admit_and_suite(tmp_path):
     assert res["value"] <= aopt["size"]
 
     assert cli_main(["suite", "--count", "2", "--n", "6", "--trials", "10"]) == 0
+
+
+@pytest.mark.parametrize("command", ["solve", "admit"])
+def test_cli_accepts_a_negative_rounding_seed(command, tmp_path, capsys):
+    # a rounding seed keys its Philox stream modulo 2**64, so -1 is well
+    # defined; only the commands that draw instances from --seed refuse it
+    inst_path = tmp_path / "prim.json"
+    write_instance(generate_instance(GenConfig(n=8, R=8.0, delta=2.0, seed=21, primaries=1)),
+                   inst_path)
+    args = {"solve": ["solve", str(inst_path), "--algo", "lp"],
+            "admit": ["admit", str(inst_path)]}[command]
+    assert cli_main([*args, "--seed", "-1", "--trials", "5", "--sweep", "1.0"]) == 0
+    assert json.loads(capsys.readouterr().out)["verified"] is True
 
 
 def test_cli_compare(tmp_path):

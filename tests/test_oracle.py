@@ -7,7 +7,7 @@ import pytest
 from sinrcap import (AffectanceContext, GenConfig, InfeasiblePrimaries, Instance,
                      PowerAssignment, PrimarySet, TooLarge, exact_admission,
                      exact_capacity, generate_instance, largest_bifeasible,
-                     run_oracle_suite, schedule_weight)
+                     run_oracle_suite, schedule_value)
 from sinrcap.affectance import _feasible_affectance
 from sinrcap.oracle import _exact_accept
 
@@ -42,7 +42,7 @@ def test_weight_objective():
     ctx = AffectanceContext(inst, UNIFORM)
     sched = exact_capacity(ctx, objective="weight")
     assert sched.ids == (1,)
-    assert schedule_weight(ctx, sched) == 5.0
+    assert schedule_value(ctx, sched, "weight") == 5.0
 
 
 def test_cap_enforced():

@@ -11,14 +11,16 @@ import pytest
 from sinrcap import (AffectanceContext, GenConfig, Instance, Link, PowerAssignment,
                      RoundingPolicy, bernoulli_draws, build_admission_large_lp,
                      build_admission_lp, build_capacity_lp, build_qos_lp, build_weighted_lp,
-                     exact_capacity, generate_instance, run_pipeline, run_sweep,
-                     signal_strengthen, solve_lp)
+                     certify, exact_capacity, generate_instance, run_pipeline, run_sweep,
+                     schedule_value, signal_strengthen, solve_lp)
 from sinrcap import formulations, rounding
 from sinrcap.affectance import _exact_holds, check_positions
+from sinrcap.greedy import GREEDY_VARIANTS
 from sinrcap.rounding import (ROUNDING_MODES, _extract_rows, _first_fit, _strengthen_rows,
-                              best_part, final_selection_batch, round_trials, sample_batch)
+                              best_part, final_selection_batch, round_trials, sample_batch,
+                              winner)
 
-from conftest import (colocated_pair, far_instance, feasible_prim_ctx, make_link,
+from conftest import (better, colocated_pair, far_instance, feasible_prim_ctx, make_link,
                       random_ctx, sampled, selection)
 
 UNIFORM = PowerAssignment.uniform()
@@ -268,9 +270,10 @@ def test_pipeline_rounds_the_program_of_its_mode(mode):
         policy = RoundingPolicy(mode=mode, C=C, trials=15, seed=3)
         program = BUILDERS[mode](ctx, C)
         sel = sample_batch(program, solve_lp(program).values, policy, range(policy.trials))
+        objective = formulations.PROBLEMS[mode].objective
         parts = final_selection_batch(ctx, sel, [policy.extraction_bound] * len(sel),
-                                      [mode] * len(sel))
-        best = best_part(ctx, parts, mode)
+                                      [objective] * len(sel))
+        best = best_part(ctx, parts, objective)
         assert run_pipeline(ctx, policy).ids == tuple(ctx.ids[best].tolist())
     with pytest.raises(ValueError, match="admission module"):
         run_pipeline(ctx, RoundingPolicy(mode="admission_general"))
@@ -418,9 +421,9 @@ def test_batched_engine_matches_per_set_reference(with_primaries, trials):
                  for row in _strengthen_rows(ctx, rows)]
         assert parts == [_reference_strengthen(ctx, s) for s in sets]
         best = [best_part(ctx, [ctx.index_of(p) for p in _reference_strengthen(ctx, k)],
-                          "capacity") for k in kept_sets]
+                          "cardinality") for k in kept_sets]
         assert [p.tolist() for p in final_selection_batch(
-            ctx, rows, [bound] * len(rows), ["capacity"] * len(rows))] == \
+            ctx, rows, [bound] * len(rows), ["cardinality"] * len(rows))] == \
             [p.tolist() for p in best]
         assert _extracted(ctx, sets[0], bound) == kept_sets[0]
         assert signal_strengthen(ctx, sets[0]) == parts[0]
@@ -476,15 +479,61 @@ def test_sweep_of_mixed_modes_matches_per_policy_pipelines():
     assert run_sweep(ctx, policies) == [run_pipeline(ctx, policy) for policy in policies]
 
 
-def test_final_selection_batch_takes_a_bound_and_mode_per_row():
+def test_final_selection_batch_takes_a_bound_and_objective_per_row():
     ctx = random_ctx(5, n=30, R=3.0, delta=2.0, power=PowerAssignment.linear())
     sel = np.random.default_rng(2).random((30, ctx.n)) < 0.4
     bounds = np.linspace(1.0, 24.0, 30)
-    modes = ["weighted", "capacity", "qos"] * 10
-    batch = [p.tolist() for p in final_selection_batch(ctx, sel, bounds, modes)]
-    assert batch == [final_selection_batch(ctx, row[None], [bound], [mode])[0].tolist()
-                     for row, bound, mode in zip(sel, bounds, modes)]
+    objectives = ["weight", "cardinality"] * 15
+    batch = [p.tolist() for p in final_selection_batch(ctx, sel, bounds, objectives)]
+    assert batch == [final_selection_batch(ctx, row[None], [bound], [objective])[0].tolist()
+                     for row, bound, objective in zip(sel, bounds, objectives)]
     assert len(set(map(tuple, batch))) > 1
+
+
+@pytest.mark.parametrize("objective", ["cardinality", "weight"])
+def test_winner_matches_the_loop_form_of_the_best_set_rule(objective):
+    # weights in {2, 4, 8} and parts of at most three of six links, some
+    # copies of earlier ones, so values tie between different parts and
+    # between copies of one part
+    ctx = random_ctx(4, n=6, weight_dist="weight_class")
+    rng = np.random.default_rng(7)
+    seen = {"tie": 0, "copy": 0, "none": 0}
+    for _ in range(300):
+        parts = []
+        for _ in range(rng.integers(0, 7)):
+            if parts and rng.random() < 0.3:
+                parts.append(parts[rng.integers(len(parts))].copy())
+            else:
+                parts.append(np.sort(rng.choice(ctx.n, rng.integers(0, 4), replace=False)))
+        values = [float(ctx.weights[p].sum()) if objective == "weight" else float(len(p))
+                  for p in parts]
+        want, best_val, best_key = None, 0.0, ()
+        for i, (val, p) in enumerate(zip(values, parts)):
+            if better(val, tuple(p.tolist()), best_val, best_key):
+                want, best_val, best_key = i, val, tuple(p.tolist())
+        assert winner(ctx, parts, objective) == want
+        assert best_part(ctx, parts, objective).tolist() == list(best_key)
+        top = [tuple(p.tolist()) for val, p in zip(values, parts)
+               if want is not None and val == best_val]
+        seen["tie"] += len(set(top)) > 1
+        seen["copy"] += len(top) > len(set(top))
+        seen["none"] += want is None
+    assert all(seen.values()), seen
+
+
+def test_objectives_come_from_one_vocabulary():
+    vocabulary = set(formulations.OBJECTIVES)
+    assert {problem.objective for problem in formulations.PROBLEMS.values()} <= vocabulary
+    assert {objective for _, objective in GREEDY_VARIANTS.values()} <= vocabulary
+    ctx = random_ctx(4, n=6)
+    sched = certify(ctx, ctx.ids[:1])
+    for unknown in ("capacity", "weighted", "size"):  # mode names are not objectives
+        with pytest.raises(ValueError, match="unknown objective"):
+            best_part(ctx, [np.arange(2)], unknown)
+        with pytest.raises(ValueError, match="unknown objective"):
+            schedule_value(ctx, sched, unknown)
+        with pytest.raises(ValueError, match="unknown objective"):
+            exact_capacity(ctx, unknown)
 
 
 def test_round_trials_batches_consecutive_pairs_up_to_the_cell_budget(monkeypatch):
@@ -495,9 +544,9 @@ def test_round_trials_batches_consecutive_pairs_up_to_the_cell_budget(monkeypatc
     batches = []
     select = rounding.final_selection_batch
 
-    def recorded(ctx, sel, bounds, modes):
+    def recorded(ctx, sel, bounds, objectives):
         batches.append(sel)
-        return select(ctx, sel, bounds, modes)
+        return select(ctx, sel, bounds, objectives)
 
     def cells(sel):
         return len(sel) * int(sel.any(axis=0).sum())
