@@ -146,14 +146,12 @@ def _primary_safe(ctx, lp, sel) -> np.ndarray:
 
 def admit_sweep(ctx: AffectanceContext, policies) -> list:
     """The admission result of each policy, in order, from one
-    ``round_trials`` sweep; the policies share one admission mode.  The
-    large-optimum mode draws up to ``max(policy.trials, RETRY_CAP)``
-    samples per policy and keeps the first ``policy.trials`` that are safe
-    for every primary."""
-    modes = {policy.mode for policy in policies}
-    if len(modes) > 1 or not modes <= {"admission_general", "admission_large"}:
-        raise ValueError("admission sweep policies must share one admission mode")
-    large = modes == {"admission_large"}
+    ``round_trials`` sweep of an admission mode.  The large-optimum mode
+    draws up to ``max(policy.trials, RETRY_CAP)`` samples per policy and
+    keeps the first ``policy.trials`` that are safe for every primary."""
+    if not all(policy.problem.primaries for policy in policies):
+        raise ValueError("admission sweep policies must use an admission mode")
+    large = bool(policies) and policies[0].mode == "admission_large"
     trials = round_trials(ctx, policies, accept=partial(_primary_safe, ctx) if large else None,
                           attempts=RETRY_CAP if large else 0)
     reduce = _large if large else _general

@@ -97,7 +97,7 @@ def _scan_selections(ctx: AffectanceContext, scan, constants: list) -> list:
     for row, (c_g, t) in zip(sel, product(constants, sorted(classes))):
         row[_class_candidates(ctx, classes[t], c_g, order)] = True
     bound = RoundingPolicy("capacity").extraction_bound
-    selections = final_selection_batch(ctx, sel, [bound] * len(sel), ["cardinality"] * len(sel))
+    selections = final_selection_batch(ctx, sel, [bound] * len(sel), "cardinality")
     return [selections[i * k:(i + 1) * k] for i in range(len(constants))]
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -27,9 +27,6 @@ from .oracle import exact_capacity, largest_bifeasible
 from .rounding import RoundingPolicy, run_pipeline, run_sweep, schedule_value
 
 WEIGHT_DISTRIBUTIONS = ("ordinary", "reversed", "length_determined", "weight_class")
-
-CSV_COLUMNS = ("seed", "n", "R", "delta", "density", "weight_dist", "algo",
-               "constant", "value", "feasible", "runtime_ms", "ratio")
 
 DEFAULT_SWEEP = tuple(round(0.2 * i, 10) for i in range(1, 16))  # 0.2 .. 3.0
 
@@ -89,6 +86,9 @@ class ExperimentRecord:
                 return "true" if x else "false"
             return repr(x) if isinstance(x, float) else str(x)
         return [fmt(getattr(self, c)) for c in CSV_COLUMNS]
+
+
+CSV_COLUMNS = tuple(f.name for f in fields(ExperimentRecord))
 
 
 def _draw_links(cfg: GenConfig, rng: np.random.Generator, count: int, id_base: int):

@@ -11,17 +11,18 @@ variable (0..n-1 unless given), so rounding needs no other record of
 which links a program covers.
 
 An ``LpSession`` holds one HiGHS model across solves.  A constant sweep
-(``rounding.round_trials``) derives each later constant's program with
-``LinearProgram.at``, which shares the read-only objective and rows and
-recomputes only the row bounds and limits.  When a program's objective
-and rows are the loaded arrays themselves, the session pushes only the
-row bounds that changed and re-solves with the dual simplex from the
-previous optimal basis (the warm start): after a bound change only that
-basis's dual feasibility survives.  Any other program is loaded cold and
-solved by the primal simplex.  x = 0 is a feasible basis of every
-program here, so the primal starts in its phase 2, while the dual would
-start from the all-at-upper-bound point.  ``solve_lp`` runs one program
-through a given session, or through a fresh one.
+(``rounding.round_trials``) is one mode's program: built at the first
+constant, and derived at each later one with ``LinearProgram.at``, which
+shares the read-only objective and rows and recomputes only the row
+bounds and limits.  When a program's objective and rows are the loaded
+arrays themselves, the session pushes only the row bounds that changed
+and re-solves with the dual simplex from the previous optimal basis (the
+warm start): after a bound change only that basis's dual feasibility
+survives.  Any other program is loaded cold and solved by the primal
+simplex.  x = 0 is a feasible basis of every program here, so the primal
+starts in its phase 2, while the dual would start from the
+all-at-upper-bound point.  ``solve_lp`` runs one program through a given
+session, or through a fresh one.
 
 A program may also carry the data of the second rounding stage: per row,
 the variable whose survival the row decides (-1: the whole sample) and

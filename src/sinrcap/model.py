@@ -268,12 +268,7 @@ def instance_to_dict(instance: Instance) -> dict:
         d["metric"] = "euclidean"
     links = []
     for lk in instance.links:
-        entry = {
-            "id": lk.id,
-            "sx": lk.sender.x, "sy": lk.sender.y,
-            "rx": lk.receiver.x, "ry": lk.receiver.y,
-            "weight": lk.weight,
-        }
+        entry = _link_entry(lk, weight=lk.weight)
         if lk.beta_override is not None:
             entry["beta"] = lk.beta_override
         if lk.noise_override is not None:
@@ -281,16 +276,15 @@ def instance_to_dict(instance: Instance) -> dict:
         links.append(entry)
     d["links"] = links
     if instance.primaries is not None:
-        d["primaries"] = [
-            {
-                "id": lk.id,
-                "sx": lk.sender.x, "sy": lk.sender.y,
-                "rx": lk.receiver.x, "ry": lk.receiver.y,
-                "power": p,
-            }
-            for lk, p in zip(instance.primaries.links, instance.primaries.powers)
-        ]
+        d["primaries"] = [_link_entry(lk, power=p)
+                          for lk, p in zip(instance.primaries.links, instance.primaries.powers)]
     return d
+
+
+def _link_entry(lk: Link, **extra) -> dict:
+    """A written link's id and endpoints, then ``extra``'s keys."""
+    return {"id": lk.id, "sx": lk.sender.x, "sy": lk.sender.y,
+            "rx": lk.receiver.x, "ry": lk.receiver.y, **extra}
 
 
 _REQUIRED = object()

@@ -15,8 +15,8 @@ from functools import partial
 
 import numpy as np
 
-from .affectance import (AffectanceContext, InfeasiblePrimaries, Schedule, _exact_budgets,
-                         _feasible_affectance, _feasible_exact, certify)
+from .affectance import (AffectanceContext, Schedule, _exact_budgets, _feasible_affectance,
+                         _feasible_exact, certify)
 from .formulations import OBJECTIVES
 
 ENUMERATION_CAP = 20
@@ -98,14 +98,11 @@ def exact_capacity(ctx: AffectanceContext, objective: str = "cardinality",
 
 def exact_admission(ctx: AffectanceContext) -> Schedule:
     """Maximum secondary subset that ``_exact_accept`` passes, primaries at
-    their explicit powers."""
+    their explicit powers: ``exact_capacity`` of a context with primaries.
+    The context has refused primaries infeasible on their own."""
     if not ctx.has_primaries:
         raise ValueError("admission oracle requires a context with primaries")
-    _check_cap(ctx.n)
-    accept = _exact_accept(ctx)
-    if not accept(np.zeros((1, ctx.n), bool))[0]:
-        raise InfeasiblePrimaries("primaries are infeasible even without secondaries")
-    return _best(ctx, accept)
+    return exact_capacity(ctx)
 
 
 def largest_bifeasible(ctx: AffectanceContext, gamma: float = 2.0) -> Schedule:

@@ -24,12 +24,13 @@ admission's grouping; ids are formed only where a pipeline certifies its
 result.  ``signal_strengthen`` is the one-set case of the same code.
 
 ``round_trials`` is the one trial loop and the only code that knows how
-a sweep shares its solves: one ``LpSession`` per call, in which each
-mode's program (``formulations.PROBLEMS``) is built once, so warm starts
-are those of a loop over the constants.  It selects the kept samples of
-consecutive policies in one batch, each under its own policy's bound and
-objective.  A batch costs lockstep steps by its longest row, not by its
-number of rows, which pays while rows are short; so a batch runs once
+a sweep shares its solves.  A sweep is one mode's problem
+(``formulations.PROBLEMS``) over several constants: one ``LpSession`` per
+call, in which the program is built once, so warm starts are those of a
+loop over the constants.  It selects the kept samples of consecutive
+policies in one batch under the problem's objective, each under its own
+policy's bound.  A batch costs lockstep steps by its longest row, not by
+its number of rows, which pays while rows are short; so a batch runs once
 its samples times the links they hold reach ``_BATCH_CELLS``.  At n=200
 a compare sweep's 2 x 50 samples stay one batch; at n=1000 each
 constant's 100 samples hold more and run alone, since one batch over 15
@@ -276,24 +277,25 @@ def best_part(ctx: AffectanceContext, parts: Sequence[np.ndarray],
 
 
 def final_selection_batch(ctx: AffectanceContext, sel: np.ndarray,
-                          bounds: Sequence[float], objectives: Sequence[str]) -> list:
+                          bounds: Sequence[float], objective: str) -> list:
     """Final selection of every row of ``sel`` (booleans over the context
-    positions) under that row's entries of ``bounds`` and ``objectives``,
-    all rows in one lockstep batch: extract the row's low-affectance
-    members, strengthen them into 1-feasible parts and keep the best part
-    under the objective.  Returns one position array per row, in row order."""
-    parts = _strengthen_rows(ctx, _extract_rows(ctx, sel, bounds))
-    return [best_part(ctx, p, objective) for p, objective in zip(parts, objectives)]
+    positions) under that row's entry of ``bounds``, all rows in one
+    lockstep batch: extract the row's low-affectance members, strengthen
+    them into 1-feasible parts and keep the best part under ``objective``.
+    Returns one position array per row, in row order."""
+    return [best_part(ctx, p, objective)
+            for p in _strengthen_rows(ctx, _extract_rows(ctx, sel, bounds))]
 
 
 def round_trials(ctx: AffectanceContext, policies: Sequence[RoundingPolicy], accept=None,
                  attempts: int = 0) -> Iterator[tuple]:
     """For each policy, in order: solve its program, through the call's one
     ``LpSession``, and draw ``policy.trials`` two-stage samples over the
-    program's ids.  Each mode's program is built at its first constant and
-    derived with ``LinearProgram.at`` at later ones.  Yields per policy its
-    program and the final selection of each sample, a position array, in
-    trial order, under the policy's extraction bound and objective.
+    program's ids.  The policies share one mode, else ``ValueError``; its
+    program is built at the first constant and derived with
+    ``LinearProgram.at`` at later ones.  Yields per policy its program and
+    the final selection of each sample, a position array, in trial order,
+    under the policy's extraction bound and the problem's objective.
     Consecutive policies share one ``final_selection_batch``, which runs as
     soon as its samples times the links they hold reach ``_BATCH_CELLS``;
     a policy is never split.
@@ -304,13 +306,12 @@ def round_trials(ctx: AffectanceContext, policies: Sequence[RoundingPolicy], acc
     made, and only accepted samples count, in attempt order: the samples a
     one-by-one loop would take.
     """
-    session, built = LpSession(), {}
+    if len({policy.mode for policy in policies}) > 1:
+        raise ValueError("a sweep's policies must share one mode")
+    session, lp = LpSession(), None
     batch = []  # (samples over the context positions, policy, program) per policy
     for policy in policies:
-        if policy.mode in built:
-            lp = built[policy.mode].at(policy.C)
-        else:
-            lp = built[policy.mode] = policy.problem.build(ctx, policy.C)
+        lp = policy.problem.build(ctx, policy.C) if lp is None else lp.at(policy.C)
         sol = solve_lp(lp, session)
         tries = max(policy.trials, attempts)
         wanted, kept = policy.trials, [np.zeros((0, lp.n), dtype=bool)]
@@ -345,19 +346,19 @@ def _select_batch(ctx: AffectanceContext, batch) -> list:
     selection of each of its samples, all in one ``final_selection_batch``."""
     sel = np.concatenate([rows for rows, *_ in batch])
     bounds = [policy.extraction_bound for rows, policy, _ in batch for _ in rows]
-    objectives = [policy.problem.objective for rows, policy, _ in batch for _ in rows]
-    selections = iter(final_selection_batch(ctx, sel, bounds, objectives))
+    selections = iter(final_selection_batch(ctx, sel, bounds, batch[0][1].problem.objective))
     return [(lp, list(islice(selections, len(rows)))) for rows, _, lp in batch]
 
 
 def run_sweep(ctx: AffectanceContext, policies: Sequence[RoundingPolicy]) -> list:
     """``run_pipeline`` of each policy, in order, as one ``round_trials``
     sweep; returns one schedule per policy, each passing ``verify``."""
-    if any(policy.problem.primaries for policy in policies):
+    problem = policies[0].problem if policies else None
+    if problem is not None and problem.primaries:
         raise ValueError("admission pipelines are driven by the admission module")
     schedules = []
-    for (_, selections), policy in zip(round_trials(ctx, policies), policies):
-        schedule = certify(ctx, ctx.ids[best_part(ctx, selections, policy.problem.objective)])
+    for _, selections in round_trials(ctx, policies):
+        schedule = certify(ctx, ctx.ids[best_part(ctx, selections, problem.objective)])
         if not verify(ctx, schedule):
             raise AssertionError("pipeline produced an infeasible schedule")
         schedules.append(schedule)

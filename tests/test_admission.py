@@ -289,7 +289,7 @@ def _sequential_large_opt(ctx, pol, retry_cap):
             continue
         successes += 1
         cand = tuple(ctx.ids[final_selection_batch(ctx, selection(ctx, sample),
-                                                   [pol.extraction_bound], ["cardinality"])[0]]
+                                                   [pol.extraction_bound], "cardinality")[0]]
                      .tolist())
         if better(len(cand), cand, len(best_ids), best_ids):
             best_ids = cand
@@ -381,10 +381,12 @@ def test_admit_general_wins_with_the_best_group_of_every_trial(seed):
 def test_admit_sweep_refuses_mixed_or_non_admission_modes():
     ctx = prim_ctx(62, n=16, R=8.0, primaries=2)
     assert admit_sweep(ctx, []) == []
-    for modes in (("admission_general", "admission_large"), ("capacity",),
-                  ("admission_large", "qos")):
-        with pytest.raises(ValueError, match="one admission mode"):
+    for modes in (("capacity",), ("admission_large", "qos"), ("qos", "admission_large")):
+        with pytest.raises(ValueError, match="must use an admission mode"):
             admit_sweep(ctx, [policy(mode) for mode in modes])
+    # a mix of admission modes is refused by the trial loop, as any mix is
+    with pytest.raises(ValueError, match="must share one mode"):
+        admit_sweep(ctx, [policy("admission_general"), policy("admission_large")])
     # the one-policy cases keep their own mode checks
     with pytest.raises(ValueError, match="admission_general"):
         admit_general(ctx, policy("admission_large"))

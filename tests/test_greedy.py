@@ -279,7 +279,7 @@ def _reference_greedy(ctx, classes, c_g, order, weighted):
     for row, t in zip(sel, sorted(classes)):
         row[_class_candidates(ctx, classes[t], c_g, order)] = True
     selections = [tuple(ctx.ids[p].tolist()) for p in
-                  final_selection_batch(ctx, sel, [12.0] * len(sel), ["cardinality"] * len(sel))]
+                  final_selection_batch(ctx, sel, [12.0] * len(sel), "cardinality")]
     if not weighted:
         return certify(ctx, selections[0])
     best_ids, best_w = (), -1.0

@@ -66,7 +66,10 @@ def test_run_compare_csv(tmp_path):
     records = run_compare(_small_configs(), sweep=[0.5, 1.0], trials=10, out_path=out)
     with open(out) as fh:
         rows = list(csv.reader(fh))
-    assert rows[0] == list(CSV_COLUMNS)
+    # the header is pinned here, so renaming a record field cannot change it silently
+    assert rows[0] == list(CSV_COLUMNS) == [
+        "seed", "n", "R", "delta", "density", "weight_dist", "algo", "constant", "value",
+        "feasible", "runtime_ms", "ratio"]
     body = rows[1:]
     assert len(body) == len(records) == 2 * 5  # 4 algorithms + ratio per instance
     algo_col = CSV_COLUMNS.index("algo")

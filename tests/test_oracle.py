@@ -72,6 +72,16 @@ def test_exact_admission_infeasible_primaries():
         AffectanceContext(inst, UNIFORM, primaries=prim)
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_exact_admission_is_exact_capacity_of_a_context_with_primaries(seed):
+    # the context refuses primaries infeasible on their own, so the empty set
+    # always passes the exact accept and admission needs no check of its own
+    ctx = feasible_prim_ctx(50 * seed, n=10, R=5.0, delta=2.0, primaries=1 + seed % 3)
+    assert ctx.k == 1 + seed % 3
+    assert _exact_accept(ctx)(np.zeros((1, ctx.n), bool))[0]
+    assert exact_admission(ctx) == exact_capacity(ctx)
+
+
 def test_exact_admission_far_primary_equals_capacity():
     prim = PrimarySet(links=(make_link(9, 1e6, 0.0, 1e6 + 1, 0.0),), powers=(1.0,))
     base = far_instance(3)

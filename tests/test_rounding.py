@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from sinrcap import (AffectanceContext, GenConfig, Instance, Link, PowerAssignment,
-                     RoundingPolicy, bernoulli_draws, build_admission_large_lp,
+                     RoundingPolicy, admit_sweep, bernoulli_draws, build_admission_large_lp,
                      build_admission_lp, build_capacity_lp, build_qos_lp, build_weighted_lp,
                      certify, exact_capacity, generate_instance, run_pipeline, run_sweep,
                      schedule_value, signal_strengthen, solve_lp)
@@ -272,7 +272,7 @@ def test_pipeline_rounds_the_program_of_its_mode(mode):
         sel = sample_batch(program, solve_lp(program).values, policy, range(policy.trials))
         objective = formulations.PROBLEMS[mode].objective
         parts = final_selection_batch(ctx, sel, [policy.extraction_bound] * len(sel),
-                                      [objective] * len(sel))
+                                      objective)
         best = best_part(ctx, parts, objective)
         assert run_pipeline(ctx, policy).ids == tuple(ctx.ids[best].tolist())
     with pytest.raises(ValueError, match="admission module"):
@@ -423,7 +423,7 @@ def test_batched_engine_matches_per_set_reference(with_primaries, trials):
         best = [best_part(ctx, [ctx.index_of(p) for p in _reference_strengthen(ctx, k)],
                           "cardinality") for k in kept_sets]
         assert [p.tolist() for p in final_selection_batch(
-            ctx, rows, [bound] * len(rows), ["cardinality"] * len(rows))] == \
+            ctx, rows, [bound] * len(rows), "cardinality")] == \
             [p.tolist() for p in best]
         assert _extracted(ctx, sets[0], bound) == kept_sets[0]
         assert signal_strengthen(ctx, sets[0]) == parts[0]
@@ -471,22 +471,33 @@ def test_sweep_matches_per_constant_pipelines(mode):
     assert run_sweep(ctx, []) == []
 
 
-def test_sweep_of_mixed_modes_matches_per_policy_pipelines():
+def test_sweep_of_mixed_modes_is_refused():
+    # a sweep is one problem over several constants: one message, raised
+    # through the trial loop and both of its reducers
     ctx = random_ctx(3, n=24, R=3.0, delta=2.0, power=PowerAssignment.linear())
-    policies = [RoundingPolicy(mode=mode, C=C, trials=9, seed=2)
-                for mode, C in (("weighted", 1.0), ("capacity", 0.8), ("qos", 1.0),
-                                ("weighted", 2.0))]
-    assert run_sweep(ctx, policies) == [run_pipeline(ctx, policy) for policy in policies]
+    prim = feasible_prim_ctx(8, n=16, R=6.0, delta=3.0, primaries=2)
+    mixed = [RoundingPolicy(mode=mode, C=C, trials=9, seed=2)
+             for mode, C in (("weighted", 1.0), ("capacity", 0.8), ("weighted", 2.0))]
+    admission = [RoundingPolicy(mode=mode, trials=9, seed=2)
+                 for mode in ("admission_large", "admission_general")]
+    message = "a sweep's policies must share one mode"
+    for c, policies in ((ctx, mixed), (prim, admission)):
+        with pytest.raises(ValueError, match=message):
+            next(round_trials(c, policies))
+    with pytest.raises(ValueError, match=message):
+        run_sweep(ctx, mixed)
+    with pytest.raises(ValueError, match=message):
+        admit_sweep(prim, admission)
 
 
-def test_final_selection_batch_takes_a_bound_and_objective_per_row():
+@pytest.mark.parametrize("objective", ["cardinality", "weight"])
+def test_final_selection_batch_takes_a_bound_per_row(objective):
     ctx = random_ctx(5, n=30, R=3.0, delta=2.0, power=PowerAssignment.linear())
     sel = np.random.default_rng(2).random((30, ctx.n)) < 0.4
     bounds = np.linspace(1.0, 24.0, 30)
-    objectives = ["weight", "cardinality"] * 15
-    batch = [p.tolist() for p in final_selection_batch(ctx, sel, bounds, objectives)]
-    assert batch == [final_selection_batch(ctx, row[None], [bound], [objective])[0].tolist()
-                     for row, bound, objective in zip(sel, bounds, objectives)]
+    batch = [p.tolist() for p in final_selection_batch(ctx, sel, bounds, objective)]
+    assert batch == [final_selection_batch(ctx, row[None], [bound], objective)[0].tolist()
+                     for row, bound in zip(sel, bounds)]
     assert len(set(map(tuple, batch))) > 1
 
 
@@ -538,15 +549,14 @@ def test_objectives_come_from_one_vocabulary():
 
 def test_round_trials_batches_consecutive_pairs_up_to_the_cell_budget(monkeypatch):
     ctx = random_ctx(12, n=30, R=3.0, delta=2.0, power=PowerAssignment.linear())
-    policies = [RoundingPolicy(mode=mode, C=C, trials=12, seed=4)
-                for mode, C in (("weighted", 0.2), ("capacity", 1.4), ("qos", 0.6),
-                                ("weighted", 1.4), ("capacity", 2.2), ("qos", 0.6))]
+    policies = [RoundingPolicy(mode="capacity", C=C, trials=12, seed=4)
+                for C in (0.2, 1.4, 0.6, 1.4, 2.2, 0.6)]
     batches = []
     select = rounding.final_selection_batch
 
-    def recorded(ctx, sel, bounds, objectives):
+    def recorded(ctx, sel, bounds, objective):
         batches.append(sel)
-        return select(ctx, sel, bounds, objectives)
+        return select(ctx, sel, bounds, objective)
 
     def cells(sel):
         return len(sel) * int(sel.any(axis=0).sum())
@@ -554,14 +564,14 @@ def test_round_trials_batches_consecutive_pairs_up_to_the_cell_budget(monkeypatc
     monkeypatch.setattr(rounding, "final_selection_batch", recorded)
     whole = run_sweep(ctx, policies)
     assert [len(b) for b in batches] == [72]
-    for budget in (1, 300, 500, 800):
+    for budget in (1, 100, 200, 300, 500):
         batches.clear()
         monkeypatch.setattr(rounding, "_BATCH_CELLS", budget)
         assert run_sweep(ctx, policies) == whole
         assert sum(len(b) for b in batches) == 72
         for b in batches:
-            assert len(b) % 12 == 0  # a pair is never split
-            # every batch but the last ran at the pair that took it to the budget
+            assert len(b) % 12 == 0  # a policy is never split
+            # every batch but the last ran at the policy that took it to the budget
             assert cells(b[:-12]) < budget
             assert b is batches[-1] or cells(b) >= budget
         if budget == 1:
