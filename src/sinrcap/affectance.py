@@ -321,8 +321,17 @@ def separation_check(ctx: AffectanceContext, S, q: float) -> bool:
 
 def certify(ctx: AffectanceContext, S) -> Schedule:
     """Build a schedule with per-link affectance sums and an exact-SINR flag,
-    true when the inequality holds at every member and every primary."""
-    ids = tuple(sorted(int(i) for i in S))
+    true when the inequality holds at every member and every primary.  A
+    fractional or repeated id is a ValueError; an integral float reads as
+    its integer, as in an instance file."""
+    given = list(S)
+    for i in given:
+        if i != int(i):
+            raise ValueError(f"link id {i} is not an integer")
+    ids = tuple(sorted(int(i) for i in given))
+    for a, b in zip(ids, ids[1:]):
+        if a == b:
+            raise ValueError(f"link id {a} is repeated")
     idx = ctx.index_of(ids)
     sub = np.minimum(ctx.raw[np.ix_(idx, idx)], 1.0)
     return Schedule(

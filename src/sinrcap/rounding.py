@@ -45,6 +45,8 @@ its one-policy case; ``admission.admit_sweep`` reduces it too.
 from __future__ import annotations
 
 import logging
+import numbers
+import operator
 from dataclasses import dataclass
 from itertools import islice
 from typing import Iterator, Optional, Sequence
@@ -78,6 +80,10 @@ class RoundingPolicy:
     def __post_init__(self):
         if self.mode not in ROUNDING_MODES:
             raise ValueError(f"unknown rounding mode {self.mode!r}")
+        for field in ("trials", "seed"):  # a numpy integer is one too; a bool is not
+            value = getattr(self, field)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{field} must be an integer, got {value!r}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if not self.C > 0:
@@ -106,6 +112,8 @@ def bernoulli_draws(seed: int, trial: int, ids: Sequence[int]) -> np.ndarray:
     if int(ids.min()) < 0:
         raise ValueError("link ids must be nonnegative")
     hi = int(ids.max())
+    # as Python ints: a signed numpy seed would overflow in the mask
+    seed, trial = operator.index(seed), operator.index(trial)
     key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(trial)])
     if hi < 4 * ids.size + 1024:
         return np.random.Generator(np.random.Philox(key=key)).random(hi + 1)[ids]

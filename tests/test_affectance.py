@@ -305,6 +305,19 @@ def test_certificate_consistent_with_recomputation():
             sum(affectance(ctx, v, w) for w in sched.ids))
 
 
+@pytest.mark.parametrize("S,message", [
+    ([3, 3], "link id 3 is repeated"),
+    ([1, 3.7], "link id 3.7 is not an integer"),
+], ids=["repeated", "fractional"])
+def test_certify_and_verify_refuse_a_repeated_or_fractional_id(S, message):
+    ctx = random_ctx(13, n=6)
+    for judge in (certify, verify):
+        with pytest.raises(ValueError) as exc:
+            judge(ctx, S)
+        assert str(exc.value) == message
+    assert certify(ctx, [3.0, 1]) == certify(ctx, [1, 3])  # as the file reader reads 3.0
+
+
 def test_affectance_bounds_random():
     for seed in range(5):
         ctx = random_ctx(seed, n=7, R=3.0, delta=3.0,

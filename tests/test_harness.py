@@ -187,10 +187,33 @@ def test_sweep_best_ignores_float_noise():
     assert sweep_best([1.0, 2.0, 3.0], results) == runs[2]
 
 
+# The refusal tables below are the one list of the inputs the CLI refuses.
+# Each row checks what a real process shows: exit status 2, the message, no
+# output file, and nothing else on stderr.
+
+
+def refusal(argv, capsys, caplog):
+    """The stderr of a CLI run that must refuse ``argv`` with exit status 2.
+    A warning or a log record, which a real process prints too, fails it."""
+    with pytest.raises(SystemExit) as exc, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cli_main(argv)
+    assert exc.value.code == 2  # a usage error or a refused input, not a traceback
+    assert not caplog.records
+    return capsys.readouterr().err
+
+
+def one_line_refusal(argv, capsys, caplog):
+    """``refusal`` of an input the library refuses: one error line, no usage."""
+    err = refusal(argv, capsys, caplog)
+    assert err.startswith(f"sinrcap {argv[0]}: error: ") and err.count("\n") == 1
+    return err
+
+
 @pytest.mark.parametrize("command", ["solve", "admit", "compare"])
 @pytest.mark.parametrize("constant", ["inf", "0", "-1", "nan"])
 def test_cli_rejects_constants_that_are_not_finite_and_positive(command, constant,
-                                                                 tmp_path):
+                                                                 tmp_path, capsys, caplog):
     inst_path = tmp_path / "inst.json"
     write_instance(generate_instance(GenConfig(n=6, R=6.0, delta=2.0, seed=4,
                                                primaries=1)), inst_path)
@@ -198,8 +221,9 @@ def test_cli_rejects_constants_that_are_not_finite_and_positive(command, constan
             "admit": ["admit", str(inst_path)],
             "compare": ["compare", "--n", "6", "--deltas", "2", "--sides", "6"]}[command]
     out = tmp_path / "out"
-    with pytest.raises(SystemExit):
-        cli_main([*args, "--trials", "2", "--sweep", f"1.0,{constant}", "--out", str(out)])
+    err = refusal([*args, "--trials", "2", "--sweep", f"1.0,{constant}", "--out", str(out)],
+                  capsys, caplog)
+    assert "argument --sweep" in err
     assert not out.exists()
 
 
@@ -222,15 +246,12 @@ def test_cli_rejects_constants_that_are_not_finite_and_positive(command, constan
         "solve-trials-0", "suite-count-0", "solve-power-foo", "admit-power-exp-2",
         "oracle-power-uniform-x", "compare-power-quadratic", "solve-power-uniform-inf",
         "oracle-problem-foo"])
-def test_cli_rejects_bad_numeric_flags(args, flag, tmp_path, capsys):
+def test_cli_rejects_bad_numeric_flags(args, flag, tmp_path, capsys, caplog):
     inst_path = tmp_path / "inst.json"
     write_instance(generate_instance(GenConfig(n=6, R=6.0, delta=2.0, seed=4)), inst_path)
     out = tmp_path / "out"
     args = [str(inst_path) if a == "INSTANCE" else a for a in args]
-    with pytest.raises(SystemExit) as exc:
-        cli_main([*args, "--out", str(out)])
-    assert exc.value.code == 2  # a usage error, not a traceback
-    assert f"argument {flag}" in capsys.readouterr().err
+    assert f"argument {flag}" in refusal([*args, "--out", str(out)], capsys, caplog)
     assert not out.exists()
 
 
@@ -250,7 +271,7 @@ def test_cli_rejects_bad_numeric_flags(args, flag, tmp_path, capsys):
 ], ids=["gen-trials", "gen-power", "gen-sweep", "oracle-seed", "oracle-trials",
         "oracle-sweep", "oracle-objective", "oracle-mode", "oracle-admission", "suite-power",
         "suite-sweep", "suite-out"])
-def test_cli_rejects_flags_its_subcommand_ignores(args, flag, tmp_path, capsys):
+def test_cli_rejects_flags_its_subcommand_ignores(args, flag, tmp_path, capsys, caplog):
     inst_path = tmp_path / "inst.json"
     write_instance(generate_instance(GenConfig(n=6, R=6.0, delta=2.0, seed=4)), inst_path)
     out = tmp_path / "out"
@@ -258,10 +279,7 @@ def test_cli_rejects_flags_its_subcommand_ignores(args, flag, tmp_path, capsys):
     argv = [sub.get(a, a) for a in args + flag]
     if args[0] != "suite":
         argv += ["--out", str(out)]
-    with pytest.raises(SystemExit) as exc:
-        cli_main(argv)
-    assert exc.value.code == 2
-    assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
+    assert f"unrecognized arguments: {flag[0]}" in refusal(argv, capsys, caplog)
     assert not out.exists()
 
 
@@ -314,7 +332,7 @@ GEN = ["gen", "--n", "5", "--side", "6", "--delta", "2"]
         "oracle-admission-primary-override", "solve-noise-nan", "solve-beta-1e400",
         "admit-primary-power-1e400", "admit-large-primary-power-1e400",
         "oracle-admission-primary-power-1e400"])
-def test_cli_reports_rejected_input_in_one_line(args, bad, tmp_path, capsys):
+def test_cli_reports_rejected_input_in_one_line(args, bad, tmp_path, capsys, caplog):
     paths = {name: tmp_path / f"{name.lower()}.json"
              for name in ("BIG", "EMPTY", "OWN", "NANNOISE", "HUGEBETA", "HUGEPOWER")}
     write_instance(generate_instance(GenConfig(n=21, R=9.0, delta=2.0, seed=4)), paths["BIG"])
@@ -334,23 +352,16 @@ def test_cli_reports_rejected_input_in_one_line(args, bad, tmp_path, capsys):
     argv = [str(paths.get(a, a)) for a in args]
     if args[0] != "suite":
         argv += ["--out", str(out)]
-    with pytest.raises(SystemExit) as exc:
-        cli_main(argv)
-    assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"sinrcap {args[0]}: error: ") and err.count("\n") == 1
-    assert bad in err
+    assert bad in one_line_refusal(argv, capsys, caplog)
     assert not out.exists()
 
 
 @pytest.mark.parametrize("args", [GEN, ["compare", "--n", "5", "--deltas", "2", "--sides", "6"]],
                          ids=["gen", "compare"])
-def test_cli_requires_out_where_the_file_is_the_output(args, tmp_path, monkeypatch, capsys):
+def test_cli_requires_out_where_the_file_is_the_output(args, tmp_path, monkeypatch, capsys,
+                                                      caplog):
     monkeypatch.chdir(tmp_path)
-    with pytest.raises(SystemExit) as exc:
-        cli_main(args)
-    assert exc.value.code == 2
-    assert "the following arguments are required: --out" in capsys.readouterr().err
+    assert "the following arguments are required: --out" in refusal(args, capsys, caplog)
     assert not any(tmp_path.iterdir())
 
 
@@ -362,33 +373,32 @@ def test_cli_requires_out_where_the_file_is_the_output(args, tmp_path, monkeypat
     ("negative-id", "link id must be nonnegative, got -1"),
     ("not-object", "instance: expected an object, got int"),
     ("link-not-object", "link #0: expected an object, got int"),
+    ("sx-list", "link #0: field 'sx' must be a finite number, got list"),
+    ("alpha-str", "instance: field 'alpha' must be a finite number, got str"),
+    ("fractional-id", "link #0: field 'id' must be an integer, got 2.7"),
+    ("sy-bool", "link #0: field 'sy' must be a finite number, got bool"),
 ])
-def test_cli_reports_unreadable_instance_in_one_line(command, case, bad, tmp_path, capsys):
+def test_cli_reports_unreadable_instance_in_one_line(command, case, bad, tmp_path, capsys,
+                                                     caplog):
+    def one_link(alpha=2.5, **field):
+        return json.dumps({"alpha": alpha, "links": [{"id": 0, "sx": 0, "sy": 0, "rx": 1,
+                                                      "ry": 0, **field}]})
+    text = {"not-json": "{", "not-object": "5", "link-not-object": '{"alpha": 2.5, "links": [5]}',
+            "negative-id": one_link(id=-1), "sx-list": one_link(sx=[1]),
+            "alpha-str": one_link(alpha="2.5"), "fractional-id": one_link(id=2.7),
+            "sy-bool": one_link(sy=True)}
     path = tmp_path / "inst.json"
-    if case == "not-json":
-        path.write_text("{")
-    elif case == "not-object":
-        path.write_text("5")
-    elif case == "link-not-object":
-        path.write_text('{"alpha": 2.5, "links": [5]}')
-    elif case == "negative-id":
-        write_instance(generate_instance(GenConfig(n=3, R=6.0, delta=2.0, seed=4)), path)
-        d = json.loads(path.read_text())
-        d["links"][0]["id"] = -1
-        path.write_text(json.dumps(d))
+    if case != "missing":
+        path.write_text(text[case])
     out = tmp_path / "out"
-    with pytest.raises(SystemExit) as exc:
-        cli_main([command[0], str(path), *command[1:], "--out", str(out)])
-    assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"sinrcap {command[0]}: error: ") and err.count("\n") == 1
-    assert bad in err
+    assert bad in one_line_refusal([command[0], str(path), *command[1:], "--out", str(out)],
+                                   capsys, caplog)
     assert not out.exists()
 
 
 @pytest.mark.parametrize("command", [["admit"], ["oracle", "--problem", "admission"]],
                          ids=["admit", "oracle-admission"])
-def test_cli_reports_infeasible_primaries_in_one_line(command, tmp_path, capsys):
+def test_cli_reports_infeasible_primaries_in_one_line(command, tmp_path, capsys, caplog):
     # each primary's sender sits 0.1 from the other primary's receiver
     unit = {"sy": 0.0, "ry": 0.0, "power": 1.0}
     path = tmp_path / "inst.json"
@@ -397,12 +407,8 @@ def test_cli_reports_infeasible_primaries_in_one_line(command, tmp_path, capsys)
         "primaries": [{"id": 1, "sx": 0.0, "rx": 1.0, **unit},
                       {"id": 2, "sx": 1.1, "rx": -0.1, **unit}]}))
     out = tmp_path / "out"
-    with pytest.raises(SystemExit) as exc:
-        cli_main([command[0], str(path), *command[1:], "--out", str(out)])
-    assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"sinrcap {command[0]}: error: ") and err.count("\n") == 1
-    assert "cannot satisfy their own SINR" in err
+    argv = [command[0], str(path), *command[1:], "--out", str(out)]
+    assert "cannot satisfy their own SINR" in one_line_refusal(argv, capsys, caplog)
     assert not out.exists()
 
 
@@ -434,7 +440,7 @@ def test_cli_writes_every_id_as_a_json_integer(tmp_path, capsys):
     (1e-130, "mean", "signal P/l**alpha is not finite"),
 ], ids=["underflow", "overflow", "uniform-signal", "mean-signal"])
 def test_cli_reports_power_out_of_range_in_one_line(command, length, power, message, tmp_path,
-                                                    capsys):
+                                                    capsys, caplog):
     # under linear power (l**alpha) link 0's power is 0 or overflows to inf;
     # under uniform or mean power its l**alpha underflows to 0, so its own
     # signal P/l**alpha is infinite
@@ -447,17 +453,12 @@ def test_cli_reports_power_out_of_range_in_one_line(command, length, power, mess
                        "power": 1.0}]}))
     out = tmp_path / "out"
     argv = [command[0], str(path), *command[1:], "--power", power, "--out", str(out)]
-    with pytest.raises(SystemExit) as exc, warnings.catch_warnings():
-        warnings.simplefilter("error")  # the refusal is the only report
-        cli_main(argv)
-    assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"sinrcap {command[0]}: error: ") and err.count("\n") == 1
-    assert message in err
+    assert message in one_line_refusal(argv, capsys, caplog)
     assert not out.exists()
 
 
-def test_cli_refuses_a_signal_over_beta_that_is_not_finite_in_one_line(tmp_path, capsys):
+def test_cli_refuses_a_signal_over_beta_that_is_not_finite_in_one_line(tmp_path, capsys,
+                                                                        caplog):
     # link 0's signal P/l**alpha is 1e300 under uniform power, finite, but
     # over the instance's beta of 1e-10 it passes the float range
     path = tmp_path / "inst.json"
@@ -465,11 +466,8 @@ def test_cli_refuses_a_signal_over_beta_that_is_not_finite_in_one_line(tmp_path,
         {"id": 0, "sx": 0, "sy": 0, "rx": 1e-120, "ry": 0},
         {"id": 1, "sx": 50, "sy": 0, "rx": 51, "ry": 0}]}))
     out = tmp_path / "out"
-    with pytest.raises(SystemExit) as exc, warnings.catch_warnings():
-        warnings.simplefilter("error")  # the refusal is the only report
-        cli_main(["solve", str(path), "--algo", "lp", "--power", "uniform", "--out", str(out)])
-    assert exc.value.code == 2
-    err = capsys.readouterr().err
+    err = refusal(["solve", str(path), "--algo", "lp", "--power", "uniform", "--out", str(out)],
+                  capsys, caplog)
     assert err == "sinrcap solve: error: link(s) [0]: signal P/l**alpha is not finite over beta\n"
     assert not out.exists()
 
@@ -478,7 +476,7 @@ def test_cli_refuses_a_signal_over_beta_that_is_not_finite_in_one_line(tmp_path,
 @pytest.mark.parametrize("noise,sy", [(0.0, 1e-124), (0.9999999, 1e-121)],
                          ids=["distance", "budget"])
 def test_cli_verifies_a_nearly_colocated_pair_without_a_warning(command, noise, sy, tmp_path,
-                                                                capsys):
+                                                                capsys, caplog):
     # link 1's sender sits so near link 0's receiver that its interference
     # there (or that over link 0's budget) passes the float range
     path = tmp_path / "inst.json"
@@ -488,8 +486,10 @@ def test_cli_verifies_a_nearly_colocated_pair_without_a_warning(command, noise, 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert cli_main([command[0], str(path), *command[1:]]) == 0
-    best = json.loads(capsys.readouterr().out)
-    assert len(best["ids"]) == 1 and best["verified"] is True
+    assert not caplog.records
+    out, err = capsys.readouterr()
+    best = json.loads(out)
+    assert len(best["ids"]) == 1 and best["verified"] is True and err == ""
 
 
 @pytest.mark.parametrize("algo", ["lp", "greedy"])

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sinrcap import cli
 from sinrcap import (DistanceMatrix, Instance, PowerAssignment, PrimarySet,
                      read_instance, write_instance)
 from sinrcap.model import instance_from_dict, parse_power
@@ -305,27 +304,6 @@ def test_integral_float_id_accepted():
     inst = instance_from_dict({"alpha": 2.5, "links": [dict(UNIT, id=3.0)]})
     assert [link.id for link in inst.links] == [3]
     assert type(inst.links[0].id) is int
-
-
-@pytest.mark.parametrize("text,message", [
-    ('{"alpha": 2.5, "links": [{"id": 0, "sx": [1], "sy": 0, "rx": 1, "ry": 0}]}',
-     "link #0: field 'sx' must be a finite number, got list"),
-    ('{"alpha": "2.5", "links": [{"id": 0, "sx": 0, "sy": 0, "rx": 1, "ry": 0}]}',
-     "instance: field 'alpha' must be a finite number, got str"),
-    ('{"alpha": 2.5, "links": [{"id": 2.7, "sx": 0, "sy": 0, "rx": 1, "ry": 0}]}',
-     "link #0: field 'id' must be an integer, got 2.7"),
-    ('{"alpha": 2.5, "links": [{"id": 0, "sx": 0, "sy": true, "rx": 1, "ry": 0}]}',
-     "link #0: field 'sy' must be a finite number, got bool"),
-], ids=["list", "str", "fractional-id", "bool"])
-def test_wrong_json_type_refused_by_the_cli(tmp_path, capsys, text, message):
-    path, out = tmp_path / "bad.json", tmp_path / "out.json"
-    path.write_text(text)
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["solve", str(path), "--algo", "lp", "--out", str(out)])
-    assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert message in err and "Traceback" not in err
-    assert not out.exists()
 
 
 def test_sr_matrix_matches_per_link_geometry():

@@ -36,6 +36,33 @@ def test_draws_are_link_keyed():
     assert not np.array_equal(full, other_trial)
 
 
+@pytest.mark.parametrize("cast", [np.int64, np.int32])
+@pytest.mark.parametrize("seed", [3, -1])
+def test_a_numpy_integer_seed_draws_as_the_equal_python_int(cast, seed):
+    ids = [0, 1, 5000]  # dense and sparse reads of the stream
+    assert np.array_equal(bernoulli_draws(cast(seed), cast(2), ids), bernoulli_draws(seed, 2, ids))
+    for ctx, sweep, mode in ((random_ctx(3, n=12), run_sweep, "capacity"),
+                             (feasible_prim_ctx(21, n=12, primaries=2), admit_sweep,
+                              "admission_general")):
+        got, want = (sweep(ctx, [RoundingPolicy(mode=mode, trials=5, seed=s)])
+                     for s in (cast(seed), seed))
+        assert got == want
+
+
+@pytest.mark.parametrize("field,message", [
+    (dict(mode="foo"), "unknown rounding mode 'foo'"),
+    (dict(trials=0), "trials must be >= 1"),
+    (dict(C=0.0), "C must be positive"),
+    (dict(trials=2.5), "trials must be an integer, got 2.5"),
+    (dict(trials=True), "trials must be an integer, got True"),
+    (dict(seed=1.5), "seed must be an integer, got 1.5"),
+], ids=["mode-unknown", "trials-0", "C-0", "trials-float", "trials-bool", "seed-float"])
+def test_policy_refuses_a_bad_field(field, message):
+    with pytest.raises(ValueError) as exc:
+        RoundingPolicy(**{"mode": "capacity", **field})
+    assert str(exc.value) == message
+
+
 def test_sparse_ids_read_the_dense_stream():
     # a sparse call (max id >= 4 * len(ids) + 1024) must give each link the
     # draw a dense call gives it
