@@ -25,6 +25,10 @@ read from the table), and ``_feasible_affectance``, affectance sums within
 gamma, terms clipped at 1 only when gamma > 1.  ``verify``, the one verdict
 on a returned set, applies both at threshold 1, the exact one at the
 primaries too, and reads the exact one from the set's ``certify`` schedule.
+
+Link ids given to a context are read in one place, ``index_of``, which
+turns them into context positions under ``model.link_id``'s rule and
+refuses any other id; below it everything works on positions.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .model import Instance, PowerAssignment, PrimarySet
+from .model import Instance, PowerAssignment, PrimarySet, link_id, link_ids
 
 logger = logging.getLogger(__name__)
 
@@ -198,11 +202,12 @@ class AffectanceContext:
     def has_primaries(self) -> bool:
         return self.primaries is not None
 
-    def index_of(self, link_ids: Iterable[int]) -> np.ndarray:
-        """Context positions of link ids; IndividuallyInfeasible for a
-        dropped link, KeyError for an unknown one."""
+    def index_of(self, ids: Iterable[int]) -> np.ndarray:
+        """Context positions of link ids: ValueError for an id that
+        ``model.link_id`` refuses, IndividuallyInfeasible for a dropped
+        link, KeyError for an unknown one."""
         try:
-            return np.array([self._pos[int(i)] for i in link_ids], dtype=int)
+            return np.array([self._pos[i] for i in link_ids(ids).tolist()], dtype=int)
         except KeyError as exc:
             lid = exc.args[0]
             if lid in self.removed_ids:
@@ -235,6 +240,7 @@ def hat_noise(ctx: AffectanceContext, u: int) -> float:
     """Noise at u's receiver augmented by all primary transmissions."""
     if not ctx.has_primaries:
         raise ValueError("hat noise requires a context with primaries attached")
+    u = link_id(u)  # before the primaries' lookup, where True would read as 1
     row = ctx.prim_ids.index(u) if u in ctx.prim_ids else ctx.k + ctx.index_of([u])[0]
     return float(ctx.table[row, HAT_NOISE])
 
@@ -242,16 +248,17 @@ def hat_noise(ctx: AffectanceContext, u: int) -> float:
 # ---------------------------------------------------------------------------
 # feasibility predicates
 
-def _exact_budgets(ctx: AffectanceContext, ids=None) -> tuple:
-    """Interference rows of the secondaries ``ids`` (all when None) and each
-    receiver's budget, primaries first: ``rows[w, v]``, the power w delivers
-    at v's receiver (capped at ``RAW_CAP``, 0 at its own), is recomputed from
-    the geometry of these links, the primaries included; the other terms are
-    their rows of ``ctx.table``.  v meets its SINR threshold when its load
-    from the transmitting rows is at most its budget."""
-    ids = [int(i) for i in (ctx.ids if ids is None else ids)]
-    terms = ctx.table[np.r_[:ctx.k, ctx.k + ctx.index_of(ids)]]
-    links = ctx.prim_ids + ids
+def _exact_budgets(ctx: AffectanceContext, pos=None) -> tuple:
+    """Interference rows of the secondaries at context positions ``pos``
+    (all when None) and each receiver's budget, primaries first:
+    ``rows[w, v]``, the power w delivers at v's receiver (capped at
+    ``RAW_CAP``, 0 at its own), is recomputed from the geometry of these
+    links, the primaries included; the other terms are their rows of
+    ``ctx.table``.  v meets its SINR threshold when its load from the
+    transmitting rows is at most its budget."""
+    pos = np.arange(ctx.n) if pos is None else pos
+    terms = ctx.table[np.r_[:ctx.k, ctx.k + pos]]
+    links = ctx.prim_ids + ctx.ids[pos].tolist()
     interf = _interference(terms[:, POWER], ctx.instance.sr_matrix(links, links),
                            ctx.instance.alpha)
     np.fill_diagonal(interf, 0.0)
@@ -289,12 +296,6 @@ def check_positions(ctx: AffectanceContext, idx: np.ndarray) -> bool:
                                      1.0)[0])
 
 
-def _exact_holds(ctx: AffectanceContext, ids) -> bool:
-    """``_feasible_exact`` of the one set ``ids``."""
-    rows, budget = _exact_budgets(ctx, ids)
-    return bool(_feasible_exact(np.ones((1, len(rows)), bool), rows, budget, ctx.k)[0])
-
-
 def verify(ctx: AffectanceContext, S) -> bool:
     """The verdict on a returned set: every member's unclipped (hat)
     affectance sum is at most 1, and the exact SINR inequality holds at
@@ -307,10 +308,10 @@ def verify(ctx: AffectanceContext, S) -> bool:
 
 def separation_check(ctx: AffectanceContext, S, q: float) -> bool:
     """d_uv * d_vu >= q**2 * l_u * l_v for every pair in S."""
-    ids = [int(i) for i in S]
-    idx = ctx.index_of(ids)
+    idx = ctx.index_of(S)
     if idx.size <= 1:
         return True
+    ids = ctx.ids[idx].tolist()
     d = ctx.instance.sr_matrix(ids, ids)
     lengths = ctx.lengths[idx]
     lhs = d * d.T
@@ -322,21 +323,17 @@ def separation_check(ctx: AffectanceContext, S, q: float) -> bool:
 def certify(ctx: AffectanceContext, S) -> Schedule:
     """Build a schedule with per-link affectance sums and an exact-SINR flag,
     true when the inequality holds at every member and every primary.  A
-    fractional or repeated id is a ValueError; an integral float reads as
-    its integer, as in an instance file."""
-    given = list(S)
-    for i in given:
-        if i != int(i):
-            raise ValueError(f"link id {i} is not an integer")
-    ids = tuple(sorted(int(i) for i in given))
-    for a, b in zip(ids, ids[1:]):
-        if a == b:
-            raise ValueError(f"link id {a} is repeated")
-    idx = ctx.index_of(ids)
-    sub = np.minimum(ctx.raw[np.ix_(idx, idx)], 1.0)
+    repeated id is a ValueError, as is an id ``index_of`` refuses."""
+    pos = np.sort(ctx.index_of(S))
+    repeated = pos[1:][pos[1:] == pos[:-1]]
+    if repeated.size:
+        raise ValueError(f"link id {ctx.ids[repeated[0]]} is repeated")
+    sub = np.minimum(ctx.raw[np.ix_(pos, pos)], 1.0)
+    rows, budget = _exact_budgets(ctx, pos)
     return Schedule(
-        ids=ids,
+        ids=tuple(ctx.ids[pos].tolist()),
         in_affectance=tuple(float(x) for x in sub.sum(axis=0)),
         out_affectance=tuple(float(x) for x in sub.sum(axis=1)),
-        exact_sinr_ok=_exact_holds(ctx, ids),
+        exact_sinr_ok=bool(_feasible_exact(np.ones((1, pos.size), bool), rows, budget,
+                                           ctx.k)[0]),
     )

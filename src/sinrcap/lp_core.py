@@ -192,7 +192,6 @@ class LpSession:
         if run_status == highs.HighsStatus.kError or status != highs.HighsModelStatus.kOptimal:
             raise LpSolveError(
                 f"LP solve failed: {self._highs.modelStatusToString(status)}")
-        self._loaded = lp
         self.iterations = int(self._highs.getInfo().simplex_iteration_count)
         values = np.array(self._highs.getSolution().col_value, dtype=float)
         if np.any(values < -SOLVE_TOL) or np.any(values > 1.0 + SOLVE_TOL):
@@ -200,6 +199,7 @@ class LpSession:
         values = np.clip(values, 0.0, 1.0)
         if not check_solution(lp, values):
             raise LpSolveError("solver returned an infeasible point")
+        self._loaded = lp
         return FractionalSolution(values=values, objective=float(lp.objective @ values))
 
     def _load(self, lp: LinearProgram):

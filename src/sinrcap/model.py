@@ -10,12 +10,31 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
 TRIANGLE_TOL = 1e-9
+
+
+def link_id(value) -> int:
+    """``value`` read as a link id: an int, a numpy integer or an integral
+    float, as a JSON file gives.  A bool, a fractional or non-finite number
+    and a non-number are ValueErrors naming the value."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool) and (
+            isinstance(value, numbers.Integral) or math.isfinite(value) and value == int(value)):
+        return int(value)
+    raise ValueError(f"link id {value!r} is not an integer")
+
+
+def link_ids(values) -> np.ndarray:
+    """``link_id`` of each of ``values``, as an int64 array; an integer
+    array passes as it is, without the per-id test."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iu":
+        return values.astype(np.int64, copy=False)
+    return np.array([link_id(v) for v in values], dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -44,6 +63,7 @@ class Link:
     noise_override: Optional[float] = None
 
     def __post_init__(self):
+        object.__setattr__(self, "id", link_id(self.id))
         if self.id < 0:
             raise ValueError(f"link id must be nonnegative, got {self.id}")
         if self.weight < 0 or not math.isfinite(self.weight):

@@ -45,6 +45,7 @@ its one-policy case; ``admission.admit_sweep`` reduces it too.
 from __future__ import annotations
 
 import logging
+import math
 import numbers
 import operator
 from dataclasses import dataclass
@@ -57,6 +58,7 @@ from . import formulations
 from .affectance import (ROW_BLOCK, AffectanceContext, Schedule, certify, check_positions,
                          verify)
 from .lp_core import LinearProgram, LpSession, solve_lp
+from .model import link_ids
 
 logger = logging.getLogger(__name__)
 
@@ -86,8 +88,9 @@ class RoundingPolicy:
                 raise ValueError(f"{field} must be an integer, got {value!r}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if not self.C > 0:
-            raise ValueError("C must be positive")
+        if isinstance(self.C, bool) or not isinstance(self.C, numbers.Real) \
+                or not 0 < self.C < math.inf:
+            raise ValueError(f"C must be a finite positive number, got {self.C!r}")
 
     @property
     def extraction_bound(self) -> float:
@@ -106,7 +109,7 @@ def bernoulli_draws(seed: int, trial: int, ids: Sequence[int]) -> np.ndarray:
     id's block of four draws, so a link's draw does not depend on which
     other links are present.
     """
-    ids = np.asarray(ids, dtype=np.int64)
+    ids = link_ids(ids)
     if ids.size == 0:
         return np.zeros(0)
     if int(ids.min()) < 0:

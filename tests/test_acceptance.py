@@ -16,7 +16,7 @@ from sinrcap import (AffectanceContext, GenConfig, Instance, Link,
                      greedy_base, greedy_combined, largest_bifeasible,
                      run_compare, run_pipeline, schedule_value,
                      separation_check, signal_strengthen, solve_lp, verify)
-from sinrcap.affectance import BETA, NOISE, RAW_CAP, _exact_holds, check_positions
+from sinrcap.affectance import BETA, NOISE, RAW_CAP, check_positions
 from sinrcap.formulations import admission_filter_threshold
 from sinrcap.harness import CSV_COLUMNS
 
@@ -217,7 +217,7 @@ def test_criterion_5_signal_strengthening():
             assert flat == sorted(source)
             for part in parts:
                 assert check_positions(ctx, ctx.index_of(part))
-                assert _exact_holds(ctx, part)
+                assert certify(ctx, part).exact_sinr_ok
             worst_parts = max(worst_parts, len(parts))
         lines.append(f"gamma/theta={ratio}: max parts {worst_parts} "
                      f"(reference curve value {ratio * ratio})")
@@ -278,7 +278,8 @@ def test_criterion_7_clipping_equivalence():
         ids = [int(i) for i in ctx.ids][:5]
         for r in range(len(ids) + 1):
             for sub in itertools.combinations(ids, r):
-                assert check_positions(ctx, ctx.index_of(sub)) == _exact_holds(ctx, sub)
+                assert (check_positions(ctx, ctx.index_of(sub))
+                        == certify(ctx, sub).exact_sinr_ok)
     assert mismatches == 0
     print(f"\nACCEPTANCE 7 clipping equivalence: PASS "
           f"({subsets} subsets, {mismatches} mismatches)")

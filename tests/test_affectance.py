@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 
 from sinrcap import (AffectanceContext, GenConfig, IndividuallyInfeasible, Instance,
-                     PowerAssignment, PrimarySet, affectance, c_factor, certify,
-                     exact_admission, generate_instance, hat_noise, separation_check,
-                     verify)
+                     PowerAssignment, PrimarySet, affectance, bernoulli_draws, c_factor,
+                     certify, exact_admission, generate_instance, hat_noise,
+                     separation_check, signal_strengthen, verify)
 from sinrcap.affectance import (BETA, BUDGET, HAT_NOISE, NOISE, POWER, RAW_CAP,
-                                _exact_budgets, _exact_holds, _feasible_affectance,
-                                check_positions)
+                                _exact_budgets, _feasible_affectance, check_positions)
 
 from conftest import colocated_pair, feasible_prim_ctx, make_link, random_ctx, selection
 
@@ -50,7 +49,6 @@ def test_individually_infeasible_removed():
         lambda c: affectance(c, 1, 0),
         lambda c: affectance(c, 0, 1),
         lambda c: verify(c, [0, 1]),
-        lambda c: _exact_holds(c, [0]),
         lambda c: certify(c, [0]),
         lambda c: verify(c, [0]),
         lambda c: separation_check(c, [0, 1], 2.0),
@@ -227,7 +225,7 @@ def test_exact_sinr_matches_direct_evaluation(seed, kind):
     verdicts = set()
     for r in range(len(ids) + 1):
         for subset in itertools.combinations(ids, r):
-            got = _exact_holds(ctx, subset)
+            got = certify(ctx, subset).exact_sinr_ok
             want = _sinr_holds(inst, UNIFORM, subset, ctx.primaries)
             assert got == want, f"subset {subset}"
             got = verify(ctx, subset)
@@ -245,7 +243,7 @@ def test_affectance_feasibility_equals_exact_for_beta_ge_one(seed):
     for r in range(len(ids) + 1):
         for subset in itertools.combinations(ids, r):
             feas = check_positions(ctx, ctx.index_of(subset))
-            exact = _exact_holds(ctx, subset)
+            exact = certify(ctx, subset).exact_sinr_ok
             assert feas == exact, f"subset {subset}"
 
 
@@ -255,7 +253,7 @@ def test_feasibility_empty_and_singleton():
         assert check_positions(ctx, ctx.index_of(ids))
         # anti- and bi-feasible: sent sums within 1 as well
         assert _feasible_affectance(ctx.raw, selection(ctx, ids), 1.0, anti=True)[0]
-        assert _exact_holds(ctx, ids)
+        assert certify(ctx, ids).exact_sinr_ok
         assert verify(ctx, ids)
 
 
@@ -263,12 +261,12 @@ def test_colocated_pair_boundary_and_noise():
     # with zero noise the pair sits exactly on the SINR boundary: feasible
     ctx0 = AffectanceContext(colocated_pair(noise=0.0), UNIFORM)
     assert check_positions(ctx0, ctx0.index_of([0, 1]))
-    assert _exact_holds(ctx0, [0, 1])
+    assert certify(ctx0, [0, 1]).exact_sinr_ok
     assert verify(ctx0, [0, 1])
     # any positive noise breaks it, under both predicates
     ctx = AffectanceContext(colocated_pair(noise=0.1), UNIFORM)
     assert not check_positions(ctx, ctx.index_of([0, 1]))
-    assert not _exact_holds(ctx, [0, 1])
+    assert not certify(ctx, [0, 1]).exact_sinr_ok
     assert not verify(ctx, [0, 1])
     # but the pair is 2-feasible under clipped sums
     assert _feasible_affectance(ctx.raw, selection(ctx, [0, 1]), 2.0)[0]
@@ -305,17 +303,44 @@ def test_certificate_consistent_with_recomputation():
             sum(affectance(ctx, v, w) for w in sched.ids))
 
 
-@pytest.mark.parametrize("S,message", [
-    ([3, 3], "link id 3 is repeated"),
-    ([1, 3.7], "link id 3.7 is not an integer"),
-], ids=["repeated", "fractional"])
-def test_certify_and_verify_refuse_a_repeated_or_fractional_id(S, message):
+# every entry point that reads a link id, each given the id ``i`` (beside
+# link 1 where it takes a set); the context has primaries, so that
+# hat_noise reads secondary ids
+ID_READERS = {
+    "index_of": lambda ctx, i: ctx.index_of([1, i]).tolist(),
+    "certify": lambda ctx, i: certify(ctx, [i, 1]),
+    "verify": lambda ctx, i: verify(ctx, [1, i]),
+    "c_factor": lambda ctx, i: c_factor(ctx, i),
+    "affectance": lambda ctx, i: (affectance(ctx, 1, i), affectance(ctx, i, 1)),
+    "hat_noise": lambda ctx, i: hat_noise(ctx, i),
+    "separation_check": lambda ctx, i: separation_check(ctx, [1, i], 2.0),
+    "signal_strengthen": lambda ctx, i: signal_strengthen(ctx, [1, i]),
+    "bernoulli_draws": lambda ctx, i: bernoulli_draws(1, 0, [1, i]).tolist(),
+    "Link": lambda ctx, i: make_link(i, 0.0, 0.0, 1.0, 0.0).id,
+}
+
+
+@pytest.mark.parametrize("reader", list(ID_READERS))
+@pytest.mark.parametrize("given", [3.7, True, "3", float("nan"), 3.0, np.int64(3)],
+                         ids=["fractional", "bool", "str", "nan", "integral-float", "numpy"])
+def test_every_id_reader_follows_the_link_id_rule(reader, given):
+    ctx = feasible_prim_ctx(12, n=8, primaries=2)
+    assert ctx.k == 2 and {1, 3} <= set(ctx.ids.tolist())
+    read = ID_READERS[reader]
+    if given == 3:  # read as link 3, as the file reader reads 3.0
+        assert repr(read(ctx, given)) == repr(read(ctx, 3))
+        return
+    with pytest.raises(ValueError) as exc:
+        read(ctx, given)
+    assert str(exc.value) == f"link id {given!r} is not an integer"
+
+
+def test_certify_and_verify_refuse_a_repeated_id():
     ctx = random_ctx(13, n=6)
     for judge in (certify, verify):
         with pytest.raises(ValueError) as exc:
-            judge(ctx, S)
-        assert str(exc.value) == message
-    assert certify(ctx, [3.0, 1]) == certify(ctx, [1, 3])  # as the file reader reads 3.0
+            judge(ctx, [3, 1, 3.0])
+        assert str(exc.value) == "link id 3 is repeated"
 
 
 def test_affectance_bounds_random():
@@ -505,7 +530,7 @@ def test_nearly_colocated_pair_reads_raw_cap(noise, sy):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         ctx = AffectanceContext(inst, UNIFORM)
-        assert not _exact_holds(ctx, [0, 1]) and verify(ctx, [0])
+        assert not certify(ctx, [0, 1]).exact_sinr_ok and verify(ctx, [0])
     assert ctx.raw[1, 0] == RAW_CAP and affectance(ctx, 1, 0) == 1.0
 
 

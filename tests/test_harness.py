@@ -1,14 +1,16 @@
 import csv
+import dataclasses
 import json
 import math
 import warnings
 
+import numpy as np
 import pytest
 
-from sinrcap import (AffectanceContext, GenConfig, PowerAssignment, certify,
-                     generate_instance, run_compare, run_oracle_suite, verify)
+from sinrcap import (AffectanceContext, DistanceMatrix, GenConfig, PowerAssignment, certify,
+                     exact_capacity, generate_instance, run_compare, run_oracle_suite, verify)
 from sinrcap import cli
-from sinrcap.affectance import _exact_holds, check_positions
+from sinrcap.affectance import check_positions
 from sinrcap.cli import main as cli_main
 from sinrcap.formulations import PROBLEMS
 from sinrcap.harness import CSV_COLUMNS, sweep_best
@@ -143,6 +145,30 @@ def test_cli_gen_solve_oracle(tmp_path, beta):
     assert rc == 0
 
 
+def test_explicit_metric_instance_matches_its_plane_and_verifies(tmp_path):
+    # the generated instance again, its points' own distances as the metric
+    plane = generate_instance(GenConfig(n=12, R=5.0, delta=3.0, seed=4))
+    points = np.array([(p.x, p.y) for lk in plane.links for p in (lk.sender, lk.receiver)])
+    gaps = points[:, None, :] - points[None, :, :]
+    metric = DistanceMatrix(np.hypot(gaps[..., 0], gaps[..., 1]))
+    inst = dataclasses.replace(plane, metric=metric)
+    power = PowerAssignment.mean()
+    ctx, want = AffectanceContext(inst, power), AffectanceContext(plane, power)
+    # lengths: math.hypot in the plane, the matrix's np.hypot here
+    assert np.array_equal(ctx.ids, want.ids) and ctx.removed_ids == want.removed_ids
+    np.testing.assert_allclose(ctx.raw, want.raw, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(ctx.table, want.table, rtol=1e-12, atol=0)
+
+    opt = exact_capacity(ctx)
+    assert opt.size > 1 and verify(ctx, opt) and certify(ctx, opt.ids) == opt
+    path, out = tmp_path / "metric.json", tmp_path / "sol.json"
+    write_instance(inst, path)
+    assert cli_main(["solve", str(path), "--algo", "lp", "--power", "mean", "--trials", "10",
+                     "--sweep", "1.0", "--out", str(out)]) == 0
+    sol = json.loads(out.read_text())
+    assert sol["verified"] and certify(ctx, sol["ids"]).exact_sinr_ok
+
+
 @pytest.mark.parametrize("mode", PROBLEMS)
 def test_cli_runs_and_verifies_every_problem_of_the_table(mode, tmp_path, capsys):
     # 12 links, 2 primaries: small enough for the oracle, and both
@@ -173,7 +199,7 @@ def test_cli_oracle_fails_on_infeasible_optimum(tmp_path, monkeypatch, problem):
     assert not check_positions(plain, plain.index_of(plain.ids))
     joint = AffectanceContext(inst, PowerAssignment.uniform(), primaries=inst.primaries)
     assert not verify(joint, joint.ids)
-    assert not _exact_holds(joint, joint.ids)
+    assert not certify(joint, joint.ids).exact_sinr_ok
     monkeypatch.setattr(cli, "exact_capacity", lambda ctx, *args, **kwargs: certify(ctx, ctx.ids))
     out = tmp_path / "opt.json"
     assert cli_main(["oracle", str(inst_path), "--problem", problem, "--out", str(out)]) == 1

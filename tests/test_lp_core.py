@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
@@ -240,6 +242,39 @@ def test_non_optimal_status_raises(monkeypatch, rng):
     sol = solve_lp(program, session)
     assert not session.warm
     assert sol.objective == pytest.approx(_linprog_objective(program), abs=1e-9)
+
+
+class _SolutionAt:
+    """A session's HiGHS object whose solution reads ``value`` in every
+    column; HiGHS's own methods are read-only, so it is wrapped."""
+
+    def __init__(self, inner, value):
+        self.inner, self.value = inner, value
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+    def getSolution(self):
+        return SimpleNamespace(col_value=[self.value] * len(self.inner.getSolution().col_value))
+
+
+@pytest.mark.parametrize("value,message", [(2.0, "outside the box bounds"),
+                                           (1.0, "infeasible point")], ids=["box", "rows"])
+def test_a_rejected_point_leaves_no_basis_to_reuse(value, message):
+    rng = np.random.default_rng(7)
+    obj, rows = rng.uniform(0.5, 2, 60), rng.uniform(0, 1, (80, 60))
+    session = LpSession()
+    session._highs = _SolutionAt(session._highs, value)
+    with pytest.raises(LpSolveError, match=message):
+        solve_lp(lp(obj, rows, np.full(80, 2.0)), session)
+    session._highs = session._highs.inner
+    # the same objective and rows at other bounds: warm, had the point been kept
+    changed = lp(obj, rows, np.full(80, 2.0) * rng.uniform(1.0, 1.5, 80))
+    sol = solve_lp(changed, session)
+    assert not session.warm
+    fresh = LpSession()
+    assert np.array_equal(sol.values, solve_lp(changed, fresh).values)
+    assert session.iterations == fresh.iterations
 
 
 def test_empty_programs_through_a_session(rng):

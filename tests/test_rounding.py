@@ -14,7 +14,7 @@ from sinrcap import (AffectanceContext, GenConfig, Instance, Link, PowerAssignme
                      certify, exact_capacity, generate_instance, run_pipeline, run_sweep,
                      schedule_value, signal_strengthen, solve_lp)
 from sinrcap import formulations, rounding
-from sinrcap.affectance import _exact_holds, check_positions
+from sinrcap.affectance import check_positions
 from sinrcap.greedy import GREEDY_VARIANTS
 from sinrcap.rounding import (ROUNDING_MODES, _extract_rows, _first_fit, _strengthen_rows,
                               best_part, final_selection_batch, round_trials, sample_batch,
@@ -52,11 +52,16 @@ def test_a_numpy_integer_seed_draws_as_the_equal_python_int(cast, seed):
 @pytest.mark.parametrize("field,message", [
     (dict(mode="foo"), "unknown rounding mode 'foo'"),
     (dict(trials=0), "trials must be >= 1"),
-    (dict(C=0.0), "C must be positive"),
+    (dict(C=0.0), "C must be a finite positive number, got 0.0"),
+    (dict(C="a"), "C must be a finite positive number, got 'a'"),
+    (dict(C=True), "C must be a finite positive number, got True"),
+    (dict(C=float("inf")), "C must be a finite positive number, got inf"),
+    (dict(C=float("nan")), "C must be a finite positive number, got nan"),
     (dict(trials=2.5), "trials must be an integer, got 2.5"),
     (dict(trials=True), "trials must be an integer, got True"),
     (dict(seed=1.5), "seed must be an integer, got 1.5"),
-], ids=["mode-unknown", "trials-0", "C-0", "trials-float", "trials-bool", "seed-float"])
+], ids=["mode-unknown", "trials-0", "C-0", "C-str", "C-bool", "C-inf", "C-nan", "trials-float",
+        "trials-bool", "seed-float"])
 def test_policy_refuses_a_bad_field(field, message):
     with pytest.raises(ValueError) as exc:
         RoundingPolicy(**{"mode": "capacity", **field})
@@ -225,7 +230,7 @@ def test_signal_strengthen_parts_pass_exact_sinr():
         ctx = random_ctx(seed, n=10, R=2.0, delta=2.0)
         parts = signal_strengthen(ctx, [int(i) for i in ctx.ids])
         for part in parts:
-            assert _exact_holds(ctx, part)
+            assert certify(ctx, part).exact_sinr_ok
 
 
 def test_sweep_raises_on_a_schedule_verify_refuses(monkeypatch):
