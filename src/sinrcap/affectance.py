@@ -14,8 +14,9 @@ primary links is attached, every noise term adds the interference received
 from the primaries, and the same rule yields the "hat" affectance used by
 admission control.
 
-The context computes each receiver's SINR terms once, in a table with one
-row per receiver, primaries first, and holds one n x n matrix, the unclipped
+The context computes each receiver's SINR terms once, from the link lengths
+the instance holds (``Instance.lengths``), in a table with one row per
+receiver, primaries first, and holds one n x n matrix, the unclipped
 affectance; values are clipped where they are read.
 
 The library's only feasibility tests judge a boolean selection matrix, one
@@ -106,8 +107,9 @@ class AffectanceContext:
     context position p is row ``k + p``), with columns ``POWER``,
     ``SIGNAL`` P/l**alpha, ``BETA``, ``NOISE``, ``HAT_NOISE`` (adding the
     primaries' interference) and ``BUDGET``, signal over beta minus the hat
-    noise.  A primary's beta and noise are the instance's.  ``powers`` (a
-    view of the table), ``lengths`` and ``weights`` are the secondaries'.
+    noise, each l read from the instance's ``lengths``.  A primary's beta
+    and noise are the instance's.  ``powers`` (a view of the table),
+    ``lengths`` and ``weights`` are the secondaries'.
 
     ``raw[w, v]`` is w's unclipped affectance on v, its interference at v
     over v's budget (capped at ``RAW_CAP``, 0 on the diagonal); it is the
@@ -138,7 +140,7 @@ class AffectanceContext:
         self.prim_ids = [lk.id for lk in prims.links]
         k = self.k = len(self.prim_ids)
         receivers = self.prim_ids + sorted(lk.id for lk in instance.links)
-        lengths = np.array([instance.length_of(i) for i in receivers])
+        lengths = instance.lengths[instance.positions(receivers)]
         powers = np.asarray(assignment.power(lengths[k:], alpha), dtype=float)
         if not np.all(np.isfinite(powers) & (powers > 0)):
             raise ValueError("power assignment produced a nonpositive or non-finite power")

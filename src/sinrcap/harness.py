@@ -24,7 +24,8 @@ from .greedy import greedy_base, greedy_sweep
 from .lp_core import solve_lp
 from .model import Instance, Link, Point, PowerAssignment, PrimarySet
 from .oracle import exact_capacity, largest_bifeasible
-from .rounding import RoundingPolicy, run_pipeline, run_sweep, schedule_value
+from .rounding import (RoundingPolicy, require_integer, run_pipeline, run_sweep,
+                       schedule_value)
 
 WEIGHT_DISTRIBUTIONS = ("ordinary", "reversed", "length_determined", "weight_class")
 
@@ -45,6 +46,8 @@ class GenConfig:
     primary_power: float = 1.0
 
     def __post_init__(self):
+        for field in ("n", "seed", "primaries"):
+            require_integer(field, getattr(self, field))
         if self.n < 1:
             raise ValueError(f"n must be at least 1, got {self.n!r}")
         if not 0 < self.R < math.inf:

@@ -33,6 +33,8 @@ keeps every stage-one pick.
 from __future__ import annotations
 
 import copy
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -61,12 +63,17 @@ class LpSolveError(Exception):
     """The LP solver failed; never silently approximated."""
 
 
+def require_positive(name: str, value) -> None:
+    """Refuse ``value`` unless it is a finite positive real; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 < value < math.inf:
+        raise ValueError(f"{name} must be a finite positive number, got {value!r}")
+
+
 def block_bounds(blocks, C: float) -> tuple:
     """Per-row bounds and limits at constant C of the row blocks ``blocks``,
     each (rows, bound, limit, scaled): a scaled block's bound and limit are
     multiples of C, another block's are fixed."""
-    if not C > 0:
-        raise ValueError("C must be positive")
+    require_positive("C", C)
     sizes = [b[0] for b in blocks]
     return tuple(np.repeat([float(b[i] * C if b[3] else b[i]) for b in blocks], sizes)
                  for i in (1, 2))

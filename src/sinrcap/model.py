@@ -3,7 +3,8 @@
 Geometry is planar by default.  An instance may instead carry an explicit
 symmetric distance matrix over all sender/receiver points (validated for
 the triangle inequality on load), in which case link coordinates are kept
-only as labels.
+only as labels.  Every sender-to-receiver distance, a link's length
+included, comes from one rule, ``Instance._distances``.
 """
 
 from __future__ import annotations
@@ -45,9 +46,6 @@ class Point:
     def __post_init__(self):
         if not (math.isfinite(self.x) and math.isfinite(self.y)):
             raise ValueError(f"point coordinates must be finite, got ({self.x}, {self.y})")
-
-    def distance_to(self, other: "Point") -> float:
-        return math.hypot(self.x - other.x, self.y - other.y)
 
 
 @dataclass(frozen=True)
@@ -135,7 +133,9 @@ class Instance:
     """A set of links plus global propagation parameters.
 
     ``metric`` is either the string "euclidean" or a :class:`DistanceMatrix`
-    over the points of all links (and primaries, if present).
+    over the points of all links (and primaries, if present).  ``lengths``
+    holds each link's length, links then primaries in file order; a length
+    that is not finite and positive is refused.
     """
 
     links: tuple
@@ -167,15 +167,17 @@ class Instance:
         elif self.metric != "euclidean":
             raise ValueError(f"unknown metric {self.metric!r}")
         # id -> (position in links-then-primaries order, link); the same
-        # positions index the sender and receiver coordinates
+        # positions index the sender and receiver coordinates and ``lengths``
         object.__setattr__(self, "_by_id", {lk.id: (p, lk) for p, lk in enumerate(every)})
         object.__setattr__(self, "_senders", np.array(
             [(lk.sender.x, lk.sender.y) for lk in every], dtype=float).reshape(-1, 2))
         object.__setattr__(self, "_receivers", np.array(
             [(lk.receiver.x, lk.receiver.y) for lk in every], dtype=float).reshape(-1, 2))
-        for lk in every:
-            if not self.length_of(lk.id) > 0:
-                raise ValueError(f"link {lk.id}: length must be positive")
+        pos = np.arange(len(every))
+        object.__setattr__(self, "lengths", self._distances(pos, pos))
+        bad = np.flatnonzero(~(np.isfinite(self.lengths) & (self.lengths > 0)))
+        if bad.size:
+            raise ValueError(f"link {every[bad[0]].id}: length must be finite and positive")
 
     @property
     def n(self) -> int:
@@ -187,31 +189,26 @@ class Instance:
         except KeyError:
             raise KeyError(f"unknown link id {link_id}") from None
 
-    def _positions(self, link_ids) -> np.ndarray:
+    def positions(self, link_ids) -> np.ndarray:
+        """Positions of link ids in links-then-primaries order."""
         try:
             return np.array([self._by_id[i][0] for i in link_ids], dtype=np.intp)
         except KeyError as exc:
             raise KeyError(f"unknown link id {exc.args[0]}") from None
 
-    def distance(self, from_id: int, to_id: int) -> float:
-        """Distance from ``from_id``'s sender to ``to_id``'s receiver."""
-        a = self.link(from_id)
-        b = self.link(to_id)
+    def _distances(self, rows, cols) -> np.ndarray:
+        """Distances from the senders at positions ``rows`` to the receivers
+        at positions ``cols``, broadcast: the metric's entries, or the planar
+        distance, infinite where a coordinate difference passes the float range."""
         if isinstance(self.metric, DistanceMatrix):
-            i, j = self._by_id[from_id][0], self._by_id[to_id][0]
-            return float(self.metric.values[2 * i, 2 * j + 1])
-        return a.sender.distance_to(b.receiver)
-
-    def length_of(self, link_id: int) -> float:
-        return self.distance(link_id, link_id)
+            return self.metric.values[2 * rows, 2 * cols + 1]
+        s, r = self._senders, self._receivers
+        with np.errstate(over="ignore"):
+            return np.hypot(s[rows, 0] - r[cols, 0], s[rows, 1] - r[cols, 1])
 
     def sr_matrix(self, from_ids: Sequence[int], to_ids: Sequence[int]) -> np.ndarray:
         """Matrix of sender(from) -> receiver(to) distances."""
-        rows, cols = self._positions(from_ids), self._positions(to_ids)
-        if isinstance(self.metric, DistanceMatrix):
-            return self.metric.values[np.ix_(2 * rows, 2 * cols + 1)].copy()
-        s, r = self._senders[rows], self._receivers[cols]
-        return np.hypot(s[:, 0, None] - r[None, :, 0], s[:, 1, None] - r[None, :, 1])
+        return self._distances(self.positions(from_ids)[:, None], self.positions(to_ids))
 
 
 @dataclass(frozen=True)

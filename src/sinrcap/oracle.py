@@ -18,6 +18,7 @@ import numpy as np
 from .affectance import (AffectanceContext, Schedule, _exact_budgets, _feasible_affectance,
                          _feasible_exact, certify)
 from .formulations import OBJECTIVES
+from .lp_core import require_positive
 
 ENUMERATION_CAP = 20
 _CHUNK = 1 << 11  # rows per judged block; 1 << 14 measured slower (page faults)
@@ -87,6 +88,7 @@ def exact_capacity(ctx: AffectanceContext, objective: str = "cardinality",
     checks gamma-feasibility of received affectance sums.
     """
     _check_cap(ctx.n)
+    require_positive("gamma", gamma)
     if objective not in OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r}")
     if mode not in ("exact_sinr", "affectance"):
@@ -109,4 +111,5 @@ def largest_bifeasible(ctx: AffectanceContext, gamma: float = 2.0) -> Schedule:
     """Maximum-cardinality subset whose received and sent affectance sums
     both stay within gamma at every member."""
     _check_cap(ctx.n)
+    require_positive("gamma", gamma)
     return _best(ctx, partial(_feasible_affectance, ctx.raw, gamma=gamma, anti=True))

@@ -45,7 +45,6 @@ its one-policy case; ``admission.admit_sweep`` reduces it too.
 from __future__ import annotations
 
 import logging
-import math
 import numbers
 import operator
 from dataclasses import dataclass
@@ -57,7 +56,7 @@ import numpy as np
 from . import formulations
 from .affectance import (ROW_BLOCK, AffectanceContext, Schedule, certify, check_positions,
                          verify)
-from .lp_core import LinearProgram, LpSession, solve_lp
+from .lp_core import LinearProgram, LpSession, require_positive, solve_lp
 from .model import link_ids
 
 logger = logging.getLogger(__name__)
@@ -72,6 +71,12 @@ _STRENGTHEN_LIMIT = 1.0 - 1e-12
 _BATCH_CELLS = 1 << 14
 
 
+def require_integer(name: str, value) -> None:
+    """Refuse ``value`` unless it is an int or a numpy integer; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class RoundingPolicy:
     mode: str
@@ -82,15 +87,11 @@ class RoundingPolicy:
     def __post_init__(self):
         if self.mode not in ROUNDING_MODES:
             raise ValueError(f"unknown rounding mode {self.mode!r}")
-        for field in ("trials", "seed"):  # a numpy integer is one too; a bool is not
-            value = getattr(self, field)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{field} must be an integer, got {value!r}")
+        for field in ("trials", "seed"):
+            require_integer(field, getattr(self, field))
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if isinstance(self.C, bool) or not isinstance(self.C, numbers.Real) \
-                or not 0 < self.C < math.inf:
-            raise ValueError(f"C must be a finite positive number, got {self.C!r}")
+        require_positive("C", self.C)
 
     @property
     def extraction_bound(self) -> float:

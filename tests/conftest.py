@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,17 @@ class ColdSession(LpSession):
 
 def make_link(lid, sx, sy, rx, ry, **kw):
     return Link(id=lid, sender=Point(sx, sy), receiver=Point(rx, ry), **kw)
+
+
+def distance(p, q):
+    """Planar distance between points, in pure Python: a reference
+    computed apart from the library's distance rule."""
+    return math.hypot(p.x - q.x, p.y - q.y)
+
+
+def sr_distance(inst, w, v):
+    """``distance`` from link w's sender to link v's receiver."""
+    return distance(inst.link(w).sender, inst.link(v).receiver)
 
 
 def line_links(*segments, **kw):

@@ -12,7 +12,8 @@ from sinrcap import (AffectanceContext, GenConfig, IndividuallyInfeasible, Insta
 from sinrcap.affectance import (BETA, BUDGET, HAT_NOISE, NOISE, POWER, RAW_CAP,
                                 _exact_budgets, _feasible_affectance, check_positions)
 
-from conftest import colocated_pair, feasible_prim_ctx, make_link, random_ctx, selection
+from conftest import (colocated_pair, feasible_prim_ctx, make_link, random_ctx, selection,
+                      sr_distance)
 
 UNIFORM = PowerAssignment.uniform()
 
@@ -171,19 +172,19 @@ def _sinr_holds(inst, power, subset, primaries=None):
     prim_power = dict(zip((lk.id for lk in primaries.links), primaries.powers)) \
         if primaries is not None else {}
     senders = {w: prim_power[w] if w in prim_power
-               else power.power(inst.length_of(w), inst.alpha)
+               else power.power(sr_distance(inst, w, w), inst.alpha)
                for w in list(prim_power) + list(subset)}
     receivers = list(subset) + list(prim_power)
     for v in receivers:
         lv = inst.link(v)
-        length = inst.length_of(v)
+        length = sr_distance(inst, v, v)
         beta = lv.beta_override or inst.beta
         noise = inst.noise if lv.noise_override is None else lv.noise_override
         interference = 0.0
         for w, pw in senders.items():
             if w == v:
                 continue
-            d = inst.distance(w, v)
+            d = sr_distance(inst, w, v)
             if d == 0.0:
                 return False
             interference += pw / d ** inst.alpha
@@ -382,12 +383,12 @@ def _kernel_case(seed, kind, power):
 
 def _c_factor(inst, v, noise_v, beta_v, p_v):
     """c_v = beta_v / (1 - beta_v * N_v * l_v ** alpha / P_v)."""
-    return beta_v / (1.0 - beta_v * noise_v * inst.length_of(v) ** inst.alpha / p_v)
+    return beta_v / (1.0 - beta_v * noise_v * sr_distance(inst, v, v) ** inst.alpha / p_v)
 
 
 def _c_form(inst, w, v, p_w, p_v, c_v):
     """c_v * (P_w / P_v) * (l_v / d_wv) ** alpha."""
-    return c_v * (p_w / p_v) * (inst.length_of(v) / inst.distance(w, v)) ** inst.alpha
+    return c_v * (p_w / p_v) * (sr_distance(inst, v, v) / sr_distance(inst, w, v)) ** inst.alpha
 
 
 @pytest.mark.parametrize("power", sorted(POWERS))
@@ -400,12 +401,12 @@ def test_kernel_matches_c_factor_form(seed, kind, power):
     prim_power = dict(zip(ctx.prim_ids, ctx.table[:ctx.k, POWER]))
 
     def sec_power(i):
-        return float(POWERS[power].power(inst.length_of(i), inst.alpha))
+        return float(POWERS[power].power(sr_distance(inst, i, i), inst.alpha))
 
     def hat(v, exclude=None):
         base = inst.noise if v in prim_power or inst.link(v).noise_override is None \
             else inst.link(v).noise_override
-        return base + sum(p / inst.distance(j, v) ** inst.alpha
+        return base + sum(p / sr_distance(inst, j, v) ** inst.alpha
                           for j, p in prim_power.items() if j != exclude)
 
     def beta(v):
@@ -413,7 +414,7 @@ def test_kernel_matches_c_factor_form(seed, kind, power):
 
     # the old margin test: 1 - beta * hat noise * l ** alpha / P > 0
     dropped = tuple(v for v in sorted(lk.id for lk in inst.links)
-                    if not 1.0 - beta(v) * hat(v) * inst.length_of(v) ** inst.alpha
+                    if not 1.0 - beta(v) * hat(v) * sr_distance(inst, v, v) ** inst.alpha
                     / sec_power(v) > 0)
     assert ctx.removed_ids == dropped
     ids = [int(i) for i in ctx.ids]
@@ -459,7 +460,7 @@ def _terms_before_the_table(ctx, power):
     each primary at the instance's beta and noise."""
     inst, prims = ctx.instance, ctx.prim_ids
     recv = prims + [int(i) for i in ctx.ids]
-    lengths = np.array([inst.length_of(i) for i in recv])
+    lengths = inst.lengths[inst.positions(recv)]
     powers = np.concatenate([np.array(ctx.primaries.powers if prims else (), dtype=float),
                              power.power(lengths[len(prims):], inst.alpha)])
     beta = np.array([inst.beta if i in prims else inst.link(i).beta_override or inst.beta

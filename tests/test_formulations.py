@@ -252,9 +252,10 @@ def test_program_at_another_constant_matches_a_fresh_build():
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (build.__name__, field)
             assert derived.row_names == fresh.row_names, build.__name__
             assert derived.row_blocks == fresh.row_blocks, build.__name__
-        for bad in (0.0, -1.0, float("nan")):
-            with pytest.raises(ValueError, match="C must be positive"):
+        for bad in (0.0, -1.0, float("nan"), float("inf"), True, "2"):
+            with pytest.raises(ValueError) as exc:
                 built.at(bad)
+            assert str(exc.value) == f"C must be a finite positive number, got {bad!r}"
 
 
 @pytest.mark.parametrize("mode", [mode for mode, problem in PROBLEMS.items()

@@ -18,6 +18,17 @@ from sinrcap.model import read_instance, write_instance
 
 
 
+@pytest.mark.parametrize("field,value", [
+    ("n", 2.5), ("n", True), ("n", "6"), ("seed", 1.5), ("seed", False), ("primaries", 1.5)])
+def test_gen_config_refuses_an_integer_field_that_is_not_an_integer(field, value):
+    with pytest.raises(ValueError) as exc:
+        GenConfig(**{"n": 6, "R": 6.0, "delta": 2.0, field: value})
+    assert str(exc.value) == f"{field} must be an integer, got {value!r}"
+    # a numpy integer is one
+    cfg = GenConfig(**{"n": 6, "R": 6.0, "delta": 2.0, field: np.int64(2)})
+    assert generate_instance(cfg).n == cfg.n
+
+
 def test_generator_deterministic():
     cfg = GenConfig(n=12, R=5.0, delta=3.0, seed=42)
     a = generate_instance(cfg)
@@ -31,8 +42,8 @@ def test_generator_bounds():
     inst = generate_instance(cfg)
     for lk in inst.links:
         assert 0.0 <= lk.sender.x <= 7.0 and 0.0 <= lk.sender.y <= 7.0
-        assert 1.0 <= inst.length_of(lk.id) <= 4.0
         assert 1.0 <= lk.weight <= 50.0
+    assert np.all((1.0 <= inst.lengths) & (inst.lengths <= 4.0))
 
 
 def test_generator_weight_distributions():
@@ -42,8 +53,8 @@ def test_generator_weight_distributions():
     assert all(1.0 / n < lk.weight <= 1.0 for lk in rev.links)
     length = generate_instance(GenConfig(n=n, R=5.0, delta=2.0, seed=1,
                                          weight_dist="length_determined"))
-    for lk in length.links:
-        assert lk.weight == pytest.approx(length.length_of(lk.id))
+    for lk, lk_length in zip(length.links, length.lengths):
+        assert lk.weight == pytest.approx(lk_length)
     wc = generate_instance(GenConfig(n=n, R=5.0, delta=2.0, seed=1,
                                      weight_dist="weight_class"))
     exponents = {math.log2(lk.weight) for lk in wc.links}
@@ -154,10 +165,10 @@ def test_explicit_metric_instance_matches_its_plane_and_verifies(tmp_path):
     inst = dataclasses.replace(plane, metric=metric)
     power = PowerAssignment.mean()
     ctx, want = AffectanceContext(inst, power), AffectanceContext(plane, power)
-    # lengths: math.hypot in the plane, the matrix's np.hypot here
+    # the matrix holds the plane's own distance rule, so the two agree bit for bit
     assert np.array_equal(ctx.ids, want.ids) and ctx.removed_ids == want.removed_ids
-    np.testing.assert_allclose(ctx.raw, want.raw, rtol=1e-12, atol=0)
-    np.testing.assert_allclose(ctx.table, want.table, rtol=1e-12, atol=0)
+    assert np.array_equal(inst.lengths, plane.lengths)
+    assert np.array_equal(ctx.raw, want.raw) and np.array_equal(ctx.table, want.table)
 
     opt = exact_capacity(ctx)
     assert opt.size > 1 and verify(ctx, opt) and certify(ctx, opt.ids) == opt
@@ -348,6 +359,9 @@ GEN = ["gen", "--n", "5", "--side", "6", "--delta", "2"]
     (["admit", "HUGEPOWER"], "primary 1: power must be finite, got inf"),
     (["admit", "HUGEPOWER", "--method", "large"], "primary 1: power must be finite, got inf"),
     (["oracle", "HUGEPOWER", "--problem", "admission"], "primary 1: power must be finite"),
+    (["solve", "WIDE", "--algo", "lp"], "link 0: length must be finite and positive"),
+    (["solve", "WIDE", "--algo", "lp", "--power", "linear"],
+     "link 0: length must be finite and positive"),
 ], ids=["side-0", "side-nan", "side-inf", "delta-0.5", "alpha-0", "beta-0", "noise-neg",
         "alpha-inf", "beta-inf", "noise-inf", "primary-power-inf", "primary-power-0",
         "primaries-neg", "gen-seed-neg", "gen-primaries-clash", "compare-delta",
@@ -357,10 +371,11 @@ GEN = ["gen", "--n", "5", "--side", "6", "--delta", "2"]
         "admit-primary-override", "admit-large-primary-override",
         "oracle-admission-primary-override", "solve-noise-nan", "solve-beta-1e400",
         "admit-primary-power-1e400", "admit-large-primary-power-1e400",
-        "oracle-admission-primary-power-1e400"])
+        "oracle-admission-primary-power-1e400", "solve-length-inf",
+        "solve-linear-length-inf"])
 def test_cli_reports_rejected_input_in_one_line(args, bad, tmp_path, capsys, caplog):
     paths = {name: tmp_path / f"{name.lower()}.json"
-             for name in ("BIG", "EMPTY", "OWN", "NANNOISE", "HUGEBETA", "HUGEPOWER")}
+             for name in ("BIG", "EMPTY", "OWN", "NANNOISE", "HUGEBETA", "HUGEPOWER", "WIDE")}
     write_instance(generate_instance(GenConfig(n=21, R=9.0, delta=2.0, seed=4)), paths["BIG"])
     link = {"id": 0, "sx": 0.0, "sy": 0.0, "rx": 1.0, "ry": 0.0}
     # a primary list, but an empty one
@@ -374,6 +389,9 @@ def test_cli_reports_rejected_input_in_one_line(args, bad, tmp_path, capsys, cap
     paths["HUGEBETA"].write_text(text % (', "beta": 1e400', ""))
     paths["HUGEPOWER"].write_text(text % ("", ', "primaries": [{"id": 1, "sx": 50, "sy": 0, '
                                               '"rx": 51, "ry": 0, "power": 1e400}]'))
+    # a link whose length passes the float range
+    paths["WIDE"].write_text(json.dumps({"alpha": 2.5, "links": [
+        {"id": 0, "sx": -1e308, "sy": 0, "rx": 1e308, "ry": 0}]}))
     out = tmp_path / "out"
     argv = [str(paths.get(a, a)) for a in args]
     if args[0] != "suite":
@@ -498,24 +516,32 @@ def test_cli_refuses_a_signal_over_beta_that_is_not_finite_in_one_line(tmp_path,
     assert not out.exists()
 
 
+NEAR = [{"id": 0, "sx": 0, "sy": 0, "rx": 1, "ry": 0},
+        {"id": 1, "sx": 1, "sy": 1e-124, "rx": 1.5, "ry": 0}]
+
+
 @pytest.mark.parametrize("command", [["solve", "--algo", "lp"], ["oracle"]])
-@pytest.mark.parametrize("noise,sy", [(0.0, 1e-124), (0.9999999, 1e-121)],
-                         ids=["distance", "budget"])
-def test_cli_verifies_a_nearly_colocated_pair_without_a_warning(command, noise, sy, tmp_path,
-                                                                capsys, caplog):
-    # link 1's sender sits so near link 0's receiver that its interference
-    # there (or that over link 0's budget) passes the float range
+@pytest.mark.parametrize("instance,size", [
+    ({"alpha": 2.5, "links": NEAR}, 1),
+    ({"alpha": 2.5, "noise": 0.9999999, "links": [NEAR[0], dict(NEAR[1], sy=1e-121)]}, 1),
+    ({"alpha": 2.5, "links": [{"id": 0, "sx": -1e308, "sy": 0, "rx": -1e308, "ry": 1},
+                              {"id": 1, "sx": 1e308, "sy": 0, "rx": 1e308, "ry": 1}]}, 2),
+], ids=["distance", "budget", "far"])
+def test_cli_verifies_an_extreme_pair_without_a_warning(command, instance, size, tmp_path,
+                                                        capsys, caplog):
+    # distance, budget: link 1's sender sits so near link 0's receiver that
+    # its interference there (or that over link 0's budget) passes the
+    # float range; far: the two links' coordinate differences pass it, so
+    # their cross distances read as infinite and their interference as 0
     path = tmp_path / "inst.json"
-    path.write_text(json.dumps({"alpha": 2.5, "noise": noise, "links": [
-        {"id": 0, "sx": 0, "sy": 0, "rx": 1, "ry": 0},
-        {"id": 1, "sx": 1, "sy": sy, "rx": 1.5, "ry": 0}]}))
+    path.write_text(json.dumps(instance))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert cli_main([command[0], str(path), *command[1:]]) == 0
     assert not caplog.records
     out, err = capsys.readouterr()
     best = json.loads(out)
-    assert len(best["ids"]) == 1 and best["verified"] is True and err == ""
+    assert len(best["ids"]) == size and best["verified"] is True and err == ""
 
 
 @pytest.mark.parametrize("algo", ["lp", "greedy"])

@@ -5,30 +5,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sinrcap import (DistanceMatrix, Instance, PowerAssignment, PrimarySet,
-                     read_instance, write_instance)
+from sinrcap import (DistanceMatrix, GenConfig, Instance, PowerAssignment, PrimarySet,
+                     generate_instance, read_instance, write_instance)
 from sinrcap.model import instance_from_dict, parse_power
 
-from conftest import far_instance, line_links, make_link
+from conftest import distance, far_instance, line_links, make_link
 
 
 def test_cross_distance_pythagorean():
     w = make_link(0, 0.0, 0.0, 1.0, 0.0)
     v = make_link(1, 10.0, 10.0, 3.0, 4.0)
     inst = Instance(links=(w, v), alpha=2.0)
-    assert inst.distance(0, 1) == pytest.approx(5.0)
+    assert inst.sr_matrix([0], [1])[0, 0] == pytest.approx(5.0)
 
 
 def test_cross_distance_self_is_length():
     v = make_link(0, 0.0, 0.0, 2.0, 0.0)
     inst = Instance(links=(v,), alpha=2.0)
-    assert inst.distance(0, 0) == pytest.approx(2.0)
+    assert inst.sr_matrix([0], [0])[0, 0] == inst.lengths[0] == pytest.approx(2.0)
 
 
 def test_cross_distance_unknown_id():
     inst = far_instance(2)
-    with pytest.raises(KeyError):
-        inst.distance(0, 99)
+    with pytest.raises(KeyError, match="unknown link id 99"):
+        inst.sr_matrix([0], [99])
 
 
 def test_cross_distance_matrix_entry():
@@ -37,8 +37,8 @@ def test_cross_distance_matrix_entry():
     mat = [[abs(a - b) for b in xs] for a in xs]
     links = line_links((0.0, 1.0), (8.5, 7.0))
     inst = Instance(links=links, alpha=2.0, metric=DistanceMatrix(mat))
-    assert inst.distance(1, 0) == 7.5
-    assert inst.length_of(1) == 1.5
+    assert inst.sr_matrix([1], [0])[0, 0] == 7.5
+    assert inst.lengths.tolist() == [1.0, 1.5]
 
 
 def test_matrix_validation_rejects_asymmetry():
@@ -57,19 +57,19 @@ def test_matrix_validation_rejects_triangle_violation():
 
 def test_power_of_uniform():
     lk = make_link(0, 0.0, 0.0, 3.0, 0.0)
-    length = lk.sender.distance_to(lk.receiver)
+    length = distance(lk.sender, lk.receiver)
     assert PowerAssignment.uniform(1.0).power(length, 2.5) == 1.0
 
 
 def test_power_of_linear():
     lk = make_link(0, 0.0, 0.0, 2.0, 0.0)
-    length = lk.sender.distance_to(lk.receiver)
+    length = distance(lk.sender, lk.receiver)
     assert PowerAssignment.linear().power(length, 2.5) == pytest.approx(5.656854249492381)
 
 
 def test_power_of_mean():
     lk = make_link(0, 0.0, 0.0, 4.0, 0.0)
-    length = lk.sender.distance_to(lk.receiver)
+    length = distance(lk.sender, lk.receiver)
     assert PowerAssignment.mean().power(length, 2.0) == pytest.approx(4.0)
 
 
@@ -125,9 +125,13 @@ def test_power_rule_refuses_out_of_range_numbers(p0, tau, message):
         PowerAssignment(p0=p0, tau=tau)
 
 
-def test_zero_length_link_rejected():
-    with pytest.raises(ValueError, match="length"):
-        Instance(links=(make_link(0, 1.0, 1.0, 1.0, 1.0),), alpha=2.0)
+@pytest.mark.parametrize("sx,rx", [(1.0, 1.0), (-1e308, 1e308), (1e308, -1e308)],
+                         ids=["zero", "inf", "-inf"])
+def test_length_that_is_not_finite_and_positive_rejected(sx, rx):
+    links = (make_link(0, 0.0, 0.0, 1.0, 0.0), make_link(1, sx, 1.0, rx, 1.0))
+    with pytest.raises(ValueError) as exc:
+        Instance(links=links, alpha=2.0)
+    assert str(exc.value) == "link 1: length must be finite and positive"
 
 
 def test_duplicate_ids_rejected():
@@ -195,7 +199,7 @@ def test_zero_cross_distance_allowed():
     # sender of one link on the receiver of the other is valid input
     links = (make_link(0, 0.0, 0.0, 1.0, 0.0), make_link(1, 1.0, 0.0, 2.0, 0.0))
     inst = Instance(links=links, alpha=2.0)
-    assert inst.distance(1, 0) == 0.0
+    assert inst.sr_matrix([1], [0])[0, 0] == 0.0
 
 
 def test_roundtrip_bytes_identical(tmp_path):
@@ -224,7 +228,7 @@ def test_matrix_instance_roundtrip(tmp_path):
     path = tmp_path / "m.json"
     write_instance(inst, path)
     back = read_instance(path)
-    assert back.distance(1, 0) == 7.5
+    assert back.sr_matrix([1], [0])[0, 0] == 7.5
 
 
 def test_parse_error_reports_position(tmp_path):
@@ -312,14 +316,28 @@ def test_sr_matrix_matches_per_link_geometry():
     prim = PrimarySet(links=(make_link(7, 10.0, 0.1, 11.0, 0.3),), powers=(2.0,))
     inst = Instance(links=links, alpha=2.5, primaries=prim)
     from_ids, to_ids = [7, 1, 3, 0, 1], [3, 7, 0]
-    expected = np.array([[math.hypot(inst.link(i).sender.x - inst.link(j).receiver.x,
-                                     inst.link(i).sender.y - inst.link(j).receiver.y)
+    expected = np.array([[distance(inst.link(i).sender, inst.link(j).receiver)
                           for j in to_ids] for i in from_ids])
-    got = inst.sr_matrix(from_ids, to_ids)
-    assert np.array_equal(got, expected)  # bit for bit
+    np.testing.assert_allclose(inst.sr_matrix(from_ids, to_ids), expected, rtol=1e-15, atol=0)
     assert inst.sr_matrix([], to_ids).shape == (0, 3)
     with pytest.raises(KeyError, match="unknown link id 5"):
         inst.sr_matrix([0, 5], to_ids)
+
+
+def test_lengths_are_the_sr_matrix_diagonal():
+    # one distance rule: a link's length is its own sender-to-receiver
+    # distance bit for bit, on an instance where a second rule rounds
+    # some lengths apart (links 143, 768 and 856 by one ulp)
+    inst = generate_instance(GenConfig(n=1000, R=100.0, delta=8.0, seed=1))
+    ids = [lk.id for lk in inst.links]
+    assert inst.lengths.tobytes() == np.diag(inst.sr_matrix(ids, ids)).tobytes()
+
+
+def test_cross_distance_past_the_float_range_reads_infinite():
+    links = (make_link(0, -1e308, 0.0, -1e308, 1.0), make_link(1, 1e308, 0.0, 1e308, 1.0))
+    inst = Instance(links=links, alpha=2.5)
+    assert inst.lengths.tolist() == [1.0, 1.0]
+    assert inst.sr_matrix([0, 1], [0, 1]).tolist() == [[1.0, math.inf], [math.inf, 1.0]]
 
 
 def test_parse_power_specs():

@@ -26,6 +26,18 @@ def test_empty_instance():
     assert exact_admission(AffectanceContext(inst, UNIFORM, primaries=prim)).ids == ()
 
 
+@pytest.mark.parametrize("gamma", [float("nan"), -1.0, 0.0, float("inf"), True, "2"])
+@pytest.mark.parametrize("oracle", [
+    largest_bifeasible, partial(exact_capacity, objective="cardinality", mode="affectance"),
+    exact_capacity], ids=["bifeasible", "affectance", "exact"])
+def test_oracles_refuse_a_gamma_that_is_not_a_finite_positive_number(oracle, gamma):
+    # these used to return () as the optimum
+    ctx = AffectanceContext(generate_instance(GenConfig(n=6, R=6.0, delta=2.0, seed=4)), UNIFORM)
+    with pytest.raises(ValueError) as exc:
+        oracle(ctx, gamma=gamma)
+    assert str(exc.value) == f"gamma must be a finite positive number, got {gamma!r}"
+
+
 def test_far_pair_both_selected():
     ctx = AffectanceContext(far_instance(2), UNIFORM)
     assert exact_capacity(ctx).ids == (0, 1)
