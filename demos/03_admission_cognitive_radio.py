@@ -2,14 +2,15 @@
 
 The general pipeline groups its candidate set so every group is safe for
 each primary; the large-optimum pipeline prefilters aggressive links and
-returns a single safe set.  Both results are re-verified by
-``affectance.verify``: hat affectance sums within 1, and the raw SINR
-inequality at every member and primary with everything transmitting.
+returns a single safe set.  Both results, and the exhaustive optimum,
+are re-verified from their ids by ``certify``, whose ``verified`` verdict
+requires hat affectance sums within 1 and the raw SINR inequality at
+every member and primary with everything transmitting.
 """
 
 from sinrcap import (AffectanceContext, GenConfig, PowerAssignment,
-                     RoundingPolicy, admit_general, admit_large_opt,
-                     exact_admission, generate_instance, hat_noise, verify)
+                     RoundingPolicy, admit_general, admit_large_opt, certify,
+                     exact_admission, generate_instance, hat_noise)
 
 cfg = GenConfig(n=14, R=8.0, delta=2.0, seed=23, primaries=2, primary_power=1.0)
 inst = generate_instance(cfg)
@@ -33,6 +34,6 @@ print(f"  prefilter kept {large.notes['filtered_to']} secondaries")
 
 opt = exact_admission(ctx)
 print(f"exhaustive admission optimum: {opt.size} ({opt.ids})")
-assert verify(ctx, general.admitted.ids)
-assert verify(ctx, large.admitted.ids)
-assert verify(ctx, opt.ids)
+assert certify(ctx, general.admitted.ids).verified
+assert certify(ctx, large.admitted.ids).verified
+assert certify(ctx, opt.ids).verified

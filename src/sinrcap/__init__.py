@@ -5,7 +5,7 @@ from .model import (DistanceMatrix, Instance, Link, Point, PowerAssignment, Prim
                     parse_power, read_instance, write_instance)
 from .affectance import (AffectanceContext, IndividuallyInfeasible,
                          InfeasiblePrimaries, Schedule, affectance, c_factor, certify,
-                         hat_noise, separation_check, verify)
+                         hat_noise, separation_check)
 from .lp_core import (FractionalSolution, LinearProgram, LpSession, LpSolveError,
                       check_solution, dump_lp, solve_lp)
 from .formulations import (PROBLEMS, admission_filter_threshold, build_admission_large_lp,

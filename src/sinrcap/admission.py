@@ -26,7 +26,7 @@ from functools import partial
 
 import numpy as np
 
-from .affectance import AffectanceContext, Schedule, certify, verify
+from .affectance import AffectanceContext, Schedule, certify
 from .rounding import (_STRENGTHEN_LIMIT, RoundingPolicy, _first_fit, best_part, round_trials,
                        winner)
 
@@ -89,15 +89,14 @@ def _result(ctx, admitted, groups, notes) -> AdmissionResult:
     """The result admitting the sorted positions ``admitted``, grouped as
     ``groups``; ids are formed here."""
     schedule = certify(ctx, ctx.ids[admitted])
-    verified = verify(ctx, schedule)
     result = AdmissionResult(
         admitted=schedule,
         groups=tuple(tuple(ctx.ids[g].tolist()) for g in groups),
         per_primary_load=tuple(float(x) for x in ctx.raw_to_prim[admitted].sum(axis=0)),
-        verified=verified,
+        verified=schedule.verified,
         notes=notes,
     )
-    if not verified:
+    if not result.verified:
         raise AssertionError("admission result failed verification")
     return result
 

@@ -23,9 +23,11 @@ The library's only feasibility tests judge a boolean selection matrix, one
 candidate set per row: ``_feasible_exact``, the SINR inequality over
 ``_exact_budgets`` (interference recomputed from geometry, the other terms
 read from the table), and ``_feasible_affectance``, affectance sums within
-gamma, terms clipped at 1 only when gamma > 1.  ``verify``, the one verdict
-on a returned set, applies both at threshold 1, the exact one at the
-primaries too, and reads the exact one from the set's ``certify`` schedule.
+gamma, terms clipped at 1 only when gamma > 1.  ``_verdict`` is the one
+verdict on a set: both tests at threshold 1, the exact one at the
+primaries too.  ``certify`` judges each returned set with it once and
+stores the result in its ``Schedule``; the exact oracles accept the sets
+it passes.
 
 Link ids given to a context are read in one place, ``index_of``, which
 turns them into context positions under ``model.link_id``'s rule and
@@ -75,7 +77,8 @@ class Schedule:
     ids: tuple
     in_affectance: tuple
     out_affectance: tuple
-    exact_sinr_ok: bool
+    exact_sinr_ok: bool  # the exact half of the verdict
+    verified: bool       # the whole verdict, both halves
 
     @property
     def size(self) -> int:
@@ -291,21 +294,25 @@ def _feasible_affectance(mat: np.ndarray, sel: np.ndarray, gamma: float,
     return ok
 
 
+def _verdict(ctx: AffectanceContext, pos=None):
+    """The verdict on candidate sets of the context positions ``pos`` (all
+    when None): a function of boolean selection rows over ``pos`` that
+    returns per row its two halves, the exact SINR inequality at every
+    member and every primary, the primaries transmitting, and unclipped
+    (hat) affectance sums within 1 at every member.  The halves state one
+    condition, but their float sums can round apart within an ulp of the
+    threshold, so a set passes only when both hold."""
+    rows, budget = _exact_budgets(ctx, pos)
+    raw = ctx.raw if pos is None else ctx.raw[np.ix_(pos, pos)]
+    return lambda sel: (_feasible_exact(sel, rows, budget, ctx.k),
+                        _feasible_affectance(raw, sel, 1.0))
+
+
 def check_positions(ctx: AffectanceContext, idx: np.ndarray) -> bool:
     """Unclipped affectance sums within 1 at every member of the links at
     context positions ``idx``: strengthening's per-part check."""
     return bool(_feasible_affectance(ctx.raw[idx[:, None], idx], np.ones((1, idx.size), bool),
                                      1.0)[0])
-
-
-def verify(ctx: AffectanceContext, S) -> bool:
-    """The verdict on a returned set: every member's unclipped (hat)
-    affectance sum is at most 1, and the exact SINR inequality holds at
-    every member and every primary, the primaries transmitting.  ``S`` is
-    the set's link ids or its ``certify`` schedule, whose exact flag is
-    read rather than recomputed."""
-    schedule = S if isinstance(S, Schedule) else certify(ctx, S)
-    return schedule.exact_sinr_ok and check_positions(ctx, ctx.index_of(schedule.ids))
 
 
 def separation_check(ctx: AffectanceContext, S, q: float) -> bool:
@@ -323,19 +330,19 @@ def separation_check(ctx: AffectanceContext, S, q: float) -> bool:
 
 
 def certify(ctx: AffectanceContext, S) -> Schedule:
-    """Build a schedule with per-link affectance sums and an exact-SINR flag,
-    true when the inequality holds at every member and every primary.  A
-    repeated id is a ValueError, as is an id ``index_of`` refuses."""
+    """Build a schedule with per-link affectance sums and its ``_verdict``:
+    ``exact_sinr_ok`` the exact half, ``verified`` both halves.  A repeated
+    id is a ValueError, as is an id ``index_of`` refuses."""
     pos = np.sort(ctx.index_of(S))
     repeated = pos[1:][pos[1:] == pos[:-1]]
     if repeated.size:
         raise ValueError(f"link id {ctx.ids[repeated[0]]} is repeated")
     sub = np.minimum(ctx.raw[np.ix_(pos, pos)], 1.0)
-    rows, budget = _exact_budgets(ctx, pos)
+    exact, within = (bool(half[0]) for half in _verdict(ctx, pos)(np.ones((1, pos.size), bool)))
     return Schedule(
         ids=tuple(ctx.ids[pos].tolist()),
         in_affectance=tuple(float(x) for x in sub.sum(axis=0)),
         out_affectance=tuple(float(x) for x in sub.sum(axis=1)),
-        exact_sinr_ok=bool(_feasible_exact(np.ones((1, pos.size), bool), rows, budget,
-                                           ctx.k)[0]),
+        exact_sinr_ok=exact,
+        verified=exact and within,
     )

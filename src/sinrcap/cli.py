@@ -13,7 +13,7 @@ import sys
 from dataclasses import replace
 
 from .admission import admit_sweep
-from .affectance import AffectanceContext, InfeasiblePrimaries, verify
+from .affectance import AffectanceContext, InfeasiblePrimaries
 from .formulations import PROBLEMS
 from .greedy import GREEDY_VARIANTS, greedy_sweep
 from .harness import (DEFAULT_SWEEP, WEIGHT_DISTRIBUTIONS, GenConfig, generate_instance,
@@ -179,7 +179,7 @@ def _cmd_solve(args) -> int:
     c, value, sched = sweep_best(args.sweep, [
         (schedule_value(ctx, s, PROBLEMS[args.formulation].objective), s) for s in schedules])
     best = {"constant": c, "value": value, "ids": list(sched.ids),
-            "exact_sinr_ok": sched.exact_sinr_ok, "verified": verify(ctx, sched)}
+            "exact_sinr_ok": sched.exact_sinr_ok, "verified": sched.verified}
     _emit(best, args.out)
     return 0 if best["verified"] else 1
 
@@ -203,12 +203,11 @@ def _cmd_oracle(args) -> int:
     ctx = _context(args, primaries=problem.primaries)
     with _rejected("oracle", TooLarge):
         sched = exact_capacity(ctx, problem.objective)
-    ok = verify(ctx, sched)
     payload = {"ids": list(sched.ids), "size": sched.size,
                "weight": schedule_value(ctx, sched, "weight"),
-               "exact_sinr_ok": sched.exact_sinr_ok, "verified": ok}
+               "exact_sinr_ok": sched.exact_sinr_ok, "verified": sched.verified}
     _emit(payload, args.out)
-    return 0 if ok else 1
+    return 0 if sched.verified else 1
 
 
 def _cmd_compare(args) -> int:

@@ -21,6 +21,7 @@ from itertools import product
 import numpy as np
 
 from .affectance import AffectanceContext, Schedule, certify
+from .model import require_positive
 from .rounding import RoundingPolicy, best_part, final_selection_batch
 
 
@@ -107,8 +108,8 @@ def greedy_sweep(ctx: AffectanceContext, variants, constants) -> dict:
     under the variant's objective, among the classes of all its scans.
     Each scan the variants need runs once, in one final-selection batch."""
     constants = list(constants)
-    if not all(c_g > 0 for c_g in constants):
-        raise ValueError("c_g must be positive")
+    for c_g in constants:
+        require_positive("c_g", c_g)
     scans = dict.fromkeys(scan for v in variants for scan in GREEDY_VARIANTS[v][0])
     runs = {scan: _scan_selections(ctx, scan, constants) for scan in scans}
     result = {}

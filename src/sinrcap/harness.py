@@ -18,14 +18,14 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .affectance import AffectanceContext, verify
+from .affectance import AffectanceContext
 from .formulations import PROBLEMS
 from .greedy import greedy_base, greedy_sweep
 from .lp_core import solve_lp
-from .model import Instance, Link, Point, PowerAssignment, PrimarySet
+from .model import (Instance, Link, Point, PowerAssignment, PrimarySet, require_integer,
+                    require_positive)
 from .oracle import exact_capacity, largest_bifeasible
-from .rounding import (RoundingPolicy, require_integer, run_pipeline, run_sweep,
-                       schedule_value)
+from .rounding import RoundingPolicy, run_pipeline, run_sweep, schedule_value
 
 WEIGHT_DISTRIBUTIONS = ("ordinary", "reversed", "length_determined", "weight_class")
 
@@ -50,8 +50,7 @@ class GenConfig:
             require_integer(field, getattr(self, field))
         if self.n < 1:
             raise ValueError(f"n must be at least 1, got {self.n!r}")
-        if not 0 < self.R < math.inf:
-            raise ValueError(f"R must be finite and positive, got {self.R!r}")
+        require_positive("R", self.R)
         if not 1 <= self.delta < math.inf:
             raise ValueError(f"delta must be finite and at least 1, got {self.delta!r}")
         if self.seed < 0:
@@ -190,7 +189,7 @@ def run_compare(gen_configs: Sequence[GenConfig], sweep: Sequence[float],
         for algo, runs in schedules.items():  # in row order
             c, values[algo], best = sweep_best(
                 sweep, [(schedule_value(ctx, schedule, "weight"), schedule) for schedule in runs])
-            if not verify(ctx, best):
+            if not best.verified:
                 raise AssertionError(f"{algo} produced an infeasible solution")
             records.append(ExperimentRecord(
                 **meta, algo=algo, constant=c, value=values[algo], feasible=True,
@@ -208,18 +207,16 @@ def run_compare(gen_configs: Sequence[GenConfig], sweep: Sequence[float],
     return records
 
 
-def run_oracle_suite(gen_configs: Sequence[GenConfig], trials: int = 50,
-                     power: Optional[PowerAssignment] = None) -> dict:
-    """Small-instance report: per instance the exhaustive optimum, the LP
-    pipeline and greedy values, the fractional optimum under a calibrated
-    bound, and verdicts for the dominance and relaxation properties."""
-    if power is None:
-        power = PowerAssignment.uniform()
+def run_oracle_suite(gen_configs: Sequence[GenConfig], trials: int = 50) -> dict:
+    """Small-instance report under uniform power: per instance the
+    exhaustive optimum, the LP pipeline and greedy values, the fractional
+    optimum under a calibrated bound, and verdicts for the dominance and
+    relaxation properties."""
     rows = []
     all_ok = True
     for cfg in gen_configs:
         inst = generate_instance(cfg)
-        ctx = AffectanceContext(inst, power)
+        ctx = AffectanceContext(inst, PowerAssignment.uniform())
         opt = exact_capacity(ctx, "cardinality", "exact_sinr")
         w2 = largest_bifeasible(ctx, 2.0)
         lp_probe = PROBLEMS["capacity"].build(ctx, 1.0)
@@ -236,7 +233,7 @@ def run_oracle_suite(gen_configs: Sequence[GenConfig], trials: int = 50,
             "alg_le_opt": alg.size <= opt.size and grd.size <= opt.size,
             "lp_ge_w2": lp_star >= len(w2.ids) - 1e-6,
             "w2_ge_half_opt": len(w2.ids) >= math.ceil(opt.size / 2),
-            "outputs_feasible": verify(ctx, alg) and verify(ctx, grd),
+            "outputs_feasible": alg.verified and grd.verified,
         }
         all_ok = all_ok and all(verdicts.values())
         rows.append({

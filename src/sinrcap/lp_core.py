@@ -33,13 +33,13 @@ keeps every stage-one pick.
 from __future__ import annotations
 
 import copy
-import math
-import numbers
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 from scipy.optimize._highspy import _core as highs  # private; scipy >= 1.15
+
+from .model import require_positive
 
 SOLVE_TOL = 1e-7
 
@@ -61,12 +61,6 @@ SIMPLEX_STRATEGY = {False: int(_STRATEGY.kSimplexStrategyPrimal),
 
 class LpSolveError(Exception):
     """The LP solver failed; never silently approximated."""
-
-
-def require_positive(name: str, value) -> None:
-    """Refuse ``value`` unless it is a finite positive real; a bool is not one."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 < value < math.inf:
-        raise ValueError(f"{name} must be a finite positive number, got {value!r}")
 
 
 def block_bounds(blocks, C: float) -> tuple:
@@ -230,16 +224,16 @@ def solve_lp(lp: LinearProgram, session: Optional[LpSession] = None) -> Fraction
     return (session if session is not None else LpSession()).solve(lp)
 
 
-def check_solution(lp: LinearProgram, values, tol: float = SOLVE_TOL) -> bool:
-    """True iff the box bounds and all rows hold within tolerance."""
+def check_solution(lp: LinearProgram, values) -> bool:
+    """True iff the box bounds and all rows hold within ``SOLVE_TOL``."""
     x = np.asarray(values, dtype=float)
     if x.shape != (lp.n,):
         raise ValueError(f"expected {lp.n} values, got shape {x.shape}")
-    if np.any(x < -tol) or np.any(x > 1.0 + tol):
+    if np.any(x < -SOLVE_TOL) or np.any(x > 1.0 + SOLVE_TOL):
         return False
     if lp.m == 0:
         return True
-    return bool(np.all(lp.row_coeffs @ x <= lp.row_bounds + tol))
+    return bool(np.all(lp.row_coeffs @ x <= lp.row_bounds + SOLVE_TOL))
 
 
 def dump_lp(lp: LinearProgram) -> str:

@@ -30,6 +30,18 @@ def link_id(value) -> int:
     raise ValueError(f"link id {value!r} is not an integer")
 
 
+def require_positive(name: str, value) -> None:
+    """Refuse ``value`` unless it is a finite positive real; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 < value < math.inf:
+        raise ValueError(f"{name} must be a finite positive number, got {value!r}")
+
+
+def require_integer(name: str, value) -> None:
+    """Refuse ``value`` unless it is an int or a numpy integer; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def link_ids(values) -> np.ndarray:
     """``link_id`` of each of ``values``, as an int64 array; an integer
     array passes as it is, without the per-id test."""
@@ -226,8 +238,7 @@ class PowerAssignment:
     tau: float = 0.0
 
     def __post_init__(self):
-        if not 0 < self.p0 < math.inf:
-            raise ValueError("power requires a finite p0 > 0")
+        require_positive("p0", self.p0)
         if not 0.0 <= self.tau <= 1.0:
             raise ValueError("power requires tau in [0, 1]")
 

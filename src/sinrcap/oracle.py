@@ -1,12 +1,14 @@
 """Exhaustive optima on small instances; ground truth for everything else.
 
 The oracles define no feasibility test of their own: they judge blocks of
-candidate sets with the affectance module's predicates, the exact SINR
-inequality in budget form (computed from powers and distances, not from
-the affectance matrix the approximation pipelines use) and the gamma
-affectance test.  Interference and affectance are nonnegative, so every
-check is hereditary, and the search walks only the accepted sets, level
-by level, not all 2**n subsets.
+candidate sets with the affectance module's predicates.  The exact
+oracles accept the sets that pass ``affectance._verdict``, the verdict
+``certify`` gives a returned set: the exact SINR inequality in budget
+form (computed from powers and distances, not from the affectance matrix
+the approximation pipelines use) and affectance sums within 1.  The
+others apply the gamma affectance test.  Interference and affectance are
+nonnegative, so every check is hereditary, and the search walks only the
+accepted sets, level by level, not all 2**n subsets.
 """
 
 from __future__ import annotations
@@ -15,10 +17,9 @@ from functools import partial
 
 import numpy as np
 
-from .affectance import (AffectanceContext, Schedule, _exact_budgets, _feasible_affectance,
-                         _feasible_exact, certify)
+from .affectance import AffectanceContext, Schedule, _feasible_affectance, _verdict, certify
 from .formulations import OBJECTIVES
-from .lp_core import require_positive
+from .model import require_positive
 
 ENUMERATION_CAP = 20
 _CHUNK = 1 << 11  # rows per judged block; 1 << 14 measured slower (page faults)
@@ -70,22 +71,13 @@ def _best(ctx: AffectanceContext, accept, weights=None) -> Schedule:
     return certify(ctx, best[1])
 
 
-def _exact_accept(ctx: AffectanceContext):
-    """The exact oracles' accept, ``affectance.verify``'s two tests on a
-    block: the SINR inequality at every member and every primary, and
-    affectance sums within 1.  The two state one condition, but their float
-    sums can round apart within an ulp of the threshold."""
-    rows, budget = _exact_budgets(ctx)
-    return lambda sel: (_feasible_exact(sel, rows, budget, ctx.k)
-                        & _feasible_affectance(ctx.raw, sel, 1.0))
-
-
 def exact_capacity(ctx: AffectanceContext, objective: str = "cardinality",
                    mode: str = "exact_sinr", gamma: float = 1.0) -> Schedule:
     """Maximum feasible subset by enumeration (n <= 20).
 
-    mode "exact_sinr" checks sets with ``_exact_accept``; "affectance"
-    checks gamma-feasibility of received affectance sums.
+    mode "exact_sinr" accepts the sets that pass both halves of
+    ``affectance._verdict``; "affectance" checks gamma-feasibility of
+    received affectance sums.
     """
     _check_cap(ctx.n)
     require_positive("gamma", gamma)
@@ -93,15 +85,19 @@ def exact_capacity(ctx: AffectanceContext, objective: str = "cardinality",
         raise ValueError(f"unknown objective {objective!r}")
     if mode not in ("exact_sinr", "affectance"):
         raise ValueError(f"unknown mode {mode!r}")
-    accept = _exact_accept(ctx) if mode == "exact_sinr" \
-        else partial(_feasible_affectance, ctx.raw, gamma=gamma)
+    if mode == "exact_sinr":
+        judge = _verdict(ctx)
+        accept = lambda sel: np.logical_and(*judge(sel))
+    else:
+        accept = partial(_feasible_affectance, ctx.raw, gamma=gamma)
     return _best(ctx, accept, ctx.weights if objective == "weight" else None)
 
 
 def exact_admission(ctx: AffectanceContext) -> Schedule:
-    """Maximum secondary subset that ``_exact_accept`` passes, primaries at
-    their explicit powers: ``exact_capacity`` of a context with primaries.
-    The context has refused primaries infeasible on their own."""
+    """Maximum secondary subset that ``affectance._verdict`` passes,
+    primaries at their explicit powers: ``exact_capacity`` of a context
+    with primaries.  The context has refused primaries infeasible on their
+    own."""
     if not ctx.has_primaries:
         raise ValueError("admission oracle requires a context with primaries")
     return exact_capacity(ctx)

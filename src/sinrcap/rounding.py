@@ -45,7 +45,6 @@ its one-policy case; ``admission.admit_sweep`` reduces it too.
 from __future__ import annotations
 
 import logging
-import numbers
 import operator
 from dataclasses import dataclass
 from itertools import islice
@@ -54,10 +53,9 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from . import formulations
-from .affectance import (ROW_BLOCK, AffectanceContext, Schedule, certify, check_positions,
-                         verify)
-from .lp_core import LinearProgram, LpSession, require_positive, solve_lp
-from .model import link_ids
+from .affectance import ROW_BLOCK, AffectanceContext, Schedule, certify, check_positions
+from .lp_core import LinearProgram, LpSession, solve_lp
+from .model import link_ids, require_integer, require_positive
 
 logger = logging.getLogger(__name__)
 
@@ -69,12 +67,6 @@ _STRENGTHEN_LIMIT = 1.0 - 1e-12
 # samples times the links they hold at which round_trials runs a final
 # selection batch (the module docstring says why)
 _BATCH_CELLS = 1 << 14
-
-
-def require_integer(name: str, value) -> None:
-    """Refuse ``value`` unless it is an int or a numpy integer; a bool is not one."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -364,14 +356,15 @@ def _select_batch(ctx: AffectanceContext, batch) -> list:
 
 def run_sweep(ctx: AffectanceContext, policies: Sequence[RoundingPolicy]) -> list:
     """``run_pipeline`` of each policy, in order, as one ``round_trials``
-    sweep; returns one schedule per policy, each passing ``verify``."""
+    sweep; returns one schedule per policy, and raises AssertionError
+    when a schedule's ``certify`` verdict (``Schedule.verified``) fails."""
     problem = policies[0].problem if policies else None
     if problem is not None and problem.primaries:
         raise ValueError("admission pipelines are driven by the admission module")
     schedules = []
     for _, selections in round_trials(ctx, policies):
         schedule = certify(ctx, ctx.ids[best_part(ctx, selections, problem.objective)])
-        if not verify(ctx, schedule):
+        if not schedule.verified:
             raise AssertionError("pipeline produced an infeasible schedule")
         schedules.append(schedule)
     return schedules

@@ -15,7 +15,7 @@ from sinrcap import (AffectanceContext, GenConfig, Instance, Link,
                      certify, exact_capacity, generate_instance,
                      greedy_base, greedy_combined, largest_bifeasible,
                      run_compare, run_pipeline, schedule_value,
-                     separation_check, signal_strengthen, solve_lp, verify)
+                     separation_check, signal_strengthen, solve_lp)
 from sinrcap.affectance import BETA, NOISE, RAW_CAP, check_positions
 from sinrcap.formulations import admission_filter_threshold
 from sinrcap.harness import CSV_COLUMNS
@@ -49,7 +49,7 @@ def test_criterion_1_feasibility_soundness():
     def check(ctx, sched):
         nonlocal runs, failures
         runs += 1
-        ok = verify(ctx, sched.ids) and certify(ctx, sched.ids).exact_sinr_ok
+        ok = certify(ctx, sched.ids).verified
         if not ok:
             failures += 1
 
@@ -300,7 +300,7 @@ def test_criterion_8_admission_safety():
             res = admit_large_opt(ctx, RoundingPolicy(
                 mode="admission_large", C=1.0, trials=10, seed=i))
         assert res.verified
-        assert verify(ctx, res.admitted.ids)
+        assert certify(ctx, res.admitted.ids).verified
         if res.notes.get("group_count", 0) > 10 * ctx.k:
             group_flags.append((i, res.notes["group_count"], ctx.k))
         runs += 1

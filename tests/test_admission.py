@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 import math
 
@@ -6,7 +7,7 @@ import pytest
 
 from sinrcap import (AffectanceContext, Instance, PowerAssignment, PrimarySet,
                      RetriesExhausted, RoundingPolicy, admit_general, admit_large_opt,
-                     admit_sweep, exact_admission, verify)
+                     admit_sweep, certify, exact_admission)
 from sinrcap import admission, rounding
 from sinrcap.affectance import check_positions
 from sinrcap.formulations import build_admission_large_lp
@@ -219,19 +220,21 @@ def test_large_opt_single_primary_flagged():
 def test_verify_with_primaries_cases():
     # empty admitted set with feasible primaries
     ctx = prim_ctx(11, n=6, primaries=2)
-    assert verify(ctx, ())
+    assert certify(ctx, ()).verified
     # a secondary co-located with the primary receiver at equal power breaks it
     prim = PrimarySet(links=(make_link(9, 0.0, 0.0, 1.0, 0.0),), powers=(1.0,))
     sec = (make_link(0, 1.0, 0.0, 2.0, 0.0),)
     inst = Instance(links=sec, alpha=2.0, noise=0.01, primaries=prim)
     ctx2 = AffectanceContext(inst, UNIFORM, primaries=prim)
-    assert not verify(ctx2, (0,))
+    assert not certify(ctx2, (0,)).verified
 
 
 @pytest.mark.parametrize("mode", ["admission_general", "admission_large"])
 def test_admission_raises_on_a_result_verify_refuses(mode, monkeypatch):
     ctx = prim_ctx(11, n=6, primaries=2)
-    monkeypatch.setattr(admission, "verify", lambda ctx, schedule: False)
+    certify = admission.certify
+    monkeypatch.setattr(admission, "certify",
+                        lambda ctx, ids: dataclasses.replace(certify(ctx, ids), verified=False))
     with pytest.raises(AssertionError, match="admission result failed verification"):
         admit_sweep(ctx, [policy(mode, trials=5)])
 
@@ -257,7 +260,7 @@ def test_admission_results_pass_verification_sweep():
         ctx = prim_ctx(seed + 50, n=10, R=5.0, primaries=4)
         res = admit_general(ctx, policy("admission_general", seed=seed, trials=15))
         assert res.verified
-        assert verify(ctx, res.admitted.ids)
+        assert certify(ctx, res.admitted.ids).verified
         # hat-affectance one-feasibility of the admitted set
         assert check_positions(ctx, ctx.index_of(res.admitted.ids))
 

@@ -8,7 +8,7 @@ import pytest
 from sinrcap import (AffectanceContext, GenConfig, IndividuallyInfeasible, Instance,
                      PowerAssignment, PrimarySet, affectance, bernoulli_draws, c_factor,
                      certify, exact_admission, generate_instance, hat_noise,
-                     separation_check, signal_strengthen, verify)
+                     separation_check, signal_strengthen)
 from sinrcap.affectance import (BETA, BUDGET, HAT_NOISE, NOISE, POWER, RAW_CAP,
                                 _exact_budgets, _feasible_affectance, check_positions)
 
@@ -49,9 +49,8 @@ def test_individually_infeasible_removed():
         lambda c: c_factor(c, 0),
         lambda c: affectance(c, 1, 0),
         lambda c: affectance(c, 0, 1),
-        lambda c: verify(c, [0, 1]),
+        lambda c: certify(c, [0, 1]).verified,
         lambda c: certify(c, [0]),
-        lambda c: verify(c, [0]),
         lambda c: separation_check(c, [0, 1], 2.0),
     ]
     for call in removed_calls:
@@ -226,10 +225,10 @@ def test_exact_sinr_matches_direct_evaluation(seed, kind):
     verdicts = set()
     for r in range(len(ids) + 1):
         for subset in itertools.combinations(ids, r):
-            got = certify(ctx, subset).exact_sinr_ok
+            schedule = certify(ctx, subset)
             want = _sinr_holds(inst, UNIFORM, subset, ctx.primaries)
-            assert got == want, f"subset {subset}"
-            got = verify(ctx, subset)
+            assert schedule.exact_sinr_ok == want, f"subset {subset}"
+            got = schedule.verified
             feasible = check_positions(ctx, ctx.index_of(subset))
             assert got == (want and feasible), f"subset {subset} verified"
             verdicts.add(got)
@@ -255,7 +254,7 @@ def test_feasibility_empty_and_singleton():
         # anti- and bi-feasible: sent sums within 1 as well
         assert _feasible_affectance(ctx.raw, selection(ctx, ids), 1.0, anti=True)[0]
         assert certify(ctx, ids).exact_sinr_ok
-        assert verify(ctx, ids)
+        assert certify(ctx, ids).verified
 
 
 def test_colocated_pair_boundary_and_noise():
@@ -263,12 +262,12 @@ def test_colocated_pair_boundary_and_noise():
     ctx0 = AffectanceContext(colocated_pair(noise=0.0), UNIFORM)
     assert check_positions(ctx0, ctx0.index_of([0, 1]))
     assert certify(ctx0, [0, 1]).exact_sinr_ok
-    assert verify(ctx0, [0, 1])
+    assert certify(ctx0, [0, 1]).verified
     # any positive noise breaks it, under both predicates
     ctx = AffectanceContext(colocated_pair(noise=0.1), UNIFORM)
     assert not check_positions(ctx, ctx.index_of([0, 1]))
     assert not certify(ctx, [0, 1]).exact_sinr_ok
-    assert not verify(ctx, [0, 1])
+    assert not certify(ctx, [0, 1]).verified
     # but the pair is 2-feasible under clipped sums
     assert _feasible_affectance(ctx.raw, selection(ctx, [0, 1]), 2.0)[0]
 
@@ -310,7 +309,6 @@ def test_certificate_consistent_with_recomputation():
 ID_READERS = {
     "index_of": lambda ctx, i: ctx.index_of([1, i]).tolist(),
     "certify": lambda ctx, i: certify(ctx, [i, 1]),
-    "verify": lambda ctx, i: verify(ctx, [1, i]),
     "c_factor": lambda ctx, i: c_factor(ctx, i),
     "affectance": lambda ctx, i: (affectance(ctx, 1, i), affectance(ctx, i, 1)),
     "hat_noise": lambda ctx, i: hat_noise(ctx, i),
@@ -336,12 +334,11 @@ def test_every_id_reader_follows_the_link_id_rule(reader, given):
     assert str(exc.value) == f"link id {given!r} is not an integer"
 
 
-def test_certify_and_verify_refuse_a_repeated_id():
+def test_certify_refuses_a_repeated_id():
     ctx = random_ctx(13, n=6)
-    for judge in (certify, verify):
-        with pytest.raises(ValueError) as exc:
-            judge(ctx, [3, 1, 3.0])
-        assert str(exc.value) == "link id 3 is repeated"
+    with pytest.raises(ValueError) as exc:
+        certify(ctx, [3, 1, 3.0])
+    assert str(exc.value) == "link id 3 is repeated"
 
 
 def test_affectance_bounds_random():
@@ -531,7 +528,7 @@ def test_nearly_colocated_pair_reads_raw_cap(noise, sy):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         ctx = AffectanceContext(inst, UNIFORM)
-        assert not certify(ctx, [0, 1]).exact_sinr_ok and verify(ctx, [0])
+        assert not certify(ctx, [0, 1]).exact_sinr_ok and certify(ctx, [0]).verified
     assert ctx.raw[1, 0] == RAW_CAP and affectance(ctx, 1, 0) == 1.0
 
 

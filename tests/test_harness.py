@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from sinrcap import (AffectanceContext, DistanceMatrix, GenConfig, PowerAssignment, certify,
-                     exact_capacity, generate_instance, run_compare, run_oracle_suite, verify)
+                     exact_capacity, generate_instance, greedy_sweep, run_compare,
+                     run_oracle_suite)
 from sinrcap import cli
 from sinrcap.affectance import check_positions
 from sinrcap.cli import main as cli_main
@@ -27,6 +28,26 @@ def test_gen_config_refuses_an_integer_field_that_is_not_an_integer(field, value
     # a numpy integer is one
     cfg = GenConfig(**{"n": 6, "R": 6.0, "delta": 2.0, field: np.int64(2)})
     assert generate_instance(cfg).n == cfg.n
+
+
+# each field that must be a finite positive number, given ``value``; the
+# bad greedy constant comes second, so every constant is checked, not the first alone
+POSITIVE_FIELDS = {
+    "R": lambda value: GenConfig(n=6, R=value, delta=2.0),
+    "p0": lambda value: PowerAssignment(p0=value),
+    "c_g": lambda value: greedy_sweep(AffectanceContext(
+        generate_instance(GenConfig(n=4, R=4.0, delta=2.0)), PowerAssignment.uniform()),
+        ["base"], [1.0, value]),
+}
+
+
+@pytest.mark.parametrize("field", POSITIVE_FIELDS)
+@pytest.mark.parametrize("value", [0.0, -1.0, math.inf, math.nan, True, "a"],
+                         ids=["zero", "negative", "inf", "nan", "bool", "str"])
+def test_a_positive_field_refuses_anything_but_a_finite_positive_number(field, value):
+    with pytest.raises(ValueError) as exc:
+        POSITIVE_FIELDS[field](value)
+    assert str(exc.value) == f"{field} must be a finite positive number, got {value!r}"
 
 
 def test_generator_deterministic():
@@ -171,7 +192,8 @@ def test_explicit_metric_instance_matches_its_plane_and_verifies(tmp_path):
     assert np.array_equal(ctx.raw, want.raw) and np.array_equal(ctx.table, want.table)
 
     opt = exact_capacity(ctx)
-    assert opt.size > 1 and verify(ctx, opt) and certify(ctx, opt.ids) == opt
+    again = certify(ctx, opt.ids)
+    assert opt.size > 1 and again.verified and again == opt
     path, out = tmp_path / "metric.json", tmp_path / "sol.json"
     write_instance(inst, path)
     assert cli_main(["solve", str(path), "--algo", "lp", "--power", "mean", "--trials", "10",
@@ -206,10 +228,10 @@ def test_cli_oracle_fails_on_infeasible_optimum(tmp_path, monkeypatch, problem):
     inst_path = tmp_path / "dense.json"
     write_instance(inst, inst_path)
     plain = AffectanceContext(inst, PowerAssignment.uniform())
-    assert not verify(plain, plain.ids)
+    assert not certify(plain, plain.ids).verified
     assert not check_positions(plain, plain.index_of(plain.ids))
     joint = AffectanceContext(inst, PowerAssignment.uniform(), primaries=inst.primaries)
-    assert not verify(joint, joint.ids)
+    assert not certify(joint, joint.ids).verified
     assert not certify(joint, joint.ids).exact_sinr_ok
     monkeypatch.setattr(cli, "exact_capacity", lambda ctx, *args, **kwargs: certify(ctx, ctx.ids))
     out = tmp_path / "opt.json"

@@ -8,8 +8,7 @@ from sinrcap import (AffectanceContext, GenConfig, InfeasiblePrimaries, Instance
                      PowerAssignment, PrimarySet, TooLarge, exact_admission,
                      exact_capacity, generate_instance, largest_bifeasible,
                      run_oracle_suite, schedule_value)
-from sinrcap.affectance import _feasible_affectance
-from sinrcap.oracle import _exact_accept
+from sinrcap.affectance import _feasible_affectance, _verdict
 
 from conftest import colocated_pair, far_instance, feasible_prim_ctx, make_link, random_ctx
 
@@ -90,7 +89,7 @@ def test_exact_admission_is_exact_capacity_of_a_context_with_primaries(seed):
     # always passes the exact accept and admission needs no check of its own
     ctx = feasible_prim_ctx(50 * seed, n=10, R=5.0, delta=2.0, primaries=1 + seed % 3)
     assert ctx.k == 1 + seed % 3
-    assert _exact_accept(ctx)(np.zeros((1, ctx.n), bool))[0]
+    assert _verdict_passes(ctx)(np.zeros((1, ctx.n), bool))[0]
     assert exact_admission(ctx) == exact_capacity(ctx)
 
 
@@ -142,6 +141,12 @@ def test_bifeasible_witness_at_least_half_opt(seed):
     assert 2 * w2.size >= opt.size
 
 
+def _verdict_passes(ctx):
+    """The shared verdict as an accept: a set passes when both halves hold."""
+    judge = _verdict(ctx)
+    return lambda sel: np.logical_and(*judge(sel))
+
+
 def _brute_force(ctx, accept, weights=None):
     """Reference enumeration: judge all 2**n masks with ``accept`` and take
     the largest cardinality (or weight), ties to the smallest id tuple.
@@ -165,8 +170,8 @@ def _integer_weight_ctx(seed):
 
 # name -> (oracle, the same check for the reference, reference weights)
 EQUIVALENCE_CASES = {
-    "cardinality": (exact_capacity, _exact_accept, lambda ctx: None),
-    "weight": (partial(exact_capacity, objective="weight"), _exact_accept,
+    "cardinality": (exact_capacity, _verdict_passes, lambda ctx: None),
+    "weight": (partial(exact_capacity, objective="weight"), _verdict_passes,
                lambda ctx: ctx.weights),
     "affectance_raw": (partial(exact_capacity, mode="affectance", gamma=0.8),
                        lambda ctx: partial(_feasible_affectance, ctx.raw, gamma=0.8),
@@ -179,7 +184,7 @@ EQUIVALENCE_CASES = {
                    lambda ctx: partial(_feasible_affectance, np.minimum(ctx.raw, 1.0),
                                        gamma=2.0, anti=True),
                    lambda ctx: None),
-    "admission": (exact_admission, _exact_accept, lambda ctx: None),
+    "admission": (exact_admission, _verdict_passes, lambda ctx: None),
 }
 
 

@@ -235,8 +235,13 @@ def test_signal_strengthen_parts_pass_exact_sinr():
 
 def test_sweep_raises_on_a_schedule_verify_refuses(monkeypatch):
     ctx = random_ctx(3, n=8)
-    judged = []
-    monkeypatch.setattr(rounding, "verify", lambda ctx, schedule: judged.append(schedule) and False)
+    judged, certify = [], rounding.certify
+
+    def refused(ctx, ids):
+        judged.append(certify(ctx, ids))
+        return dataclasses.replace(judged[-1], verified=False)
+
+    monkeypatch.setattr(rounding, "certify", refused)
     with pytest.raises(AssertionError, match="pipeline produced an infeasible schedule"):
         run_pipeline(ctx, RoundingPolicy(mode="capacity", trials=3))
     assert len(judged) == 1
