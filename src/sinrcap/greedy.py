@@ -9,14 +9,14 @@ bucketings.  All variants share the LP pipeline's final selection stage,
 so their outputs carry the same feasibility guarantee, and its best-set
 rule, ``rounding.best_part``, under each variant's objective.  ``GREEDY_VARIANTS``
 states every variant; ``greedy_sweep`` runs several of them over a sweep
-of acceptance constants, each scan they share once.  ``greedy_base`` and
-``greedy_combined`` are its one-constant cases.
+of acceptance constants, each scan they share once, with one
+final-selection batch per call and one ``certify`` per distinct set.
+``greedy_base`` and ``greedy_combined`` are its one-constant cases.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import product
 
 import numpy as np
 
@@ -39,12 +39,12 @@ def _greedy_accept(ctx: AffectanceContext, candidate_idx, c_g: float) -> list:
     return accepted
 
 
-def _class_candidates(ctx: AffectanceContext, class_idx, c_g: float, order: str) -> list:
-    if order == "length":
-        keys = sorted(class_idx, key=lambda u: (ctx.lengths[u], int(ctx.ids[u])))
-    else:  # heaviest first within a length class
-        keys = sorted(class_idx, key=lambda u: (-ctx.weights[u], int(ctx.ids[u])))
-    return _greedy_accept(ctx, keys, c_g)
+def _class_order(ctx: AffectanceContext, class_idx, order: str) -> list:
+    """The positions ``class_idx`` in scan order: shortest first for
+    ``order == "length"``, else heaviest first; ties by id."""
+    class_idx = np.asarray(class_idx, dtype=int)
+    key = ctx.lengths[class_idx] if order == "length" else -ctx.weights[class_idx]
+    return class_idx[np.lexsort((ctx.ids[class_idx], key))].tolist()
 
 
 def _doubling_classes(ratios: np.ndarray) -> dict:
@@ -87,36 +87,42 @@ GREEDY_VARIANTS = {
 }
 
 
-def _scan_selections(ctx: AffectanceContext, scan, constants: list) -> list:
-    """Per acceptance constant c_g, the final selection of each class of
-    ``scan`` after the acceptance test at c_g; every constant's classes go
-    through the LP pipeline's final selection in one batch."""
-    partition, order = scan
-    classes = partition(ctx)
-    k = len(classes)
-    sel = np.zeros((len(constants) * k, ctx.n), dtype=bool)
-    for row, (c_g, t) in zip(sel, product(constants, sorted(classes))):
-        row[_class_candidates(ctx, classes[t], c_g, order)] = True
-    bound = RoundingPolicy("capacity").extraction_bound
-    selections = final_selection_batch(ctx, sel, [bound] * len(sel), "cardinality")
-    return [selections[i * k:(i + 1) * k] for i in range(len(constants))]
-
-
 def greedy_sweep(ctx: AffectanceContext, variants, constants) -> dict:
     """Each ``GREEDY_VARIANTS`` variant in ``variants`` -> its schedule per
     acceptance constant, in order: the certified best final selection,
     under the variant's objective, among the classes of all its scans.
-    Each scan the variants need runs once, in one final-selection batch."""
+    Each scan the variants need ranks each of its classes once and runs
+    the acceptance test once per class and constant; all of those classes
+    go through one final-selection batch, and each distinct best set is
+    certified once."""
     constants = list(constants)
     for c_g in constants:
         require_positive("c_g", c_g)
-    scans = dict.fromkeys(scan for v in variants for scan in GREEDY_VARIANTS[v][0])
-    runs = {scan: _scan_selections(ctx, scan, constants) for scan in scans}
-    result = {}
+    accepted, rows = [], {}  # rows[scan]: (its first row, its class count)
+    for scan in dict.fromkeys(scan for v in variants for scan in GREEDY_VARIANTS[v][0]):
+        partition, order = scan
+        by_class = partition(ctx)
+        ranked = [_class_order(ctx, by_class[t], order) for t in sorted(by_class)]
+        rows[scan] = len(accepted), len(ranked)
+        accepted += [_greedy_accept(ctx, r, c_g) for c_g in constants for r in ranked]
+    sel = np.zeros((len(accepted), ctx.n), dtype=bool)
+    for row, members in zip(sel, accepted):
+        row[members] = True
+    bound = RoundingPolicy("capacity").extraction_bound
+    selections = final_selection_batch(ctx, sel, [bound] * len(sel), "cardinality")
+    # per scan and constant, the final selections of the scan's classes
+    runs = {scan: [selections[first + j * k:first + (j + 1) * k] for j in range(len(constants))]
+            for scan, (first, k) in rows.items()}
+    schedules, result = {}, {}  # schedules: best set's positions -> its schedule
     for v in variants:
         own, objective = GREEDY_VARIANTS[v]
-        result[v] = [certify(ctx, ctx.ids[best_part(ctx, sum(classes, []), objective)])
-                     for classes in zip(*(runs[scan] for scan in own))]
+        result[v] = []
+        for classes in zip(*(runs[scan] for scan in own)):
+            best = best_part(ctx, sum(classes, []), objective)
+            key = tuple(best.tolist())
+            if key not in schedules:
+                schedules[key] = certify(ctx, ctx.ids[best])
+            result[v].append(schedules[key])
     return result
 
 

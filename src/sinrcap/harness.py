@@ -23,7 +23,7 @@ from .formulations import PROBLEMS
 from .greedy import greedy_base, greedy_sweep
 from .lp_core import solve_lp
 from .model import (Instance, Link, Point, PowerAssignment, PrimarySet, require_integer,
-                    require_positive)
+                    require_positive, require_real)
 from .oracle import exact_capacity, largest_bifeasible
 from .rounding import RoundingPolicy, run_pipeline, run_sweep, schedule_value
 
@@ -51,6 +51,8 @@ class GenConfig:
         if self.n < 1:
             raise ValueError(f"n must be at least 1, got {self.n!r}")
         require_positive("R", self.R)
+        for field in ("delta", "alpha", "beta", "noise", "primary_power"):
+            require_real(field, getattr(self, field))
         if not 1 <= self.delta < math.inf:
             raise ValueError(f"delta must be finite and at least 1, got {self.delta!r}")
         if self.seed < 0:
@@ -93,19 +95,22 @@ class ExperimentRecord:
 CSV_COLUMNS = tuple(f.name for f in fields(ExperimentRecord))
 
 
-def _draw_links(cfg: GenConfig, rng: np.random.Generator, count: int, id_base: int):
+def _draw_links(cfg: GenConfig, rng: np.random.Generator, count: int):
+    """Sender and receiver coordinates and the lengths of ``count`` links."""
     sx = rng.uniform(0.0, cfg.R, count)
     sy = rng.uniform(0.0, cfg.R, count)
     lengths = rng.uniform(1.0, cfg.delta, count)
     angles = rng.uniform(0.0, 2.0 * math.pi, count)
-    rx = sx + lengths * np.cos(angles)
-    ry = sy + lengths * np.sin(angles)
-    return [
-        Link(id=id_base + i,
-             sender=Point(float(sx[i]), float(sy[i])),
-             receiver=Point(float(rx[i]), float(ry[i])))
-        for i in range(count)
-    ], lengths
+    return (sx, sy, sx + lengths * np.cos(angles), sy + lengths * np.sin(angles)), lengths
+
+
+def _links(coords, id_base: int, weights=None) -> tuple:
+    """One ``Link`` per entry of the coordinate arrays, ids from ``id_base``;
+    weight 1 unless ``weights`` gives each."""
+    sx, sy, rx, ry = (c.tolist() for c in coords)
+    weights = [1.0] * len(sx) if weights is None else weights.tolist()
+    return tuple(Link(id=id_base + i, sender=Point(*s), receiver=Point(*r), weight=w)
+                 for i, (s, r, w) in enumerate(zip(zip(sx, sy), zip(rx, ry), weights)))
 
 
 def _draw_weights(cfg: GenConfig, rng: np.random.Generator, lengths: np.ndarray):
@@ -125,18 +130,14 @@ def generate_instance(cfg: GenConfig) -> Instance:
     lengths uniform in [1, delta], directions uniform, weights per the
     configured distribution."""
     rng = np.random.default_rng(cfg.seed)
-    links, lengths = _draw_links(cfg, rng, cfg.n, 0)
-    weights = _draw_weights(cfg, rng, lengths)
-    links = [
-        Link(id=lk.id, sender=lk.sender, receiver=lk.receiver, weight=float(w))
-        for lk, w in zip(links, weights)
-    ]
+    coords, lengths = _draw_links(cfg, rng, cfg.n)
+    links = _links(coords, 0, _draw_weights(cfg, rng, lengths))
     primaries = None
     if cfg.primaries > 0:
-        plinks, _ = _draw_links(cfg, rng, cfg.primaries, cfg.n)
-        primaries = PrimarySet(links=tuple(plinks),
+        pcoords, _ = _draw_links(cfg, rng, cfg.primaries)
+        primaries = PrimarySet(links=_links(pcoords, cfg.n),
                                powers=tuple([cfg.primary_power] * cfg.primaries))
-    return Instance(links=tuple(links), alpha=cfg.alpha, beta=cfg.beta,
+    return Instance(links=links, alpha=cfg.alpha, beta=cfg.beta,
                     noise=cfg.noise, primaries=primaries)
 
 

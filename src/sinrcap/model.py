@@ -20,19 +20,33 @@ import numpy as np
 TRIANGLE_TOL = 1e-9
 
 
+def _is_real(value) -> bool:
+    """Whether ``value`` is a real number; a bool is not one."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def link_id(value) -> int:
     """``value`` read as a link id: an int, a numpy integer or an integral
     float, as a JSON file gives.  A bool, a fractional or non-finite number
     and a non-number are ValueErrors naming the value."""
-    if isinstance(value, numbers.Real) and not isinstance(value, bool) and (
+    if type(value) is int:  # the common case; a bool is not of this type
+        return value
+    if _is_real(value) and (
             isinstance(value, numbers.Integral) or math.isfinite(value) and value == int(value)):
         return int(value)
     raise ValueError(f"link id {value!r} is not an integer")
 
 
+def require_real(name: str, value) -> None:
+    """Refuse ``value`` unless it is a real number; a bool is not one.  Range
+    checks follow it, so they compare numbers only."""
+    if not _is_real(value):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+
+
 def require_positive(name: str, value) -> None:
     """Refuse ``value`` unless it is a finite positive real; a bool is not one."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 < value < math.inf:
+    if not _is_real(value) or not 0 < value < math.inf:
         raise ValueError(f"{name} must be a finite positive number, got {value!r}")
 
 
@@ -159,6 +173,7 @@ class Instance:
 
     def __post_init__(self):
         for name in ("alpha", "beta", "noise"):  # inf and nan are not valid JSON
+            require_real(name, getattr(self, name))
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if not self.alpha > 0:
@@ -239,6 +254,7 @@ class PowerAssignment:
 
     def __post_init__(self):
         require_positive("p0", self.p0)
+        require_real("tau", self.tau)
         if not 0.0 <= self.tau <= 1.0:
             raise ValueError("power requires tau in [0, 1]")
 

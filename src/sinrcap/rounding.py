@@ -13,7 +13,8 @@ returning the best group.
 Every trial of a pipeline runs in lockstep, as one row of a boolean
 selection matrix over the context positions (each link's index in
 ``ctx.ids``): stage one stacks the trials' draws (each a pure function of
-seed, trial and link id), stage two takes every trial's row loads in one
+seed, trial and link id, read from one bit generator per sample block,
+re-keyed per trial), stage two takes every trial's row loads in one
 product with the LP rows, extraction one product over the union of
 sampled links, and strengthening one ``_first_fit`` over every row, the
 lockstep first-fit engine that admission's grouping shares.
@@ -94,30 +95,48 @@ class RoundingPolicy:
         return formulations.PROBLEMS[self.mode]
 
 
-def bernoulli_draws(seed: int, trial: int, ids: Sequence[int]) -> np.ndarray:
-    """Uniform [0,1) draw per link, a pure function of (seed, trial, id).
+def _draw_rows(seed: int, trials: Sequence[int], ids) -> Iterator[np.ndarray]:
+    """Per trial, in order, a uniform [0,1) draw per link id of ``ids``: a
+    pure function of (seed, trial, id), validated once for all trials.
 
-    Link id i reads entry i of one counter-based Philox stream keyed by
-    (seed, trial).  Dense ids slice the stream; sparse ids jump to each
-    id's block of four draws, so a link's draw does not depend on which
-    other links are present.
+    Link id i reads entry i of the counter-based Philox stream keyed by
+    (seed mod 2**64, trial), as ``np.random.Generator.random`` would.  One
+    bit generator is re-keyed through its state for each trial, and each
+    raw 64-bit word w gives the draw (w >> 11) * 2**-53.  Dense ids slice
+    the stream; sparse ids jump to each id's block of four words, so a
+    link's draw does not depend on which other links are present.
     """
     ids = link_ids(ids)
-    if ids.size == 0:
-        return np.zeros(0)
-    if int(ids.min()) < 0:
+    if ids.size and int(ids.min()) < 0:
         raise ValueError("link ids must be nonnegative")
-    hi = int(ids.max())
-    # as Python ints: a signed numpy seed would overflow in the mask
-    seed, trial = operator.index(seed), operator.index(trial)
-    key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(trial)])
-    if hi < 4 * ids.size + 1024:
-        return np.random.Generator(np.random.Philox(key=key)).random(hi + 1)[ids]
-    out = np.empty(ids.size)
-    for i, lid in enumerate(ids.tolist()):
-        block = np.random.Philox(key=key).advance(lid // 4)  # four draws per counter
-        out[i] = np.random.Generator(block).random(4)[lid % 4]
-    return out
+    hi = int(ids.max(initial=-1))
+    dense = hi < 4 * ids.size + 1024
+    # as a Python int: a signed numpy seed would overflow in the mask
+    seed = operator.index(seed) & 0xFFFFFFFFFFFFFFFF
+    bitgen = np.random.Philox(key=0)  # re-keyed per trial below
+
+    def words(trial, block, count):
+        """``count`` raw words of the (seed, trial) stream from the start
+        of block ``block`` (a counter step makes four words)."""
+        bitgen.state = {"bit_generator": "Philox",
+                        "state": {"counter": [block, 0, 0, 0], "key": [seed, trial]},
+                        "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        return bitgen.random_raw(count)
+
+    for trial in trials:
+        trial = operator.index(trial)
+        if dense:
+            raw = words(trial, 0, hi + 1)[ids]
+        else:
+            raw = np.array([words(trial, lid // 4, lid % 4 + 1)[-1] for lid in ids.tolist()],
+                           dtype=np.uint64)
+        yield (raw >> np.uint64(11)) * 2.0 ** -53
+
+
+def bernoulli_draws(seed: int, trial: int, ids: Sequence[int]) -> np.ndarray:
+    """Uniform [0,1) draw per link, a pure function of (seed, trial, id):
+    the one-trial case of ``_draw_rows``."""
+    return next(_draw_rows(seed, [trial], ids))
 
 
 def sample_batch(lp: LinearProgram, delta: np.ndarray, policy: RoundingPolicy,
@@ -133,8 +152,8 @@ def sample_batch(lp: LinearProgram, delta: np.ndarray, policy: RoundingPolicy,
     if delta.shape != (lp.n,):
         raise ValueError("delta length must match the program's variables")
     sel = np.empty((len(trials), lp.n), dtype=bool)
-    for row, trial in zip(sel, trials):
-        row[:] = bernoulli_draws(policy.seed, trial, lp.ids) < delta
+    for row, draws in zip(sel, _draw_rows(policy.seed, trials, lp.ids)):
+        np.less(draws, delta, out=row)
     sel_f = sel.astype(float)
     over = np.empty((sel.shape[0], lp.m), dtype=bool)
     for r0 in range(0, lp.m, ROW_BLOCK):  # loads T x ROW_BLOCK at a time
@@ -266,11 +285,14 @@ def winner(ctx: AffectanceContext, parts: Sequence[np.ndarray], objective: str) 
     positions): the largest ``objective``, ties to the lexicographically
     smallest part, then the first; None unless some part's objective is
     positive.  Positions order as ids do (``ctx.ids`` is sorted), so ties
-    go as they would between id tuples."""
-    ranked = [(-_objective(ctx, p, objective), tuple(p.tolist()), i)
-              for i, p in enumerate(parts)]
-    best = min(ranked, default=(0.0, (), None))
-    return best[2] if best[0] < 0 else None
+    go as they would between id tuples, which are formed only for the
+    parts tied at the largest value."""
+    values = [_objective(ctx, p, objective) for p in parts]
+    best = max(values, default=0.0)
+    if not best > 0:
+        return None
+    return min((i for i, v in enumerate(values) if v == best),
+               key=lambda i: tuple(parts[i].tolist()))
 
 
 def best_part(ctx: AffectanceContext, parts: Sequence[np.ndarray],

@@ -6,7 +6,8 @@ from sinrcap import (AffectanceContext, GenConfig, Instance, Link, PowerAssignme
                      greedy_base, greedy_combined, greedy_sweep, run_pipeline,
                      schedule_value)
 from sinrcap.affectance import check_positions
-from sinrcap.greedy import (_class_candidates, length_class_partition,
+from sinrcap import greedy
+from sinrcap.greedy import (_class_order, _greedy_accept, length_class_partition,
                             weight_class_partition)
 from sinrcap.rounding import final_selection_batch, round_trials
 
@@ -208,7 +209,7 @@ def test_combined_greedy_is_the_heavier_class_run():
 
 
 def test_greedy_sweep_runs_each_scan_once(monkeypatch):
-    calls = {"candidates": 0, "batches": 0}
+    calls = {"rank": 0, "accept": 0, "batches": 0, "certify": []}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -216,16 +217,29 @@ def test_greedy_sweep_runs_each_scan_once(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr("sinrcap.greedy._class_candidates",
-                        counted("candidates", _class_candidates))
-    monkeypatch.setattr("sinrcap.greedy.final_selection_batch",
+    def certify_counted(ctx, ids):
+        calls["certify"].append(tuple(ids.tolist()))
+        return certify(ctx, ids)
+
+    monkeypatch.setattr(greedy, "_class_order", counted("rank", _class_order))
+    monkeypatch.setattr(greedy, "_greedy_accept", counted("accept", _greedy_accept))
+    monkeypatch.setattr(greedy, "final_selection_batch",
                         counted("batches", final_selection_batch))
+    monkeypatch.setattr(greedy, "certify", certify_counted)
     ctx = random_ctx(5, n=40, R=4.0, delta=8.0)
     constants = [0.5, 1.0, 2.0]
     partitions = weight_class_partition(ctx), length_class_partition(ctx)
     assert all(len(classes) > 1 for classes in partitions)
-    greedy_sweep(ctx, ["greedy_w", "greedy_l", "greedy"], constants)
-    assert calls == {"candidates": sum(map(len, partitions)) * len(constants), "batches": 2}
+    runs = greedy_sweep(ctx, ["greedy_w", "greedy_l", "greedy"], constants)
+    k = sum(map(len, partitions))
+    distinct = {s.ids for schedules in runs.values() for s in schedules}
+    assert calls["rank"] == k
+    assert calls["accept"] == k * len(constants)
+    assert calls["batches"] == 1
+    # every returned set certified through the module's name, each once
+    assert sorted(calls["certify"]) == sorted(distinct)
+    # the combined rows repeat class runs' sets, which are not certified again
+    assert len(distinct) < 3 * len(constants)
 
 
 def _reweighted(inst, weights):
@@ -275,9 +289,13 @@ def _reference_greedy(ctx, classes, c_g, order, weighted):
     """The greedy runner as separate per-variant code: every class's final
     selection in one batch, then the heaviest (or, unweighted, the single)
     selection, ties to the smaller id tuple."""
+    def key(u):
+        return (ctx.lengths[u], int(ctx.ids[u])) if order == "length" \
+            else (-ctx.weights[u], int(ctx.ids[u]))
+
     sel = np.zeros((len(classes), ctx.n), dtype=bool)
     for row, t in zip(sel, sorted(classes)):
-        row[_class_candidates(ctx, classes[t], c_g, order)] = True
+        row[_greedy_accept(ctx, sorted(classes[t], key=key), c_g)] = True
     selections = [tuple(ctx.ids[p].tolist()) for p in
                   final_selection_batch(ctx, sel, [12.0] * len(sel), "cardinality")]
     if not weighted:

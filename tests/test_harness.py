@@ -7,9 +7,9 @@ import warnings
 import numpy as np
 import pytest
 
-from sinrcap import (AffectanceContext, DistanceMatrix, GenConfig, PowerAssignment, certify,
-                     exact_capacity, generate_instance, greedy_sweep, run_compare,
-                     run_oracle_suite)
+from sinrcap import (AffectanceContext, DistanceMatrix, GenConfig, Instance, Link, Point,
+                     PowerAssignment, certify, exact_capacity, generate_instance, greedy_sweep,
+                     run_compare, run_oracle_suite)
 from sinrcap import cli
 from sinrcap.affectance import check_positions
 from sinrcap.cli import main as cli_main
@@ -48,6 +48,28 @@ def test_a_positive_field_refuses_anything_but_a_finite_positive_number(field, v
     with pytest.raises(ValueError) as exc:
         POSITIVE_FIELDS[field](value)
     assert str(exc.value) == f"{field} must be a finite positive number, got {value!r}"
+
+
+# each field that must be a number before its range is checked, given ``value``
+LINK = Link(0, Point(0.0, 0.0), Point(1.0, 0.0))
+NUMBER_FIELDS = {
+    **{f"GenConfig.{field}": (field, lambda value, field=field: GenConfig(
+        **{"n": 6, "R": 6.0, "delta": 2.0, "primaries": 1, field: value}))
+       for field in ("delta", "alpha", "beta", "noise", "primary_power")},
+    **{f"Instance.{field}": (field, lambda value, field=field: Instance(
+        **{"links": (LINK,), "alpha": 2.5, field: value}))
+       for field in ("alpha", "beta", "noise")},
+    "PowerAssignment.tau": ("tau", lambda value: PowerAssignment(tau=value)),
+}
+
+
+@pytest.mark.parametrize("case", NUMBER_FIELDS)
+@pytest.mark.parametrize("value", [True, False, "a"], ids=["true", "false", "str"])
+def test_a_numeric_field_refuses_a_bool_or_a_non_number(case, value):
+    field, make = NUMBER_FIELDS[case]
+    with pytest.raises(ValueError) as exc:
+        make(value)
+    assert str(exc.value) == f"{field} must be a number, got {value!r}"
 
 
 def test_generator_deterministic():

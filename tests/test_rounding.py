@@ -16,6 +16,7 @@ from sinrcap import (AffectanceContext, GenConfig, Instance, Link, PowerAssignme
 from sinrcap import formulations, rounding
 from sinrcap.affectance import check_positions
 from sinrcap.greedy import GREEDY_VARIANTS
+from sinrcap.lp_core import LinearProgram
 from sinrcap.rounding import (ROUNDING_MODES, _extract_rows, _first_fit, _strengthen_rows,
                               best_part, final_selection_batch, round_trials, sample_batch,
                               winner)
@@ -80,6 +81,30 @@ def test_sparse_ids_read_the_dense_stream():
                           dense[[0, 1, 2, 3, 4, 5, 59_999]])
     with pytest.raises(ValueError, match="nonnegative"):
         bernoulli_draws(9, 4, [3, -1])
+
+
+def _philox_stream(seed, trial, ids):
+    """Entries ``ids`` of numpy's own generator over the Philox stream
+    keyed by (seed mod 2**64, trial): the reference for the draws."""
+    key = np.array([int(seed) % 2 ** 64, trial], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key)).random(max(ids) + 1)[ids]
+
+
+@pytest.mark.parametrize("ids", [list(range(40)), [3, 70_000, 12, 5_001, 9]],
+                         ids=["dense", "sparse"])
+@pytest.mark.parametrize("seed", [7, -3, 2 ** 63 + 5, np.int64(11), np.uint64(2 ** 64 - 2)],
+                         ids=["int", "negative", "past-int64", "numpy-int64", "numpy-uint64"])
+def test_draws_are_the_generator_stream_of_the_seed_and_trial(ids, seed):
+    trials = [0, 1, 2, 50]
+    want = np.array([_philox_stream(seed, t, ids) for t in trials])
+    got = np.array([bernoulli_draws(seed, t, ids) for t in trials])
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    # sample_batch over a program without rows keeps exactly the draws under delta
+    delta = np.linspace(0.05, 0.95, len(ids))
+    lp = LinearProgram(objective=np.ones(len(ids)), row_coeffs=np.zeros((0, len(ids))),
+                       row_bounds=np.zeros(0), ids=np.array(ids))
+    policy = RoundingPolicy(mode="capacity", trials=len(trials), seed=seed)
+    assert np.array_equal(sample_batch(lp, delta, policy, trials), want < delta)
 
 
 def test_sample_round_degenerate_deltas():
