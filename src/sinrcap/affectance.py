@@ -31,7 +31,8 @@ it passes.
 
 Link ids given to a context are read in one place, ``index_of``, which
 turns them into context positions under ``model.link_id``'s rule and
-refuses any other id; below it everything works on positions.
+refuses any other id; a set of ids is read by ``set_positions``, which
+also refuses a repeated one.  Below them everything works on positions.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .model import Instance, PowerAssignment, PrimarySet, link_id, link_ids
+from .model import Instance, PowerAssignment, PrimarySet, link_id, link_ids, require_positive
 
 logger = logging.getLogger(__name__)
 
@@ -315,28 +316,33 @@ def check_positions(ctx: AffectanceContext, idx: np.ndarray) -> bool:
                                      1.0)[0])
 
 
+def set_positions(ctx: AffectanceContext, S) -> np.ndarray:
+    """``index_of`` of the link set S, sorted; a repeated id is a ValueError."""
+    pos = np.sort(ctx.index_of(S))
+    repeated = pos[1:][pos[1:] == pos[:-1]]
+    if repeated.size:
+        raise ValueError(f"link id {ctx.ids[repeated[0]]} is repeated")
+    return pos
+
+
 def separation_check(ctx: AffectanceContext, S, q: float) -> bool:
-    """d_uv * d_vu >= q**2 * l_u * l_v for every pair in S."""
-    idx = ctx.index_of(S)
+    """d_uv * d_vu >= q**2 * l_u * l_v for every pair of the set S."""
+    require_positive("q", q)
+    idx = set_positions(ctx, S)
     if idx.size <= 1:
         return True
     ids = ctx.ids[idx].tolist()
     d = ctx.instance.sr_matrix(ids, ids)
-    lengths = ctx.lengths[idx]
-    lhs = d * d.T
-    rhs = q * q * np.outer(lengths, lengths)
+    lhs, rhs = d * d.T, q * q * np.outer(ctx.lengths[idx], ctx.lengths[idx])
     off = ~np.eye(idx.size, dtype=bool)
     return bool(np.all(lhs[off] >= rhs[off]))
 
 
 def certify(ctx: AffectanceContext, S) -> Schedule:
     """Build a schedule with per-link affectance sums and its ``_verdict``:
-    ``exact_sinr_ok`` the exact half, ``verified`` both halves.  A repeated
-    id is a ValueError, as is an id ``index_of`` refuses."""
-    pos = np.sort(ctx.index_of(S))
-    repeated = pos[1:][pos[1:] == pos[:-1]]
-    if repeated.size:
-        raise ValueError(f"link id {ctx.ids[repeated[0]]} is repeated")
+    ``exact_sinr_ok`` the exact half, ``verified`` both halves.  S is read
+    by ``set_positions``."""
+    pos = set_positions(ctx, S)
     sub = np.minimum(ctx.raw[np.ix_(pos, pos)], 1.0)
     exact, within = (bool(half[0]) for half in _verdict(ctx, pos)(np.ones((1, pos.size), bool)))
     return Schedule(

@@ -2,16 +2,16 @@
 
 The base greedy scans links shortest first and accepts a link when its
 affectance to and from the already-accepted set stays within the
-acceptance constant.  The class-based variants bucket links by weight or
-by length and run the base acceptance inside each bucket, returning the
-heaviest bucket solution; the combined variant takes the heaviest of both
-bucketings.  All variants share the LP pipeline's final selection stage,
-so their outputs carry the same feasibility guarantee, and its best-set
-rule, ``rounding.best_part``, under each variant's objective.  ``GREEDY_VARIANTS``
-states every variant; ``greedy_sweep`` runs several of them over a sweep
-of acceptance constants, each scan they share once, with one
-final-selection batch per call and one ``certify`` per distinct set.
-``greedy_base`` and ``greedy_combined`` are its one-constant cases.
+acceptance constant.  The class-based variants run that acceptance inside
+each doubling class of weight (shortest first) or of length (heaviest
+first) and return the heaviest class solution; the combined variant takes
+the heaviest of both.  A scan is its classes in ascending exponent, each
+in scan order, from one sort.  All variants share the LP pipeline's final
+selection stage, so their outputs carry the same feasibility guarantee,
+and its best-set rule, ``rounding.best_part``, under each variant's
+objective.  ``greedy_sweep`` runs ``GREEDY_VARIANTS`` over a sweep of
+acceptance constants, each shared scan once; ``greedy_base`` and
+``greedy_combined`` are its one-constant cases.
 """
 
 from __future__ import annotations
@@ -22,68 +22,57 @@ import numpy as np
 
 from .affectance import AffectanceContext, Schedule, certify
 from .model import require_positive
-from .rounding import RoundingPolicy, best_part, final_selection_batch
+from .rounding import _EXTRACTION_FACTOR, best_part, final_selection_batch
 
 
-def _greedy_accept(ctx: AffectanceContext, candidate_idx, c_g: float) -> list:
-    """Scan candidates in the given order; accept when both directions of
-    affectance against the accepted set stay at most c_g."""
+def _greedy_accept(aff: np.ndarray, c_g: float) -> list:
+    """Indices into ``aff``, one class's clipped affectance block in scan
+    order, that the scan accepts: both directions of affectance against the
+    already-accepted links stay at most c_g."""
     accepted = []
-    in_load = np.zeros(ctx.n)   # affectance received from accepted, per link
-    out_load = np.zeros(ctx.n)  # affectance sent to accepted, per link
-    for u in candidate_idx:
+    in_load, out_load = np.zeros((2, len(aff)))  # received from, sent to accepted, per link
+    for u in range(len(aff)):
         if in_load[u] <= c_g and out_load[u] <= c_g:
             accepted.append(u)
-            in_load += np.minimum(ctx.raw[u, :], 1.0)
-            out_load += np.minimum(ctx.raw[:, u], 1.0)
+            in_load += aff[u]
+            out_load += aff[:, u]
     return accepted
 
 
-def _class_order(ctx: AffectanceContext, class_idx, order: str) -> list:
-    """The positions ``class_idx`` in scan order: shortest first for
-    ``order == "length"``, else heaviest first; ties by id."""
-    class_idx = np.asarray(class_idx, dtype=int)
-    key = ctx.lengths[class_idx] if order == "length" else -ctx.weights[class_idx]
-    return class_idx[np.lexsort((ctx.ids[class_idx], key))].tolist()
+def _ranked_classes(ratios: np.ndarray, key: np.ndarray) -> list:
+    """Doubling classes of the positions with a ratio of at least 1, by
+    ascending floor(log2(ratio)), each ranked by ``key``, ties by id."""
+    pos = np.flatnonzero(ratios >= 1.0)
+    exps = np.array([math.floor(math.log2(r)) for r in ratios[pos].tolist()], dtype=int)
+    order = np.lexsort((pos, key[pos], exps))
+    return np.split(pos[order], np.flatnonzero(np.diff(exps[order])) + 1) if pos.size else []
 
 
-def _doubling_classes(ratios: np.ndarray) -> dict:
-    """Doubling buckets of the positions whose ratio is at least 1: keys
-    are bucket exponents, values link positions in order."""
-    classes = {}
-    for u in np.flatnonzero(ratios >= 1.0):
-        classes.setdefault(int(math.floor(math.log2(ratios[u]))), []).append(int(u))
-    return classes
+def base_scan(ctx: AffectanceContext) -> list:
+    """Every link in one class, shortest first."""
+    return _ranked_classes(np.ones(ctx.n), ctx.lengths)
 
 
-def weight_class_partition(ctx: AffectanceContext) -> dict:
-    """Doubling weight buckets after rescaling the maximum weight to n;
-    links whose rescaled weight falls under 1 are discarded (they can cost
-    at most half the optimum).  Keys are bucket exponents, values link
-    positions."""
-    if ctx.n == 0 or float(ctx.weights.max()) <= 0:
-        return {}
-    return _doubling_classes(ctx.weights * (ctx.n / float(ctx.weights.max())))
+def weight_class_scan(ctx: AffectanceContext) -> list:
+    """Doubling weight classes after rescaling the maximum weight to n,
+    each shortest first; links whose rescaled weight falls under 1 are
+    discarded (they can cost at most half the optimum)."""
+    top = float(ctx.weights.max(initial=0.0))
+    return _ranked_classes(ctx.weights * (ctx.n / top), ctx.lengths) if top > 0 else []
 
 
-def length_class_partition(ctx: AffectanceContext) -> dict:
-    """Doubling length buckets anchored at the minimum length."""
-    if ctx.n == 0:
-        return {}
-    return _doubling_classes(ctx.lengths / float(ctx.lengths.min()))
+def length_class_scan(ctx: AffectanceContext) -> list:
+    """Doubling length classes anchored at the minimum length, each
+    heaviest first."""
+    return _ranked_classes(ctx.lengths / ctx.lengths.min(initial=math.inf), -ctx.weights)
 
-
-# a scan: (class partition, scan order within a class)
-_BASE_SCAN = (lambda ctx: {0: range(ctx.n)}, "length")
-_WEIGHT_SCAN = (weight_class_partition, "length")
-_LENGTH_SCAN = (length_class_partition, "weight")
 
 # variant -> (its scans, the objective that picks the best of its scans' classes)
 GREEDY_VARIANTS = {
-    "greedy": ((_WEIGHT_SCAN, _LENGTH_SCAN), "weight"),
-    "greedy_w": ((_WEIGHT_SCAN,), "weight"),
-    "greedy_l": ((_LENGTH_SCAN,), "weight"),
-    "base": ((_BASE_SCAN,), "cardinality"),
+    "greedy": ((weight_class_scan, length_class_scan), "weight"),
+    "greedy_w": ((weight_class_scan,), "weight"),
+    "greedy_l": ((length_class_scan,), "weight"),
+    "base": ((base_scan,), "cardinality"),
 }
 
 
@@ -91,37 +80,43 @@ def greedy_sweep(ctx: AffectanceContext, variants, constants) -> dict:
     """Each ``GREEDY_VARIANTS`` variant in ``variants`` -> its schedule per
     acceptance constant, in order: the certified best final selection,
     under the variant's objective, among the classes of all its scans.
-    Each scan the variants need ranks each of its classes once and runs
-    the acceptance test once per class and constant; all of those classes
-    go through one final-selection batch, and each distinct best set is
-    certified once."""
+    Each scan runs once, each class's clipped affectance block is read once
+    for every constant, all classes share one final-selection batch, and
+    each distinct best set is certified once (AssertionError if it fails)."""
     constants = list(constants)
     for c_g in constants:
         require_positive("c_g", c_g)
-    accepted, rows = [], {}  # rows[scan]: (its first row, its class count)
+    for v in variants:
+        if v not in GREEDY_VARIANTS:
+            raise ValueError(f"unknown greedy variant {v!r}")
+    runs = {}  # scan -> per constant, the accepted positions of each of its classes
     for scan in dict.fromkeys(scan for v in variants for scan in GREEDY_VARIANTS[v][0]):
-        partition, order = scan
-        by_class = partition(ctx)
-        ranked = [_class_order(ctx, by_class[t], order) for t in sorted(by_class)]
-        rows[scan] = len(accepted), len(ranked)
-        accepted += [_greedy_accept(ctx, r, c_g) for c_g in constants for r in ranked]
-    sel = np.zeros((len(accepted), ctx.n), dtype=bool)
-    for row, members in zip(sel, accepted):
+        runs[scan] = [[] for _ in constants]
+        for ranked in scan(ctx):
+            aff = ctx.raw[np.ix_(ranked, ranked)]
+            np.minimum(aff, 1.0, out=aff)
+            for run, c_g in zip(runs[scan], constants):
+                run.append(ranked[_greedy_accept(aff, c_g)])
+    rows = [members for per_constant in runs.values() for run in per_constant for members in run]
+    sel = np.zeros((len(rows), ctx.n), dtype=bool)
+    for row, members in zip(sel, rows):
         row[members] = True
-    bound = RoundingPolicy("capacity").extraction_bound
-    selections = final_selection_batch(ctx, sel, [bound] * len(sel), "cardinality")
+    selections = iter(final_selection_batch(ctx, sel, [_EXTRACTION_FACTOR] * len(sel),
+                                            "cardinality"))
     # per scan and constant, the final selections of the scan's classes
-    runs = {scan: [selections[first + j * k:first + (j + 1) * k] for j in range(len(constants))]
-            for scan, (first, k) in rows.items()}
+    finals = {scan: [[next(selections) for _ in run] for run in per_constant]
+              for scan, per_constant in runs.items()}
     schedules, result = {}, {}  # schedules: best set's positions -> its schedule
     for v in variants:
         own, objective = GREEDY_VARIANTS[v]
         result[v] = []
-        for classes in zip(*(runs[scan] for scan in own)):
+        for classes in zip(*(finals[scan] for scan in own)):
             best = best_part(ctx, sum(classes, []), objective)
             key = tuple(best.tolist())
             if key not in schedules:
                 schedules[key] = certify(ctx, ctx.ids[best])
+                if not schedules[key].verified:
+                    raise AssertionError(f"{v} produced an infeasible schedule")
             result[v].append(schedules[key])
     return result
 

@@ -45,7 +45,6 @@ its one-policy case; ``admission.admit_sweep`` reduces it too.
 
 from __future__ import annotations
 
-import logging
 import operator
 from dataclasses import dataclass
 from itertools import islice
@@ -54,11 +53,10 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from . import formulations
-from .affectance import ROW_BLOCK, AffectanceContext, Schedule, certify, check_positions
+from .affectance import (ROW_BLOCK, AffectanceContext, Schedule, certify, check_positions,
+                         set_positions)
 from .lp_core import LinearProgram, LpSession, solve_lp
 from .model import link_ids, require_integer, require_positive
-
-logger = logging.getLogger(__name__)
 
 ROUNDING_MODES = tuple(formulations.PROBLEMS)
 _EXTRACTION_FACTOR = 12.0  # extraction bound per unit of the LP constant C
@@ -261,9 +259,9 @@ def _strengthen_rows(ctx: AffectanceContext, sel: np.ndarray) -> Iterator[list]:
 
 def signal_strengthen(ctx: AffectanceContext, S) -> list:
     """Partition S into 1-feasible parts by first fit over links in
-    non-increasing length order."""
+    non-increasing length order; S is read by ``affectance.set_positions``."""
     sel = np.zeros((1, ctx.n), dtype=bool)
-    sel[0, ctx.index_of(S)] = True
+    sel[0, set_positions(ctx, S)] = True
     return [tuple(ctx.ids[p].tolist()) for p in next(_strengthen_rows(ctx, sel))]
 
 

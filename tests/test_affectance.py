@@ -334,11 +334,35 @@ def test_every_id_reader_follows_the_link_id_rule(reader, given):
     assert str(exc.value) == f"link id {given!r} is not an integer"
 
 
-def test_certify_refuses_a_repeated_id():
-    ctx = random_ctx(13, n=6)
+# every entry point that reads a set of link ids, each given the set
+# ``ids``, with what it reads from the distinct set [0, 3]
+SET_READERS = {
+    "certify": (lambda ctx, ids: certify(ctx, ids).ids, (0, 3)),
+    "separation_check": (lambda ctx, ids: separation_check(ctx, ids, 2.0), True),
+    "signal_strengthen": (lambda ctx, ids: signal_strengthen(ctx, ids), [(0, 3)]),
+}
+
+
+@pytest.mark.parametrize("reader", list(SET_READERS))
+@pytest.mark.parametrize("ids,repeated", [([3, 1, 3.0], 3), ([0, 0], 0), ([0, 3, 3], 3)],
+                         ids=["float-repeat", "pair", "triple"])
+def test_every_set_reader_refuses_a_repeated_id(reader, ids, repeated):
+    ctx = AffectanceContext(generate_instance(GenConfig(n=8, R=40.0, delta=2.0, seed=1)),
+                            UNIFORM)
+    read, distinct = SET_READERS[reader]
+    assert read(ctx, [0, 3]) == distinct
     with pytest.raises(ValueError) as exc:
-        certify(ctx, [3, 1, 3.0])
-    assert str(exc.value) == "link id 3 is repeated"
+        read(ctx, ids)
+    assert str(exc.value) == f"link id {repeated} is repeated"
+
+
+@pytest.mark.parametrize("q", [float("nan"), -2.0, 0.0, float("inf"), True])
+def test_separation_check_refuses_a_q_that_is_not_a_finite_positive_number(q):
+    ctx = AffectanceContext(generate_instance(GenConfig(n=8, R=40.0, delta=2.0, seed=1)),
+                            UNIFORM)
+    with pytest.raises(ValueError) as exc:
+        separation_check(ctx, [0, 3], q)
+    assert str(exc.value) == f"q must be a finite positive number, got {q!r}"
 
 
 def test_affectance_bounds_random():

@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -7,8 +10,9 @@ from sinrcap import (AffectanceContext, GenConfig, Instance, Link, PowerAssignme
                      schedule_value)
 from sinrcap.affectance import check_positions
 from sinrcap import greedy
-from sinrcap.greedy import (_class_order, _greedy_accept, length_class_partition,
-                            weight_class_partition)
+from sinrcap.greedy import (_greedy_accept, base_scan, length_class_scan,
+                            weight_class_scan)
+from sinrcap.harness import WEIGHT_DISTRIBUTIONS
 from sinrcap.rounding import final_selection_batch, round_trials
 
 from conftest import (colocated_pair, far_instance, feasible_prim_ctx, make_link,
@@ -131,23 +135,51 @@ def test_discard_light_links_loses_at_most_half():
         assert max(kept_w, best_single) >= opt_w / 2 - 1e-9
 
 
-def test_class_partitions_cover_disjointly():
-    for seed in range(4):
-        ctx = random_ctx(seed + 80, n=14, R=4.0, delta=6.0, weight_dist="ordinary")
-        lc = length_class_partition(ctx)
-        members = sorted(u for c in lc.values() for u in c)
-        assert members == list(range(ctx.n))  # lengths: full disjoint cover
-        wc = weight_class_partition(ctx)
-        wmembers = sorted(u for c in wc.values() for u in c)
-        assert len(wmembers) == len(set(wmembers))
-        scaled = ctx.weights * (ctx.n / float(ctx.weights.max()))
-        assert wmembers == sorted(u for u in range(ctx.n) if scaled[u] >= 1.0)
+def _dict_classes(ratios):
+    """The doubling rule stated link by link: the positions whose ratio is
+    at least 1, by exponent floor(log2(ratio)), each list in position order."""
+    classes = {}
+    for u, r in enumerate(ratios.tolist()):
+        if r >= 1.0:
+            classes.setdefault(math.floor(math.log2(r)), []).append(u)
+    return classes
+
+
+def _reference_scans(ctx):
+    """Each scan function -> (its classes by ``_dict_classes``, its order)."""
+    top = float(ctx.weights.max()) if ctx.n else 0.0
+    return {base_scan: ({0: list(range(ctx.n))} if ctx.n else {}, "length"),
+            weight_class_scan: (_dict_classes(ctx.weights * (ctx.n / top)) if top > 0 else {},
+                                "length"),
+            length_class_scan: (_dict_classes(ctx.lengths / float(ctx.lengths.min()))
+                                if ctx.n else {}, "weight")}
+
+
+def _scan_key(ctx, order):
+    """A scan's order within a class, ties by id."""
+    return lambda u: ((ctx.lengths[u] if order == "length" else -ctx.weights[u]),
+                      int(ctx.ids[u]))
+
+
+def test_scans_are_disjoint_ranked_doubling_classes():
+    for seed in range(8):
+        ctx = random_ctx(seed + 80, n=14, R=4.0, delta=6.0,
+                         weight_dist=WEIGHT_DISTRIBUTIONS[seed % 4])
+        for scan, (classes, order) in _reference_scans(ctx).items():
+            ranked = [c.tolist() for c in scan(ctx)]
+            members = [u for c in ranked for u in c]
+            assert len(members) == len(set(members))  # disjoint
+            assert sorted(members) == sorted(u for c in classes.values() for u in c)
+            # in ascending exponent, each class ranked by key, then by id
+            assert [sorted(c) for c in ranked] == [classes[t] for t in sorted(classes)]
+            assert ranked == [sorted(c, key=_scan_key(ctx, order)) for c in ranked]
+        assert sorted(u for c in length_class_scan(ctx) for u in c) == list(range(ctx.n))
 
 
 def test_empty_instance():
     ctx = AffectanceContext(Instance(links=(), alpha=2.5), UNIFORM)
-    assert weight_class_partition(ctx) == {}
-    assert length_class_partition(ctx) == {}
+    for scan in (base_scan, weight_class_scan, length_class_scan):
+        assert scan(ctx) == []
     for algo in (greedy_base, weight_classes, length_classes,
                  greedy_combined):
         assert algo(ctx, 1.0).ids == ()
@@ -178,9 +210,28 @@ def test_greedy_sweep_matches_per_constant_calls():
             if len({s.ids for s in per_constant}) > 1:
                 differ.add(variant)
         assert greedy_sweep(ctx, ["base"], []) == {"base": []}
-        with pytest.raises(ValueError, match="positive"):
-            greedy_sweep(ctx, ["greedy_w"], [1.0, 0.0])
     assert differ == set(variants)  # every variant's constants mattered somewhere
+
+
+@pytest.mark.parametrize("variants,constants,message", [
+    (["greedy_w"], [1.0, 0.0], "c_g must be a finite positive number, got 0.0"),
+    (["base", "nope"], [1.0], "unknown greedy variant 'nope'"),
+], ids=["constant", "variant"])
+def test_greedy_sweep_refuses_bad_arguments_by_name(variants, constants, message):
+    ctx = random_ctx(1, n=6)
+    with pytest.raises(ValueError) as exc:
+        greedy_sweep(ctx, variants, constants)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("variant", list(greedy.GREEDY_VARIANTS))
+def test_greedy_sweep_raises_on_a_set_that_fails_its_verdict(variant, monkeypatch):
+    ctx = random_ctx(3, n=12)
+    monkeypatch.setattr(greedy, "certify",
+                        lambda ctx, ids: dataclasses.replace(certify(ctx, ids), verified=False))
+    with pytest.raises(AssertionError) as exc:
+        greedy_sweep(ctx, [variant], [1.0])
+    assert str(exc.value) == f"{variant} produced an infeasible schedule"
 
 
 def _heavier(ctx, a, b):
@@ -209,34 +260,52 @@ def test_combined_greedy_is_the_heavier_class_run():
 
 
 def test_greedy_sweep_runs_each_scan_once(monkeypatch):
-    calls = {"rank": 0, "accept": 0, "batches": 0, "certify": []}
+    calls = {"scans": [], "blocks": [], "batches": 0, "certify": []}
 
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
+    def counted_scan(scan):
+        def wrapper(ctx):
+            calls["scans"].append(scan)
+            return scan(ctx)
         return wrapper
+
+    def accept_counted(aff, c_g):
+        calls["blocks"].append(aff)
+        return _greedy_accept(aff, c_g)
+
+    def batch_counted(*args):
+        calls["batches"] += 1
+        return final_selection_batch(*args)
 
     def certify_counted(ctx, ids):
         calls["certify"].append(tuple(ids.tolist()))
         return certify(ctx, ids)
 
-    monkeypatch.setattr(greedy, "_class_order", counted("rank", _class_order))
-    monkeypatch.setattr(greedy, "_greedy_accept", counted("accept", _greedy_accept))
-    monkeypatch.setattr(greedy, "final_selection_batch",
-                        counted("batches", final_selection_batch))
+    wrapped = {scan: counted_scan(scan) for scan in (base_scan, weight_class_scan,
+                                                     length_class_scan)}
+    for variant, (scans, objective) in list(greedy.GREEDY_VARIANTS.items()):
+        monkeypatch.setitem(greedy.GREEDY_VARIANTS, variant,
+                            (tuple(wrapped[scan] for scan in scans), objective))
+    monkeypatch.setattr(greedy, "_greedy_accept", accept_counted)
+    monkeypatch.setattr(greedy, "final_selection_batch", batch_counted)
     monkeypatch.setattr(greedy, "certify", certify_counted)
     ctx = random_ctx(5, n=40, R=4.0, delta=8.0)
     constants = [0.5, 1.0, 2.0]
-    partitions = weight_class_partition(ctx), length_class_partition(ctx)
-    assert all(len(classes) > 1 for classes in partitions)
+    by_weight, by_length = weight_class_scan(ctx), length_class_scan(ctx)
+    assert len(by_weight) > 1 and len(by_length) > 1
+    classes = by_weight + by_length
     runs = greedy_sweep(ctx, ["greedy_w", "greedy_l", "greedy"], constants)
-    k = sum(map(len, partitions))
-    distinct = {s.ids for schedules in runs.values() for s in schedules}
-    assert calls["rank"] == k
-    assert calls["accept"] == k * len(constants)
+    assert calls["scans"] == [weight_class_scan, length_class_scan]
+    # one acceptance scan per class and constant, all of a class's on one
+    # block object: the class's clipped affectance in scan order
+    assert len(calls["blocks"]) == len(classes) * len(constants)
+    for c, i in zip(classes, range(0, len(calls["blocks"]), len(constants))):
+        block = calls["blocks"][i]
+        assert all(other is block for other in calls["blocks"][i:i + len(constants)])
+        assert np.array_equal(block, np.minimum(ctx.raw[np.ix_(c, c)], 1.0))
+    assert len({id(block) for block in calls["blocks"]}) == len(classes)
     assert calls["batches"] == 1
     # every returned set certified through the module's name, each once
+    distinct = {s.ids for schedules in runs.values() for s in schedules}
     assert sorted(calls["certify"]) == sorted(distinct)
     # the combined rows repeat class runs' sets, which are not certified again
     assert len(distinct) < 3 * len(constants)
@@ -266,9 +335,8 @@ def test_every_selection_keeps_the_heaviest_set_ties_to_smallest_ids():
                           make_link(1, 0.0, 0.0, 1.0, 0.0, weight=2.0),
                           make_link(2, 100.0, 0.0, 101.0, 0.0, weight=2.0)), alpha=2.5)
     ctx = AffectanceContext(tie, UNIFORM)
-    assert sorted(weight_class_partition(ctx).items()) == [(0, [1, 2]), (1, [0])]
-    assert sorted(length_class_partition(ctx))[0] == 0
-    assert length_class_partition(ctx)[0] == [1, 2]
+    assert [c.tolist() for c in weight_class_scan(ctx)] == [[1, 2], [0]]
+    assert length_class_scan(ctx)[0].tolist() == [1, 2]  # exponent 0: the unit links
     assert certify(ctx, (1, 2)).exact_sinr_ok and not certify(ctx, (0, 1)).exact_sinr_ok
     assert exact_capacity(ctx, "weight").ids == (0,)
     for algo in greedies:
@@ -285,21 +353,30 @@ def test_every_selection_keeps_the_heaviest_set_ties_to_smallest_ids():
     assert run_pipeline(ctx, policy).ids == heaviest[0]
 
 
-def _reference_greedy(ctx, classes, c_g, order, weighted):
-    """The greedy runner as separate per-variant code: every class's final
-    selection in one batch, then the heaviest (or, unweighted, the single)
-    selection, ties to the smaller id tuple."""
-    def key(u):
-        return (ctx.lengths[u], int(ctx.ids[u])) if order == "length" \
-            else (-ctx.weights[u], int(ctx.ids[u]))
+def _reference_accept(ctx, order, c_g):
+    """The acceptance scan stated over the whole context: n-length loads,
+    each accepted link adding its clipped row and column of ``ctx.raw``."""
+    accepted, in_load, out_load = [], np.zeros(ctx.n), np.zeros(ctx.n)
+    for u in order:
+        if in_load[u] <= c_g and out_load[u] <= c_g:
+            accepted.append(u)
+            in_load += np.minimum(ctx.raw[u, :], 1.0)
+            out_load += np.minimum(ctx.raw[:, u], 1.0)
+    return accepted
 
+
+def _reference_greedy(ctx, classes, c_g, order, weighted):
+    """The greedy runner as separate per-variant code: each class of the
+    dict rule sorted in Python and scanned by ``_reference_accept``, every
+    class's final selection in one batch, then the heaviest (or, unweighted,
+    the single) selection, ties to the smaller id tuple."""
     sel = np.zeros((len(classes), ctx.n), dtype=bool)
     for row, t in zip(sel, sorted(classes)):
-        row[_greedy_accept(ctx, sorted(classes[t], key=key), c_g)] = True
+        row[_reference_accept(ctx, sorted(classes[t], key=_scan_key(ctx, order)), c_g)] = True
     selections = [tuple(ctx.ids[p].tolist()) for p in
                   final_selection_batch(ctx, sel, [12.0] * len(sel), "cardinality")]
     if not weighted:
-        return certify(ctx, selections[0])
+        return certify(ctx, selections[0] if selections else ())
     best_ids, best_w = (), -1.0
     for ids in selections:
         w = float(ctx.weights[ctx.index_of(ids)].sum()) if ids else 0.0
@@ -308,15 +385,41 @@ def _reference_greedy(ctx, classes, c_g, order, weighted):
     return certify(ctx, best_ids)
 
 
-def test_greedies_match_reference_on_random_contexts():
+def test_greedies_match_reference_on_random_contexts(monkeypatch):
+    contexts = []
     for seed in range(20):
         k = 1 + seed % 8
         ctx = feasible_prim_ctx(200 + 10 * seed, n=12 + seed, R=5.0 + 2 * k, delta=2.0,
-                                primaries=k, weight_dist=("ordinary", "reversed")[seed % 2])
+                                primaries=k, weight_dist=WEIGHT_DISTRIBUTIONS[seed % 4])
         assert ctx.k == k and np.all(ctx.weights > 0)
-        c_g = (0.5, 1.0, 2.0)[seed % 3]
-        cases = [(greedy_base, {0: range(ctx.n)}, "length", False),
-                 (weight_classes, weight_class_partition(ctx), "length", True),
-                 (length_classes, length_class_partition(ctx), "weight", True)]
-        for algo, classes, order, weighted in cases:
-            assert algo(ctx, c_g) == _reference_greedy(ctx, classes, c_g, order, weighted)
+        contexts.append(ctx)
+    # weight classes whose rescaled weights are exact powers of two, at the
+    # class boundaries: n = 1 and n = 16 under the weight_class distribution
+    for seed, n in [(1, 1), (2, 1), (3, 16), (4, 16)]:
+        ctx = random_ctx(seed, n=n, R=6.0, delta=2.0, weight_dist="weight_class")
+        scaled = ctx.weights * (ctx.n / float(ctx.weights.max()))
+        assert ctx.n == n and all(math.log2(w).is_integer() for w in scaled.tolist())
+        contexts.append(ctx)
+    algos = {base_scan: (greedy_base, False), weight_class_scan: (weight_classes, True),
+             length_class_scan: (length_classes, True)}
+    failed = 0
+    for i, ctx in enumerate(contexts):
+        c_g = (0.5, 1.0, 2.0)[i % 3]
+        for scan, (classes, order) in _reference_scans(ctx).items():
+            algo, weighted = algos[scan]
+            expected = _reference_greedy(ctx, classes, c_g, order, weighted)
+            if expected.verified:
+                assert algo(ctx, c_g) == expected
+                continue
+            # the greedy scans do not model attached primaries, whose exact
+            # SINR the verdict also judges: such a set raises, and below
+            # the verdict it is still the reference's set
+            assert ctx.k and not expected.exact_sinr_ok
+            failed += 1
+            with pytest.raises(AssertionError, match="produced an infeasible schedule"):
+                algo(ctx, c_g)
+            with monkeypatch.context() as m:
+                m.setattr(greedy, "certify",
+                          lambda ctx, ids: dataclasses.replace(certify(ctx, ids), verified=True))
+                assert algo(ctx, c_g) == dataclasses.replace(expected, verified=True)
+    assert 0 < failed < 3 * len(contexts)
