@@ -9,7 +9,9 @@ the heaviest of both.  A scan is its classes in ascending exponent, each
 in scan order, from one sort.  All variants share the LP pipeline's final
 selection stage, so their outputs carry the same feasibility guarantee,
 and its best-set rule, ``rounding.best_part``, under each variant's
-objective.  ``greedy_sweep`` runs ``GREEDY_VARIANTS`` over a sweep of
+objective.  Greedy takes no primaries: its scans and final selection
+read no primary loads, so a context with primaries is refused.
+``greedy_sweep`` runs ``GREEDY_VARIANTS`` over a sweep of
 acceptance constants, each shared scan once; ``greedy_base`` and
 ``greedy_combined`` are its one-constant cases.
 """
@@ -82,7 +84,11 @@ def greedy_sweep(ctx: AffectanceContext, variants, constants) -> dict:
     under the variant's objective, among the classes of all its scans.
     Each scan runs once, each class's clipped affectance block is read once
     for every constant, all classes share one final-selection batch, and
-    each distinct best set is certified once (AssertionError if it fails)."""
+    each distinct best set is certified once (AssertionError if it fails).
+    A context with primaries is a ValueError."""
+    if ctx.k:
+        raise ValueError("greedy takes no primaries: admission pipelines are driven by "
+                         "the admission module")
     constants = list(constants)
     for c_g in constants:
         require_positive("c_g", c_g)

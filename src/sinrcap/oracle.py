@@ -7,8 +7,10 @@ oracles accept the sets that pass ``affectance._verdict``, the verdict
 form (computed from powers and distances, not from the affectance matrix
 the approximation pipelines use) and affectance sums within 1.  The
 others apply the gamma affectance test.  Interference and affectance are
-nonnegative, so every check is hereditary, and the search walks only the
-accepted sets, level by level, not all 2**n subsets.
+nonnegative, so every check is hereditary, and the search judges, level by
+level, only the joins of accepted sets, not all 2**n subsets: after the
+empty set and the singletons, a (k+1)-set is judged only when both k-sets
+left by dropping one of its two largest members passed (Apriori's join).
 """
 
 from __future__ import annotations
@@ -37,10 +39,17 @@ def _check_cap(n: int):
 def _accepted_sets(n: int, accept):
     """Yield blocks of at most ``_CHUNK`` bool rows holding every subset of
     ``range(n)`` that the hereditary ``accept`` passes, by size and each size
-    in lexicographic order, so a block's sets share one size.  A (k+1)-set
-    is judged only if it is a passed k-set plus an index above its largest."""
+    in lexicographic order, so a block's sets share one size.  The empty set
+    is judged first; if it passes, every singleton.  A (k+1)-set is then
+    judged only as the join P | {a, b} of two passed k-sets P | {a} and
+    P | {b} with a < b, where the prefix P is a set minus its largest
+    member: siblings, sets of one prefix, are adjacent in the passed list."""
     bit = 1 << np.arange(n, dtype=np.uint32)
-    cand = np.zeros(1, dtype=np.uint32)  # a bit mask per candidate (n <= 20), from {}
+    empty = np.zeros((1, n), dtype=bool)
+    if not accept(empty)[0]:
+        return
+    yield empty
+    cand = bit  # a bit mask per candidate (n <= 20), from the singletons
     while cand.size:
         passed = []
         for start in range(0, cand.size, _CHUNK):
@@ -52,9 +61,16 @@ def _accepted_sets(n: int, accept):
                 yield sel[ok]
             passed.append(block[ok])
         masks = np.concatenate(passed)
-        width = n - np.frexp(masks)[1]  # indices above each set's largest member
+        top = np.frexp(masks)[1] - 1  # each set's largest member
+        prefix = masks ^ bit[top]
+        first = np.ones(masks.size, dtype=bool)  # where a run of siblings starts
+        first[1:] = prefix[1:] != prefix[:-1]
+        # one past each set's last sibling
+        end = np.append(np.flatnonzero(first)[1:], masks.size)[np.cumsum(first) - 1]
+        width = end - np.arange(masks.size) - 1  # siblings after each set
         parent = np.repeat(np.arange(masks.size), width)
-        cand = masks[parent] | bit[np.arange(parent.size) - np.cumsum(width)[parent] + n]
+        cand = masks[parent] | bit[top[np.arange(parent.size) - np.cumsum(width)[parent]
+                                        + end[parent]]]
 
 
 def _best(ctx: AffectanceContext, accept, weights=None) -> Schedule:

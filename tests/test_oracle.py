@@ -8,6 +8,7 @@ from sinrcap import (AffectanceContext, GenConfig, InfeasiblePrimaries, Instance
                      PowerAssignment, PrimarySet, TooLarge, exact_admission,
                      exact_capacity, generate_instance, largest_bifeasible,
                      run_oracle_suite, schedule_value)
+from sinrcap import oracle
 from sinrcap.affectance import _feasible_affectance, _verdict
 
 from conftest import colocated_pair, far_instance, feasible_prim_ctx, make_link, random_ctx
@@ -157,6 +158,112 @@ def _brute_force(ctx, accept, weights=None):
     tied = np.flatnonzero(ok & (values == values[ok].max()))
     ids = min(tuple(int(i) for i in ctx.ids[sel[r]]) for r in tied)
     return ids, {int(sel[r].sum()) for r in tied}
+
+
+def _sets_in_search_order(n):
+    """Every subset of range(n) as a bool row and as a sorted index tuple,
+    by size and each size in lexicographic order."""
+    sets = sorted((tuple(i for i in range(n) if m >> i & 1) for m in range(1 << n)),
+                  key=lambda t: (len(t), t))
+    sel = np.zeros((len(sets), n), dtype=bool)
+    for row, t in zip(sel, sets):
+        row[list(t)] = True
+    return sel, sets
+
+
+def _conflict_pairs(rng, n):
+    """A set passes when it holds no pair of a random conflict graph."""
+    u, v = np.nonzero(np.triu(rng.random((n, n)) < 0.25, 1))
+    return lambda sel: ~np.any(sel[:, u] & sel[:, v], axis=1)
+
+
+def _weight_cap(rng, n, cap=None):
+    """A set passes when its random nonnegative weights sum to at most cap."""
+    w = rng.random(n)
+    cap = rng.uniform(0.5, 3.0) if cap is None else cap
+    return lambda sel: sel.astype(float) @ w <= cap
+
+
+def _context_case(accept, R=4.0, primaries=0):
+    """seed -> (n, accept(ctx)) on a random context of 6 to 12 links."""
+    def case(seed):
+        kw = dict(n=6 + seed % 7, R=R, delta=2.0)
+        ctx = feasible_prim_ctx(40 * seed, primaries=primaries, **kw) if primaries \
+            else random_ctx(seed, **kw)
+        return ctx.n, accept(ctx)
+    return case
+
+
+def _synthetic_case(make):
+    """seed -> (n, make(rng, n)) over 6 to 12 indices."""
+    return lambda seed: (6 + seed % 7, make(np.random.default_rng(seed), 6 + seed % 7))
+
+
+# name -> (seed -> (n, a hereditary accept over range(n)))
+HEREDITARY_PREDICATES = {
+    "verdict": _context_case(_verdict_passes),
+    "admission_verdict": _context_case(_verdict_passes, R=5.0, primaries=2),
+    "affectance": _context_case(lambda ctx: partial(_feasible_affectance, ctx.raw, gamma=1.5)),
+    "bifeasible": _context_case(lambda ctx: partial(_feasible_affectance, np.minimum(ctx.raw, 1.0),
+                                                    gamma=2.0, anti=True), R=3.0),
+    "conflict_pairs": _synthetic_case(_conflict_pairs),
+    "weight_cap": _synthetic_case(_weight_cap),
+}
+
+
+def _join_candidates(sets, passed):
+    """The sets the join judges, in search order: the empty set; if it
+    passed, every singleton, then each set whose two subsets without its
+    largest or its second-largest member both passed."""
+    if () not in passed:
+        return [()]
+    return [t for t in sets if len(t) < 2 or {t[:-1], t[:-2] + t[-1:]} <= passed]
+
+
+def _search(n, accept):
+    """The sets ``_accepted_sets`` yields and the sets it hands to
+    ``accept``, as sorted index tuples, in order."""
+    judged = []
+
+    def recording(sel):
+        judged.extend(tuple(np.flatnonzero(row).tolist()) for row in sel)
+        return accept(sel)
+
+    blocks = list(oracle._accepted_sets(n, recording))
+    assert all(len(block) <= oracle._CHUNK and len(set(block.sum(axis=1).tolist())) == 1
+               for block in blocks)  # a block's sets share one size
+    return [tuple(np.flatnonzero(row).tolist()) for b in blocks for row in b], judged
+
+
+@pytest.mark.parametrize("chunk", [oracle._CHUNK, 5], ids=["chunk", "small_chunk"])
+@pytest.mark.parametrize("case", HEREDITARY_PREDICATES)
+def test_join_search_judges_the_join_and_yields_every_accepted_set(case, chunk, monkeypatch):
+    # brute force over all 2**n sets: the search yields exactly the accepted
+    # ones in search order, the empty set first, and judges exactly the empty
+    # set, the singletons and each set whose two subsets without one of its
+    # two largest members passed; a small chunk splits runs of siblings
+    monkeypatch.setattr(oracle, "_CHUNK", chunk)
+    judged_total, prefix_rule_total, largest = 0, 0, 0
+    for seed in range(8):
+        n, accept = HEREDITARY_PREDICATES[case](seed)
+        sel, sets = _sets_in_search_order(n)
+        passed = {t for t, ok in zip(sets, accept(sel)) if ok}
+        yielded, judged = _search(n, accept)
+        assert yielded == [t for t in sets if t in passed], (case, seed)
+        assert yielded[0] == () and len(yielded) < len(sets)
+        assert judged == _join_candidates(sets, passed), (case, seed)
+        largest = max(largest, len(yielded[-1]))
+        judged_total += len(judged)
+        # the rule the join replaced: every passed set plus an index above its top
+        prefix_rule_total += 1 + sum(n - 1 - max(t, default=-1) for t in passed)
+    assert largest >= 3 and judged_total < prefix_rule_total
+
+
+def test_join_search_stops_at_a_refused_empty_set():
+    # an empty set that fails its predicate: nothing passes, one row judged
+    for n, accept in [(8, lambda sel: np.zeros(len(sel), dtype=bool)),
+                      (8, _weight_cap(np.random.default_rng(1), 8, cap=-1.0))]:
+        assert _search(n, accept) == ([], [()])
 
 
 def _integer_weight_ctx(seed):
