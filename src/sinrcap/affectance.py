@@ -19,15 +19,14 @@ the instance holds (``Instance.lengths``), in a table with one row per
 receiver, primaries first, and holds one n x n matrix, the unclipped
 affectance; values are clipped where they are read.
 
-The library's only feasibility tests judge a boolean selection matrix, one
-candidate set per row: ``_feasible_exact``, the SINR inequality over
-``_exact_budgets`` (interference recomputed from geometry, the other terms
-read from the table), and ``_feasible_affectance``, affectance sums within
-gamma, terms clipped at 1 only when gamma > 1.  ``_verdict`` is the one
-verdict on a set: both tests at threshold 1, the exact one at the
-primaries too.  ``certify`` judges each returned set with it once and
-stores the result in its ``Schedule``; the exact oracles accept the sets
-it passes.
+Every feasibility judgment is one kernel, ``_within``, on a condition
+``(loads, limit, k)``: a set, one row of a boolean selection matrix, meets
+it when its summed ``loads`` rows are within ``limit`` at its members and
+at the first ``k`` columns, the primaries.  ``_verdict`` is the verdict on
+a set as two conditions: the exact SINR inequality (``_exact_budgets``'
+rows and budgets, with ``ctx.k``) and unclipped (hat) affectance sums
+within 1.  ``certify`` judges each returned set by both once and stores the
+result in its ``Schedule``; the exact oracles accept the sets it passes.
 
 Link ids given to a context are read in one place, ``index_of``, which
 turns them into context positions under ``model.link_id``'s rule and
@@ -271,49 +270,33 @@ def _exact_budgets(ctx: AffectanceContext, pos=None) -> tuple:
     return interf[ctx.k:], _budgets(terms, interf[:ctx.k])[1]
 
 
-def _feasible_exact(sel: np.ndarray, rows: np.ndarray, budget: np.ndarray,
-                    k: int) -> np.ndarray:
-    """Exact SINR feasibility of every selected member and every primary,
-    the primaries transmitting too (``rows``, ``budget``: ``_exact_budgets``)."""
-    loads = sel.astype(float) @ rows
-    return (((loads[:, k:] <= budget[k:]) | ~sel).all(axis=1)
-            & (loads[:, :k] <= budget[:k]).all(axis=1))
+def _within(sel: np.ndarray, loads: np.ndarray, limit, k: int = 0) -> np.ndarray:
+    """The one feasibility kernel: per row of ``sel``, whether ``sel @ loads``
+    is within ``limit`` (a scalar or one per column) at the first ``k``
+    columns and at every selected member, member j at column ``k + j``."""
+    fits = sel.astype(float) @ loads <= limit
+    # fits >= sel: a selected member's column must fit, an unselected one need not
+    if k:
+        return fits[:, :k].all(axis=1) & (fits[:, k:] >= sel).all(axis=1)
+    return (fits >= sel).all(axis=1)
 
 
-def _feasible_affectance(mat: np.ndarray, sel: np.ndarray, gamma: float,
-                         anti: bool = False) -> np.ndarray:
-    """Every selected member receives affectance at most gamma in ``mat``;
-    with ``anti`` it also sends at most gamma.  Terms are clipped at 1 only
-    when gamma > 1: at or below 1 a saturated term understates its true
-    interference, so it must count as a violation."""
-    if gamma > 1.0:
-        mat = np.minimum(mat, 1.0)
-    f = sel.astype(float)
-    ok = ((f @ mat <= gamma) | ~sel).all(axis=1)
-    if anti:
-        ok &= ((f @ mat.T <= gamma) | ~sel).all(axis=1)
-    return ok
-
-
-def _verdict(ctx: AffectanceContext, pos=None):
+def _verdict(ctx: AffectanceContext, pos=None) -> tuple:
     """The verdict on candidate sets of the context positions ``pos`` (all
-    when None): a function of boolean selection rows over ``pos`` that
-    returns per row its two halves, the exact SINR inequality at every
-    member and every primary, the primaries transmitting, and unclipped
-    (hat) affectance sums within 1 at every member.  The halves state one
-    condition, but their float sums can round apart within an ulp of the
-    threshold, so a set passes only when both hold."""
+    when None) as two conditions for ``_within``: the exact SINR inequality
+    at every member and every primary, the primaries transmitting, and
+    unclipped (hat) affectance sums within 1 at every member.  The two
+    state one condition, but their float sums can round apart within an
+    ulp of the threshold, so a set passes only when both hold."""
     rows, budget = _exact_budgets(ctx, pos)
     raw = ctx.raw if pos is None else ctx.raw[np.ix_(pos, pos)]
-    return lambda sel: (_feasible_exact(sel, rows, budget, ctx.k),
-                        _feasible_affectance(raw, sel, 1.0))
+    return (rows, budget, ctx.k), (raw, 1.0, 0)
 
 
 def check_positions(ctx: AffectanceContext, idx: np.ndarray) -> bool:
     """Unclipped affectance sums within 1 at every member of the links at
     context positions ``idx``: strengthening's per-part check."""
-    return bool(_feasible_affectance(ctx.raw[idx[:, None], idx], np.ones((1, idx.size), bool),
-                                     1.0)[0])
+    return bool(_within(np.ones((1, idx.size), bool), ctx.raw[idx[:, None], idx], 1.0)[0])
 
 
 def set_positions(ctx: AffectanceContext, S) -> np.ndarray:
@@ -340,11 +323,12 @@ def separation_check(ctx: AffectanceContext, S, q: float) -> bool:
 
 def certify(ctx: AffectanceContext, S) -> Schedule:
     """Build a schedule with per-link affectance sums and its ``_verdict``:
-    ``exact_sinr_ok`` the exact half, ``verified`` both halves.  S is read
-    by ``set_positions``."""
+    ``exact_sinr_ok`` the exact condition, ``verified`` both.  S is read by
+    ``set_positions``."""
     pos = set_positions(ctx, S)
-    sub = np.minimum(ctx.raw[np.ix_(pos, pos)], 1.0)
-    exact, within = (bool(half[0]) for half in _verdict(ctx, pos)(np.ones((1, pos.size), bool)))
+    conditions = _verdict(ctx, pos)
+    exact, within = (bool(_within(np.ones((1, pos.size), bool), *c)[0]) for c in conditions)
+    sub = np.minimum(conditions[1][0], 1.0)  # the affectance condition's raw block
     return Schedule(
         ids=tuple(ctx.ids[pos].tolist()),
         in_affectance=tuple(float(x) for x in sub.sum(axis=0)),

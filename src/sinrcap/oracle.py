@@ -1,25 +1,27 @@
 """Exhaustive optima on small instances; ground truth for everything else.
 
-The oracles define no feasibility test of their own: they judge blocks of
-candidate sets with the affectance module's predicates.  The exact
-oracles accept the sets that pass ``affectance._verdict``, the verdict
-``certify`` gives a returned set: the exact SINR inequality in budget
-form (computed from powers and distances, not from the affectance matrix
-the approximation pipelines use) and affectance sums within 1.  The
-others apply the gamma affectance test.  Interference and affectance are
-nonnegative, so every check is hereditary, and the search judges, level by
-level, only the joins of accepted sets, not all 2**n subsets: after the
-empty set and the singletons, a (k+1)-set is judged only when both k-sets
-left by dropping one of its two largest members passed (Apriori's join).
+The oracles define no feasibility test of their own.  Each judges blocks
+of candidate sets against a list of ``(loads, limit, k)`` conditions with
+the affectance module's one kernel, ``affectance._within``.  The exact
+oracles take the two conditions of ``affectance._verdict``, the verdict
+``certify`` gives a returned set: the exact SINR inequality in budget form
+(computed from powers and distances, not from the affectance matrix the
+approximation pipelines use) and affectance sums within 1.  The others
+take ``_gamma_test``, and bi-feasibility also its transpose.  Interference
+and affectance are nonnegative, so every check is hereditary, and the
+search judges, level by level, only the joins of accepted sets, not all
+2**n subsets: after the empty set and the singletons, a (k+1)-set is
+judged only when both k-sets left by dropping one of its two largest
+members passed (Apriori's join).
 """
 
 from __future__ import annotations
 
-from functools import partial
+from functools import reduce
 
 import numpy as np
 
-from .affectance import AffectanceContext, Schedule, _feasible_affectance, _verdict, certify
+from .affectance import AffectanceContext, Schedule, _verdict, _within, certify
 from .formulations import OBJECTIVES
 from .model import require_positive
 
@@ -34,6 +36,13 @@ class TooLarge(Exception):
 def _check_cap(n: int):
     if n > ENUMERATION_CAP:
         raise TooLarge(f"{n} links exceed the enumeration cap of {ENUMERATION_CAP}")
+
+
+def _gamma_test(ctx: AffectanceContext, gamma: float) -> tuple:
+    """Received affectance sums within gamma as a condition, terms clipped
+    at 1 only when gamma > 1: at or below 1 a saturated term understates its
+    true interference, so it must count as a violation."""
+    return (np.minimum(ctx.raw, 1.0) if gamma > 1.0 else ctx.raw), gamma, 0
 
 
 def _accepted_sets(n: int, accept):
@@ -73,12 +82,14 @@ def _accepted_sets(n: int, accept):
                                         + end[parent]]]
 
 
-def _best(ctx: AffectanceContext, accept, weights=None) -> Schedule:
-    """The accepted set of largest cardinality, or weight given ``weights``;
-    ties, across sizes too, take the lexicographically smallest id tuple.
+def _best(ctx: AffectanceContext, conditions, weights=None) -> Schedule:
+    """Of the sets that meet every condition in ``conditions``, the one of
+    largest cardinality, or weight given ``weights``; ties, across sizes
+    too, take the lexicographically smallest id tuple.
     This is ``rounding.winner``'s rule, vectorized: each block is
     reduced with one argmax instead of a Python loop over its sets."""
     best = (np.inf, ())  # (-value, ids) of the best set so far
+    accept = lambda sel: reduce(np.logical_and, (_within(sel, *c) for c in conditions))
     for sel in _accepted_sets(ctx.n, accept):
         values = sel[:1].sum(axis=1) if weights is None else sel.astype(float) @ weights
         r = int(np.argmax(values))  # first of the block's lexicographic rows
@@ -91,9 +102,8 @@ def exact_capacity(ctx: AffectanceContext, objective: str = "cardinality",
                    mode: str = "exact_sinr", gamma: float = 1.0) -> Schedule:
     """Maximum feasible subset by enumeration (n <= 20).
 
-    mode "exact_sinr" accepts the sets that pass both halves of
-    ``affectance._verdict``; "affectance" checks gamma-feasibility of
-    received affectance sums.
+    mode "exact_sinr" accepts the sets that meet both conditions of
+    ``affectance._verdict``; "affectance" those that pass ``_gamma_test``.
     """
     _check_cap(ctx.n)
     require_positive("gamma", gamma)
@@ -101,16 +111,12 @@ def exact_capacity(ctx: AffectanceContext, objective: str = "cardinality",
         raise ValueError(f"unknown objective {objective!r}")
     if mode not in ("exact_sinr", "affectance"):
         raise ValueError(f"unknown mode {mode!r}")
-    if mode == "exact_sinr":
-        judge = _verdict(ctx)
-        accept = lambda sel: np.logical_and(*judge(sel))
-    else:
-        accept = partial(_feasible_affectance, ctx.raw, gamma=gamma)
-    return _best(ctx, accept, ctx.weights if objective == "weight" else None)
+    conditions = _verdict(ctx) if mode == "exact_sinr" else [_gamma_test(ctx, gamma)]
+    return _best(ctx, conditions, ctx.weights if objective == "weight" else None)
 
 
 def exact_admission(ctx: AffectanceContext) -> Schedule:
-    """Maximum secondary subset that ``affectance._verdict`` passes,
+    """Maximum secondary subset that meets ``affectance._verdict``,
     primaries at their explicit powers: ``exact_capacity`` of a context
     with primaries.  The context has refused primaries infeasible on their
     own."""
@@ -121,7 +127,9 @@ def exact_admission(ctx: AffectanceContext) -> Schedule:
 
 def largest_bifeasible(ctx: AffectanceContext, gamma: float = 2.0) -> Schedule:
     """Maximum-cardinality subset whose received and sent affectance sums
-    both stay within gamma at every member."""
+    both stay within gamma at every member: ``_gamma_test`` and the same
+    test on the transposed block."""
     _check_cap(ctx.n)
     require_positive("gamma", gamma)
-    return _best(ctx, partial(_feasible_affectance, ctx.raw, gamma=gamma, anti=True))
+    received, limit, k = _gamma_test(ctx, gamma)
+    return _best(ctx, [(received, limit, k), (received.T, limit, k)])

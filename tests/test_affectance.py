@@ -10,7 +10,7 @@ from sinrcap import (AffectanceContext, GenConfig, IndividuallyInfeasible, Insta
                      certify, exact_admission, generate_instance, hat_noise,
                      separation_check, signal_strengthen)
 from sinrcap.affectance import (BETA, BUDGET, HAT_NOISE, NOISE, POWER, RAW_CAP,
-                                _exact_budgets, _feasible_affectance, check_positions)
+                                _exact_budgets, _within, check_positions)
 
 from conftest import (colocated_pair, feasible_prim_ctx, make_link, random_ctx, selection,
                       sr_distance)
@@ -252,9 +252,31 @@ def test_feasibility_empty_and_singleton():
     for ids in ([], [int(ctx.ids[0])]):
         assert check_positions(ctx, ctx.index_of(ids))
         # anti- and bi-feasible: sent sums within 1 as well
-        assert _feasible_affectance(ctx.raw, selection(ctx, ids), 1.0, anti=True)[0]
+        sel = selection(ctx, ids)
+        assert _within(sel, ctx.raw, 1.0)[0] and _within(sel, ctx.raw.T, 1.0)[0]
         assert certify(ctx, ids).exact_sinr_ok
         assert certify(ctx, ids).verified
+
+
+def test_within_judges_selected_members_and_the_first_k_columns():
+    # two selectable rows over k = 1 primary column, then members 0 and 1;
+    # member 1 puts 3.0 on member 0, and together they put 1.2 on the primary
+    loads = np.array([[0.6, 0.0, 0.2],
+                      [0.6, 3.0, 0.0]])
+    sel = np.array([[False, False], [True, False], [False, True], [True, True]])
+    # an unselected member is exempt: {1} passes with 3.0 on member 0
+    assert _within(sel, loads, 1.0, k=1).tolist() == [True, True, True, False]
+    # a scalar limit broadcasts as a column of equal entries does
+    assert _within(sel, loads, np.ones(3), k=1).tolist() == [True, True, True, False]
+    # the primary column fails {0, 1} on its own, member 0's load on its own
+    assert _within(sel, loads, np.array([1.0, 5.0, 5.0]), k=1).tolist() == [True] * 3 + [False]
+    assert _within(sel, loads, np.array([2.0, 1.0, 1.0]), k=1).tolist() == [True] * 3 + [False]
+    assert _within(sel, loads, np.array([2.0, 5.0, 5.0]), k=1).all()
+    # the first k columns are judged even for the empty set
+    assert not _within(sel, loads, np.array([-1.0, 1.0, 1.0]), k=1).any()
+    # with k = 0 every column is a member's
+    assert _within(sel, loads[:, 1:], 1.0).tolist() == [True, True, True, False]
+    assert _within(sel, loads[:, 1:], -1.0).tolist() == [True, False, False, False]
 
 
 def test_colocated_pair_boundary_and_noise():
@@ -269,7 +291,7 @@ def test_colocated_pair_boundary_and_noise():
     assert not certify(ctx, [0, 1]).exact_sinr_ok
     assert not certify(ctx, [0, 1]).verified
     # but the pair is 2-feasible under clipped sums
-    assert _feasible_affectance(ctx.raw, selection(ctx, [0, 1]), 2.0)[0]
+    assert _within(selection(ctx, [0, 1]), np.minimum(ctx.raw, 1.0), 2.0)[0]
 
 
 def test_separation_check_basics():
@@ -286,7 +308,7 @@ def test_separation_of_strongly_feasible_sets(q):
     found = 0
     for r in range(2, len(ids) + 1):
         for subset in itertools.combinations(ids, r):
-            if _feasible_affectance(ctx.raw, selection(ctx, subset), gamma)[0]:
+            if _within(selection(ctx, subset), ctx.raw, gamma)[0]:
                 found += 1
                 assert separation_check(ctx, subset, q)
     assert found > 0

@@ -9,7 +9,7 @@ from sinrcap import (AffectanceContext, GenConfig, InfeasiblePrimaries, Instance
                      exact_capacity, generate_instance, largest_bifeasible,
                      run_oracle_suite, schedule_value)
 from sinrcap import oracle
-from sinrcap.affectance import _feasible_affectance, _verdict
+from sinrcap.affectance import _verdict, _within
 
 from conftest import colocated_pair, far_instance, feasible_prim_ctx, make_link, random_ctx
 
@@ -142,10 +142,23 @@ def test_bifeasible_witness_at_least_half_opt(seed):
     assert 2 * w2.size >= opt.size
 
 
+def _meets(*conditions):
+    """An accept: a set passes when it meets every ``(loads, limit, k)``
+    condition."""
+    return lambda sel: np.logical_and.reduce([_within(sel, *c) for c in conditions])
+
+
 def _verdict_passes(ctx):
-    """The shared verdict as an accept: a set passes when both halves hold."""
-    judge = _verdict(ctx)
-    return lambda sel: np.logical_and(*judge(sel))
+    """The shared verdict as an accept: a set passes when it meets both
+    conditions."""
+    return _meets(*_verdict(ctx))
+
+
+def _bifeasible(ctx, gamma=2.0):
+    """Clipped affectance sums within gamma at every member, received and
+    sent, as an accept."""
+    clipped = np.minimum(ctx.raw, 1.0)
+    return _meets((clipped, gamma, 0), (clipped.T, gamma, 0))
 
 
 def _brute_force(ctx, accept, weights=None):
@@ -203,9 +216,8 @@ def _synthetic_case(make):
 HEREDITARY_PREDICATES = {
     "verdict": _context_case(_verdict_passes),
     "admission_verdict": _context_case(_verdict_passes, R=5.0, primaries=2),
-    "affectance": _context_case(lambda ctx: partial(_feasible_affectance, ctx.raw, gamma=1.5)),
-    "bifeasible": _context_case(lambda ctx: partial(_feasible_affectance, np.minimum(ctx.raw, 1.0),
-                                                    gamma=2.0, anti=True), R=3.0),
+    "affectance": _context_case(lambda ctx: _meets((np.minimum(ctx.raw, 1.0), 1.5, 0))),
+    "bifeasible": _context_case(_bifeasible, R=3.0),
     "conflict_pairs": _synthetic_case(_conflict_pairs),
     "weight_cap": _synthetic_case(_weight_cap),
 }
@@ -281,16 +293,12 @@ EQUIVALENCE_CASES = {
     "weight": (partial(exact_capacity, objective="weight"), _verdict_passes,
                lambda ctx: ctx.weights),
     "affectance_raw": (partial(exact_capacity, mode="affectance", gamma=0.8),
-                       lambda ctx: partial(_feasible_affectance, ctx.raw, gamma=0.8),
+                       lambda ctx: _meets((ctx.raw, 0.8, 0)),
                        lambda ctx: None),
     "affectance_clipped": (partial(exact_capacity, mode="affectance", gamma=2.0),
-                           lambda ctx: partial(_feasible_affectance, np.minimum(ctx.raw, 1.0),
-                                               gamma=2.0),
+                           lambda ctx: _meets((np.minimum(ctx.raw, 1.0), 2.0, 0)),
                            lambda ctx: None),
-    "bifeasible": (largest_bifeasible,
-                   lambda ctx: partial(_feasible_affectance, np.minimum(ctx.raw, 1.0),
-                                       gamma=2.0, anti=True),
-                   lambda ctx: None),
+    "bifeasible": (largest_bifeasible, _bifeasible, lambda ctx: None),
     "admission": (exact_admission, _verdict_passes, lambda ctx: None),
 }
 
