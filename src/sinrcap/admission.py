@@ -136,11 +136,10 @@ def _large(ctx, lp, policy, selections) -> AdmissionResult:
     return _result(ctx, best, [best] if best.size else [], notes)
 
 
-def _primary_safe(ctx, lp, sel) -> np.ndarray:
-    """Per sample of ``sel`` (booleans over ``lp.ids``): whether its
-    unclipped loads stay within ``_STRENGTHEN_LIMIT`` on every primary."""
-    to_prim = ctx.raw_to_prim[ctx.index_of(lp.ids)]
-    return np.all(sel.astype(float) @ to_prim <= _STRENGTHEN_LIMIT, axis=1)
+def _primary_safe(ctx, pos, sel) -> np.ndarray:
+    """Per sample of ``sel`` (booleans over the context positions ``pos``):
+    whether its unclipped loads stay within ``_STRENGTHEN_LIMIT`` on each primary."""
+    return np.all(sel.astype(float) @ ctx.raw_to_prim[pos] <= _STRENGTHEN_LIMIT, axis=1)
 
 
 def admit_sweep(ctx: AffectanceContext, policies) -> list:

@@ -17,7 +17,8 @@ admission control.
 The context computes each receiver's SINR terms once, from the link lengths
 the instance holds (``Instance.lengths``), in a table with one row per
 receiver, primaries first, and holds one n x n matrix, the unclipped
-affectance; values are clipped where they are read.
+affectance; values are clipped where they are read.  Distances are read
+by each table row's instance position, which the context also holds.
 
 Every feasibility judgment is one kernel, ``_within``, on a condition
 ``(loads, limit, k)``: a set, one row of a boolean selection matrix, meets
@@ -53,8 +54,8 @@ RAW_CAP = 1e300
 # Columns of ``AffectanceContext.table``, one row per receiver.
 POWER, SIGNAL, BETA, NOISE, HAT_NOISE, BUDGET = range(6)
 
-# Rows of the affectance matrix computed at a time; bounds the
-# construction temporaries at O(ROW_BLOCK * n).
+# Rows of the affectance matrix the context build computes at a time; it
+# bounds only the build's distance temporaries, at O(ROW_BLOCK * n).
 ROW_BLOCK = 256
 
 
@@ -111,8 +112,9 @@ class AffectanceContext:
     ``SIGNAL`` P/l**alpha, ``BETA``, ``NOISE``, ``HAT_NOISE`` (adding the
     primaries' interference) and ``BUDGET``, signal over beta minus the hat
     noise, each l read from the instance's ``lengths``.  A primary's beta
-    and noise are the instance's.  ``powers`` (a view of the table),
-    ``lengths`` and ``weights`` are the secondaries'.
+    and noise are the instance's.  ``instance_pos`` holds each row's
+    instance position, by which distances are read; ``powers`` (a view of
+    the table), ``lengths`` and ``weights`` are the secondaries'.
 
     ``raw[w, v]`` is w's unclipped affectance on v, its interference at v
     over v's budget (capped at ``RAW_CAP``, 0 on the diagonal); it is the
@@ -143,7 +145,8 @@ class AffectanceContext:
         self.prim_ids = [lk.id for lk in prims.links]
         k = self.k = len(self.prim_ids)
         receivers = self.prim_ids + sorted(lk.id for lk in instance.links)
-        lengths = instance.lengths[instance.positions(receivers)]
+        at = instance.positions(receivers)
+        lengths = instance.lengths[at]
         powers = np.asarray(assignment.power(lengths[k:], alpha), dtype=float)
         if not np.all(np.isfinite(powers) & (powers > 0)):
             raise ValueError("power assignment produced a nonpositive or non-finite power")
@@ -155,8 +158,7 @@ class AffectanceContext:
         t[:, BETA] = [lk.beta_override or instance.beta for lk in links]
         t[:, NOISE] = [instance.noise if lk.noise_override is None else lk.noise_override
                        for lk in links]
-        from_prim = _interference(t[:k, POWER], instance.sr_matrix(self.prim_ids, receivers),
-                                  alpha)
+        from_prim = _interference(t[:k, POWER], instance._distances(at[:k, None], at), alpha)
         np.fill_diagonal(from_prim, 0.0)
         with np.errstate(divide="ignore", over="ignore"):  # refused below when not finite
             t[:, SIGNAL] = t[:, POWER] / lengths ** alpha
@@ -176,22 +178,23 @@ class AffectanceContext:
                            len(self.removed_ids), list(self.removed_ids))
         # column-major, so each column, ``powers`` among them, is contiguous
         self.table = np.asfortranarray(t[keep])
+        self.instance_pos = at[keep]
         self.ids = np.array(receivers, dtype=int)[keep][k:]
         self._pos = {int(i): p for p, i in enumerate(self.ids)}
         self.lengths = lengths[keep][k:]
         self.powers = self.table[k:, POWER]
-        self.weights = np.array([instance.link(int(i)).weight for i in self.ids])
+        self.weights = np.array([lk.weight for lk in links[k:]])[keep[k:]]
 
         n = len(self.ids)
-        ids_list = [int(i) for i in self.ids]
+        sec = self.instance_pos[k:]
         self.raw = np.empty((n, n))
         for r0 in range(0, n, ROW_BLOCK):
             r1 = min(r0 + ROW_BLOCK, n)
-            _interference(self.powers[r0:r1], instance.sr_matrix(ids_list[r0:r1], ids_list),
+            _interference(self.powers[r0:r1], instance._distances(sec[r0:r1, None], sec),
                           alpha, self.table[k:, BUDGET], out=self.raw[r0:r1])
         np.fill_diagonal(self.raw, 0.0)
 
-        to_prim = instance.sr_matrix(ids_list, self.prim_ids)
+        to_prim = instance._distances(sec[:, None], self.instance_pos[:k])
         prim = self.table[:k]
         self.raw_to_prim = _interference(self.powers, to_prim, alpha, prim[:, BUDGET])
         self.aff_to_prim_plain = np.minimum(_interference(
@@ -261,10 +264,9 @@ def _exact_budgets(ctx: AffectanceContext, pos=None) -> tuple:
     links, the primaries included; the other terms are their rows of
     ``ctx.table``.  v meets its SINR threshold when its load from the
     transmitting rows is at most its budget."""
-    pos = np.arange(ctx.n) if pos is None else pos
-    terms = ctx.table[np.r_[:ctx.k, ctx.k + pos]]
-    links = ctx.prim_ids + ctx.ids[pos].tolist()
-    interf = _interference(terms[:, POWER], ctx.instance.sr_matrix(links, links),
+    rows = np.r_[:ctx.k, ctx.k + (np.arange(ctx.n) if pos is None else pos)]
+    terms, at = ctx.table[rows], ctx.instance_pos[rows]
+    interf = _interference(terms[:, POWER], ctx.instance._distances(at[:, None], at),
                            ctx.instance.alpha)
     np.fill_diagonal(interf, 0.0)
     return interf[ctx.k:], _budgets(terms, interf[:ctx.k])[1]
@@ -312,10 +314,8 @@ def separation_check(ctx: AffectanceContext, S, q: float) -> bool:
     """d_uv * d_vu >= q**2 * l_u * l_v for every pair of the set S."""
     require_positive("q", q)
     idx = set_positions(ctx, S)
-    if idx.size <= 1:
-        return True
-    ids = ctx.ids[idx].tolist()
-    d = ctx.instance.sr_matrix(ids, ids)
+    at = ctx.instance_pos[ctx.k + idx]
+    d = ctx.instance._distances(at[:, None], at)
     lhs, rhs = d * d.T, q * q * np.outer(ctx.lengths[idx], ctx.lengths[idx])
     off = ~np.eye(idx.size, dtype=bool)
     return bool(np.all(lhs[off] >= rhs[off]))

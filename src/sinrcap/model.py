@@ -38,9 +38,9 @@ def link_id(value) -> int:
 
 
 def require_real(name: str, value) -> None:
-    """Refuse ``value`` unless it is a real number; a bool is not one.  Range
-    checks follow it, so they compare numbers only."""
-    if not _is_real(value):
+    """Refuse ``value`` unless it is a real number; a bool is not one (a float
+    passes at once).  Range checks follow it, so they compare numbers only."""
+    if type(value) is not float and not _is_real(value):
         raise ValueError(f"{name} must be a number, got {value!r}")
 
 
@@ -70,6 +70,8 @@ class Point:
     y: float
 
     def __post_init__(self):
+        require_real("x", self.x)
+        require_real("y", self.y)
         if not (math.isfinite(self.x) and math.isfinite(self.y)):
             raise ValueError(f"point coordinates must be finite, got ({self.x}, {self.y})")
 
@@ -90,12 +92,17 @@ class Link:
         object.__setattr__(self, "id", link_id(self.id))
         if self.id < 0:
             raise ValueError(f"link id must be nonnegative, got {self.id}")
+        require_real("weight", self.weight)
         if self.weight < 0 or not math.isfinite(self.weight):
             raise ValueError(f"link {self.id}: weight must be a finite nonnegative real")
-        if self.beta_override is not None and not 0 < self.beta_override < math.inf:
-            raise ValueError(f"link {self.id}: beta override must be finite and positive")
-        if self.noise_override is not None and not 0 <= self.noise_override < math.inf:
-            raise ValueError(f"link {self.id}: noise override must be finite and nonnegative")
+        if self.beta_override is not None:
+            require_real("beta_override", self.beta_override)
+            if not 0 < self.beta_override < math.inf:
+                raise ValueError(f"link {self.id}: beta override must be finite and positive")
+        if self.noise_override is not None:
+            require_real("noise_override", self.noise_override)
+            if not 0 <= self.noise_override < math.inf:
+                raise ValueError(f"link {self.id}: noise override must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -109,6 +116,7 @@ class PrimarySet:
         if len(self.links) != len(self.powers):
             raise ValueError("primaries and powers must have equal length")
         for link, p in zip(self.links, self.powers):
+            require_real(f"primary {link.id}: power", p)
             if not math.isfinite(p):  # inf and nan are not valid JSON
                 raise ValueError(f"primary {link.id}: power must be finite, got {p!r}")
             if not p > 0:

@@ -53,8 +53,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from . import formulations
-from .affectance import (ROW_BLOCK, AffectanceContext, Schedule, certify, check_positions,
-                         set_positions)
+from .affectance import AffectanceContext, Schedule, certify, check_positions, set_positions
 from .lp_core import LinearProgram, LpSession, solve_lp
 from .model import link_ids, require_integer, require_positive
 
@@ -152,11 +151,7 @@ def sample_batch(lp: LinearProgram, delta: np.ndarray, policy: RoundingPolicy,
     sel = np.empty((len(trials), lp.n), dtype=bool)
     for row, draws in zip(sel, _draw_rows(policy.seed, trials, lp.ids)):
         np.less(draws, delta, out=row)
-    sel_f = sel.astype(float)
-    over = np.empty((sel.shape[0], lp.m), dtype=bool)
-    for r0 in range(0, lp.m, ROW_BLOCK):  # loads T x ROW_BLOCK at a time
-        block = slice(r0, r0 + ROW_BLOCK)
-        over[:, block] = sel_f @ lp.row_coeffs[block].T > lp.row_limit[block]
+    over = sel.astype(float) @ lp.row_coeffs.T > lp.row_limit
     sel[np.any(over & (lp.row_var < 0), axis=1)] = False
     hit, rows = np.nonzero(over & (lp.row_var >= 0))
     sel[hit, lp.row_var[rows]] = False
@@ -167,18 +162,14 @@ def _extract_rows(ctx: AffectanceContext, sel: np.ndarray, bounds) -> np.ndarray
     """Each row's members whose clipped affectance received from that row's
     members is at most the row's entry of ``bounds``; ``sel``'s columns
     are the context positions.
-    One product over the union of selected columns serves every row; it is
-    taken ROW_BLOCK receivers at a time."""
+    One product over the union of selected columns, in position order,
+    serves every row."""
     cols = np.flatnonzero(sel.any(axis=0))
     sub = sel[:, cols]
-    sub_f = sub.astype(float)
-    bounds = np.asarray(bounds, dtype=float)[:, None]
+    aff = ctx.raw[np.ix_(cols, cols)]
+    np.minimum(aff, 1.0, out=aff)
     kept = np.zeros_like(sel)
-    for c0 in range(0, cols.size, ROW_BLOCK):
-        block = slice(c0, c0 + ROW_BLOCK)
-        aff = ctx.raw[np.ix_(cols, cols[block])]
-        np.minimum(aff, 1.0, out=aff)
-        kept[:, cols[block]] = sub[:, block] & (sub_f @ aff <= bounds)
+    kept[:, cols] = sub & (sub.astype(float) @ aff <= np.asarray(bounds, dtype=float)[:, None])
     return kept
 
 
@@ -324,11 +315,11 @@ def round_trials(ctx: AffectanceContext, policies: Sequence[RoundingPolicy], acc
     soon as its samples times the links they hold reach ``_BATCH_CELLS``;
     a policy is never split.
 
-    With ``accept``, a function from a program and a block's selection
-    matrix to one boolean per row, each policy's trials are drawn in blocks
-    of ``policy.trials`` until ``max(policy.trials, attempts)`` have been
-    made, and only accepted samples count, in attempt order: the samples a
-    one-by-one loop would take.
+    With ``accept``, a function from the program's variables' context
+    positions and a block's selection matrix to one boolean per row, each
+    policy's trials are drawn in blocks of ``policy.trials`` until
+    ``max(policy.trials, attempts)`` have been made, and only accepted
+    samples count, in attempt order: the samples a one-by-one loop takes.
     """
     if len({policy.mode for policy in policies}) > 1:
         raise ValueError("a sweep's policies must share one mode")
@@ -336,21 +327,21 @@ def round_trials(ctx: AffectanceContext, policies: Sequence[RoundingPolicy], acc
     batch = []  # (samples over the context positions, policy, program) per policy
     for policy in policies:
         lp = policy.problem.build(ctx, policy.C) if lp is None else lp.at(policy.C)
-        sol = solve_lp(lp, session)
+        sol, pos = solve_lp(lp, session), ctx.index_of(lp.ids)
         tries = max(policy.trials, attempts)
         wanted, kept = policy.trials, [np.zeros((0, lp.n), dtype=bool)]
         for start in range(0, tries, policy.trials):
             sel = sample_batch(lp, sol.values, policy,
                                range(start, min(start + policy.trials, tries)))
             if accept is not None:
-                sel = sel[accept(lp, sel)][:wanted]
+                sel = sel[accept(pos, sel)][:wanted]
             wanted -= len(sel)
             kept.append(sel)
             if wanted <= 0:
                 break
         samples = np.concatenate(kept)
         rows = np.zeros((len(samples), ctx.n), dtype=bool)
-        rows[:, ctx.index_of(lp.ids)] = samples
+        rows[:, pos] = samples
         batch.append((rows, policy, lp))
         if _cells(batch) >= _BATCH_CELLS:
             yield from _select_batch(ctx, batch)

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from sinrcap import (AffectanceContext, DistanceMatrix, GenConfig, Instance, Link, Point,
-                     PowerAssignment, certify, exact_capacity, generate_instance, greedy_sweep,
-                     run_compare, run_oracle_suite)
+                     PowerAssignment, PrimarySet, certify, exact_capacity, generate_instance,
+                     greedy_sweep, run_compare, run_oracle_suite)
 from sinrcap import cli
 from sinrcap.affectance import check_positions
 from sinrcap.cli import main as cli_main
@@ -60,6 +60,12 @@ NUMBER_FIELDS = {
         **{"links": (LINK,), "alpha": 2.5, field: value}))
        for field in ("alpha", "beta", "noise")},
     "PowerAssignment.tau": ("tau", lambda value: PowerAssignment(tau=value)),
+    "Point.x": ("x", lambda value: Point(value, 0.0)),
+    "Point.y": ("y", lambda value: Point(0.0, value)),
+    **{f"Link.{field}": (field, lambda value, field=field: dataclasses.replace(
+        LINK, **{field: value})) for field in ("weight", "beta_override", "noise_override")},
+    "PrimarySet.powers": ("primary 0: power",
+                          lambda value: PrimarySet(links=(LINK,), powers=(value,))),
 }
 
 
