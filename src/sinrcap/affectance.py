@@ -28,6 +28,10 @@ a set as two conditions: the exact SINR inequality (``_exact_budgets``'
 rows and budgets, with ``ctx.k``) and unclipped (hat) affectance sums
 within 1.  ``certify`` judges each returned set by both once and stores the
 result in its ``Schedule``; the exact oracles accept the sets it passes.
+The kernel takes the plain product ``sel.astype(float) @ loads`` of the
+loads as given, strided or not, since a product over other strides need not
+round the same; only the reduction of a block's verdicts is laid out for
+speed, one contiguous pass over the transposed fit matrix.
 
 Link ids given to a context are read in one place, ``index_of``, which
 turns them into context positions under ``model.link_id``'s rule and
@@ -275,12 +279,19 @@ def _exact_budgets(ctx: AffectanceContext, pos=None) -> tuple:
 def _within(sel: np.ndarray, loads: np.ndarray, limit, k: int = 0) -> np.ndarray:
     """The one feasibility kernel: per row of ``sel``, whether ``sel @ loads``
     is within ``limit`` (a scalar or one per column) at the first ``k``
-    columns and at every selected member, member j at column ``k + j``."""
+    columns and at every selected member, member j at column ``k + j``.
+
+    The member test is written into the fit matrix, and a block's rows are
+    reduced in one contiguous pass over its transpose: along rows of n + k
+    columns the reduction costs about twice the product it judges."""
     fits = sel.astype(float) @ loads <= limit
     # fits >= sel: a selected member's column must fit, an unselected one need not
     if k:
-        return fits[:, :k].all(axis=1) & (fits[:, k:] >= sel).all(axis=1)
-    return (fits >= sel).all(axis=1)
+        np.greater_equal(fits[:, k:], sel, out=fits[:, k:])
+    else:
+        fits = fits >= sel
+    # one row needs no copy, and gains no call over the plain reduction
+    return np.ascontiguousarray(fits.T).all(axis=0) if len(fits) > 1 else fits.all(axis=1)
 
 
 def _verdict(ctx: AffectanceContext, pos=None) -> tuple:

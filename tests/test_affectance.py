@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sinrcap import (AffectanceContext, GenConfig, IndividuallyInfeasible, Instance,
                      PowerAssignment, PrimarySet, affectance, bernoulli_draws, c_factor,
@@ -277,6 +279,54 @@ def test_within_judges_selected_members_and_the_first_k_columns():
     # with k = 0 every column is a member's
     assert _within(sel, loads[:, 1:], 1.0).tolist() == [True, True, True, False]
     assert _within(sel, loads[:, 1:], -1.0).tolist() == [True, False, False, False]
+
+
+def _within_by_rows(sel, loads, limit, k=0):
+    """``_within`` as two reductions along the rows of the fit matrix: the
+    reference form the kernel's transposed single pass must match."""
+    fits = sel.astype(float) @ loads <= limit
+    if k:
+        return fits[:, :k].all(axis=1) & (fits[:, k:] >= sel).all(axis=1)
+    return (fits >= sel).all(axis=1)
+
+
+@given(rows=st.sampled_from([0, 1, 2049]), n=st.integers(0, 20), k=st.sampled_from([0, 1, 3]),
+       limit_kind=st.sampled_from(["scalar", "column", "row"]), dyadic=st.booleans(),
+       fortran=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+def test_within_matches_the_row_reductions_and_takes_the_plain_products(
+        rows, n, k, limit_kind, dyadic, fortran, seed):
+    rng = np.random.default_rng(seed)
+    # each row holds 0 to n members; the first of a block is empty
+    sel = rng.random((rows, n)) < rng.random((rows, 1))
+    sel[:rows > 1] = False
+    # dyadic loads sum exactly, so many sums land on a scalar limit of 1
+    values = rng.choice([0.0, 0.125, 0.25, 0.5, 1.0], (k + n, n)) if dyadic else \
+        rng.exponential(0.2, (k + n, n))
+    # F-ordered loads as largest_bifeasible's transposed view hands them
+    loads = values.T if fortran else np.ascontiguousarray(values.T)
+    products = sel.astype(float) @ loads
+    if limit_kind == "scalar":
+        limit = 1.0
+    elif limit_kind == "column":
+        limit = rng.uniform(0.0, 2.0, k + n)
+    else:  # one row's own products: that row's loads sit exactly at the limit
+        limit = products[-1].copy() if rows else np.ones(k + n)
+    got = _within(sel, loads, limit, k)
+    assert got.dtype == bool and got.shape == (rows,)
+    assert np.array_equal(got, _within_by_rows(sel, loads, limit, k))
+    if rows > 1:  # the all-unselected row is judged at the first k columns only
+        assert got[0] == bool(np.all(products[0, :k] <= np.broadcast_to(limit, k + n)[:k]))
+    if rows and limit_kind == "row":
+        # the last row passes at its own products and fails when any judged
+        # column's limit drops one ulp: the kernel's products are these, bit for bit
+        assert got[-1]
+        for col in np.flatnonzero(np.r_[np.ones(k, bool), sel[-1]]):
+            lower = limit.copy()
+            lower[col] = np.nextafter(lower[col], -np.inf)
+            assert not _within(sel, loads, lower, k)[-1]
+            assert np.array_equal(_within(sel, loads, lower, k),
+                                  _within_by_rows(sel, loads, lower, k))
 
 
 def test_colocated_pair_boundary_and_noise():

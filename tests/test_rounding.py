@@ -207,6 +207,32 @@ def _extracted(ctx, S, bound):
     return tuple(ctx.ids[_extract_rows(ctx, selection(ctx, S), [bound])[0]].tolist())
 
 
+@pytest.mark.parametrize("C", [0.5, 1.0, 3.0])
+def test_weighted_extraction_keeps_every_stage_two_survivor(C):
+    # a weighted program's stage two holds each survivor's clipped load,
+    # received from the stage-one sample, to 4C; the survivors are a subset
+    # of that sample, so their loads stay within 4C, below extraction's 12C
+    drawn = survived = 0
+    for seed in range(4):
+        ctx = random_ctx(seed, n=30, R=5.0, delta=2.0, power=PowerAssignment.linear())
+        lp = build_weighted_lp(ctx, C)
+        policy = RoundingPolicy(mode="weighted", C=C, trials=40, seed=seed)
+        delta = np.random.default_rng(seed).uniform(0.2, 1.0, lp.n)
+        rows = np.zeros((policy.trials, ctx.n), dtype=bool)
+        rows[:, ctx.index_of(lp.ids)] = sample_batch(lp, delta, policy, range(policy.trials))
+        kept = _extract_rows(ctx, rows, [policy.extraction_bound] * policy.trials)
+        assert np.array_equal(kept, rows)
+        loads = (rows.astype(float) @ np.minimum(ctx.raw, 1.0))[rows]
+        assert loads.max(initial=0.0) <= 4.0 * C
+        drawn += sum(int((bernoulli_draws(seed, t, lp.ids) < delta).sum())
+                     for t in range(policy.trials))
+        survived += int(rows.sum())
+    # not vacuous: stage two dropped links, and some survivor's load
+    # exceeds C, so extraction at a bound of C would drop it
+    assert 0 < survived < drawn
+    assert (_extract_rows(ctx, rows, [C] * policy.trials) != rows).any()
+
+
 def test_extract_low_affectance():
     ctx = AffectanceContext(far_instance(4), UNIFORM)
     ids = tuple(int(i) for i in ctx.ids)
