@@ -286,12 +286,9 @@ def _within(sel: np.ndarray, loads: np.ndarray, limit, k: int = 0) -> np.ndarray
     columns the reduction costs about twice the product it judges."""
     fits = sel.astype(float) @ loads <= limit
     # fits >= sel: a selected member's column must fit, an unselected one need not
-    if k:
-        np.greater_equal(fits[:, k:], sel, out=fits[:, k:])
-    else:
-        fits = fits >= sel
-    # one row needs no copy, and gains no call over the plain reduction
-    return np.ascontiguousarray(fits.T).all(axis=0) if len(fits) > 1 else fits.all(axis=1)
+    members = fits[:, k:]
+    np.greater_equal(members, sel, out=members)
+    return np.logical_and.reduce(np.ascontiguousarray(fits.T), axis=0)
 
 
 def _verdict(ctx: AffectanceContext, pos=None) -> tuple:
